@@ -151,21 +151,6 @@ def cem_update(
 
 
 @dataclass(frozen=True)
-class Experience:
-    """One agent step: what was read, what was done, what it earned."""
-
-    episode: int
-    step: int
-    readings: tuple[float, ...]
-    setpoints: tuple[float, ...]
-    reward: float
-
-    def check_shapes(self, n_sensors: int, n_actuators: int) -> None:
-        if len(self.readings) != n_sensors or len(self.setpoints) != n_actuators:
-            raise AgentError("experience vector lengths do not match the specs")
-
-
-@dataclass(frozen=True)
 class Objective:
     kind: str  # damage | profit | custom
     agents: tuple[str, ...] = ()  # market agent ids owned by this attacker
@@ -185,6 +170,11 @@ DIVERGENCE_PENALTY = 10.0
 
 def objective_eval(aggregates: dict, objective: Objective) -> float:
     """Reward for one agent step from the step's telemetry aggregates.
+
+    `aggregates` is telemetry.RunSummary.aggregates() over the records of
+    one agent step, so every value is summed over that step: with a grid
+    step shorter than the agent interval, the excursions of every grid step
+    in the interval add up, and each diverged power flow counts.
 
     damage: summed band excursions (pu) plus 10 per diverged power flow.
     profit: own market payments minus cost_per_mvar * own offered volume.

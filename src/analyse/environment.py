@@ -3,7 +3,8 @@
 reset(seed) rebuilds every simulator from the scenario with the episode seed;
 step(setpoints) applies actuator values, advances the kernel by one agent
 interval (the market interval), and derives the reward from the telemetry
-records the interval produced. Episode telemetry times are offset so t_sim
+records the interval produced, drained from the sink and reduced by a
+telemetry.RunSummary. Episode telemetry times are offset so t_sim
 stays non-decreasing per source across episodes within one run log.
 """
 
@@ -17,7 +18,6 @@ from .agents import (
     ActuatorSpec,
     AgentError,
     CemDistribution,
-    Experience,
     Objective,
     Phase,
     Policy,
@@ -29,7 +29,7 @@ from .agents import (
 )
 from .design import STREAM_CEM, STREAM_EPISODE, STREAM_SCRIPTED, derive_seed
 from .kernel import Kernel
-from .telemetry import RunSink
+from .telemetry import RunSink, RunSummary
 
 
 class EnvironmentError(Exception):
@@ -78,9 +78,7 @@ class Environment:
         self._sim: Assembled | None = None
         self._local_t = 0
         self._step_index = 0
-        self._record_mark = 0
         self._episode_index = -1
-        self.experiences: list[Experience] = []
         self._probe_build()
 
     def _probe_build(self) -> None:
@@ -109,9 +107,8 @@ class Environment:
         self._local_t = 0
         self._step_index = 0
         self._episode_index += 1
-        self.experiences = []
         self._sim.kernel.run_until(1)  # step everything due at t=0
-        self._record_mark = len(self.sink.records)
+        self.sink.drain()  # the t=0 records belong to no agent step
         return self._readings()
 
     def _readings(self) -> list[float]:
@@ -145,71 +142,22 @@ class Environment:
         interval = self._sim.interval_s
         self._local_t += interval
         self._sim.kernel.run_until(self._local_t + 1)
-        aggregates = self._window_aggregates()
-        reward = objective_eval(aggregates, self.objective)
+        window = RunSummary(band=self.band)
+        for record in self.sink.drain():
+            window.feed(record.kind, record.payload)
+        reward = objective_eval(window.aggregates(), self.objective)
         self._step_index += 1
         self._emit_offset("agent", "agent.action", float(self._local_t), {
             "step": self._step_index, "setpoints": applied, "reward": reward,
         })
-        self._record_mark = len(self.sink.records)
         done = self._step_index >= self.episode_length
         readings = self._readings()
-        experience = Experience(
-            episode=self._episode_index,
-            step=self._step_index - 1,
-            readings=tuple(float(v) for v in readings),
-            setpoints=tuple(applied.values()),
-            reward=reward,
-        )
-        experience.check_shapes(len(self.sensors), len(self.actuators))
-        self.experiences.append(experience)
         if done:
             self._emit_offset("kernel", "kernel.step", float(self._local_t), {
                 "episode": self._episode_index,
                 "steps": self._sim.kernel.step_counts,
             })
         return readings, reward, done
-
-    def _window_aggregates(self) -> dict:
-        lo, hi = self.band
-        agg: dict = {
-            "violation_sum_pu": 0.0,
-            "diverged": 0,
-            "payments_eur": {},
-            "offered_mvar": {},
-            "accepted_mvar": {},
-            "frames_dropped": 0,
-            "clearing_cost_eur": 0.0,
-            "resolution_failures": 0,
-        }
-        for record in self.sink.records[self._record_mark:]:
-            if record.kind == "grid.step":
-                violation = 0.0
-                for vm in record.payload.get("vm", {}).values():
-                    violation += max(lo - vm, 0.0) + max(vm - hi, 0.0)
-                agg["violation_sum_pu"] = violation
-                if not record.payload.get("converged", True):
-                    agg["diverged"] = 1
-            elif record.kind == "market.clearing":
-                payload = record.payload
-                agg["clearing_cost_eur"] += payload.get("total_cost_eur", 0.0)
-                if not payload.get("resolved", True):
-                    agg["resolution_failures"] += 1
-                for agent, eur in payload.get("payments_eur", {}).items():
-                    agg["payments_eur"][agent] = agg["payments_eur"].get(agent, 0.0) + eur
-                for agent, q in payload.get("accepted_mvar", {}).items():
-                    agg["accepted_mvar"][agent] = agg["accepted_mvar"].get(agent, 0.0) + q
-                for offer in payload.get("offers", []):
-                    agent = offer.get("agent_id", "?")
-                    agg["offered_mvar"][agent] = (
-                        agg["offered_mvar"].get(agent, 0.0) + abs(offer.get("q_mvar", 0.0))
-                    )
-            elif record.kind == "net.drop":
-                agg["frames_dropped"] += 1
-        for name in ("payments_eur", "offered_mvar", "accepted_mvar"):
-            for agent, value in agg[name].items():
-                agg[f"{name}.{agent}"] = value
-        return agg
 
 
 @dataclass

@@ -8,6 +8,7 @@ after each acceptance. Settlement is pay-as-bid.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -30,6 +31,8 @@ class Offer:
     interval: int
 
     def validate(self) -> None:
+        if not (math.isfinite(self.q_mvar) and math.isfinite(self.price_eur_per_mvar)):
+            raise MarketError(f"offer {self.offer_id}: non-finite q_mvar or price")
         if self.q_mvar == 0:
             raise MarketError(f"offer {self.offer_id}: q_mvar must be nonzero")
         if self.price_eur_per_mvar < 0:
@@ -56,7 +59,7 @@ def offer_from_payload(payload: dict) -> Offer:
             price_eur_per_mvar=float(payload["price_eur_per_mvar"]),
             interval=int(payload["interval"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MarketError(f"malformed offer payload: {exc}") from exc
     offer.validate()
     return offer

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -519,8 +520,12 @@ class PvSimulator:
                 except (UnicodeDecodeError, json.JSONDecodeError):
                     continue
                 if isinstance(msg, dict) and msg.get("type") == "dispatch" and msg.get("unit") == name:
-                    q = float(msg.get("q_mvar", 0.0))
-                    self._q[name] = min(max(q, unit.q_min_mvar), unit.q_max_mvar)
+                    try:
+                        q = float(msg.get("q_mvar", 0.0))
+                    except (TypeError, ValueError, OverflowError):
+                        continue  # a malformed dispatch leaves the previous setpoint
+                    if math.isfinite(q):
+                        self._q[name] = min(max(q, unit.q_min_mvar), unit.q_max_mvar)
             self._cursor[name] = len(inbox)
             sample = feeders.WeatherSample(
                 t=float(t), ghi_w_m2=max(float(model_in["ghi_w_m2"]), 0.0),
@@ -910,20 +915,12 @@ def endpoint_tables(config: ScenarioConfig) -> tuple[set, set]:
         NetSimulator(config, random.Random(0), lambda *a: None),
         MarketSimulator(config, lambda *a: None),
     ]
-    descriptors = [a.descriptor() for a in adapters]
+    # Neither descriptor reads its data series, so none is loaded here.
     if config.weather_path is not None:
-        descriptors.append(
-            SimulatorDescriptor("weather", config.grid_step_s,
-                                (ModelSpec("station", outputs=("ghi_w_m2", "t_air_c")),))
-        )
+        adapters.append(WeatherSimulator(config, None))
     if any(l.profile for l in config.loads):
-        descriptors.append(
-            SimulatorDescriptor(
-                "profiles", config.grid_step_s,
-                tuple(ModelSpec(f"load_{l.name}", outputs=("p_mw", "q_mvar"))
-                      for l in config.loads if l.profile),
-            )
-        )
+        adapters.append(ProfilesSimulator(config, {}))
+    descriptors = [a.descriptor() for a in adapters]
     outputs: set = set()
     inputs: set = set()
     for desc in descriptors:

@@ -108,15 +108,17 @@ class LogRecord:
 class RunSink:
     """Single-writer, append-only JSONL sink for one run.
 
-    Assigns the per-run seq counter, enforces non-decreasing t_sim per source,
-    and keeps the emitted records in memory for same-process consumers (the
-    environment reads back the window of records between agent steps).
+    Assigns the per-run seq counter and enforces non-decreasing t_sim per
+    source. `records` holds only the records emitted since the last drain():
+    the environment drains once per agent step, so memory stays bounded by
+    the records of one step however long the run is.
     """
 
     def __init__(self, path: str | Path, run_id: str):
         self.path = Path(path)
         self.run_id = run_id
         self.records: list[LogRecord] = []
+        self._seq = 0
         self._last_t: dict[str, float] = {}
         self._fh = self.path.open("w", encoding="utf-8", newline="\n")
         self._closed = False
@@ -129,12 +131,18 @@ class RunSink:
             raise TelemetryError(
                 f"t_sim went backwards for source {source!r}: {t_sim} < {last}"
             )
-        record = LogRecord(self.run_id, len(self.records), t_sim, source, kind, payload)
+        record = LogRecord(self.run_id, self._seq, t_sim, source, kind, payload)
         line = record.to_line()
         self._fh.write(line + "\n")
+        self._seq += 1
         self._last_t[source] = t_sim
         self.records.append(record)
         return record
+
+    def drain(self) -> list[LogRecord]:
+        """Return the records not yet drained and forget them."""
+        records, self.records = self.records, []
+        return records
 
     def close(self) -> None:
         if not self._closed:
@@ -153,18 +161,39 @@ class RunSink:
         self.close()
 
 
+_IGNORED_KINDS = frozenset((
+    "run.end",
+    "run.abort",
+    "kernel.step",
+    "agent.generation",
+    "agent.action",
+    "agent.clamp",
+    "net.rule",
+    "net.restart",
+))
+
+
 @dataclass
 class RunSummary:
-    """Aggregates recomputable by re-scanning a run's log file."""
+    """Aggregates of a stream of log records, fed one record at a time.
+
+    summarize() feeds every record of a log file; the environment feeds the
+    records of one agent step and derives the step reward from aggregates().
+    `band` is the voltage band excursions are measured against; a run.header
+    record replaces it with the run's band.
+    """
 
     run_id: str = ""
     experiment: str | None = None
     factors: dict = field(default_factory=dict)
     seed: int | None = None
+    band: tuple[float, float] = (0.95, 1.05)
     violation_count: int = 0
+    violation_sum_pu: float = 0.0
     max_excursion_pu: float = 0.0
     diverged_count: int = 0
     payments_eur: dict = field(default_factory=dict)
+    offered_mvar: dict = field(default_factory=dict)
     accepted_mvar: dict = field(default_factory=dict)
     clearings: int = 0
     clearings_resolved: int = 0
@@ -191,6 +220,71 @@ class RunSummary:
             "max": max(rs),
         }
 
+    def feed(self, kind: str, payload: dict) -> None:
+        """Add one record's payload to the aggregates."""
+        if kind == "run.header":
+            self.experiment = payload.get("experiment")
+            self.factors = payload.get("factors", {})
+            self.seed = payload.get("seed")
+            band = payload.get("band", {})
+            self.band = (band.get("v_min_pu", self.band[0]), band.get("v_max_pu", self.band[1]))
+        elif kind == "grid.step":
+            if not payload.get("converged", True):
+                self.diverged_count += 1
+            lo, hi = self.band
+            for vm in payload.get("vm", {}).values():
+                excursion = max(lo - vm, vm - hi, 0.0)
+                if excursion > 0.0:
+                    self.violation_count += 1
+                    self.violation_sum_pu += excursion
+                    self.max_excursion_pu = max(self.max_excursion_pu, excursion)
+        elif kind == "market.clearing":
+            self.clearings += 1
+            if payload.get("resolved", False):
+                self.clearings_resolved += 1
+            self.total_cost_eur += payload.get("total_cost_eur", 0.0)
+            for agent, eur in payload.get("payments_eur", {}).items():
+                self.payments_eur[agent] = self.payments_eur.get(agent, 0.0) + eur
+            for agent, q in payload.get("accepted_mvar", {}).items():
+                self.accepted_mvar[agent] = self.accepted_mvar.get(agent, 0.0) + q
+            for offer in payload.get("offers", []):
+                agent = offer.get("agent_id", "?")
+                self.offered_mvar[agent] = (
+                    self.offered_mvar.get(agent, 0.0) + abs(offer.get("q_mvar", 0.0))
+                )
+        elif kind == "net.send":
+            self.frames_sent += 1
+        elif kind == "net.deliver":
+            self.frames_delivered += 1
+        elif kind == "net.drop":
+            self.frames_dropped += 1
+        elif kind == "agent.episode":
+            agent = payload.get("agent", "agent")
+            self.returns.setdefault(agent, []).append(payload.get("return", 0.0))
+        elif kind not in _IGNORED_KINDS:
+            self.unknown_kinds[kind] = self.unknown_kinds.get(kind, 0) + 1
+
+    def aggregates(self) -> dict:
+        """The named aggregates objective_eval reads (see docs/schemas/README.md).
+
+        Scenario documents name these in custom objective weights: the scalar
+        totals, and `<name>.<agent>` for each per-agent map.
+        """
+        agg = {
+            "violation_sum_pu": self.violation_sum_pu,
+            "diverged": self.diverged_count,
+            "payments_eur": self.payments_eur,
+            "offered_mvar": self.offered_mvar,
+            "accepted_mvar": self.accepted_mvar,
+            "frames_dropped": self.frames_dropped,
+            "clearing_cost_eur": self.total_cost_eur,
+            "resolution_failures": self.clearings - self.clearings_resolved,
+        }
+        for name in ("payments_eur", "offered_mvar", "accepted_mvar"):
+            for agent, value in agg[name].items():
+                agg[f"{name}.{agent}"] = value
+        return agg
+
 
 _REQUIRED_FIELDS = ("run_id", "seq", "t_sim", "source", "kind", "payload")
 
@@ -204,7 +298,6 @@ def summarize(path: str | Path, strict: bool = False) -> RunSummary:
     """
     path = Path(path)
     summary = RunSummary()
-    band_lo, band_hi = 0.95, 1.05
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -222,56 +315,9 @@ def summarize(path: str | Path, strict: bool = False) -> RunSummary:
                     raise LogParseError(str(path), line_no, str(exc)) from exc
                 summary.parse_errors.append((line_no, str(exc)))
                 continue
-            kind = rec["kind"]
-            payload = rec["payload"]
             if not summary.run_id:
                 summary.run_id = rec["run_id"]
-            if kind == "run.header":
-                summary.experiment = payload.get("experiment")
-                summary.factors = payload.get("factors", {})
-                summary.seed = payload.get("seed")
-                band = payload.get("band", {})
-                band_lo = band.get("v_min_pu", band_lo)
-                band_hi = band.get("v_max_pu", band_hi)
-            elif kind == "grid.step":
-                if not payload.get("converged", True):
-                    summary.diverged_count += 1
-                for vm in payload.get("vm", {}).values():
-                    excursion = max(band_lo - vm, vm - band_hi, 0.0)
-                    if excursion > 0.0:
-                        summary.violation_count += 1
-                        summary.max_excursion_pu = max(summary.max_excursion_pu, excursion)
-            elif kind == "market.clearing":
-                summary.clearings += 1
-                if payload.get("resolved", False):
-                    summary.clearings_resolved += 1
-                summary.total_cost_eur += payload.get("total_cost_eur", 0.0)
-                for agent, eur in payload.get("payments_eur", {}).items():
-                    summary.payments_eur[agent] = summary.payments_eur.get(agent, 0.0) + eur
-                for agent, q in payload.get("accepted_mvar", {}).items():
-                    summary.accepted_mvar[agent] = summary.accepted_mvar.get(agent, 0.0) + q
-            elif kind == "net.send":
-                summary.frames_sent += 1
-            elif kind == "net.deliver":
-                summary.frames_delivered += 1
-            elif kind == "net.drop":
-                summary.frames_dropped += 1
-            elif kind == "agent.episode":
-                agent = payload.get("agent", "agent")
-                summary.returns.setdefault(agent, []).append(payload.get("return", 0.0))
-            elif kind in (
-                "run.end",
-                "run.abort",
-                "kernel.step",
-                "agent.generation",
-                "agent.action",
-                "agent.clamp",
-                "net.rule",
-                "net.restart",
-            ):
-                pass
-            else:
-                summary.unknown_kinds[kind] = summary.unknown_kinds.get(kind, 0) + 1
+            summary.feed(rec["kind"], rec["payload"])
     return summary
 
 

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,13 @@ def make_env(tmp_path, doc=None, sensors=None, actuators=None, objective=None,
         episode_length=3,
     )
     return env, sink
+
+
+def logged(sink, kind):
+    """Close the sink and read back the records of one kind from its log."""
+    sink.close()
+    records = [json.loads(line) for line in sink.path.read_text().splitlines()]
+    return [r for r in records if r["kind"] == kind]
 
 
 def test_unresolvable_sensor_fails_fast(tmp_path):
@@ -77,11 +85,7 @@ def test_default_actuators_reproduce_agent_free_baseline(tmp_path):
         env.reset(13)
         for _ in range(3):
             env.step(setpoints)
-        trace = [
-            r.payload["vm"] for r in sink.records if r.kind == "grid.step"
-        ]
-        sink.close()
-        return trace
+        return [r["payload"]["vm"] for r in logged(sink, "grid.step")]
 
     baseline = vm_trace([], [])
     defaults_applied = vm_trace([actuator], [actuator.default])
@@ -95,9 +99,8 @@ def test_actuator_setpoints_clipped_at_boundary(tmp_path):
     env.step([500.0])  # way above hi
     applied = env._sim.kernel._external[("bidders", "s1", "price")]
     assert applied == 50.0
-    clamps = [r for r in sink.records if r.kind == "agent.clamp"]
-    assert clamps and clamps[0].payload["actuator"] == "bidders.s1.price"
-    sink.close()
+    clamps = logged(sink, "agent.clamp")
+    assert clamps and clamps[0]["payload"]["actuator"] == "bidders.s1.price"
 
 
 def test_environment_determinism_across_instances(tmp_path):
@@ -117,11 +120,10 @@ def test_run_phase_scripted_episode_accounting(tmp_path):
         env, LearnerConfig(kind="random"), Phase("p", "test", 3, 2),
         run_seed=5, state=AgentRunState(),
     )
-    episodes = [r for r in sink.records if r.kind == "agent.episode"]
+    episodes = logged(sink, "agent.episode")
     assert len(episodes) == 3
     assert len(report.returns) == 3
-    assert [e.payload["episode"] for e in episodes] == [0, 1, 2]
-    sink.close()
+    assert [e["payload"]["episode"] for e in episodes] == [0, 1, 2]
 
 
 def test_run_phase_replay_and_none(tmp_path):
@@ -152,34 +154,17 @@ def test_train_then_test_uses_best_theta(tmp_path):
     sink.close()
 
 
-def test_experiences_recorded_per_episode(tmp_path):
-    env, sink = make_env(tmp_path)
-    env.reset(1)
-    env.step([])
-    env.step([])
-    assert len(env.experiences) == 2
-    exp = env.experiences[1]
-    assert (exp.episode, exp.step) == (0, 1)
-    assert len(exp.readings) == 2 and exp.setpoints == ()
-    env.reset(2)
-    assert env.experiences == []
-    env.step([])
-    assert env.experiences[0].episode == 1
-    sink.close()
-
-
 def test_kernel_step_counts_logged_at_episode_end(tmp_path):
     env, sink = make_env(tmp_path)
     env.reset(1)
     for _ in range(3):
         env.step([])
-    stats = [r for r in sink.records if r.kind == "kernel.step"]
+    stats = logged(sink, "kernel.step")
     assert len(stats) == 1
-    steps = stats[0].payload["steps"]
+    steps = stats[0]["payload"]["steps"]
     assert steps["grid"] == 4      # t = 0, 900, 1800, 2700
     assert steps["market"] == 4
     assert steps["net"] == 2700 // 60 + 1
-    sink.close()
 
 
 def test_full_run_end_to_end_deterministic(tmp_path):
@@ -192,3 +177,28 @@ def test_full_run_end_to_end_deterministic(tmp_path):
         return report.returns
 
     assert run("r1.jsonl") == run("r2.jsonl")
+
+
+def test_damage_reward_sums_every_grid_step_of_the_window(tmp_path, mini_doc):
+    mini_doc["grid"]["step_s"] = 300  # three grid steps per 900 s agent interval
+    env, sink = make_env(tmp_path, doc=mini_doc)
+    env.reset(3)
+    _, reward, _ = env.step([])
+    window = [r["payload"] for r in logged(sink, "grid.step") if 0 < r["payload"]["t"] <= 900]
+    assert [p["t"] for p in window] == [300, 600, 900]
+    excursions = [
+        max(0.95 - vm, vm - 1.05, 0.0) for p in window for vm in p["vm"].values()
+    ]
+    assert sum(excursions) > 0.0
+    assert reward == pytest.approx(sum(excursions), rel=1e-6)
+
+
+def test_sink_holds_at_most_one_step_of_records(tmp_path):
+    env, sink = make_env(tmp_path)
+    for seed in (1, 2):
+        env.reset(seed)
+        for _ in range(3):
+            emitted_before = sink._seq
+            env.step([])
+            assert 0 < len(sink.records) <= sink._seq - emitted_before
+    sink.close()

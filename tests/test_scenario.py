@@ -4,7 +4,14 @@ from pathlib import Path
 import pytest
 
 from analyse.environment import Environment
-from analyse.scenario import assemble, load_data_series, load_document, parse_scenario
+from analyse.scenario import (
+    PvSimulator,
+    assemble,
+    endpoint_tables,
+    load_data_series,
+    load_document,
+    parse_scenario,
+)
 from analyse.telemetry import canonical_json
 from analyse.validation import validate_document, validate_scenario
 
@@ -190,6 +197,54 @@ def test_headroom_violations_rejected(mini_doc):
     clearing = recorder.of("market.clearing")[1][3]
     assert any(r.get("reason") == "exceeds headroom" for r in clearing["rejected"])
     assert "s2-00002" not in [o["offer_id"] for o in clearing["offers"]]
+
+
+def test_non_finite_offers_rejected_and_clearing_logged(mini_doc):
+    offer = ('{"agent_id":"agent_%s","bus":%d,"interval":2,"offer_id":"%s-00002",'
+             '"price_eur_per_mvar":%s,"q_mvar":%s}')
+    mini_doc["network"]["rules"] = [
+        {"rule_id": f"forge_{src}", "at_node": "sw", "enabled": True,
+         "match": {"src": src, "payload_contains": '"interval":2'},
+         "action": {"kind": "tamper", "replacement": replacement}}
+        for src, replacement in (
+            ("h1", offer % ("a", 3, "s1", "NaN", "0.5")),
+            ("h2", offer % ("b", 4, "s2", "1.0", "Infinity")),
+        )
+    ]
+    config, sim, recorder = build(mini_doc)
+    sim.kernel.run_until(901)
+    clearing = recorder.of("market.clearing")[1][3]
+    assert clearing["offers"] == []
+    assert sorted(r["reason"] for r in clearing["rejected"]) == [
+        f"offer {asset}-00002: non-finite q_mvar or price" for asset in ("s1", "s2")
+    ]
+    canonical_json(clearing)  # the clearing record still serializes
+
+
+def test_pv_skips_dispatch_without_a_finite_q(mini_doc):
+    pv = PvSimulator(parse_scenario(mini_doc, Path(".")))
+
+    def q_after(inbox):
+        inputs = {name: {"ghi_w_m2": 0.0, "t_air_c": 15.0, "inbox": ()} for name in pv.units}
+        inputs["s1"]["inbox"] = inbox
+        return pv(0, inputs)["s1"]["q_mvar"]
+
+    def dispatch(q):
+        return (0.0, "op", ('{"q_mvar":%s,"type":"dispatch","unit":"s1"}' % q).encode())
+
+    inbox = (dispatch("0.5"),)
+    assert q_after(inbox) == 0.5
+    for bad in ('"high"', "NaN", "-Infinity", "null", "[1]", "1" + "0" * 400):
+        inbox += (dispatch(bad),)
+        assert q_after(inbox) == 0.5
+
+
+@pytest.mark.parametrize("name", ["feeder4.yaml", "gaming.yaml"])
+def test_endpoint_tables_match_assembled_outputs(name):
+    path = packaged(name)
+    config = parse_scenario(load_document(path), path.parent)
+    outputs, _ = endpoint_tables(config)
+    assert outputs == assemble(config, 1, lambda *a: None).kernel._outputs
 
 
 def test_assembly_deterministic_with_seed(mini_doc):

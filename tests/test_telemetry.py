@@ -6,6 +6,7 @@ import pytest
 from analyse.telemetry import (
     LogParseError,
     RunSink,
+    RunSummary,
     SinkClosedError,
     TelemetryError,
     UnserializableError,
@@ -76,7 +77,8 @@ def test_lines_are_self_contained(tmp_path):
     assert set(record) == {"run_id", "seq", "t_sim", "source", "kind", "payload"}
 
 
-def write_fixture_log(path, run_id="fix", band=(0.95, 1.05), factors=None):
+def fixture_sink(path, run_id="fix", band=(0.95, 1.05), factors=None):
+    """Write the fixture log; the closed sink still holds every record."""
     with RunSink(path, run_id) as sink:
         sink.emit("runner", "run.header", 0.0, {
             "run_id": run_id, "seed": 7, "experiment": "exp",
@@ -90,13 +92,18 @@ def write_fixture_log(path, run_id="fix", band=(0.95, 1.05), factors=None):
         sink.emit("market", "market.clearing", 900.0, {
             "resolved": True, "total_cost_eur": 12.5,
             "payments_eur": {"a1": 12.5}, "accepted_mvar": {"a1": 2.5},
+            "offers": [{"agent_id": "a1", "q_mvar": -3.0}],
         })
         sink.emit("net", "net.send", 900.0, {})
         sink.emit("net", "net.deliver", 900.5, {})
         sink.emit("net", "net.drop", 901.0, {})
         sink.emit("agent", "agent.episode", 900.0, {"agent": "att", "return": 3.5})
         sink.emit("weird", "custom.kind", 901.0, {})
-    return path
+    return sink
+
+
+def write_fixture_log(path, run_id="fix", band=(0.95, 1.05), factors=None):
+    return fixture_sink(path, run_id, band, factors).path
 
 
 def test_summarize_counts(tmp_path):
@@ -113,6 +120,37 @@ def test_summarize_counts(tmp_path):
     assert s.returns == {"att": [3.5]}
     assert s.unknown_kinds == {"custom.kind": 1}
     assert s.episode_stats("att")["mean"] == 3.5
+
+
+def test_feed_in_memory_matches_summarize(tmp_path):
+    sink = fixture_sink(tmp_path / "fix.jsonl", band=(0.98, 1.04))
+    fed = RunSummary(run_id=sink.run_id)
+    for record in sink.records:
+        fed.feed(record.kind, record.payload)
+    assert fed == summarize(sink.path)
+    assert fed.band == (0.98, 1.04)
+    assert fed.violation_count == 2  # 0.94 and 0.97 both leave the header's band
+    assert fed.aggregates() == {
+        "violation_sum_pu": pytest.approx(0.04 + 0.01),
+        "diverged": 1,
+        "payments_eur": {"a1": 12.5},
+        "offered_mvar": {"a1": 3.0},
+        "accepted_mvar": {"a1": 2.5},
+        "frames_dropped": 1,
+        "clearing_cost_eur": 12.5,
+        "resolution_failures": 0,
+        "payments_eur.a1": 12.5,
+        "offered_mvar.a1": 3.0,
+        "accepted_mvar.a1": 2.5,
+    }
+
+
+def test_sink_drain_hands_over_records_once(tmp_path):
+    with RunSink(tmp_path / "r.jsonl", "r") as sink:
+        sink.emit("a", "k.x", 0.0, {})
+        assert [r.seq for r in sink.drain()] == [0]
+        assert sink.records == [] and sink.drain() == []
+        assert sink.emit("a", "k.y", 1.0, {}).seq == 1
 
 
 def test_summarize_empty_log(tmp_path):
