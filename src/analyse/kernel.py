@@ -9,12 +9,19 @@ connections (ties broken by registration order).
 Data-flow semantics: a simulator stepping at time t reads, per non-shifted
 input connection, the source value produced at the largest source step <= t;
 per time-shifted connection, the value produced at the largest source step
-strictly < t (the connection's declared default before that). Time-shifted
+strictly < t (the input's declared default before that). Time-shifted
 connections are the cycle-breaking device for feedback loops.
+
+Message connections deliver each item exactly once. Every non-empty value
+the source produces is a sequence of items, queued with its step time per
+destination; a consumer stepping at t receives, as one tuple in production
+order, every queued item produced at a source step <= t (< t when
+time-shifted), and () when nothing is due. Delivered items leave the queue.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -76,7 +83,7 @@ class Connection:
     src: Endpoint
     dst: Endpoint
     time_shifted: bool = False
-    default: Any = None
+    message: bool = False
 
 
 @dataclass
@@ -94,14 +101,6 @@ class SimulatorHandle:
         self._kernel = kernel
         self.sim_id = sim_id
 
-    @property
-    def descriptor(self) -> SimulatorDescriptor:
-        return self._kernel._sims[self.sim_id].desc
-
-    @property
-    def step_count(self) -> int:
-        return self._kernel._sims[self.sim_id].steps
-
 
 class Kernel:
     def __init__(self) -> None:
@@ -111,6 +110,10 @@ class Kernel:
         self._outputs: set[Endpoint] = set()
         # per produced endpoint: (last_t, last_value, prev_t, prev_value)
         self._store: dict[Endpoint, tuple[int, Any, int | None, Any]] = {}
+        # message connections: (step time, items) queues per destination,
+        # reached from the source endpoint as well
+        self._queues: dict[Endpoint, deque] = {}
+        self._fanout: dict[Endpoint, list[deque]] = {}
         self._external: dict[Endpoint, Any] = {}
         self._next_due: dict[str, int] = {}
         self._started = False
@@ -138,7 +141,7 @@ class Kernel:
         src: Endpoint,
         dst: Endpoint,
         time_shifted: bool = False,
-        default: Any = None,
+        message: bool = False,
     ) -> None:
         src = tuple(src)
         dst = tuple(dst)
@@ -148,33 +151,16 @@ class Kernel:
             raise KernelError(f"unknown destination endpoint {dst}")
         if dst in self._connections:
             raise KernelError(f"destination endpoint {dst} already connected")
-        connection = Connection(src, dst, time_shifted, default)
-        if not time_shifted and self._creates_cycle(connection):
+        connection = Connection(src, dst, time_shifted, message)
+        if not time_shifted and len(self._topo_ranks((connection,))) < len(self._sims):
             raise KernelError(
                 f"connection {src} -> {dst} would close a cycle of non-time-shifted "
                 "connections; break the loop with time_shifted=True"
             )
         self._connections[dst] = connection
-
-    def _creates_cycle(self, candidate: Connection) -> bool:
-        edges: dict[str, set[str]] = {}
-        for conn in list(self._connections.values()) + [candidate]:
-            if conn.time_shifted:
-                continue
-            edges.setdefault(conn.src[0], set()).add(conn.dst[0])
-        # DFS from the candidate's destination simulator back to its source.
-        target = candidate.src[0]
-        stack = [candidate.dst[0]]
-        seen = set()
-        while stack:
-            sim = stack.pop()
-            if sim == target:
-                return True
-            if sim in seen:
-                continue
-            seen.add(sim)
-            stack.extend(edges.get(sim, ()))
-        return False
+        if message:
+            queue = self._queues[dst] = deque()
+            self._fanout.setdefault(src, []).append(queue)
 
     # -- external I/O (environment boundary) --------------------------------
 
@@ -202,10 +188,12 @@ class Kernel:
 
     # -- execution -----------------------------------------------------------
 
-    def _topo_ranks(self) -> dict[str, int]:
+    def _topo_ranks(self, extra: tuple[Connection, ...] = ()) -> dict[str, int]:
+        """Step order along non-time-shifted connections, ties broken by
+        registration order; simulators on a cycle get no rank."""
         edges: dict[str, set[str]] = {s: set() for s in self._sims}
         indegree = {s: 0 for s in self._sims}
-        for conn in self._connections.values():
+        for conn in (*self._connections.values(), *extra):
             if conn.time_shifted:
                 continue
             a, b = conn.src[0], conn.dst[0]
@@ -230,17 +218,22 @@ class Kernel:
         return ranks
 
     def _read_input(self, conn: Connection, fallback: Any, t: int) -> Any:
+        if conn.message:
+            queue = self._queues[conn.dst]
+            if not queue:
+                return ()
+            limit = t if conn.time_shifted else t + 1
+            items: list = []
+            while queue and queue[0][0] < limit:
+                items.extend(queue.popleft()[1])
+            return tuple(items)
         entry = self._store.get(conn.src)
         if entry is None:
-            return conn.default if conn.default is not None else fallback
+            return fallback
         last_t, last_v, prev_t, prev_v = entry
-        if not conn.time_shifted:
+        if not conn.time_shifted or last_t < t:
             return last_v
-        if last_t < t:
-            return last_v
-        if prev_t is not None:
-            return prev_v
-        return conn.default if conn.default is not None else fallback
+        return prev_v if prev_t is not None else fallback
 
     def _gather_inputs(self, sim_id: str, t: int) -> dict[str, dict[str, Any]]:
         desc = self._sims[sim_id].desc
@@ -269,6 +262,10 @@ class Kernel:
                     raise KernelError(
                         f"simulator {sim_id!r} produced undeclared output {endpoint}"
                     )
+                queues = self._fanout.get(endpoint)
+                if queues is not None and value:
+                    for queue in queues:
+                        queue.append((t, value))
                 entry = self._store.get(endpoint)
                 if entry is None:
                     self._store[endpoint] = (t, value, None, None)

@@ -327,8 +327,11 @@ class Network:
         return 8.0 * max(tot["in"], tot["out"]) / (capacity_bps * window)
 
     def delivered(self, node_id: str) -> list[tuple[float, Frame]]:
+        """(arrival, frame) pairs delivered to the node since the last call."""
         self._require_node(node_id)
-        return list(self._delivered[node_id])
+        frames = self._delivered[node_id]
+        self._delivered[node_id] = []
+        return frames
 
     # -- event loop -------------------------------------------------------------
 

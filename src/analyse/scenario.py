@@ -12,7 +12,9 @@ document into a wired kernel:
 
 Offers and dispatch setpoints travel as application frames through the
 network simulator; the market only sees offers whose frames arrived before
-gate closure, which is exactly the denial-of-service attack surface.
+gate closure, which is exactly the denial-of-service attack surface. Every
+inbox and outbox link is a kernel message connection, so each adapter
+receives only the frames (or messages) new since its last step.
 
 Market timing: offers submitted at time t carry interval t/I + 2; the
 clearing at time t settles interval t/I + 1 and its dispatch frames reach the
@@ -496,7 +498,6 @@ class PvSimulator:
                 q_min_mvar=sgen.q_min_mvar, q_max_mvar=sgen.q_max_mvar,
             )
         self._q: dict[str, float] = {name: 0.0 for name in self.units}
-        self._cursor: dict[str, int] = {name: 0 for name in self.units}
 
     def descriptor(self) -> SimulatorDescriptor:
         models = [
@@ -513,8 +514,7 @@ class PvSimulator:
         outputs = {}
         for name, unit in self.units.items():
             model_in = inputs[name]
-            inbox = model_in["inbox"] or ()
-            for arrival, src, payload in inbox[self._cursor[name]:]:
+            for arrival, src, payload in model_in["inbox"]:
                 try:
                     msg = json.loads(payload.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
@@ -526,7 +526,6 @@ class PvSimulator:
                         continue  # a malformed dispatch leaves the previous setpoint
                     if math.isfinite(q):
                         self._q[name] = min(max(q, unit.q_min_mvar), unit.q_max_mvar)
-            self._cursor[name] = len(inbox)
             sample = feeders.WeatherSample(
                 t=float(t), ghi_w_m2=max(float(model_in["ghi_w_m2"]), 0.0),
                 t_air_c=float(model_in["t_air_c"]),
@@ -581,7 +580,7 @@ class BiddersSimulator:
             if offer is not None:
                 payload = canonical_json(offer.wire_payload()).encode("utf-8")
                 messages = ((op_host, payload),)
-            outputs[b.asset] = {"outbox": (t, messages)}
+            outputs[b.asset] = {"outbox": messages}
         return outputs
 
 
@@ -602,17 +601,14 @@ class NetSimulator:
             if rc.enabled:
                 self.network.install_rule(rc.rule)
         self._restart_state: dict[str, bool] = {node: False for node, _ in net_cfg.restartable}
-        self._last_batch: dict[str, Any] = {}
-        self._inbox_len: dict[str, int] = {
-            n.node_id: -1 for n in net_cfg.topology.nodes
-        }
+        self._nodes = tuple(n.node_id for n in net_cfg.topology.nodes)
 
     def descriptor(self) -> SimulatorDescriptor:
         net_cfg = self.config.network
         models = [
             ModelSpec(
                 n.node_id,
-                inputs={"outbox": None},
+                inputs={"outbox": ()},
                 outputs=("inbox", "bytes_in", "bytes_out", "frames_dropped", "utilization"),
             )
             for n in net_cfg.topology.nodes
@@ -646,13 +642,8 @@ class NetSimulator:
                 self.network.restart_node(node, downtime)
             self._restart_state[node] = want
 
-        for node in self._inbox_len:
-            batch = inputs[node]["outbox"]
-            if not batch or batch == self._last_batch.get(node):
-                continue
-            self._last_batch[node] = batch
-            _, messages = batch
-            for dst, payload in messages:
+        for node in self._nodes:
+            for dst, payload in inputs[node]["outbox"]:
                 frame = Frame(
                     frame_id=self.network.next_frame_id(node),
                     src=node, dst=dst, sent_at=float(t),
@@ -663,7 +654,7 @@ class NetSimulator:
         outputs: dict[str, dict] = {
             ADVERSARY_MODEL: {"rules_active": float(sum(self._rule_state.values()))}
         }
-        for node in self._inbox_len:
+        for node in self._nodes:
             delivered = self.network.delivered(node)
             counters = self.network.read_counters(node)
             out = {
@@ -672,8 +663,7 @@ class NetSimulator:
                 "frames_dropped": counters.frames_dropped,
                 "utilization": counters.utilization,
             }
-            if len(delivered) != self._inbox_len[node]:
-                self._inbox_len[node] = len(delivered)
+            if delivered:
                 out["inbox"] = tuple(
                     (arrival, frame.src, frame.payload) for arrival, frame in delivered
                 )
@@ -699,8 +689,8 @@ class MarketSimulator:
             )
             self.asset_host[b.asset] = b.host
             self.asset_sgen_index[b.asset] = sgen_index[b.asset]
-        self._cursor = 0
-        self._pending: dict[int, list[tuple[float, Offer]]] = {}
+        # interval -> offer_id -> (arrival, offer, the asset it is bound to)
+        self._pending: dict[int, dict[str, tuple[float, Offer, str]]] = {}
 
     def descriptor(self) -> SimulatorDescriptor:
         return SimulatorDescriptor(
@@ -718,19 +708,29 @@ class MarketSimulator:
             ),
         )
 
-    def _headroom(self, agent_id: str, bus: int) -> tuple[float, float]:
-        q_min = sum(a.q_min_mvar for a in self.assets.values()
-                    if a.agent_id == agent_id and a.bus == bus)
-        q_max = sum(a.q_max_mvar for a in self.assets.values()
-                    if a.agent_id == agent_id and a.bus == bus)
-        return q_min, q_max
+    def _refusal(self, offer: Offer, asset_id: str, interval: int) -> str | None:
+        """Why an offer cannot enter the book of its interval, if it cannot."""
+        asset = self.assets.get(asset_id)
+        if asset is None:
+            return "unknown asset"
+        if asset.agent_id != offer.agent_id:
+            return "asset of another agent"
+        if asset.bus != offer.bus:
+            return "asset at another bus"
+        if not (asset.q_min_mvar <= offer.q_mvar <= asset.q_max_mvar):
+            return "exceeds headroom"
+        if offer.interval < interval:
+            return "interval closed"
+        if offer.offer_id in self._pending.get(offer.interval, ()):
+            return "duplicate offer_id"
+        return None
 
     def __call__(self, t: int, inputs: dict) -> dict:
         cfg = self.config.market
         model_in = inputs["op"]
-        inbox = model_in["inbox"] or ()
+        interval = t // cfg.interval_s + 1
         rejected: list[dict] = []
-        for arrival, src, payload in inbox[self._cursor:]:
+        for arrival, src, payload in model_in["inbox"]:
             try:
                 doc = json.loads(payload.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -743,23 +743,22 @@ class MarketSimulator:
             except MarketError as exc:
                 rejected.append({"reason": str(exc), "src": src})
                 continue
-            known_bus = any(b.bus_id == offer.bus for b in self.config.buses)
-            q_min, q_max = self._headroom(offer.agent_id, offer.bus)
-            if not known_bus:
-                rejected.append({"reason": "unknown bus", "offer_id": offer.offer_id})
-            elif not (q_min <= offer.q_mvar <= q_max):
-                rejected.append({"reason": "exceeds headroom", "offer_id": offer.offer_id})
+            asset_id = offer.offer_id.rsplit("-", 1)[0]
+            reason = self._refusal(offer, asset_id, interval)
+            if reason is None:
+                self._pending.setdefault(offer.interval, {})[offer.offer_id] = (
+                    arrival, offer, asset_id)
             else:
-                self._pending.setdefault(offer.interval, []).append((arrival, offer))
-        self._cursor = len(inbox)
+                rejected.append({"reason": reason, "offer_id": offer.offer_id})
 
-        interval = t // cfg.interval_s + 1
         gate = t - cfg.gate_closure_s
         book: list[Offer] = []
+        asset_of: dict[str, str] = {}
         late = 0
-        for arrival, offer in self._pending.pop(interval, []):
+        for arrival, offer, asset_id in self._pending.pop(interval, {}).values():
             if arrival <= gate:
                 book.append(offer)
+                asset_of[offer.offer_id] = asset_id
             else:
                 late += 1
 
@@ -777,8 +776,8 @@ class MarketSimulator:
 
         accepted_by_asset: dict[str, float] = {}
         for a in result.accepted:
-            asset = a.offer_id.rsplit("-", 1)[0]
-            accepted_by_asset[asset] = accepted_by_asset.get(asset, 0.0) + a.q_accepted_mvar
+            asset_id = asset_of[a.offer_id]
+            accepted_by_asset[asset_id] = accepted_by_asset.get(asset_id, 0.0) + a.q_accepted_mvar
         messages = []
         for asset, host in self.asset_host.items():
             q = accepted_by_asset.get(asset, 0.0)
@@ -814,7 +813,7 @@ class MarketSimulator:
         prices = [a.price_eur_per_mvar for a in result.accepted]
         return {
             "op": {
-                "outbox": (t, tuple(messages)),
+                "outbox": tuple(messages),
                 "last_price": sum(prices) / len(prices) if prices else 0.0,
                 "last_cost": result.total_cost_eur,
                 "last_resolved": 1.0 if result.resolved else 0.0,
@@ -834,31 +833,31 @@ class AssembledRun:
     simulators: dict[str, Any] = field(default_factory=dict)
 
 
-def planned_connections(config: ScenarioConfig) -> list[tuple[tuple, tuple, bool, Any]]:
-    """(src, dst, time_shifted, default) tuples the assembly will create."""
-    conns: list[tuple[tuple, tuple, bool, Any]] = []
+def planned_connections(config: ScenarioConfig) -> list[tuple[tuple, tuple, bool, bool]]:
+    """(src, dst, time_shifted, message) tuples the assembly will create."""
+    conns: list[tuple[tuple, tuple, bool, bool]] = []
     for l in config.loads:
         if l.profile:
             for attr in ("p_mw", "q_mvar"):
                 conns.append(
                     (("profiles", f"load_{l.name}", attr), ("grid", f"load_{l.name}", attr),
-                     False, None)
+                     False, False)
                 )
     for u in config.pv_units:
         if config.weather_path is not None:
             for attr in ("ghi_w_m2", "t_air_c"):
-                conns.append((("weather", "station", attr), ("pv", u.name, attr), False, None))
+                conns.append((("weather", "station", attr), ("pv", u.name, attr), False, False))
         for attr in ("p_mw", "q_mvar"):
-            conns.append((("pv", u.name, attr), ("grid", f"sgen_{u.sgen}", attr), False, None))
-        conns.append((("net", u.host, "inbox"), ("pv", u.name, "inbox"), True, ()))
-    conns.append((("grid", "solver", "model"), ("market", "op", "grid_model"), False, None))
+            conns.append((("pv", u.name, attr), ("grid", f"sgen_{u.sgen}", attr), False, False))
+        conns.append((("net", u.host, "inbox"), ("pv", u.name, "inbox"), True, True))
+    conns.append((("grid", "solver", "model"), ("market", "op", "grid_model"), False, False))
     conns.append(
-        (("net", config.market.operator_host, "inbox"), ("market", "op", "inbox"), False, ())
+        (("net", config.market.operator_host, "inbox"), ("market", "op", "inbox"), False, True)
     )
     for b in config.market.bidders:
-        conns.append((("bidders", b.asset, "outbox"), ("net", b.host, "outbox"), False, None))
+        conns.append((("bidders", b.asset, "outbox"), ("net", b.host, "outbox"), False, True))
     conns.append(
-        (("market", "op", "outbox"), ("net", config.market.operator_host, "outbox"), True, None)
+        (("market", "op", "outbox"), ("net", config.market.operator_host, "outbox"), True, True)
     )
     return conns
 
@@ -900,9 +899,9 @@ def assemble(
 
     for sim in sims.values():
         kernel.register_simulator(sim.descriptor(), sim)
-    for src, dst, shifted, default in planned_connections(config):
+    for src, dst, shifted, message in planned_connections(config):
         if src[0] in sims and dst[0] in sims:
-            kernel.connect(src, dst, time_shifted=shifted, default=default)
+            kernel.connect(src, dst, time_shifted=shifted, message=message)
     return AssembledRun(kernel=kernel, interval_s=config.market.interval_s, simulators=sims)
 
 

@@ -82,7 +82,7 @@ def test_cycle_broken_by_time_shift():
     k.register_simulator(*counter_sim("a", 1))
     k.register_simulator(*counter_sim("b", 1))
     k.connect(("a", "m", "y"), ("b", "m", "x"), time_shifted=False)
-    k.connect(("b", "m", "y"), ("a", "m", "x"), time_shifted=True, default=0.0)
+    k.connect(("b", "m", "y"), ("a", "m", "x"), time_shifted=True)
     k.run_until(3)  # must not raise
 
 
@@ -107,15 +107,15 @@ def test_time_shift_reads_previous_step_with_default():
     seen = []
     k = Kernel()
     k.register_simulator(*counter_sim("prod", 1))
-    desc = SimulatorDescriptor("cons", 1, (ModelSpec("m", inputs={"x": -1.0}),))
+    desc = SimulatorDescriptor("cons", 1, (ModelSpec("m", inputs={"x": 0.0}),))
 
     def consumer(t, inputs):
         seen.append((t, inputs["m"]["x"]))
 
     k.register_simulator(desc, consumer)
-    k.connect(("prod", "m", "y"), ("cons", "m", "x"), time_shifted=True, default=0.0)
+    k.connect(("prod", "m", "y"), ("cons", "m", "x"), time_shifted=True)
     k.run_until(3)
-    # at t=0 the declared connection default, afterwards the previous output
+    # at t=0 the declared input default, afterwards the previous output
     assert seen == [(0, 0.0), (1, 0.0), (2, 1.0)]
 
 
@@ -192,7 +192,7 @@ def test_replay_determinism_of_step_sequences():
         k.register_simulator(*counter_sim("b", 5, log))
         k.register_simulator(*counter_sim("c", 7, log))
         k.connect(("a", "m", "y"), ("b", "m", "x"))
-        k.connect(("b", "m", "y"), ("c", "m", "x"), time_shifted=True, default=0.0)
+        k.connect(("b", "m", "y"), ("c", "m", "x"), time_shifted=True)
         k.run_until(100)
         return [(s, t) for s, t, _ in log]
 
@@ -266,3 +266,65 @@ def test_run_until_is_resumable():
     assert first == {"a": 3}
     assert second == {"a": 2}
     assert [t for _, t, _ in log] == [0, 2, 4, 6, 8]
+
+
+# -- message connections -------------------------------------------------------
+
+
+def message_kernel(batches, producer_step=1, consumers=(("c", 1, False),)):
+    """A producer emitting batches[t] at step t, wired by message connections
+    to consumers (sim_id, step size, time_shifted); returns the kernel and
+    each consumer's (t, received) list."""
+    k = Kernel()
+    prod = SimulatorDescriptor("p", producer_step, (ModelSpec("m", outputs=("out",)),))
+    k.register_simulator(prod, lambda t, i: {"m": {"out": batches.get(t, ())}})
+    seen = {}
+    for sim_id, step, shifted in consumers:
+        received = seen[sim_id] = []
+        desc = SimulatorDescriptor(sim_id, step, (ModelSpec("m", inputs={"inbox": ()}),))
+        k.register_simulator(
+            desc, lambda t, i, received=received: received.append((t, i["m"]["inbox"]))
+        )
+        k.connect(("p", "m", "out"), (sim_id, "m", "inbox"), time_shifted=shifted, message=True)
+    return k, seen
+
+
+def test_message_items_delivered_once_in_order():
+    k, seen = message_kernel({0: ("a", "b"), 1: ("c",), 3: ("d", "e")})
+    k.run_until(5)
+    assert seen["c"] == [(0, ("a", "b")), (1, ("c",)), (2, ()), (3, ("d", "e")), (4, ())]
+
+
+def test_message_shifted_holds_back_same_step_items():
+    k, seen = message_kernel(
+        {0: ("a",), 2: ("b",)}, consumers=(("plain", 1, False), ("shifted", 1, True))
+    )
+    k.run_until(4)
+    assert seen["plain"] == [(0, ("a",)), (1, ()), (2, ("b",)), (3, ())]
+    assert seen["shifted"] == [(0, ()), (1, ("a",)), (2, ()), (3, ("b",))]
+
+
+def test_slow_message_consumer_gets_every_batch():
+    batches = {t: (f"x{t}",) for t in range(10)}
+    k, seen = message_kernel(batches, consumers=(("c", 4, False),))
+    k.run_until(10)
+    assert seen["c"] == [
+        (0, ("x0",)), (4, ("x1", "x2", "x3", "x4")), (8, ("x5", "x6", "x7", "x8")),
+    ]
+    k.run_until(13)
+    assert seen["c"][-1] == (12, ("x9",))
+
+
+def test_message_fan_out_delivers_everything_to_each_consumer():
+    batches = {0: ("a",), 1: ("b", "c"), 2: ("d",)}
+    k, seen = message_kernel(batches, consumers=(("c1", 1, False), ("c2", 3, False)))
+    k.run_until(4)
+    assert [item for _, got in seen["c1"] for item in got] == ["a", "b", "c", "d"]
+    assert seen["c2"] == [(0, ("a",)), (3, ("b", "c", "d"))]
+
+
+def test_message_consumer_receives_empty_tuple_when_nothing_queued():
+    k, seen = message_kernel({}, producer_step=2, consumers=(("c", 1, True),))
+    k.run_until(3)
+    assert seen["c"] == [(0, ()), (1, ()), (2, ())]
+    assert not k._queues[("c", "m", "inbox")]

@@ -60,6 +60,18 @@ def test_pure_latency_delivery_time_exact():
     assert delivered[0][0] == 5.0 + 10.0 / 1000.0  # exactly 5.010
 
 
+def test_delivered_returns_each_frame_once():
+    net = make(single_link())
+    for i in range(3):
+        net.send(frame(net, "a", "b", float(i)))
+    net.advance(1.5)
+    assert [f.frame_id for _, f in net.delivered("b")] == [0, 1]
+    assert net.delivered("b") == []
+    net.advance(10.0)
+    assert [f.frame_id for _, f in net.delivered("b")] == [2]
+    assert net.delivered("b") == []
+
+
 def test_transmission_time_added_when_bandwidth_finite():
     net = make(single_link(latency_ms=0.0, bandwidth_kbps=100.0))  # 100 kbit/s
     net.send(frame(net, "a", "b", 0.0, size=1250, payload=b"y" * 1250))  # 10 kbit

@@ -164,6 +164,61 @@ def test_tamper_rule_reaches_market_verbatim(mini_doc):
     assert prices["s2-00002"] == 999.0
 
 
+def test_offer_for_another_agents_asset_rejected(mini_doc):
+    # agent_b's interval-2 offer is rewritten to claim agent_a's unit s1,
+    # whose own offers never arrive
+    tampered = canonical_json({
+        "offer_id": "s1-00002", "agent_id": "agent_b", "bus": 4,
+        "q_mvar": 1.2, "price_eur_per_mvar": 5.0, "interval": 2,
+    })
+    mini_doc["network"]["rules"] = [
+        {"rule_id": "silence_a", "at_node": "sw", "enabled": True, "match": {"src": "h1"}},
+        {"rule_id": "steal", "at_node": "sw", "enabled": True,
+         "match": {"src": "h2", "payload_contains": '"interval":2'},
+         "action": {"kind": "tamper", "replacement": tampered}},
+    ]
+    config, sim, recorder = build(mini_doc)
+    sim.kernel.run_until(1801)
+    clearing = recorder.of("market.clearing")[1][3]
+    assert clearing["rejected"] == [{"reason": "asset of another agent", "offer_id": "s1-00002"}]
+    assert clearing["offers"] == [] and clearing["payments_eur"] == {}
+    assert sim.kernel.get_output(("pv", "s1", "q_mvar")) == 0.0
+
+
+def test_offer_arriving_after_its_clearing_rejected(mini_doc):
+    # agent_b's offers take ~1000 s: the interval-2 offer submitted at t=0
+    # misses the t=900 clearing and is read by the t=1800 one
+    mini_doc["network"]["rules"] = [{
+        "rule_id": "slow_b", "at_node": "h2", "enabled": True, "match": {"src": "h2"},
+        "action": {"kind": "delay", "extra_ms": 1_000_000.0},
+    }]
+    config, sim, recorder = build(mini_doc)
+    sim.kernel.run_until(1801)
+    clearings = [c[3] for c in recorder.of("market.clearing")]
+    assert [o["offer_id"] for o in clearings[1]["offers"]] == ["s1-00002"]
+    assert clearings[2]["rejected"] == [{"reason": "interval closed", "offer_id": "s2-00002"}]
+    assert [o["offer_id"] for o in clearings[2]["offers"]] == ["s1-00003"]
+
+
+def test_duplicate_offer_id_rejected(mini_doc):
+    # agent_a's interval-2 offer arrives twice: once as sent, once as a
+    # rewritten copy of agent_b's frame
+    duplicate = canonical_json({
+        "offer_id": "s1-00002", "agent_id": "agent_a", "bus": 3,
+        "q_mvar": 0.4, "price_eur_per_mvar": 1.0, "interval": 2,
+    })
+    mini_doc["network"]["rules"] = [{
+        "rule_id": "dup", "at_node": "sw", "enabled": True,
+        "match": {"src": "h2", "payload_contains": '"interval":2'},
+        "action": {"kind": "tamper", "replacement": duplicate},
+    }]
+    config, sim, recorder = build(mini_doc)
+    sim.kernel.run_until(901)
+    clearing = recorder.of("market.clearing")[1][3]
+    assert clearing["rejected"] == [{"reason": "duplicate offer_id", "offer_id": "s1-00002"}]
+    assert [o["q_mvar"] for o in clearing["offers"]] == [1.2]
+
+
 def test_late_offers_excluded_by_gate_closure(mini_doc):
     # a gate one full interval wide shuts out offers submitted at t=0
     mini_doc["market"]["gate_closure_s"] = 900.0
@@ -224,19 +279,16 @@ def test_non_finite_offers_rejected_and_clearing_logged(mini_doc):
 def test_pv_skips_dispatch_without_a_finite_q(mini_doc):
     pv = PvSimulator(parse_scenario(mini_doc, Path(".")))
 
-    def q_after(inbox):
+    def q_after(q):
         inputs = {name: {"ghi_w_m2": 0.0, "t_air_c": 15.0, "inbox": ()} for name in pv.units}
-        inputs["s1"]["inbox"] = inbox
+        payload = '{"q_mvar":%s,"type":"dispatch","unit":"s1"}' % q
+        inputs["s1"]["inbox"] = ((0.0, "op", payload.encode()),)
         return pv(0, inputs)["s1"]["q_mvar"]
 
-    def dispatch(q):
-        return (0.0, "op", ('{"q_mvar":%s,"type":"dispatch","unit":"s1"}' % q).encode())
-
-    inbox = (dispatch("0.5"),)
-    assert q_after(inbox) == 0.5
+    assert q_after("0.5") == 0.5
     for bad in ('"high"', "NaN", "-Infinity", "null", "[1]", "1" + "0" * 400):
-        inbox += (dispatch(bad),)
-        assert q_after(inbox) == 0.5
+        assert q_after(bad) == 0.5
+    assert q_after("-0.25") == -0.25  # each call reads the frames it is given
 
 
 @pytest.mark.parametrize("name", ["feeder4.yaml", "gaming.yaml"])
