@@ -4,6 +4,12 @@ Loads draw power, static generators (sgens) inject it; both are plain PQ
 injections. The solver is Newton-Raphson in polar coordinates from a flat
 start. Non-convergence is a reported state rather than an exception, because
 attack scenarios intentionally push the grid toward infeasibility.
+
+Voltage sensitivities are analytic: d|V|/dQ is read from the inverse of the
+power-flow Jacobian at a converged state (the V-Q sensitivity of Kundur,
+"Power System Stability and Control", 1994), one transposed solve per
+observed bus. Newton-Raphson and the sensitivity build that Jacobian with the
+same helper.
 """
 
 from __future__ import annotations
@@ -193,6 +199,34 @@ def _line_flows(model: GridModel, v: np.ndarray) -> tuple[np.ndarray, float]:
     return loadings, losses
 
 
+def _jacobian(ybus: np.ndarray, v: np.ndarray, vm: np.ndarray, pq_ix) -> np.ndarray:
+    """d[P; Q] / d[va; vm] over the PQ buses, as one (2m, 2m) real array.
+
+    From the complex power derivatives dS/dVa = j diag(V) conj(diag(I) - Y
+    diag(V)) and dS/dVm = diag(V) conj(Y diag(V/|V|)) + conj(diag(I))
+    diag(V/|V|), restricted to the rows and columns in pq_ix (an np.ix_ pair).
+    """
+    rows = pq_ix[0][:, 0]
+    m = len(rows)
+    vp = v[rows]
+    vmp = vm[rows]
+    ip = (ybus @ v)[rows]
+    # diag(V) conj(Y diag(V)) on the PQ block; its columns scaled by 1/|V|
+    # give the off-diagonal part of dS/dVm.
+    outer = vp[:, None] * np.conj(ybus[pq_ix] * vp[None, :])
+    ds_dva = -1j * outer
+    ds_dvm = outer / vmp[None, :]
+    diag = np.arange(m)
+    ds_dva[diag, diag] += 1j * vp * np.conj(ip)
+    ds_dvm[diag, diag] += np.conj(ip) * vp / vmp
+    jac = np.empty((2 * m, 2 * m))
+    jac[:m, :m] = ds_dva.real
+    jac[:m, m:] = ds_dvm.real
+    jac[m:, :m] = ds_dva.imag
+    jac[m:, m:] = ds_dvm.imag
+    return jac
+
+
 def solve_power_flow(
     model: GridModel,
     tol_pu: float = 1e-8,
@@ -208,6 +242,8 @@ def solve_power_flow(
     n = len(model.buses)
     slack = model.slack_index
     pq = [i for i in range(n) if i != slack]
+    pq_ix = np.ix_(pq, pq)
+    m = len(pq)
     ybus = build_ybus(model)
     s_spec = specified_injections(model)
 
@@ -220,41 +256,24 @@ def solve_power_flow(
     iterations = 0
     mismatch_max = float("inf")
 
-    def mismatches(vm: np.ndarray, va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = vm * np.exp(1j * va)
-        s_calc = v * np.conj(ybus @ v)
-        ds = s_spec - s_calc
-        return np.concatenate([ds.real[pq], ds.imag[pq]]), v
-
     for iterations in range(max_iterations + 1):
-        mis, v = mismatches(vm, va)
+        v = vm * np.exp(1j * va)
+        ds = (s_spec - v * np.conj(ybus @ v))[pq]
+        mis = np.concatenate([ds.real, ds.imag])
         mismatch_max = float(np.max(np.abs(mis))) if mis.size else 0.0
         if mismatch_max < tol_pu:
             converged = True
             break
         if iterations == max_iterations:
             break
-        # Jacobian via the complex power derivatives dS/dVa, dS/dVm.
-        ibus = ybus @ v
-        diag_v = np.diag(v)
-        diag_i = np.diag(ibus)
-        diag_vnorm = np.diag(v / vm)
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-        ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-        j11 = ds_dva[np.ix_(pq, pq)].real
-        j12 = ds_dvm[np.ix_(pq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
         try:
-            dx = np.linalg.solve(jac, mis)
+            dx = np.linalg.solve(_jacobian(ybus, v, vm, pq_ix), mis)
         except np.linalg.LinAlgError:
             singular = True
             break
         if not np.all(np.isfinite(dx)):
             singular = True
             break
-        m = len(pq)
         va[pq] += dx[:m]
         vm[pq] += dx[m:]
 
@@ -297,28 +316,41 @@ def total_losses_mw(model: GridModel, state: GridState) -> float:
 
 
 class SensitivityError(Exception):
-    """A perturbed solve failed while estimating a voltage sensitivity."""
+    """No voltage sensitivity exists: the state did not converge or its
+    Jacobian is singular."""
 
 
 def voltage_sensitivity(
     model: GridModel,
     state: GridState,
     observed_bus: int,
-    injection_bus: int,
-) -> float:
-    """d vm(observed_bus) / d Q(injection_bus) in pu per Mvar.
+) -> dict[int, float]:
+    """d vm(observed_bus) / d Q(j) in pu per Mvar, for every bus id j.
 
-    Central finite difference: re-solve with +/- delta Mvar injected at the
-    injection bus, delta = 1e-4 * base_mva. Requires a converged base state.
+    One row of the inverse Jacobian at the converged state, from a single
+    transposed solve J^T y = e_vm(observed). Injections at the slack bus, and
+    every injection when the slack bus is observed, give 0.0.
     """
     if not state.converged:
-        raise SensitivityError("base state did not converge")
-    delta = 0.01 * model.base_mva * 0.01
+        raise SensitivityError("state did not converge")
+    row = {b.bus_id: 0.0 for b in model.buses}
+    slack = model.slack_index
     obs = model.bus_index(observed_bus)
-    plus = solve_power_flow(model.with_injection(injection_bus, +delta))
-    minus = solve_power_flow(model.with_injection(injection_bus, -delta))
-    if not (plus.converged and minus.converged):
-        raise SensitivityError(
-            f"perturbed solve diverged for injection at bus {injection_bus}"
-        )
-    return (plus.vm[obs] - minus.vm[obs]) / (2.0 * delta)
+    if obs == slack:
+        return row
+    pq = [i for i in range(len(model.buses)) if i != slack]
+    m = len(pq)
+    vm = np.array(state.vm)
+    v = vm * np.exp(1j * np.array(state.va))
+    jac = _jacobian(build_ybus(model), v, vm, np.ix_(pq, pq))
+    e_obs = np.zeros(2 * m)
+    e_obs[m + pq.index(obs)] = 1.0
+    try:
+        y = np.linalg.solve(jac.T, e_obs)
+    except np.linalg.LinAlgError as exc:
+        raise SensitivityError("singular Jacobian") from exc
+    if not np.all(np.isfinite(y)):
+        raise SensitivityError("singular Jacobian")
+    for k, i in enumerate(pq):
+        row[model.buses[i].bus_id] = float(y[m + k]) / model.base_mva
+    return row

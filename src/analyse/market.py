@@ -49,17 +49,26 @@ class Offer:
         }
 
 
+def _field(payload: dict, key: str, kind: type | tuple[type, ...]):
+    """payload[key] if it has the JSON type kind; bools are not numbers."""
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} has type {type(value).__name__}")
+    return value
+
+
 def offer_from_payload(payload: dict) -> Offer:
+    """Offer from a decoded wire payload, with no coercion between types."""
     try:
         offer = Offer(
-            offer_id=str(payload["offer_id"]),
-            agent_id=str(payload["agent_id"]),
-            bus=int(payload["bus"]),
-            q_mvar=float(payload["q_mvar"]),
-            price_eur_per_mvar=float(payload["price_eur_per_mvar"]),
-            interval=int(payload["interval"]),
+            offer_id=_field(payload, "offer_id", str),
+            agent_id=_field(payload, "agent_id", str),
+            bus=_field(payload, "bus", int),
+            q_mvar=float(_field(payload, "q_mvar", (int, float))),
+            price_eur_per_mvar=float(_field(payload, "price_eur_per_mvar", (int, float))),
+            interval=_field(payload, "interval", int),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise MarketError(f"malformed offer payload: {exc}") from exc
     offer.validate()
     return offer
@@ -136,13 +145,15 @@ def clear_market(
     """Greedy merit-order clearing against the voltage band.
 
     Loop while a violation remains and unaccepted offers exist: find the
-    worst-violated bus, score each remaining offer by price divided by its
-    effectiveness there (sensitivity times offer direction times needed
+    worst-violated bus, read the analytic sensitivity of its voltage to
+    reactive injection at every bus (one Jacobian solve per iteration), score
+    each remaining offer by price divided by its effectiveness there
+    (sensitivity at the offer's bus times offer direction times needed
     correction sign), drop offers at or below epsilon effectiveness for this
     iteration, accept the cheapest-per-effect offer at full quantity (ties to
-    the lower offer_id), and re-solve. If the base flow diverges the clearing
-    is aborted; offers whose sensitivity solves fail are skipped for the
-    iteration.
+    the lower offer_id), and re-solve. If the base flow or a re-solve
+    diverges the clearing is aborted. A singular Jacobian ends the clearing
+    unresolved, the same way as when no effective offer is left.
     """
     interval = offers[0].interval if offers else 0
     result = ClearingResult(interval=interval)
@@ -167,14 +178,16 @@ def clear_market(
         if not remaining:
             break
         worst_bus, _, direction = worst
+        try:
+            sensitivity = voltage_sensitivity(work, state, worst_bus)
+        except SensitivityError:
+            break  # singular Jacobian: no offer has a defined effect
         best = None
         best_score = None
         for offer in remaining:
-            try:
-                sens = voltage_sensitivity(work, state, worst_bus, offer.bus)
-            except SensitivityError:
-                continue  # skip this offer for this iteration
-            effectiveness = sens * (1.0 if offer.q_mvar > 0 else -1.0) * direction
+            effectiveness = (
+                sensitivity[offer.bus] * (1.0 if offer.q_mvar > 0 else -1.0) * direction
+            )
             if effectiveness <= epsilon:
                 continue
             score = offer.price_eur_per_mvar / effectiveness

@@ -144,6 +144,25 @@ class InterfaceCounters:
     utilization: float = 0.0
 
 
+class _ByteWindow:
+    """Timestamped byte counts, with a running total of the ones still held."""
+
+    def __init__(self):
+        self._records: deque[tuple[float, int]] = deque()
+        self._total = 0
+
+    def add(self, t: float, size: int) -> None:
+        self._records.append((t, size))
+        self._total += size
+
+    def total_since(self, cutoff: float) -> int:
+        """Bytes recorded at or after cutoff; older records are forgotten."""
+        records = self._records
+        while records and records[0][0] < cutoff:
+            self._total -= records.popleft()[1]
+        return self._total
+
+
 class Network:
     """Event-queue network; advance(t) processes everything due through t."""
 
@@ -181,9 +200,21 @@ class Network:
         self._delivered: dict[str, list[tuple[float, Frame]]] = {
             n.node_id: [] for n in topology.nodes
         }
-        # hop-level transit byte records per node, for the utilization window
-        self._transit_in: dict[str, deque] = {n.node_id: deque() for n in topology.nodes}
-        self._transit_out: dict[str, deque] = {n.node_id: deque() for n in topology.nodes}
+        # hop-level transit bytes per node, for the utilization window
+        self._transit_in = {n.node_id: _ByteWindow() for n in topology.nodes}
+        self._transit_out = {n.node_id: _ByteWindow() for n in topology.nodes}
+        # interface capacity per node; 0.0 when a link is unlimited or there
+        # is none, and then utilization is not enforced
+        self._capacity_bps: dict[str, float] = {}
+        for node_id, peers in self._neighbors.items():
+            capacity_bps = 0.0
+            for peer in peers:
+                bandwidth_kbps = self._links[(node_id, peer)].bandwidth_kbps
+                if bandwidth_kbps is None:
+                    capacity_bps = 0.0
+                    break
+                capacity_bps += bandwidth_kbps * 1000.0
+            self._capacity_bps[node_id] = capacity_bps
         self.dropped_bytes_total = 0
 
     # -- helpers -------------------------------------------------------------
@@ -298,33 +329,16 @@ class Network:
     def read_counters(self, node_id: str, window_s: float | None = None) -> InterfaceCounters:
         self._require_node(node_id)
         window = self.utilization_window_s if window_s is None else window_s
+        capacity_bps = self._capacity_bps[node_id]
+        if window <= 0 or capacity_bps == 0.0:
+            utilization = 0.0
+        else:
+            cutoff = self.now - window
+            busiest = max(self._transit_in[node_id].total_since(cutoff),
+                          self._transit_out[node_id].total_since(cutoff))
+            utilization = 8.0 * busiest / (capacity_bps * window)
         c = self._counters[node_id]
-        return InterfaceCounters(
-            node_id=node_id,
-            bytes_in=c.bytes_in,
-            bytes_out=c.bytes_out,
-            frames_dropped=c.frames_dropped,
-            utilization=self._utilization(node_id, window),
-        )
-
-    def _utilization(self, node_id: str, window: float) -> float:
-        if window <= 0:
-            return 0.0
-        capacity_bps = 0.0
-        for peer in self._neighbors[node_id]:
-            link = self._links[(node_id, peer)]
-            if link.bandwidth_kbps is None:
-                return 0.0  # unlimited interface, utilization not enforced
-            capacity_bps += link.bandwidth_kbps * 1000.0
-        if capacity_bps == 0.0:
-            return 0.0
-        cutoff = self.now - window
-        tot = {"in": 0, "out": 0}
-        for key, dq in (("in", self._transit_in[node_id]), ("out", self._transit_out[node_id])):
-            while dq and dq[0][0] < cutoff:
-                dq.popleft()
-            tot[key] = sum(size for _, size in dq)
-        return 8.0 * max(tot["in"], tot["out"]) / (capacity_bps * window)
+        return InterfaceCounters(node_id, c.bytes_in, c.bytes_out, c.frames_dropped, utilization)
 
     def delivered(self, node_id: str) -> list[tuple[float, Frame]]:
         """(arrival, frame) pairs delivered to the node since the last call."""
@@ -366,7 +380,7 @@ class Network:
             else:  # delay
                 extra_s += rule.extra_ms / 1000.0
         if idx > 0:
-            self._transit_in[node].append((t, frame.size_bytes))
+            self._transit_in[node].add(t, frame.size_bytes)
         if node == frame.dst:
             self._delivered[node].append((t, frame))
             self._counters[node].bytes_in += entry_size
@@ -385,5 +399,5 @@ class Network:
         if link.bandwidth_kbps is not None:
             tx_s = frame.size_bytes * 8.0 / (link.bandwidth_kbps * 1000.0)
         hop = link.latency_ms / 1000.0 + tx_s + extra_s
-        self._transit_out[node].append((t, frame.size_bytes))
+        self._transit_out[node].add(t, frame.size_bytes)
         self._push(t + hop, nxt, frame, path, idx + 1, hop_delays + [hop], entry_size)

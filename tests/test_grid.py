@@ -8,6 +8,8 @@ from analyse.grid import (
     GridModelError,
     Line,
     Load,
+    GridState,
+    SensitivityError,
     Sgen,
     power_balance_residual,
     solve_power_flow,
@@ -116,26 +118,65 @@ def test_line_loading_from_pi_model():
     assert 0.5 < state.line_loading[0] < 0.53
 
 
+def central_difference_sensitivity(model, observed_bus, injection_bus):
+    """d vm(observed) / d Q(injection) in pu per Mvar from two Newton solves
+    with +/- 1e-4 * base_mva Mvar injected at the injection bus."""
+    delta = 1e-4 * model.base_mva
+    obs = model.bus_index(observed_bus)
+    plus = solve_power_flow(model.with_injection(injection_bus, +delta))
+    minus = solve_power_flow(model.with_injection(injection_bus, -delta))
+    assert plus.converged and minus.converged
+    return (plus.vm[obs] - minus.vm[obs]) / (2.0 * delta)
+
+
 def test_sensitivity_zero_at_slack():
     model = feeder4(3.8)
     state = solve_power_flow(model)
-    assert voltage_sensitivity(model, state, 1, 4) == pytest.approx(0.0, abs=1e-9)
+    assert voltage_sensitivity(model, state, 4)[1] == 0.0
+    assert voltage_sensitivity(model, state, 1) == {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
 
 
 def test_sensitivity_positive_at_feeder_end():
     model = feeder4(3.8)
     state = solve_power_flow(model)
-    assert voltage_sensitivity(model, state, 4, 4) > 0.0
+    assert voltage_sensitivity(model, state, 4)[4] > 0.0
+
+
+@pytest.mark.parametrize("model", [feeder4(3.8), chain6(2.0), mesh5()],
+                         ids=["feeder4", "chain6", "mesh5"])
+def test_sensitivity_row_matches_central_difference(model):
+    state = solve_power_flow(model)
+    slack = model.buses[model.slack_index].bus_id
+    pq = [b.bus_id for b in model.buses if b.bus_id != slack]
+    for observed in pq:
+        row = voltage_sensitivity(model, state, observed)
+        assert set(row) == {b.bus_id for b in model.buses}
+        for injection in pq:
+            want = central_difference_sensitivity(model, observed, injection)
+            assert row[injection] == pytest.approx(want, rel=1e-6)
 
 
 def test_sensitivity_matrix_matches_onesided_oracle():
     model = feeder4(3.8)
     state = solve_power_flow(model)
     for observed in (2, 3, 4):
+        row = voltage_sensitivity(model, state, observed)
         for injection in (2, 3, 4):
-            got = voltage_sensitivity(model, state, observed, injection)
             want = onesided_sensitivity(model, observed, injection)
-            assert got == pytest.approx(want, rel=0.10)
+            assert row[injection] == pytest.approx(want, rel=0.10)
+
+
+def test_sensitivity_needs_a_converged_regular_state():
+    model = feeder4(40.0)
+    state = solve_power_flow(model)
+    assert not state.converged
+    with pytest.raises(SensitivityError, match="converge"):
+        voltage_sensitivity(model, state, 4)
+    # On a lossless line, |V2| = 0.5 pu in phase with the slack is the nose
+    # point: dQ2/d|V2| = 20 |V2| - 10 cos(va2) = 0 and dP2/d|V2| = 0.
+    nose = GridState((1.0, 0.5), (0.0, 0.0), (0.0,), 0.0, 0.0, True, 1, 0.0)
+    with pytest.raises(SensitivityError, match="singular"):
+        voltage_sensitivity(two_bus(), nose, 2)
 
 
 def test_with_injection_appends_sgen():

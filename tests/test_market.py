@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from analyse import market
+from analyse.grid import SensitivityError
 from analyse.market import (
     BidderAsset,
     BidStrategy,
@@ -69,6 +71,17 @@ def test_base_nonconvergence_aborts_clearing():
     assert result.aborted
     assert not result.base_converged
     assert result.accepted == []
+
+
+def test_singular_jacobian_ends_clearing_unresolved(monkeypatch):
+    def singular(model, state, observed_bus):
+        raise SensitivityError("singular Jacobian")
+
+    monkeypatch.setattr(market, "voltage_sensitivity", singular)
+    result = clear_market(FIXTURE_OFFERS, feeder4(4.0), BAND)
+    assert not result.resolved and not result.aborted
+    assert result.accepted == [] and result.iterations == 0
+    assert len(result.excursions) == 1
 
 
 def test_determinism_same_book_same_result():
@@ -200,3 +213,12 @@ def test_offer_wire_payload_round_trip():
         offer_from_payload({"offer_id": "x"})
     with pytest.raises(MarketError):
         offer_from_payload({**offer.wire_payload(), "q_mvar": 0.0})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("q_mvar", "1.0"), ("q_mvar", True), ("price_eur_per_mvar", None),
+    ("bus", 3.0), ("bus", "3"), ("interval", [5]), ("offer_id", 7), ("agent_id", {}),
+])
+def test_offer_payload_fields_are_not_coerced(key, value):
+    with pytest.raises(MarketError, match=f"malformed offer payload: {key} has type"):
+        offer_from_payload({**FIXTURE_OFFERS[0].wire_payload(), key: value})

@@ -309,6 +309,55 @@ def test_utilization_matches_event_recount():
     assert 0.0 <= got <= 1.0
 
 
+def test_utilization_matches_resummed_window_after_every_advance():
+    # h3 reaches the switch through a router on an unlimited link, so h3 and
+    # r have no enforced capacity; every other interface does.
+    window = 2.0
+    topology = NetworkTopology(
+        nodes=(NodeSpec("h1"), NodeSpec("h2"), NodeSpec("h3"),
+               NodeSpec("r", "router"), NodeSpec("sw", "switch")),
+        links=(LinkSpec("h1", "sw", 5.0, 800.0), LinkSpec("h2", "sw", 3.0, 400.0),
+               LinkSpec("r", "sw", 1.0, 2000.0), LinkSpec("h3", "r", 1.0, None)),
+    )
+    capacity_bps = {"h1": 800e3, "h2": 400e3, "sw": 3200e3, "h3": None, "r": None}
+    links = {(l.a, l.b): l for l in topology.links}
+    links.update({(l.b, l.a): l for l in topology.links})
+    net = make(topology, window=window)
+    rng = random.Random(7)
+    hops = []  # (node, "in" | "out", time, size) of every hop, in the network's arithmetic
+    now = 0.0
+    busy = 0
+    for _ in range(200):
+        for _ in range(rng.randint(0, 3)):
+            src, dst = rng.sample(("h1", "h2", "h3"), 2)
+            size = rng.randint(1, 1500)
+            net.send(frame(net, src, dst, now, size=size, payload=b"x" * size))
+            t = now
+            path = net.shortest_path(src, dst)
+            for a, b in zip(path, path[1:]):
+                hops.append((a, "out", t, size))
+                link = links[(a, b)]
+                tx_s = 0.0
+                if link.bandwidth_kbps is not None:
+                    tx_s = size * 8.0 / (link.bandwidth_kbps * 1000.0)
+                t = t + (link.latency_ms / 1000.0 + tx_s)
+                hops.append((b, "in", t, size))
+        now += rng.uniform(0.0, 1.0)
+        net.advance(now)
+        for node, capacity in capacity_bps.items():
+            got = net.read_counters(node).utilization
+            if capacity is None:
+                assert got == 0.0
+                continue
+            total = {"in": 0, "out": 0}
+            for n, direction, t, size in hops:
+                if n == node and now - window <= t <= now:
+                    total[direction] += size
+            assert got == 8.0 * max(total.values()) / (capacity * window), (node, now)
+            busy += got > 0.0
+    assert busy > 100
+
+
 def test_unknown_nodes_rejected():
     net = make(line_topology())
     with pytest.raises(NetworkError):

@@ -1,8 +1,12 @@
+import collections
 import json
+import random
 from pathlib import Path
 
 import pytest
+import yaml
 
+from analyse.cli import main
 from analyse.environment import Environment
 from analyse.scenario import (
     PvSimulator,
@@ -336,3 +340,128 @@ def test_restart_actuator_takes_switch_down(mini_doc):
     clearings = recorder.of("market.clearing")
     assert clearings[1][3]["offers"] != []
     assert clearings[2][3]["offers"] == []
+
+
+# -- tamper fuzz --------------------------------------------------------------
+
+FEEDER4_BUS = {1: 3, 2: 3, 3: 4, 4: 4}  # pv asset number -> bus
+WRONG_TYPES = {  # field -> JSON values of another type than the field's own
+    "offer_id": ("7", "null", "[1]", "true"),
+    "agent_id": ("7.5", "null", "{}", "false"),
+    "bus": ('"3"', "3.0", "true", "null", "[3]"),
+    "interval": ('"5"', "5.0", "false", "{}"),
+    "q_mvar": ('"0.6"', "true", "null", "[0.6]"),
+    "price_eur_per_mvar": ('"4.0"', "false", "{}", "null"),
+}
+
+
+def fuzz_replacement(rng, asset, interval, untouched):
+    """A hostile replacement for pv<asset>'s offer for interval, and the key
+    ("src", host) or ("offer_id", id) its market.clearing rejection must
+    carry; None for payloads that are not offers at all.
+
+    untouched lists the assets whose own offer for interval arrives as sent.
+    """
+    own_id = f"pv{asset}-{interval:05d}"
+    fields = {
+        "offer_id": f'"{own_id}"', "agent_id": f'"agent_pv{asset}"',
+        "bus": str(FEEDER4_BUS[asset]), "q_mvar": "0.6",
+        "price_eur_per_mvar": "4.0", "interval": str(interval),
+    }
+    host = ("src", f"h{asset}")
+    kind = rng.choice(("non-finite", "huge", "huge bus", "wrong type", "missing",
+                       "nothing offered", "unknown asset", "foreign asset", "duplicate",
+                       "closed", "headroom", "unparseable", "not an offer"))
+    if kind == "duplicate" and not untouched:
+        kind = "foreign asset"
+    if kind == "non-finite":
+        fields[rng.choice(("q_mvar", "price_eur_per_mvar"))] = rng.choice(
+            ("NaN", "Infinity", "-Infinity"))
+        key = host
+    elif kind == "huge":
+        fields[rng.choice(("q_mvar", "price_eur_per_mvar"))] = rng.choice(("", "-")) + "9" * 400
+        key = host
+    elif kind == "huge bus":
+        fields["bus"] = "9" * 400
+        key = ("offer_id", own_id)
+    elif kind == "wrong type":
+        field = rng.choice(sorted(WRONG_TYPES))
+        fields[field] = rng.choice(WRONG_TYPES[field])
+        key = host
+    elif kind == "missing":
+        del fields[rng.choice(sorted(set(fields) - {"offer_id"}))]
+        key = host
+    elif kind == "nothing offered":
+        if rng.random() < 0.5:
+            fields["q_mvar"] = rng.choice(("0", "0.0", "-0.0"))
+        else:
+            fields["price_eur_per_mvar"] = "-1.5"
+        key = host
+    elif kind == "unknown asset":
+        unknown = f"zz{asset}-{interval:05d}"
+        fields["offer_id"] = f'"{unknown}"'
+        key = ("offer_id", unknown)
+    elif kind == "foreign asset":
+        other = rng.choice([a for a in FEEDER4_BUS if a != asset])
+        foreign = f"pv{other}-{interval:05d}"
+        fields["offer_id"] = f'"{foreign}"'
+        key = ("offer_id", foreign)
+    elif kind == "duplicate":
+        other = rng.choice(untouched)
+        twin = f"pv{other}-{interval:05d}"
+        fields.update(offer_id=f'"{twin}"', agent_id=f'"agent_pv{other}"',
+                      bus=str(FEEDER4_BUS[other]))
+        key = ("offer_id", twin)
+    elif kind == "closed":
+        fields["interval"] = str(interval - rng.randint(1, interval + 2))
+        key = ("offer_id", own_id)
+    elif kind == "headroom":
+        fields["q_mvar"] = rng.choice(("1.5", "-2.0"))
+        key = ("offer_id", own_id)
+    elif kind == "unparseable":
+        return rng.choice(('{"offer_id": ', "offer", '{"bus": 3,}')), host
+    else:
+        return rng.choice(("[1, 2]", '{"type": "dispatch"}', '"offer_id"', "17")), None
+    return "{" + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}", key
+
+
+def test_tamper_fuzz_rejects_every_malformed_offer(tmp_path):
+    # Bidders submit the offer for interval i at t = 900 * (i - 2); the market
+    # reads it at the next clearing, and the last one is at t = 86400.
+    rng = random.Random(20261018)
+    frames = sorted(rng.sample([(i, a) for i in range(2, 98) for a in FEEDER4_BUS], 240))
+    tampered = set(frames)
+    doc = load_document(packaged("feeder4.yaml"))
+    expected = collections.Counter()
+    for n, (interval, asset) in enumerate(frames):
+        untouched = [a for a in FEEDER4_BUS if (interval, a) not in tampered]
+        replacement, key = fuzz_replacement(rng, asset, interval, untouched)
+        if key is not None:
+            expected[key] += 1
+        t = 900.0 * (interval - 2)
+        doc["network"]["rules"].append({
+            "rule_id": f"fuzz{n:03d}", "at_node": "sw", "enabled": True,
+            "match": {"src": f"h{asset}"},
+            "action": {"kind": "tamper", "replacement": replacement},
+            "active_from": t, "active_until": t + 1.0,
+        })
+    scenario = tmp_path / "fuzz.yaml"
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=True), encoding="utf-8")
+
+    logs = []
+    for attempt in ("first", "second"):
+        out = tmp_path / attempt
+        assert main(["run", str(scenario), "--seed", "5", "-o", str(out)]) == 0
+        (log,) = out.glob("*.jsonl")
+        logs.append(log.read_bytes())
+    assert logs[0] == logs[1]
+
+    rejected = collections.Counter()
+    for line in logs[0].decode("utf-8").splitlines():
+        record = json.loads(line)
+        if record["kind"] == "market.clearing":
+            for entry in record["payload"]["rejected"]:
+                rejected[("src", entry["src"]) if "src" in entry
+                         else ("offer_id", entry["offer_id"])] += 1
+    assert sum(expected.values()) >= 200
+    assert rejected == expected
