@@ -123,30 +123,26 @@ class CemDistribution:
         return tuple(rng.gauss(m, s) for m, s in zip(self.mean, self.sigma))
 
 
-def cem_update(
-    population: Sequence[tuple[Sequence[float], float]],
-    elite_fraction: float = ELITE_FRACTION,
-    sigma_floor: float = SIGMA_FLOOR,
-) -> CemDistribution:
+def cem_update(population: Sequence[tuple[Sequence[float], float]]) -> CemDistribution:
     """Refit the sampling distribution to the elite candidates.
 
     population is a list of (theta, episode return). Keeps the top
-    ceil(elite_fraction * n) candidates by return (ties keep the lowest
+    ceil(ELITE_FRACTION * n) candidates by return (ties keep the lowest
     index), then returns their per-parameter mean and standard deviation,
-    floored at sigma_floor.
+    floored at SIGMA_FLOOR.
     """
     n = len(population)
     if n < 4:
         raise AgentError(f"population size must be >= 4, got {n}")
     dim = len(population[0][0])
     order = sorted(range(n), key=lambda i: (-population[i][1], i))
-    k = math.ceil(elite_fraction * n)
+    k = math.ceil(ELITE_FRACTION * n)
     elites = [population[i][0] for i in order[:k]]
     mean = [sum(theta[d] for theta in elites) / k for d in range(dim)]
     sigma = []
     for d in range(dim):
         var = sum((theta[d] - mean[d]) ** 2 for theta in elites) / k
-        sigma.append(max(math.sqrt(var), sigma_floor))
+        sigma.append(max(math.sqrt(var), SIGMA_FLOOR))
     return CemDistribution(mean=mean, sigma=sigma)
 
 
@@ -178,7 +174,8 @@ def objective_eval(aggregates: dict, objective: Objective) -> float:
 
     damage: summed band excursions (pu) plus 10 per diverged power flow.
     profit: own market payments minus cost_per_mvar * own offered volume.
-    custom: declared weighted sum over named scalar aggregates.
+    custom: declared weighted sum over named scalar aggregates; a
+    `<map>.<agent>` name reads 0.0 when that agent has no entry in the step.
     """
     if objective.kind == "damage":
         return aggregates["violation_sum_pu"] + DIVERGENCE_PENALTY * aggregates["diverged"]
@@ -190,10 +187,22 @@ def objective_eval(aggregates: dict, objective: Objective) -> float:
         return earned - cost
     value = 0.0
     for name, weight in objective.weights.items():
-        if name not in aggregates or isinstance(aggregates[name], dict):
+        term = aggregates.get(name)
+        if term is None and isinstance(aggregates.get(name.partition(".")[0]), dict):
+            term = 0.0
+        if term is None or isinstance(term, dict):
             raise AgentError(f"unknown objective aggregate {name!r}")
-        value += weight * aggregates[name]
+        value += weight * term
     return value
+
+
+@dataclass(frozen=True)
+class LearnerConfig:
+    kind: str = "none"  # none | random | replay | cem
+    population: int = 16
+    generations: int = 10
+    sigma0: float = 1.0
+    replay: tuple = ()
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from typing import Callable, Protocol, Sequence
 
 from .agents import (
     ActuatorSpec,
-    AgentError,
     CemDistribution,
+    LearnerConfig,
     Objective,
     Phase,
     Policy,
@@ -82,14 +82,16 @@ class Environment:
         self._probe_build()
 
     def _probe_build(self) -> None:
-        """Fail fast on unresolvable sensor/actuator ids."""
+        """Fail fast on sensor ids that name no output and actuator ids that
+        name no free (unconnected) input."""
         sim = self.builder(0, lambda *a: None)
         for spec, ep in zip(self.sensors, self._sensor_eps):
             if not sim.kernel.has_output(ep):
                 raise EnvironmentError(f"sensor id {spec.id!r} does not resolve to an output")
         for spec, ep in zip(self.actuators, self._actuator_eps):
-            if not sim.kernel.has_input(ep):
-                raise EnvironmentError(f"actuator id {spec.id!r} does not resolve to an input")
+            if not sim.kernel.is_free_input(ep):
+                raise EnvironmentError(
+                    f"actuator id {spec.id!r} does not resolve to a free input")
 
     def _emit_offset(self, source: str, kind: str, t_sim: float, payload: dict) -> None:
         self.sink.emit(source, kind, t_sim + self._t_offset, payload)
@@ -182,15 +184,6 @@ class AgentRunState:
     best_return: float = float("-inf")
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
-    kind: str = "none"  # none | random | replay | cem
-    population: int = 16
-    generations: int = 10
-    sigma0: float = 1.0
-    replay: tuple = ()
-
-
 def run_phase(
     env: Environment,
     learner: LearnerConfig,
@@ -269,17 +262,3 @@ def run_phase(
         report.best_theta = state.best_theta
         report.best_return = state.best_return if state.best_theta else None
     return report
-
-
-def objective_from_config(cfg: dict) -> Objective:
-    return Objective(
-        kind=cfg.get("kind", "damage"),
-        agents=tuple(cfg.get("agents", ())),
-        cost_per_mvar=float(cfg.get("cost_per_mvar", 0.0)),
-        weights=dict(cfg.get("weights", {})),
-    )
-
-
-def check_cem_population(n: int) -> None:
-    if n < 4:
-        raise AgentError("cem population must be >= 4")

@@ -19,6 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
+TOL_PU = 1e-8  # Newton-Raphson converges below this max |dP|, |dQ|
+MAX_ITERATIONS = 20
+
 
 class GridModelError(Exception):
     pass
@@ -227,15 +230,11 @@ def _jacobian(ybus: np.ndarray, v: np.ndarray, vm: np.ndarray, pq_ix) -> np.ndar
     return jac
 
 
-def solve_power_flow(
-    model: GridModel,
-    tol_pu: float = 1e-8,
-    max_iterations: int = 20,
-) -> GridState:
+def solve_power_flow(model: GridModel) -> GridState:
     """Newton-Raphson in polar coordinates from a flat start.
 
-    Converged means max |dP|, |dQ| < tol_pu at every non-slack bus within
-    max_iterations. On a singular Jacobian the state is returned with
+    Converged means max |dP|, |dQ| < TOL_PU at every non-slack bus within
+    MAX_ITERATIONS. On a singular Jacobian the state is returned with
     singular=True and the last iterate.
     """
     model.validate()
@@ -256,15 +255,15 @@ def solve_power_flow(
     iterations = 0
     mismatch_max = float("inf")
 
-    for iterations in range(max_iterations + 1):
+    for iterations in range(MAX_ITERATIONS + 1):
         v = vm * np.exp(1j * va)
         ds = (s_spec - v * np.conj(ybus @ v))[pq]
         mis = np.concatenate([ds.real, ds.imag])
         mismatch_max = float(np.max(np.abs(mis))) if mis.size else 0.0
-        if mismatch_max < tol_pu:
+        if mismatch_max < TOL_PU:
             converged = True
             break
-        if iterations == max_iterations:
+        if iterations == MAX_ITERATIONS:
             break
         try:
             dx = np.linalg.solve(_jacobian(ybus, v, vm, pq_ix), mis)

@@ -94,14 +94,6 @@ class _SimEntry:
     steps: int = 0
 
 
-class SimulatorHandle:
-    """Opaque handle returned by register_simulator."""
-
-    def __init__(self, kernel: "Kernel", sim_id: str):
-        self._kernel = kernel
-        self.sim_id = sim_id
-
-
 class Kernel:
     def __init__(self) -> None:
         self._sims: dict[str, _SimEntry] = {}
@@ -117,11 +109,10 @@ class Kernel:
         self._external: dict[Endpoint, Any] = {}
         self._next_due: dict[str, int] = {}
         self._started = False
-        self.now = 0
 
     # -- construction ------------------------------------------------------
 
-    def register_simulator(self, desc: SimulatorDescriptor, stepper: Stepper) -> SimulatorHandle:
+    def register_simulator(self, desc: SimulatorDescriptor, stepper: Stepper) -> None:
         if self._started:
             raise KernelError("cannot register simulators after the run has started")
         if desc.sim_id in self._sims:
@@ -134,7 +125,6 @@ class Kernel:
                 self._inputs[(desc.sim_id, model.model_id, attr)] = default
             for attr in model.outputs:
                 self._outputs.add((desc.sim_id, model.model_id, attr))
-        return SimulatorHandle(self, desc.sim_id)
 
     def connect(
         self,
@@ -180,8 +170,10 @@ class Kernel:
         entry = self._store.get(endpoint)
         return entry[1] if entry else None
 
-    def has_input(self, endpoint: Endpoint) -> bool:
-        return tuple(endpoint) in self._inputs
+    def is_free_input(self, endpoint: Endpoint) -> bool:
+        """A declared input that no connection feeds, so set_input may override it."""
+        endpoint = tuple(endpoint)
+        return endpoint in self._inputs and endpoint not in self._connections
 
     def has_output(self, endpoint: Endpoint) -> bool:
         return tuple(endpoint) in self._outputs
@@ -305,7 +297,6 @@ class Kernel:
                 entry.steps += 1
                 counts[sim_id] += 1
                 self._next_due[sim_id] = t + entry.desc.step_size
-            self.now = t
         return counts
 
     @property

@@ -140,7 +140,6 @@ def clear_market(
     offers: list[Offer],
     model: GridModel,
     band: VoltageBand,
-    epsilon: float = EFFECTIVENESS_EPSILON,
 ) -> ClearingResult:
     """Greedy merit-order clearing against the voltage band.
 
@@ -149,7 +148,7 @@ def clear_market(
     reactive injection at every bus (one Jacobian solve per iteration), score
     each remaining offer by price divided by its effectiveness there
     (sensitivity at the offer's bus times offer direction times needed
-    correction sign), drop offers at or below epsilon effectiveness for this
+    correction sign), drop offers at or below EFFECTIVENESS_EPSILON for this
     iteration, accept the cheapest-per-effect offer at full quantity (ties to
     the lower offer_id), and re-solve. If the base flow or a re-solve
     diverges the clearing is aborted. A singular Jacobian ends the clearing
@@ -188,7 +187,7 @@ def clear_market(
             effectiveness = (
                 sensitivity[offer.bus] * (1.0 if offer.q_mvar > 0 else -1.0) * direction
             )
-            if effectiveness <= epsilon:
+            if effectiveness <= EFFECTIVENESS_EPSILON:
                 continue
             score = offer.price_eur_per_mvar / effectiveness
             if best is None or score < best_score or (

@@ -223,9 +223,8 @@ class Network:
         if node_id not in self._neighbors:
             raise NetworkError(f"unknown node {node_id!r}")
 
-    def is_online(self, node_id: str, t: float | None = None) -> bool:
+    def is_online(self, node_id: str, t: float) -> bool:
         self._require_node(node_id)
-        t = self.now if t is None else t
         return t >= self._offline_until.get(node_id, 0.0)
 
     def next_frame_id(self, src: str) -> int:
@@ -326,9 +325,9 @@ class Network:
     def has_rule(self, rule_id: str) -> bool:
         return rule_id in self._rules
 
-    def read_counters(self, node_id: str, window_s: float | None = None) -> InterfaceCounters:
+    def read_counters(self, node_id: str) -> InterfaceCounters:
         self._require_node(node_id)
-        window = self.utilization_window_s if window_s is None else window_s
+        window = self.utilization_window_s
         capacity_bps = self._capacity_bps[node_id]
         if window <= 0 or capacity_bps == 0.0:
             utilization = 0.0

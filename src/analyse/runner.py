@@ -8,14 +8,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import scenario as scn
-from .environment import (
-    AgentRunState,
-    Environment,
-    LearnerConfig,
-    PhaseReport,
-    objective_from_config,
-    run_phase,
-)
+from .agents import AgentError
+from .environment import AgentRunState, Environment, PhaseReport, run_phase
 from .feeders import FeederError
 from .kernel import KernelError
 from .telemetry import RunSink, TelemetryError, canonical_json
@@ -107,7 +101,7 @@ def execute_run(
             "v_max_pu": config.market.band.v_max_pu,
         },
         "agent": config.agent.agent_id,
-        "agent_kind": config.agent.kind,
+        "agent_kind": config.agent.learner.kind,
     })
 
     agent = config.agent
@@ -115,24 +109,17 @@ def execute_run(
         builder=lambda ep_seed, emit: scn.assemble(config, ep_seed, emit, data),
         sensors=agent.sensors,
         actuators=agent.actuators,
-        objective=objective_from_config(agent.objective),
+        objective=agent.objective,
         sink=sink,
         band=(config.market.band.v_min_pu, config.market.band.v_max_pu),
         agent_id=agent.agent_id,
-    )
-    learner = LearnerConfig(
-        kind=agent.kind,
-        population=agent.population,
-        generations=agent.generations,
-        sigma0=agent.sigma0,
-        replay=agent.replay,
     )
     state = AgentRunState()
     reports: list[PhaseReport] = []
     try:
         for phase in config.schedule.phases:
-            reports.append(run_phase(env, learner, phase, seed, state))
-    except (KernelError, scn.ScenarioError, TelemetryError) as exc:
+            reports.append(run_phase(env, agent.learner, phase, seed, state))
+    except (AgentError, KernelError, scn.ScenarioError, TelemetryError) as exc:
         sink.emit("runner", "run.abort", env.telemetry_time, {"error": str(exc)})
         sink.close()
         raise RunError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc

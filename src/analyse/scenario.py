@@ -3,8 +3,12 @@
 A scenario YAML declares the grid, the data feeders, the PV units, the
 reactive-power market with its scripted bidders, the communication network
 (including pre-declared attack rules), the agent's sensors/actuators and
-objective, and the schedule of train/test phases. This module turns such a
-document into a wired kernel:
+objective, and the schedule of train/test phases. parse_scenario turns such
+a document into a typed ScenarioConfig, the agent section straight into its
+Objective and LearnerConfig. assemble is the one description of the
+co-simulation: which adapters exist follows from the config alone, and it
+makes every connection. Validation lists sensor and actuator endpoints from
+a dry assembly, so there is no second endpoint table to keep in step:
 
     weather --> pv --> grid --> market
     profiles ------^              ^  \\ (outbox, time-shifted)
@@ -34,7 +38,7 @@ from typing import Any, Callable
 import yaml
 
 from . import feeders
-from .agents import ActuatorSpec, Phase, Schedule, SensorSpec
+from .agents import ActuatorSpec, LearnerConfig, Objective, Phase, Schedule, SensorSpec
 from .design import STREAM_JITTER, STREAM_NET, derive_seed
 from .feeders import LoadProfile, PvUnit, WeatherSeries, pv_output
 from .grid import Bus, GridModel, Line, Load, Sgen, solve_power_flow
@@ -149,14 +153,10 @@ class NetworkConfig:
 @dataclass(frozen=True)
 class AgentConfig:
     agent_id: str
-    kind: str
     sensors: tuple[SensorSpec, ...]
     actuators: tuple[ActuatorSpec, ...]
-    objective: dict
-    population: int
-    generations: int
-    sigma0: float
-    replay: tuple
+    objective: Objective
+    learner: LearnerConfig
 
 
 @dataclass
@@ -188,12 +188,6 @@ class ScenarioConfig:
                 Sgen(s.bus, s.p_mw, s.q_mvar, s.q_min_mvar, s.q_max_mvar) for s in self.sgens
             ),
         )
-
-    def sgen_by_name(self, name: str) -> SgenConfig:
-        for s in self.sgens:
-            if s.name == name:
-                return s
-        raise ScenarioError(f"unknown sgen {name!r}")
 
 
 def _band(doc: dict) -> VoltageBand:
@@ -320,10 +314,10 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
     )
 
     adoc = doc["agents"][0]
-    learner = adoc.get("learner", {})
+    odoc = adoc.get("objective", {})
+    ldoc = adoc.get("learner", {})
     agent = AgentConfig(
         agent_id=str(adoc["agent_id"]),
-        kind=str(adoc.get("kind", "none")),
         sensors=tuple(
             SensorSpec(str(s["id"]), float(s["lo"]), float(s["hi"]))
             for s in adoc.get("sensors", [])
@@ -335,11 +329,19 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
             )
             for a in adoc.get("actuators", [])
         ),
-        objective=dict(adoc.get("objective", {"kind": "damage"})),
-        population=int(learner.get("population", 16)),
-        generations=int(learner.get("generations", 10)),
-        sigma0=float(learner.get("sigma0", 1.0)),
-        replay=tuple(tuple(row) for row in adoc.get("replay", [])),
+        objective=Objective(
+            kind=odoc.get("kind", "damage"),
+            agents=tuple(odoc.get("agents", ())),
+            cost_per_mvar=float(odoc.get("cost_per_mvar", 0.0)),
+            weights=dict(odoc.get("weights", {})),
+        ),
+        learner=LearnerConfig(
+            kind=str(adoc.get("kind", "none")),
+            population=int(ldoc.get("population", 16)),
+            generations=int(ldoc.get("generations", 10)),
+            sigma0=float(ldoc.get("sigma0", 1.0)),
+            replay=tuple(tuple(row) for row in adoc.get("replay", [])),
+        ),
     )
 
     schedule = Schedule(
@@ -381,7 +383,6 @@ class GridSimulator:
     def __init__(self, config: ScenarioConfig, emit: Callable):
         self.config = config
         self.emit = emit
-        self.base = config.grid_model()
 
     def descriptor(self) -> SimulatorDescriptor:
         cfg = self.config
@@ -490,9 +491,10 @@ class PvSimulator:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
+        sgens = {s.name: s for s in config.sgens}
         self.units: dict[str, PvUnit] = {}
         for u in config.pv_units:
-            sgen = config.sgen_by_name(u.sgen)
+            sgen = sgens[u.sgen]
             self.units[u.name] = PvUnit(
                 bus=sgen.bus, p_peak_mw=u.p_peak_mw, temp_coeff=u.temp_coeff,
                 q_min_mvar=sgen.q_min_mvar, q_max_mvar=sgen.q_max_mvar,
@@ -537,16 +539,11 @@ class PvSimulator:
 class BiddersSimulator:
     SIM_ID = "bidders"
 
-    def __init__(self, config: ScenarioConfig, jitter_rng: random.Random):
+    def __init__(self, config: ScenarioConfig, assets: dict[str, BidderAsset],
+                 jitter_rng: random.Random):
         self.config = config
+        self.assets = assets
         self.rng = jitter_rng
-        self.assets: dict[str, BidderAsset] = {}
-        for b in config.market.bidders:
-            sgen = config.sgen_by_name(b.asset)
-            self.assets[b.asset] = BidderAsset(
-                agent_id=b.agent_id, bus=sgen.bus,
-                q_min_mvar=sgen.q_min_mvar, q_max_mvar=sgen.q_max_mvar,
-            )
 
     def descriptor(self) -> SimulatorDescriptor:
         models = [
@@ -674,23 +671,13 @@ class NetSimulator:
 class MarketSimulator:
     SIM_ID = "market"
 
-    def __init__(self, config: ScenarioConfig, emit: Callable):
+    def __init__(self, config: ScenarioConfig, assets: dict[str, BidderAsset], emit: Callable):
         self.config = config
+        self.assets = assets
         self.emit = emit
-        self.assets: dict[str, BidderAsset] = {}
-        self.asset_host: dict[str, str] = {}
-        self.asset_sgen_index: dict[str, int] = {}
+        self.asset_host = {b.asset: b.host for b in config.market.bidders}
         sgen_index = {s.name: i for i, s in enumerate(config.sgens)}
-        for b in config.market.bidders:
-            sgen = config.sgen_by_name(b.asset)
-            self.assets[b.asset] = BidderAsset(
-                agent_id=b.agent_id, bus=sgen.bus,
-                q_min_mvar=sgen.q_min_mvar, q_max_mvar=sgen.q_max_mvar,
-            )
-            self.asset_host[b.asset] = b.host
-            self.asset_sgen_index[b.asset] = sgen_index[b.asset]
-        # interval -> offer_id -> (arrival, offer, the asset it is bound to)
-        self._pending: dict[int, dict[str, tuple[float, Offer, str]]] = {}
+        self.asset_sgen_index = [sgen_index[asset] for asset in assets]
 
     def descriptor(self) -> SimulatorDescriptor:
         return SimulatorDescriptor(
@@ -708,8 +695,12 @@ class MarketSimulator:
             ),
         )
 
-    def _refusal(self, offer: Offer, asset_id: str, interval: int) -> str | None:
-        """Why an offer cannot enter the book of its interval, if it cannot."""
+    def _refusal(self, offer: Offer, asset_id: str, interval: int, pending: dict) -> str | None:
+        """Why an offer cannot enter the book of the interval being cleared.
+
+        A legitimate offer always arrives at the clearing of its own
+        interval, so an offer for any other interval is refused.
+        """
         asset = self.assets.get(asset_id)
         if asset is None:
             return "unknown asset"
@@ -721,7 +712,9 @@ class MarketSimulator:
             return "exceeds headroom"
         if offer.interval < interval:
             return "interval closed"
-        if offer.offer_id in self._pending.get(offer.interval, ()):
+        if offer.interval > interval:
+            return "interval not open"
+        if offer.offer_id in pending:
             return "duplicate offer_id"
         return None
 
@@ -729,6 +722,8 @@ class MarketSimulator:
         cfg = self.config.market
         model_in = inputs["op"]
         interval = t // cfg.interval_s + 1
+        # offer_id -> (arrival, offer, the asset it is bound to)
+        pending: dict[str, tuple[float, Offer, str]] = {}
         rejected: list[dict] = []
         for arrival, src, payload in model_in["inbox"]:
             try:
@@ -744,23 +739,15 @@ class MarketSimulator:
                 rejected.append({"reason": str(exc), "src": src})
                 continue
             asset_id = offer.offer_id.rsplit("-", 1)[0]
-            reason = self._refusal(offer, asset_id, interval)
+            reason = self._refusal(offer, asset_id, interval, pending)
             if reason is None:
-                self._pending.setdefault(offer.interval, {})[offer.offer_id] = (
-                    arrival, offer, asset_id)
+                pending[offer.offer_id] = (arrival, offer, asset_id)
             else:
                 rejected.append({"reason": reason, "offer_id": offer.offer_id})
 
         gate = t - cfg.gate_closure_s
-        book: list[Offer] = []
-        asset_of: dict[str, str] = {}
-        late = 0
-        for arrival, offer, asset_id in self._pending.pop(interval, {}).values():
-            if arrival <= gate:
-                book.append(offer)
-                asset_of[offer.offer_id] = asset_id
-            else:
-                late += 1
+        book = [offer for arrival, offer, _ in pending.values() if arrival <= gate]
+        late = len(pending) - len(book)
 
         grid_model: GridModel = model_in["grid_model"]
         if grid_model is None:
@@ -768,15 +755,14 @@ class MarketSimulator:
         # Dispatch replaces each asset's setpoint, so the clearing baseline is
         # the grid with all market assets at zero committed reactive power.
         sgens = list(grid_model.sgens)
-        for idx in self.asset_sgen_index.values():
+        for idx in self.asset_sgen_index:
             sgens[idx] = dataclasses.replace(sgens[idx], q_mvar=0.0)
         baseline = dataclasses.replace(grid_model, sgens=tuple(sgens))
         result = clear_market(book, baseline, cfg.band)
-        result.interval = interval
 
         accepted_by_asset: dict[str, float] = {}
         for a in result.accepted:
-            asset_id = asset_of[a.offer_id]
+            asset_id = pending[a.offer_id][2]
             accepted_by_asset[asset_id] = accepted_by_asset.get(asset_id, 0.0) + a.q_accepted_mvar
         messages = []
         for asset, host in self.asset_host.items():
@@ -791,9 +777,7 @@ class MarketSimulator:
         self.emit("market", "market.clearing", float(t), {
             "t": t,
             "interval": interval,
-            "offers": [
-                {**o.wire_payload()} for o in sorted(book, key=lambda o: o.offer_id)
-            ],
+            "offers": [o.wire_payload() for o in sorted(book, key=lambda o: o.offer_id)],
             "accepted": [
                 {"offer_id": a.offer_id, "q_accepted_mvar": a.q_accepted_mvar,
                  "price_eur_per_mvar": a.price_eur_per_mvar}
@@ -830,36 +814,6 @@ class MarketSimulator:
 class AssembledRun:
     kernel: Kernel
     interval_s: int
-    simulators: dict[str, Any] = field(default_factory=dict)
-
-
-def planned_connections(config: ScenarioConfig) -> list[tuple[tuple, tuple, bool, bool]]:
-    """(src, dst, time_shifted, message) tuples the assembly will create."""
-    conns: list[tuple[tuple, tuple, bool, bool]] = []
-    for l in config.loads:
-        if l.profile:
-            for attr in ("p_mw", "q_mvar"):
-                conns.append(
-                    (("profiles", f"load_{l.name}", attr), ("grid", f"load_{l.name}", attr),
-                     False, False)
-                )
-    for u in config.pv_units:
-        if config.weather_path is not None:
-            for attr in ("ghi_w_m2", "t_air_c"):
-                conns.append((("weather", "station", attr), ("pv", u.name, attr), False, False))
-        for attr in ("p_mw", "q_mvar"):
-            conns.append((("pv", u.name, attr), ("grid", f"sgen_{u.sgen}", attr), False, False))
-        conns.append((("net", u.host, "inbox"), ("pv", u.name, "inbox"), True, True))
-    conns.append((("grid", "solver", "model"), ("market", "op", "grid_model"), False, False))
-    conns.append(
-        (("net", config.market.operator_host, "inbox"), ("market", "op", "inbox"), False, True)
-    )
-    for b in config.market.bidders:
-        conns.append((("bidders", b.asset, "outbox"), ("net", b.host, "outbox"), False, True))
-    conns.append(
-        (("market", "op", "outbox"), ("net", config.market.operator_host, "outbox"), True, True)
-    )
-    return conns
 
 
 def load_data_series(config: ScenarioConfig) -> tuple[dict[str, LoadProfile], WeatherSeries | None]:
@@ -878,55 +832,56 @@ def assemble(
     emit: Callable[[str, str, float, dict], None],
     data: tuple[dict[str, LoadProfile], WeatherSeries | None] | None = None,
 ) -> AssembledRun:
-    """Build and wire a fresh kernel for one episode with the given seed."""
+    """Build and wire a fresh kernel for one episode with the given seed.
+
+    This is the one description of the co-simulation: which adapters exist
+    follows from the config alone, and every connection is made here.
+    `data` is what load_data_series returns; no descriptor reads it, so a
+    dry assembly that only lists endpoints may pass ({}, None).
+    """
     profiles, weather = data if data is not None else load_data_series(config)
-    net_rng = random.Random(derive_seed(seed, STREAM_NET))
-    jitter_rng = random.Random(derive_seed(seed, STREAM_JITTER))
+    sgens = {s.name: s for s in config.sgens}
+    assets: dict[str, BidderAsset] = {}  # bidders and market share one table
+    for b in config.market.bidders:
+        s = sgens[b.asset]
+        assets[b.asset] = BidderAsset(b.agent_id, s.bus, s.q_min_mvar, s.q_max_mvar)
+    profiled = [l for l in config.loads if l.profile]
+    op_host = config.market.operator_host
 
+    # Registration order breaks ties between same-time steps.
     kernel = Kernel()
-    sims: dict[str, Any] = {}
-
-    if weather is not None:
-        sims["weather"] = WeatherSimulator(config, weather)
-    if any(l.profile for l in config.loads):
-        sims["profiles"] = ProfilesSimulator(config, profiles)
-    if config.pv_units:
-        sims["pv"] = PvSimulator(config)
-    sims["grid"] = GridSimulator(config, emit)
-    sims["bidders"] = BiddersSimulator(config, jitter_rng)
-    sims["net"] = NetSimulator(config, net_rng, emit)
-    sims["market"] = MarketSimulator(config, emit)
-
-    for sim in sims.values():
-        kernel.register_simulator(sim.descriptor(), sim)
-    for src, dst, shifted, message in planned_connections(config):
-        if src[0] in sims and dst[0] in sims:
-            kernel.connect(src, dst, time_shifted=shifted, message=message)
-    return AssembledRun(kernel=kernel, interval_s=config.market.interval_s, simulators=sims)
-
-
-def endpoint_tables(config: ScenarioConfig) -> tuple[set, set]:
-    """All (sim, model, attr) outputs and free (unconnected) inputs."""
-    adapters = [
-        GridSimulator(config, lambda *a: None),
-        PvSimulator(config),
-        BiddersSimulator(config, random.Random(0)),
-        NetSimulator(config, random.Random(0), lambda *a: None),
-        MarketSimulator(config, lambda *a: None),
-    ]
-    # Neither descriptor reads its data series, so none is loaded here.
+    adapters: list[Any] = []
     if config.weather_path is not None:
-        adapters.append(WeatherSimulator(config, None))
-    if any(l.profile for l in config.loads):
-        adapters.append(ProfilesSimulator(config, {}))
-    descriptors = [a.descriptor() for a in adapters]
-    outputs: set = set()
-    inputs: set = set()
-    for desc in descriptors:
-        for model in desc.models:
-            for attr in model.outputs:
-                outputs.add((desc.sim_id, model.model_id, attr))
-            for attr in model.inputs:
-                inputs.add((desc.sim_id, model.model_id, attr))
-    connected = {dst for _, dst, _, _ in planned_connections(config)}
-    return outputs, inputs - connected
+        adapters.append(WeatherSimulator(config, weather))
+    if profiled:
+        adapters.append(ProfilesSimulator(config, profiles))
+    if config.pv_units:
+        adapters.append(PvSimulator(config))
+    adapters += [
+        GridSimulator(config, emit),
+        BiddersSimulator(config, assets, random.Random(derive_seed(seed, STREAM_JITTER))),
+        NetSimulator(config, random.Random(derive_seed(seed, STREAM_NET)), emit),
+        MarketSimulator(config, assets, emit),
+    ]
+    for sim in adapters:
+        kernel.register_simulator(sim.descriptor(), sim)
+
+    connect = kernel.connect
+    for l in profiled:
+        for attr in ("p_mw", "q_mvar"):
+            connect(("profiles", f"load_{l.name}", attr), ("grid", f"load_{l.name}", attr))
+    for u in config.pv_units:
+        if config.weather_path is not None:
+            for attr in ("ghi_w_m2", "t_air_c"):
+                connect(("weather", "station", attr), ("pv", u.name, attr))
+        for attr in ("p_mw", "q_mvar"):
+            connect(("pv", u.name, attr), ("grid", f"sgen_{u.sgen}", attr))
+        connect(("net", u.host, "inbox"), ("pv", u.name, "inbox"),
+                time_shifted=True, message=True)
+    connect(("grid", "solver", "model"), ("market", "op", "grid_model"))
+    connect(("net", op_host, "inbox"), ("market", "op", "inbox"), message=True)
+    for b in config.market.bidders:
+        connect(("bidders", b.asset, "outbox"), ("net", b.host, "outbox"), message=True)
+    connect(("market", "op", "outbox"), ("net", op_host, "outbox"),
+            time_shifted=True, message=True)
+    return AssembledRun(kernel=kernel, interval_s=config.market.interval_s)

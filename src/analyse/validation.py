@@ -7,15 +7,21 @@ all problems in one shot instead of failing on the first.
 from __future__ import annotations
 
 import importlib.resources as resources
+import math
 from pathlib import Path
 
 import jsonschema
 import yaml
 
 from . import scenario as scn
+from .agents import AgentError
 from .design import DesignError, parse_experiment
+from .feeders import FeederError
 from .grid import GridModelError
+from .kernel import KernelError
+from .market import MarketError
 from .network import NetworkError
+from .telemetry import RunSummary
 
 Violation = tuple[str, str]  # (path into the document, message)
 
@@ -37,13 +43,27 @@ def document_kind(doc) -> str | None:
     return None
 
 
+def _non_finite(node, path: str = "") -> list[Violation]:
+    """NaN and infinities anywhere in a document; no schema type excludes them."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return [(path or "(document root)", f"{node} is not a finite number")]
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [v for key, child in items
+            for v in _non_finite(child, f"{path}/{key}" if path else str(key))]
+
+
 def _schema_errors(doc, name: str) -> list[Violation]:
     validator = jsonschema.Draft202012Validator(load_schema(name))
     errors = []
     for err in sorted(validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path))):
         path = "/".join(str(p) for p in err.absolute_path) or "(document root)"
         errors.append((path, err.message))
-    return errors
+    return errors + _non_finite(doc)
 
 
 def validate_scenario(doc, base_dir: Path) -> list[Violation]:
@@ -54,7 +74,7 @@ def validate_scenario(doc, base_dir: Path) -> list[Violation]:
         return errors
     try:
         config = scn.parse_scenario(doc, base_dir)
-    except (scn.ScenarioError, KeyError, ValueError, TypeError) as exc:
+    except (scn.ScenarioError, AgentError, MarketError, KeyError, ValueError, TypeError) as exc:
         return [("(document)", f"cannot parse scenario: {exc}")]
     return cross_check(config, base_dir)
 
@@ -140,27 +160,37 @@ def cross_check(config: scn.ScenarioConfig, base_dir: Path) -> list[Violation]:
     if errors or not topology_ok:
         return errors  # endpoint enumeration needs a structurally sound scenario
 
-    outputs, free_inputs = scn.endpoint_tables(config)
-    for i, s in enumerate(config.agent.sensors):
-        parts = tuple(s.id.split("."))
-        if len(parts) != 3 or parts not in outputs:
+    try:
+        kernel = scn.assemble(config, 0, lambda *a: None, ({}, None)).kernel
+    except (FeederError, KernelError) as exc:
+        return [("(document)", f"cannot assemble scenario: {exc}")]
+    agent = config.agent
+    for i, s in enumerate(agent.sensors):
+        if not kernel.has_output(tuple(s.id.split("."))):
             errors.append(
                 (f"agents/0/sensors/{i}/id", f"sensor path {s.id!r} does not resolve to an output")
             )
-    for i, a in enumerate(config.agent.actuators):
-        parts = tuple(a.id.split("."))
-        if len(parts) != 3 or parts not in free_inputs:
+    for i, a in enumerate(agent.actuators):
+        if not kernel.is_free_input(tuple(a.id.split("."))):
             errors.append(
                 (f"agents/0/actuators/{i}/id",
                  f"actuator path {a.id!r} does not resolve to a free input")
             )
-    if config.agent.kind == "cem" and config.agent.population < 4:
-        errors.append(("agents/0/learner/population", "cem population must be >= 4"))
-    if config.agent.kind == "replay" and not config.agent.replay:
+    if agent.learner.kind == "replay" and not agent.learner.replay:
         errors.append(("agents/0/replay", "replay agent needs setpoint rows"))
-    obj_kind = config.agent.objective.get("kind", "damage")
-    if obj_kind == "profit" and not config.agent.objective.get("agents"):
+    if agent.objective.kind == "profit" and not agent.objective.agents:
         errors.append(("agents/0/objective/agents", "profit objective needs market agent ids"))
+    # A weight names a scalar aggregate or <map>.<agent> for a market agent.
+    aggregates = RunSummary().aggregates()
+    market_agents = {b.agent_id for b in config.market.bidders}
+    for name in agent.objective.weights:
+        head, _, market_agent = name.partition(".")
+        scalar = name in aggregates and not isinstance(aggregates[name], dict)
+        if not scalar and not (isinstance(aggregates.get(head), dict)
+                               and market_agent in market_agents):
+            errors.append(
+                (f"agents/0/objective/weights/{name}", f"weight {name!r} names no aggregate")
+            )
     return errors
 
 

@@ -150,6 +150,15 @@ def test_objective_custom_weighted_and_unknown_name():
         Objective("custom", weights={"x": math.inf})
 
 
+def test_objective_custom_agent_entry_reads_zero_when_absent():
+    agg = {"payments_eur": {"a1": 4.0}, "payments_eur.a1": 4.0, "diverged": 0}
+    obj = Objective("custom", weights={"payments_eur.a1": 2.0, "payments_eur.a2": 5.0})
+    assert objective_eval(agg, obj) == 8.0
+    for name in ("payments_eur", "diverged.a1"):
+        with pytest.raises(AgentError, match="unknown objective aggregate"):
+            objective_eval(agg, Objective("custom", weights={name: 1.0}))
+
+
 def test_schedule_and_phase_invariants():
     with pytest.raises(AgentError):
         Schedule(())

@@ -1,4 +1,7 @@
+import collections
+import copy
 import json
+import random
 
 import pytest
 import yaml
@@ -224,3 +227,125 @@ def test_bad_data_series_is_validation_error(tmp_path, mini_doc):
     out = tmp_path / "logs"
     assert main(["run", str(doc_path), "-o", str(out)]) == 2
     assert not (out / "mini.jsonl").exists()
+
+
+@pytest.mark.parametrize("case", ["sensor range", "actuator default", "band", "weight"])
+def test_values_constructors_reject_are_violations(tmp_path, mini_doc, capsys, case):
+    agent = mini_doc["agents"][0]
+    if case == "sensor range":
+        agent["sensors"][0].update(lo=1.1, hi=0.8)
+    elif case == "actuator default":
+        agent["actuators"] = [{"id": "bidders.s1.price", "lo": 1, "hi": 50, "default": 80}]
+    elif case == "band":
+        mini_doc["market"]["band"] = {"v_min_pu": 1.05, "v_max_pu": 0.95}
+    else:
+        agent["objective"] = {"kind": "custom", "weights": {"diverged": float("inf")}}
+    path = tmp_path / "mini.yaml"
+    path.write_text(yaml.safe_dump(mini_doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "-o", str(tmp_path / "logs")]) == 2
+    assert "problem(s) found" in capsys.readouterr().out
+
+
+def test_non_finite_numbers_rejected_with_their_path(tmp_path, mini_doc, capsys):
+    mini_doc["network"]["links"][0]["latency_ms"] = float("nan")
+    mini_doc["market"]["gate_closure_s"] = float("inf")
+    path = tmp_path / "mini.yaml"
+    path.write_text(yaml.safe_dump(mini_doc), encoding="utf-8")
+    assert ".nan" in path.read_text() and ".inf" in path.read_text()
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "network/links/0/latency_ms: nan is not a finite number" in out
+    assert "market/gate_closure_s: inf is not a finite number" in out
+    assert main(["run", str(path), "-o", str(tmp_path / "logs")]) == 2
+
+
+def test_agent_weight_reads_zero_while_the_agent_is_unpaid(tmp_path):
+    # the dos rule silences pv3 from the start, so no step pays agent_pv3
+    doc = yaml.safe_load(packaged("feeder4.yaml").read_text(encoding="utf-8"))
+    doc["network"]["rules"][0]["enabled"] = True
+    doc["agents"][0]["actuators"][0]["default"] = 1.0
+    doc["agents"][0]["objective"] = {"kind": "custom", "weights": {"payments_eur.agent_pv3": 1.0}}
+    path = tmp_path / "dos.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "logs"
+    assert main(["run", str(path), "-o", str(out)]) == 0
+    records = [json.loads(line) for line in (out / f"{doc['name']}.jsonl").read_text().splitlines()]
+    rewards = [r["payload"]["reward"] for r in records if r["kind"] == "agent.action"]
+    assert len(rewards) == 96 and set(rewards) == {0.0}
+    assert records[-1]["kind"] == "run.end"
+
+
+# -- validation fuzz ------------------------------------------------------------
+
+FUZZ_ENDPOINTS = (
+    "grid.bus_4.vm_pu", "grid.bus_9.vm_pu", "market.op.last_price", "net.sw.utilization",
+    "bidders.s1.price", "bidders.s2.q_scale", "grid.sgen_s1.q_mvar", "pv.s1.inbox",
+    "net.adversary.rule_r", "grid.load_l2.p_mw", "grid.bus_4", "weather.station.ghi_w_m2",
+)
+FUZZ_WEIGHTS = (
+    "violation_sum_pu", "diverged", "payments_eur.agent_a", "offered_mvar.agent_b",
+    "accepted_mvar.agent_zz", "payments_eur", "bogus", "frames_dropped.agent_a",
+)
+
+
+def numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [p for key, child in items for p in numeric_leaves(child, (*path, key))]
+
+
+def fuzz_mutation(rng, doc):
+    """Apply one seeded mutation to a MINI document in place."""
+    agent = doc["agents"][0]
+    kind = rng.choice(("swap", "non-finite", "weight", "endpoint", "band", "default"))
+    if kind == "swap":
+        spec, lo, hi = rng.choice(
+            [(s, "lo", "hi") for s in agent["sensors"] + agent["actuators"]]
+            + [(s, "q_min_mvar", "q_max_mvar") for s in doc["grid"]["sgens"]]
+            + [(doc["market"]["band"], "v_min_pu", "v_max_pu")])
+        spec[lo], spec[hi] = spec[hi], spec[lo]
+    elif kind == "non-finite":
+        *parents, leaf = rng.choice(numeric_leaves(doc))
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = rng.choice((float("nan"), float("inf"), float("-inf")))
+    elif kind == "weight":
+        agent["objective"] = {"kind": "custom",
+                              "weights": {rng.choice(FUZZ_WEIGHTS): rng.choice((1.0, -2.5))}}
+    elif kind == "endpoint":
+        rng.choice(agent["sensors"] + agent["actuators"])["id"] = rng.choice(FUZZ_ENDPOINTS)
+    elif kind == "band":
+        v_min, v_max = rng.choice(((0.95, 0.95), (1.1, 0.9), (0.5, 1.5), (0.99, 1.0)))
+        doc["market"]["band"] = {"v_min_pu": v_min, "v_max_pu": v_max}
+    else:
+        agent["actuators"][0]["default"] = rng.choice((-5.0, 1.0, 8.0, 100.0))
+
+
+def test_validation_fuzz_accepts_only_runnable_documents(tmp_path, mini_doc):
+    # validate ends with exit 0 or 2, never a traceback, and whatever it
+    # accepts runs to the end or aborts cleanly (exit 0 or 3)
+    rng = random.Random(20261018)
+    mini_doc["agents"][0]["actuators"] = [
+        {"id": "bidders.s1.price", "lo": 1.0, "hi": 50.0, "default": 8.0}]
+    mini_doc["schedule"][0]["episode_length"] = 2
+    outcomes = collections.Counter()
+    for n in range(64):
+        doc = copy.deepcopy(mini_doc)
+        doc["agents"][0]["kind"] = rng.choice(("none", "random"))
+        for _ in range(rng.randint(1, 2)):
+            fuzz_mutation(rng, doc)
+        path = tmp_path / f"fuzz{n:02d}.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        code = main(["validate", str(path)])
+        assert code in (0, 2), doc
+        if code == 0:
+            code = main(["run", str(path), "-o", str(tmp_path / "logs")])
+            assert code in (0, 3), doc
+        outcomes[code] += 1
+    assert outcomes[2] >= 10 and outcomes[0] + outcomes[3] >= 10

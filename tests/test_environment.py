@@ -3,14 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from analyse.agents import ActuatorSpec, Objective, Phase, SensorSpec
-from analyse.environment import (
-    AgentRunState,
-    Environment,
-    EnvironmentError,
-    LearnerConfig,
-    run_phase,
-)
+from analyse.agents import ActuatorSpec, LearnerConfig, Objective, Phase, SensorSpec
+from analyse.environment import AgentRunState, Environment, EnvironmentError, run_phase
 from analyse.scenario import assemble, load_data_series, parse_scenario
 from analyse.telemetry import RunSink
 
@@ -52,6 +46,12 @@ def test_unresolvable_sensor_fails_fast(tmp_path):
 def test_unresolvable_actuator_fails_fast(tmp_path):
     with pytest.raises(EnvironmentError, match="actuator"):
         make_env(tmp_path, actuators=[ActuatorSpec("bidders.nope.price", 0, 1, 0)])
+
+
+def test_connected_input_as_actuator_fails_fast(tmp_path):
+    # the pv simulator feeds s1's reactive setpoint, so the agent cannot own it
+    with pytest.raises(EnvironmentError, match="free input"):
+        make_env(tmp_path, actuators=[ActuatorSpec("grid.sgen_s1.q_mvar", -1, 1, 0)])
 
 
 def test_reset_seed_deterministic_first_readings(tmp_path):

@@ -36,11 +36,10 @@ def test_register_initial_schedule_and_models():
         "net", 1,
         tuple(ModelSpec(f"m{i}", inputs={"a": None}, outputs=("b",)) for i in range(3)),
     )
-    handle = k.register_simulator(desc, lambda t, i: None)
-    assert handle.sim_id == "net"
+    k.register_simulator(desc, lambda t, i: None)
     assert k._next_due["net"] == 0
     assert all(k.has_output(("net", f"m{i}", "b")) for i in range(3))
-    assert all(k.has_input(("net", f"m{i}", "a")) for i in range(3))
+    assert all(k.is_free_input(("net", f"m{i}", "a")) for i in range(3))
 
 
 def test_register_after_start_rejected():
@@ -62,6 +61,9 @@ def test_connect_validates_endpoints():
     k.register_simulator(*counter_sim("a", 1))
     k.register_simulator(*counter_sim("b", 1))
     k.connect(("a", "m", "y"), ("b", "m", "x"))
+    assert k.is_free_input(("a", "m", "x"))
+    assert not k.is_free_input(("b", "m", "x"))  # fed by the connection
+    assert not k.is_free_input(("a", "m", "y"))  # an output
     with pytest.raises(KernelError, match="unknown source"):
         k.connect(("a", "m", "nope"), ("b", "m", "x"))
     with pytest.raises(KernelError, match="already connected"):

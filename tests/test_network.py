@@ -300,7 +300,7 @@ def test_utilization_matches_event_recount():
     for i in range(k):
         net.send(frame(net, "a", "b", float(i) * 0.5, size=size, payload=b"q" * size))
     net.advance(window)
-    got = net.read_counters("a", window).utilization
+    got = net.read_counters("a").utilization
     # recount departures at "a" from the event log inside the window
     sent_bytes = sum(p["size_bytes"] for kind, t, p in events
                      if kind == "net.send" and t >= net.now - window)

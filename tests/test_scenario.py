@@ -11,7 +11,6 @@ from analyse.environment import Environment
 from analyse.scenario import (
     PvSimulator,
     assemble,
-    endpoint_tables,
     load_data_series,
     load_document,
     parse_scenario,
@@ -104,6 +103,18 @@ def test_duplicate_rule_ids_caught(mini_doc):
     ]
     errors = validate_scenario(mini_doc, Path("."))
     assert any("duplicate rule ids" in msg for _, msg in errors)
+
+
+def test_objective_weights_must_name_an_aggregate(mini_doc):
+    objective = mini_doc["agents"][0]["objective"] = {"kind": "custom", "weights": {
+        "payments_eur.agent_b": 1.0, "frames_dropped": -1.0,
+    }}
+    assert validate_scenario(mini_doc, Path(".")) == []
+    objective["weights"] = {"payments_eur.agent_zz": 1.0, "payments_eur": 1.0, "bogus": 1.0}
+    assert sorted(validate_scenario(mini_doc, Path("."))) == [
+        (f"agents/0/objective/weights/{name}", f"weight {name!r} names no aggregate")
+        for name in ("bogus", "payments_eur", "payments_eur.agent_zz")
+    ]
 
 
 # -- assembly & data flow ----------------------------------------------------
@@ -204,6 +215,28 @@ def test_offer_arriving_after_its_clearing_rejected(mini_doc):
     assert [o["offer_id"] for o in clearings[2]["offers"]] == ["s1-00003"]
 
 
+@pytest.mark.parametrize("ahead", [1, 10**399], ids=["next", "400-digit"])
+def test_offer_for_an_interval_not_yet_open_rejected(mini_doc, ahead):
+    # agent_b's offers for intervals 2 and 3, sent at t=0 and t=900, are
+    # rewritten in flight to bid further ahead
+    mini_doc["network"]["rules"] = [{
+        "rule_id": f"ahead{interval}", "at_node": "sw", "enabled": True,
+        "match": {"src": "h2"},
+        "action": {"kind": "tamper", "replacement": (
+            '{"agent_id":"agent_b","bus":4,"interval":%d,"offer_id":"s2-%05d",'
+            '"price_eur_per_mvar":5.0,"q_mvar":1.2}' % (interval + ahead, interval))},
+        "active_from": 900.0 * (interval - 2), "active_until": 900.0 * (interval - 2) + 1.0,
+    } for interval in (2, 3)]
+    config, sim, recorder = build(mini_doc)
+    sim.kernel.run_until(1801)
+    clearings = [c[3] for c in recorder.of("market.clearing")]
+    assert [c["rejected"] for c in clearings] == [[]] + [
+        [{"reason": "interval not open", "offer_id": f"s2-{interval:05d}"}] for interval in (2, 3)
+    ]
+    assert all(o["agent_id"] == "agent_a" for c in clearings for o in c["offers"])
+    assert [len(c["offers"]) for c in clearings] == [0, 1, 1]
+
+
 def test_duplicate_offer_id_rejected(mini_doc):
     # agent_a's interval-2 offer arrives twice: once as sent, once as a
     # rewritten copy of agent_b's frame
@@ -293,14 +326,6 @@ def test_pv_skips_dispatch_without_a_finite_q(mini_doc):
     for bad in ('"high"', "NaN", "-Infinity", "null", "[1]", "1" + "0" * 400):
         assert q_after(bad) == 0.5
     assert q_after("-0.25") == -0.25  # each call reads the frames it is given
-
-
-@pytest.mark.parametrize("name", ["feeder4.yaml", "gaming.yaml"])
-def test_endpoint_tables_match_assembled_outputs(name):
-    path = packaged(name)
-    config = parse_scenario(load_document(path), path.parent)
-    outputs, _ = endpoint_tables(config)
-    assert outputs == assemble(config, 1, lambda *a: None).kernel._outputs
 
 
 def test_assembly_deterministic_with_seed(mini_doc):
