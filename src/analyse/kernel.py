@@ -17,10 +17,38 @@ the source produces is a sequence of items, queued with its step time per
 destination; a consumer stepping at t receives, as one tuple in production
 order, every queued item produced at a source step <= t (< t when
 time-shifted), and () when nothing is due. Delivered items leave the queue.
+
+Step rule: a simulator steps only at multiples of its step size, and only
+when something is due. Its grid times are those multiples. A stepper
+without a `next_event_time` method steps at every grid time. A stepper with
+`next_event_time() -> float | None` (asked after each of its steps; None
+means nothing is pending) steps after a step at t at the earliest of:
+
+- the first grid time at or after its next event and strictly after t;
+- the first grid time at which a value produced on one of its inputs can be
+  read: >= the production time on a plain connection, > it on a
+  time-shifted one (message connections count only non-empty values);
+- the first grid time not yet executed, after set_input changed one of its
+  inputs (setting an equal value changes nothing);
+- for each consumer of a non-message output, the grid time its next
+  possible read needs: floor(r/h)*h for a read at r on a plain connection,
+  the largest grid time < r on a time-shifted one. An event-driven consumer
+  counts as reading at every time on its own grid;
+- run_until(end) steps it at floor((end-1)/h)*h, so get_output after the
+  call returns what a step at every grid time would have left there.
+
+For a stepper whose idle steps change nothing but time-dependent outputs,
+every input of every consumer and every get_output at a run_until boundary
+equals what stepping at every grid time gives.
+
+The dispatch is compiled when the run starts: step order, per-simulator
+input plans and declared output tables. Simulators and connections can no
+longer be added after that.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -30,6 +58,8 @@ Endpoint = tuple[str, str, str]  # (simulator, model, attribute)
 # Stepper callback: (time, {model: {attr: value}}) -> {model: {attr: value}}
 # Returned outputs may be sparse; omitted attributes keep their last value.
 Stepper = Callable[[int, dict[str, dict[str, Any]]], Mapping[str, Mapping[str, Any]] | None]
+
+_NEVER = math.inf
 
 
 class KernelError(Exception):
@@ -86,12 +116,33 @@ class Connection:
     message: bool = False
 
 
+def _grid_at_or_after(x: float, h: int) -> int:
+    """The smallest multiple of h that is >= x."""
+    g = math.ceil(x / h) * h
+    while g < x:  # guard the float quotient's rounding
+        g += h
+    while g - h >= x:
+        g -= h
+    return g
+
+
 @dataclass
 class _SimEntry:
     desc: SimulatorDescriptor
     stepper: Stepper
     order: int
     steps: int = 0
+    last: int = -1  # time of the latest step
+    # model id -> free input values: declared defaults, then set_input's
+    free: dict[str, dict[str, Any]] = field(default_factory=dict)
+    # compiled when the run starts
+    next_event: Callable[[], float | None] | None = None
+    # (model id, free values, [(attr, message queue | None, source cell, time_shifted)])
+    plan: list = field(default_factory=list)
+    # model id -> attr -> (cell, message queues, event-driven consumers
+    # as [(consumer, time_shifted, message)])
+    outputs: dict = field(default_factory=dict)
+    readers: list = field(default_factory=list)  # (step size, time_shifted) of value consumers
 
 
 class Kernel:
@@ -100,14 +151,15 @@ class Kernel:
         self._connections: dict[Endpoint, Connection] = {}  # keyed by dst
         self._inputs: dict[Endpoint, Any] = {}  # declared defaults
         self._outputs: set[Endpoint] = set()
-        # per produced endpoint: (last_t, last_value, prev_t, prev_value)
-        self._store: dict[Endpoint, tuple[int, Any, int | None, Any]] = {}
-        # message connections: (step time, items) queues per destination,
-        # reached from the source endpoint as well
+        # per output endpoint, from the start of the run, a cell
+        # [last_t, last_value, prev_t, prev_value]; last_t is None until produced
+        self._store: dict[Endpoint, list] = {}
+        # message connections: one (step time, items) queue per destination
         self._queues: dict[Endpoint, deque] = {}
-        self._fanout: dict[Endpoint, list[deque]] = {}
-        self._external: dict[Endpoint, Any] = {}
-        self._next_due: dict[str, int] = {}
+        self._external: dict[Endpoint, Any] = {}  # what set_input was given
+        self._next_due: dict[str, float] = {}
+        self._horizon = 0  # every time < horizon has been executed
+        self._ordered: list[_SimEntry] = []
         self._started = False
 
     # -- construction ------------------------------------------------------
@@ -118,9 +170,10 @@ class Kernel:
         if desc.sim_id in self._sims:
             raise KernelError(f"duplicate simulator id {desc.sim_id!r}")
         desc.validate()
-        self._sims[desc.sim_id] = _SimEntry(desc, stepper, order=len(self._sims))
+        entry = self._sims[desc.sim_id] = _SimEntry(desc, stepper, order=len(self._sims))
         self._next_due[desc.sim_id] = 0
         for model in desc.models:
+            entry.free[model.model_id] = dict(model.inputs)
             for attr, default in model.inputs.items():
                 self._inputs[(desc.sim_id, model.model_id, attr)] = default
             for attr in model.outputs:
@@ -133,6 +186,8 @@ class Kernel:
         time_shifted: bool = False,
         message: bool = False,
     ) -> None:
+        if self._started:
+            raise KernelError("cannot connect endpoints after the run has started")
         src = tuple(src)
         dst = tuple(dst)
         if src not in self._outputs:
@@ -149,8 +204,7 @@ class Kernel:
             )
         self._connections[dst] = connection
         if message:
-            queue = self._queues[dst] = deque()
-            self._fanout.setdefault(src, []).append(queue)
+            self._queues[dst] = deque()
 
     # -- external I/O (environment boundary) --------------------------------
 
@@ -161,14 +215,22 @@ class Kernel:
             raise KernelError(f"unknown input endpoint {endpoint}")
         if endpoint in self._connections:
             raise KernelError(f"input endpoint {endpoint} is connected; cannot override")
-        self._external[endpoint] = value
+        sim_id, model_id, attr = endpoint
+        entry = self._sims[sim_id]
+        values = entry.free[model_id]
+        changed = values[attr] != value
+        values[attr] = self._external[endpoint] = value
+        if changed:
+            due = _grid_at_or_after(self._horizon, entry.desc.step_size)
+            if due < self._next_due[sim_id]:
+                self._next_due[sim_id] = due
 
     def get_output(self, endpoint: Endpoint) -> Any:
         endpoint = tuple(endpoint)
         if endpoint not in self._outputs:
             raise KernelError(f"unknown output endpoint {endpoint}")
-        entry = self._store.get(endpoint)
-        return entry[1] if entry else None
+        cell = self._store.get(endpoint)
+        return cell[1] if cell else None
 
     def is_free_input(self, endpoint: Endpoint) -> bool:
         """A declared input that no connection feeds, so set_input may override it."""
@@ -178,7 +240,7 @@ class Kernel:
     def has_output(self, endpoint: Endpoint) -> bool:
         return tuple(endpoint) in self._outputs
 
-    # -- execution -----------------------------------------------------------
+    # -- compilation ---------------------------------------------------------
 
     def _topo_ranks(self, extra: tuple[Connection, ...] = ()) -> dict[str, int]:
         """Step order along non-time-shifted connections, ties broken by
@@ -209,63 +271,117 @@ class Kernel:
             ready.sort(key=lambda s: self._sims[s].order)
         return ranks
 
-    def _read_input(self, conn: Connection, fallback: Any, t: int) -> Any:
-        if conn.message:
-            queue = self._queues[conn.dst]
-            if not queue:
-                return ()
-            limit = t if conn.time_shifted else t + 1
-            items: list = []
-            while queue and queue[0][0] < limit:
-                items.extend(queue.popleft()[1])
-            return tuple(items)
-        entry = self._store.get(conn.src)
-        if entry is None:
-            return fallback
-        last_t, last_v, prev_t, prev_v = entry
-        if not conn.time_shifted or last_t < t:
-            return last_v
-        return prev_v if prev_t is not None else fallback
+    def _compile(self) -> None:
+        """Fix the step order and build each simulator's input and output plans."""
+        ranks = self._topo_ranks()
+        self._ordered = sorted(self._sims.values(), key=lambda e: (ranks[e.desc.sim_id], e.order))
+        for endpoint in self._outputs:
+            self._store[endpoint] = [None, None, None, None]
+        for entry in self._ordered:
+            entry.next_event = getattr(entry.stepper, "next_event_time", None)
+            sim_id = entry.desc.sim_id
+            for model in entry.desc.models:
+                reads = []
+                for attr in model.inputs:
+                    conn = self._connections.get((sim_id, model.model_id, attr))
+                    if conn is not None:
+                        reads.append((attr, self._queues.get(conn.dst), self._store[conn.src],
+                                      conn.time_shifted))
+                entry.plan.append((model.model_id, entry.free[model.model_id], reads))
+                entry.outputs[model.model_id] = {
+                    attr: (self._store[(sim_id, model.model_id, attr)], [], [])
+                    for attr in model.outputs
+                }
+        for conn in self._connections.values():
+            producer = self._sims[conn.src[0]]
+            consumer = self._sims[conn.dst[0]]
+            _, queues, wakes = producer.outputs[conn.src[1]][conn.src[2]]
+            if conn.message:
+                queues.append(self._queues[conn.dst])
+            else:
+                producer.readers.append((consumer.desc.step_size, conn.time_shifted))
+            if consumer.next_event is not None:
+                wakes.append((consumer, conn.time_shifted, conn.message))
 
-    def _gather_inputs(self, sim_id: str, t: int) -> dict[str, dict[str, Any]]:
-        desc = self._sims[sim_id].desc
+    # -- execution -----------------------------------------------------------
+
+    def _gather_inputs(self, entry: _SimEntry, t: int) -> dict[str, dict[str, Any]]:
         inputs: dict[str, dict[str, Any]] = {}
-        for model in desc.models:
-            values: dict[str, Any] = {}
-            for attr, default in model.inputs.items():
-                endpoint = (sim_id, model.model_id, attr)
-                conn = self._connections.get(endpoint)
-                if conn is not None:
-                    values[attr] = self._read_input(conn, default, t)
-                elif endpoint in self._external:
-                    values[attr] = self._external[endpoint]
-                else:
-                    values[attr] = default
-            inputs[model.model_id] = values
+        for model_id, free, reads in entry.plan:
+            values = free.copy()
+            for attr, queue, cell, shifted in reads:
+                if queue is not None:
+                    limit = t - 1 if shifted else t
+                    if queue and queue[0][0] <= limit:
+                        items: list = []
+                        while queue and queue[0][0] <= limit:
+                            items.extend(queue.popleft()[1])
+                        values[attr] = tuple(items)
+                    else:
+                        values[attr] = ()
+                    continue
+                last_t = cell[0]
+                if last_t is None:
+                    continue  # the declared default
+                if not shifted or last_t < t:
+                    values[attr] = cell[1]
+                elif cell[2] is not None:
+                    values[attr] = cell[3]
+            inputs[model_id] = values
         return inputs
 
-    def _record_outputs(self, sim_id: str, t: int, outputs: Mapping | None) -> None:
+    def _record_outputs(self, entry: _SimEntry, t: int, outputs: Mapping | None) -> None:
         if not outputs:
             return
+        due = self._next_due
         for model_id, attrs in outputs.items():
+            declared = entry.outputs.get(model_id)
             for attr, value in attrs.items():
-                endpoint = (sim_id, model_id, attr)
-                if endpoint not in self._outputs:
+                slot = declared.get(attr) if declared is not None else None
+                if slot is None:
                     raise KernelError(
-                        f"simulator {sim_id!r} produced undeclared output {endpoint}"
+                        f"simulator {entry.desc.sim_id!r} produced undeclared output "
+                        f"{(entry.desc.sim_id, model_id, attr)}"
                     )
-                queues = self._fanout.get(endpoint)
-                if queues is not None and value:
+                cell, queues, wakes = slot
+                if queues and value:
                     for queue in queues:
                         queue.append((t, value))
-                entry = self._store.get(endpoint)
-                if entry is None:
-                    self._store[endpoint] = (t, value, None, None)
-                elif entry[0] == t:
-                    # Same-step overwrite keeps the older value as "previous".
-                    self._store[endpoint] = (t, value, entry[2], entry[3])
-                else:
-                    self._store[endpoint] = (t, value, entry[0], entry[1])
+                for consumer, shifted, message in wakes:
+                    if value or not message:
+                        ready = _grid_at_or_after(t + shifted, consumer.desc.step_size)
+                        if ready < due[consumer.desc.sim_id]:
+                            due[consumer.desc.sim_id] = ready
+                if cell[0] != t:  # a same-step overwrite keeps the older "previous"
+                    cell[2] = cell[0]
+                    cell[3] = cell[1]
+                    cell[0] = t
+                cell[1] = value
+
+    def _due_after(self, entry: _SimEntry, t: int, end_time: int) -> float:
+        """When an event-driven simulator that just stepped at t is next due,
+        in a run_until(end_time) call."""
+        h = entry.desc.step_size
+        boundary = (end_time - 1) // h * h
+        due: float = boundary if boundary > t else _NEVER
+        event = entry.next_event()
+        if event is not None:
+            due = min(due, max(_grid_at_or_after(event, h), t + h))
+        # inputs produced but not yet readable: queued items, and values
+        # produced at t on a time-shifted connection
+        for _, _, reads in entry.plan:
+            for _, queue, cell, shifted in reads:
+                if queue is not None:
+                    if queue:
+                        due = min(due, _grid_at_or_after(queue[0][0] + shifted, h))
+                elif shifted and cell[0] == t:
+                    due = min(due, t + h)
+        for c, shifted in entry.readers:
+            if shifted:
+                due = min(due, (_grid_at_or_after(t + h + 1, c) - 1) // h * h)
+            else:
+                due = min(due, _grid_at_or_after(t + h, c) // h * h)
+        return due
 
     def run_until(self, end_time: int) -> dict[str, int]:
         """Advance until all step times < end_time are executed.
@@ -277,26 +393,40 @@ class Kernel:
             raise KernelError("end_time must be > 0")
         if not self._sims:
             raise KernelError("no simulators registered")
-        self._started = True
-        ranks = self._topo_ranks()
-        counts = {s: 0 for s in self._sims}
+        if not self._started:
+            self._compile()
+            self._started = True
+        due = self._next_due
+        for entry in self._ordered:
+            if entry.next_event is not None:
+                boundary = (end_time - 1) // entry.desc.step_size * entry.desc.step_size
+                if entry.last < boundary < due[entry.desc.sim_id]:
+                    due[entry.desc.sim_id] = boundary
+        counts = dict.fromkeys(self._sims, 0)
+        ordered = self._ordered
         while True:
-            t = min(self._next_due.values())
+            t = min(due.values())
             if t >= end_time:
                 break
-            due = [s for s, due_t in self._next_due.items() if due_t == t]
-            due.sort(key=lambda s: (ranks[s], self._sims[s].order))
-            for sim_id in due:
-                entry = self._sims[sim_id]
-                inputs = self._gather_inputs(sim_id, t)
+            for entry in ordered:
+                sim_id = entry.desc.sim_id
+                if due[sim_id] != t:
+                    continue
+                due[sim_id] = _NEVER  # inputs produced during the step may lower it
+                inputs = self._gather_inputs(entry, t)
                 try:
                     outputs = entry.stepper(t, inputs)
-                    self._record_outputs(sim_id, t, outputs)
+                    self._record_outputs(entry, t, outputs)
+                    if entry.next_event is None:
+                        due[sim_id] = t + entry.desc.step_size
+                    else:
+                        due[sim_id] = min(due[sim_id], self._due_after(entry, t, end_time))
                 except Exception as exc:
                     raise KernelStepError(sim_id, t, exc) from exc
+                entry.last = t
                 entry.steps += 1
                 counts[sim_id] += 1
-                self._next_due[sim_id] = t + entry.desc.step_size
+        self._horizon = max(self._horizon, end_time)
         return counts
 
     @property

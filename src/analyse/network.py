@@ -348,6 +348,10 @@ class Network:
 
     # -- event loop -------------------------------------------------------------
 
+    def next_event_time(self) -> float | None:
+        """Time of the earliest queued event, or None when nothing is in flight."""
+        return self._heap[0][0] if self._heap else None
+
     def advance(self, to_time: float) -> None:
         if to_time < self.now:
             raise NetworkError("time must be monotone")

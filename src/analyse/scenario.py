@@ -618,6 +618,12 @@ class NetSimulator:
         models.append(ModelSpec(ADVERSARY_MODEL, inputs=adversary_inputs, outputs=("rules_active",)))
         return SimulatorDescriptor(self.SIM_ID, net_cfg.step_s, tuple(models))
 
+    def next_event_time(self) -> float | None:
+        """The earliest in-flight frame event. Besides at that time, the
+        kernel steps the net when frames are queued for it, an adversary
+        actuator changed, or the agent's sensors read it."""
+        return self.network.next_event_time()
+
     def __call__(self, t: int, inputs: dict) -> dict:
         # Flush in-flight events first: they carry continuous timestamps from
         # (previous step, t], and telemetry must stay time-ordered. Frames

@@ -35,6 +35,9 @@ class LogParseError(TelemetryError):
         self.line_no = line_no
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # = json.dumps(s, ensure_ascii=True)
+
+
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise UnserializableError(f"non-finite float in payload: {x!r}")
@@ -42,36 +45,48 @@ def _format_float(x: float) -> str:
 
 
 def _canonical(value: Any, out: list[str]) -> None:
-    if value is None:
+    """Append the canonical JSON of value to out, dispatching on its exact type."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is float:
+        out.append(_format_float(value))
+    elif kind is int:
+        out.append(str(value))
+    elif kind is dict:
+        try:
+            keys = sorted(value)
+        except TypeError:  # keys of mixed types
+            keys = [next(k for k in value if not isinstance(k, str))]
+        sep = "{"
+        for key in keys:
+            if type(key) is not str and not isinstance(key, str):
+                raise UnserializableError(f"non-string key: {key!r}")
+            out.append(sep + _encode_str(key) + ":")
+            sep = ","
+            _canonical(value[key], out)
+        out.append("}" if keys else "{}")
+    elif kind is list or kind is tuple:
+        sep = "["
+        for item in value:
+            out.append(sep)
+            sep = ","
+            _canonical(item, out)
+        out.append("]" if value else "[]")
+    elif value is None:
         out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):  # subclasses encode like their base type
         out.append(str(value))
     elif isinstance(value, float):
         out.append(_format_float(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=True))
+        out.append(_encode_str(value))
     elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise UnserializableError(f"non-string key: {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _canonical(value[key], out)
-        out.append("}")
+        _canonical(dict(value), out)
     elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _canonical(item, out)
-        out.append("]")
+        _canonical(tuple(value), out)
     else:
         raise UnserializableError(f"unsupported payload type: {type(value).__name__}")
 

@@ -164,7 +164,9 @@ def test_kernel_step_counts_logged_at_episode_end(tmp_path):
     steps = stats[0]["payload"]["steps"]
     assert steps["grid"] == 4      # t = 0, 900, 1800, 2700
     assert steps["market"] == 4
-    assert steps["net"] == 2700 // 60 + 1
+    # the net steps only when frames move and at each agent boundary:
+    # t = 0, 60, 120, 900, 960, 1020, 1800, 1860, 1920, 2700
+    assert steps["net"] == 10
 
 
 def test_full_run_end_to_end_deterministic(tmp_path):

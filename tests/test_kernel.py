@@ -1,3 +1,6 @@
+import heapq
+import random
+
 import pytest
 
 from analyse.kernel import (
@@ -48,6 +51,16 @@ def test_register_after_start_rejected():
     k.run_until(2)
     with pytest.raises(KernelError, match="after the run has started"):
         k.register_simulator(*counter_sim("b", 1))
+
+
+def test_connect_after_start_rejected():
+    k = Kernel()
+    k.register_simulator(*counter_sim("a", 1))
+    k.register_simulator(*counter_sim("b", 1))
+    k.run_until(2)
+    with pytest.raises(KernelError, match="after the run has started"):
+        k.connect(("a", "m", "y"), ("b", "m", "x"))
+    assert k.is_free_input(("b", "m", "x"))
 
 
 def test_step_size_must_be_positive():
@@ -330,3 +343,266 @@ def test_message_consumer_receives_empty_tuple_when_nothing_queued():
     k.run_until(3)
     assert seen["c"] == [(0, ()), (1, ()), (2, ())]
     assert not k._queues[("c", "m", "inbox")]
+
+
+# -- event-driven stepping -------------------------------------------------------
+
+
+class EventSim:
+    """Steps only when due: `events` are future times it wants a step at or
+    after. Every step records its time and its inputs, and outputs y = t."""
+
+    def __init__(self, events=(), inputs=None):
+        self.events = sorted(events)
+        self.times = []
+        self.received = []
+        self.inputs = inputs or {}
+
+    def descriptor(self, step):
+        return SimulatorDescriptor(
+            "e", step, (ModelSpec("m", inputs=dict(self.inputs), outputs=("y",)),))
+
+    def next_event_time(self):
+        return self.events[0] if self.events else None
+
+    def __call__(self, t, inputs):
+        self.times.append(t)
+        self.received.append(inputs["m"])
+        while self.events and self.events[0] <= t:
+            self.events.pop(0)
+        return {"m": {"y": t}}
+
+
+def event_kernel(sim):
+    k = Kernel()
+    k.register_simulator(sim.descriptor(step=10), sim)
+    return k
+
+
+def test_event_on_the_grid_steps_at_that_time():
+    sim = EventSim(events=(30, 45))
+    k = event_kernel(sim)
+    k.run_until(61)
+    # 30 lies on the grid; 45 waits for 50; 60 is the run_until boundary
+    assert sim.times == [0, 30, 50, 60]
+
+
+def test_event_at_the_current_step_time_steps_next_grid_time():
+    class SendsAtStep(EventSim):
+        def __call__(self, t, inputs):
+            out = super().__call__(t, inputs)
+            if t == 20:
+                self.events.insert(0, 20)  # like a frame sent at t, timestamped t
+            return out
+
+    sim = SendsAtStep(events=(20,))
+    k = event_kernel(sim)
+    k.run_until(51)
+    assert sim.times == [0, 20, 30, 50]
+
+
+def message_to_event_sim(time_shifted, step):
+    """A producer sending one item at t=15 over a message connection to an
+    event-driven simulator with the given step size."""
+    k = Kernel()
+    prod = SimulatorDescriptor("p", 5, (ModelSpec("m", outputs=("out",)),))
+    k.register_simulator(prod, lambda t, i: {"m": {"out": ("hello",) if t == 15 else ()}})
+    sim = EventSim(inputs={"inbox": ()})
+    k.register_simulator(sim.descriptor(step=step), sim)
+    k.connect(("p", "m", "out"), ("e", "m", "inbox"), time_shifted=time_shifted, message=True)
+    return k, sim
+
+
+def test_message_on_plain_connection_steps_first_grid_time_at_or_after():
+    k, sim = message_to_event_sim(time_shifted=False, step=10)
+    k.run_until(41)
+    assert sim.times == [0, 20, 40]
+    assert [r["inbox"] for r in sim.received] == [(), ("hello",), ()]
+    k, sim = message_to_event_sim(time_shifted=False, step=5)
+    k.run_until(26)
+    assert sim.times == [0, 15, 25]  # read in the step of its production time
+    assert sim.received[1]["inbox"] == ("hello",)
+
+
+def test_message_on_time_shifted_connection_steps_strictly_after():
+    k, sim = message_to_event_sim(time_shifted=True, step=10)
+    k.run_until(41)
+    assert sim.times == [0, 20, 40]
+    k, sim = message_to_event_sim(time_shifted=True, step=5)
+    k.run_until(26)
+    assert sim.times == [0, 20, 25]  # not 15: the item is read only after it
+    assert sim.received[1]["inbox"] == ("hello",)
+    k, sim = message_to_event_sim(time_shifted=True, step=5)
+    sim.events = [15]  # due at 15 anyway, after the producer's step at 15
+    k.run_until(26)
+    assert sim.times == [0, 15, 20, 25]
+    assert [r["inbox"] for r in sim.received] == [(), (), ("hello",), ()]
+
+
+@pytest.mark.parametrize("time_shifted", [False, True], ids=["plain", "shifted"])
+def test_value_produced_on_an_input_steps_when_readable(time_shifted):
+    k = Kernel()
+    k.register_simulator(*counter_sim("p", 10))
+    sim = EventSim(events=(10,), inputs={"x": None})
+    k.register_simulator(sim.descriptor(step=5), sim)
+    k.connect(("p", "m", "y"), ("e", "m", "x"), time_shifted=time_shifted)
+    k.run_until(31)
+    if time_shifted:
+        # the value produced at 10 is read at 15, although the step at 10
+        # (for the event) came after the producer's step at 10
+        assert sim.times == [0, 5, 10, 15, 25, 30]
+        assert [r["x"] for r in sim.received] == [None, 0.0, 0.0, 10.0, 20.0, 20.0]
+    else:
+        assert sim.times == [0, 10, 20, 30]
+        assert [r["x"] for r in sim.received] == [0.0, 10.0, 20.0, 30.0]
+
+
+def test_changed_input_steps_first_grid_time_not_yet_executed():
+    sim = EventSim(inputs={"x": 0.0})
+    k = event_kernel(sim)
+    k.run_until(11)
+    assert sim.times == [0, 10]
+    k.set_input(("e", "m", "x"), 1.0)
+    k.run_until(100)
+    assert sim.times == [0, 10, 20, 90]
+    assert [r["x"] for r in sim.received] == [0.0, 0.0, 1.0, 1.0]
+
+
+def test_unchanged_input_does_not_step():
+    sim = EventSim(inputs={"x": 0.0})
+    k = event_kernel(sim)
+    k.run_until(11)
+    k.set_input(("e", "m", "x"), 0.0)  # the declared default: nothing changed
+    k.run_until(100)
+    k.set_input(("e", "m", "x"), 2.0)
+    k.set_input(("e", "m", "x"), 2.0)
+    k.run_until(200)
+    assert sim.times == [0, 10, 90, 100, 190]
+
+
+@pytest.mark.parametrize("time_shifted", [False, True], ids=["plain", "shifted"])
+def test_non_message_reader_sees_what_every_grid_step_gives(time_shifted):
+    def run(event_driven):
+        seen = []
+        sim = EventSim()
+        stepper = sim if event_driven else (lambda t, i: sim(t, i))
+        k = Kernel()
+        k.register_simulator(sim.descriptor(step=10), stepper)
+        k.register_simulator(
+            SimulatorDescriptor("c", 25, (ModelSpec("m", inputs={"x": None}),)),
+            lambda t, i: seen.append((t, i["m"]["x"])),
+        )
+        k.connect(("e", "m", "y"), ("c", "m", "x"), time_shifted=time_shifted)
+        k.run_until(101)
+        return seen, sim.times
+
+    seen, times = run(event_driven=True)
+    assert seen == run(event_driven=False)[0]
+    if time_shifted:
+        assert seen == [(0, None), (25, 20), (50, 40), (75, 70), (100, 90)]
+        assert times == [0, 20, 40, 70, 90, 100]
+    else:
+        assert seen == [(0, 0), (25, 20), (50, 50), (75, 70), (100, 100)]
+        assert times == [0, 20, 50, 70, 100]
+
+
+def test_run_until_boundary_output_is_fresh():
+    sim = EventSim()
+    k = event_kernel(sim)
+    k.run_until(1)
+    assert k.get_output(("e", "m", "y")) == 0
+    k.run_until(35)
+    assert k.get_output(("e", "m", "y")) == 30
+    k.run_until(36)  # 30 already executed: no step
+    k.run_until(900)
+    assert k.get_output(("e", "m", "y")) == 890
+    assert sim.times == [0, 30, 890]
+
+
+class ToyNetwork:
+    """An event-driven toy network: each item received is delivered after a
+    seeded delay; it outputs delivered items as messages, a cumulative count
+    and a trailing-window load that changes with time alone. A `mode` input
+    of 1 drops items. Idle steps change nothing but the load."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.heap = []
+        self.delivered_at = []
+        self.count = 0
+        self.mode_changes = 0
+        self.mode = 0.0
+        self.seq = 0
+
+    def next_event_time(self):
+        return self.heap[0][0] if self.heap else None
+
+    def __call__(self, t, inputs):
+        out = []
+        while self.heap and self.heap[0][0] <= t:
+            at, _, item = heapq.heappop(self.heap)
+            out.append((at, item))
+            self.delivered_at.append(at)
+            self.count += 1
+        model = inputs["m"]
+        if model["mode"] != self.mode:
+            self.mode = model["mode"]
+            self.mode_changes += 1
+        for item in model["inbox"]:
+            if self.mode < 0.5:
+                heapq.heappush(self.heap, (t + self.rng.uniform(0.0, 40.0), self.seq, item))
+                self.seq += 1
+        load = sum(1 for at in self.delivered_at if t - 30 < at <= t)
+        return {"m": {"out": tuple(out), "count": self.count, "load": load,
+                      "changes": self.mode_changes}}
+
+
+def toy_network_run(seed, event_driven):
+    rng = random.Random(seed)
+    toy = ToyNetwork(seed)
+    k = Kernel()
+    k.register_simulator(
+        SimulatorDescriptor("src", 7, (ModelSpec("m", outputs=("items",)),)),
+        lambda t, i: {"m": {"items": tuple(f"i{t}.{n}" for n in range(t % 3))}},
+    )
+    k.register_simulator(
+        SimulatorDescriptor("net", 3, (ModelSpec(
+            "m", inputs={"inbox": (), "mode": 0.0},
+            outputs=("out", "count", "load", "changes")),)),
+        toy if event_driven else (lambda t, i: toy(t, i)),
+    )
+    seen = {}
+    consumers = (  # (sim id, step, attribute, time_shifted, message)
+        ("plain_load", 5, "load", False, False),
+        ("shifted_count", 4, "count", True, False),
+        ("slow_changes", 50, "changes", False, False),
+        ("plain_out", 6, "out", False, True),
+        ("shifted_out", 2, "out", True, True),
+    )
+    for sim_id, step, attr, shifted, message in consumers:
+        got = seen[sim_id] = []
+        k.register_simulator(
+            SimulatorDescriptor(sim_id, step, (ModelSpec("m", inputs={"x": None}),)),
+            lambda t, i, got=got: got.append((t, i["m"]["x"])),
+        )
+        k.connect(("net", "m", attr), (sim_id, "m", "x"), time_shifted=shifted, message=message)
+    k.connect(("src", "m", "items"), ("net", "m", "inbox"), message=True)
+    end = 0
+    boundary = []
+    for _ in range(40):
+        end += rng.randint(1, 60)
+        if rng.random() < 0.3:
+            k.set_input(("net", "m", "mode"), rng.choice((0.0, 1.0)))
+        k.run_until(end)
+        boundary.append(tuple(k.get_output(("net", "m", a)) for a in ("count", "load", "changes")))
+    return seen, boundary, k.step_counts["net"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_event_driven_equals_stepping_every_grid_time(seed):
+    seen, boundary, steps = toy_network_run(seed, event_driven=True)
+    ref_seen, ref_boundary, ref_steps = toy_network_run(seed, event_driven=False)
+    assert seen == ref_seen
+    assert boundary == ref_boundary
+    assert any(x for _, x in seen["plain_out"])
+    assert steps < ref_steps

@@ -6,9 +6,12 @@ from pathlib import Path
 import pytest
 import yaml
 
+from analyse import scenario
 from analyse.cli import main
 from analyse.environment import Environment
+from analyse.runner import execute_run
 from analyse.scenario import (
+    NetSimulator,
     PvSimulator,
     assemble,
     load_data_series,
@@ -365,6 +368,51 @@ def test_restart_actuator_takes_switch_down(mini_doc):
     clearings = recorder.of("market.clearing")
     assert clearings[1][3]["offers"] != []
     assert clearings[2][3]["offers"] == []
+
+
+class PeriodicNet(NetSimulator):
+    """The net adapter without next_event_time: the kernel steps it at every
+    multiple of network.step_s, the reference for event-driven stepping."""
+
+    next_event_time = None
+
+
+def feeder4_run(tmp_path, monkeypatch, agent_kind, periodic):
+    doc = load_document(packaged("feeder4.yaml"))
+    doc["agents"][0]["kind"] = agent_kind
+    doc["agents"][0]["actuators"][0]["default"] = 1.0  # the DoS rule on
+    readings = []
+    step = Environment.step
+
+    def recording_step(self, setpoints):
+        result = step(self, setpoints)
+        readings.append(result[0])
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Environment, "step", recording_step)
+        if periodic:
+            patch.setattr(scenario, "NetSimulator", PeriodicNet)
+        out = tmp_path / ("periodic" if periodic else "event")
+        log = execute_run(doc, packaged("feeder4.yaml").parent, out).log_path
+    lines = log.read_bytes().splitlines()
+    net_steps = [json.loads(line)["payload"]["steps"]["net"]
+                 for line in lines if b'"kind":"kernel.step"' in line]
+    return readings, [line for line in lines if b'"kind":"kernel.step"' not in line], net_steps
+
+
+@pytest.mark.parametrize("agent_kind", ["none", "random"])
+def test_event_driven_net_matches_periodic_net(tmp_path, monkeypatch, agent_kind):
+    # "random" toggles the DoS rule at random, so the actuator trigger fires
+    readings, lines, net_steps = feeder4_run(tmp_path, monkeypatch, agent_kind, periodic=False)
+    ref_readings, ref_lines, ref_net_steps = feeder4_run(
+        tmp_path, monkeypatch, agent_kind, periodic=True)
+    assert readings == ref_readings  # every sensor, net.sw.utilization included
+    assert lines == ref_lines  # every log byte outside kernel.step
+    utilization = [r[2] for r in readings]
+    assert len(set(utilization)) > 5  # the sensor moves, so staleness would show
+    assert ref_net_steps == [86400 // 60 + 1]
+    assert net_steps[0] < ref_net_steps[0] // 3
 
 
 # -- tamper fuzz --------------------------------------------------------------

@@ -1,6 +1,10 @@
+import collections
+import enum
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 from analyse.telemetry import (
@@ -41,6 +45,151 @@ def test_canonical_json_rejects_nonfinite_and_bad_types():
         canonical_json({1: "non-string key"})
     with pytest.raises(UnserializableError):
         canonical_json(b"bytes")
+
+
+def test_canonical_json_mixed_key_types_unserializable():
+    # sorting {1: .., "b": ..} raises TypeError; the log writer must not
+    with pytest.raises(UnserializableError, match="non-string key: 1"):
+        canonical_json({1: "a", "b": 2})
+    with pytest.raises(UnserializableError):
+        canonical_json([{"ok": 1.0}, {None: 0, "b": 2}])
+
+
+# -- the previous encoder, kept as the byte-for-byte reference -----------------
+
+
+def _reference_format_float(x):
+    if not math.isfinite(x):
+        raise UnserializableError(f"non-finite float in payload: {x!r}")
+    return f"{x:.9g}"
+
+
+def _reference_canonical(value, out):
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(_reference_format_float(value))
+    elif isinstance(value, str):
+        out.append(json.dumps(value, ensure_ascii=True))
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise UnserializableError(f"non-string key: {key!r}")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(":")
+            _reference_canonical(value[key], out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _reference_canonical(item, out)
+        out.append("]")
+    else:
+        raise UnserializableError(f"unsupported payload type: {type(value).__name__}")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Text(str):
+    pass
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+
+_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e16, 123456789.0, 1234567.891, 0.1, 1e-7,
+           1e20, 2.5, 1.7976931348623157e308, 2.0 ** 53 + 1)
+_INTS = (0, 1, -1, 2 ** 53 + 1, 2 ** 70, -(10 ** 400), 10 ** 399)
+_PIECES = ("", "a", "Z9", "é", "日本", "😀", "\n", "\t", '"', "\\", "/", "\x00", "\x1f",
+           "\x7f", "\u2028", "\ud800", "offer_id", "q_mvar")
+_BAD_LEAVES = (math.nan, -math.nan, math.inf, -math.inf, b"bytes", {1, 2}, object(), 1j,
+               np.bool_(True), np.int64(3), np.float32(1.5), np.float64(math.nan))
+
+
+def _text(rng):
+    return "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 3)))
+
+
+def _leaf(rng, bad):
+    r = rng.random()
+    if bad and r < 0.05:
+        return rng.choice(_BAD_LEAVES)
+    if r < 0.1:
+        return rng.choice((None, True, False))
+    if r < 0.25:
+        return rng.choice(_INTS) if rng.random() < 0.3 else rng.randint(-10 ** 6, 10 ** 6)
+    if r < 0.5:
+        return rng.choice(_FLOATS) if rng.random() < 0.4 else rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30)
+    if r < 0.55:  # subclasses encode like their base types
+        return rng.choice((np.float64(rng.uniform(-5, 5)), _Level.LOW, _Text(_text(rng))))
+    return _text(rng)
+
+
+def _payload(rng, depth, bad):
+    if depth == 0 or rng.random() < 0.3:
+        return _leaf(rng, bad)
+    items = [_payload(rng, depth - 1, bad) for _ in range(rng.randint(0, 4))]
+    r = rng.random()
+    if r < 0.45:
+        keys = [_text(rng) for _ in items]
+        if bad and rng.random() < 0.04:
+            keys[:1] = [rng.choice((1, 2.5, None, ("t",)))] * len(keys[:1])
+        if bad and rng.random() < 0.04:
+            keys.append(7)  # strings and an int: sorting the keys raises TypeError
+            items.append(0)
+        cls = collections.OrderedDict if rng.random() < 0.05 else dict
+        return cls(zip(keys, items))
+    if r < 0.75:
+        return items
+    if r < 0.95:
+        return tuple(items)
+    return _Pair(*(items + [None, None])[:2])
+
+
+def _outcome(encode, value):
+    try:
+        return "ok", encode(value)
+    except UnserializableError as exc:
+        return "unserializable", str(exc)
+    except TypeError as exc:
+        return "typeerror", str(exc)
+
+
+def test_canonical_json_matches_reference_on_random_payloads():
+    def reference(value):
+        out = []
+        _reference_canonical(value, out)
+        return "".join(out)
+
+    rng = random.Random(20231)
+    kinds = collections.Counter()
+    for i in range(12000):
+        value = _payload(rng, rng.randint(0, 5), bad=i % 3 == 0)
+        want, got = _outcome(reference, value), _outcome(canonical_json, value)
+        if want[0] == "typeerror":
+            # the reference crashed on keys of mixed types; now that is an
+            # UnserializableError, which the runner turns into run.abort
+            assert got[0] == "unserializable" and got[1].startswith("non-string key"), value
+            kinds["mixed keys"] += 1
+        else:
+            assert got == want, value
+            kinds[want[0] if want[0] == "ok" else want[1].split(":")[0]] += 1
+    assert kinds["ok"] >= 8000
+    for error in ("mixed keys", "non-string key", "non-finite float in payload",
+                  "unsupported payload type"):
+        assert kinds[error] >= 50, kinds
 
 
 def test_sink_assigns_sequential_seq(tmp_path):
