@@ -1,9 +1,12 @@
 """Minimal AC power-flow solver: one slack bus, PQ buses, pi-model lines.
 
 Loads draw power, static generators (sgens) inject it; both are plain PQ
-injections. The solver is Newton-Raphson in polar coordinates from a flat
-start. Non-convergence is a reported state rather than an exception, because
-attack scenarios intentionally push the grid toward infeasibility.
+injections. A model's topology is checked and compiled into arrays once, and
+models made by `with_injections` share it. The solver is Newton-Raphson in
+polar coordinates from a converged state of nearby injections (a warm start),
+retried from a flat start when that does not converge, or from flat alone.
+Non-convergence is a reported state rather than an exception, because attack
+scenarios intentionally push the grid toward infeasibility.
 
 Voltage sensitivities are analytic: d|V|/dQ is read from the inverse of the
 power-flow Jacobian at a converged state (the V-Q sensitivity of Kundur,
@@ -14,8 +17,8 @@ same helper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,73 +77,94 @@ class GridModel:
         object.__setattr__(self, "loads", tuple(self.loads))
         object.__setattr__(self, "sgens", tuple(self.sgens))
 
+    @cached_property
+    def compiled(self) -> CompiledGrid:
+        """The topology as arrays, checked and built on first use."""
+        return CompiledGrid(self)
+
     def validate(self) -> None:
-        if self.base_mva <= 0:
-            raise GridModelError("base_mva must be positive")
-        ids = [b.bus_id for b in self.buses]
-        if len(set(ids)) != len(ids):
-            raise GridModelError("duplicate bus ids")
-        slacks = [b for b in self.buses if b.kind == "slack"]
-        if len(slacks) != 1:
-            raise GridModelError(f"exactly one slack bus required, found {len(slacks)}")
-        for b in self.buses:
-            if b.kind not in ("slack", "pq"):
-                raise GridModelError(f"bus {b.bus_id}: unknown kind {b.kind!r}")
-        known = set(ids)
-        for line in self.lines:
-            if line.from_bus not in known or line.to_bus not in known:
-                raise GridModelError(f"line {line.from_bus}-{line.to_bus}: unknown bus")
-            if line.r_pu < 0:
-                raise GridModelError(f"line {line.from_bus}-{line.to_bus}: r_pu < 0")
-            if line.x_pu <= 0:
-                raise GridModelError(f"line {line.from_bus}-{line.to_bus}: x_pu must be > 0")
-        for item in list(self.loads) + list(self.sgens):
-            if item.bus not in known:
-                raise GridModelError(f"injection at unknown bus {item.bus}")
-        for sg in self.sgens:
-            if not (sg.q_min_mvar <= sg.q_mvar <= sg.q_max_mvar):
-                raise GridModelError(
-                    f"sgen at bus {sg.bus}: q={sg.q_mvar} outside "
-                    f"[{sg.q_min_mvar}, {sg.q_max_mvar}]"
-                )
-        # Connectivity over the line graph.
-        adjacency: dict[int, set[int]] = {i: set() for i in ids}
-        for line in self.lines:
-            adjacency[line.from_bus].add(line.to_bus)
-            adjacency[line.to_bus].add(line.from_bus)
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != known:
-            raise GridModelError(f"grid is not connected; unreachable buses {sorted(known - seen)}")
+        """Raise GridModelError unless the topology and every injection are sound."""
+        specified_injections(self)
 
-    def bus_index(self, bus_id: int) -> int:
-        for i, b in enumerate(self.buses):
-            if b.bus_id == bus_id:
-                return i
-        raise GridModelError(f"unknown bus id {bus_id}")
+    def with_injections(self, loads, sgens) -> GridModel:
+        """Model with these injections that shares this model's compiled topology."""
+        sibling = GridModel(self.base_mva, self.buses, self.lines, loads, sgens)
+        sibling.__dict__["compiled"] = self.compiled
+        return sibling
 
-    @property
-    def slack_index(self) -> int:
-        for i, b in enumerate(self.buses):
-            if b.kind == "slack":
-                return i
-        raise GridModelError("no slack bus")
-
-    def with_injection(self, bus: int, q_mvar: float, p_mw: float = 0.0) -> "GridModel":
+    def with_injection(self, bus: int, q_mvar: float, p_mw: float = 0.0) -> GridModel:
         """Model with one extra sgen injection (used when testing offers)."""
-        extra = Sgen(
-            bus=bus,
-            p_mw=p_mw,
-            q_mvar=q_mvar,
-            q_min_mvar=min(0.0, q_mvar),
-            q_max_mvar=max(0.0, q_mvar),
-        )
-        return replace(self, sgens=self.sgens + (extra,))
+        extra = Sgen(bus, p_mw, q_mvar, min(0.0, q_mvar), max(0.0, q_mvar))
+        return self.with_injections(self.loads, self.sgens + (extra,))
+
+
+def _check_topology(model: GridModel) -> None:
+    if model.base_mva <= 0:
+        raise GridModelError("base_mva must be positive")
+    ids = [b.bus_id for b in model.buses]
+    if len(set(ids)) != len(ids):
+        raise GridModelError("duplicate bus ids")
+    slacks = [b for b in model.buses if b.kind == "slack"]
+    if len(slacks) != 1:
+        raise GridModelError(f"exactly one slack bus required, found {len(slacks)}")
+    for b in model.buses:
+        if b.kind not in ("slack", "pq"):
+            raise GridModelError(f"bus {b.bus_id}: unknown kind {b.kind!r}")
+    known = set(ids)
+    for line in model.lines:
+        if line.from_bus not in known or line.to_bus not in known:
+            raise GridModelError(f"line {line.from_bus}-{line.to_bus}: unknown bus")
+        if line.r_pu < 0:
+            raise GridModelError(f"line {line.from_bus}-{line.to_bus}: r_pu < 0")
+        if line.x_pu <= 0:
+            raise GridModelError(f"line {line.from_bus}-{line.to_bus}: x_pu must be > 0")
+    # Connectivity over the line graph.
+    adjacency: dict[int, set[int]] = {i: set() for i in ids}
+    for line in model.lines:
+        adjacency[line.from_bus].add(line.to_bus)
+        adjacency[line.to_bus].add(line.from_bus)
+    seen, stack = {ids[0]}, [ids[0]]
+    while stack:
+        reached = adjacency[stack.pop()] - seen
+        seen |= reached
+        stack.extend(reached)
+    if seen != known:
+        raise GridModelError(f"grid is not connected; unreachable buses {sorted(known - seen)}")
+
+
+class CompiledGrid:
+    """What a solve needs that depends on the topology alone, in pu: the bus
+    id -> position map (model order), the slack and PQ positions, Ybus with
+    its PQ rows and PQ block, and per line its end positions, series and
+    half-shunt admittances and rating."""
+
+    def __init__(self, model: GridModel):
+        _check_topology(model)
+        buses = model.buses
+        self.n = n = len(buses)
+        self.base_mva = model.base_mva
+        self.index = {b.bus_id: i for i, b in enumerate(buses)}
+        self.slack = next(i for i, b in enumerate(buses) if b.kind == "slack")
+        self.vm_flat = np.ones(n)
+        self.vm_flat[self.slack] = buses[self.slack].vm_setpoint_pu
+        self.pq = np.array([i for i in range(n) if i != self.slack], dtype=np.intp)
+        self.pq_ids = [buses[i].bus_id for i in self.pq]
+        lines = model.lines
+        self.line_from = np.array([self.index[l.from_bus] for l in lines], dtype=np.intp)
+        self.line_to = np.array([self.index[l.to_bus] for l in lines], dtype=np.intp)
+        self.y_series = np.array([1.0 / complex(l.r_pu, l.x_pu) for l in lines], dtype=complex)
+        self.y_shunt = np.array([1j * l.b_shunt_pu / 2.0 for l in lines], dtype=complex)
+        self.rating_pu = np.array([l.rating_mva / model.base_mva for l in lines])
+        ybus = np.zeros((n, n), dtype=complex)
+        for i, j, y_series, y_shunt in zip(self.line_from, self.line_to, self.y_series,
+                                           self.y_shunt):
+            ybus[i, i] += y_series + y_shunt
+            ybus[j, j] += y_series + y_shunt
+            ybus[i, j] -= y_series
+            ybus[j, i] -= y_series
+        self.ybus = ybus
+        self.ybus_pq_rows = ybus[self.pq]
+        self.ybus_pq = ybus[np.ix_(self.pq, self.pq)]
 
 
 @dataclass(frozen=True)
@@ -156,67 +180,41 @@ class GridState:
     singular: bool = False
 
 
-def build_ybus(model: GridModel) -> np.ndarray:
-    n = len(model.buses)
-    index = {b.bus_id: i for i, b in enumerate(model.buses)}
-    ybus = np.zeros((n, n), dtype=complex)
-    for line in model.lines:
-        i, j = index[line.from_bus], index[line.to_bus]
-        y_series = 1.0 / complex(line.r_pu, line.x_pu)
-        y_shunt = 1j * line.b_shunt_pu / 2.0
-        ybus[i, i] += y_series + y_shunt
-        ybus[j, j] += y_series + y_shunt
-        ybus[i, j] -= y_series
-        ybus[j, i] -= y_series
-    return ybus
-
-
 def specified_injections(model: GridModel) -> np.ndarray:
-    """Net scheduled complex power per bus in pu (generation minus load)."""
-    n = len(model.buses)
-    index = {b.bus_id: i for i, b in enumerate(model.buses)}
-    s = np.zeros(n, dtype=complex)
+    """Net scheduled complex power per bus in pu (generation minus load).
+
+    Raises GridModelError for an injection at an unknown bus and for an sgen
+    whose q lies outside [q_min, q_max].
+    """
+    index = model.compiled.index
+    s = [0j] * len(index)
+    for item in model.loads + model.sgens:
+        if item.bus not in index:
+            raise GridModelError(f"injection at unknown bus {item.bus}")
     for load in model.loads:
         s[index[load.bus]] -= complex(load.p_mw, load.q_mvar)
     for sg in model.sgens:
+        if not (sg.q_min_mvar <= sg.q_mvar <= sg.q_max_mvar):
+            raise GridModelError(f"sgen at bus {sg.bus}: q={sg.q_mvar} outside "
+                                 f"[{sg.q_min_mvar}, {sg.q_max_mvar}]")
         s[index[sg.bus]] += complex(sg.p_mw, sg.q_mvar)
-    return s / model.base_mva
+    return np.array(s) / model.base_mva
 
 
-def _line_flows(model: GridModel, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-line loading fraction and total series losses (pu) from the pi model."""
-    index = {b.bus_id: i for i, b in enumerate(model.buses)}
-    loadings = np.zeros(len(model.lines))
-    losses = 0.0
-    for k, line in enumerate(model.lines):
-        i, j = index[line.from_bus], index[line.to_bus]
-        y_series = 1.0 / complex(line.r_pu, line.x_pu)
-        y_shunt = 1j * line.b_shunt_pu / 2.0
-        i_from = (v[i] - v[j]) * y_series + v[i] * y_shunt
-        i_to = (v[j] - v[i]) * y_series + v[j] * y_shunt
-        s_from = v[i] * np.conj(i_from)
-        s_to = v[j] * np.conj(i_to)
-        rating_pu = line.rating_mva / model.base_mva
-        loadings[k] = max(abs(s_from), abs(s_to)) / rating_pu if rating_pu > 0 else 0.0
-        losses += (s_from + s_to).real
-    return loadings, losses
-
-
-def _jacobian(ybus: np.ndarray, v: np.ndarray, vm: np.ndarray, pq_ix) -> np.ndarray:
+def _jacobian(grid: CompiledGrid, v: np.ndarray, vm: np.ndarray, ip: np.ndarray) -> np.ndarray:
     """d[P; Q] / d[va; vm] over the PQ buses, as one (2m, 2m) real array.
 
     From the complex power derivatives dS/dVa = j diag(V) conj(diag(I) - Y
     diag(V)) and dS/dVm = diag(V) conj(Y diag(V/|V|)) + conj(diag(I))
-    diag(V/|V|), restricted to the rows and columns in pq_ix (an np.ix_ pair).
+    diag(V/|V|), restricted to the PQ rows and columns; ip is the bus
+    current Ybus @ v at the PQ buses.
     """
-    rows = pq_ix[0][:, 0]
-    m = len(rows)
-    vp = v[rows]
-    vmp = vm[rows]
-    ip = (ybus @ v)[rows]
+    m = len(grid.pq)
+    vp = v[grid.pq]
+    vmp = vm[grid.pq]
     # diag(V) conj(Y diag(V)) on the PQ block; its columns scaled by 1/|V|
     # give the off-diagonal part of dS/dVm.
-    outer = vp[:, None] * np.conj(ybus[pq_ix] * vp[None, :])
+    outer = vp[:, None] * np.conj(grid.ybus_pq * vp[None, :])
     ds_dva = -1j * outer
     ds_dvm = outer / vmp[None, :]
     diag = np.arange(m)
@@ -230,88 +228,75 @@ def _jacobian(ybus: np.ndarray, v: np.ndarray, vm: np.ndarray, pq_ix) -> np.ndar
     return jac
 
 
-def solve_power_flow(model: GridModel) -> GridState:
-    """Newton-Raphson in polar coordinates from a flat start.
-
-    Converged means max |dP|, |dQ| < TOL_PU at every non-slack bus within
-    MAX_ITERATIONS. On a singular Jacobian the state is returned with
-    singular=True and the last iterate.
-    """
-    model.validate()
-    n = len(model.buses)
-    slack = model.slack_index
-    pq = [i for i in range(n) if i != slack]
-    pq_ix = np.ix_(pq, pq)
+def _newton(grid: CompiledGrid, s_pq: np.ndarray, vm: np.ndarray, va: np.ndarray):
+    """Newton-Raphson from (vm, va), which it updates in place; returns
+    (converged, iterations, max mismatch, singular)."""
+    pq = grid.pq
     m = len(pq)
-    ybus = build_ybus(model)
-    s_spec = specified_injections(model)
-
-    vm = np.ones(n)
-    vm[slack] = model.buses[slack].vm_setpoint_pu
-    va = np.zeros(n)
-
-    singular = False
-    converged = False
-    iterations = 0
-    mismatch_max = float("inf")
-
     for iterations in range(MAX_ITERATIONS + 1):
         v = vm * np.exp(1j * va)
-        ds = (s_spec - v * np.conj(ybus @ v))[pq]
+        ip = grid.ybus_pq_rows @ v
+        ds = s_pq - v[pq] * np.conj(ip)
         mis = np.concatenate([ds.real, ds.imag])
-        mismatch_max = float(np.max(np.abs(mis))) if mis.size else 0.0
-        if mismatch_max < TOL_PU:
-            converged = True
-            break
+        mismatch = float(np.max(np.abs(mis))) if m else 0.0
+        if mismatch < TOL_PU:
+            return True, iterations, mismatch, False
         if iterations == MAX_ITERATIONS:
             break
         try:
-            dx = np.linalg.solve(_jacobian(ybus, v, vm, pq_ix), mis)
+            dx = np.linalg.solve(_jacobian(grid, v, vm, ip), mis)
         except np.linalg.LinAlgError:
-            singular = True
-            break
+            return False, iterations, mismatch, True
         if not np.all(np.isfinite(dx)):
-            singular = True
-            break
+            return False, iterations, mismatch, True
         va[pq] += dx[:m]
         vm[pq] += dx[m:]
+    return False, iterations, mismatch, False
+
+
+def solve_power_flow(model: GridModel, start: GridState | None = None) -> GridState:
+    """Newton-Raphson in polar coordinates from start, or flat without one.
+
+    start must be a converged state of a model with the same buses. When the
+    solve from start does not converge, it is repeated from a flat start, and
+    iterations counts both attempts. Converged means max |dP|, |dQ| < TOL_PU
+    at every non-slack bus within MAX_ITERATIONS. On a singular Jacobian the
+    state is returned with singular=True and the last iterate.
+    """
+    grid = model.compiled
+    s_pq = specified_injections(model)[grid.pq]
+    iterations = 0
+    converged = False
+    if start is not None:
+        if not start.converged or len(start.vm) != grid.n:
+            raise ValueError("a start must be a converged state of the same buses")
+        vm, va = np.array(start.vm), np.array(start.va)
+        converged, iterations, mismatch, singular = _newton(grid, s_pq, vm, va)
+    if not converged:
+        vm, va = grid.vm_flat.copy(), np.zeros(grid.n)
+        converged, flat_iterations, mismatch, singular = _newton(grid, s_pq, vm, va)
+        iterations += flat_iterations
 
     v = vm * np.exp(1j * va)
-    s_calc = v * np.conj(ybus @ v)
-    loadings, _ = _line_flows(model, v)
+    s_slack = v[grid.slack] * np.conj(grid.ybus[grid.slack] @ v) * grid.base_mva
+    # pi-model flows at both line ends; loading is the larger |S| over rating
+    v_from, v_to = v[grid.line_from], v[grid.line_to]
+    i_from = (v_from - v_to) * grid.y_series + v_from * grid.y_shunt
+    i_to = (v_to - v_from) * grid.y_series + v_to * grid.y_shunt
+    s_max = np.maximum(np.abs(v_from * np.conj(i_from)), np.abs(v_to * np.conj(i_to)))
+    loadings = np.divide(s_max, grid.rating_pu, out=np.zeros_like(s_max),
+                         where=grid.rating_pu > 0)
     return GridState(
-        vm=tuple(float(x) for x in vm),
-        va=tuple(float(x) for x in va),
-        line_loading=tuple(float(x) for x in loadings),
-        slack_p_mw=float(s_calc[slack].real * model.base_mva),
-        slack_q_mvar=float(s_calc[slack].imag * model.base_mva),
+        vm=tuple(vm.tolist()),
+        va=tuple(va.tolist()),
+        line_loading=tuple(loadings.tolist()),
+        slack_p_mw=float(s_slack.real),
+        slack_q_mvar=float(s_slack.imag),
         converged=converged,
         iterations=iterations,
-        max_mismatch_pu=mismatch_max,
+        max_mismatch_pu=mismatch,
         singular=singular,
     )
-
-
-def power_balance_residual(model: GridModel, state: GridState) -> float:
-    """Max |scheduled - calculated| injection over non-slack buses, in pu.
-
-    Re-evaluated directly from vm/va and the admittance matrix, independent
-    of the solver's own mismatch bookkeeping.
-    """
-    v = np.array(state.vm) * np.exp(1j * np.array(state.va))
-    s_calc = v * np.conj(build_ybus(model) @ v)
-    ds = specified_injections(model) - s_calc
-    slack = model.slack_index
-    keep = [i for i in range(len(model.buses)) if i != slack]
-    if not keep:
-        return 0.0
-    return float(np.max(np.abs(np.concatenate([ds.real[keep], ds.imag[keep]]))))
-
-
-def total_losses_mw(model: GridModel, state: GridState) -> float:
-    v = np.array(state.vm) * np.exp(1j * np.array(state.va))
-    _, losses = _line_flows(model, v)
-    return float(losses * model.base_mva)
 
 
 class SensitivityError(Exception):
@@ -332,24 +317,24 @@ def voltage_sensitivity(
     """
     if not state.converged:
         raise SensitivityError("state did not converge")
-    row = {b.bus_id: 0.0 for b in model.buses}
-    slack = model.slack_index
-    obs = model.bus_index(observed_bus)
-    if obs == slack:
+    grid = model.compiled
+    row = dict.fromkeys(grid.index, 0.0)
+    obs = grid.index.get(observed_bus)
+    if obs is None:
+        raise GridModelError(f"unknown bus id {observed_bus}")
+    if obs == grid.slack:
         return row
-    pq = [i for i in range(len(model.buses)) if i != slack]
-    m = len(pq)
+    m = len(grid.pq)
     vm = np.array(state.vm)
     v = vm * np.exp(1j * np.array(state.va))
-    jac = _jacobian(build_ybus(model), v, vm, np.ix_(pq, pq))
+    jac = _jacobian(grid, v, vm, grid.ybus_pq_rows @ v)
     e_obs = np.zeros(2 * m)
-    e_obs[m + pq.index(obs)] = 1.0
+    e_obs[m + obs - (obs > grid.slack)] = 1.0  # obs's position among the PQ buses
     try:
         y = np.linalg.solve(jac.T, e_obs)
     except np.linalg.LinAlgError as exc:
         raise SensitivityError("singular Jacobian") from exc
     if not np.all(np.isfinite(y)):
         raise SensitivityError("singular Jacobian")
-    for k, i in enumerate(pq):
-        row[model.buses[i].bus_id] = float(y[m + k]) / model.base_mva
+    row.update(zip(grid.pq_ids, (y[m:] / grid.base_mva).tolist()))
     return row

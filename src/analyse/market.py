@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .grid import GridModel, SensitivityError, solve_power_flow, voltage_sensitivity
+from .grid import GridModel, GridState, SensitivityError, solve_power_flow, voltage_sensitivity
 
 EFFECTIVENESS_EPSILON = 1e-6  # pu per Mvar; offers below this do not count
 
@@ -140,6 +140,7 @@ def clear_market(
     offers: list[Offer],
     model: GridModel,
     band: VoltageBand,
+    start: GridState | None = None,
 ) -> ClearingResult:
     """Greedy merit-order clearing against the voltage band.
 
@@ -150,8 +151,9 @@ def clear_market(
     (sensitivity at the offer's bus times offer direction times needed
     correction sign), drop offers at or below EFFECTIVENESS_EPSILON for this
     iteration, accept the cheapest-per-effect offer at full quantity (ties to
-    the lower offer_id), and re-solve. If the base flow or a re-solve
-    diverges the clearing is aborted. A singular Jacobian ends the clearing
+    the lower offer_id), and re-solve from the state before. The base flow
+    starts from start, if given. If a flow diverges even from a flat start
+    the clearing is aborted. A singular Jacobian ends the clearing
     unresolved, the same way as when no effective offer is left.
     """
     interval = offers[0].interval if offers else 0
@@ -159,7 +161,7 @@ def clear_market(
     for offer in offers:
         offer.validate()
 
-    state = solve_power_flow(model)
+    state = solve_power_flow(model, start)
     if not state.converged:
         result.base_converged = False
         result.aborted = True
@@ -209,7 +211,7 @@ def clear_market(
             )
         )
         work = work.with_injection(best.bus, best.q_mvar)
-        state = solve_power_flow(work)
+        state = solve_power_flow(work, state)
         if not state.converged:
             result.aborted = True
             break

@@ -191,6 +191,7 @@ class Network:
             self._neighbors[link.b].append(link.a)
         for peers in self._neighbors.values():
             peers.sort()
+        self._routes: dict[tuple[str, str], tuple[str, ...]] = {}  # the topology is fixed
         self._offline_until: dict[str, float] = {}
         self._rules: dict[str, AttackRule] = {}
         self._counters: dict[str, InterfaceCounters] = {
@@ -232,7 +233,11 @@ class Network:
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Hop-count shortest path; equal-cost ties take the lexicographically
-        smallest next node (BFS over sorted neighbor lists from dst)."""
+        smallest next node (BFS over sorted neighbor lists from dst). Each
+        (src, dst) route is searched once; every call returns a new list."""
+        route = self._routes.get((src, dst))
+        if route is not None:
+            return list(route)
         self._require_node(src)
         self._require_node(dst)
         if src == dst:
@@ -254,6 +259,7 @@ class Network:
         while node != dst:
             node = min(p for p in self._neighbors[node] if dist.get(p, 1 << 30) == dist[node] - 1)
             path.append(node)
+        self._routes[(src, dst)] = tuple(path)
         return path
 
     def _push(self, time: float, node: str, frame: Frame, path: list[str], idx: int,

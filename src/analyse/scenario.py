@@ -41,7 +41,7 @@ from . import feeders
 from .agents import ActuatorSpec, LearnerConfig, Objective, Phase, Schedule, SensorSpec
 from .design import STREAM_JITTER, STREAM_NET, derive_seed
 from .feeders import LoadProfile, PvUnit, WeatherSeries, pv_output
-from .grid import Bus, GridModel, Line, Load, Sgen, solve_power_flow
+from .grid import Bus, GridModel, GridState, Line, Load, Sgen, solve_power_flow
 from .kernel import Kernel, ModelSpec, SimulatorDescriptor
 from .market import (
     BidderAsset,
@@ -383,6 +383,8 @@ class GridSimulator:
     def __init__(self, config: ScenarioConfig, emit: Callable):
         self.config = config
         self.emit = emit
+        self.base = GridModel(config.base_mva, config.buses, config.lines)  # step models' topology
+        self.last: GridState | None = None  # latest converged step: the next warm start
 
     def descriptor(self) -> SimulatorDescriptor:
         cfg = self.config
@@ -391,7 +393,7 @@ class GridSimulator:
         ]
         models += [ModelSpec(f"line_{i}", outputs=("loading",)) for i in range(len(cfg.lines))]
         models.append(ModelSpec("slack", outputs=("p_mw", "q_mvar")))
-        models.append(ModelSpec("solver", outputs=("converged", "iterations", "model")))
+        models.append(ModelSpec("solver", outputs=("converged", "iterations", "model", "state")))
         models += [
             ModelSpec(f"load_{l.name}", inputs={"p_mw": l.p_mw, "q_mvar": l.q_mvar})
             for l in cfg.loads
@@ -411,13 +413,13 @@ class GridSimulator:
         )
         sgens = []
         for s in cfg.sgens:
-            q = min(max(float(inputs[f"sgen_{s.name}"]["q_mvar"]), s.q_min_mvar), s.q_max_mvar)
-            sgens.append(
-                Sgen(s.bus, float(inputs[f"sgen_{s.name}"]["p_mw"]), q,
-                     s.q_min_mvar, s.q_max_mvar)
-            )
-        model = GridModel(cfg.base_mva, cfg.buses, cfg.lines, loads, tuple(sgens))
-        state = solve_power_flow(model)
+            setpoint = inputs[f"sgen_{s.name}"]
+            q = min(max(float(setpoint["q_mvar"]), s.q_min_mvar), s.q_max_mvar)
+            sgens.append(Sgen(s.bus, float(setpoint["p_mw"]), q, s.q_min_mvar, s.q_max_mvar))
+        model = self.base.with_injections(loads, tuple(sgens))
+        state = solve_power_flow(model, self.last)
+        if state.converged:
+            self.last = state
         self.emit("grid", "grid.step", float(t), {
             "t": t,
             "vm": {str(b.bus_id): v for b, v in zip(cfg.buses, state.vm)},
@@ -438,6 +440,7 @@ class GridSimulator:
             "converged": 1.0 if state.converged else 0.0,
             "iterations": state.iterations,
             "model": model,
+            "state": state,
         }
         return outputs
 
@@ -692,7 +695,7 @@ class MarketSimulator:
             (
                 ModelSpec(
                     "op",
-                    inputs={"grid_model": None, "inbox": ()},
+                    inputs={"grid_model": None, "grid_state": None, "inbox": ()},
                     outputs=(
                         "outbox", "last_price", "last_cost", "last_resolved",
                         "last_accepted_mvar",
@@ -763,8 +766,9 @@ class MarketSimulator:
         sgens = list(grid_model.sgens)
         for idx in self.asset_sgen_index:
             sgens[idx] = dataclasses.replace(sgens[idx], q_mvar=0.0)
-        baseline = dataclasses.replace(grid_model, sgens=tuple(sgens))
-        result = clear_market(book, baseline, cfg.band)
+        baseline = grid_model.with_injections(grid_model.loads, tuple(sgens))
+        start: GridState = model_in["grid_state"]  # near the baseline's state
+        result = clear_market(book, baseline, cfg.band, start if start.converged else None)
 
         accepted_by_asset: dict[str, float] = {}
         for a in result.accepted:
@@ -885,6 +889,7 @@ def assemble(
         connect(("net", u.host, "inbox"), ("pv", u.name, "inbox"),
                 time_shifted=True, message=True)
     connect(("grid", "solver", "model"), ("market", "op", "grid_model"))
+    connect(("grid", "solver", "state"), ("market", "op", "grid_state"))
     connect(("net", op_host, "inbox"), ("market", "op", "inbox"), message=True)
     for b in config.market.bidders:
         connect(("bidders", b.asset, "outbox"), ("net", b.host, "outbox"), message=True)

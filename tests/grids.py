@@ -1,8 +1,12 @@
-"""Bundled small grids shared across the test suite (all <= 6 buses)."""
+"""Bundled small grids shared across the test suite (all <= 6 buses), and
+checks of a solved state that the solver itself does not need."""
 
 from __future__ import annotations
 
-from analyse.grid import Bus, GridModel, Line, Load, Sgen
+import numpy as np
+
+from analyse.grid import Bus, GridModel, GridState, Line, Load, Sgen
+from oracles import gs_injections, gs_ybus
 
 
 def two_bus(p_pu: float = 0.5, q_pu: float = 0.0) -> GridModel:
@@ -79,3 +83,36 @@ ALL_BUNDLED = {
     "mesh5": mesh5,
     "chain6": chain6,
 }
+
+
+def _voltages(state: GridState) -> np.ndarray:
+    return np.array(state.vm) * np.exp(1j * np.array(state.va))
+
+
+def power_balance_residual(model: GridModel, state: GridState) -> float:
+    """Max |scheduled - calculated| injection over non-slack buses, in pu.
+
+    Re-evaluated from vm/va with the oracle's own admittance matrix and
+    injections, independent of the solver's mismatch bookkeeping.
+    """
+    v = _voltages(state)
+    ds = np.array(gs_injections(model)) - v * np.conj(np.array(gs_ybus(model)) @ v)
+    keep = [i for i, b in enumerate(model.buses) if b.kind != "slack"]
+    if not keep:
+        return 0.0
+    return float(np.max(np.abs(np.concatenate([ds.real[keep], ds.imag[keep]]))))
+
+
+def total_losses_mw(model: GridModel, state: GridState) -> float:
+    """Real power lost in the lines, summed line by line from the pi model, in MW."""
+    v = _voltages(state)
+    index = {b.bus_id: i for i, b in enumerate(model.buses)}
+    losses = 0.0
+    for line in model.lines:
+        vi, vj = v[index[line.from_bus]], v[index[line.to_bus]]
+        y_series = 1.0 / complex(line.r_pu, line.x_pu)
+        y_shunt = 1j * line.b_shunt_pu / 2.0
+        s_from = vi * np.conj((vi - vj) * y_series + vi * y_shunt)
+        s_to = vj * np.conj((vj - vi) * y_series + vj * y_shunt)
+        losses += (s_from + s_to).real
+    return float(losses * model.base_mva)

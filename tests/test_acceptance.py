@@ -15,7 +15,7 @@ import yaml
 from analyse.agents import CemDistribution, cem_update
 from analyse.cli import main as cli_main
 from analyse.design import derive_seed, expand_runs, parse_experiment
-from analyse.grid import power_balance_residual, solve_power_flow
+from analyse.grid import solve_power_flow
 from analyse.market import Offer, VoltageBand, clear_market
 from analyse.network import Frame, LinkSpec, Network, NetworkTopology, NodeSpec
 from analyse.runner import execute_run
@@ -23,7 +23,7 @@ from analyse.scenario import load_document
 from analyse.telemetry import compare, summarize
 
 from conftest import packaged
-from grids import ALL_BUNDLED, feeder4
+from grids import ALL_BUNDLED, feeder4, power_balance_residual
 from oracles import brute_force_resolving_subsets, gauss_seidel_solve, recount_log
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -9,15 +10,16 @@ from analyse.grid import (
     Line,
     Load,
     GridState,
+    MAX_ITERATIONS,
     SensitivityError,
     Sgen,
-    power_balance_residual,
     solve_power_flow,
-    total_losses_mw,
     voltage_sensitivity,
 )
 
-from grids import ALL_BUNDLED, chain6, feeder4, mesh5, two_bus
+from grids import (
+    ALL_BUNDLED, chain6, feeder4, mesh5, power_balance_residual, total_losses_mw, two_bus,
+)
 from oracles import gauss_seidel_solve, gs_slack_injection, onesided_sensitivity
 
 
@@ -122,7 +124,7 @@ def central_difference_sensitivity(model, observed_bus, injection_bus):
     """d vm(observed) / d Q(injection) in pu per Mvar from two Newton solves
     with +/- 1e-4 * base_mva Mvar injected at the injection bus."""
     delta = 1e-4 * model.base_mva
-    obs = model.bus_index(observed_bus)
+    obs = [b.bus_id for b in model.buses].index(observed_bus)
     plus = solve_power_flow(model.with_injection(injection_bus, +delta))
     minus = solve_power_flow(model.with_injection(injection_bus, -delta))
     assert plus.converged and minus.converged
@@ -146,8 +148,7 @@ def test_sensitivity_positive_at_feeder_end():
                          ids=["feeder4", "chain6", "mesh5"])
 def test_sensitivity_row_matches_central_difference(model):
     state = solve_power_flow(model)
-    slack = model.buses[model.slack_index].bus_id
-    pq = [b.bus_id for b in model.buses if b.bus_id != slack]
+    pq = [b.bus_id for b in model.buses if b.kind != "slack"]
     for observed in pq:
         row = voltage_sensitivity(model, state, observed)
         assert set(row) == {b.bus_id for b in model.buses}
@@ -185,3 +186,102 @@ def test_with_injection_appends_sgen():
     assert len(bigger.sgens) == len(model.sgens) + 1
     assert bigger.sgens[-1].q_mvar == -0.7
     bigger.validate()
+
+
+def random_injections(model, rng, load_scale):
+    """Loads scaled by one factor in [0, load_scale) and each sgen q drawn
+    within its limits, on the model's own topology."""
+    factor = rng.uniform(0.0, load_scale)
+    loads = tuple(Load(l.bus, l.p_mw * factor, l.q_mvar * factor) for l in model.loads)
+    sgens = tuple(
+        Sgen(s.bus, s.p_mw, rng.uniform(s.q_min_mvar, s.q_max_mvar), s.q_min_mvar, s.q_max_mvar)
+        for s in model.sgens
+    )
+    return model.with_injections(loads, sgens)
+
+
+def lighter_neighbour(model, rng):
+    """Each load scaled by its own factor in [0.85, 1], each sgen q moved by
+    up to 0.1 Mvar within its limits: a nearby injection set that converges
+    a little past the target's last converging load."""
+    loads = tuple(
+        Load(l.bus, l.p_mw * rng.uniform(0.85, 1.0), l.q_mvar * rng.uniform(0.85, 1.0))
+        for l in model.loads
+    )
+    sgens = tuple(
+        Sgen(s.bus, s.p_mw, min(max(s.q_mvar + rng.uniform(-0.1, 0.1), s.q_min_mvar),
+                                s.q_max_mvar), s.q_min_mvar, s.q_max_mvar)
+        for s in model.sgens
+    )
+    return model.with_injections(loads, sgens)
+
+
+# Loads are drawn up to about 1.25 times the last load factor that converges
+# on each grid, so some cases fail from both starts.
+LOAD_SCALES = {"two_bus": 12.5, "feeder4": 19.0, "chain6": 7.5, "mesh5": 3.4}
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_SCALES))
+def test_warm_start_matches_flat_start_on_random_injections(name):
+    rng = random.Random(f"warm-{name}")
+    base = ALL_BUNDLED[name]()
+    outcomes = []
+    while len(outcomes) < 60:
+        target = random_injections(base, rng, LOAD_SCALES[name])
+        neighbour = solve_power_flow(lighter_neighbour(target, rng))
+        if not neighbour.converged:
+            continue
+        cold = solve_power_flow(target)
+        warm = solve_power_flow(target, neighbour)
+        assert warm.converged == cold.converged
+        outcomes.append(cold.converged)
+        for got, want in zip(warm.vm + warm.va, cold.vm + cold.va):
+            assert abs(got - want) <= 1e-7
+    assert 0 < outcomes.count(False) < 30
+
+
+def test_warm_start_that_fails_is_retried_flat():
+    # The nose-point solution of the two-bus grid is a converged state from
+    # which Newton-Raphson runs away on a light load.
+    nose = solve_power_flow(two_bus(5.0))
+    assert nose.converged
+    target = two_bus(0.5)
+    cold = solve_power_flow(target)
+    warm = solve_power_flow(target, nose)
+    assert cold.converged and warm.converged
+    assert (warm.vm, warm.va, warm.line_loading) == (cold.vm, cold.va, cold.line_loading)
+    assert warm.iterations == MAX_ITERATIONS + cold.iterations
+
+
+def test_start_must_be_a_converged_state_of_the_same_buses():
+    model = feeder4(40.0)
+    diverged = solve_power_flow(model)
+    with pytest.raises(ValueError, match="converged"):
+        solve_power_flow(feeder4(), diverged)
+    with pytest.raises(ValueError, match="converged"):
+        solve_power_flow(feeder4(), solve_power_flow(two_bus()))
+
+
+def test_sibling_shares_the_compiled_topology_and_checks_its_injections():
+    base = feeder4(3.8)
+    sibling = base.with_injections(base.loads, base.sgens[:2])
+    assert sibling.compiled is base.compiled
+    assert base.with_injection(4, 0.5).compiled is base.compiled
+    fresh = feeder4(3.8)
+    assert fresh.compiled is not base.compiled
+    state = solve_power_flow(sibling)
+    assert state == solve_power_flow(GridModel(
+        fresh.base_mva, fresh.buses, fresh.lines, fresh.loads, fresh.sgens[:2]))
+    assert voltage_sensitivity(sibling, state, 4) == voltage_sensitivity(fresh, state, 4)
+
+    unknown_bus = base.with_injections(base.loads + (Load(9, 1.0),), base.sgens)
+    assert unknown_bus.compiled is base.compiled
+    with pytest.raises(GridModelError, match="unknown bus 9"):
+        solve_power_flow(unknown_bus)
+    with pytest.raises(GridModelError, match="unknown bus 9"):
+        unknown_bus.validate()
+    q_out_of_range = base.with_injections(base.loads, (Sgen(3, 0.0, 2.0, -1.2, 1.2),))
+    with pytest.raises(GridModelError, match="outside"):
+        solve_power_flow(q_out_of_range)
+    with pytest.raises(GridModelError, match="outside"):
+        q_out_of_range.validate()

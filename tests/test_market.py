@@ -3,7 +3,7 @@ import random
 import pytest
 
 from analyse import market
-from analyse.grid import SensitivityError
+from analyse.grid import SensitivityError, solve_power_flow
 from analyse.market import (
     BidderAsset,
     BidStrategy,
@@ -146,6 +146,38 @@ def test_greedy_vs_brute_force_on_random_cases():
     assert agree == cases
     assert all(r >= 1.0 - 1e-9 for r in ratios)
 
+
+
+def test_warm_started_clearing_matches_flat_started_clearing(monkeypatch):
+    # The base solve from a nearby converged state (and every re-solve from
+    # the state before it) accepts the same offers as from flat starts.
+    solves = []
+
+    def spy(model, start=None):
+        solves.append((start, solve_power_flow(model, start)))
+        return solves[-1][1]
+
+    rng = random.Random(0x3A6D)
+    for _ in range(40):
+        scale = rng.uniform(2.0, 4.3)
+        offers = [
+            Offer(f"w{i}", f"ag{i}", rng.choice((2, 3, 4)), rng.choice((0.4, 0.8, 1.2, -0.5)),
+                  rng.uniform(1, 30), 1)
+            for i in range(rng.randint(1, 5))
+        ]
+        start = solve_power_flow(feeder4(scale * rng.uniform(0.8, 1.0)))
+        cold = clear_market(offers, feeder4(scale), BAND)
+        solves.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(market, "solve_power_flow", spy)
+            warm = clear_market(offers, feeder4(scale), BAND, start)
+        assert solves[0][0] is start
+        assert all(now[0] is before[1] for before, now in zip(solves, solves[1:]))
+        assert warm.accepted == cold.accepted
+        assert warm.payments_eur == cold.payments_eur
+        assert (warm.resolved, warm.aborted) == (cold.resolved, cold.aborted)
+        assert warm.excursions == pytest.approx(cold.excursions, abs=1e-7)
+        assert warm.final_vm == pytest.approx(cold.final_vm, abs=1e-7)
 
 def test_greedy_exhaustion_property():
     # When greedy ends unresolved with offers on the table, the full book

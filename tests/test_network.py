@@ -289,6 +289,28 @@ def test_shortest_path_ties_lexicographic():
     assert net.shortest_path("b", "c") == ["b", "x", "c"]
 
 
+
+def test_routes_are_searched_once_and_never_shared():
+    topology = NetworkTopology(
+        nodes=(NodeSpec("b"), NodeSpec("x", "switch"), NodeSpec("y", "switch"), NodeSpec("c")),
+        links=(LinkSpec("b", "x"), LinkSpec("b", "y"), LinkSpec("x", "c"), LinkSpec("y", "c")),
+    )
+    events = []
+    net = make(topology, emit=lambda kind, t, p: events.append((kind, p)))
+    first = net.shortest_path("b", "c")
+    first.append("tampered")
+    assert net.shortest_path("b", "c") == ["b", "x", "c"]
+    for i in range(3):
+        net.send(frame(net, "b", "c", float(i)))
+        net.send(frame(net, "c", "b", float(i)))
+    net.advance(10.0)
+    assert net._routes == {("b", "c"): ("b", "x", "c"), ("c", "b"): ("c", "x", "b")}
+    paths = [p["path"] for kind, p in events if kind == "net.send"]
+    assert paths == [["b", "x", "c"], ["c", "x", "b"]] * 3
+    assert len({id(p) for p in paths}) == len(paths)
+    with pytest.raises(NetworkError, match="unknown node"):
+        net.shortest_path("b", "zz")
+
 def test_utilization_matches_event_recount():
     window = 10.0
     bandwidth = 800.0  # kbit/s

@@ -9,6 +9,7 @@ import yaml
 from analyse import scenario
 from analyse.cli import main
 from analyse.environment import Environment
+from analyse.grid import solve_power_flow
 from analyse.runner import execute_run
 from analyse.scenario import (
     NetSimulator,
@@ -151,6 +152,46 @@ def test_dispatch_reaches_grid_one_interval_after_clearing(mini_doc):
     q_out = sim.kernel.get_output(("pv", "s2", "q_mvar"))
     assert q_out == pytest.approx(1.2)
 
+
+
+def test_grid_steps_start_from_the_last_converged_step(mini_doc):
+    config = parse_scenario(mini_doc, Path("."))
+    grid = scenario.GridSimulator(config, Recorder())
+
+    def step(t, scale, q):
+        inputs = {f"load_{l.name}": {"p_mw": l.p_mw * scale, "q_mvar": l.q_mvar * scale}
+                  for l in config.loads}
+        inputs.update({f"sgen_{s.name}": {"p_mw": 0.0, "q_mvar": q} for s in config.sgens})
+        solver = grid(t, inputs)["solver"]
+        assert solver["model"].compiled is grid.base.compiled
+        return solver["model"], solver["state"]
+
+    model, first = step(0, 1.0, 0.0)
+    assert first == solve_power_flow(model)  # nothing converged yet: a flat start
+    model, second = step(900, 1.02, 0.5)
+    assert second == solve_power_flow(model, first)
+    assert second.iterations < solve_power_flow(model).iterations
+    model, diverged = step(1800, 40.0, 0.0)
+    assert not diverged.converged
+    assert diverged.iterations > solve_power_flow(model).iterations  # warm, then flat
+    model, fourth = step(2700, 0.98, -0.3)
+    assert fourth == solve_power_flow(model, second)
+
+
+def test_clearing_starts_from_the_grid_steps_state(mini_doc, monkeypatch):
+    starts = []
+    clear = scenario.clear_market
+
+    def spy(offers, model, band, start=None):
+        starts.append(start)
+        return clear(offers, model, band, start)
+
+    monkeypatch.setattr(scenario, "clear_market", spy)
+    config, sim, recorder = build(mini_doc)
+    sim.kernel.run_until(1801)
+    assert len(starts) == 3
+    assert all(start is not None and start.converged for start in starts)
+    assert starts[-1] is sim.kernel.get_output(("grid", "solver", "state"))
 
 def test_drop_rule_excludes_bids_end_to_end(mini_doc):
     mini_doc["network"]["rules"] = [
