@@ -4,9 +4,18 @@ Loads draw power, static generators (sgens) inject it; both are plain PQ
 injections. A model's topology is checked and compiled into arrays once, and
 models made by `with_injections` share it. The solver is Newton-Raphson in
 polar coordinates from a converged state of nearby injections (a warm start),
-retried from a flat start when that does not converge, or from flat alone.
-Non-convergence is a reported state rather than an exception, because attack
-scenarios intentionally push the grid toward infeasibility.
+retried from a flat start when that does not converge or converges to
+another root of the power-flow equations (an angle outside (-pi, pi]), or
+from flat alone. Non-convergence is a reported state rather than an
+exception, because attack scenarios intentionally push the grid toward
+infeasibility.
+
+A result keeps the solver's complex voltages and bus currents. Line flows and
+slack power are computed from them on first read, so solves whose flows
+nobody reads (those of a market clearing) skip them. The Jacobian is built at
+most once per state: a warm start from a state of the same topology takes its
+voltages, currents and Jacobian for the first Newton step, so a sensitivity
+at a state followed by a re-solve from it builds one Jacobian, not two.
 
 Voltage sensitivities are analytic: d|V|/dQ is read from the inverse of the
 power-flow Jacobian at a converged state (the V-Q sensitivity of Kundur,
@@ -17,7 +26,7 @@ same helper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -169,15 +178,58 @@ class CompiledGrid:
 
 @dataclass(frozen=True)
 class GridState:
+    """One power-flow result.
+
+    The solver also keeps its last iterate: the topology it solved on (grid),
+    the complex bus voltages v and the PQ bus currents ip = (Ybus @ v)[pq].
+    Line flows, slack power and the Jacobian are computed from them on first
+    read. These arrays take no part in ==; a state built by hand has none, and
+    still serves as a start and for voltage_sensitivity.
+    """
+
     vm: tuple[float, ...]  # per bus, model order, pu
     va: tuple[float, ...]  # per bus, rad; slack at 0
-    line_loading: tuple[float, ...]  # per line, |S|max / rating
-    slack_p_mw: float
-    slack_q_mvar: float
     converged: bool
     iterations: int
     max_mismatch_pu: float
     singular: bool = False
+    grid: CompiledGrid | None = field(default=None, compare=False, repr=False)
+    v: np.ndarray | None = field(default=None, compare=False, repr=False)
+    ip: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def line_loading(self) -> tuple[float, ...]:
+        """Per line, the larger |S| of its two pi-model ends over its rating."""
+        grid, v = self.grid, self.v
+        v_from, v_to = v[grid.line_from], v[grid.line_to]
+        i_from = (v_from - v_to) * grid.y_series + v_from * grid.y_shunt
+        i_to = (v_to - v_from) * grid.y_series + v_to * grid.y_shunt
+        s_max = np.maximum(np.abs(v_from * np.conj(i_from)), np.abs(v_to * np.conj(i_to)))
+        loadings = np.divide(s_max, grid.rating_pu, out=np.zeros_like(s_max),
+                             where=grid.rating_pu > 0)
+        return tuple(loadings.tolist())
+
+    @cached_property
+    def _slack_mva(self) -> complex:
+        grid, v = self.grid, self.v
+        return complex(v[grid.slack] * np.conj(grid.ybus[grid.slack] @ v) * grid.base_mva)
+
+    @property
+    def slack_p_mw(self) -> float:
+        return self._slack_mva.real
+
+    @property
+    def slack_q_mvar(self) -> float:
+        return self._slack_mva.imag
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """The power-flow Jacobian at this state, read-only (see _jacobian)."""
+        grid = self.grid
+        vmp = np.array(self.vm)[grid.pq]
+        jac = _jacobian(grid, self.v[grid.pq], vmp, self.ip)
+        jac.flags.writeable = False
+        return jac
 
 
 def specified_injections(model: GridModel) -> np.ndarray:
@@ -201,67 +253,84 @@ def specified_injections(model: GridModel) -> np.ndarray:
     return np.array(s) / model.base_mva
 
 
-def _jacobian(grid: CompiledGrid, v: np.ndarray, vm: np.ndarray, ip: np.ndarray) -> np.ndarray:
+def _jacobian(grid: CompiledGrid, vp: np.ndarray, vmp: np.ndarray, ip: np.ndarray) -> np.ndarray:
     """d[P; Q] / d[va; vm] over the PQ buses, as one (2m, 2m) real array.
 
     From the complex power derivatives dS/dVa = j diag(V) conj(diag(I) - Y
     diag(V)) and dS/dVm = diag(V) conj(Y diag(V/|V|)) + conj(diag(I))
-    diag(V/|V|), restricted to the PQ rows and columns; ip is the bus
-    current Ybus @ v at the PQ buses.
+    diag(V/|V|), restricted to the PQ rows and columns; vp, vmp and ip are
+    the voltage, its magnitude and the bus current Ybus @ v at the PQ buses.
+    Both derivatives fill one complex (m, 2m) block whose real and imaginary
+    parts are the P and Q rows.
     """
-    m = len(grid.pq)
-    vp = v[grid.pq]
-    vmp = vm[grid.pq]
+    m = len(vp)
+    conj_ip = np.conj(ip)
     # diag(V) conj(Y diag(V)) on the PQ block; its columns scaled by 1/|V|
     # give the off-diagonal part of dS/dVm.
     outer = vp[:, None] * np.conj(grid.ybus_pq * vp[None, :])
-    ds_dva = -1j * outer
-    ds_dvm = outer / vmp[None, :]
-    diag = np.arange(m)
-    ds_dva[diag, diag] += 1j * vp * np.conj(ip)
-    ds_dvm[diag, diag] += np.conj(ip) * vp / vmp
+    block = np.empty((m, 2 * m), dtype=complex)
+    np.multiply(-1j, outer, out=block[:, :m])
+    np.divide(outer, vmp[None, :], out=block[:, m:])
+    flat = block.reshape(-1)
+    flat[::2 * m + 1] += 1j * vp * conj_ip  # the diagonal of dS/dVa
+    flat[m::2 * m + 1] += conj_ip * vp / vmp  # the diagonal of dS/dVm
     jac = np.empty((2 * m, 2 * m))
-    jac[:m, :m] = ds_dva.real
-    jac[:m, m:] = ds_dvm.real
-    jac[m:, :m] = ds_dva.imag
-    jac[m:, m:] = ds_dvm.imag
+    jac[:m] = block.real
+    jac[m:] = block.imag
     return jac
 
 
-def _newton(grid: CompiledGrid, s_pq: np.ndarray, vm: np.ndarray, va: np.ndarray):
+def _newton(grid: CompiledGrid, s_pq: np.ndarray, vm: np.ndarray, va: np.ndarray,
+            start: GridState | None = None):
     """Newton-Raphson from (vm, va), which it updates in place; returns
-    (converged, iterations, max mismatch, singular)."""
+    (v, ip, converged, iterations, max mismatch, singular) at the last
+    iterate. start, if given, is a state solved on grid at exactly (vm, va):
+    iteration 0 takes its v, ip and Jacobian instead of computing them."""
     pq = grid.pq
     m = len(pq)
-    for iterations in range(MAX_ITERATIONS + 1):
+    mis = np.empty(2 * m)
+    if start is None:
         v = vm * np.exp(1j * va)
         ip = grid.ybus_pq_rows @ v
-        ds = s_pq - v[pq] * np.conj(ip)
-        mis = np.concatenate([ds.real, ds.imag])
-        mismatch = float(np.max(np.abs(mis))) if m else 0.0
+    else:
+        v, ip = start.v, start.ip
+    for iterations in range(MAX_ITERATIONS + 1):
+        vp = v[pq]
+        ds = s_pq - vp * np.conj(ip)
+        mis[:m] = ds.real
+        mis[m:] = ds.imag
+        mismatch = float(np.abs(mis).max()) if m else 0.0
         if mismatch < TOL_PU:
-            return True, iterations, mismatch, False
+            return v, ip, True, iterations, mismatch, False
         if iterations == MAX_ITERATIONS:
             break
+        if iterations == 0 and start is not None:
+            jac = start.jacobian
+        else:
+            jac = _jacobian(grid, vp, vm[pq], ip)
         try:
-            dx = np.linalg.solve(_jacobian(grid, v, vm, ip), mis)
+            dx = np.linalg.solve(jac, mis)
         except np.linalg.LinAlgError:
-            return False, iterations, mismatch, True
-        if not np.all(np.isfinite(dx)):
-            return False, iterations, mismatch, True
+            return v, ip, False, iterations, mismatch, True
+        if not np.isfinite(dx).all():
+            return v, ip, False, iterations, mismatch, True
         va[pq] += dx[:m]
         vm[pq] += dx[m:]
-    return False, iterations, mismatch, False
+        v = vm * np.exp(1j * va)
+        ip = grid.ybus_pq_rows @ v
+    return v, ip, False, iterations, mismatch, False
 
 
 def solve_power_flow(model: GridModel, start: GridState | None = None) -> GridState:
     """Newton-Raphson in polar coordinates from start, or flat without one.
 
     start must be a converged state of a model with the same buses. When the
-    solve from start does not converge, it is repeated from a flat start, and
-    iterations counts both attempts. Converged means max |dP|, |dQ| < TOL_PU
-    at every non-slack bus within MAX_ITERATIONS. On a singular Jacobian the
-    state is returned with singular=True and the last iterate.
+    solve from start does not converge, or converges with an angle outside
+    (-pi, pi] (another root of the power-flow equations, which a distant
+    start can reach), it is repeated from a flat start, and iterations counts
+    both attempts. Converged means max |dP|, |dQ| < TOL_PU at every non-slack
+    bus within MAX_ITERATIONS. On a singular Jacobian the state is returned
+    with singular=True and the last iterate.
     """
     grid = model.compiled
     s_pq = specified_injections(model)[grid.pq]
@@ -271,31 +340,25 @@ def solve_power_flow(model: GridModel, start: GridState | None = None) -> GridSt
         if not start.converged or len(start.vm) != grid.n:
             raise ValueError("a start must be a converged state of the same buses")
         vm, va = np.array(start.vm), np.array(start.va)
-        converged, iterations, mismatch, singular = _newton(grid, s_pq, vm, va)
+        v, ip, converged, iterations, mismatch, singular = _newton(
+            grid, s_pq, vm, va, start if start.grid is grid else None)
+        angles = va.tolist()
+        if converged and not (-np.pi < min(angles) and max(angles) <= np.pi):
+            converged = False  # another root of the power-flow equations
     if not converged:
         vm, va = grid.vm_flat.copy(), np.zeros(grid.n)
-        converged, flat_iterations, mismatch, singular = _newton(grid, s_pq, vm, va)
+        v, ip, converged, flat_iterations, mismatch, singular = _newton(grid, s_pq, vm, va)
         iterations += flat_iterations
-
-    v = vm * np.exp(1j * va)
-    s_slack = v[grid.slack] * np.conj(grid.ybus[grid.slack] @ v) * grid.base_mva
-    # pi-model flows at both line ends; loading is the larger |S| over rating
-    v_from, v_to = v[grid.line_from], v[grid.line_to]
-    i_from = (v_from - v_to) * grid.y_series + v_from * grid.y_shunt
-    i_to = (v_to - v_from) * grid.y_series + v_to * grid.y_shunt
-    s_max = np.maximum(np.abs(v_from * np.conj(i_from)), np.abs(v_to * np.conj(i_to)))
-    loadings = np.divide(s_max, grid.rating_pu, out=np.zeros_like(s_max),
-                         where=grid.rating_pu > 0)
     return GridState(
         vm=tuple(vm.tolist()),
         va=tuple(va.tolist()),
-        line_loading=tuple(loadings.tolist()),
-        slack_p_mw=float(s_slack.real),
-        slack_q_mvar=float(s_slack.imag),
         converged=converged,
         iterations=iterations,
         max_mismatch_pu=mismatch,
         singular=singular,
+        grid=grid,
+        v=v,
+        ip=ip,
     )
 
 
@@ -325,16 +388,17 @@ def voltage_sensitivity(
     if obs == grid.slack:
         return row
     m = len(grid.pq)
-    vm = np.array(state.vm)
-    v = vm * np.exp(1j * np.array(state.va))
-    jac = _jacobian(grid, v, vm, grid.ybus_pq_rows @ v)
+    if state.grid is not grid:  # built by hand or on another topology
+        vm = np.array(state.vm)
+        v = vm * np.exp(1j * np.array(state.va))
+        state = replace(state, grid=grid, v=v, ip=grid.ybus_pq_rows @ v)
     e_obs = np.zeros(2 * m)
     e_obs[m + obs - (obs > grid.slack)] = 1.0  # obs's position among the PQ buses
     try:
-        y = np.linalg.solve(jac.T, e_obs)
+        y = np.linalg.solve(state.jacobian.T, e_obs)
     except np.linalg.LinAlgError as exc:
         raise SensitivityError("singular Jacobian") from exc
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise SensitivityError("singular Jacobian")
     row.update(zip(grid.pq_ids, (y[m:] / grid.base_mva).tolist()))
     return row

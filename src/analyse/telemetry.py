@@ -44,6 +44,32 @@ def _format_float(x: float) -> str:
     return f"{x:.9g}"
 
 
+# Dict key tuple (insertion order) -> ((key, prefix), ...) in sorted key order,
+# where prefix is '{"key":' for the first key and ',"key":' after it. Only
+# shapes whose keys all encode are kept, at most _KEY_SHAPES_MAX of them.
+_KEY_PREFIXES: dict[tuple, tuple[tuple[str, str], ...]] = {}
+_KEY_SHAPES_MAX = 4096
+
+
+def _key_prefixes(value: dict, shape: tuple) -> tuple[tuple[str, str], ...]:
+    """The sorted keys of value with their prefixes, cached under shape."""
+    try:
+        keys = sorted(value)
+    except TypeError:  # keys of mixed types
+        keys = [next(k for k in value if not isinstance(k, str))]
+    prefixes = []
+    sep = "{"
+    for key in keys:
+        if not isinstance(key, str):
+            raise UnserializableError(f"non-string key: {key!r}")
+        prefixes.append((key, sep + _encode_str(key) + ":"))
+        sep = ","
+    if len(_KEY_PREFIXES) >= _KEY_SHAPES_MAX:
+        del _KEY_PREFIXES[next(iter(_KEY_PREFIXES))]  # the oldest shape
+    prefixes = _KEY_PREFIXES[shape] = tuple(prefixes)
+    return prefixes
+
+
 def _canonical(value: Any, out: list[str]) -> None:
     """Append the canonical JSON of value to out, dispatching on its exact type."""
     kind = type(value)
@@ -54,18 +80,14 @@ def _canonical(value: Any, out: list[str]) -> None:
     elif kind is int:
         out.append(str(value))
     elif kind is dict:
-        try:
-            keys = sorted(value)
-        except TypeError:  # keys of mixed types
-            keys = [next(k for k in value if not isinstance(k, str))]
-        sep = "{"
-        for key in keys:
-            if type(key) is not str and not isinstance(key, str):
-                raise UnserializableError(f"non-string key: {key!r}")
-            out.append(sep + _encode_str(key) + ":")
-            sep = ","
+        shape = tuple(value)
+        prefixes = _KEY_PREFIXES.get(shape)
+        if prefixes is None:
+            prefixes = _key_prefixes(value, shape)
+        for key, prefix in prefixes:
+            out.append(prefix)
             _canonical(value[key], out)
-        out.append("}" if keys else "{}")
+        out.append("}" if prefixes else "{}")
     elif kind is list or kind is tuple:
         sep = "["
         for item in value:
@@ -108,16 +130,21 @@ class LogRecord:
     payload: dict
 
     def to_line(self) -> str:
-        return canonical_json(
-            {
-                "run_id": self.run_id,
-                "seq": self.seq,
-                "t_sim": self.t_sim,
-                "source": self.source,
-                "kind": self.kind,
-                "payload": self.payload,
-            }
-        )
+        """The record as one canonical JSON object, its fields in sorted order."""
+        out = ['{"kind":']
+        _canonical(self.kind, out)
+        out.append(',"payload":')
+        _canonical(self.payload, out)
+        out.append(',"run_id":')
+        _canonical(self.run_id, out)
+        out.append(',"seq":')
+        _canonical(self.seq, out)
+        out.append(',"source":')
+        _canonical(self.source, out)
+        out.append(',"t_sim":')
+        _canonical(self.t_sim, out)
+        out.append("}")
+        return "".join(out)
 
 
 class RunSink:

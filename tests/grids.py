@@ -116,3 +116,45 @@ def total_losses_mw(model: GridModel, state: GridState) -> float:
         s_to = vj * np.conj((vj - vi) * y_series + vj * y_shunt)
         losses += (s_from + s_to).real
     return float(losses * model.base_mva)
+
+
+def eager_flows(model: GridModel, state: GridState) -> tuple[tuple[float, ...], float, float]:
+    """(line_loading, slack_p_mw, slack_q_mvar) of a state, computed the way
+    the solver computed them eagerly before they became lazy: the reference
+    that the lazy values must match bit for bit."""
+    grid = model.compiled
+    vm, va = np.array(state.vm), np.array(state.va)
+    v = vm * np.exp(1j * va)
+    s_slack = v[grid.slack] * np.conj(grid.ybus[grid.slack] @ v) * grid.base_mva
+    v_from, v_to = v[grid.line_from], v[grid.line_to]
+    i_from = (v_from - v_to) * grid.y_series + v_from * grid.y_shunt
+    i_to = (v_to - v_from) * grid.y_series + v_to * grid.y_shunt
+    s_max = np.maximum(np.abs(v_from * np.conj(i_from)), np.abs(v_to * np.conj(i_to)))
+    loadings = np.divide(s_max, grid.rating_pu, out=np.zeros_like(s_max),
+                         where=grid.rating_pu > 0)
+    return tuple(loadings.tolist()), float(s_slack.real), float(s_slack.imag)
+
+
+def reference_jacobian(model: GridModel, state: GridState) -> np.ndarray:
+    """The power-flow Jacobian at a state, assembled block by block as the
+    solver did before it filled one complex block: the reference that the
+    solver's Jacobian must match bit for bit."""
+    grid = model.compiled
+    vm = np.array(state.vm)
+    v = vm * np.exp(1j * np.array(state.va))
+    ip = grid.ybus_pq_rows @ v
+    m = len(grid.pq)
+    vp = v[grid.pq]
+    vmp = vm[grid.pq]
+    outer = vp[:, None] * np.conj(grid.ybus_pq * vp[None, :])
+    ds_dva = -1j * outer
+    ds_dvm = outer / vmp[None, :]
+    diag = np.arange(m)
+    ds_dva[diag, diag] += 1j * vp * np.conj(ip)
+    ds_dvm[diag, diag] += np.conj(ip) * vp / vmp
+    jac = np.empty((2 * m, 2 * m))
+    jac[:m, :m] = ds_dva.real
+    jac[:m, m:] = ds_dvm.real
+    jac[m:, :m] = ds_dva.imag
+    jac[m:, m:] = ds_dvm.imag
+    return jac

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import analyse.grid
 from analyse.grid import (
     Bus,
     GridModel,
@@ -18,7 +20,8 @@ from analyse.grid import (
 )
 
 from grids import (
-    ALL_BUNDLED, chain6, feeder4, mesh5, power_balance_residual, total_losses_mw, two_bus,
+    ALL_BUNDLED, chain6, eager_flows, feeder4, mesh5, power_balance_residual,
+    reference_jacobian, total_losses_mw, two_bus,
 )
 from oracles import gauss_seidel_solve, gs_slack_injection, onesided_sensitivity
 
@@ -175,7 +178,8 @@ def test_sensitivity_needs_a_converged_regular_state():
         voltage_sensitivity(model, state, 4)
     # On a lossless line, |V2| = 0.5 pu in phase with the slack is the nose
     # point: dQ2/d|V2| = 20 |V2| - 10 cos(va2) = 0 and dP2/d|V2| = 0.
-    nose = GridState((1.0, 0.5), (0.0, 0.0), (0.0,), 0.0, 0.0, True, 1, 0.0)
+    nose = GridState(vm=(1.0, 0.5), va=(0.0, 0.0), converged=True, iterations=1,
+                     max_mismatch_pu=0.0)
     with pytest.raises(SensitivityError, match="singular"):
         voltage_sensitivity(two_bus(), nose, 2)
 
@@ -251,6 +255,83 @@ def test_warm_start_that_fails_is_retried_flat():
     assert cold.converged and warm.converged
     assert (warm.vm, warm.va, warm.line_loading) == (cold.vm, cold.va, cold.line_loading)
     assert warm.iterations == MAX_ITERATIONS + cold.iterations
+
+
+@pytest.mark.parametrize("p_pu", [4.95, 4.99])
+def test_warm_start_that_converges_to_another_root_is_retried_flat(p_pu):
+    # From a start near the nose point, Newton-Raphson on a light load
+    # converges to the low-voltage root (p = 4.95) or to the right voltages
+    # with every angle shifted by 2 pi (p = 4.99).
+    near_nose = solve_power_flow(two_bus(p_pu))
+    assert near_nose.converged
+    target = two_bus(0.1)
+    cold = solve_power_flow(target)
+    warm = solve_power_flow(target, near_nose)
+    assert cold.converged and warm.converged
+    assert (warm.vm, warm.va) == (cold.vm, cold.va)
+    assert warm.iterations > cold.iterations  # both attempts are counted
+
+
+def seeded_states(name, rng, count):
+    """Solved states of the named grid over random injections, warm and cold,
+    converged or not, with the model each was solved on."""
+    base = ALL_BUNDLED[name]()
+    states = []
+    while len(states) < count:
+        target = random_injections(base, rng, LOAD_SCALES[name])
+        states.append((target, solve_power_flow(target)))
+        neighbour = solve_power_flow(lighter_neighbour(target, rng))
+        if neighbour.converged:
+            states.append((target, solve_power_flow(target, neighbour)))
+    return states
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_SCALES))
+def test_lazy_flows_equal_the_eager_expressions_bit_for_bit(name):
+    for model, state in seeded_states(name, random.Random(f"flows-{name}"), 60):
+        loading, slack_p, slack_q = eager_flows(model, state)
+        assert state.line_loading == loading
+        assert (state.slack_p_mw, state.slack_q_mvar) == (slack_p, slack_q)
+        if state.converged:
+            assert np.array_equal(state.jacobian, reference_jacobian(model, state))
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_SCALES))
+def test_warm_start_reusing_its_jacobian_equals_a_start_without_solver_arrays(name):
+    rng = random.Random(f"reuse-{name}")
+    base = ALL_BUNDLED[name]()
+    reused = 0
+    for _ in range(40):
+        target = random_injections(base, rng, LOAD_SCALES[name])
+        start = solve_power_flow(lighter_neighbour(target, rng))
+        if not start.converged:
+            continue
+        bare = GridState(vm=start.vm, va=start.va, converged=True,
+                         iterations=start.iterations, max_mismatch_pu=start.max_mismatch_pu)
+        warm = solve_power_flow(target, start)
+        want = solve_power_flow(target, bare)
+        reused += "jacobian" in vars(start)
+        assert warm == want
+        assert (warm.line_loading, warm.slack_p_mw, warm.slack_q_mvar) == (
+            want.line_loading, want.slack_p_mw, want.slack_q_mvar)
+        assert np.array_equal(warm.v, want.v) and np.array_equal(warm.ip, want.ip)
+    assert reused >= 20
+
+
+def test_sensitivity_then_resolve_builds_one_jacobian(monkeypatch):
+    model = feeder4(3.8)
+    state = solve_power_flow(model)
+    built = []
+    jacobian = analyse.grid._jacobian
+    monkeypatch.setattr(analyse.grid, "_jacobian",
+                        lambda *args: built.append(args) or jacobian(*args))
+    row = voltage_sensitivity(model, state, 4)
+    assert voltage_sensitivity(model, state, 3) != row  # same state, no new Jacobian
+    assert len(built) == 1
+    resolved = solve_power_flow(model.with_injection(4, 0.5), state)
+    assert resolved.converged and resolved.iterations >= 2
+    # The start's Jacobian serves iteration 0; each later step builds one.
+    assert len(built) == resolved.iterations
 
 
 def test_start_must_be_a_converged_state_of_the_same_buses():

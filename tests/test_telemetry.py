@@ -7,8 +7,10 @@ import random
 import numpy as np
 import pytest
 
+from analyse import telemetry
 from analyse.telemetry import (
     LogParseError,
+    LogRecord,
     RunSink,
     RunSummary,
     SinkClosedError,
@@ -190,6 +192,49 @@ def test_canonical_json_matches_reference_on_random_payloads():
     for error in ("mixed keys", "non-string key", "non-finite float in payload",
                   "unsupported payload type"):
         assert kinds[error] >= 50, kinds
+
+
+def test_envelope_line_matches_canonical_json_of_the_envelope_dict():
+    rng = random.Random(20232)
+    kinds = collections.Counter()
+    for i in range(12000):
+        payload = _payload(rng, rng.randint(0, 5), bad=i % 3 == 0)
+        t_sim = i if i % 2 else i * 0.25  # int and float simulation times
+        record = LogRecord(_text(rng), i, t_sim, _text(rng), _text(rng), payload)
+        envelope = {"run_id": record.run_id, "seq": record.seq, "t_sim": record.t_sim,
+                    "source": record.source, "kind": record.kind, "payload": record.payload}
+        want = _outcome(canonical_json, envelope)
+        assert _outcome(LogRecord.to_line, record) == want, payload
+        kinds[want[0]] += 1
+    assert kinds["ok"] >= 8000 and kinds["unserializable"] >= 400, kinds
+
+
+def test_non_string_keys_raise_on_every_call():
+    for value in ({1: "a"}, {None: 0, "b": 2}, {"b": 2, 7: 0}, {("t",): 1}):
+        for _ in range(3):
+            with pytest.raises(UnserializableError, match="non-string key"):
+                canonical_json(value)
+        assert tuple(value) not in telemetry._KEY_PREFIXES
+
+
+def test_key_shape_cache_stays_at_its_cap():
+    for i in range(10000):
+        assert canonical_json({f"k{i}": i, "a": None}) == f'{{"a":null,"k{i}":{i}}}'
+    assert len(telemetry._KEY_PREFIXES) == telemetry._KEY_SHAPES_MAX
+    assert ("k9999", "a") in telemetry._KEY_PREFIXES
+    assert ("k0", "a") not in telemetry._KEY_PREFIXES
+    assert canonical_json({"k0": 0, "a": None}) == '{"a":null,"k0":0}'
+
+
+def test_record_that_fails_to_encode_writes_nothing(tmp_path):
+    path = tmp_path / "r.jsonl"
+    with RunSink(path, "r") as sink:
+        sink.emit("a", "k.x", 0.0, {})
+        for bad in ({"x": math.nan}, {1: "a"}, {"x": b"bytes"}):
+            with pytest.raises(UnserializableError):
+                sink.emit("a", "k.y", 1.0, bad)
+        assert sink.emit("a", "k.z", 2.0, {}).seq == 1
+    assert [json.loads(l)["kind"] for l in path.read_text().splitlines()] == ["k.x", "k.z"]
 
 
 def test_sink_assigns_sequential_seq(tmp_path):
