@@ -25,7 +25,7 @@ from .runner import (
     execute_run_directory,
 )
 from .scenario import ScenarioError, load_document, resolve_data_path
-from .telemetry import ComparisonTable, RunSummary, compare, summarize
+from .telemetry import METRIC_KEYS, ComparisonTable, RunSummary, compare, summarize
 from .validation import validate_document
 
 
@@ -207,17 +207,8 @@ def render_summary(s: RunSummary, fmt: str = "text") -> str:
         ("run_id", s.run_id),
         ("experiment", s.experiment or ""),
         ("seed", s.seed if s.seed is not None else ""),
-        ("violation_count", s.violation_count),
-        ("max_excursion_pu", s.max_excursion_pu),
-        ("diverged_count", s.diverged_count),
-        ("clearings", s.clearings),
-        ("clearings_resolved", s.clearings_resolved),
-        ("resolution_rate", s.resolution_rate),
-        ("total_cost_eur", s.total_cost_eur),
-        ("frames_sent", s.frames_sent),
-        ("frames_delivered", s.frames_delivered),
-        ("frames_dropped", s.frames_dropped),
     ]
+    rows += [(k, getattr(s, k)) for k in METRIC_KEYS]
     for agent in sorted(s.payments_eur):
         rows.append((f"payments_eur.{agent}", s.payments_eur[agent]))
     for agent in sorted(s.accepted_mvar):

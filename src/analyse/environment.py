@@ -1,18 +1,24 @@
 """Sensor/actuator environment over an assembled co-simulation.
 
-reset(seed) rebuilds every simulator from the scenario with the episode seed;
-step(setpoints) applies actuator values, advances the kernel by one agent
-interval (the market interval), and derives the reward from the telemetry
-records the interval produced, drained from the sink and reduced by a
-telemetry.RunSummary. Episode telemetry times are offset so t_sim
-stays non-decreasing per source across episodes within one run log.
+reset(seed) rebuilds every simulator from the scenario with the episode seed
+(the builder returns a wired Kernel); step(setpoints) applies actuator
+values, advances the kernel by one agent interval (interval_s, the market
+interval), and derives the reward from the telemetry records the interval
+produced, drained from the sink and reduced by a telemetry.RunSummary.
+Episode telemetry times are offset so t_sim stays non-decreasing per source
+across episodes within one run log.
+
+Sensor and actuator ids are checked once, by validation.cross_check, before
+a run builds its environment. An environment built directly with a sensor
+that names no output fails with KernelError at its first reset, and one with
+an actuator that names no free input at its first step.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from .agents import (
     ActuatorSpec,
@@ -36,20 +42,8 @@ class EnvironmentError(Exception):
     pass
 
 
-class Assembled(Protocol):
-    kernel: Kernel
-    interval_s: int
-
-
 EmitFn = Callable[[str, str, float, dict], None]
-Builder = Callable[[int, EmitFn], "Assembled"]
-
-
-def _endpoint(dotted: str) -> tuple[str, str, str]:
-    parts = dotted.split(".")
-    if len(parts) != 3:
-        raise EnvironmentError(f"endpoint id {dotted!r} is not simulator.model.attribute")
-    return (parts[0], parts[1], parts[2])
+Builder = Callable[[int, EmitFn], Kernel]
 
 
 class Environment:
@@ -60,6 +54,7 @@ class Environment:
         actuators: Sequence[ActuatorSpec],
         objective: Objective,
         sink: RunSink,
+        interval_s: int,
         band: tuple[float, float] = (0.95, 1.05),
         agent_id: str = "attacker",
         episode_length: int = 96,
@@ -69,29 +64,17 @@ class Environment:
         self.actuators = list(actuators)
         self.objective = objective
         self.sink = sink
+        self.interval_s = interval_s
         self.band = band
         self.agent_id = agent_id
         self.episode_length = episode_length
-        self._sensor_eps = [_endpoint(s.id) for s in self.sensors]
-        self._actuator_eps = [_endpoint(a.id) for a in self.actuators]
+        self._sensor_eps = [tuple(s.id.split(".")) for s in self.sensors]
+        self._actuator_eps = [tuple(a.id.split(".")) for a in self.actuators]
         self._t_offset = 0.0
-        self._sim: Assembled | None = None
+        self._kernel: Kernel | None = None
         self._local_t = 0
         self._step_index = 0
         self._episode_index = -1
-        self._probe_build()
-
-    def _probe_build(self) -> None:
-        """Fail fast on sensor ids that name no output and actuator ids that
-        name no free (unconnected) input."""
-        sim = self.builder(0, lambda *a: None)
-        for spec, ep in zip(self.sensors, self._sensor_eps):
-            if not sim.kernel.has_output(ep):
-                raise EnvironmentError(f"sensor id {spec.id!r} does not resolve to an output")
-        for spec, ep in zip(self.actuators, self._actuator_eps):
-            if not sim.kernel.is_free_input(ep):
-                raise EnvironmentError(
-                    f"actuator id {spec.id!r} does not resolve to a free input")
 
     def _emit_offset(self, source: str, kind: str, t_sim: float, payload: dict) -> None:
         self.sink.emit(source, kind, t_sim + self._t_offset, payload)
@@ -102,22 +85,22 @@ class Environment:
         return self._t_offset + self._local_t
 
     def reset(self, seed: int) -> list[float]:
-        if self._sim is not None:
+        if self._kernel is not None:
             # Keep later episodes' telemetry times above everything emitted so far.
-            self._t_offset += self._local_t + self._sim.interval_s
-        self._sim = self.builder(seed, self._emit_offset)
+            self._t_offset += self._local_t + self.interval_s
+        self._kernel = self.builder(seed, self._emit_offset)
         self._local_t = 0
         self._step_index = 0
         self._episode_index += 1
-        self._sim.kernel.run_until(1)  # step everything due at t=0
+        self._kernel.run_until(1)  # step everything due at t=0
         self.sink.drain()  # the t=0 records belong to no agent step
         return self._readings()
 
     def _readings(self) -> list[float]:
-        assert self._sim is not None
+        assert self._kernel is not None
         values = []
         for spec, ep in zip(self.sensors, self._sensor_eps):
-            raw = self._sim.kernel.get_output(ep)
+            raw = self._kernel.get_output(ep)
             value = float(raw) if raw is not None else 0.0
             if not (spec.lo <= value <= spec.hi):
                 self._emit_offset("agent", "agent.clamp", float(self._local_t), {
@@ -128,7 +111,7 @@ class Environment:
         return values
 
     def step(self, setpoints: Sequence[float]) -> tuple[list[float], float, bool]:
-        if self._sim is None:
+        if self._kernel is None:
             raise EnvironmentError("reset() before step()")
         if len(setpoints) != len(self.actuators):
             raise EnvironmentError("setpoint vector length mismatch")
@@ -139,11 +122,10 @@ class Environment:
                 self._emit_offset("agent", "agent.clamp", float(self._local_t), {
                     "actuator": spec.id, "value": float(value), "clipped": clipped,
                 })
-            self._sim.kernel.set_input(ep, clipped)
+            self._kernel.set_input(ep, clipped)
             applied[spec.id] = clipped
-        interval = self._sim.interval_s
-        self._local_t += interval
-        self._sim.kernel.run_until(self._local_t + 1)
+        self._local_t += self.interval_s
+        self._kernel.run_until(self._local_t + 1)
         window = RunSummary(band=self.band)
         for record in self.sink.drain():
             window.feed(record.kind, record.payload)
@@ -157,7 +139,7 @@ class Environment:
         if done:
             self._emit_offset("kernel", "kernel.step", float(self._local_t), {
                 "episode": self._episode_index,
-                "steps": self._sim.kernel.step_counts,
+                "steps": self._kernel.step_counts,
             })
         return readings, reward, done
 
@@ -212,7 +194,7 @@ def run_phase(
         while not done:
             readings, reward, done = env.step(actor(readings))
             total += reward
-        env._emit_offset("agent", "agent.episode", float(env._local_t), {
+        env.sink.emit("agent", "agent.episode", env.telemetry_time, {
             "agent": env.agent_id, "phase": phase.name, "mode": phase.mode,
             "episode": state.episode_counter - 1, "return": total, "label": label,
             "steps": env.episode_length, "seed": episode_seed,
@@ -238,7 +220,7 @@ def run_phase(
                     state.best_theta = theta
             dist = cem_update(population)
             returns = [r for _, r in population]
-            env._emit_offset("agent", "agent.generation", float(env._local_t), {
+            env.sink.emit("agent", "agent.generation", env.telemetry_time, {
                 "generation": gen, "mean_return": sum(returns) / len(returns),
                 "best_return": max(returns),
                 "sigma_mean": sum(dist.sigma) / len(dist.sigma),

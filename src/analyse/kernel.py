@@ -156,7 +156,6 @@ class Kernel:
         self._store: dict[Endpoint, list] = {}
         # message connections: one (step time, items) queue per destination
         self._queues: dict[Endpoint, deque] = {}
-        self._external: dict[Endpoint, Any] = {}  # what set_input was given
         self._next_due: dict[str, float] = {}
         self._horizon = 0  # every time < horizon has been executed
         self._ordered: list[_SimEntry] = []
@@ -219,7 +218,7 @@ class Kernel:
         entry = self._sims[sim_id]
         values = entry.free[model_id]
         changed = values[attr] != value
-        values[attr] = self._external[endpoint] = value
+        values[attr] = value
         if changed:
             due = _grid_at_or_after(self._horizon, entry.desc.step_size)
             if due < self._next_due[sim_id]:

@@ -111,6 +111,7 @@ def execute_run(
         actuators=agent.actuators,
         objective=agent.objective,
         sink=sink,
+        interval_s=config.market.interval_s,
         band=(config.market.band.v_min_pu, config.market.band.v_max_pu),
         agent_id=agent.agent_id,
     )

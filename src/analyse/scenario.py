@@ -5,10 +5,13 @@ reactive-power market with its scripted bidders, the communication network
 (including pre-declared attack rules), the agent's sensors/actuators and
 objective, and the schedule of train/test phases. parse_scenario turns such
 a document into a typed ScenarioConfig, the agent section straight into its
-Objective and LearnerConfig. assemble is the one description of the
-co-simulation: which adapters exist follows from the config alone, and it
-makes every connection. Validation lists sensor and actuator endpoints from
-a dry assembly, so there is no second endpoint table to keep in step:
+Objective and LearnerConfig, and the grid section into one GridModel whose
+compiled topology serves validation and every episode's power flows.
+assemble is the one description of the co-simulation: which adapters exist
+follows from the config alone, it makes every connection, and it returns the
+wired Kernel. validation.cross_check is the one sensor/actuator endpoint
+check; it resolves the ids against a dry assembly, so there is no second
+endpoint table to keep in step:
 
     weather --> pv --> grid --> market
     profiles ------^              ^  \\ (outbox, time-shifted)
@@ -31,7 +34,7 @@ import dataclasses
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -164,11 +167,9 @@ class ScenarioConfig:
     name: str
     seed: int
     grid_step_s: int
-    buses: tuple[Bus, ...]
-    lines: tuple[Line, ...]
+    grid: GridModel  # the configured loads and sgens; step models share its topology
     loads: tuple[LoadAttachment, ...]
     sgens: tuple[SgenConfig, ...]
-    base_mva: float
     profiles: dict[str, Path]
     weather_path: Path | None
     pv_units: tuple[PvConfig, ...]
@@ -176,18 +177,6 @@ class ScenarioConfig:
     network: NetworkConfig
     agent: AgentConfig
     schedule: Schedule
-    document: dict = field(default_factory=dict)
-
-    def grid_model(self) -> GridModel:
-        return GridModel(
-            base_mva=self.base_mva,
-            buses=self.buses,
-            lines=self.lines,
-            loads=tuple(Load(l.bus, l.p_mw, l.q_mvar) for l in self.loads),
-            sgens=tuple(
-                Sgen(s.bus, s.p_mw, s.q_mvar, s.q_min_mvar, s.q_max_mvar) for s in self.sgens
-            ),
-        )
 
 
 def _band(doc: dict) -> VoltageBand:
@@ -222,24 +211,13 @@ def _rule_from_doc(doc: dict) -> AttackRule:
 
 def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
     """Typed configuration from a schema-valid scenario document."""
-    grid = doc["grid"]
-    buses = tuple(
-        Bus(int(b["id"]), b.get("kind", "pq"), float(b.get("vm_setpoint_pu", 1.0)))
-        for b in grid["buses"]
-    )
-    lines = tuple(
-        Line(
-            int(l["from"]), int(l["to"]), float(l["r_pu"]), float(l["x_pu"]),
-            float(l.get("b_pu", 0.0)), float(l.get("rating_mva", 1.0)),
-        )
-        for l in grid["lines"]
-    )
+    gdoc = doc["grid"]
     loads = tuple(
         LoadAttachment(
             str(l["name"]), int(l["bus"]), float(l["p_mw"]),
             float(l.get("q_mvar", 0.0)), l.get("profile"),
         )
-        for l in grid.get("loads", [])
+        for l in gdoc.get("loads", [])
     )
     sgens = tuple(
         SgenConfig(
@@ -247,7 +225,23 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
             float(s.get("q_mvar", 0.0)), float(s.get("q_min_mvar", 0.0)),
             float(s.get("q_max_mvar", 0.0)),
         )
-        for s in grid.get("sgens", [])
+        for s in gdoc.get("sgens", [])
+    )
+    grid = GridModel(
+        base_mva=float(gdoc["base_mva"]),
+        buses=tuple(
+            Bus(int(b["id"]), b.get("kind", "pq"), float(b.get("vm_setpoint_pu", 1.0)))
+            for b in gdoc["buses"]
+        ),
+        lines=tuple(
+            Line(
+                int(l["from"]), int(l["to"]), float(l["r_pu"]), float(l["x_pu"]),
+                float(l.get("b_pu", 0.0)), float(l.get("rating_mva", 1.0)),
+            )
+            for l in gdoc["lines"]
+        ),
+        loads=tuple(Load(l.bus, l.p_mw, l.q_mvar) for l in loads),
+        sgens=tuple(Sgen(s.bus, s.p_mw, s.q_mvar, s.q_min_mvar, s.q_max_mvar) for s in sgens),
     )
 
     data = doc.get("data", {})
@@ -356,12 +350,10 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
     return ScenarioConfig(
         name=str(doc.get("name", "scenario")),
         seed=int(doc.get("seed", 0)),
-        grid_step_s=int(grid.get("step_s", market.interval_s)),
-        buses=buses,
-        lines=lines,
+        grid_step_s=int(gdoc.get("step_s", market.interval_s)),
+        grid=grid,
         loads=loads,
         sgens=sgens,
-        base_mva=float(grid["base_mva"]),
         profiles=profiles,
         weather_path=weather_path,
         pv_units=pv_units,
@@ -369,7 +361,6 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
         network=network,
         agent=agent,
         schedule=schedule,
-        document=doc,
     )
 
 
@@ -383,15 +374,16 @@ class GridSimulator:
     def __init__(self, config: ScenarioConfig, emit: Callable):
         self.config = config
         self.emit = emit
-        self.base = GridModel(config.base_mva, config.buses, config.lines)  # step models' topology
         self.last: GridState | None = None  # latest converged step: the next warm start
 
     def descriptor(self) -> SimulatorDescriptor:
         cfg = self.config
         models = [
-            ModelSpec(f"bus_{b.bus_id}", outputs=("vm_pu", "va_rad")) for b in cfg.buses
+            ModelSpec(f"bus_{b.bus_id}", outputs=("vm_pu", "va_rad")) for b in cfg.grid.buses
         ]
-        models += [ModelSpec(f"line_{i}", outputs=("loading",)) for i in range(len(cfg.lines))]
+        models += [
+            ModelSpec(f"line_{i}", outputs=("loading",)) for i in range(len(cfg.grid.lines))
+        ]
         models.append(ModelSpec("slack", outputs=("p_mw", "q_mvar")))
         models.append(ModelSpec("solver", outputs=("converged", "iterations", "model", "state")))
         models += [
@@ -416,13 +408,13 @@ class GridSimulator:
             setpoint = inputs[f"sgen_{s.name}"]
             q = min(max(float(setpoint["q_mvar"]), s.q_min_mvar), s.q_max_mvar)
             sgens.append(Sgen(s.bus, float(setpoint["p_mw"]), q, s.q_min_mvar, s.q_max_mvar))
-        model = self.base.with_injections(loads, tuple(sgens))
+        model = cfg.grid.with_injections(loads, tuple(sgens))
         state = solve_power_flow(model, self.last)
         if state.converged:
             self.last = state
         self.emit("grid", "grid.step", float(t), {
             "t": t,
-            "vm": {str(b.bus_id): v for b, v in zip(cfg.buses, state.vm)},
+            "vm": {str(b.bus_id): v for b, v in zip(cfg.grid.buses, state.vm)},
             "converged": state.converged,
             "iterations": state.iterations,
             "slack_p_mw": state.slack_p_mw,
@@ -431,7 +423,7 @@ class GridSimulator:
         })
         outputs = {
             f"bus_{b.bus_id}": {"vm_pu": v, "va_rad": a}
-            for b, v, a in zip(cfg.buses, state.vm, state.va)
+            for b, v, a in zip(cfg.grid.buses, state.vm, state.va)
         }
         for i, loading in enumerate(state.line_loading):
             outputs[f"line_{i}"] = {"loading": loading}
@@ -820,12 +812,6 @@ class MarketSimulator:
 # assembly
 
 
-@dataclass
-class AssembledRun:
-    kernel: Kernel
-    interval_s: int
-
-
 def load_data_series(config: ScenarioConfig) -> tuple[dict[str, LoadProfile], WeatherSeries | None]:
     profiles = {
         key: feeders.read_load_profile_csv(path) for key, path in config.profiles.items()
@@ -841,7 +827,7 @@ def assemble(
     seed: int,
     emit: Callable[[str, str, float, dict], None],
     data: tuple[dict[str, LoadProfile], WeatherSeries | None] | None = None,
-) -> AssembledRun:
+) -> Kernel:
     """Build and wire a fresh kernel for one episode with the given seed.
 
     This is the one description of the co-simulation: which adapters exist
@@ -895,4 +881,4 @@ def assemble(
         connect(("bidders", b.asset, "outbox"), ("net", b.host, "outbox"), message=True)
     connect(("market", "op", "outbox"), ("net", op_host, "outbox"),
             time_shifted=True, message=True)
-    return AssembledRun(kernel=kernel, interval_s=config.market.interval_s)
+    return kernel

@@ -363,7 +363,7 @@ def summarize(path: str | Path, strict: bool = False) -> RunSummary:
     return summary
 
 
-_METRIC_KEYS = (
+METRIC_KEYS = (  # RunSummary scalars that reports and comparisons list, in this order
     "violation_count",
     "max_excursion_pu",
     "diverged_count",
@@ -386,7 +386,7 @@ class ComparisonTable:
 
 
 def _summary_metrics(s: RunSummary) -> dict[str, float]:
-    metrics: dict[str, float] = {k: float(getattr(s, k)) for k in _METRIC_KEYS}
+    metrics: dict[str, float] = {k: float(getattr(s, k)) for k in METRIC_KEYS}
     for agent in sorted(s.payments_eur):
         metrics[f"payments_eur.{agent}"] = s.payments_eur[agent]
     for agent in sorted(s.accepted_mvar):

@@ -83,7 +83,7 @@ def cross_check(config: scn.ScenarioConfig, base_dir: Path) -> list[Violation]:
     errors: list[Violation] = []
 
     try:
-        config.grid_model().validate()
+        config.grid.validate()
     except GridModelError as exc:
         errors.append(("grid", str(exc)))
 
@@ -161,7 +161,7 @@ def cross_check(config: scn.ScenarioConfig, base_dir: Path) -> list[Violation]:
         return errors  # endpoint enumeration needs a structurally sound scenario
 
     try:
-        kernel = scn.assemble(config, 0, lambda *a: None, ({}, None)).kernel
+        kernel = scn.assemble(config, 0, lambda *a: None, ({}, None))
     except (FeederError, KernelError) as exc:
         return [("(document)", f"cannot assemble scenario: {exc}")]
     agent = config.agent

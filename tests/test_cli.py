@@ -6,7 +6,8 @@ import random
 import pytest
 import yaml
 
-from analyse.cli import main
+from analyse.cli import main, render_summary
+from analyse.telemetry import RunSummary
 
 from conftest import MINI, packaged
 
@@ -143,6 +144,31 @@ def test_report_csv_format(tmp_path, mini_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("run_id,")
     assert len(lines) == 2  # header + one run
+
+
+def test_render_summary_text_and_csv():
+    summary = RunSummary(
+        run_id="r1", experiment="exp", seed=7, violation_count=3,
+        max_excursion_pu=0.0123456789, diverged_count=1, clearings=4, clearings_resolved=3,
+        total_cost_eur=12.5, frames_sent=1_000_000, frames_delivered=999_998, frames_dropped=2,
+        payments_eur={"agent_b": 2.5, "agent_a": 10.0},
+        accepted_mvar={"agent_b": 0.25, "agent_a": 1.0},
+        returns={"b": [1.0, 2.0], "a": [0.5]}, parse_errors=[(9, "bad json")],
+    )
+    rows = [
+        ("run_id", "r1"), ("experiment", "exp"), ("seed", "7"), ("violation_count", "3"),
+        ("max_excursion_pu", "0.0123457"), ("diverged_count", "1"), ("clearings", "4"),
+        ("clearings_resolved", "3"), ("resolution_rate", "0.75"), ("total_cost_eur", "12.5"),
+        ("frames_sent", "1000000"), ("frames_delivered", "999998"), ("frames_dropped", "2"),
+        ("payments_eur.agent_a", "10"), ("payments_eur.agent_b", "2.5"),
+        ("accepted_mvar.agent_a", "1"), ("accepted_mvar.agent_b", "0.25"),
+        ("episodes.a", "1"), ("mean_return.a", "0.5"),
+        ("episodes.b", "2"), ("mean_return.b", "1.5"),
+        ("parse_error.line_9", "bad json"),
+    ]
+    assert render_summary(summary) == "\n".join(f"{k:<21}  {v}" for k, v in rows)
+    assert render_summary(summary, "csv") == "\n".join(
+        ["metric,value"] + [f"{k},{v}" for k, v in rows])
 
 
 def test_report_group_by_unknown_factor(tmp_path, mini_path, capsys):
