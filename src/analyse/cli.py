@@ -37,7 +37,10 @@ def main(argv: list[str] | None = None) -> int:
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (OSError, yaml.YAMLError, ScenarioError) as exc:
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
@@ -80,10 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(path: Path) -> dict:
     if not path.exists():
         raise RunError(f"no such file: {path}", EXIT_IO)
-    try:
-        return load_document(path)
-    except (yaml.YAMLError, ScenarioError) as exc:
-        raise RunError(f"{path}: {exc}", EXIT_VALIDATION) from exc
+    return load_document(path)  # main maps its ScenarioError to exit 2
 
 
 def cmd_validate(args) -> int:

@@ -117,46 +117,30 @@ def substitute(document: dict, path: str, value: Any) -> None:
 
 
 def parse_experiment(document: dict, base_scenario: dict) -> Experiment:
-    """Validate an experiment document against its base scenario."""
-    if not isinstance(document, dict):
-        raise DesignError("experiment document must be a mapping")
-    name = document.get("name")
-    if not isinstance(name, str) or not name:
-        raise DesignError("experiment: 'name' must be a non-empty string")
-    raw_factors = document.get("factors", [])
-    if not isinstance(raw_factors, list):
-        raise DesignError("experiment: 'factors' must be a list")
+    """Typed experiment from a schema-valid experiment document.
+
+    Checks what the schema cannot express: factor names are unique, factor
+    paths resolve in the base scenario, the random strategy has samples, and
+    base_seed fits in 64 bits.
+    """
     factors = []
     seen = set()
-    for i, raw in enumerate(raw_factors):
-        where = f"factors/{i}"
-        if not isinstance(raw, dict):
-            raise DesignError(f"{where}: factor must be a mapping")
-        fname = raw.get("name")
-        if not isinstance(fname, str) or not fname:
-            raise DesignError(f"{where}/name: must be a non-empty string")
+    for i, raw in enumerate(document.get("factors", [])):
+        fname, fpath = raw["name"], raw["path"]
         if fname in seen:
-            raise DesignError(f"{where}/name: duplicate factor name {fname!r}")
+            raise DesignError(f"factors/{i}/name: duplicate factor name {fname!r}")
         seen.add(fname)
-        fpath = raw.get("path")
-        if not isinstance(fpath, str) or not fpath:
-            raise DesignError(f"{where}/path: must be a non-empty string")
         resolve_path(base_scenario, fpath)  # raises on dangling paths
-        levels = raw.get("levels")
-        if not isinstance(levels, list) or len(levels) < 1:
-            raise DesignError(f"{where}/levels: need at least one level")
-        factors.append(Factor(fname, fpath, tuple(levels)))
+        factors.append(Factor(fname, fpath, tuple(raw["levels"])))
     strategy = document.get("strategy", "full_factorial")
-    if strategy not in ("full_factorial", "random"):
-        raise DesignError(f"strategy: unknown strategy {strategy!r}")
-    samples = int(document.get("samples", 0) or 0)
+    samples = int(document.get("samples", 0))
     if strategy == "random" and samples < 1:
         raise DesignError("samples: random strategy needs samples >= 1")
     base_seed = int(document.get("base_seed", 0))
-    if not (0 <= base_seed <= MASK64):
+    if base_seed > MASK64:
         raise DesignError("base_seed: must fit in 64 bits")
     return Experiment(
-        name=name,
+        name=document["name"],
         base_scenario=base_scenario,
         factors=tuple(factors),
         strategy=strategy,

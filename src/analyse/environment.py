@@ -1,12 +1,16 @@
 """Sensor/actuator environment over an assembled co-simulation.
 
-reset(seed) rebuilds every simulator from the scenario with the episode seed
-(the builder returns a wired Kernel); step(setpoints) applies actuator
-values, advances the kernel by one agent interval (interval_s, the market
-interval), and derives the reward from the telemetry records the interval
-produced, drained from the sink and reduced by a telemetry.RunSummary.
-Episode telemetry times are offset so t_sim stays non-decreasing per source
-across episodes within one run log.
+The environment is built from the typed scenario config, the data series
+load_data_series read for it, and the run's log sink. The config's agent
+section names the sensors, actuators and objective; its market section gives
+the agent interval and the voltage band rewards are measured against.
+
+reset(seed) rebuilds every simulator with scenario.assemble and the episode
+seed; step(setpoints) applies actuator values, advances the kernel by one
+agent interval (the market interval), and derives the reward from the
+telemetry records the interval produced, drained from the sink and reduced
+by a telemetry.RunSummary. Episode telemetry times are offset so t_sim stays
+non-decreasing per source across episodes within one run log.
 
 Sensor and actuator ids are checked once, by validation.cross_check, before
 a run builds its environment. An environment built directly with a sensor
@@ -18,22 +22,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
+from . import scenario as scn
 from .agents import (
-    ActuatorSpec,
     CemDistribution,
     LearnerConfig,
-    Objective,
     Phase,
     Policy,
     ScriptedAgent,
-    SensorSpec,
     cem_update,
     muscle_act,
     objective_eval,
 )
 from .design import STREAM_CEM, STREAM_EPISODE, STREAM_SCRIPTED, derive_seed
+from .feeders import LoadProfile, WeatherSeries
 from .kernel import Kernel
 from .telemetry import RunSink, RunSummary
 
@@ -42,34 +45,22 @@ class EnvironmentError(Exception):
     pass
 
 
-EmitFn = Callable[[str, str, float, dict], None]
-Builder = Callable[[int, EmitFn], Kernel]
-
-
 class Environment:
     def __init__(
         self,
-        builder: Builder,
-        sensors: Sequence[SensorSpec],
-        actuators: Sequence[ActuatorSpec],
-        objective: Objective,
+        config: scn.ScenarioConfig,
+        data: tuple[dict[str, LoadProfile], WeatherSeries | None],
         sink: RunSink,
-        interval_s: int,
-        band: tuple[float, float] = (0.95, 1.05),
-        agent_id: str = "attacker",
         episode_length: int = 96,
     ):
-        self.builder = builder
-        self.sensors = list(sensors)
-        self.actuators = list(actuators)
-        self.objective = objective
+        self.config = config
+        self.data = data
         self.sink = sink
-        self.interval_s = interval_s
-        self.band = band
-        self.agent_id = agent_id
         self.episode_length = episode_length
-        self._sensor_eps = [tuple(s.id.split(".")) for s in self.sensors]
-        self._actuator_eps = [tuple(a.id.split(".")) for a in self.actuators]
+        self._sensor_eps = [tuple(s.id.split(".")) for s in config.agent.sensors]
+        self._actuator_eps = [tuple(a.id.split(".")) for a in config.agent.actuators]
+        self._interval_s = config.market.interval_s
+        self._band = (config.market.band.v_min_pu, config.market.band.v_max_pu)
         self._t_offset = 0.0
         self._kernel: Kernel | None = None
         self._local_t = 0
@@ -87,8 +78,8 @@ class Environment:
     def reset(self, seed: int) -> list[float]:
         if self._kernel is not None:
             # Keep later episodes' telemetry times above everything emitted so far.
-            self._t_offset += self._local_t + self.interval_s
-        self._kernel = self.builder(seed, self._emit_offset)
+            self._t_offset += self._local_t + self._interval_s
+        self._kernel = scn.assemble(self.config, seed, self._emit_offset, self.data)
         self._local_t = 0
         self._step_index = 0
         self._episode_index += 1
@@ -99,7 +90,7 @@ class Environment:
     def _readings(self) -> list[float]:
         assert self._kernel is not None
         values = []
-        for spec, ep in zip(self.sensors, self._sensor_eps):
+        for spec, ep in zip(self.config.agent.sensors, self._sensor_eps):
             raw = self._kernel.get_output(ep)
             value = float(raw) if raw is not None else 0.0
             if not (spec.lo <= value <= spec.hi):
@@ -113,10 +104,10 @@ class Environment:
     def step(self, setpoints: Sequence[float]) -> tuple[list[float], float, bool]:
         if self._kernel is None:
             raise EnvironmentError("reset() before step()")
-        if len(setpoints) != len(self.actuators):
+        if len(setpoints) != len(self.config.agent.actuators):
             raise EnvironmentError("setpoint vector length mismatch")
         applied = {}
-        for value, spec, ep in zip(setpoints, self.actuators, self._actuator_eps):
+        for value, spec, ep in zip(setpoints, self.config.agent.actuators, self._actuator_eps):
             clipped = spec.clip(float(value))
             if clipped != value:
                 self._emit_offset("agent", "agent.clamp", float(self._local_t), {
@@ -124,12 +115,12 @@ class Environment:
                 })
             self._kernel.set_input(ep, clipped)
             applied[spec.id] = clipped
-        self._local_t += self.interval_s
+        self._local_t += self._interval_s
         self._kernel.run_until(self._local_t + 1)
-        window = RunSummary(band=self.band)
+        window = RunSummary(band=self._band)
         for record in self.sink.drain():
             window.feed(record.kind, record.payload)
-        reward = objective_eval(window.aggregates(), self.objective)
+        reward = objective_eval(window.aggregates(), self.config.agent.objective)
         self._step_index += 1
         self._emit_offset("agent", "agent.action", float(self._local_t), {
             "step": self._step_index, "setpoints": applied, "reward": reward,
@@ -183,7 +174,9 @@ def run_phase(
     env.episode_length = phase.episode_length
     report = PhaseReport(name=phase.name, mode=phase.mode)
     episode_stream = derive_seed(run_seed, STREAM_EPISODE)
-    dim = len(env.actuators) * (len(env.sensors) + 1)
+    agent = env.config.agent
+    sensors, actuators = agent.sensors, agent.actuators
+    dim = len(actuators) * (len(sensors) + 1)
 
     def run_episode(actor, label: str) -> float:
         episode_seed = derive_seed(episode_stream, state.episode_counter)
@@ -195,7 +188,7 @@ def run_phase(
             readings, reward, done = env.step(actor(readings))
             total += reward
         env.sink.emit("agent", "agent.episode", env.telemetry_time, {
-            "agent": env.agent_id, "phase": phase.name, "mode": phase.mode,
+            "agent": agent.agent_id, "phase": phase.name, "mode": phase.mode,
             "episode": state.episode_counter - 1, "return": total, "label": label,
             "steps": env.episode_length, "seed": episode_seed,
         })
@@ -209,9 +202,9 @@ def run_phase(
             population: list[tuple[tuple[float, ...], float]] = []
             for _ in range(learner.population):
                 theta = dist.sample(rng)
-                policy = Policy(len(env.sensors), len(env.actuators), theta)
+                policy = Policy(len(sensors), len(actuators), theta)
                 ret = run_episode(
-                    lambda obs, p=policy: muscle_act(p, obs, env.sensors, env.actuators)[0],
+                    lambda obs, p=policy: muscle_act(p, obs, sensors, actuators)[0],
                     label=f"gen{gen}",
                 )
                 population.append((theta, ret))
@@ -227,18 +220,18 @@ def run_phase(
             })
     elif learner.kind == "cem":
         theta = state.best_theta or (0.0,) * dim
-        policy = Policy(len(env.sensors), len(env.actuators), theta)
+        policy = Policy(len(sensors), len(actuators), theta)
         for _ in range(phase.episodes):
             run_episode(
-                lambda obs: muscle_act(policy, obs, env.sensors, env.actuators)[0],
+                lambda obs: muscle_act(policy, obs, sensors, actuators)[0],
                 label="test",
             )
     else:
-        agent = ScriptedAgent(learner.kind, env.actuators, learner.replay)
+        scripted = ScriptedAgent(learner.kind, actuators, learner.replay)
         scripted_stream = derive_seed(run_seed, STREAM_SCRIPTED)
         for episode in range(phase.episodes):
-            agent.reset(random.Random(derive_seed(scripted_stream, state.episode_counter)))
-            run_episode(lambda obs: agent.act(obs), label=learner.kind)
+            scripted.reset(random.Random(derive_seed(scripted_stream, state.episode_counter)))
+            run_episode(lambda obs: scripted.act(obs), label=learner.kind)
 
     if learner.kind == "cem":
         report.best_theta = state.best_theta

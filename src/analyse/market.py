@@ -87,25 +87,13 @@ class VoltageBand:
         return max(self.v_min_pu - vm, vm - self.v_max_pu, 0.0)
 
 
-@dataclass(frozen=True)
-class AcceptedOffer:
-    offer_id: str
-    agent_id: str
-    bus: int
-    q_accepted_mvar: float
-    price_eur_per_mvar: float
-
-
 @dataclass
 class ClearingResult:
-    interval: int
-    accepted: list[AcceptedOffer] = field(default_factory=list)
+    accepted: list[Offer] = field(default_factory=list)  # always at full quantity
     payments_eur: dict[str, float] = field(default_factory=dict)
     resolved: bool = False
-    iterations: int = 0
     final_vm: dict[int, float] = field(default_factory=dict)
     excursions: list[float] = field(default_factory=list)  # worst excursion per iteration
-    base_converged: bool = True
     aborted: bool = False
 
     @property
@@ -115,7 +103,7 @@ class ClearingResult:
     def accepted_mvar_by_agent(self) -> dict[str, float]:
         out: dict[str, float] = {}
         for a in self.accepted:
-            out[a.agent_id] = out.get(a.agent_id, 0.0) + abs(a.q_accepted_mvar)
+            out[a.agent_id] = out.get(a.agent_id, 0.0) + abs(a.q_mvar)
         return out
 
 
@@ -156,14 +144,12 @@ def clear_market(
     the clearing is aborted. A singular Jacobian ends the clearing
     unresolved, the same way as when no effective offer is left.
     """
-    interval = offers[0].interval if offers else 0
-    result = ClearingResult(interval=interval)
+    result = ClearingResult()
     for offer in offers:
         offer.validate()
 
     state = solve_power_flow(model, start)
     if not state.converged:
-        result.base_converged = False
         result.aborted = True
         result.final_vm = {b.bus_id: v for b, v in zip(model.buses, state.vm)}
         return result
@@ -199,17 +185,8 @@ def clear_market(
                 best_score = score
         if best is None:
             break  # violation remains but nothing effective is left
-        result.iterations += 1
         remaining.remove(best)
-        result.accepted.append(
-            AcceptedOffer(
-                offer_id=best.offer_id,
-                agent_id=best.agent_id,
-                bus=best.bus,
-                q_accepted_mvar=best.q_mvar,
-                price_eur_per_mvar=best.price_eur_per_mvar,
-            )
-        )
+        result.accepted.append(best)
         work = work.with_injection(best.bus, best.q_mvar)
         state = solve_power_flow(work, state)
         if not state.converged:
@@ -225,7 +202,7 @@ def settle(result: ClearingResult) -> dict[str, float]:
     """Pay-as-bid: each accepted offer earns its own price times |quantity|."""
     payments: dict[str, float] = {}
     for a in result.accepted:
-        eur = a.price_eur_per_mvar * abs(a.q_accepted_mvar)
+        eur = a.price_eur_per_mvar * abs(a.q_mvar)
         payments[a.agent_id] = payments.get(a.agent_id, 0.0) + eur
     return payments
 

@@ -1,4 +1,11 @@
-"""End-to-end execution of run documents: validate, simulate, log."""
+"""End-to-end execution of run documents: validate, simulate, log.
+
+execute_run validates a run or scenario document before it reads anything
+from it, then reads the run id and seed and builds the environment from the
+typed scenario config. A directory run executes every run file on its own
+and reports one (file, exit code, message) per file: a file that is not a
+YAML mapping or fails validation exits 2 without stopping the others.
+"""
 
 from __future__ import annotations
 
@@ -34,22 +41,6 @@ class RunResult:
     reports: list[PhaseReport] = field(default_factory=list)
 
 
-def run_envelope(doc: dict) -> tuple[str, int, str | None, dict, dict]:
-    """(run_id, seed, experiment, factors, scenario) from a run or scenario doc."""
-    kind = document_kind(doc)
-    if kind == "run":
-        return (
-            str(doc["run_id"]),
-            int(doc["seed"]),
-            doc.get("experiment") or None,
-            dict(doc.get("factors", {})),
-            doc["scenario"],
-        )
-    if kind == "scenario":
-        return (str(doc.get("name", "scenario")), int(doc.get("seed", 0)), None, {}, doc)
-    raise RunError("document is neither a run nor a scenario", EXIT_VALIDATION)
-
-
 def execute_run(
     doc: dict,
     base_dir: Path,
@@ -58,16 +49,24 @@ def execute_run(
 ) -> RunResult:
     """Run all schedule phases and write <run_id>.jsonl into out_dir.
 
-    Raises RunError with the documented exit code on validation failure (2),
-    simulation abort (3), or I/O trouble (4). Validation failures leave no
-    partial log behind because the sink is only opened after they pass.
+    The document is validated before anything else reads it. Raises RunError
+    with the documented exit code on validation failure (2), simulation abort
+    (3), or I/O trouble (4). Validation failures leave no partial log behind
+    because the sink is only opened after they pass.
     """
-    run_id, seed, experiment, factors, scenario_doc = run_envelope(doc)
     violations = validate_document(doc, base_dir)
     if violations:
         lines = "\n".join(f"  {path}: {msg}" for path, msg in violations)
-        raise RunError(f"validation failed for {run_id}:\n{lines}", EXIT_VALIDATION)
-
+        raise RunError(f"validation failed:\n{lines}", EXIT_VALIDATION)
+    kind = document_kind(doc)
+    if kind == "run":
+        run_id, seed, scenario_doc = doc["run_id"], int(doc["seed"]), doc["scenario"]
+        experiment, factors = doc.get("experiment") or None, doc.get("factors", {})
+    elif kind == "scenario":
+        run_id, seed, scenario_doc = doc["name"], int(doc.get("seed", 0)), doc
+        experiment, factors = None, {}
+    else:
+        raise RunError("document is neither a run nor a scenario", EXIT_VALIDATION)
     seed_overridden = seed_override is not None
     if seed_overridden:
         seed = int(seed_override)
@@ -104,22 +103,12 @@ def execute_run(
         "agent_kind": config.agent.learner.kind,
     })
 
-    agent = config.agent
-    env = Environment(
-        builder=lambda ep_seed, emit: scn.assemble(config, ep_seed, emit, data),
-        sensors=agent.sensors,
-        actuators=agent.actuators,
-        objective=agent.objective,
-        sink=sink,
-        interval_s=config.market.interval_s,
-        band=(config.market.band.v_min_pu, config.market.band.v_max_pu),
-        agent_id=agent.agent_id,
-    )
+    env = Environment(config, data, sink)
     state = AgentRunState()
     reports: list[PhaseReport] = []
     try:
         for phase in config.schedule.phases:
-            reports.append(run_phase(env, agent.learner, phase, seed, state))
+            reports.append(run_phase(env, config.agent.learner, phase, seed, state))
     except (AgentError, KernelError, scn.ScenarioError, TelemetryError) as exc:
         sink.emit("runner", "run.abort", env.telemetry_time, {"error": str(exc)})
         sink.close()
@@ -144,18 +133,16 @@ def execute_run(
 
 def _run_one_file(path_str: str, out_dir_str: str, seed_override: int | None) -> tuple[str, int, str]:
     """Worker for directory execution; returns (file, exit code, message)."""
-    import yaml
-
-    from .scenario import load_document
-
     path = Path(path_str)
     try:
-        doc = load_document(path)
+        doc = scn.load_document(path)
         result = execute_run(doc, path.parent, Path(out_dir_str), seed_override)
         return (path.name, EXIT_OK, f"log at {result.log_path}")
+    except scn.ScenarioError as exc:
+        return (path.name, EXIT_VALIDATION, str(exc))
     except RunError as exc:
         return (path.name, exc.exit_code, str(exc))
-    except (OSError, yaml.YAMLError) as exc:
+    except OSError as exc:
         return (path.name, EXIT_IO, str(exc))
 
 

@@ -72,8 +72,18 @@ class ScenarioError(Exception):
 
 
 def load_document(path: str | Path) -> dict:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    """The mapping a YAML file holds.
+
+    A file that is not YAML, or holds no mapping, raises ScenarioError with
+    a message that names the path once.
+    """
+    try:
+        doc = yaml.safe_load(Path(path).read_bytes())
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        raise ScenarioError(f"{path}:{mark.line + 1}:{mark.column + 1}: {exc.problem}") from exc
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: document is not a mapping")
     return doc
@@ -765,7 +775,7 @@ class MarketSimulator:
         accepted_by_asset: dict[str, float] = {}
         for a in result.accepted:
             asset_id = pending[a.offer_id][2]
-            accepted_by_asset[asset_id] = accepted_by_asset.get(asset_id, 0.0) + a.q_accepted_mvar
+            accepted_by_asset[asset_id] = accepted_by_asset.get(asset_id, 0.0) + a.q_mvar
         messages = []
         for asset, host in self.asset_host.items():
             q = accepted_by_asset.get(asset, 0.0)
@@ -781,7 +791,7 @@ class MarketSimulator:
             "interval": interval,
             "offers": [o.wire_payload() for o in sorted(book, key=lambda o: o.offer_id)],
             "accepted": [
-                {"offer_id": a.offer_id, "q_accepted_mvar": a.q_accepted_mvar,
+                {"offer_id": a.offer_id, "q_accepted_mvar": a.q_mvar,
                  "price_eur_per_mvar": a.price_eur_per_mvar}
                 for a in result.accepted
             ],
@@ -789,7 +799,7 @@ class MarketSimulator:
             "accepted_mvar": accepted_mvar,
             "resolved": result.resolved,
             "aborted": result.aborted,
-            "iterations": result.iterations,
+            "iterations": len(result.accepted),
             "total_cost_eur": result.total_cost_eur,
             "final_vm": {str(k): v for k, v in result.final_vm.items()},
             "excursions": result.excursions,
@@ -803,7 +813,7 @@ class MarketSimulator:
                 "last_price": sum(prices) / len(prices) if prices else 0.0,
                 "last_cost": result.total_cost_eur,
                 "last_resolved": 1.0 if result.resolved else 0.0,
-                "last_accepted_mvar": sum(abs(a.q_accepted_mvar) for a in result.accepted),
+                "last_accepted_mvar": sum(abs(a.q_mvar) for a in result.accepted),
             }
         }
 

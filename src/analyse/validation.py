@@ -67,8 +67,6 @@ def _schema_errors(doc, name: str) -> list[Violation]:
 
 
 def validate_scenario(doc, base_dir: Path) -> list[Violation]:
-    if not isinstance(doc, dict):
-        return [("(document root)", "document must be a mapping")]
     errors = _schema_errors(doc, "scenario")
     if errors:
         return errors
@@ -195,8 +193,6 @@ def cross_check(config: scn.ScenarioConfig, base_dir: Path) -> list[Violation]:
 
 
 def validate_experiment(doc, base_dir: Path) -> list[Violation]:
-    if not isinstance(doc, dict):
-        return [("(document root)", "document must be a mapping")]
     errors = _schema_errors(doc, "experiment")
     if errors:
         return errors
@@ -205,7 +201,7 @@ def validate_experiment(doc, base_dir: Path) -> list[Violation]:
         return [("base_scenario", f"file not found: {scenario_path}")]
     try:
         base = scn.load_document(scenario_path)
-    except (scn.ScenarioError, yaml.YAMLError) as exc:
+    except scn.ScenarioError as exc:
         return [("base_scenario", f"cannot load base scenario: {exc}")]
     errors = [
         ("base_scenario", f"(in {scenario_path.name}) {path}: {msg}")
@@ -221,8 +217,6 @@ def validate_experiment(doc, base_dir: Path) -> list[Violation]:
 
 
 def validate_run(doc, base_dir: Path) -> list[Violation]:
-    if not isinstance(doc, dict):
-        return [("(document root)", "document must be a mapping")]
     errors = _schema_errors(doc, "run")
     if errors:
         return errors

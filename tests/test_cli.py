@@ -202,6 +202,63 @@ def test_run_rejects_garbage_yaml(tmp_path):
     assert main(["validate", str(bad)]) == 2
 
 
+def _run_doc(**fields):
+    doc = {"schema_version": 1, "kind": "run", "run_id": "r1", "seed": 3,
+           "scenario": copy.deepcopy(MINI)}
+    doc.update(fields)
+    return doc
+
+
+def _without_run_id():
+    doc = _run_doc()
+    del doc["run_id"]
+    return doc
+
+
+@pytest.mark.parametrize("doc, path", [
+    pytest.param(_without_run_id(), "(document root): 'run_id' is a required property",
+                 id="run without run_id"),
+    pytest.param(_run_doc(seed="abc"), "seed: 'abc' is not of type 'integer'",
+                 id="run with a string seed"),
+    pytest.param(dict(copy.deepcopy(MINI), seed="abc"), "seed: 'abc' is not of type 'integer'",
+                 id="scenario with a string seed"),
+])
+def test_run_validates_before_reading_the_envelope(tmp_path, capsys, doc, path):
+    doc_path = tmp_path / "doc.yaml"
+    doc_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "logs"
+    assert main(["run", str(doc_path), "-o", str(out)]) == 2
+    assert path in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.jsonl"))
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_run_directory_reports_every_bad_file(tmp_path, capsys, parallel):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "a_list.yaml").write_text("- 1\n- 2\n", encoding="utf-8")
+    (runs / "b_garbage.yaml").write_text("kind: [unclosed", encoding="utf-8")
+    (runs / "c_run.yaml").write_text(yaml.safe_dump(_run_doc()), encoding="utf-8")
+    out = tmp_path / "logs"
+    assert main(["run", str(runs), "-o", str(out), "--parallel", parallel]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    statuses = [line.split(";")[0] for line in lines
+                if line.startswith(("a_list.yaml", "b_garbage.yaml", "c_run.yaml"))]
+    assert statuses == ["a_list.yaml: exit 2", "b_garbage.yaml: exit 2", "c_run.yaml: ok"]
+    assert (out / "r1.jsonl").exists()
+
+
+@pytest.mark.parametrize("text", ["- 1\n- 2\n", "kind: [unclosed"])
+def test_single_file_load_error_names_the_path_once(tmp_path, capsys, text):
+    doc_path = tmp_path / "a.yaml"
+    doc_path.write_text(text, encoding="utf-8")
+    out = str(tmp_path / "out")
+    for argv in (["validate", str(doc_path)], ["run", str(doc_path), "-o", out],
+                 ["design", str(doc_path), "-o", out]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.count(str(doc_path)) == 1
+
+
 def test_run_directory_sequential_and_parallel(tmp_path, mini_path):
     exp = experiment_path(
         tmp_path,

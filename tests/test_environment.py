@@ -1,34 +1,26 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from analyse.agents import ActuatorSpec, LearnerConfig, Objective, Phase, SensorSpec
+from analyse.agents import ActuatorSpec, LearnerConfig, Objective, Phase
 from analyse.environment import AgentRunState, Environment, run_phase
-from analyse.scenario import assemble, load_data_series, parse_scenario
+from analyse.scenario import load_data_series, parse_scenario
 from analyse.telemetry import RunSink
 
 from conftest import MINI
 
 
-def make_env(tmp_path, doc=None, sensors=None, actuators=None, objective=None,
-             agent_kind="none", name="env.jsonl"):
+def make_env(tmp_path, doc=None, actuators=(), objective=None, name="env.jsonl"):
+    """An environment over MINI's config, with the agent's actuators and
+    objective replaced."""
     config = parse_scenario(doc or MINI, Path("."))
-    data = load_data_series(config)
+    agent = dataclasses.replace(config.agent, actuators=tuple(actuators),
+                                objective=objective or config.agent.objective)
+    config = dataclasses.replace(config, agent=agent)
     sink = RunSink(tmp_path / name, "envtest")
-    env = Environment(
-        builder=lambda seed, emit: assemble(config, seed, emit, data),
-        sensors=sensors or [
-            SensorSpec("grid.bus_4.vm_pu", 0.8, 1.1),
-            SensorSpec("market.op.last_price", 0.0, 100.0),
-        ],
-        actuators=actuators if actuators is not None else [],
-        objective=objective or Objective("damage"),
-        sink=sink,
-        interval_s=config.market.interval_s,
-        band=(0.95, 1.05),
-        episode_length=3,
-    )
+    env = Environment(config, load_data_series(config), sink, episode_length=3)
     return env, sink
 
 

@@ -20,7 +20,12 @@ from analyse.scenario import (
     parse_scenario,
 )
 from analyse.telemetry import canonical_json
-from analyse.validation import validate_document, validate_scenario
+from analyse.validation import (
+    validate_document,
+    validate_experiment,
+    validate_run,
+    validate_scenario,
+)
 
 from conftest import packaged
 
@@ -51,6 +56,11 @@ def test_bundled_scenarios_validate():
         path = packaged(name)
         doc = load_document(path)
         assert validate_scenario(doc, path.parent) == []
+
+
+@pytest.mark.parametrize("validate", [validate_scenario, validate_experiment, validate_run])
+def test_non_mapping_is_a_schema_violation(validate):
+    assert validate([1, 2], Path(".")) == [("(document root)", "[1, 2] is not of type 'object'")]
 
 
 def test_bundled_experiment_validates():
@@ -336,10 +346,7 @@ def test_late_offers_excluded_by_gate_closure(mini_doc):
 def test_headroom_violations_rejected(mini_doc):
     mini_doc["grid"]["sgens"][1]["q_max_mvar"] = 0.5  # s2 smaller than its bid
     mini_doc["market"]["bidders"][1]["price_eur_per_mvar"] = 5.0
-    config, kernel, recorder = build(mini_doc)
-    # forge a bidder that over-offers by scaling the input price path only;
-    # instead, shrink the asset after the bid was built: here the bid itself
-    # respects headroom, so craft an oversized offer via tamper
+    # the bid respects headroom; a tampered frame swaps in an oversized offer
     from analyse.telemetry import canonical_json as cj
 
     oversized = cj({

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,44 @@ def test_benchmark_spans_install_on_the_program():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+# Runs the packaged feeder4 scenario under the benchmark's instrumentation and
+# prints how many spans of each name it recorded.
+TRACED_RUN = """
+import collections, json, sys
+from pathlib import Path
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spans
+from analyse import runner, scenario
+rec = spans.Recorder(0.0)
+spans.instrument(rec)
+doc_path = Path(sys.argv[3])
+runner.execute_run(scenario.load_document(doc_path), doc_path.parent, Path(sys.argv[4]))
+print(json.dumps(collections.Counter(rec.names[k] for k in rec.name)))
+"""
+
+TRACED_LAYERS = [
+    *(f"scenario.adapter.{sim}"
+      for sim in ("weather", "profiles", "pv", "grid", "bidders", "net", "market")),
+    "scenario.parse", "feeders.load", "validation.validate", "runner.execute_run",
+    "environment.reset", "environment.step", "environment.run_phase", "agents.act",
+    "kernel.run_until", "grid.solve", "grid.sensitivity", "market.clear",
+    "network.send", "network.advance", "network.read", "network.delivered",
+    "telemetry.emit", "telemetry.close",
+]
+
+
+def test_traced_run_records_a_span_in_every_layer(tmp_path):
+    # A seam the spans patch (a module global or a method looked up at call
+    # time) that the program stops calling through drops its layer from the
+    # traced benchmark without an error; this run shows it.
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "cosimbench"), str(ROOT / "src"),
+         str(ROOT / "src" / "analyse" / "data" / "feeder4.yaml"), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout.splitlines()[-1])
+    assert [name for name in TRACED_LAYERS if not counts.get(name)] == []
+    assert counts.get("scenario.assemble", 0) >= 2  # validation's dry build, then the episode
