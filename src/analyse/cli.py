@@ -15,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .design import parse_experiment, expand_runs, run_document
+from .design import expand_runs, run_document
 from .runner import (
     EXIT_IO,
     EXIT_OK,
@@ -24,9 +24,9 @@ from .runner import (
     execute_run,
     execute_run_directory,
 )
-from .scenario import ScenarioError, load_document, resolve_data_path
+from .scenario import ScenarioError, load_document
 from .telemetry import METRIC_KEYS, ComparisonTable, RunSummary, compare, summarize
-from .validation import validate_document
+from .validation import document_kind, validate_document
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,14 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: Path) -> dict:
-    if not path.exists():
-        raise RunError(f"no such file: {path}", EXIT_IO)
-    return load_document(path)  # main maps its ScenarioError to exit 2
-
-
 def cmd_validate(args) -> int:
-    doc = _load(args.path)
+    doc = load_document(args.path)
     violations = validate_document(doc, args.path.parent)
     if violations:
         for where, message in violations:
@@ -99,18 +93,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_design(args) -> int:
-    doc = _load(args.path)
-    violations = validate_document(doc, args.path.parent)
-    if violations:
-        for where, message in violations:
-            print(f"{args.path}: {where}: {message}")
-        return EXIT_VALIDATION
-    if doc.get("kind") != "experiment":
+    doc = load_document(args.path)
+    if document_kind(doc) in ("scenario", "run"):
         print(f"{args.path}: design needs an experiment document", file=sys.stderr)
         return EXIT_VALIDATION
-    base_path = resolve_data_path(doc["base_scenario"], args.path.parent)
-    base = load_document(base_path)
-    experiment = parse_experiment(doc, base)
+    checked = validate_document(doc, args.path.parent)
+    if checked:
+        for where, message in checked:
+            print(f"{args.path}: {where}: {message}")
+        return EXIT_VALIDATION
+    experiment = checked.value
     runs = expand_runs(experiment)
 
     out: Path = args.out_dir
@@ -155,13 +147,11 @@ def cmd_run(args) -> int:
             print(f"{name}: {status}; {message}")
             worst = max(worst, code)
         return worst
-    doc = _load(args.path)
-    result = execute_run(
-        doc,
-        base_dir=args.path.parent,
-        out_dir=out_dir,
-        seed_override=args.seed,
-    )
+    doc = load_document(args.path)
+    try:
+        result = execute_run(doc, args.path.parent, out_dir, args.seed)
+    except RunError as exc:
+        raise RunError(f"{args.path}: {exc}", exc.exit_code) from exc
     print(f"run {result.run_id} complete; log at {result.log_path}")
     for report in result.reports:
         print(f"  phase {report.name} ({report.mode}): episodes={len(report.returns)} "

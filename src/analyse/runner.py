@@ -1,10 +1,11 @@
 """End-to-end execution of run documents: validate, simulate, log.
 
-execute_run validates a run or scenario document before it reads anything
-from it, then reads the run id and seed and builds the environment from the
-typed scenario config. A directory run executes every run file on its own
-and reports one (file, exit code, message) per file: a file that is not a
-YAML mapping or fails validation exits 2 without stopping the others.
+execute_run refuses an experiment, validates a run or scenario document
+before it reads anything from it, and builds the environment from the
+ScenarioConfig that validation built. A directory run executes every run
+file on its own and reports one (file, exit code, message) per file: a file
+that is not a YAML mapping or fails validation exits 2 without stopping the
+others.
 """
 
 from __future__ import annotations
@@ -49,29 +50,30 @@ def execute_run(
 ) -> RunResult:
     """Run all schedule phases and write <run_id>.jsonl into out_dir.
 
-    The document is validated before anything else reads it. Raises RunError
-    with the documented exit code on validation failure (2), simulation abort
-    (3), or I/O trouble (4). Validation failures leave no partial log behind
-    because the sink is only opened after they pass.
+    An experiment is refused unvalidated; any other document is validated
+    before anything else reads it. Raises RunError with the documented exit
+    code on validation failure (2), simulation abort (3), or I/O trouble (4).
+    Validation failures leave no partial log behind because the sink is only
+    opened after they pass.
     """
-    violations = validate_document(doc, base_dir)
-    if violations:
-        lines = "\n".join(f"  {path}: {msg}" for path, msg in violations)
-        raise RunError(f"validation failed:\n{lines}", EXIT_VALIDATION)
     kind = document_kind(doc)
+    if kind == "experiment":
+        raise RunError("document is neither a run nor a scenario", EXIT_VALIDATION)
+    checked = validate_document(doc, base_dir)
+    if checked:
+        lines = "\n".join(f"  {path}: {msg}" for path, msg in checked)
+        raise RunError(f"validation failed:\n{lines}", EXIT_VALIDATION)
+    config = checked.value
     if kind == "run":
         run_id, seed, scenario_doc = doc["run_id"], int(doc["seed"]), doc["scenario"]
         experiment, factors = doc.get("experiment") or None, doc.get("factors", {})
-    elif kind == "scenario":
+    else:
         run_id, seed, scenario_doc = doc["name"], int(doc.get("seed", 0)), doc
         experiment, factors = None, {}
-    else:
-        raise RunError("document is neither a run nor a scenario", EXIT_VALIDATION)
     seed_overridden = seed_override is not None
     if seed_overridden:
         seed = int(seed_override)
 
-    config = scn.parse_scenario(scenario_doc, base_dir)
     try:
         data = scn.load_data_series(config)
     except FeederError as exc:
@@ -161,9 +163,10 @@ def execute_run_directory(
     if not run_files:
         raise RunError(f"no run files found under {run_dir}", EXIT_IO)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if parallel <= 1:
+    workers = min(parallel, len(run_files))
+    if workers <= 1:
         return [_run_one_file(str(p), str(out_dir), seed_override) for p in run_files]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_run_one_file, str(p), str(out_dir), seed_override)
             for p in run_files

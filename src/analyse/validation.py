@@ -1,7 +1,9 @@
 """Document validation: JSON-Schema pass plus cross-reference checks.
 
 Every violation is reported as (document_path, message) so the CLI can list
-all problems in one shot instead of failing on the first.
+all problems in one shot instead of failing on the first. The list is a
+Checked that also carries the typed value validation built, so the runner and
+`analyse design` never load or parse a document a second time.
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ from .telemetry import RunSummary
 Violation = tuple[str, str]  # (path into the document, message)
 
 _SCHEMA_CACHE: dict[str, dict] = {}
+
+
+class Checked(list):
+    """Violations, and in `value` the ScenarioConfig or Experiment built (None if invalid)."""
+
+    def __init__(self, violations=(), value=None):
+        super().__init__(violations)
+        self.value = None if self else value
 
 
 def load_schema(name: str) -> dict:
@@ -57,27 +67,27 @@ def _non_finite(node, path: str = "") -> list[Violation]:
             for v in _non_finite(child, f"{path}/{key}" if path else str(key))]
 
 
-def _schema_errors(doc, name: str) -> list[Violation]:
+def _schema_errors(doc, name: str) -> Checked:
     validator = jsonschema.Draft202012Validator(load_schema(name))
     errors = []
     for err in sorted(validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path))):
         path = "/".join(str(p) for p in err.absolute_path) or "(document root)"
         errors.append((path, err.message))
-    return errors + _non_finite(doc)
+    return Checked(errors + _non_finite(doc))
 
 
-def validate_scenario(doc, base_dir: Path) -> list[Violation]:
+def validate_scenario(doc, base_dir: Path) -> Checked:
     errors = _schema_errors(doc, "scenario")
     if errors:
         return errors
     try:
         config = scn.parse_scenario(doc, base_dir)
     except (scn.ScenarioError, AgentError, MarketError, KeyError, ValueError, TypeError) as exc:
-        return [("(document)", f"cannot parse scenario: {exc}")]
-    return cross_check(config, base_dir)
+        return Checked([("(document)", f"cannot parse scenario: {exc}")])
+    return Checked(cross_check(config), config)
 
 
-def cross_check(config: scn.ScenarioConfig, base_dir: Path) -> list[Violation]:
+def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
     errors: list[Violation] = []
 
     try:
@@ -192,45 +202,40 @@ def cross_check(config: scn.ScenarioConfig, base_dir: Path) -> list[Violation]:
     return errors
 
 
-def validate_experiment(doc, base_dir: Path) -> list[Violation]:
+def validate_experiment(doc, base_dir: Path) -> Checked:
     errors = _schema_errors(doc, "experiment")
     if errors:
         return errors
     scenario_path = scn.resolve_data_path(doc["base_scenario"], base_dir)
     if not scenario_path.exists():
-        return [("base_scenario", f"file not found: {scenario_path}")]
+        return Checked([("base_scenario", f"file not found: {scenario_path}")])
     try:
         base = scn.load_document(scenario_path)
     except scn.ScenarioError as exc:
-        return [("base_scenario", f"cannot load base scenario: {exc}")]
+        return Checked([("base_scenario", f"cannot load base scenario: {exc}")])
     errors = [
         ("base_scenario", f"(in {scenario_path.name}) {path}: {msg}")
         for path, msg in validate_scenario(base, scenario_path.parent)
     ]
     if errors:
-        return errors
+        return Checked(errors)
     try:
-        parse_experiment(doc, base)
+        return Checked([], parse_experiment(doc, base))
     except DesignError as exc:
-        return [("(document)", str(exc))]
-    return []
+        return Checked([("(document)", str(exc))])
 
 
-def validate_run(doc, base_dir: Path) -> list[Violation]:
+def validate_run(doc, base_dir: Path) -> Checked:
     errors = _schema_errors(doc, "run")
     if errors:
         return errors
-    return [
-        (f"scenario/{path}", msg) for path, msg in validate_scenario(doc["scenario"], base_dir)
-    ]
+    inner = validate_scenario(doc["scenario"], base_dir)
+    return Checked([(f"scenario/{path}", msg) for path, msg in inner], inner.value)
 
 
-def validate_document(doc, base_dir: Path) -> list[Violation]:
-    kind = document_kind(doc)
-    if kind == "scenario":
-        return validate_scenario(doc, base_dir)
-    if kind == "experiment":
-        return validate_experiment(doc, base_dir)
-    if kind == "run":
-        return validate_run(doc, base_dir)
-    return [("kind", "document kind must be one of scenario, experiment, run")]
+def validate_document(doc, base_dir: Path) -> Checked:
+    validate = {"scenario": validate_scenario, "experiment": validate_experiment,
+                "run": validate_run}.get(document_kind(doc))
+    if validate is None:
+        return Checked([("kind", "document kind must be one of scenario, experiment, run")])
+    return validate(doc, base_dir)

@@ -228,8 +228,54 @@ def test_run_validates_before_reading_the_envelope(tmp_path, capsys, doc, path):
     doc_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     out = tmp_path / "logs"
     assert main(["run", str(doc_path), "-o", str(out)]) == 2
-    assert path in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert path in err
+    assert err.count(str(doc_path)) == 1
     assert not list(tmp_path.rglob("*.jsonl"))
+
+
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_run_refuses_an_experiment_before_validating_it(tmp_path, capsys, monkeypatch):
+    from analyse import cli, scenario
+
+    calls = collections.Counter()
+    _counting(monkeypatch, scenario, "load_document", calls)
+    _counting(monkeypatch, cli, "load_document", calls)
+    exp = experiment_path(tmp_path, scenario_name="missing.yaml")
+    assert main(["run", str(exp), "-o", str(tmp_path / "logs")]) == 2
+    assert "document is neither a run nor a scenario" in capsys.readouterr().err
+    assert calls == {"load_document": 1}
+
+
+def test_design_refuses_a_scenario_before_validating_it(tmp_path, capsys, monkeypatch):
+    from analyse import scenario
+
+    calls = collections.Counter()
+    _counting(monkeypatch, scenario, "parse_scenario", calls)
+    assert main(["design", str(packaged("feeder4.yaml")), "-o", str(tmp_path / "runs")]) == 2
+    assert "design needs an experiment document" in capsys.readouterr().err
+    assert calls == {}
+
+
+def test_design_loads_each_file_and_parses_the_experiment_once(tmp_path, monkeypatch):
+    from analyse import cli, scenario, validation
+
+    calls = collections.Counter()
+    _counting(monkeypatch, scenario, "load_document", calls)
+    _counting(monkeypatch, cli, "load_document", calls)
+    _counting(monkeypatch, validation, "parse_experiment", calls)
+    argv = ["design", str(packaged("dos_experiment.yaml")), "-o", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    assert calls == {"load_document": 2, "parse_experiment": 1}
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])
@@ -272,6 +318,38 @@ def test_run_directory_sequential_and_parallel(tmp_path, mini_path):
     assert main(["run", str(runs), "-o", str(par_logs), "--parallel", "2"]) == 0
     for name in ("miniexp-0000.jsonl", "miniexp-0001.jsonl"):
         assert (seq_logs / name).read_bytes() == (par_logs / name).read_bytes()
+
+
+def test_run_directory_starts_no_more_workers_than_files(tmp_path, mini_path, monkeypatch):
+    import concurrent.futures
+
+    from analyse import runner
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    workers = []
+    monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    exp = experiment_path(
+        tmp_path,
+        factors=[{"name": "gate", "path": "market/gate_closure_s", "levels": [0.0, 900.0]}],
+    )
+    runs = tmp_path / "runs"
+    assert main(["design", str(exp), "-o", str(runs)]) == 0
+    assert main(["run", str(runs), "-o", str(tmp_path / "logs"), "--parallel", "500"]) == 0
+    assert workers == [2]
 
 
 def test_run_directory_empty_is_io_error(tmp_path, capsys):

@@ -221,9 +221,9 @@ def test_run_compiles_one_grid_and_assembles_once_per_episode(tmp_path, mini_doc
     monkeypatch.setattr(CompiledGrid, "__init__", counting_compile)
     monkeypatch.setattr(scenario, "assemble", counting_assemble)
     execute_run(mini_doc, Path("."), tmp_path)
-    # validation's config and the run's config compile one grid each; one
-    # dry assembly lists the endpoints, then one assembly per episode
-    assert calls == {"compile": 2, "assemble": 3 + 1}
+    # the run uses validation's config, so one grid is compiled; one dry
+    # assembly lists the endpoints, then one assembly per episode
+    assert calls == {"compile": 1, "assemble": 3 + 1}
 
 
 def test_drop_rule_excludes_bids_end_to_end(mini_doc):
