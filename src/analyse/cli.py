@@ -12,21 +12,12 @@ import os
 import sys
 from pathlib import Path
 
-import yaml
-
 from . import __version__
-from .design import expand_runs, run_document
-from .runner import (
-    EXIT_IO,
-    EXIT_OK,
-    EXIT_VALIDATION,
-    RunError,
-    execute_run,
-    execute_run_directory,
-)
-from .scenario import ScenarioError, load_document
+from .errors import EXIT_IO, EXIT_OK, EXIT_VALIDATION, RunError, ScenarioError
 from .telemetry import METRIC_KEYS, ComparisonTable, RunSummary, compare, summarize
-from .validation import document_kind, validate_document
+
+# Each command imports the layers it uses, so that `analyse report`, which
+# reads logs only, loads neither the simulator nor numpy.
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,6 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
+    from .scenario import load_document
+    from .validation import validate_document
+
     doc = load_document(args.path)
     violations = validate_document(doc, args.path.parent)
     if violations:
@@ -93,6 +87,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_design(args) -> int:
+    import yaml
+
+    from .design import expand_runs, run_document
+    from .scenario import load_document
+    from .validation import document_kind, validate_document
+
     doc = load_document(args.path)
     if document_kind(doc) in ("scenario", "run"):
         print(f"{args.path}: design needs an experiment document", file=sys.stderr)
@@ -137,6 +137,9 @@ def _default_out_dir(flag: Path | None) -> Path:
 
 
 def cmd_run(args) -> int:
+    from .runner import execute_run, execute_run_directory
+    from .scenario import load_document
+
     out_dir = _default_out_dir(args.out_dir)
     if args.path.is_dir():
         results = execute_run_directory(args.path, out_dir, parallel=args.parallel,

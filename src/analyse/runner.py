@@ -10,7 +10,6 @@ others.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,21 +17,11 @@ from pathlib import Path
 from . import scenario as scn
 from .agents import AgentError
 from .environment import AgentRunState, Environment, PhaseReport, run_phase
+from .errors import EXIT_IO, EXIT_OK, EXIT_SIMULATION, EXIT_VALIDATION, RunError
 from .feeders import FeederError
 from .kernel import KernelError
 from .telemetry import RunSink, TelemetryError, canonical_json
 from .validation import document_kind, validate_document
-
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_SIMULATION = 3
-EXIT_IO = 4
-
-
-class RunError(Exception):
-    def __init__(self, message: str, exit_code: int):
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 @dataclass
@@ -166,6 +155,8 @@ def execute_run_directory(
     workers = min(parallel, len(run_files))
     if workers <= 1:
         return [_run_one_file(str(p), str(out_dir), seed_override) for p in run_files]
+    import concurrent.futures  # here, so that a single run never imports it
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_run_one_file, str(p), str(out_dir), seed_override)

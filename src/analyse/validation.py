@@ -4,16 +4,19 @@ Every violation is reported as (document_path, message) so the CLI can list
 all problems in one shot instead of failing on the first. The list is a
 Checked that also carries the typed value validation built, so the runner and
 `analyse design` never load or parse a document a second time.
+
+The schema pass is checked here, for the keywords the packaged schemas use,
+with the paths, messages and order of jsonschema's Draft 2020-12 validator
+(tests/test_validation.py holds it to that); load_schema refuses a schema
+with any other keyword, so an edit cannot weaken validation unnoticed.
 """
 
 from __future__ import annotations
 
 import importlib.resources as resources
 import math
+import numbers
 from pathlib import Path
-
-import jsonschema
-import yaml
 
 from . import scenario as scn
 from .agents import AgentError
@@ -41,8 +44,127 @@ class Checked(list):
 def load_schema(name: str) -> dict:
     if name not in _SCHEMA_CACHE:
         ref = resources.files("analyse").joinpath("schemas", f"{name}.schema.yaml")
-        _SCHEMA_CACHE[name] = yaml.safe_load(ref.read_text(encoding="utf-8"))
+        schema = scn.parse_yaml(ref.read_bytes(), ref)
+        _refuse_unsupported(schema, f"{name}.schema.yaml")
+        _SCHEMA_CACHE[name] = schema
     return _SCHEMA_CACHE[name]
+
+
+# -- the schema checker ------------------------------------------------------
+
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "null": lambda v: v is None,
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items", "minItems",
+             "maxItems", "enum", "const", "minimum", "maximum", "exclusiveMinimum", "minLength"}
+_ANNOTATIONS = {"$schema", "$id", "title", "default"}
+
+
+def _refuse_unsupported(schema, where: str) -> None:
+    """Raise ValueError if `schema` uses anything `_check` does not implement."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"{where}: a schema must be a mapping")
+    unknown = schema.keys() - _KEYWORDS - _ANNOTATIONS
+    if unknown:
+        raise ValueError(f"{where}: unsupported schema keyword(s) {sorted(unknown)}")
+    types = schema.get("type", [])
+    if set([types] if isinstance(types, str) else types) - _TYPES.keys():
+        raise ValueError(f"{where}: unknown type in {types!r}")
+    constants = ([schema["const"]] if "const" in schema else []) + schema.get("enum", [])
+    if not all(isinstance(c, (str, int, float)) or c is None for c in constants):
+        raise ValueError(f"{where}: const and enum values must be scalars")
+    for name, sub in schema.get("properties", {}).items():
+        _refuse_unsupported(sub, f"{where}/properties/{name}")
+    if not isinstance(schema.get("additionalProperties", True), bool):
+        _refuse_unsupported(schema["additionalProperties"], f"{where}/additionalProperties")
+    if "items" in schema:
+        _refuse_unsupported(schema["items"], f"{where}/items")
+
+
+def _same(value, constant) -> bool:
+    """JSON equality with a scalar constant: True is not 1, 1.0 is."""
+    if isinstance(value, bool) or isinstance(constant, bool):
+        return value is constant
+    return value == constant
+
+
+def _check(node, schema: dict, path: tuple, errors: list) -> None:
+    """Append (path, message) for each way `node` breaks `schema`, in jsonschema's order:
+    the schema's keywords in turn, descending into a child where one applies."""
+    for keyword, value in schema.items():
+        if keyword == "type":
+            types = [value] if isinstance(value, str) else value
+            if not any(_TYPES[t](node) for t in types):
+                errors.append((path, f"{node!r} is not of type {', '.join(map(repr, types))}"))
+        elif keyword == "properties":
+            if isinstance(node, dict):
+                for name, sub in value.items():
+                    if name in node:
+                        _check(node[name], sub, (*path, name), errors)
+        elif keyword == "required":
+            if isinstance(node, dict):
+                errors += [(path, f"{name!r} is a required property")
+                           for name in value if name not in node]
+        elif keyword == "additionalProperties":
+            if isinstance(node, dict):
+                extras = [k for k in node if k not in schema.get("properties", {})]
+                if isinstance(value, dict):
+                    for key in extras:
+                        _check(node[key], value, (*path, key), errors)
+                elif value is False and extras:
+                    listed = ", ".join(map(repr, sorted(extras, key=str)))
+                    verb = "was" if len(extras) == 1 else "were"
+                    errors.append(
+                        (path, f"Additional properties are not allowed ({listed} {verb} unexpected)"))
+        elif keyword == "items":
+            if isinstance(node, list):
+                for i, item in enumerate(node):
+                    _check(item, value, (*path, i), errors)
+        elif keyword in ("minItems", "minLength"):
+            if isinstance(node, list if keyword == "minItems" else str) and len(node) < value:
+                errors.append((path, f"{node!r} " + ("should be non-empty" if value == 1
+                                                     else "is too short")))
+        elif keyword == "maxItems":
+            if isinstance(node, list) and len(node) > value:
+                errors.append((path, f"{node!r} " + ("is expected to be empty" if value == 0
+                                                     else "is too long")))
+        elif keyword == "const":
+            if not _same(node, value):
+                errors.append((path, f"{value!r} was expected"))
+        elif keyword == "enum":
+            if not any(_same(node, v) for v in value):
+                errors.append((path, f"{node!r} is not one of {value!r}"))
+        elif keyword in ("minimum", "maximum", "exclusiveMinimum") and _TYPES["number"](node):
+            if keyword == "minimum" and node < value:
+                errors.append((path, f"{node!r} is less than the minimum of {value!r}"))
+            elif keyword == "maximum" and node > value:
+                errors.append((path, f"{node!r} is greater than the maximum of {value!r}"))
+            elif keyword == "exclusiveMinimum" and node <= value:
+                errors.append(
+                    (path, f"{node!r} is less than or equal to the minimum of {value!r}"))
+
+
+def sorted_violations(errors) -> list[Violation]:
+    """(path parts, message) pairs as Violations, ordered by path; a list
+    index (or an integer key) sorts as a number, so item 2 comes before item 10."""
+    def key(error):
+        return [(0, p) if isinstance(p, int) else (1, str(p)) for p in error[0]]
+
+    return [("/".join(map(str, path)) or "(document root)", message)
+            for path, message in sorted(errors, key=key)]
+
+
+def schema_violations(doc, schema: dict) -> list[Violation]:
+    errors: list = []
+    _check(doc, schema, (), errors)
+    return sorted_violations(errors)
 
 
 def document_kind(doc) -> str | None:
@@ -68,12 +190,7 @@ def _non_finite(node, path: str = "") -> list[Violation]:
 
 
 def _schema_errors(doc, name: str) -> Checked:
-    validator = jsonschema.Draft202012Validator(load_schema(name))
-    errors = []
-    for err in sorted(validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path))):
-        path = "/".join(str(p) for p in err.absolute_path) or "(document root)"
-        errors.append((path, err.message))
-    return Checked(errors + _non_finite(doc))
+    return Checked(schema_violations(doc, load_schema(name)) + _non_finite(doc))
 
 
 def validate_scenario(doc, base_dir: Path) -> Checked:

@@ -245,11 +245,10 @@ def _counting(monkeypatch, owner, name, calls):
 
 
 def test_run_refuses_an_experiment_before_validating_it(tmp_path, capsys, monkeypatch):
-    from analyse import cli, scenario
+    from analyse import scenario
 
     calls = collections.Counter()
     _counting(monkeypatch, scenario, "load_document", calls)
-    _counting(monkeypatch, cli, "load_document", calls)
     exp = experiment_path(tmp_path, scenario_name="missing.yaml")
     assert main(["run", str(exp), "-o", str(tmp_path / "logs")]) == 2
     assert "document is neither a run nor a scenario" in capsys.readouterr().err
@@ -267,11 +266,10 @@ def test_design_refuses_a_scenario_before_validating_it(tmp_path, capsys, monkey
 
 
 def test_design_loads_each_file_and_parses_the_experiment_once(tmp_path, monkeypatch):
-    from analyse import cli, scenario, validation
+    from analyse import scenario, validation
 
     calls = collections.Counter()
     _counting(monkeypatch, scenario, "load_document", calls)
-    _counting(monkeypatch, cli, "load_document", calls)
     _counting(monkeypatch, validation, "parse_experiment", calls)
     argv = ["design", str(packaged("dos_experiment.yaml")), "-o", str(tmp_path / "runs")]
     assert main(argv) == 0
@@ -323,8 +321,6 @@ def test_run_directory_sequential_and_parallel(tmp_path, mini_path):
 def test_run_directory_starts_no_more_workers_than_files(tmp_path, mini_path, monkeypatch):
     import concurrent.futures
 
-    from analyse import runner
-
     class InlineExecutor:
         def __init__(self, max_workers):
             workers.append(max_workers)
@@ -341,7 +337,7 @@ def test_run_directory_starts_no_more_workers_than_files(tmp_path, mini_path, mo
             return future
 
     workers = []
-    monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     exp = experiment_path(
         tmp_path,
         factors=[{"name": "gate", "path": "market/gate_closure_s", "levels": [0.0, 900.0]}],
