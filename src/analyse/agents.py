@@ -28,11 +28,10 @@ class SensorSpec:
         if not (self.lo < self.hi):
             raise AgentError(f"sensor {self.id}: need lo < hi")
 
-    def normalize(self, value: float) -> tuple[float, bool]:
-        """Map into [-1, 1]; flags when the raw value had to be clamped."""
+    def normalize(self, value: float) -> float:
+        """Clamp into [lo, hi] and map onto [-1, 1]."""
         clamped = min(max(value, self.lo), self.hi)
-        x = 2.0 * (clamped - self.lo) / (self.hi - self.lo) - 1.0
-        return x, clamped != value
+        return 2.0 * (clamped - self.lo) / (self.hi - self.lo) - 1.0
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,6 @@ class ActuatorSpec:
     lo: float
     hi: float
     default: float
-    kind: str = "range"  # "range" or "binary"
 
     def __post_init__(self):
         if not (self.lo < self.hi):
@@ -80,22 +78,17 @@ def muscle_act(
     readings: Sequence[float],
     sensors: Sequence[SensorSpec],
     actuators: Sequence[ActuatorSpec],
-) -> tuple[list[float], bool]:
-    """Deterministic action for one readings vector.
+) -> list[float]:
+    """Deterministic setpoints for one readings vector.
 
-    Returns (setpoints, any_reading_clamped). For each actuator the affine
-    output scales the half-span around the declared default before clipping.
+    For each actuator the affine output scales the half-span around the
+    declared default before clipping.
     """
     if len(readings) != policy.n_sensors or len(sensors) != policy.n_sensors:
         raise AgentError("readings length does not match the policy")
     if len(actuators) != policy.n_actuators:
         raise AgentError("actuator count does not match the policy")
-    x = []
-    clamped_any = False
-    for value, spec in zip(readings, sensors):
-        xi, clamped = spec.normalize(value)
-        x.append(xi)
-        clamped_any = clamped_any or clamped
+    x = [spec.normalize(value) for value, spec in zip(readings, sensors)]
     width = policy.n_sensors + 1
     setpoints = []
     for j, act in enumerate(actuators):
@@ -103,7 +96,7 @@ def muscle_act(
         u = sum(w * xi for w, xi in zip(row[:-1], x)) + row[-1]
         half_span = (act.hi - act.lo) / 2.0
         setpoints.append(act.clip(act.default + u * half_span))
-    return setpoints, clamped_any
+    return setpoints
 
 
 ELITE_FRACTION = 0.2

@@ -204,7 +204,7 @@ def run_phase(
                 theta = dist.sample(rng)
                 policy = Policy(len(sensors), len(actuators), theta)
                 ret = run_episode(
-                    lambda obs, p=policy: muscle_act(p, obs, sensors, actuators)[0],
+                    lambda obs, p=policy: muscle_act(p, obs, sensors, actuators),
                     label=f"gen{gen}",
                 )
                 population.append((theta, ret))
@@ -223,7 +223,7 @@ def run_phase(
         policy = Policy(len(sensors), len(actuators), theta)
         for _ in range(phase.episodes):
             run_episode(
-                lambda obs: muscle_act(policy, obs, sensors, actuators)[0],
+                lambda obs: muscle_act(policy, obs, sensors, actuators),
                 label="test",
             )
     else:

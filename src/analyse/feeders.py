@@ -24,7 +24,6 @@ class FeederError(Exception):
 class LoadProfile:
     resolution_s: int
     factors: tuple[float, ...]
-    base_p_mw: float = 1.0
 
     def __post_init__(self):
         if self.resolution_s <= 0:
@@ -70,11 +69,11 @@ class PvUnit:
 
 
 def load_profile_value(profile: LoadProfile, t: float) -> float:
-    """Active power at time t: step-interpolated factor times base_p_mw."""
+    """The step-interpolated load factor at time t."""
     if t < 0:
         raise FeederError("t must be >= 0")
     idx = min(int(t // profile.resolution_s), len(profile.factors) - 1)
-    return profile.factors[idx] * profile.base_p_mw
+    return profile.factors[idx]
 
 
 CELL_TEMP_SLOPE = 0.03  # degC per W/m^2 of irradiance
@@ -125,11 +124,11 @@ def _resolution(path: Path, times: list[float]) -> int:
     return int(res)
 
 
-def read_load_profile_csv(path: str | Path, base_p_mw: float = 1.0) -> LoadProfile:
+def read_load_profile_csv(path: str | Path) -> LoadProfile:
     path = Path(path)
     rows = _read_rows(path, 2)
     res = _resolution(path, [r[0] for r in rows])
-    return LoadProfile(resolution_s=res, factors=tuple(r[1] for r in rows), base_p_mw=base_p_mw)
+    return LoadProfile(resolution_s=res, factors=tuple(r[1] for r in rows))
 
 
 def read_weather_csv(path: str | Path) -> WeatherSeries:

@@ -41,9 +41,11 @@ For a stepper whose idle steps change nothing but time-dependent outputs,
 every input of every consumer and every get_output at a run_until boundary
 equals what stepping at every grid time gives.
 
-The dispatch is compiled when the run starts: step order, per-simulator
-input plans and declared output tables. Simulators and connections can no
-longer be added after that.
+Registration gives each simulator one record: its free input values and one
+cell per declared output. connect adds to those records the read, message
+queue, reader and wake-up that the connection implies. The first run_until
+fixes the step order; simulators and connections can no longer be added
+after that.
 """
 
 from __future__ import annotations
@@ -131,16 +133,16 @@ class _SimEntry:
     desc: SimulatorDescriptor
     stepper: Stepper
     order: int
+    next_event: Callable[[], float | None] | None
+    due: float = 0  # the next time it steps
     steps: int = 0
     last: int = -1  # time of the latest step
-    # model id -> free input values: declared defaults, then set_input's
-    free: dict[str, dict[str, Any]] = field(default_factory=dict)
-    # compiled when the run starts
-    next_event: Callable[[], float | None] | None = None
-    # (model id, free values, [(attr, message queue | None, source cell, time_shifted)])
-    plan: list = field(default_factory=list)
-    # model id -> attr -> (cell, message queues, event-driven consumers
-    # as [(consumer, time_shifted, message)])
+    # model id -> (free input values: declared defaults, then set_input's;
+    # connected reads [(attr, message queue | None, source cell, time_shifted)])
+    inputs: dict = field(default_factory=dict)
+    # model id -> attr -> (cell [last_t, value, prev_t, prev_value] with last_t
+    # None until produced, message queues, event-driven consumers as
+    # [(consumer, time_shifted, message)])
     outputs: dict = field(default_factory=dict)
     readers: list = field(default_factory=list)  # (step size, time_shifted) of value consumers
 
@@ -149,34 +151,25 @@ class Kernel:
     def __init__(self) -> None:
         self._sims: dict[str, _SimEntry] = {}
         self._connections: dict[Endpoint, Connection] = {}  # keyed by dst
-        self._inputs: dict[Endpoint, Any] = {}  # declared defaults
-        self._outputs: set[Endpoint] = set()
-        # per output endpoint, from the start of the run, a cell
-        # [last_t, last_value, prev_t, prev_value]; last_t is None until produced
-        self._store: dict[Endpoint, list] = {}
-        # message connections: one (step time, items) queue per destination
-        self._queues: dict[Endpoint, deque] = {}
-        self._next_due: dict[str, float] = {}
         self._horizon = 0  # every time < horizon has been executed
-        self._ordered: list[_SimEntry] = []
-        self._started = False
+        self._ordered: list[_SimEntry] = []  # step order, fixed when the run starts
 
     # -- construction ------------------------------------------------------
 
     def register_simulator(self, desc: SimulatorDescriptor, stepper: Stepper) -> None:
-        if self._started:
+        if self._ordered:
             raise KernelError("cannot register simulators after the run has started")
         if desc.sim_id in self._sims:
             raise KernelError(f"duplicate simulator id {desc.sim_id!r}")
         desc.validate()
-        entry = self._sims[desc.sim_id] = _SimEntry(desc, stepper, order=len(self._sims))
-        self._next_due[desc.sim_id] = 0
+        entry = self._sims[desc.sim_id] = _SimEntry(
+            desc, stepper, len(self._sims), getattr(stepper, "next_event_time", None)
+        )
         for model in desc.models:
-            entry.free[model.model_id] = dict(model.inputs)
-            for attr, default in model.inputs.items():
-                self._inputs[(desc.sim_id, model.model_id, attr)] = default
-            for attr in model.outputs:
-                self._outputs.add((desc.sim_id, model.model_id, attr))
+            entry.inputs[model.model_id] = (dict(model.inputs), [])
+            entry.outputs[model.model_id] = {
+                attr: ([None, None, None, None], [], []) for attr in model.outputs
+            }
 
     def connect(
         self,
@@ -185,65 +178,86 @@ class Kernel:
         time_shifted: bool = False,
         message: bool = False,
     ) -> None:
-        if self._started:
+        if self._ordered:
             raise KernelError("cannot connect endpoints after the run has started")
         src = tuple(src)
         dst = tuple(dst)
-        if src not in self._outputs:
+        slot = self._output_slot(src)
+        if slot is None:
             raise KernelError(f"unknown source endpoint {src}")
-        if dst not in self._inputs:
+        model = self._input_model(dst)
+        if model is None:
             raise KernelError(f"unknown destination endpoint {dst}")
         if dst in self._connections:
             raise KernelError(f"destination endpoint {dst} already connected")
         connection = Connection(src, dst, time_shifted, message)
-        if not time_shifted and len(self._topo_ranks((connection,))) < len(self._sims):
+        if not time_shifted and len(self._topo_order((connection,))) < len(self._sims):
             raise KernelError(
                 f"connection {src} -> {dst} would close a cycle of non-time-shifted "
                 "connections; break the loop with time_shifted=True"
             )
         self._connections[dst] = connection
+        cell, queues, wakes = slot
+        consumer = self._sims[dst[0]]
+        queue = deque() if message else None
+        model[1].append((dst[2], queue, cell, time_shifted))
         if message:
-            self._queues[dst] = deque()
+            queues.append(queue)
+        else:
+            self._sims[src[0]].readers.append((consumer.desc.step_size, time_shifted))
+        if consumer.next_event is not None:
+            wakes.append((consumer, time_shifted, message))
+
+    def _output_slot(self, endpoint: tuple) -> tuple | None:
+        """(cell, message queues, wakes) of a declared output, else None."""
+        entry = self._sims.get(endpoint[0]) if len(endpoint) == 3 else None
+        return entry.outputs.get(endpoint[1], {}).get(endpoint[2]) if entry else None
+
+    def _input_model(self, endpoint: tuple) -> tuple | None:
+        """(free values, reads) of the model declaring an input, else None."""
+        entry = self._sims.get(endpoint[0]) if len(endpoint) == 3 else None
+        model = entry.inputs.get(endpoint[1]) if entry else None
+        return model if model is not None and endpoint[2] in model[0] else None
 
     # -- external I/O (environment boundary) --------------------------------
 
     def set_input(self, endpoint: Endpoint, value: Any) -> None:
         """Override an unconnected input; read by the simulator every step."""
         endpoint = tuple(endpoint)
-        if endpoint not in self._inputs:
+        model = self._input_model(endpoint)
+        if model is None:
             raise KernelError(f"unknown input endpoint {endpoint}")
         if endpoint in self._connections:
             raise KernelError(f"input endpoint {endpoint} is connected; cannot override")
-        sim_id, model_id, attr = endpoint
-        entry = self._sims[sim_id]
-        values = entry.free[model_id]
-        changed = values[attr] != value
-        values[attr] = value
+        values = model[0]
+        changed = values[endpoint[2]] != value
+        values[endpoint[2]] = value
         if changed:
+            entry = self._sims[endpoint[0]]
             due = _grid_at_or_after(self._horizon, entry.desc.step_size)
-            if due < self._next_due[sim_id]:
-                self._next_due[sim_id] = due
+            if due < entry.due:
+                entry.due = due
 
     def get_output(self, endpoint: Endpoint) -> Any:
         endpoint = tuple(endpoint)
-        if endpoint not in self._outputs:
+        slot = self._output_slot(endpoint)
+        if slot is None:
             raise KernelError(f"unknown output endpoint {endpoint}")
-        cell = self._store.get(endpoint)
-        return cell[1] if cell else None
+        return slot[0][1]
 
     def is_free_input(self, endpoint: Endpoint) -> bool:
         """A declared input that no connection feeds, so set_input may override it."""
         endpoint = tuple(endpoint)
-        return endpoint in self._inputs and endpoint not in self._connections
+        return self._input_model(endpoint) is not None and endpoint not in self._connections
 
     def has_output(self, endpoint: Endpoint) -> bool:
-        return tuple(endpoint) in self._outputs
+        return self._output_slot(tuple(endpoint)) is not None
 
-    # -- compilation ---------------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
-    def _topo_ranks(self, extra: tuple[Connection, ...] = ()) -> dict[str, int]:
+    def _topo_order(self, extra: tuple[Connection, ...] = ()) -> list[str]:
         """Step order along non-time-shifted connections, ties broken by
-        registration order; simulators on a cycle get no rank."""
+        registration order; simulators on a cycle are left out."""
         edges: dict[str, set[str]] = {s: set() for s in self._sims}
         indegree = {s: 0 for s in self._sims}
         for conn in (*self._connections.values(), *extra):
@@ -253,60 +267,24 @@ class Kernel:
             if b not in edges[a]:
                 edges[a].add(b)
                 indegree[b] += 1
-        ranks: dict[str, int] = {}
+        order: list[str] = []
         ready = sorted(
             (s for s in self._sims if indegree[s] == 0),
             key=lambda s: self._sims[s].order,
         )
-        rank = 0
         while ready:
             sim = ready.pop(0)
-            ranks[sim] = rank
-            rank += 1
+            order.append(sim)
             for nxt in sorted(edges[sim], key=lambda s: self._sims[s].order):
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     ready.append(nxt)
             ready.sort(key=lambda s: self._sims[s].order)
-        return ranks
-
-    def _compile(self) -> None:
-        """Fix the step order and build each simulator's input and output plans."""
-        ranks = self._topo_ranks()
-        self._ordered = sorted(self._sims.values(), key=lambda e: (ranks[e.desc.sim_id], e.order))
-        for endpoint in self._outputs:
-            self._store[endpoint] = [None, None, None, None]
-        for entry in self._ordered:
-            entry.next_event = getattr(entry.stepper, "next_event_time", None)
-            sim_id = entry.desc.sim_id
-            for model in entry.desc.models:
-                reads = []
-                for attr in model.inputs:
-                    conn = self._connections.get((sim_id, model.model_id, attr))
-                    if conn is not None:
-                        reads.append((attr, self._queues.get(conn.dst), self._store[conn.src],
-                                      conn.time_shifted))
-                entry.plan.append((model.model_id, entry.free[model.model_id], reads))
-                entry.outputs[model.model_id] = {
-                    attr: (self._store[(sim_id, model.model_id, attr)], [], [])
-                    for attr in model.outputs
-                }
-        for conn in self._connections.values():
-            producer = self._sims[conn.src[0]]
-            consumer = self._sims[conn.dst[0]]
-            _, queues, wakes = producer.outputs[conn.src[1]][conn.src[2]]
-            if conn.message:
-                queues.append(self._queues[conn.dst])
-            else:
-                producer.readers.append((consumer.desc.step_size, conn.time_shifted))
-            if consumer.next_event is not None:
-                wakes.append((consumer, conn.time_shifted, conn.message))
-
-    # -- execution -----------------------------------------------------------
+        return order
 
     def _gather_inputs(self, entry: _SimEntry, t: int) -> dict[str, dict[str, Any]]:
         inputs: dict[str, dict[str, Any]] = {}
-        for model_id, free, reads in entry.plan:
+        for model_id, (free, reads) in entry.inputs.items():
             values = free.copy()
             for attr, queue, cell, shifted in reads:
                 if queue is not None:
@@ -332,7 +310,6 @@ class Kernel:
     def _record_outputs(self, entry: _SimEntry, t: int, outputs: Mapping | None) -> None:
         if not outputs:
             return
-        due = self._next_due
         for model_id, attrs in outputs.items():
             declared = entry.outputs.get(model_id)
             for attr, value in attrs.items():
@@ -349,8 +326,8 @@ class Kernel:
                 for consumer, shifted, message in wakes:
                     if value or not message:
                         ready = _grid_at_or_after(t + shifted, consumer.desc.step_size)
-                        if ready < due[consumer.desc.sim_id]:
-                            due[consumer.desc.sim_id] = ready
+                        if ready < consumer.due:
+                            consumer.due = ready
                 if cell[0] != t:  # a same-step overwrite keeps the older "previous"
                     cell[2] = cell[0]
                     cell[3] = cell[1]
@@ -368,7 +345,7 @@ class Kernel:
             due = min(due, max(_grid_at_or_after(event, h), t + h))
         # inputs produced but not yet readable: queued items, and values
         # produced at t on a time-shifted connection
-        for _, _, reads in entry.plan:
+        for _, reads in entry.inputs.values():
             for _, queue, cell, shifted in reads:
                 if queue is not None:
                     if queue:
@@ -392,41 +369,37 @@ class Kernel:
             raise KernelError("end_time must be > 0")
         if not self._sims:
             raise KernelError("no simulators registered")
-        if not self._started:
-            self._compile()
-            self._started = True
-        due = self._next_due
-        for entry in self._ordered:
+        if not self._ordered:
+            self._ordered = [self._sims[s] for s in self._topo_order()]
+        ordered = self._ordered
+        for entry in ordered:
             if entry.next_event is not None:
                 boundary = (end_time - 1) // entry.desc.step_size * entry.desc.step_size
-                if entry.last < boundary < due[entry.desc.sim_id]:
-                    due[entry.desc.sim_id] = boundary
-        counts = dict.fromkeys(self._sims, 0)
-        ordered = self._ordered
+                if entry.last < boundary < entry.due:
+                    entry.due = boundary
+        before = self.step_counts
         while True:
-            t = min(due.values())
+            t = min([entry.due for entry in ordered])
             if t >= end_time:
                 break
             for entry in ordered:
-                sim_id = entry.desc.sim_id
-                if due[sim_id] != t:
+                if entry.due != t:
                     continue
-                due[sim_id] = _NEVER  # inputs produced during the step may lower it
+                entry.due = _NEVER  # inputs produced during the step may lower it
                 inputs = self._gather_inputs(entry, t)
                 try:
                     outputs = entry.stepper(t, inputs)
                     self._record_outputs(entry, t, outputs)
                     if entry.next_event is None:
-                        due[sim_id] = t + entry.desc.step_size
+                        entry.due = t + entry.desc.step_size
                     else:
-                        due[sim_id] = min(due[sim_id], self._due_after(entry, t, end_time))
+                        entry.due = min(entry.due, self._due_after(entry, t, end_time))
                 except Exception as exc:
-                    raise KernelStepError(sim_id, t, exc) from exc
+                    raise KernelStepError(entry.desc.sim_id, t, exc) from exc
                 entry.last = t
                 entry.steps += 1
-                counts[sim_id] += 1
         self._horizon = max(self._horizon, end_time)
-        return counts
+        return {s: e.steps - before[s] for s, e in self._sims.items()}
 
     @property
     def step_counts(self) -> dict[str, int]:

@@ -237,10 +237,10 @@ def baseline_bid(
     interval: int,
     rng: random.Random,
     offer_id: str,
-    price_override: float | None = None,
-    q_scale: float = 1.0,
+    price: float,
+    q_scale: float,
 ) -> Offer | None:
-    """One scripted offer: full available headroom at the strategy's price.
+    """One scripted offer: q_scale (clamped to [0, 1]) of the headroom, at price.
 
     "jitter" multiplies the price by (1 + u), u uniform in [-0.2, 0.2] drawn
     from the run's seeded stream. Returns None when there is no headroom.
@@ -250,7 +250,6 @@ def baseline_bid(
     q = headroom * q_scale
     if q == 0.0:
         return None
-    price = strategy.price_eur_per_mvar if price_override is None else price_override
     if strategy.kind == "jitter":
         price = price * (1.0 + rng.uniform(-JITTER_SPREAD, JITTER_SPREAD))
     return Offer(

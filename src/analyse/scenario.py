@@ -89,14 +89,16 @@ def parse_yaml(data: bytes, name) -> Any:
     if data.isascii() and not any(c in data for c in _PURE_ONLY):
         try:
             return yaml.load(data, Loader=_FAST_LOADER)
-        except yaml.YAMLError:
+        except Exception:  # a YAMLError, or a constructor error as below
             pass
     try:
         return yaml.load(data, Loader=yaml.SafeLoader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         raise ScenarioError(f"{name}:{mark.line + 1}:{mark.column + 1}: {exc.problem}") from exc
-    except yaml.YAMLError as exc:
+    except Exception as exc:
+        # a YAMLError, or what pyyaml's constructors raise unwrapped on a bad
+        # tagged value, such as ValueError for `!!int abc`
         raise ScenarioError(f"{name}: {exc}") from exc
 
 
@@ -352,7 +354,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
         actuators=tuple(
             ActuatorSpec(
                 str(a["id"]), float(a["lo"]), float(a["hi"]),
-                float(a.get("default", a["lo"])), a.get("kind", "range"),
+                float(a.get("default", a["lo"])),
             )
             for a in adoc.get("actuators", [])
         ),
@@ -598,7 +600,7 @@ class BiddersSimulator:
                 interval,
                 self.rng,
                 offer_id=f"{b.asset}-{interval:05d}",
-                price_override=float(inputs[b.asset]["price"]),
+                price=float(inputs[b.asset]["price"]),
                 q_scale=float(inputs[b.asset]["q_scale"]),
             )
             messages = ()
@@ -620,9 +622,7 @@ class NetSimulator:
             emit=lambda kind, t, payload: emit("net", kind, t, payload),
             utilization_window_s=net_cfg.utilization_window_s,
         )
-        self._rule_state: dict[str, bool] = {}
         for rc in net_cfg.rules:
-            self._rule_state[rc.rule.rule_id] = rc.enabled
             if rc.enabled:
                 self.network.install_rule(rc.rule)
         self._restart_state: dict[str, bool] = {node: False for node, _ in net_cfg.restartable}
@@ -659,14 +659,15 @@ class NetSimulator:
         self.network.advance(float(t))
 
         adversary = inputs[ADVERSARY_MODEL]
+        rules_active = 0
         for rc in self.config.network.rules:
             rid = rc.rule.rule_id
             want = float(adversary[f"rule_{rid}"]) > 0.5
-            if want and not self._rule_state[rid]:
+            if want and not self.network.has_rule(rid):
                 self.network.install_rule(rc.rule)
-            elif not want and self._rule_state[rid]:
+            elif not want:
                 self.network.remove_rule(rid)
-            self._rule_state[rid] = want
+            rules_active += want
         for node, downtime in self.config.network.restartable:
             want = float(adversary[f"restart_{node}"]) > 0.5
             if want and not self._restart_state[node]:
@@ -683,7 +684,7 @@ class NetSimulator:
                 self.network.send(frame)
 
         outputs: dict[str, dict] = {
-            ADVERSARY_MODEL: {"rules_active": float(sum(self._rule_state.values()))}
+            ADVERSARY_MODEL: {"rules_active": float(rules_active)}
         }
         for node in self._nodes:
             delivered = self.network.delivered(node)

@@ -28,13 +28,6 @@ class UnserializableError(TelemetryError):
     pass
 
 
-class LogParseError(TelemetryError):
-    def __init__(self, path: str, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
-
-
 _encode_str = json.encoder.encode_basestring_ascii  # = json.dumps(s, ensure_ascii=True)
 
 
@@ -331,12 +324,11 @@ class RunSummary:
 _REQUIRED_FIELDS = ("run_id", "seq", "t_sim", "source", "kind", "payload")
 
 
-def summarize(path: str | Path, strict: bool = False) -> RunSummary:
+def summarize(path: str | Path) -> RunSummary:
     """Scan one JSONL log and aggregate it into a RunSummary.
 
     Malformed lines are recorded as (line_no, message) in parse_errors and
-    skipped unless strict=True, in which case the first one raises
-    LogParseError. Unknown record kinds are tolerated and counted.
+    skipped. Unknown record kinds are tolerated and counted.
     """
     path = Path(path)
     summary = RunSummary()
@@ -353,8 +345,6 @@ def summarize(path: str | Path, strict: bool = False) -> RunSummary:
                 if missing:
                     raise ValueError(f"missing fields: {', '.join(missing)}")
             except ValueError as exc:
-                if strict:
-                    raise LogParseError(str(path), line_no, str(exc)) from exc
                 summary.parse_errors.append((line_no, str(exc)))
                 continue
             if not summary.run_id:

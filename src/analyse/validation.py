@@ -199,7 +199,8 @@ def validate_scenario(doc, base_dir: Path) -> Checked:
         return errors
     try:
         config = scn.parse_scenario(doc, base_dir)
-    except (scn.ScenarioError, AgentError, MarketError, KeyError, ValueError, TypeError) as exc:
+    except (scn.ScenarioError, AgentError, MarketError, NetworkError, KeyError, ValueError,
+            TypeError, OverflowError) as exc:
         return Checked([("(document)", f"cannot parse scenario: {exc}")])
     return Checked(cross_check(config), config)
 

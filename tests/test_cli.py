@@ -292,7 +292,8 @@ def test_run_directory_reports_every_bad_file(tmp_path, capsys, parallel):
     assert (out / "r1.jsonl").exists()
 
 
-@pytest.mark.parametrize("text", ["- 1\n- 2\n", "kind: [unclosed"])
+@pytest.mark.parametrize("text", ["- 1\n- 2\n", "kind: [unclosed", "seed: !!int abc\n",
+                                  "when: !!timestamp 2020-13-45\n"])
 def test_single_file_load_error_names_the_path_once(tmp_path, capsys, text):
     doc_path = tmp_path / "a.yaml"
     doc_path.write_text(text, encoding="utf-8")
@@ -386,7 +387,8 @@ def test_bad_data_series_is_validation_error(tmp_path, mini_doc):
     assert not (out / "mini.jsonl").exists()
 
 
-@pytest.mark.parametrize("case", ["sensor range", "actuator default", "band", "weight"])
+@pytest.mark.parametrize("case", ["sensor range", "actuator default", "band", "weight",
+                                  "rule window", "huge integer"])
 def test_values_constructors_reject_are_violations(tmp_path, mini_doc, capsys, case):
     agent = mini_doc["agents"][0]
     if case == "sensor range":
@@ -395,6 +397,12 @@ def test_values_constructors_reject_are_violations(tmp_path, mini_doc, capsys, c
         agent["actuators"] = [{"id": "bidders.s1.price", "lo": 1, "hi": 50, "default": 80}]
     elif case == "band":
         mini_doc["market"]["band"] = {"v_min_pu": 1.05, "v_max_pu": 0.95}
+    elif case == "rule window":
+        mini_doc["network"]["rules"] = [
+            {"rule_id": "r", "at_node": "sw", "active_from": 100.0, "active_until": 50.0}
+        ]
+    elif case == "huge integer":
+        agent["sensors"][0]["lo"] = 10**400  # a YAML int that float() cannot hold
     else:
         agent["objective"] = {"kind": "custom", "weights": {"diverged": float("inf")}}
     path = tmp_path / "mini.yaml"

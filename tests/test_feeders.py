@@ -15,15 +15,15 @@ from analyse.feeders import (
 
 
 def test_profile_step_interpolation():
-    profile = LoadProfile(resolution_s=900, factors=(1.0, 0.5), base_p_mw=2.0)
-    assert load_profile_value(profile, 0) == 2.0
-    assert load_profile_value(profile, 899) == 2.0
-    assert load_profile_value(profile, 900) == 1.0
+    profile = LoadProfile(resolution_s=900, factors=(1.0, 0.5))
+    assert load_profile_value(profile, 0) == 1.0
+    assert load_profile_value(profile, 899) == 1.0
+    assert load_profile_value(profile, 900) == 0.5
 
 
 def test_profile_clamps_past_series_end():
-    profile = LoadProfile(resolution_s=900, factors=(1.0, 0.5), base_p_mw=2.0)
-    assert load_profile_value(profile, 10_000) == 1.0
+    profile = LoadProfile(resolution_s=900, factors=(1.0, 0.5))
+    assert load_profile_value(profile, 10_000) == 0.5
 
 
 def test_profile_invariants():
@@ -72,10 +72,10 @@ def test_pv_bounds_and_monotonicity():
 def test_csv_round_trip(tmp_path):
     profile_path = tmp_path / "p.csv"
     profile_path.write_text("t_s,factor\n0,1.0\n900,0.5\n1800,0.25\n", encoding="utf-8")
-    profile = read_load_profile_csv(profile_path, base_p_mw=4.0)
+    profile = read_load_profile_csv(profile_path)
     assert profile.resolution_s == 900
     assert profile.factors == (1.0, 0.5, 0.25)
-    assert load_profile_value(profile, 1000) == 2.0
+    assert load_profile_value(profile, 1000) == 0.5
 
     weather_path = tmp_path / "w.csv"
     weather_path.write_text("t_s,ghi_w_m2,t_air_c\n0,0,10\n900,500,12\n", encoding="utf-8")

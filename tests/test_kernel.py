@@ -40,7 +40,7 @@ def test_register_initial_schedule_and_models():
         tuple(ModelSpec(f"m{i}", inputs={"a": None}, outputs=("b",)) for i in range(3)),
     )
     k.register_simulator(desc, lambda t, i: None)
-    assert k._next_due["net"] == 0
+    assert k._sims["net"].due == 0
     assert all(k.has_output(("net", f"m{i}", "b")) for i in range(3))
     assert all(k.is_free_input(("net", f"m{i}", "a")) for i in range(3))
 
@@ -342,7 +342,8 @@ def test_message_consumer_receives_empty_tuple_when_nothing_queued():
     k, seen = message_kernel({}, producer_step=2, consumers=(("c", 1, True),))
     k.run_until(3)
     assert seen["c"] == [(0, ()), (1, ()), (2, ())]
-    assert not k._queues[("c", "m", "inbox")]
+    _, queues, _ = k._sims["p"].outputs["m"]["out"]
+    assert queues and not any(queues)
 
 
 # -- event-driven stepping -------------------------------------------------------

@@ -203,7 +203,7 @@ def test_settle_single_offer_arithmetic():
 
 def test_baseline_bid_static():
     asset = BidderAsset("a", 4, -1.5, 1.5)
-    offer = baseline_bid(asset, BidStrategy("static", 8.0), 3, random.Random(0), "a-3")
+    offer = baseline_bid(asset, BidStrategy("static", 8.0), 3, random.Random(0), "a-3", 8.0, 1.0)
     assert offer.q_mvar == 1.5
     assert offer.price_eur_per_mvar == 8.0
     assert offer.interval == 3
@@ -211,7 +211,8 @@ def test_baseline_bid_static():
 
 def test_baseline_bid_zero_headroom():
     asset = BidderAsset("a", 4, 0.0, 0.0)
-    assert baseline_bid(asset, BidStrategy("static", 8.0), 3, random.Random(0), "a-3") is None
+    offer = baseline_bid(asset, BidStrategy("static", 8.0), 3, random.Random(0), "a-3", 8.0, 1.0)
+    assert offer is None
 
 
 def test_baseline_bid_jitter_bounds_and_determinism():
@@ -221,7 +222,7 @@ def test_baseline_bid_jitter_bounds_and_determinism():
     def sequence(seed):
         rng = random.Random(seed)
         return [
-            baseline_bid(asset, strategy, i, rng, f"a-{i}").price_eur_per_mvar
+            baseline_bid(asset, strategy, i, rng, f"a-{i}", 10.0, 1.0).price_eur_per_mvar
             for i in range(50)
         ]
 

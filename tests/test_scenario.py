@@ -132,6 +132,76 @@ def test_objective_weights_must_name_an_aggregate(mini_doc):
     ]
 
 
+CROSS_CHECKS = {
+    "duplicate load": (lambda d: d["grid"]["loads"][1].update(name="l2"),
+                       ("grid/loads", "duplicate load names")),
+    "duplicate sgen": (lambda d: d["grid"]["sgens"].append({"name": "s1", "bus": 2}),
+                       ("grid/sgens", "duplicate sgen names")),
+    "duplicate pv": (lambda d: d["pv"]["units"][1].update(name="s1"),
+                     ("pv/units", "duplicate pv unit names")),
+    "unknown profile": (lambda d: d["grid"]["loads"][0].update(profile="peak"),
+                        ("grid/loads/0/profile", "unknown load profile 'peak'")),
+    "missing profile file": (
+        lambda d: d["data"].update(load_profiles={"day": {"path": "nope.csv"}}),
+        ("data/load_profiles/day/path", "file not found: {base}/nope.csv")),
+    "missing weather file": (lambda d: d["data"]["weather"].update(path="nope.csv"),
+                             ("data/weather/path", "file not found: {base}/nope.csv")),
+    "pv without weather": (lambda d: d["data"].pop("weather"),
+                           ("data/weather", "pv units declared but no weather series")),
+    "reserved node id": (
+        lambda d: (d["network"]["nodes"].append({"id": "adversary", "kind": "host"}),
+                   d["network"]["links"].append({"a": "adversary", "b": "sw", "latency_ms": 2.0,
+                                                 "bandwidth_kbps": 10000})),
+        ("network/nodes", "node id 'adversary' is reserved")),
+    "unknown pv sgen": (lambda d: d["pv"]["units"][0].update(sgen="zz"),
+                        ("pv/units/0/sgen", "unknown sgen 'zz'")),
+    "unknown pv host": (lambda d: d["pv"]["units"][0].update(host="zz"),
+                        ("pv/units/0/host", "unknown network node 'zz'")),
+    "unknown bidder sgen": (lambda d: d["market"]["bidders"][0].update(asset="zz"),
+                            ("market/bidders/0/asset", "unknown sgen 'zz'")),
+    "unknown bidder host": (lambda d: d["market"]["bidders"][0].update(host="zz"),
+                            ("market/bidders/0/host", "unknown network node 'zz'")),
+    "second sender on a host": (
+        lambda d: d["market"]["bidders"][1].update(host="h1"),
+        ("market/bidders/1/host", "host 'h1' already sends frames; one sender per host")),
+    "bidder on the operator host": (
+        lambda d: d["market"]["bidders"][0].update(host="op"),
+        ("market/bidders/0/host", "host 'op' already sends frames; one sender per host")),
+    "duplicate bidder asset": (lambda d: d["market"]["bidders"][1].update(asset="s1"),
+                               ("market/bidders", "duplicate bidder assets")),
+    "rule at unknown node": (
+        lambda d: d["network"].update(rules=[{"rule_id": "r", "at_node": "zz"}]),
+        ("network/rules/0/at_node", "unknown network node 'zz'")),
+    "restart at unknown node": (
+        lambda d: d["network"].update(restartable=[{"node": "zz", "downtime_s": 60}]),
+        ("network/restartable/0/node", "unknown network node 'zz'")),
+    "replay without rows": (lambda d: d["agents"][0].update(kind="replay"),
+                            ("agents/0/replay", "replay agent needs setpoint rows")),
+    "profit without agents": (
+        lambda d: d["agents"][0].update(objective={"kind": "profit"}),
+        ("agents/0/objective/agents", "profit objective needs market agent ids")),
+}
+
+
+@pytest.mark.parametrize("case", CROSS_CHECKS)
+def test_cross_check_violations(tmp_path, mini_doc, case):
+    mutate, (path, message) = CROSS_CHECKS[case]
+    mutate(mini_doc)
+    assert validate_scenario(mini_doc, tmp_path) == [(path, message.format(base=tmp_path))]
+
+
+@pytest.mark.parametrize("base, text, message", [
+    ("absent.yaml", None, "file not found: {path}"),
+    ("list.yaml", "- 1\n", "cannot load base scenario: {path}: document is not a mapping"),
+])
+def test_experiment_base_scenario_violations(tmp_path, base, text, message):
+    path = tmp_path / base
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    doc = dict(load_document(packaged("dos_experiment.yaml")), base_scenario=base)
+    assert validate_experiment(doc, tmp_path) == [("base_scenario", message.format(path=path))]
+
+
 # -- assembly & data flow ----------------------------------------------------
 
 

@@ -214,8 +214,8 @@ def pure_outcome(path):
         return f"{path}:{mark.line + 1}:{mark.column + 1}: {exc.problem}"
     except yaml.YAMLError as exc:
         return f"{path}: {exc}"
-    except Exception as exc:  # a constructor error pyyaml does not wrap
-        return repr(exc)
+    except Exception as exc:  # a constructor error pyyaml does not wrap, reported like a YAMLError
+        return f"{path}: {exc}"
     return doc if isinstance(doc, dict) else f"{path}: document is not a mapping"
 
 
