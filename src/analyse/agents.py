@@ -20,13 +20,11 @@ class AgentError(Exception):
 
 @dataclass(frozen=True)
 class SensorSpec:
+    """lo < hi; validation.cross_check holds a document to it."""
+
     id: str  # dotted endpoint path simulator.model.attribute
     lo: float
     hi: float
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise AgentError(f"sensor {self.id}: need lo < hi")
 
     def normalize(self, value: float) -> float:
         """Clamp into [lo, hi] and map onto [-1, 1]."""
@@ -36,16 +34,12 @@ class SensorSpec:
 
 @dataclass(frozen=True)
 class ActuatorSpec:
+    """lo < hi and lo <= default <= hi; validation.cross_check holds a document to it."""
+
     id: str
     lo: float
     hi: float
     default: float
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise AgentError(f"actuator {self.id}: need lo < hi")
-        if not (self.lo <= self.default <= self.hi):
-            raise AgentError(f"actuator {self.id}: default outside range")
 
     def clip(self, value: float) -> float:
         return min(max(value, self.lo), self.hi)

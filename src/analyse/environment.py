@@ -27,7 +27,6 @@ from typing import Sequence
 from . import scenario as scn
 from .agents import (
     CemDistribution,
-    LearnerConfig,
     Phase,
     Policy,
     ScriptedAgent,
@@ -59,8 +58,6 @@ class Environment:
         self.episode_length = episode_length
         self._sensor_eps = [tuple(s.id.split(".")) for s in config.agent.sensors]
         self._actuator_eps = [tuple(a.id.split(".")) for a in config.agent.actuators]
-        self._interval_s = config.market.interval_s
-        self._band = (config.market.band.v_min_pu, config.market.band.v_max_pu)
         self._t_offset = 0.0
         self._kernel: Kernel | None = None
         self._local_t = 0
@@ -78,7 +75,7 @@ class Environment:
     def reset(self, seed: int) -> list[float]:
         if self._kernel is not None:
             # Keep later episodes' telemetry times above everything emitted so far.
-            self._t_offset += self._local_t + self._interval_s
+            self._t_offset += self._local_t + self.config.market.interval_s
         self._kernel = scn.assemble(self.config, seed, self._emit_offset, self.data)
         self._local_t = 0
         self._step_index = 0
@@ -115,9 +112,10 @@ class Environment:
                 })
             self._kernel.set_input(ep, clipped)
             applied[spec.id] = clipped
-        self._local_t += self._interval_s
+        market = self.config.market
+        self._local_t += market.interval_s
         self._kernel.run_until(self._local_t + 1)
-        window = RunSummary(band=self._band)
+        window = RunSummary(band=(market.band.v_min_pu, market.band.v_max_pu))
         for record in self.sink.drain():
             window.feed(record.kind, record.payload)
         reward = objective_eval(window.aggregates(), self.config.agent.objective)
@@ -159,12 +157,11 @@ class AgentRunState:
 
 def run_phase(
     env: Environment,
-    learner: LearnerConfig,
     phase: Phase,
     run_seed: int,
     state: AgentRunState,
 ) -> PhaseReport:
-    """Execute one schedule phase.
+    """Execute one schedule phase with the learner of the environment's config.
 
     Train mode with the cem learner runs generations of sampled policies, one
     episode per candidate, and keeps the best candidate seen. Test mode runs
@@ -175,7 +172,7 @@ def run_phase(
     report = PhaseReport(name=phase.name, mode=phase.mode)
     episode_stream = derive_seed(run_seed, STREAM_EPISODE)
     agent = env.config.agent
-    sensors, actuators = agent.sensors, agent.actuators
+    sensors, actuators, learner = agent.sensors, agent.actuators, agent.learner
     dim = len(actuators) * (len(sensors) + 1)
 
     def run_episode(actor, label: str) -> float:

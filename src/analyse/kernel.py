@@ -43,7 +43,9 @@ equals what stepping at every grid time gives.
 
 Registration gives each simulator one record: its free input values and one
 cell per declared output. connect adds to those records the read, message
-queue, reader and wake-up that the connection implies. The first run_until
+queue, reader and wake-up that the connection implies, and, without a time
+shift, the simulator it feeds; the reads are the only record of what is
+connected, and the fed simulators give the step order. The first run_until
 fixes the step order; simulators and connections can no longer be added
 after that.
 """
@@ -110,14 +112,6 @@ class SimulatorDescriptor:
                 )
 
 
-@dataclass(frozen=True)
-class Connection:
-    src: Endpoint
-    dst: Endpoint
-    time_shifted: bool = False
-    message: bool = False
-
-
 def _grid_at_or_after(x: float, h: int) -> int:
     """The smallest multiple of h that is >= x."""
     g = math.ceil(x / h) * h
@@ -145,12 +139,12 @@ class _SimEntry:
     # [(consumer, time_shifted, message)])
     outputs: dict = field(default_factory=dict)
     readers: list = field(default_factory=list)  # (step size, time_shifted) of value consumers
+    feeds: set = field(default_factory=set)  # ids of simulators it feeds without a time shift
 
 
 class Kernel:
     def __init__(self) -> None:
         self._sims: dict[str, _SimEntry] = {}
-        self._connections: dict[Endpoint, Connection] = {}  # keyed by dst
         self._horizon = 0  # every time < horizon has been executed
         self._ordered: list[_SimEntry] = []  # step order, fixed when the run starts
 
@@ -188,15 +182,17 @@ class Kernel:
         model = self._input_model(dst)
         if model is None:
             raise KernelError(f"unknown destination endpoint {dst}")
-        if dst in self._connections:
+        if any(read[0] == dst[2] for read in model[1]):
             raise KernelError(f"destination endpoint {dst} already connected")
-        connection = Connection(src, dst, time_shifted, message)
-        if not time_shifted and len(self._topo_order((connection,))) < len(self._sims):
-            raise KernelError(
-                f"connection {src} -> {dst} would close a cycle of non-time-shifted "
-                "connections; break the loop with time_shifted=True"
-            )
-        self._connections[dst] = connection
+        feeds = self._sims[src[0]].feeds
+        if not time_shifted and dst[0] not in feeds:
+            feeds.add(dst[0])
+            if len(self._topo_order()) < len(self._sims):
+                feeds.discard(dst[0])
+                raise KernelError(
+                    f"connection {src} -> {dst} would close a cycle of non-time-shifted "
+                    "connections; break the loop with time_shifted=True"
+                )
         cell, queues, wakes = slot
         consumer = self._sims[dst[0]]
         queue = deque() if message else None
@@ -227,7 +223,7 @@ class Kernel:
         model = self._input_model(endpoint)
         if model is None:
             raise KernelError(f"unknown input endpoint {endpoint}")
-        if endpoint in self._connections:
+        if any(read[0] == endpoint[2] for read in model[1]):
             raise KernelError(f"input endpoint {endpoint} is connected; cannot override")
         values = model[0]
         changed = values[endpoint[2]] != value
@@ -247,35 +243,27 @@ class Kernel:
 
     def is_free_input(self, endpoint: Endpoint) -> bool:
         """A declared input that no connection feeds, so set_input may override it."""
-        endpoint = tuple(endpoint)
-        return self._input_model(endpoint) is not None and endpoint not in self._connections
+        model = self._input_model(tuple(endpoint))
+        return model is not None and all(read[0] != endpoint[2] for read in model[1])
 
     def has_output(self, endpoint: Endpoint) -> bool:
         return self._output_slot(tuple(endpoint)) is not None
 
     # -- execution -----------------------------------------------------------
 
-    def _topo_order(self, extra: tuple[Connection, ...] = ()) -> list[str]:
+    def _topo_order(self) -> list[str]:
         """Step order along non-time-shifted connections, ties broken by
         registration order; simulators on a cycle are left out."""
-        edges: dict[str, set[str]] = {s: set() for s in self._sims}
         indegree = {s: 0 for s in self._sims}
-        for conn in (*self._connections.values(), *extra):
-            if conn.time_shifted:
-                continue
-            a, b = conn.src[0], conn.dst[0]
-            if b not in edges[a]:
-                edges[a].add(b)
-                indegree[b] += 1
+        for entry in self._sims.values():
+            for fed in entry.feeds:
+                indegree[fed] += 1
         order: list[str] = []
-        ready = sorted(
-            (s for s in self._sims if indegree[s] == 0),
-            key=lambda s: self._sims[s].order,
-        )
+        ready = [s for s in self._sims if indegree[s] == 0]  # in registration order
         while ready:
             sim = ready.pop(0)
             order.append(sim)
-            for nxt in sorted(edges[sim], key=lambda s: self._sims[s].order):
+            for nxt in self._sims[sim].feeds:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     ready.append(nxt)

@@ -79,10 +79,6 @@ class VoltageBand:
     v_min_pu: float = 0.95
     v_max_pu: float = 1.05
 
-    def __post_init__(self):
-        if not (0 < self.v_min_pu < self.v_max_pu):
-            raise MarketError("need 0 < v_min < v_max")
-
     def excursion(self, vm: float) -> float:
         return max(self.v_min_pu - vm, vm - self.v_max_pu, 0.0)
 

@@ -6,7 +6,9 @@ loss. Frames follow the unique shortest path by hop count (ties resolved by
 the lexicographically smallest next node). There is no queueing model: a
 frame's delivery time is the sum of per-hop latency, transmission time and
 any matching delay-rule extras, so delivery times are exactly reconstructible
-from the event log.
+from the event log. send takes a source, a destination, a payload and a send
+time; the network numbers each source's frames from 0 in send order, and a
+frame's size is its payload's length, also after a tamper rule replaced it.
 
 Attack surface: install_rule/remove_rule (drop, tamper, delay at a node) and
 restart_node (a node goes offline for a downtime window; frames through it
@@ -86,16 +88,11 @@ class NetworkTopology:
 
 @dataclass(frozen=True)
 class Frame:
-    frame_id: int  # strictly increasing per sender
+    frame_id: int  # numbered by the network, from 0 per source
     src: str
     dst: str
     sent_at: float
-    size_bytes: int
-    payload: bytes
-
-    def __post_init__(self):
-        if self.size_bytes < len(self.payload):
-            raise NetworkError("size_bytes must cover the payload")
+    payload: bytes  # its length is the frame's size in bytes
 
 
 @dataclass(frozen=True)
@@ -128,8 +125,6 @@ class AttackRule:
     def __post_init__(self):
         if self.action not in ("drop", "tamper", "delay"):
             raise NetworkError(f"rule {self.rule_id}: unknown action {self.action!r}")
-        if self.active_from > self.active_until:
-            raise NetworkError(f"rule {self.rule_id}: active_from > active_until")
 
     def active_at(self, t: float) -> bool:
         return self.active_from <= t < self.active_until
@@ -197,7 +192,7 @@ class Network:
         self._counters: dict[str, InterfaceCounters] = {
             n.node_id: InterfaceCounters(n.node_id) for n in topology.nodes
         }
-        self._last_frame_id: dict[str, int] = {}
+        self._next_frame_id: dict[str, int] = {}
         self._delivered: dict[str, list[tuple[float, Frame]]] = {
             n.node_id: [] for n in topology.nodes
         }
@@ -227,9 +222,6 @@ class Network:
     def is_online(self, node_id: str, t: float) -> bool:
         self._require_node(node_id)
         return t >= self._offline_until.get(node_id, 0.0)
-
-    def next_frame_id(self, src: str) -> int:
-        return self._last_frame_id.get(src, -1) + 1
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Hop-count shortest path; equal-cost ties take the lexicographically
@@ -277,33 +269,24 @@ class Network:
 
     # -- operations ------------------------------------------------------------
 
-    def send(self, frame: Frame) -> bool:
-        """Route a frame from its source; returns False if rejected at entry.
-
-        An offline source silently swallows the frame (telemetry only, no
-        counters: the frame never entered the network).
-        """
-        self._require_node(frame.src)
-        self._require_node(frame.dst)
-        if frame.frame_id <= self._last_frame_id.get(frame.src, -1):
-            raise NetworkError(
-                f"frame ids must be strictly increasing per sender "
-                f"({frame.src}: {frame.frame_id})"
-            )
-        self._last_frame_id[frame.src] = frame.frame_id
-        if not self.is_online(frame.src, frame.sent_at):
-            self._emit("net.drop", frame.sent_at, {
-                "node": frame.src, "reason": "src-offline", "src": frame.src,
-                "dst": frame.dst, "frame_id": frame.frame_id, "size_bytes": frame.size_bytes,
-            })
+    def send(self, src: str, dst: str, payload: bytes, t: float) -> bool:
+        """Route a frame of `payload` from src to dst at t; returns False if
+        rejected at entry. An offline source silently swallows the frame
+        (telemetry only, no counters: the frame never entered the network)."""
+        self._require_node(src)
+        self._require_node(dst)
+        frame_id = self._next_frame_id.get(src, 0)
+        self._next_frame_id[src] = frame_id + 1
+        size = len(payload)
+        if not self.is_online(src, t):
+            self._emit("net.drop", t, {"node": src, "reason": "src-offline", "src": src,
+                                       "dst": dst, "frame_id": frame_id, "size_bytes": size})
             return False
-        path = self.shortest_path(frame.src, frame.dst)
-        self._counters[frame.src].bytes_out += frame.size_bytes
-        self._emit("net.send", frame.sent_at, {
-            "src": frame.src, "dst": frame.dst, "frame_id": frame.frame_id,
-            "size_bytes": frame.size_bytes, "path": path,
-        })
-        self._push(frame.sent_at, frame.src, frame, path, 0, [], frame.size_bytes)
+        path = self.shortest_path(src, dst)
+        self._counters[src].bytes_out += size
+        self._emit("net.send", t, {"src": src, "dst": dst, "frame_id": frame_id,
+                                   "size_bytes": size, "path": path})
+        self._push(t, src, Frame(frame_id, src, dst, t, payload), path, 0, [], size)
         return True
 
     def restart_node(self, node_id: str, downtime_s: float) -> None:
@@ -384,18 +367,18 @@ class Network:
                 self._drop(node, frame, t, f"rule:{rule_id}", entry_size)
                 return
             if rule.action == "tamper":
-                frame = replace(frame, payload=rule.replacement,
-                                size_bytes=len(rule.replacement))
+                frame = replace(frame, payload=rule.replacement)
             else:  # delay
                 extra_s += rule.extra_ms / 1000.0
+        size = len(frame.payload)
         if idx > 0:
-            self._transit_in[node].add(t, frame.size_bytes)
+            self._transit_in[node].add(t, size)
         if node == frame.dst:
             self._delivered[node].append((t, frame))
             self._counters[node].bytes_in += entry_size
             self._emit("net.deliver", t, {
                 "src": frame.src, "dst": frame.dst, "frame_id": frame.frame_id,
-                "size_bytes": frame.size_bytes, "sent_at": frame.sent_at,
+                "size_bytes": size, "sent_at": frame.sent_at,
                 "delivered_at": t, "hop_delays": hop_delays,
             })
             return
@@ -406,7 +389,7 @@ class Network:
             return
         tx_s = 0.0
         if link.bandwidth_kbps is not None:
-            tx_s = frame.size_bytes * 8.0 / (link.bandwidth_kbps * 1000.0)
+            tx_s = size * 8.0 / (link.bandwidth_kbps * 1000.0)
         hop = link.latency_ms / 1000.0 + tx_s + extra_s
-        self._transit_out[node].add(t, frame.size_bytes)
+        self._transit_out[node].add(t, size)
         self._push(t + hop, nxt, frame, path, idx + 1, hop_delays + [hop], entry_size)

@@ -57,7 +57,7 @@ def execute_run(
         run_id, seed, scenario_doc = doc["run_id"], int(doc["seed"]), doc["scenario"]
         experiment, factors = doc.get("experiment") or None, doc.get("factors", {})
     else:
-        run_id, seed, scenario_doc = doc["name"], int(doc.get("seed", 0)), doc
+        run_id, seed, scenario_doc = config.name, config.seed, doc
         experiment, factors = None, {}
     seed_overridden = seed_override is not None
     if seed_overridden:
@@ -99,7 +99,7 @@ def execute_run(
     reports: list[PhaseReport] = []
     try:
         for phase in config.schedule.phases:
-            reports.append(run_phase(env, config.agent.learner, phase, seed, state))
+            reports.append(run_phase(env, phase, seed, state))
     except (AgentError, KernelError, scn.ScenarioError, TelemetryError) as exc:
         sink.emit("runner", "run.abort", env.telemetry_time, {"error": str(exc)})
         sink.close()

@@ -57,7 +57,7 @@ from .market import (
     clear_market,
     offer_from_payload,
 )
-from .network import AttackRule, Frame, MatchSpec, Network, NetworkTopology, NodeSpec, LinkSpec
+from .network import AttackRule, MatchSpec, Network, NetworkTopology, NodeSpec, LinkSpec
 from .telemetry import canonical_json
 
 SCHEMA_VERSION = 1
@@ -402,6 +402,11 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # simulator adapters
 
+# The attributes below carry messages (inbox, outbox) or objects (the grid
+# solver's model and state, read by the market as grid_model and grid_state),
+# not numbers; no agent sensor or actuator may name one.
+NON_NUMERIC_ATTRS = frozenset({"inbox", "outbox", "model", "state", "grid_model", "grid_state"})
+
 
 class GridSimulator:
     SIM_ID = "grid"
@@ -676,12 +681,7 @@ class NetSimulator:
 
         for node in self._nodes:
             for dst, payload in inputs[node]["outbox"]:
-                frame = Frame(
-                    frame_id=self.network.next_frame_id(node),
-                    src=node, dst=dst, sent_at=float(t),
-                    size_bytes=len(payload), payload=payload,
-                )
-                self.network.send(frame)
+                self.network.send(node, dst, payload, float(t))
 
         outputs: dict[str, dict] = {
             ADVERSARY_MODEL: {"rules_active": float(rules_active)}
@@ -860,7 +860,7 @@ def assemble(
     config: ScenarioConfig,
     seed: int,
     emit: Callable[[str, str, float, dict], None],
-    data: tuple[dict[str, LoadProfile], WeatherSeries | None] | None = None,
+    data: tuple[dict[str, LoadProfile], WeatherSeries | None],
 ) -> Kernel:
     """Build and wire a fresh kernel for one episode with the given seed.
 
@@ -869,7 +869,7 @@ def assemble(
     `data` is what load_data_series returns; no descriptor reads it, so a
     dry assembly that only lists endpoints may pass ({}, None).
     """
-    profiles, weather = data if data is not None else load_data_series(config)
+    profiles, weather = data
     sgens = {s.name: s for s in config.sgens}
     assets: dict[str, BidderAsset] = {}  # bidders and market share one table
     for b in config.market.bidders:

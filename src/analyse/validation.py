@@ -176,9 +176,15 @@ def document_kind(doc) -> str | None:
 
 
 def _non_finite(node, path: str = "") -> list[Violation]:
-    """NaN and infinities anywhere in a document; no schema type excludes them."""
+    """NaN, infinities and integers too large for a float anywhere in a
+    document; no schema type excludes them."""
     if isinstance(node, float) and not math.isfinite(node):
         return [(path or "(document root)", f"{node} is not a finite number")]
+    if isinstance(node, int) and not isinstance(node, bool):
+        try:
+            float(node)
+        except OverflowError:
+            return [(path or "(document root)", "integer too large for a float")]
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
@@ -219,7 +225,6 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
     names = [s.name for s in config.sgens]
     if len(set(names)) != len(names):
         errors.append(("grid/sgens", "duplicate sgen names"))
-    sgen_names = {s.name for s in config.sgens}
 
     for i, l in enumerate(config.loads):
         if l.profile and l.profile not in config.profiles:
@@ -242,22 +247,29 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
     if scn.ADVERSARY_MODEL in node_ids:
         errors.append(("network/nodes", f"node id {scn.ADVERSARY_MODEL!r} is reserved"))
 
+    sgens = {s.name: s for s in config.sgens}
     for i, u in enumerate(config.pv_units):
-        if u.sgen not in sgen_names:
+        sgen = sgens.get(u.sgen)
+        if sgen is None:
             errors.append((f"pv/units/{i}/sgen", f"unknown sgen {u.sgen!r}"))
+        elif not sgen.q_min_mvar <= 0.0 <= sgen.q_max_mvar:
+            errors.append((f"pv/units/{i}/sgen", f"sgen {u.sgen!r}: q range must contain zero"))
         if u.host not in node_ids:
             errors.append((f"pv/units/{i}/host", f"unknown network node {u.host!r}"))
     pv_names = [u.name for u in config.pv_units]
     if len(set(pv_names)) != len(pv_names):
         errors.append(("pv/units", "duplicate pv unit names"))
 
+    band = config.market.band
+    if not band.v_min_pu < band.v_max_pu:
+        errors.append(("market/band", "need v_min_pu < v_max_pu"))
     if config.market.operator_host not in node_ids:
         errors.append(
             ("market/operator_host", f"unknown network node {config.market.operator_host!r}")
         )
     sender_hosts = set()
     for i, b in enumerate(config.market.bidders):
-        if b.asset not in sgen_names:
+        if b.asset not in sgens:
             errors.append((f"market/bidders/{i}/asset", f"unknown sgen {b.asset!r}"))
         if b.host not in node_ids:
             errors.append((f"market/bidders/{i}/host", f"unknown network node {b.host!r}"))
@@ -279,9 +291,23 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
             errors.append(
                 (f"network/rules/{i}/at_node", f"unknown network node {rc.rule.at_node!r}")
             )
+        if rc.rule.active_from > rc.rule.active_until:
+            errors.append((f"network/rules/{i}/active_until",
+                           f"rule {rc.rule.rule_id}: active_from > active_until"))
     for i, (node, _) in enumerate(config.network.restartable):
         if node not in node_ids:
             errors.append((f"network/restartable/{i}/node", f"unknown network node {node!r}"))
+
+    agent = config.agent
+    for i, s in enumerate(agent.sensors):
+        if not s.lo < s.hi:
+            errors.append((f"agents/0/sensors/{i}/hi", f"sensor {s.id}: need lo < hi"))
+    for i, a in enumerate(agent.actuators):
+        if not a.lo < a.hi:
+            errors.append((f"agents/0/actuators/{i}/hi", f"actuator {a.id}: need lo < hi"))
+        elif not a.lo <= a.default <= a.hi:
+            errors.append((f"agents/0/actuators/{i}/default",
+                           f"actuator {a.id}: default outside [lo, hi]"))
 
     if errors or not topology_ok:
         return errors  # endpoint enumeration needs a structurally sound scenario
@@ -290,18 +316,25 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
         kernel = scn.assemble(config, 0, lambda *a: None, ({}, None))
     except (FeederError, KernelError) as exc:
         return [("(document)", f"cannot assemble scenario: {exc}")]
-    agent = config.agent
     for i, s in enumerate(agent.sensors):
-        if not kernel.has_output(tuple(s.id.split("."))):
+        endpoint = tuple(s.id.split("."))
+        if not kernel.has_output(endpoint):
             errors.append(
                 (f"agents/0/sensors/{i}/id", f"sensor path {s.id!r} does not resolve to an output")
             )
+        elif endpoint[2] in scn.NON_NUMERIC_ATTRS:
+            errors.append((f"agents/0/sensors/{i}/id",
+                           f"sensor path {s.id!r} carries messages or objects, not a number"))
     for i, a in enumerate(agent.actuators):
-        if not kernel.is_free_input(tuple(a.id.split("."))):
+        endpoint = tuple(a.id.split("."))
+        if not kernel.is_free_input(endpoint):
             errors.append(
                 (f"agents/0/actuators/{i}/id",
                  f"actuator path {a.id!r} does not resolve to a free input")
             )
+        elif endpoint[2] in scn.NON_NUMERIC_ATTRS:
+            errors.append((f"agents/0/actuators/{i}/id",
+                           f"actuator path {a.id!r} carries messages or objects, not a number"))
     if agent.learner.kind == "replay" and not agent.learner.replay:
         errors.append(("agents/0/replay", "replay agent needs setpoint rows"))
     if agent.objective.kind == "profit" and not agent.objective.agents:

@@ -17,7 +17,7 @@ from analyse.cli import main as cli_main
 from analyse.design import derive_seed, expand_runs, parse_experiment
 from analyse.grid import solve_power_flow
 from analyse.market import Offer, VoltageBand, clear_market
-from analyse.network import Frame, LinkSpec, Network, NetworkTopology, NodeSpec
+from analyse.network import LinkSpec, Network, NetworkTopology, NodeSpec
 from analyse.runner import execute_run
 from analyse.scenario import load_document
 from analyse.telemetry import compare, summarize
@@ -105,7 +105,7 @@ def test_c3_network_delivery_and_conservation():
         (NodeSpec("a"), NodeSpec("b")), (LinkSpec("a", "b", latency_ms=10.0),)
     )
     net = Network(topology, random.Random(1))
-    net.send(Frame(0, "a", "b", 5.0, 100, b"x" * 100))
+    net.send("a", "b", b"x" * 100, 5.0)
     net.advance(6.0)
     assert net.delivered("b")[0][0] == 5.0 + 10.0 / 1000.0
 
@@ -115,7 +115,7 @@ def test_c3_network_delivery_and_conservation():
     )
     net = Network(lossy, random.Random(0xC3))
     for i in range(1000):
-        net.send(Frame(i, "a", "b", float(i), 80, b"y" * 80))
+        net.send("a", "b", b"y" * 80, float(i))
     net.advance(2000.0)
     delivered = len(net.delivered("b"))
     assert 459 <= delivered <= 541, delivered

@@ -12,12 +12,14 @@ from analyse.telemetry import RunSink
 from conftest import MINI
 
 
-def make_env(tmp_path, doc=None, actuators=(), objective=None, name="env.jsonl"):
-    """An environment over MINI's config, with the agent's actuators and
-    objective replaced."""
+def make_env(tmp_path, doc=None, actuators=(), objective=None, learner=None,
+             name="env.jsonl"):
+    """An environment over MINI's config, with the agent's actuators,
+    objective and learner replaced."""
     config = parse_scenario(doc or MINI, Path("."))
     agent = dataclasses.replace(config.agent, actuators=tuple(actuators),
-                                objective=objective or config.agent.objective)
+                                objective=objective or config.agent.objective,
+                                learner=learner or config.agent.learner)
     config = dataclasses.replace(config, agent=agent)
     sink = RunSink(tmp_path / name, "envtest")
     env = Environment(config, load_data_series(config), sink, episode_length=3)
@@ -92,11 +94,8 @@ def test_environment_determinism_across_instances(tmp_path):
 
 
 def test_run_phase_scripted_episode_accounting(tmp_path):
-    env, sink = make_env(tmp_path)
-    report = run_phase(
-        env, LearnerConfig(kind="random"), Phase("p", "test", 3, 2),
-        run_seed=5, state=AgentRunState(),
-    )
+    env, sink = make_env(tmp_path, learner=LearnerConfig(kind="random"))
+    report = run_phase(env, Phase("p", "test", 3, 2), run_seed=5, state=AgentRunState())
     episodes = logged(sink, "agent.episode")
     assert len(episodes) == 3
     assert len(report.returns) == 3
@@ -105,9 +104,9 @@ def test_run_phase_scripted_episode_accounting(tmp_path):
 
 def test_run_phase_replay_and_none(tmp_path):
     actuator = ActuatorSpec("bidders.s1.price", 1.0, 50.0, default=8.0)
-    env, sink = make_env(tmp_path, actuators=[actuator])
     replay = LearnerConfig(kind="replay", replay=((9.0,), (10.0,)))
-    report = run_phase(env, replay, Phase("p", "test", 1, 3), 5, AgentRunState())
+    env, sink = make_env(tmp_path, actuators=[actuator], learner=replay)
+    report = run_phase(env, Phase("p", "test", 1, 3), 5, AgentRunState())
     assert len(report.returns) == 1
     sink.close()
 
@@ -118,14 +117,14 @@ def test_train_then_test_uses_best_theta(tmp_path):
         tmp_path,
         actuators=[actuator],
         objective=Objective("profit", agents=("agent_b",)),
+        learner=LearnerConfig(kind="cem", population=4, generations=2),
     )
-    learner = LearnerConfig(kind="cem", population=4, generations=2)
     state = AgentRunState()
-    train = run_phase(env, learner, Phase("tr", "train", 8, 2), 5, state)
+    train = run_phase(env, Phase("tr", "train", 8, 2), 5, state)
     assert len(train.returns) == 8  # population * generations
     assert state.best_theta is not None
     assert train.best_return == max(train.returns)
-    test = run_phase(env, learner, Phase("te", "test", 2, 2), 5, state)
+    test = run_phase(env, Phase("te", "test", 2, 2), 5, state)
     assert len(test.returns) == 2
     assert test.best_theta == state.best_theta
     sink.close()
@@ -148,10 +147,9 @@ def test_kernel_step_counts_logged_at_episode_end(tmp_path):
 
 def test_full_run_end_to_end_deterministic(tmp_path):
     def run(name):
-        env, sink = make_env(tmp_path, name=name)
+        env, sink = make_env(tmp_path, learner=LearnerConfig("random"), name=name)
         state = AgentRunState()
-        report = run_phase(env, LearnerConfig("random"), Phase("p", "test", 2, 3),
-                           9, state)
+        report = run_phase(env, Phase("p", "test", 2, 3), 9, state)
         sink.close()
         return report.returns
 

@@ -5,7 +5,6 @@ import pytest
 
 from analyse.network import (
     AttackRule,
-    Frame,
     LinkSpec,
     MatchSpec,
     Network,
@@ -36,8 +35,8 @@ def make(topology, seed=1, emit=None, window=900.0):
     return Network(topology, random.Random(seed), emit=emit, utilization_window_s=window)
 
 
-def frame(net, src, dst, t, size=100, payload=b"x" * 100):
-    return Frame(net.next_frame_id(src), src, dst, t, size, payload)
+def send(net, src, dst, t, payload=b"x" * 100):
+    return net.send(src, dst, payload, t)
 
 
 def test_topology_validation():
@@ -53,7 +52,7 @@ def test_topology_validation():
 
 def test_pure_latency_delivery_time_exact():
     net = make(single_link(latency_ms=10.0))
-    net.send(frame(net, "a", "b", 5.0))
+    send(net, "a", "b", 5.0)
     net.advance(10.0)
     delivered = net.delivered("b")
     assert len(delivered) == 1
@@ -63,7 +62,7 @@ def test_pure_latency_delivery_time_exact():
 def test_delivered_returns_each_frame_once():
     net = make(single_link())
     for i in range(3):
-        net.send(frame(net, "a", "b", float(i)))
+        send(net, "a", "b", float(i))
     net.advance(1.5)
     assert [f.frame_id for _, f in net.delivered("b")] == [0, 1]
     assert net.delivered("b") == []
@@ -74,14 +73,14 @@ def test_delivered_returns_each_frame_once():
 
 def test_transmission_time_added_when_bandwidth_finite():
     net = make(single_link(latency_ms=0.0, bandwidth_kbps=100.0))  # 100 kbit/s
-    net.send(frame(net, "a", "b", 0.0, size=1250, payload=b"y" * 1250))  # 10 kbit
+    send(net, "a", "b", 0.0, b"y" * 1250)  # 10 kbit
     net.advance(10.0)
     assert net.delivered("b")[0][0] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_loss_one_never_delivers_and_counts():
     net = make(single_link(loss=1.0))
-    net.send(frame(net, "a", "b", 0.0))
+    send(net, "a", "b", 0.0)
     net.advance(10.0)
     assert net.delivered("b") == []
     assert net.read_counters("b").frames_dropped == 1
@@ -109,7 +108,7 @@ def test_seeded_loss_delivery_count_in_binomial_interval():
     assert (lo, hi) == (459, 541)
     net = make(single_link(loss=0.5), seed=424242)
     for i in range(1000):
-        net.send(frame(net, "a", "b", float(i)))
+        send(net, "a", "b", float(i))
     net.advance(2000.0)
     delivered = len(net.delivered("b"))
     assert lo <= delivered <= hi
@@ -120,7 +119,7 @@ def test_seeded_loss_pattern_reproducible():
     def pattern(seed):
         net = make(single_link(loss=0.5), seed=seed)
         for i in range(300):
-            net.send(frame(net, "a", "b", float(i)))
+            send(net, "a", "b", float(i))
         net.advance(1000.0)
         return [f.frame_id for _, f in net.delivered("b")]
 
@@ -131,7 +130,7 @@ def test_seeded_loss_pattern_reproducible():
 def test_no_loss_delivers_exactly_once_in_order():
     net = make(line_topology())
     for i in range(50):
-        net.send(frame(net, "a", "b", float(i) * 0.001))
+        send(net, "a", "b", float(i) * 0.001)
     net.advance(10.0)
     delivered = net.delivered("b")
     assert len(delivered) == 50
@@ -145,7 +144,7 @@ def test_delivery_time_reconstructible_from_hop_delays():
         line_topology(latency_ms=3.0, bandwidth_kbps=5000.0),
         emit=lambda kind, t, p: events.append((kind, t, p)),
     )
-    net.send(frame(net, "a", "b", 1.0))
+    send(net, "a", "b", 1.0)
     net.advance(5.0)
     deliver = next(p for kind, _, p in events if kind == "net.deliver")
     t = deliver["sent_at"]
@@ -158,12 +157,12 @@ def test_restart_node_offline_window():
     net = make(line_topology())
     net.advance(100.0)
     net.restart_node("sw", 30.0)
-    net.send(frame(net, "a", "b", 110.0))
+    send(net, "a", "b", 110.0)
     net.advance(120.0)
     assert net.delivered("b") == []
     assert net.read_counters("sw").frames_dropped == 1
     net.advance(130.5)
-    net.send(frame(net, "a", "b", 131.0))
+    send(net, "a", "b", 131.0)
     net.advance(140.0)
     assert len(net.delivered("b")) == 1
 
@@ -171,7 +170,7 @@ def test_restart_node_offline_window():
 def test_restart_zero_downtime_no_effect():
     net = make(line_topology())
     net.restart_node("sw", 0.0)
-    net.send(frame(net, "a", "b", 0.0))
+    send(net, "a", "b", 0.0)
     net.advance(1.0)
     assert len(net.delivered("b")) == 1
 
@@ -180,7 +179,7 @@ def test_offline_src_swallows_frame():
     events = []
     net = make(line_topology(), emit=lambda kind, t, p: events.append(kind))
     net.restart_node("a", 50.0)
-    assert net.send(frame(net, "a", "b", 1.0)) is False
+    assert send(net, "a", "b", 1.0) is False
     net.advance(60.0)
     assert net.delivered("b") == []
     assert events.count("net.drop") == 1
@@ -189,7 +188,7 @@ def test_offline_src_swallows_frame():
 
 def test_counters_accounting_single_frame():
     net = make(line_topology())
-    net.send(frame(net, "a", "b", 0.0, size=100))
+    send(net, "a", "b", 0.0)
     net.advance(1.0)
     assert net.read_counters("a").bytes_out == 100
     assert net.read_counters("b").bytes_in == 100
@@ -207,7 +206,7 @@ def test_counter_conservation_with_losses_and_rules():
     for i in range(200):
         size = 60 + (i % 5) * 17
         sizes.append(size)
-        net.send(frame(net, "a", "b", float(i), size=size, payload=b"z" * size))
+        send(net, "a", "b", float(i), b"z" * size)
     net.advance(500.0)
     bytes_out = sum(net.read_counters(n).bytes_out for n in ("a", "sw", "b"))
     bytes_in = sum(net.read_counters(n).bytes_in for n in ("a", "sw", "b"))
@@ -219,11 +218,11 @@ def test_drop_rule_matches_and_window():
     net = make(line_topology())
     net.install_rule(AttackRule("dos", "sw", MatchSpec(src="a"), "drop",
                                 active_from=0.0, active_until=100.0))
-    net.send(frame(net, "a", "b", 1.0))
+    send(net, "a", "b", 1.0)
     net.advance(10.0)
     assert net.delivered("b") == []
     # outside the window the rule is inert
-    net.send(frame(net, "a", "b", 200.0))
+    send(net, "a", "b", 200.0)
     net.advance(300.0)
     assert len(net.delivered("b")) == 1
 
@@ -233,7 +232,7 @@ def test_rule_window_entirely_past_has_no_effect():
     net.advance(50.0)
     net.install_rule(AttackRule("old", "sw", MatchSpec(), "drop",
                                 active_from=0.0, active_until=10.0))
-    net.send(frame(net, "a", "b", 51.0))
+    send(net, "a", "b", 51.0)
     net.advance(60.0)
     assert len(net.delivered("b")) == 1
 
@@ -243,7 +242,7 @@ def test_tamper_rule_rewrites_payload_verbatim():
     replacement = b'{"price_eur_per_mvar": 999}'
     net.install_rule(AttackRule("t", "sw", MatchSpec(payload_contains=b"price"),
                                 "tamper", replacement=replacement))
-    net.send(frame(net, "a", "b", 0.0, size=30, payload=b'{"price_eur_per_mvar": 5}'))
+    send(net, "a", "b", 0.0, b'{"price_eur_per_mvar": 5}')
     net.advance(10.0)
     (_, delivered) = net.delivered("b")[0]
     assert delivered.payload == replacement
@@ -251,13 +250,13 @@ def test_tamper_rule_rewrites_payload_verbatim():
 
 def test_delay_rule_adds_exactly_extra_ms():
     plain = make(line_topology(latency_ms=10.0))
-    plain.send(frame(plain, "a", "b", 0.0))
+    send(plain, "a", "b", 0.0)
     plain.advance(10.0)
     base_time = plain.delivered("b")[0][0]
 
     slowed = make(line_topology(latency_ms=10.0))
     slowed.install_rule(AttackRule("d", "sw", MatchSpec(), "delay", extra_ms=500.0))
-    slowed.send(frame(slowed, "a", "b", 0.0))
+    send(slowed, "a", "b", 0.0)
     slowed.advance(10.0)
     assert slowed.delivered("b")[0][0] == pytest.approx(base_time + 0.5, abs=1e-12)
 
@@ -272,11 +271,20 @@ def test_duplicate_rule_id_rejected_and_remove_idempotent():
     assert not net.has_rule("r")
 
 
-def test_frame_ids_must_increase_per_sender():
-    net = make(line_topology())
-    net.send(Frame(5, "a", "b", 0.0, 10, b"0123456789"))
-    with pytest.raises(NetworkError, match="increasing"):
-        net.send(Frame(5, "a", "b", 1.0, 10, b"0123456789"))
+def test_network_numbers_frames_from_zero_per_source():
+    events = []
+    net = make(line_topology(), emit=lambda kind, t, p: events.append((kind, p)))
+    net.restart_node("a", 1.5)
+    for t in (1.0, 2.0, 3.0):  # a's first frame is swallowed offline, and still numbered
+        send(net, "a", "b", t)
+        send(net, "b", "a", t + 1.0, payload=b"yy")
+    net.advance(10.0)
+    sent = [(p["src"], p["frame_id"]) for kind, p in events if kind in ("net.send", "net.drop")]
+    assert sent == [("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2)]
+    assert [f.frame_id for _, f in net.delivered("b")] == [1, 2]
+    assert [f.frame_id for _, f in net.delivered("a")] == [0, 1, 2]
+    sizes = {p["src"]: p["size_bytes"] for kind, p in events if kind == "net.deliver"}
+    assert sizes == {"a": 100, "b": 2}
 
 
 def test_shortest_path_ties_lexicographic():
@@ -301,8 +309,8 @@ def test_routes_are_searched_once_and_never_shared():
     first.append("tampered")
     assert net.shortest_path("b", "c") == ["b", "x", "c"]
     for i in range(3):
-        net.send(frame(net, "b", "c", float(i)))
-        net.send(frame(net, "c", "b", float(i)))
+        send(net, "b", "c", float(i))
+        send(net, "c", "b", float(i))
     net.advance(10.0)
     assert net._routes == {("b", "c"): ("b", "x", "c"), ("c", "b"): ("c", "x", "b")}
     paths = [p["path"] for kind, p in events if kind == "net.send"]
@@ -320,7 +328,7 @@ def test_utilization_matches_event_recount():
                window=window)
     k, size = 7, 500
     for i in range(k):
-        net.send(frame(net, "a", "b", float(i) * 0.5, size=size, payload=b"q" * size))
+        send(net, "a", "b", float(i) * 0.5, b"q" * size)
     net.advance(window)
     got = net.read_counters("a").utilization
     # recount departures at "a" from the event log inside the window
@@ -353,7 +361,7 @@ def test_utilization_matches_resummed_window_after_every_advance():
         for _ in range(rng.randint(0, 3)):
             src, dst = rng.sample(("h1", "h2", "h3"), 2)
             size = rng.randint(1, 1500)
-            net.send(frame(net, src, dst, now, size=size, payload=b"x" * size))
+            send(net, src, dst, now, b"x" * size)
             t = now
             path = net.shortest_path(src, dst)
             for a, b in zip(path, path[1:]):
@@ -387,4 +395,4 @@ def test_unknown_nodes_rejected():
     with pytest.raises(NetworkError):
         net.restart_node("zz", 1.0)
     with pytest.raises(NetworkError):
-        net.send(Frame(0, "zz", "b", 0.0, 1, b"x"))
+        net.send("zz", "b", b"x", 0.0)

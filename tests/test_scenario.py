@@ -44,7 +44,7 @@ class Recorder:
 def build(doc, seed=1):
     config = parse_scenario(doc, Path("."))
     recorder = Recorder()
-    kernel = assemble(config, seed, recorder)
+    kernel = assemble(config, seed, recorder, load_data_series(config))
     return config, kernel, recorder
 
 
