@@ -7,7 +7,10 @@ import pytest
 import yaml
 
 from analyse.cli import main, render_summary
+from analyse.kernel import Kernel
+from analyse.scenario import NON_NUMERIC_ATTRS, assemble, load_data_series, parse_scenario
 from analyse.telemetry import RunSummary
+from analyse.validation import validate_document
 
 from conftest import MINI, packaged
 
@@ -423,6 +426,107 @@ def test_non_finite_numbers_rejected_with_their_path(tmp_path, mini_doc, capsys)
     assert "network/links/0/latency_ms: nan is not a finite number" in out
     assert "market/gate_closure_s: inf is not a finite number" in out
     assert main(["run", str(path), "-o", str(tmp_path / "logs")]) == 2
+
+
+def feeder4_with(edit):
+    doc = yaml.safe_load(packaged("feeder4.yaml").read_text(encoding="utf-8"))
+    edit(doc, doc["agents"][0])
+    return doc
+
+
+def add_sensor(sensor_id):
+    return lambda doc, agent: agent["sensors"].append({"id": sensor_id, "lo": 0, "hi": 1})
+
+
+# (edit of feeder4, path, message) of each document that validation refuses
+# with one violation
+PATH_CASES = [
+    (lambda doc, agent: agent.update(
+        kind="random", actuators=[{"id": "net.sw.outbox", "lo": 0, "hi": 1, "default": 0}]),
+     "agents/0/actuators/0/id",
+     "actuator path 'net.sw.outbox' carries messages or objects, not a number"),
+    (add_sensor("grid.solver.state"), "agents/0/sensors/3/id",
+     "sensor path 'grid.solver.state' carries messages or objects, not a number"),
+    (add_sensor("net.h1.inbox"), "agents/0/sensors/3/id",
+     "sensor path 'net.h1.inbox' carries messages or objects, not a number"),
+    (add_sensor("market.op.outbox"), "agents/0/sensors/3/id",
+     "sensor path 'market.op.outbox' carries messages or objects, not a number"),
+    (lambda doc, agent: doc["market"].update(band={"v_min_pu": 1.05, "v_max_pu": 0.95}),
+     "market/band", "need v_min_pu < v_max_pu"),
+    (lambda doc, agent: doc["network"]["rules"][0].update(active_from=600.0, active_until=300.0),
+     "network/rules/0/active_until", "rule dos_pv3: active_from > active_until"),
+    (lambda doc, agent: agent["sensors"][0].update(lo=1.1, hi=0.8),
+     "agents/0/sensors/0/hi", "sensor grid.bus_4.vm_pu: need lo < hi"),
+    (lambda doc, agent: agent["actuators"][0].update(lo=1.0, hi=1.0, default=1.0),
+     "agents/0/actuators/0/hi", "actuator net.adversary.rule_dos_pv3: need lo < hi"),
+    (lambda doc, agent: agent["actuators"][0].update(default=2.0),
+     "agents/0/actuators/0/default",
+     "actuator net.adversary.rule_dos_pv3: default outside [lo, hi]"),
+    (lambda doc, agent: agent["sensors"][1].update(hi=10**400),
+     "agents/0/sensors/1/hi", "integer too large for a float"),
+    (lambda doc, agent: doc["grid"]["sgens"][0].update(q_min_mvar=0.5, q_mvar=0.6),
+     "pv/units/0/sgen", "sgen 'pv1': q range must contain zero"),
+]
+
+
+@pytest.mark.parametrize("edit, where, message", PATH_CASES, ids=[
+    "actuator-outbox", "sensor-solver-state", "sensor-inbox", "sensor-market-outbox", "band",
+    "rule-window", "sensor-range", "actuator-range", "actuator-default", "huge-integer",
+    "pv-q-range"])
+def test_every_violation_names_its_path(tmp_path, capsys, edit, where, message):
+    doc = feeder4_with(edit)
+    assert validate_document(doc, packaged("feeder4.yaml").parent) == [(where, message)]
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert f"{where}: {message}" in capsys.readouterr().out
+    assert main(["run", str(path), "-o", str(tmp_path / "logs")]) == 2
+    assert f"{where}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "logs").exists()
+
+
+@pytest.mark.parametrize("name", ["feeder4.yaml", "gaming.yaml"])
+def test_every_endpoint_an_agent_can_name_is_refused_or_runnable(tmp_path, monkeypatch, name):
+    base = yaml.safe_load(packaged(name).read_text(encoding="utf-8"))
+    base["schedule"] = [{"name": "p", "mode": "test", "episodes": 1, "episode_length": 1}]
+    base_dir = packaged(name).parent
+    config = parse_scenario(base, base_dir)
+    descriptors = []
+    register = Kernel.register_simulator
+    with monkeypatch.context() as patch:
+        patch.setattr(Kernel, "register_simulator", lambda self, desc, stepper: (
+            descriptors.append(desc), register(self, desc, stepper)))
+        kernel = assemble(config, 0, lambda *a: None, load_data_series(config))
+    outputs = [(d.sim_id, m.model_id, a) for d in descriptors for m in d.models for a in m.outputs]
+    free_inputs = [(d.sim_id, m.model_id, a) for d in descriptors for m in d.models
+                   for a in m.inputs if kernel.is_free_input((d.sim_id, m.model_id, a))]
+    assert len(outputs) > 40 and len(free_inputs) > 5
+
+    def with_agent(sensors, actuators):
+        doc = copy.deepcopy(base)
+        agent = doc["agents"][0]
+        agent["sensors"] = [{"id": ".".join(e), "lo": 0, "hi": 1} for e in sensors]
+        if actuators is not None:
+            agent["kind"] = "random"
+            agent["actuators"] = [{"id": ".".join(e), "lo": 0, "hi": 1, "default": 0}
+                                  for e in actuators]
+        return doc
+
+    # each endpoint on its own: refused only for naming a message or an object
+    accepted = {}
+    for kind, endpoints in (("sensors", outputs), ("actuators", free_inputs)):
+        for endpoint in endpoints:
+            doc = with_agent([endpoint], None) if kind == "sensors" else with_agent([], [endpoint])
+            refused = validate_document(doc, base_dir)
+            assert bool(refused) == (endpoint[2] in NON_NUMERIC_ATTRS), (endpoint, refused)
+            if not refused:
+                accepted.setdefault(kind, []).append(endpoint)
+    # every accepted one runs: all sensors together, and all actuators driven at random
+    for n, doc in enumerate((with_agent(accepted["sensors"], None),
+                             with_agent(accepted["sensors"], accepted["actuators"]))):
+        path = tmp_path / f"endpoints{n}.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["run", str(path), "-o", str(tmp_path / f"logs{n}")]) == 0
 
 
 def test_agent_weight_reads_zero_while_the_agent_is_unpaid(tmp_path):

@@ -19,7 +19,7 @@ from analyse.scenario import (
     load_document,
     parse_scenario,
 )
-from analyse.telemetry import canonical_json
+from analyse.telemetry import canonical_json, summarize
 from analyse.validation import (
     validate_document,
     validate_experiment,
@@ -28,6 +28,7 @@ from analyse.validation import (
 )
 
 from conftest import packaged
+from oracles import recount_log
 
 
 class Recorder:
@@ -518,10 +519,12 @@ class PeriodicNet(NetSimulator):
     next_event_time = None
 
 
-def feeder4_run(tmp_path, monkeypatch, agent_kind, periodic):
+def feeder4_run(tmp_path, monkeypatch, agent_kind, periodic, edit=None):
     doc = load_document(packaged("feeder4.yaml"))
     doc["agents"][0]["kind"] = agent_kind
     doc["agents"][0]["actuators"][0]["default"] = 1.0  # the DoS rule on
+    if edit is not None:
+        edit(doc)
     readings = []
     step = Environment.step
 
@@ -554,6 +557,86 @@ def test_event_driven_net_matches_periodic_net(tmp_path, monkeypatch, agent_kind
     assert len(set(utilization)) > 5  # the sensor moves, so staleness would show
     assert ref_net_steps == [86400 // 60 + 1]
     assert net_steps[0] < ref_net_steps[0] // 3
+
+
+def attack_everything(rng, step_s, agent_kind):
+    """An edit of feeder4: a random or replay agent drives the DoS drop rule,
+    a delay rule, a tamper rule and a restart, and senses every node's
+    utilization over a seeded window. The replay agent holds each actuator
+    for a few intervals, so some agent steps change no input."""
+    restart = rng.choice(("sw", "op", "h1", "h3"))
+    rows = [[0.0] * 4]
+    for _ in range(31):
+        rows.append([1.0 - v if rng.random() < 0.3 else v for v in rows[-1]])
+
+    def edit(doc):
+        net = doc["network"]
+        net["step_s"] = step_s
+        net["utilization_window_s"] = rng.choice((60.0, 300.0, 900.0))
+        net["rules"] += [
+            {"rule_id": "slow", "at_node": rng.choice(("sw", "op", "h2")),
+             "action": {"kind": "delay", "extra_ms": 5.0 * 190_000 ** rng.random()}},
+            {"rule_id": "forge", "at_node": "sw", "match": {"src": rng.choice(("h1", "h4"))},
+             "action": {"kind": "tamper", "replacement": "x" * rng.randint(0, 300)}},
+        ]
+        net["restartable"] = [{"node": restart, "downtime_s": rng.uniform(30.0, 1800.0)}]
+        agent = doc["agents"][0]
+        agent.update(kind=agent_kind, replay=rows)
+        agent["sensors"] += [{"id": f"net.{node['id']}.utilization", "lo": 0.0, "hi": 1.0}
+                             for node in net["nodes"] if node["id"] != "sw"]
+        agent["actuators"] = [
+            {"id": f"net.adversary.{name}", "lo": 0.0, "hi": 1.0, "default": 0.0}
+            for name in ("rule_dos_pv3", "rule_slow", "rule_forge", f"restart_{restart}")
+        ]
+        doc["schedule"] = [{"name": "attack", "mode": "test", "episodes": 1,
+                            "episode_length": 32}]
+    return edit
+
+
+@pytest.mark.parametrize("agent_kind", ["random", "replay"])
+@pytest.mark.parametrize("step_s", [30, 60, 120])
+def test_event_driven_net_matches_periodic_under_every_attack(
+        tmp_path, monkeypatch, step_s, agent_kind):
+    def edit():
+        return attack_everything(random.Random(step_s), step_s, agent_kind)
+
+    readings, lines, _ = feeder4_run(tmp_path, monkeypatch, agent_kind, False, edit())
+    ref_readings, ref_lines, _ = feeder4_run(tmp_path, monkeypatch, agent_kind, True, edit())
+    assert readings == ref_readings
+    assert lines == ref_lines
+
+    # c4: the same document and seed give the same bytes
+    log = tmp_path / "event" / "feeder4.jsonl"
+    doc = load_document(packaged("feeder4.yaml"))
+    edit()(doc)
+    again = execute_run(doc, packaged("feeder4.yaml").parent, tmp_path / "again").log_path
+    assert again.read_bytes() == log.read_bytes()
+
+    # frames balance: each one sent ends delivered once, dropped once, or in flight
+    records = [json.loads(line) for line in lines]
+    frames = collections.defaultdict(list)  # (src, frame_id) -> its records' kinds
+    for r in records:
+        if r["kind"] in ("net.send", "net.deliver", "net.drop"):
+            p = r["payload"]
+            frames[(p["src"], p["frame_id"])].append(r["kind"])
+    kinds = collections.Counter(kind for events in frames.values() for kind in events)
+    offline = sum(1 for events in frames.values() if events == ["net.drop"])
+    in_flight = sum(1 for events in frames.values() if events == ["net.send"])
+    assert all(events in (["net.send"], ["net.send", "net.deliver"], ["net.send", "net.drop"],
+                          ["net.drop"]) for events in frames.values())
+    assert kinds["net.send"] + offline == (
+        kinds["net.deliver"] + kinds["net.drop"] + in_flight)
+    assert kinds["net.deliver"] > 0 and kinds["net.send"] > 0
+
+    # the two aggregation paths agree
+    summary = summarize(log)
+    recount = recount_log(log)
+    assert (summary.frames_sent, summary.frames_delivered, summary.frames_dropped) == (
+        recount["frames_sent"], recount["frames_delivered"], recount["frames_dropped"])
+    assert (summary.clearings, summary.clearings_resolved, summary.violation_count) == (
+        recount["clearings"], recount["clearings_resolved"], recount["violation_count"])
+    assert summary.total_cost_eur == pytest.approx(recount["total_cost"])
+    assert summary.payments_eur == pytest.approx(recount["payments"])
 
 
 # -- tamper fuzz --------------------------------------------------------------

@@ -59,3 +59,25 @@ def test_traced_run_records_a_span_in_every_layer(tmp_path):
     counts = json.loads(done.stdout.splitlines()[-1])
     assert [name for name in TRACED_LAYERS if not counts.get(name)] == []
     assert counts.get("scenario.assemble", 0) >= 2  # validation's dry build, then the episode
+
+
+def test_untraced_step_clock_times_a_real_run(tmp_path, monkeypatch):
+    # cosimbench/worker.py's StepClock wraps Environment.reset(env, seed) and
+    # step(env, setpoints) by position; a change to either signature fails
+    # here instead of in the benchmark run.
+    monkeypatch.syspath_prepend(str(ROOT / "cosimbench"))
+    from worker import StepClock
+
+    from analyse import runner, scenario
+    from analyse.environment import Environment
+
+    for name in ("reset", "step"):  # restored when the test ends
+        monkeypatch.setattr(Environment, name, getattr(Environment, name))
+    clock = StepClock()
+    clock.install(Environment)
+    t0 = clock.clock()
+    doc_path = ROOT / "src" / "analyse" / "data" / "feeder4.yaml"
+    runner.execute_run(scenario.load_document(doc_path), doc_path.parent, tmp_path)
+    assert [run for run, _ in clock.resets] == [0]
+    assert len(clock.steps) == 96
+    assert 0.0 < clock.setup_s(t0) <= clock.steps[0][1] - t0
