@@ -76,6 +76,8 @@ def offer_from_payload(payload: dict) -> Offer:
 
 @dataclass(frozen=True)
 class VoltageBand:
+    """0 < v_min_pu < v_max_pu; the schema and validation.cross_check hold a document to it."""
+
     v_min_pu: float = 0.95
     v_max_pu: float = 1.05
 

@@ -403,9 +403,9 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
 # simulator adapters
 
 # The attributes below carry messages (inbox, outbox) or objects (the grid
-# solver's model and state, read by the market as grid_model and grid_state),
-# not numbers; no agent sensor or actuator may name one.
-NON_NUMERIC_ATTRS = frozenset({"inbox", "outbox", "model", "state", "grid_model", "grid_state"})
+# solver's model and state), not numbers; no agent sensor or actuator may
+# name one.
+NON_NUMERIC_ATTRS = frozenset({"inbox", "outbox", "model", "state"})
 
 
 class GridSimulator:
