@@ -17,6 +17,17 @@ most once per state: a warm start from a state of the same topology takes its
 voltages, currents and Jacobian for the first Newton step, so a sensitivity
 at a state followed by a re-solve from it builds one Jacobian, not two.
 
+A solve is a pure function of the topology, the injections and the start
+voltages, and a run solves the same flow many times (every episode replays
+one scenario). So a model and its `with_injections` siblings share a memo of
+solves, keyed bit for bit by the PQ injection vector and the start's vm and
+va, if there is a start. A repeat returns the stored state itself, with
+its flows, Jacobian and sensitivity rows already computed; its arrays are
+read-only. The memo keeps the newest max(MEMO_MIN, MEMO_FLOATS // (2m)^2)
+solves for m PQ buses (910 for 4 buses, 8 for 32) and drops the oldest
+first. It hangs off the models, which no state references, so a dropped
+model frees its memo at once.
+
 Voltage sensitivities are analytic: d|V|/dQ is read from the inverse of the
 power-flow Jacobian at a converged state (the V-Q sensitivity of Kundur,
 "Power System Stability and Control", 1994), one transposed solve per
@@ -33,6 +44,10 @@ import numpy as np
 
 TOL_PU = 1e-8  # Newton-Raphson converges below this max |dP|, |dQ|
 MAX_ITERATIONS = 20
+# A topology's memo of solves holds at most MEMO_FLOATS // (2m)^2 states for
+# m PQ buses, about MEMO_FLOATS Jacobian floats, and never fewer than MEMO_MIN.
+MEMO_FLOATS = 2**15
+MEMO_MIN = 8
 
 
 class GridModelError(Exception):
@@ -91,6 +106,11 @@ class GridModel:
         """The topology as arrays, checked and built on first use."""
         return CompiledGrid(self)
 
+    @cached_property
+    def _solves(self) -> dict[bytes, GridState]:
+        """Solves of this topology by key, oldest first (see solve_power_flow)."""
+        return {}
+
     def validate(self) -> None:
         """Raise GridModelError unless the topology and every injection are sound."""
         specified_injections(self)
@@ -99,6 +119,7 @@ class GridModel:
         """Model with these injections that shares this model's compiled topology."""
         sibling = GridModel(self.base_mva, self.buses, self.lines, loads, sgens)
         sibling.__dict__["compiled"] = self.compiled
+        sibling.__dict__["_solves"] = self._solves
         return sibling
 
     def with_injection(self, bus: int, q_mvar: float, p_mw: float = 0.0) -> GridModel:
@@ -158,6 +179,7 @@ class CompiledGrid:
         self.vm_flat[self.slack] = buses[self.slack].vm_setpoint_pu
         self.pq = np.array([i for i in range(n) if i != self.slack], dtype=np.intp)
         self.pq_ids = [buses[i].bus_id for i in self.pq]
+        self.memo_max = max(MEMO_MIN, MEMO_FLOATS // max(1, 4 * len(self.pq) ** 2))
         lines = model.lines
         self.line_from = np.array([self.index[l.from_bus] for l in lines], dtype=np.intp)
         self.line_to = np.array([self.index[l.to_bus] for l in lines], dtype=np.intp)
@@ -184,7 +206,8 @@ class GridState:
     the complex bus voltages v and the PQ bus currents ip = (Ybus @ v)[pq].
     Line flows, slack power and the Jacobian are computed from them on first
     read. These arrays take no part in ==; a state built by hand has none, and
-    still serves as a start and for voltage_sensitivity.
+    still serves as a start and for voltage_sensitivity. A solved state's
+    arrays are read-only, because repeated solves hand out the same state.
     """
 
     vm: tuple[float, ...]  # per bus, model order, pu
@@ -230,6 +253,12 @@ class GridState:
         jac = _jacobian(grid, self.v[grid.pq], vmp, self.ip)
         jac.flags.writeable = False
         return jac
+
+    @cached_property
+    def _sensitivity_rows(self) -> dict[int, tuple[float, ...]]:
+        """voltage_sensitivity's rows at this state by observed bus id, over
+        the PQ buses."""
+        return {}
 
 
 def specified_injections(model: GridModel) -> np.ndarray:
@@ -331,15 +360,30 @@ def solve_power_flow(model: GridModel, start: GridState | None = None) -> GridSt
     both attempts. Converged means max |dP|, |dQ| < TOL_PU at every non-slack
     bus within MAX_ITERATIONS. On a singular Jacobian the state is returned
     with singular=True and the last iterate.
+
+    A solve whose injections and start vm and va equal, bit for bit, those of
+    a solve still in the model's memo returns that solve's state, after the
+    same checks; the state is what a fresh solve would return, because
+    _newton rebuilds from vm and va exactly what a start of this topology
+    carries.
     """
     grid = model.compiled
     s_pq = specified_injections(model)[grid.pq]
-    iterations = 0
-    converged = False
+    # A flat start's key is the injections alone, a start's adds its vm and
+    # va, so the two never have the same length.
+    key = s_pq.tobytes()
     if start is not None:
         if not start.converged or len(start.vm) != grid.n:
             raise ValueError("a start must be a converged state of the same buses")
         vm, va = np.array(start.vm), np.array(start.va)
+        key += vm.tobytes() + va.tobytes()
+    memo = model._solves
+    state = memo.get(key)
+    if state is not None:
+        return state
+    iterations = 0
+    converged = False
+    if start is not None:
         v, ip, converged, iterations, mismatch, singular = _newton(
             grid, s_pq, vm, va, start if start.grid is grid else None)
         angles = va.tolist()
@@ -349,7 +393,9 @@ def solve_power_flow(model: GridModel, start: GridState | None = None) -> GridSt
         vm, va = grid.vm_flat.copy(), np.zeros(grid.n)
         v, ip, converged, flat_iterations, mismatch, singular = _newton(grid, s_pq, vm, va)
         iterations += flat_iterations
-    return GridState(
+    v.flags.writeable = False
+    ip.flags.writeable = False
+    state = GridState(
         vm=tuple(vm.tolist()),
         va=tuple(va.tolist()),
         converged=converged,
@@ -360,6 +406,10 @@ def solve_power_flow(model: GridModel, start: GridState | None = None) -> GridSt
         v=v,
         ip=ip,
     )
+    if len(memo) >= grid.memo_max:
+        del memo[next(iter(memo))]  # the oldest solve
+    memo[key] = state
+    return state
 
 
 class SensitivityError(Exception):
@@ -376,29 +426,34 @@ def voltage_sensitivity(
 
     One row of the inverse Jacobian at the converged state, from a single
     transposed solve J^T y = e_vm(observed). Injections at the slack bus, and
-    every injection when the slack bus is observed, give 0.0.
+    every injection when the slack bus is observed, give 0.0. The row is
+    kept on a solved state of model's topology, so asking again at that state
+    solves nothing; each call returns a new dict.
     """
     if not state.converged:
         raise SensitivityError("state did not converge")
     grid = model.compiled
-    row = dict.fromkeys(grid.index, 0.0)
     obs = grid.index.get(observed_bus)
     if obs is None:
         raise GridModelError(f"unknown bus id {observed_bus}")
     if obs == grid.slack:
-        return row
-    m = len(grid.pq)
+        return dict.fromkeys(grid.index, 0.0)
     if state.grid is not grid:  # built by hand or on another topology
         vm = np.array(state.vm)
         v = vm * np.exp(1j * np.array(state.va))
         state = replace(state, grid=grid, v=v, ip=grid.ybus_pq_rows @ v)
-    e_obs = np.zeros(2 * m)
-    e_obs[m + obs - (obs > grid.slack)] = 1.0  # obs's position among the PQ buses
-    try:
-        y = np.linalg.solve(state.jacobian.T, e_obs)
-    except np.linalg.LinAlgError as exc:
-        raise SensitivityError("singular Jacobian") from exc
-    if not np.isfinite(y).all():
-        raise SensitivityError("singular Jacobian")
-    row.update(zip(grid.pq_ids, (y[m:] / grid.base_mva).tolist()))
+    rows = state._sensitivity_rows
+    if observed_bus not in rows:
+        m = len(grid.pq)
+        e_obs = np.zeros(2 * m)
+        e_obs[m + obs - (obs > grid.slack)] = 1.0  # obs's position among the PQ buses
+        try:
+            y = np.linalg.solve(state.jacobian.T, e_obs)
+        except np.linalg.LinAlgError as exc:
+            raise SensitivityError("singular Jacobian") from exc
+        if not np.isfinite(y).all():
+            raise SensitivityError("singular Jacobian")
+        rows[observed_bus] = tuple((y[m:] / grid.base_mva).tolist())
+    row = dict.fromkeys(grid.index, 0.0)
+    row.update(zip(grid.pq_ids, rows[observed_bus]))
     return row

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import scenario as scn
 from .agents import AgentError
-from .environment import AgentRunState, Environment, PhaseReport, run_phase
+from .environment import AgentRunState, Environment, EnvironmentError, PhaseReport, run_phase
 from .errors import EXIT_IO, EXIT_OK, EXIT_SIMULATION, EXIT_VALIDATION, RunError
 from .feeders import FeederError
 from .kernel import KernelError
@@ -100,7 +100,8 @@ def execute_run(
     try:
         for phase in config.schedule.phases:
             reports.append(run_phase(env, phase, seed, state))
-    except (AgentError, KernelError, scn.ScenarioError, TelemetryError) as exc:
+    except (AgentError, EnvironmentError, KernelError, scn.ScenarioError,
+            TelemetryError) as exc:
         sink.emit("runner", "run.abort", env.telemetry_time, {"error": str(exc)})
         sink.close()
         raise RunError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc

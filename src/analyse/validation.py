@@ -335,8 +335,13 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
         elif endpoint[2] in scn.NON_NUMERIC_ATTRS:
             errors.append((f"agents/0/actuators/{i}/id",
                            f"actuator path {a.id!r} carries messages or objects, not a number"))
-    if agent.learner.kind == "replay" and not agent.learner.replay:
-        errors.append(("agents/0/replay", "replay agent needs setpoint rows"))
+    if agent.learner.kind == "replay":
+        if not agent.learner.replay:
+            errors.append(("agents/0/replay", "replay agent needs setpoint rows"))
+        for i, row in enumerate(agent.learner.replay):
+            if len(row) != len(agent.actuators):
+                errors.append((f"agents/0/replay/{i}", f"replay row has {len(row)} values "
+                               f"for {len(agent.actuators)} actuators"))
     if agent.objective.kind == "profit" and not agent.objective.agents:
         errors.append(("agents/0/objective/agents", "profit objective needs market agent ids"))
     # A weight names a scalar aggregate or <map>.<agent> for a market agent.

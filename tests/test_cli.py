@@ -379,6 +379,17 @@ def test_simulation_abort_exit_code_and_partial_log(tmp_path, mini_path, monkeyp
     assert "injected fault" in last["payload"]["error"]
 
 
+def test_environment_error_aborts_the_run_with_exit_3(tmp_path, mini_path, monkeypatch):
+    from analyse.agents import ScriptedAgent
+
+    monkeypatch.setattr(ScriptedAgent, "act", lambda self, readings: [0.0])  # no actuators
+    out = tmp_path / "logs"
+    assert main(["run", str(mini_path), "-o", str(out)]) == 3
+    last = json.loads((out / "mini.jsonl").read_text().splitlines()[-1])
+    assert last["kind"] == "run.abort"
+    assert last["payload"]["error"] == "setpoint vector length mismatch"
+
+
 def test_bad_data_series_is_validation_error(tmp_path, mini_doc):
     csv = tmp_path / "w.csv"
     csv.write_text("t_s,ghi_w_m2,t_air_c\n0,0,10\n900,1,11\n2000,2,12\n", encoding="utf-8")
@@ -466,13 +477,17 @@ PATH_CASES = [
      "agents/0/sensors/1/hi", "integer too large for a float"),
     (lambda doc, agent: doc["grid"]["sgens"][0].update(q_min_mvar=0.5, q_mvar=0.6),
      "pv/units/0/sgen", "sgen 'pv1': q range must contain zero"),
+    (lambda doc, agent: agent.update(kind="replay", replay=[[1.0], []]),
+     "agents/0/replay/1", "replay row has 0 values for 1 actuators"),
+    (lambda doc, agent: agent.update(kind="replay", replay=[[1.0, 0.0]]),
+     "agents/0/replay/0", "replay row has 2 values for 1 actuators"),
 ]
 
 
 @pytest.mark.parametrize("edit, where, message", PATH_CASES, ids=[
     "actuator-outbox", "sensor-solver-state", "sensor-inbox", "sensor-market-outbox", "band",
     "rule-window", "sensor-range", "actuator-range", "actuator-default", "huge-integer",
-    "pv-q-range"])
+    "pv-q-range", "replay-row-short", "replay-row-long"])
 def test_every_violation_names_its_path(tmp_path, capsys, edit, where, message):
     doc = feeder4_with(edit)
     assert validate_document(doc, packaged("feeder4.yaml").parent) == [(where, message)]

@@ -1,5 +1,9 @@
+import collections
+import dataclasses
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from analyse.grid import (
     Load,
     GridState,
     MAX_ITERATIONS,
+    MEMO_FLOATS,
+    MEMO_MIN,
     SensitivityError,
     Sgen,
     solve_power_flow,
@@ -272,6 +278,11 @@ def test_warm_start_that_converges_to_another_root_is_retried_flat(p_pu):
     assert warm.iterations > cold.iterations  # both attempts are counted
 
 
+def fresh_topology(model):
+    """An equal model that shares neither the compiled topology nor the memo."""
+    return GridModel(model.base_mva, model.buses, model.lines, model.loads, model.sgens)
+
+
 def seeded_states(name, rng, count):
     """Solved states of the named grid over random injections, warm and cold,
     converged or not, with the model each was solved on."""
@@ -309,7 +320,7 @@ def test_warm_start_reusing_its_jacobian_equals_a_start_without_solver_arrays(na
         bare = GridState(vm=start.vm, va=start.va, converged=True,
                          iterations=start.iterations, max_mismatch_pu=start.max_mismatch_pu)
         warm = solve_power_flow(target, start)
-        want = solve_power_flow(target, bare)
+        want = solve_power_flow(fresh_topology(target), bare)  # not a repeat of warm
         reused += "jacobian" in vars(start)
         assert warm == want
         assert (warm.line_loading, warm.slack_p_mw, warm.slack_q_mvar) == (
@@ -366,3 +377,131 @@ def test_sibling_shares_the_compiled_topology_and_checks_its_injections():
         solve_power_flow(q_out_of_range)
     with pytest.raises(GridModelError, match="outside"):
         q_out_of_range.validate()
+
+
+def bits(values) -> bytes:
+    return np.asarray(values).tobytes()
+
+
+def assert_same_bits(got, want, model, fresh):
+    """Every value of got equals want's bit for bit: the solve, the solver's
+    arrays, the flows, the Jacobian and each sensitivity row."""
+    assert (got.converged, got.iterations, got.singular) == (
+        want.converged, want.iterations, want.singular)
+    for name in ("vm", "va", "max_mismatch_pu", "v", "ip", "line_loading",
+                 "slack_p_mw", "slack_q_mvar", "jacobian"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    if got.converged:
+        for bus in model.buses:
+            assert voltage_sensitivity(model, got, bus.bus_id) == voltage_sensitivity(
+                fresh, want, bus.bus_id)
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_SCALES))
+def test_a_repeat_equals_a_fresh_solve_on_a_fresh_topology_bit_for_bit(name):
+    rng = random.Random(f"memo-{name}")
+    base = ALL_BUNDLED[name]()
+    seen = collections.Counter()
+    for n in range(40):
+        target = random_injections(base, rng, LOAD_SCALES[name])
+        same = base.with_injections(target.loads, target.sgens)  # equal injections
+        fresh = fresh_topology(target)
+        first = solve_power_flow(target)
+        assert solve_power_flow(same) is first  # a flat start
+        assert_same_bits(first, solve_power_flow(fresh), same, fresh)
+        seen["diverged" if not first.converged else "flat"] += 1
+        made = solve_power_flow(lighter_neighbour(target, rng))
+        if not made.converged:
+            continue
+        bare = GridState(vm=made.vm, va=made.va, converged=True,
+                         iterations=made.iterations, max_mismatch_pu=made.max_mismatch_pu)
+        # Whichever start comes first fills the memo; the other one hits it.
+        first_start, repeat_start = (made, bare) if n % 2 else (bare, made)
+        warm = solve_power_flow(target, first_start)
+        if n % 3 == 0:  # a repeat also hands out the flows, Jacobian and rows computed so far
+            warm.line_loading, warm.slack_p_mw
+            if warm.converged:
+                voltage_sensitivity(target, warm, target.buses[-1].bus_id)
+        assert solve_power_flow(same, repeat_start) is warm
+        fresh = fresh_topology(target)
+        assert_same_bits(warm, solve_power_flow(fresh, repeat_start), same, fresh)
+        seen["solver-made" if repeat_start is made else "hand-built"] += 1
+    assert min(seen[k] for k in ("flat", "diverged", "solver-made", "hand-built")) >= 3, seen
+
+
+def test_a_singular_repeat_equals_a_fresh_solve():
+    # A line charging of 10 pu zeroes the second column of the flat Jacobian.
+    model = GridModel(10.0, (Bus(1, "slack", 1.0), Bus(2)), (Line(1, 2, 0.0, 0.1, 10.0),),
+                      loads=(Load(2, 1.0),))
+    first = solve_power_flow(model)
+    assert first.singular and not first.converged
+    assert solve_power_flow(model.with_injections(model.loads, ())) is first
+    fresh = fresh_topology(model)
+    assert_same_bits(first, solve_power_flow(fresh), model, fresh)
+
+
+def test_the_memo_keeps_the_newest_solves_up_to_its_bound():
+    assert feeder4().compiled.memo_max == MEMO_FLOATS // 36 == 910
+    assert two_bus().compiled.memo_max == MEMO_FLOATS // 4
+    chain32 = GridModel(10.0, (Bus(1, "slack", 1.0),) + tuple(Bus(b) for b in range(2, 33)),
+                        tuple(Line(b, b + 1, 0.001, 0.002) for b in range(1, 32)),
+                        loads=(Load(32, 0.0),))
+    assert chain32.compiled.memo_max == MEMO_MIN
+    for base, count in ((chain32, 30), (feeder4(), 1000)):
+        loaded = [base.with_injections((Load(base.buses[-1].bus_id, 0.001 * i),), ())
+                  for i in range(count)]
+        states = [solve_power_flow(model) for model in loaded]
+        memo = base._solves
+        assert len(memo) == base.compiled.memo_max < count
+        assert list(memo.values()) == states[-len(memo):]  # the oldest went first
+        assert solve_power_flow(loaded[-1]) is states[-1]
+        again = solve_power_flow(loaded[0])  # evicted: solved anew, to the same bits
+        assert again is not states[0] and again == states[0]
+        assert len(memo) == base.compiled.memo_max
+
+
+def test_a_repeat_still_raises_what_a_first_solve_raises():
+    base = feeder4(3.8)
+    start = solve_power_flow(base)
+    # Both inject the same power, so both solves would have the same key.
+    within = base.with_injections(base.loads, (Sgen(3, 0.0, 1.0, -1.2, 1.2),))
+    outside = base.with_injections(base.loads, (Sgen(3, 0.0, 1.0, -0.5, 0.5),))
+    for _ in range(2):
+        solve_power_flow(within)
+        solve_power_flow(within, start)
+        with pytest.raises(GridModelError, match="outside"):
+            solve_power_flow(outside)
+        with pytest.raises(GridModelError, match="outside"):
+            solve_power_flow(outside, start)
+        with pytest.raises(ValueError, match="converged"):  # the same vm and va as start
+            solve_power_flow(within, dataclasses.replace(start, converged=False))
+
+
+def test_a_dropped_model_frees_its_topology_without_the_cycle_collector():
+    gc.disable()
+    try:
+        model = feeder4(3.8)
+        state = solve_power_flow(model)
+        voltage_sensitivity(model, state, 4)
+        state.line_loading, state.slack_p_mw
+        sibling = model.with_injection(4, 0.5)
+        assert solve_power_flow(sibling, state).converged
+        topology = weakref.ref(model.compiled)
+        del model, sibling, state
+        assert topology() is None
+    finally:
+        gc.enable()
+
+
+def test_shared_states_cannot_be_changed_by_a_caller():
+    model = feeder4(3.8)
+    state = solve_power_flow(model)
+    for name in ("v", "ip", "jacobian"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(state, name)[0] = 0.0
+    row = voltage_sensitivity(model, state, 4)
+    want = dict(row)
+    row[3] = 99.0
+    again = voltage_sensitivity(model, state, 4)
+    assert again == want and again is not row
+    assert voltage_sensitivity(model, state, 1) is not voltage_sensitivity(model, state, 1)

@@ -3,10 +3,11 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from analyse import scenario
+from analyse import grid, market, scenario
 from analyse.cli import main
 from analyse.environment import Environment
 from analyse.grid import CompiledGrid, solve_power_flow
@@ -295,6 +296,49 @@ def test_run_compiles_one_grid_and_assembles_once_per_episode(tmp_path, mini_doc
     # the run uses validation's config, so one grid is compiled; one dry
     # assembly lists the endpoints, then one assembly per episode
     assert calls == {"compile": 1, "assemble": 3 + 1}
+
+
+def short_gaming_log(tmp_path, monkeypatch, name, before_solve):
+    """The log bytes of gaming with 16 training and 4 test episodes, calling
+    before_solve(model, start) ahead of every power flow of the run."""
+    doc = yaml.safe_load(packaged("gaming.yaml").read_text(encoding="utf-8"))
+    doc["schedule"] = [{"name": "training", "mode": "train", "episodes": 16, "episode_length": 6},
+                       {"name": "testing", "mode": "test", "episodes": 4, "episode_length": 6}]
+    solve = grid.solve_power_flow
+
+    def wrapped(model, start=None):
+        before_solve(model, start)
+        return solve(model, start)
+
+    with monkeypatch.context() as patch:
+        for owner in (grid, market, scenario):
+            patch.setattr(owner, "solve_power_flow", wrapped)
+        result = execute_run(doc, packaged("gaming.yaml").parent, tmp_path / name)
+    return result.log_path.read_bytes()
+
+
+def test_gaming_runs_newton_once_per_distinct_flow_and_logs_what_fresh_solves_log(
+        tmp_path, monkeypatch):
+    newton, newton_calls = grid._newton, []
+    monkeypatch.setattr(grid, "_newton", lambda *args: newton_calls.append(1) or newton(*args))
+    keys, solved = set(), []
+
+    def count(model, start):
+        s_pq = grid.specified_injections(model)[model.compiled.pq].tobytes()
+        keys.add((id(model.compiled), s_pq) if start is None else (
+            id(model.compiled), s_pq, np.array(start.vm).tobytes(),
+            np.array(start.va).tobytes()))
+        solved.append(len(newton_calls))
+
+    memoized = short_gaming_log(tmp_path, monkeypatch, "memo", count)
+    solved.append(len(newton_calls))
+    ran_newton = sum(after > before for before, after in zip(solved, solved[1:]))
+    assert ran_newton == len(keys)
+    assert len(solved) - 1 > 10 * len(keys)  # most flows repeat an earlier one
+
+    fresh = short_gaming_log(tmp_path, monkeypatch, "fresh",
+                             lambda model, start: model._solves.clear())
+    assert memoized == fresh
 
 
 def test_drop_rule_excludes_bids_end_to_end(mini_doc):
