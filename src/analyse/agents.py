@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -103,7 +103,7 @@ class CemDistribution:
     sigma: list[float]
 
     @classmethod
-    def initial(cls, dim: int, sigma0: float = 1.0) -> "CemDistribution":
+    def initial(cls, dim: int, sigma0: float) -> "CemDistribution":
         return cls(mean=[0.0] * dim, sigma=[sigma0] * dim)
 
     def sample(self, rng: random.Random) -> tuple[float, ...]:
@@ -136,9 +136,9 @@ def cem_update(population: Sequence[tuple[Sequence[float], float]]) -> CemDistri
 @dataclass(frozen=True)
 class Objective:
     kind: str  # damage | profit | custom
-    agents: tuple[str, ...] = ()  # market agent ids owned by this attacker
-    cost_per_mvar: float = 0.0
-    weights: dict = field(default_factory=dict)
+    agents: tuple[str, ...]  # market agent ids owned by this attacker
+    cost_per_mvar: float
+    weights: dict
 
     def __post_init__(self):
         if self.kind not in ("damage", "profit", "custom"):
@@ -185,11 +185,11 @@ def objective_eval(aggregates: dict, objective: Objective) -> float:
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    kind: str = "none"  # none | random | replay | cem
-    population: int = 16
-    generations: int = 10
-    sigma0: float = 1.0
-    replay: tuple = ()
+    kind: str  # none | random | replay | cem
+    population: int
+    generations: int
+    sigma0: float
+    replay: tuple
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ class ScriptedAgent:
     """Non-learning baselines: "none", "random", and "replay"."""
 
     def __init__(self, kind: str, actuators: Sequence[ActuatorSpec],
-                 replay: Sequence[Sequence[float]] = ()):
+                 replay: Sequence[Sequence[float]]):
         if kind not in ("none", "random", "replay"):
             raise AgentError(f"unknown scripted agent kind {kind!r}")
         self.kind = kind

@@ -37,7 +37,7 @@ from .agents import (
 from .design import STREAM_CEM, STREAM_EPISODE, STREAM_SCRIPTED, derive_seed
 from .feeders import LoadProfile, WeatherSeries
 from .kernel import Kernel
-from .telemetry import RunSink, RunSummary
+from .telemetry import RunSink, RunSummary, mean
 
 
 class EnvironmentError(Exception):
@@ -143,7 +143,7 @@ class PhaseReport:
 
     @property
     def mean_return(self) -> float:
-        return sum(self.returns) / len(self.returns) if self.returns else 0.0
+        return mean(self.returns) if self.returns else 0.0
 
 
 @dataclass
@@ -211,9 +211,9 @@ def run_phase(
             dist = cem_update(population)
             returns = [r for _, r in population]
             env.sink.emit("agent", "agent.generation", env.telemetry_time, {
-                "generation": gen, "mean_return": sum(returns) / len(returns),
+                "generation": gen, "mean_return": mean(returns),
                 "best_return": max(returns),
-                "sigma_mean": sum(dist.sigma) / len(dist.sigma),
+                "sigma_mean": mean(dist.sigma),
             })
     elif learner.kind == "cem":
         theta = state.best_theta or (0.0,) * dim

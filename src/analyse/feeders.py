@@ -57,9 +57,9 @@ class WeatherSeries:
 class PvUnit:
     bus: int
     p_peak_mw: float
-    temp_coeff: float = 0.004  # output derating per degC of cell temperature
-    q_min_mvar: float = 0.0
-    q_max_mvar: float = 0.0
+    temp_coeff: float  # output derating per degC of cell temperature
+    q_min_mvar: float
+    q_max_mvar: float
 
     def __post_init__(self):
         if self.p_peak_mw <= 0:

@@ -56,6 +56,7 @@ class GridModelError(Exception):
 
 @dataclass(frozen=True)
 class Bus:
+    # the defaults repeat the scenario schema's; cosimbench/radial32.py builds Bus(b)
     bus_id: int
     kind: str = "pq"  # "slack" or "pq"
     vm_setpoint_pu: float = 1.0
@@ -67,24 +68,24 @@ class Line:
     to_bus: int
     r_pu: float
     x_pu: float
-    b_shunt_pu: float = 0.0  # total line charging, split half per end
-    rating_mva: float = 1.0
+    b_shunt_pu: float  # total line charging, split half per end
+    rating_mva: float
 
 
 @dataclass(frozen=True)
 class Load:
     bus: int
     p_mw: float
-    q_mvar: float = 0.0
+    q_mvar: float
 
 
 @dataclass(frozen=True)
 class Sgen:
     bus: int
-    p_mw: float = 0.0
-    q_mvar: float = 0.0
-    q_min_mvar: float = 0.0
-    q_max_mvar: float = 0.0
+    p_mw: float
+    q_mvar: float
+    q_min_mvar: float
+    q_max_mvar: float
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ class GridModel:
     base_mva: float
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
-    loads: tuple[Load, ...] = ()
-    sgens: tuple[Sgen, ...] = ()
+    loads: tuple[Load, ...]
+    sgens: tuple[Sgen, ...] = ()  # cosimbench/radial32.py leaves it out
 
     def __post_init__(self):
         object.__setattr__(self, "buses", tuple(self.buses))

@@ -78,8 +78,8 @@ def offer_from_payload(payload: dict) -> Offer:
 class VoltageBand:
     """0 < v_min_pu < v_max_pu; the schema and validation.cross_check hold a document to it."""
 
-    v_min_pu: float = 0.95
-    v_max_pu: float = 1.05
+    v_min_pu: float
+    v_max_pu: float
 
     def excursion(self, vm: float) -> float:
         return max(self.v_min_pu - vm, vm - self.v_max_pu, 0.0)
@@ -215,9 +215,9 @@ class BidderAsset:
 
 @dataclass(frozen=True)
 class BidStrategy:
-    kind: str = "static"  # "static" or "jitter"
-    price_eur_per_mvar: float = 10.0
-    side: str = "supply"  # "supply" offers q_max, "absorb" offers q_min
+    kind: str  # "static" or "jitter"
+    price_eur_per_mvar: float
+    side: str  # "supply" offers q_max, "absorb" offers q_min
 
     def __post_init__(self):
         if self.kind not in ("static", "jitter"):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 
@@ -32,16 +32,16 @@ class NetworkError(Exception):
 @dataclass(frozen=True)
 class NodeSpec:
     node_id: str
-    kind: str = "host"  # host | switch | router
+    kind: str  # host | switch | router
 
 
 @dataclass(frozen=True)
 class LinkSpec:
     a: str
     b: str
-    latency_ms: float = 1.0
-    bandwidth_kbps: float | None = None  # None means unlimited (no tx time)
-    loss_prob: float = 0.0
+    latency_ms: float
+    bandwidth_kbps: float | None  # None means unlimited (no tx time)
+    loss_prob: float
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,9 @@ class Frame:
 
 @dataclass(frozen=True)
 class MatchSpec:
-    src: str | None = None
-    dst: str | None = None
-    payload_contains: bytes | None = None
+    src: str | None  # None matches every frame
+    dst: str | None
+    payload_contains: bytes | None
 
     def matches(self, frame: Frame) -> bool:
         if self.src is not None and frame.src != self.src:
@@ -115,12 +115,12 @@ class MatchSpec:
 class AttackRule:
     rule_id: str
     at_node: str
-    match: MatchSpec = field(default_factory=MatchSpec)
-    action: str = "drop"  # drop | tamper | delay
-    replacement: bytes = b""
-    extra_ms: float = 0.0
-    active_from: float = 0.0
-    active_until: float = float("inf")
+    match: MatchSpec
+    action: str  # drop | tamper | delay
+    replacement: bytes
+    extra_ms: float
+    active_from: float
+    active_until: float  # inf: never ends
 
     def __post_init__(self):
         if self.action not in ("drop", "tamper", "delay"):
@@ -165,8 +165,8 @@ class Network:
         self,
         topology: NetworkTopology,
         rng: random.Random,
+        utilization_window_s: float,
         emit: Callable[[str, float, dict], None] | None = None,
-        utilization_window_s: float = 900.0,
     ):
         topology.validate()
         self.topology = topology

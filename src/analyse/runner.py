@@ -100,25 +100,24 @@ def execute_run(
     try:
         for phase in config.schedule.phases:
             reports.append(run_phase(env, phase, seed, state))
+        sink.emit("runner", "run.end", env.telemetry_time, {
+            "status": "ok",
+            "phases": [
+                {
+                    "name": r.name,
+                    "mode": r.mode,
+                    "episodes": len(r.returns),
+                    "mean_return": r.mean_return,
+                    "best_return": r.best_return,
+                }
+                for r in reports
+            ],
+        })
     except (AgentError, EnvironmentError, KernelError, scn.ScenarioError,
             TelemetryError) as exc:
         sink.emit("runner", "run.abort", env.telemetry_time, {"error": str(exc)})
         sink.close()
         raise RunError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc
-
-    sink.emit("runner", "run.end", env.telemetry_time, {
-        "status": "ok",
-        "phases": [
-            {
-                "name": r.name,
-                "mode": r.mode,
-                "episodes": len(r.returns),
-                "mean_return": r.mean_return,
-                "best_return": r.best_return,
-            }
-            for r in reports
-        ],
-    })
     sink.close()
     return RunResult(run_id=run_id, log_path=sink.path, reports=reports)
 

@@ -3,10 +3,12 @@
 A scenario YAML declares the grid, the data feeders, the PV units, the
 reactive-power market with its scripted bidders, the communication network
 (including pre-declared attack rules), the agent's sensors/actuators and
-objective, and the schedule of train/test phases. parse_scenario turns such
-a document into a typed ScenarioConfig, the agent section straight into its
-Objective and LearnerConfig, and the grid section into one GridModel whose
-compiled topology serves validation and every episode's power flows.
+objective, and the schedule of train/test phases; its schema states, as a
+`default`, what each omitted optional field means. parse_scenario turns such
+a document, schema-valid and with its defaults filled in by validation, into
+a typed ScenarioConfig, the agent section straight into its Objective and
+LearnerConfig, and the grid section into one GridModel whose compiled
+topology serves validation and every episode's power flows.
 assemble is the one description of the co-simulation: which adapters exist
 follows from the config alone, it makes every connection, and it returns the
 wired Kernel. validation.cross_check is the one sensor/actuator endpoint
@@ -134,7 +136,7 @@ class LoadAttachment:
     bus: int
     p_mw: float
     q_mvar: float
-    profile: str | None = None
+    profile: str | None
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ class NetworkConfig:
     utilization_window_s: float
     topology: NetworkTopology
     rules: tuple[RuleConfig, ...]
-    restartable: tuple[tuple[str, float], ...] = ()
+    restartable: tuple[tuple[str, float], ...]
 
 
 @dataclass(frozen=True)
@@ -214,64 +216,57 @@ class ScenarioConfig:
     schedule: Schedule
 
 
-def _band(doc: dict) -> VoltageBand:
-    return VoltageBand(
-        v_min_pu=float(doc.get("v_min_pu", 0.95)),
-        v_max_pu=float(doc.get("v_max_pu", 1.05)),
-    )
-
-
 def _rule_from_doc(doc: dict) -> AttackRule:
-    match = doc.get("match", {})
-    action = doc.get("action", {})
-    kind = action.get("kind", "drop")
-    contains = match.get("payload_contains")
-    replacement = action.get("replacement", "")
-    active_until = doc.get("active_until")
+    match = doc["match"]
+    action = doc["action"]
+    contains = match["payload_contains"]
+    active_until = doc["active_until"]
     return AttackRule(
         rule_id=str(doc["rule_id"]),
         at_node=str(doc["at_node"]),
         match=MatchSpec(
-            src=match.get("src"),
-            dst=match.get("dst"),
+            src=match["src"],
+            dst=match["dst"],
             payload_contains=contains.encode("utf-8") if contains is not None else None,
         ),
-        action=kind,
-        replacement=replacement.encode("utf-8") if isinstance(replacement, str) else replacement,
-        extra_ms=float(action.get("extra_ms", 0.0)),
-        active_from=float(doc.get("active_from", 0.0)),
+        action=action["kind"],
+        replacement=action["replacement"].encode("utf-8"),
+        extra_ms=float(action["extra_ms"]),
+        active_from=float(doc["active_from"]),
         active_until=float("inf") if active_until is None else float(active_until),
     )
 
 
 def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
-    """Typed configuration from a schema-valid scenario document."""
+    """Typed configuration from a schema-valid scenario document with its
+    defaults filled in (validation.with_defaults). Only the three optional
+    fields that have no schema default are read with `get`."""
     gdoc = doc["grid"]
     loads = tuple(
         LoadAttachment(
             str(l["name"]), int(l["bus"]), float(l["p_mw"]),
-            float(l.get("q_mvar", 0.0)), l.get("profile"),
+            float(l["q_mvar"]), l["profile"],
         )
-        for l in gdoc.get("loads", [])
+        for l in gdoc["loads"]
     )
     sgens = tuple(
         SgenConfig(
-            str(s["name"]), int(s["bus"]), float(s.get("p_mw", 0.0)),
-            float(s.get("q_mvar", 0.0)), float(s.get("q_min_mvar", 0.0)),
-            float(s.get("q_max_mvar", 0.0)),
+            str(s["name"]), int(s["bus"]), float(s["p_mw"]),
+            float(s["q_mvar"]), float(s["q_min_mvar"]),
+            float(s["q_max_mvar"]),
         )
-        for s in gdoc.get("sgens", [])
+        for s in gdoc["sgens"]
     )
     grid = GridModel(
         base_mva=float(gdoc["base_mva"]),
         buses=tuple(
-            Bus(int(b["id"]), b.get("kind", "pq"), float(b.get("vm_setpoint_pu", 1.0)))
+            Bus(int(b["id"]), b["kind"], float(b["vm_setpoint_pu"]))
             for b in gdoc["buses"]
         ),
         lines=tuple(
             Line(
                 int(l["from"]), int(l["to"]), float(l["r_pu"]), float(l["x_pu"]),
-                float(l.get("b_pu", 0.0)), float(l.get("rating_mva", 1.0)),
+                float(l["b_pu"]), float(l["rating_mva"]),
             )
             for l in gdoc["lines"]
         ),
@@ -279,27 +274,30 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
         sgens=tuple(Sgen(s.bus, s.p_mw, s.q_mvar, s.q_min_mvar, s.q_max_mvar) for s in sgens),
     )
 
-    data = doc.get("data", {})
+    data = doc["data"]
     profiles = {
         str(name): resolve_data_path(str(ref["path"]), base_dir)
-        for name, ref in data.get("load_profiles", {}).items()
+        for name, ref in data["load_profiles"].items()
     }
-    weather_ref = data.get("weather")
+    weather_ref = data.get("weather")  # absent: no weather series
     weather_path = resolve_data_path(str(weather_ref["path"]), base_dir) if weather_ref else None
 
     pv_units = tuple(
         PvConfig(
             str(u["name"]), str(u["sgen"]), float(u["p_peak_mw"]),
-            float(u.get("temp_coeff", 0.004)), str(u["host"]),
+            float(u["temp_coeff"]), str(u["host"]),
         )
-        for u in doc.get("pv", {}).get("units", [])
+        for u in doc["pv"]["units"]
     )
 
     mdoc = doc["market"]
     market = MarketConfig(
-        band=_band(mdoc.get("band", {})),
-        interval_s=int(mdoc.get("interval_s", 900)),
-        gate_closure_s=float(mdoc.get("gate_closure_s", 0.0)),
+        band=VoltageBand(
+            v_min_pu=float(mdoc["band"]["v_min_pu"]),
+            v_max_pu=float(mdoc["band"]["v_max_pu"]),
+        ),
+        interval_s=int(mdoc["interval_s"]),
+        gate_closure_s=float(mdoc["gate_closure_s"]),
         operator_host=str(mdoc["operator_host"]),
         bidders=tuple(
             BidderConfig(
@@ -307,69 +305,69 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
                 agent_id=str(b["agent"]),
                 host=str(b["host"]),
                 strategy=BidStrategy(
-                    kind=b.get("strategy", "static"),
-                    price_eur_per_mvar=float(b.get("price_eur_per_mvar", 10.0)),
-                    side=b.get("side", "supply"),
+                    kind=b["strategy"],
+                    price_eur_per_mvar=float(b["price_eur_per_mvar"]),
+                    side=b["side"],
                 ),
             )
-            for b in mdoc.get("bidders", [])
+            for b in mdoc["bidders"]
         ),
     )
 
     ndoc = doc["network"]
     topology = NetworkTopology(
-        nodes=tuple(NodeSpec(str(n["id"]), n.get("kind", "host")) for n in ndoc["nodes"]),
+        nodes=tuple(NodeSpec(str(n["id"]), n["kind"]) for n in ndoc["nodes"]),
         links=tuple(
             LinkSpec(
-                str(l["a"]), str(l["b"]), float(l.get("latency_ms", 1.0)),
-                None if l.get("bandwidth_kbps") in (None, 0) else float(l["bandwidth_kbps"]),
-                float(l.get("loss_prob", 0.0)),
+                str(l["a"]), str(l["b"]), float(l["latency_ms"]),
+                None if l["bandwidth_kbps"] in (None, 0) else float(l["bandwidth_kbps"]),
+                float(l["loss_prob"]),
             )
             for l in ndoc["links"]
         ),
     )
     network = NetworkConfig(
-        step_s=int(ndoc.get("step_s", 1)),
-        utilization_window_s=float(ndoc.get("utilization_window_s", 900.0)),
+        step_s=int(ndoc["step_s"]),
+        utilization_window_s=float(ndoc["utilization_window_s"]),
         topology=topology,
         rules=tuple(
-            RuleConfig(rule=_rule_from_doc(r), enabled=bool(r.get("enabled", False)))
-            for r in ndoc.get("rules", [])
+            RuleConfig(rule=_rule_from_doc(r), enabled=bool(r["enabled"]))
+            for r in ndoc["rules"]
         ),
         restartable=tuple(
-            (str(r["node"]), float(r.get("downtime_s", 30.0)))
-            for r in ndoc.get("restartable", [])
+            (str(r["node"]), float(r["downtime_s"]))
+            for r in ndoc["restartable"]
         ),
     )
 
     adoc = doc["agents"][0]
-    odoc = adoc.get("objective", {})
-    ldoc = adoc.get("learner", {})
+    odoc = adoc["objective"]
+    ldoc = adoc["learner"]
     agent = AgentConfig(
         agent_id=str(adoc["agent_id"]),
         sensors=tuple(
             SensorSpec(str(s["id"]), float(s["lo"]), float(s["hi"]))
-            for s in adoc.get("sensors", [])
+            for s in adoc["sensors"]
         ),
         actuators=tuple(
             ActuatorSpec(
                 str(a["id"]), float(a["lo"]), float(a["hi"]),
-                float(a.get("default", a["lo"])),
+                float(a.get("default", a["lo"])),  # absent: the actuator's lo
             )
-            for a in adoc.get("actuators", [])
+            for a in adoc["actuators"]
         ),
         objective=Objective(
-            kind=odoc.get("kind", "damage"),
-            agents=tuple(odoc.get("agents", ())),
-            cost_per_mvar=float(odoc.get("cost_per_mvar", 0.0)),
-            weights=dict(odoc.get("weights", {})),
+            kind=odoc["kind"],
+            agents=tuple(odoc["agents"]),
+            cost_per_mvar=float(odoc["cost_per_mvar"]),
+            weights=dict(odoc["weights"]),
         ),
         learner=LearnerConfig(
-            kind=str(adoc.get("kind", "none")),
-            population=int(ldoc.get("population", 16)),
-            generations=int(ldoc.get("generations", 10)),
-            sigma0=float(ldoc.get("sigma0", 1.0)),
-            replay=tuple(tuple(row) for row in adoc.get("replay", [])),
+            kind=str(adoc["kind"]),
+            population=int(ldoc["population"]),
+            generations=int(ldoc["generations"]),
+            sigma0=float(ldoc["sigma0"]),
+            replay=tuple(tuple(row) for row in adoc["replay"]),
         ),
     )
 
@@ -383,9 +381,9 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
     )
 
     return ScenarioConfig(
-        name=str(doc.get("name", "scenario")),
-        seed=int(doc.get("seed", 0)),
-        grid_step_s=int(gdoc.get("step_s", market.interval_s)),
+        name=str(doc["name"]),
+        seed=int(doc["seed"]),
+        grid_step_s=int(gdoc.get("step_s", market.interval_s)),  # absent: the market interval
         grid=grid,
         loads=loads,
         sgens=sgens,

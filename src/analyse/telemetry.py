@@ -106,6 +106,17 @@ def _canonical(value: Any, out: list[str]) -> None:
         raise UnserializableError(f"unsupported payload type: {type(value).__name__}")
 
 
+def mean(values) -> float:
+    """The mean of a non-empty sequence of finite floats, finite like them.
+
+    It is sum(values) / len(values) wherever that is finite, so logged means
+    keep their bits; where the sum overflows it is the exactly rounded mean,
+    which is no larger than the largest value.
+    """
+    average = sum(values) / len(values)
+    return average if math.isfinite(average) else statistics.mean(values)
+
+
 def canonical_json(value: Any) -> str:
     """Serialize to the canonical form used for log lines and wire payloads."""
     out: list[str] = []
@@ -222,6 +233,8 @@ class RunSummary:
     experiment: str | None = None
     factors: dict = field(default_factory=dict)
     seed: int | None = None
+    # the schema's default band: summarize() needs one for a log that has no
+    # run.header, whose band would replace it
     band: tuple[float, float] = (0.95, 1.05)
     violation_count: int = 0
     violation_sum_pu: float = 0.0
@@ -250,7 +263,7 @@ class RunSummary:
             return {"episodes": 0, "mean": 0.0, "min": 0.0, "max": 0.0}
         return {
             "episodes": len(rs),
-            "mean": statistics.fmean(rs),
+            "mean": mean(rs),
             "min": min(rs),
             "max": max(rs),
         }
@@ -382,7 +395,7 @@ def _summary_metrics(s: RunSummary) -> dict[str, float]:
     for agent in sorted(s.accepted_mvar):
         metrics[f"accepted_mvar.{agent}"] = s.accepted_mvar[agent]
     for agent in sorted(s.returns):
-        metrics[f"mean_return.{agent}"] = statistics.fmean(s.returns[agent])
+        metrics[f"mean_return.{agent}"] = mean(s.returns[agent])
     return metrics
 
 
@@ -422,7 +435,7 @@ def compare(summaries: list[RunSummary], group_by: str) -> ComparisonTable:
         for s in members:
             for name, value in _summary_metrics(s).items():
                 metric_lists.setdefault(name, []).append(value)
-        means = {name: statistics.fmean(vals) for name, vals in metric_lists.items()}
+        means = {name: mean(vals) for name, vals in metric_lists.items()}
         for name in means:
             if name not in columns:
                 columns.append(name)

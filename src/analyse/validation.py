@@ -199,12 +199,31 @@ def _schema_errors(doc, name: str) -> Checked:
     return Checked(schema_violations(doc, load_schema(name)) + _non_finite(doc))
 
 
+def with_defaults(node, schema: dict):
+    """A copy of `node` with each absent property that has a schema `default`
+    filled in, also inside a default it filled in; the walk follows
+    `properties` and `items`. It builds new mappings and lists throughout, so
+    it changes neither `node` nor the schema's default values."""
+    if isinstance(node, dict):
+        properties = schema.get("properties", {})
+        filled = {key: with_defaults(value, properties.get(key, {}))
+                  for key, value in node.items()}
+        for name, sub in properties.items():
+            if name not in node and "default" in sub:
+                filled[name] = with_defaults(sub["default"], sub)
+        return filled
+    if isinstance(node, list):
+        return [with_defaults(item, schema.get("items", {})) for item in node]
+    return node
+
+
 def validate_scenario(doc, base_dir: Path) -> Checked:
     errors = _schema_errors(doc, "scenario")
     if errors:
         return errors
     try:
-        config = scn.parse_scenario(doc, base_dir)
+        # through the module attribute, where the traced benchmark wraps it
+        config = scn.parse_scenario(with_defaults(doc, load_schema("scenario")), base_dir)
     except (scn.ScenarioError, AgentError, MarketError, NetworkError, KeyError, ValueError,
             TypeError, OverflowError) as exc:
         return Checked([("(document)", f"cannot parse scenario: {exc}")])

@@ -17,6 +17,15 @@ def packaged(name: str) -> Path:
     return Path(str(resources.files("analyse").joinpath("data", name)))
 
 
+def parsed(doc: dict, base_dir: Path = Path(".")):
+    """The ScenarioConfig of a scenario document whose defaults are filled in
+    as validation fills them; nothing is validated."""
+    from analyse.scenario import parse_scenario
+    from analyse.validation import load_schema, with_defaults
+
+    return parse_scenario(with_defaults(doc, load_schema("scenario")), base_dir)
+
+
 # A deliberately small constant-load scenario (two assets, three intervals)
 # for fast environment and wiring tests. Loads at scale 4.2 keep bus 4 below
 # the band until reactive power is dispatched.

@@ -20,6 +20,7 @@ from analyse.agents import (
 
 SENSORS = [SensorSpec("grid.bus_4.vm_pu", 0.8, 1.2)]
 ACTUATORS = [ActuatorSpec("bidders.a.price", 0.0, 10.0, default=5.0)]
+DAMAGE = Objective("damage", (), 0.0, {})
 
 
 def test_zero_policy_returns_actuator_defaults():
@@ -108,11 +109,11 @@ def test_cem_elite_mean_improves_on_monotone_landscape():
 
 def test_objective_damage():
     agg = {"violation_sum_pu": 0.0, "diverged": 0}
-    assert objective_eval(agg, Objective("damage")) == 0.0
+    assert objective_eval(agg, DAMAGE) == 0.0
     agg = {"violation_sum_pu": 0.01, "diverged": 0}
-    assert objective_eval(agg, Objective("damage")) == pytest.approx(0.01)
+    assert objective_eval(agg, DAMAGE) == pytest.approx(0.01)
     agg = {"violation_sum_pu": 0.0, "diverged": 1}
-    assert objective_eval(agg, Objective("damage")) == pytest.approx(10.0)
+    assert objective_eval(agg, DAMAGE) == pytest.approx(10.0)
 
 
 def test_damage_nonnegative_and_zero_iff_clean():
@@ -122,7 +123,7 @@ def test_damage_nonnegative_and_zero_iff_clean():
             "violation_sum_pu": rng.choice([0.0, rng.uniform(0, 0.2)]),
             "diverged": rng.choice([0, 1]),
         }
-        damage = objective_eval(agg, Objective("damage"))
+        damage = objective_eval(agg, DAMAGE)
         assert damage >= 0.0
         clean = agg["violation_sum_pu"] == 0.0 and agg["diverged"] == 0
         assert (damage == 0.0) == clean
@@ -130,28 +131,28 @@ def test_damage_nonnegative_and_zero_iff_clean():
 
 def test_objective_profit():
     agg = {"payments_eur": {"att": 5.0, "other": 9.0}, "offered_mvar": {"att": 2.0}}
-    assert objective_eval(agg, Objective("profit", agents=("att",))) == pytest.approx(5.0)
-    with_cost = Objective("profit", agents=("att",), cost_per_mvar=0.5)
+    assert objective_eval(agg, Objective("profit", ("att",), 0.0, {})) == pytest.approx(5.0)
+    with_cost = Objective("profit", ("att",), 0.5, {})
     assert objective_eval(agg, with_cost) == pytest.approx(4.0)
 
 
 def test_objective_custom_weighted_and_unknown_name():
     agg = {"violation_sum_pu": 0.2, "frames_dropped": 3}
-    obj = Objective("custom", weights={"violation_sum_pu": 10.0, "frames_dropped": -1.0})
+    obj = Objective("custom", (), 0.0, {"violation_sum_pu": 10.0, "frames_dropped": -1.0})
     assert objective_eval(agg, obj) == pytest.approx(-1.0)
     with pytest.raises(AgentError, match="unknown objective aggregate"):
-        objective_eval(agg, Objective("custom", weights={"nope": 1.0}))
+        objective_eval(agg, Objective("custom", (), 0.0, {"nope": 1.0}))
     with pytest.raises(AgentError):
-        Objective("custom", weights={"x": math.inf})
+        Objective("custom", (), 0.0, {"x": math.inf})
 
 
 def test_objective_custom_agent_entry_reads_zero_when_absent():
     agg = {"payments_eur": {"a1": 4.0}, "payments_eur.a1": 4.0, "diverged": 0}
-    obj = Objective("custom", weights={"payments_eur.a1": 2.0, "payments_eur.a2": 5.0})
+    obj = Objective("custom", (), 0.0, {"payments_eur.a1": 2.0, "payments_eur.a2": 5.0})
     assert objective_eval(agg, obj) == 8.0
     for name in ("payments_eur", "diverged.a1"):
         with pytest.raises(AgentError, match="unknown objective aggregate"):
-            objective_eval(agg, Objective("custom", weights={name: 1.0}))
+            objective_eval(agg, Objective("custom", (), 0.0, {name: 1.0}))
 
 
 def test_schedule_and_phase_invariants():
@@ -165,11 +166,11 @@ def test_schedule_and_phase_invariants():
 
 def test_scripted_agents():
     acts = [ActuatorSpec("x", 0.0, 1.0, 0.25), ActuatorSpec("y", -1.0, 1.0, 0.0)]
-    none_agent = ScriptedAgent("none", acts)
+    none_agent = ScriptedAgent("none", acts, ())
     none_agent.reset(random.Random(0))
     assert none_agent.act([0.0]) == [0.25, 0.0]
 
-    rand_agent = ScriptedAgent("random", acts)
+    rand_agent = ScriptedAgent("random", acts, ())
     rand_agent.reset(random.Random(5))
     first = [rand_agent.act([0.0]) for _ in range(5)]
     rand_agent.reset(random.Random(5))
@@ -183,4 +184,4 @@ def test_scripted_agents():
     assert replay.act([0.0]) == [0.9, -0.5]
     assert replay.act([0.0]) == [0.1, 0.2]  # cycles
     with pytest.raises(AgentError):
-        ScriptedAgent("replay", acts)
+        ScriptedAgent("replay", acts, ())

@@ -1,6 +1,7 @@
 import collections
 import copy
 import json
+import math
 import random
 
 import pytest
@@ -8,11 +9,11 @@ import yaml
 
 from analyse.cli import main, render_summary
 from analyse.kernel import Kernel
-from analyse.scenario import NON_NUMERIC_ATTRS, assemble, load_data_series, parse_scenario
+from analyse.scenario import NON_NUMERIC_ATTRS, assemble, load_data_series
 from analyse.telemetry import RunSummary
 from analyse.validation import validate_document
 
-from conftest import MINI, packaged
+from conftest import MINI, packaged, parsed
 
 
 @pytest.fixture()
@@ -390,6 +391,39 @@ def test_environment_error_aborts_the_run_with_exit_3(tmp_path, mini_path, monke
     assert last["payload"]["error"] == "setpoint vector length mismatch"
 
 
+def test_large_finite_returns_end_the_run_and_its_report(tmp_path, capsys):
+    # Random prices up to 1e307 give episode returns near 5e307, whose sum
+    # overflows: the run must still end with run.end, and the report read it.
+    doc = yaml.safe_load(packaged("gaming.yaml").read_text(encoding="utf-8"))
+    doc["agents"][0]["kind"] = "random"
+    for actuator in doc["agents"][0]["actuators"]:
+        actuator["lo"], actuator["hi"] = 1.0, 1e307
+    doc["schedule"] = [{"name": "testing", "mode": "test", "episodes": 4, "episode_length": 6}]
+    path = tmp_path / "big.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "logs"
+    assert main(["run", str(path), "-o", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "gaming.jsonl").read_text().splitlines()]
+    returns = [r["payload"]["return"] for r in records if r["kind"] == "agent.episode"]
+    assert math.isinf(sum(returns)) and max(returns) < 1.8e308
+    assert records[-1]["kind"] == "run.end"
+    assert 1e307 < records[-1]["payload"]["phases"][0]["mean_return"] <= max(returns)
+    capsys.readouterr()
+    assert main(["report", str(out / "gaming.jsonl")]) == 0
+    assert "mean_return.attacker" in capsys.readouterr().out
+
+
+def test_a_run_end_the_log_cannot_hold_aborts_with_exit_3(tmp_path, mini_path, monkeypatch):
+    from analyse.environment import PhaseReport
+
+    monkeypatch.setattr(PhaseReport, "mean_return", property(lambda self: math.inf))
+    out = tmp_path / "logs"
+    assert main(["run", str(mini_path), "-o", str(out)]) == 3
+    records = [json.loads(line) for line in (out / "mini.jsonl").read_text().splitlines()]
+    assert [r["kind"] for r in records[-2:]] == ["agent.episode", "run.abort"]
+    assert records[-1]["payload"]["error"] == "non-finite float in payload: inf"
+
+
 def test_bad_data_series_is_validation_error(tmp_path, mini_doc):
     csv = tmp_path / "w.csv"
     csv.write_text("t_s,ghi_w_m2,t_air_c\n0,0,10\n900,1,11\n2000,2,12\n", encoding="utf-8")
@@ -505,7 +539,7 @@ def test_every_endpoint_an_agent_can_name_is_refused_or_runnable(tmp_path, monke
     base = yaml.safe_load(packaged(name).read_text(encoding="utf-8"))
     base["schedule"] = [{"name": "p", "mode": "test", "episodes": 1, "episode_length": 1}]
     base_dir = packaged(name).parent
-    config = parse_scenario(base, base_dir)
+    config = parsed(base, base_dir)
     descriptors = []
     register = Kernel.register_simulator
     with monkeypatch.context() as patch:

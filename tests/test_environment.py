@@ -1,25 +1,25 @@
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 
-from analyse.agents import ActuatorSpec, LearnerConfig, Objective, Phase
+from analyse.agents import ActuatorSpec, Phase
 from analyse.environment import AgentRunState, Environment, run_phase
-from analyse.scenario import load_data_series, parse_scenario
+from analyse.scenario import load_data_series
 from analyse.telemetry import RunSink
 
-from conftest import MINI
+from conftest import MINI, parsed
 
 
 def make_env(tmp_path, doc=None, actuators=(), objective=None, learner=None,
              name="env.jsonl"):
-    """An environment over MINI's config, with the agent's actuators,
-    objective and learner replaced."""
-    config = parse_scenario(doc or MINI, Path("."))
-    agent = dataclasses.replace(config.agent, actuators=tuple(actuators),
-                                objective=objective or config.agent.objective,
-                                learner=learner or config.agent.learner)
+    """An environment over MINI's config, with the agent's actuators replaced
+    and the fields named in `objective` and `learner` set."""
+    config = parsed(doc or MINI)
+    agent = dataclasses.replace(
+        config.agent, actuators=tuple(actuators),
+        objective=dataclasses.replace(config.agent.objective, **(objective or {})),
+        learner=dataclasses.replace(config.agent.learner, **(learner or {})))
     config = dataclasses.replace(config, agent=agent)
     sink = RunSink(tmp_path / name, "envtest")
     env = Environment(config, load_data_series(config), sink, episode_length=3)
@@ -94,7 +94,7 @@ def test_environment_determinism_across_instances(tmp_path):
 
 
 def test_run_phase_scripted_episode_accounting(tmp_path):
-    env, sink = make_env(tmp_path, learner=LearnerConfig(kind="random"))
+    env, sink = make_env(tmp_path, learner={"kind": "random"})
     report = run_phase(env, Phase("p", "test", 3, 2), run_seed=5, state=AgentRunState())
     episodes = logged(sink, "agent.episode")
     assert len(episodes) == 3
@@ -104,7 +104,7 @@ def test_run_phase_scripted_episode_accounting(tmp_path):
 
 def test_run_phase_replay_and_none(tmp_path):
     actuator = ActuatorSpec("bidders.s1.price", 1.0, 50.0, default=8.0)
-    replay = LearnerConfig(kind="replay", replay=((9.0,), (10.0,)))
+    replay = {"kind": "replay", "replay": ((9.0,), (10.0,))}
     env, sink = make_env(tmp_path, actuators=[actuator], learner=replay)
     report = run_phase(env, Phase("p", "test", 1, 3), 5, AgentRunState())
     assert len(report.returns) == 1
@@ -116,8 +116,8 @@ def test_train_then_test_uses_best_theta(tmp_path):
     env, sink = make_env(
         tmp_path,
         actuators=[actuator],
-        objective=Objective("profit", agents=("agent_b",)),
-        learner=LearnerConfig(kind="cem", population=4, generations=2),
+        objective={"kind": "profit", "agents": ("agent_b",)},
+        learner={"kind": "cem", "population": 4, "generations": 2},
     )
     state = AgentRunState()
     train = run_phase(env, Phase("tr", "train", 8, 2), 5, state)
@@ -147,7 +147,7 @@ def test_kernel_step_counts_logged_at_episode_end(tmp_path):
 
 def test_full_run_end_to_end_deterministic(tmp_path):
     def run(name):
-        env, sink = make_env(tmp_path, learner=LearnerConfig("random"), name=name)
+        env, sink = make_env(tmp_path, learner={"kind": "random"}, name=name)
         state = AgentRunState()
         report = run_phase(env, Phase("p", "test", 2, 3), 9, state)
         sink.close()

@@ -37,13 +37,13 @@ def test_profile_invariants():
 
 def test_pv_standard_conditions_identity():
     # ghi=1000 with t_air=-5 puts the cell exactly at 25 C.
-    unit = PvUnit(bus=3, p_peak_mw=0.5, q_min_mvar=-1.0, q_max_mvar=1.0)
+    unit = PvUnit(bus=3, p_peak_mw=0.5, temp_coeff=0.004, q_min_mvar=-1.0, q_max_mvar=1.0)
     w = WeatherSample(t=0, ghi_w_m2=1000.0, t_air_c=-5.0)
     assert pv_output(unit, w) == pytest.approx(0.5)
 
 
 def test_pv_zero_irradiance():
-    unit = PvUnit(bus=3, p_peak_mw=0.5, q_min_mvar=-1.0, q_max_mvar=1.0)
+    unit = PvUnit(bus=3, p_peak_mw=0.5, temp_coeff=0.004, q_min_mvar=-1.0, q_max_mvar=1.0)
     assert pv_output(unit, WeatherSample(0, 0.0, 30.0)) == 0.0
 
 
@@ -55,7 +55,7 @@ def test_pv_frozen_regression_value():
 
 
 def test_pv_bounds_and_monotonicity():
-    unit = PvUnit(bus=3, p_peak_mw=0.8, q_min_mvar=-1.0, q_max_mvar=1.0)
+    unit = PvUnit(bus=3, p_peak_mw=0.8, temp_coeff=0.004, q_min_mvar=-1.0, q_max_mvar=1.0)
     rng = random.Random(7)
     for _ in range(500):
         w = WeatherSample(0, rng.uniform(0, 1400), rng.uniform(-20, 45))

@@ -34,17 +34,19 @@ from oracles import gauss_seidel_solve, gs_slack_injection, onesided_sensitivity
 
 def test_model_invariants():
     with pytest.raises(GridModelError, match="slack"):
-        GridModel(10.0, (Bus(1), Bus(2)), (Line(1, 2, 0.01, 0.02),)).validate()
+        GridModel(10.0, (Bus(1), Bus(2)), (Line(1, 2, 0.01, 0.02, 0.0, 1.0),), ()).validate()
     with pytest.raises(GridModelError, match="x_pu"):
-        GridModel(10.0, (Bus(1, "slack"), Bus(2)), (Line(1, 2, 0.01, 0.0),)).validate()
+        GridModel(
+            10.0, (Bus(1, "slack"), Bus(2)), (Line(1, 2, 0.01, 0.0, 0.0, 1.0),), ()
+        ).validate()
     with pytest.raises(GridModelError, match="not connected"):
         GridModel(
-            10.0, (Bus(1, "slack"), Bus(2), Bus(3)), (Line(1, 2, 0.01, 0.02),)
+            10.0, (Bus(1, "slack"), Bus(2), Bus(3)), (Line(1, 2, 0.01, 0.02, 0.0, 1.0),), ()
         ).validate()
     with pytest.raises(GridModelError, match="outside"):
         GridModel(
-            10.0, (Bus(1, "slack"), Bus(2)), (Line(1, 2, 0.01, 0.02),),
-            sgens=(Sgen(2, 0.0, 2.0, -1.0, 1.0),),
+            10.0, (Bus(1, "slack"), Bus(2)), (Line(1, 2, 0.01, 0.02, 0.0, 1.0),), (),
+            (Sgen(2, 0.0, 2.0, -1.0, 1.0),),
         ).validate()
 
 
@@ -52,7 +54,8 @@ def test_flat_no_load_network():
     model = GridModel(
         10.0,
         (Bus(1, "slack", 1.0), Bus(2), Bus(3)),
-        (Line(1, 2, 0.01, 0.03), Line(2, 3, 0.01, 0.03)),
+        (Line(1, 2, 0.01, 0.03, 0.0, 1.0), Line(2, 3, 0.01, 0.03, 0.0, 1.0)),
+        (),
     )
     state = solve_power_flow(model)
     assert state.converged
@@ -366,7 +369,7 @@ def test_sibling_shares_the_compiled_topology_and_checks_its_injections():
         fresh.base_mva, fresh.buses, fresh.lines, fresh.loads, fresh.sgens[:2]))
     assert voltage_sensitivity(sibling, state, 4) == voltage_sensitivity(fresh, state, 4)
 
-    unknown_bus = base.with_injections(base.loads + (Load(9, 1.0),), base.sgens)
+    unknown_bus = base.with_injections(base.loads + (Load(9, 1.0, 0.0),), base.sgens)
     assert unknown_bus.compiled is base.compiled
     with pytest.raises(GridModelError, match="unknown bus 9"):
         solve_power_flow(unknown_bus)
@@ -431,8 +434,8 @@ def test_a_repeat_equals_a_fresh_solve_on_a_fresh_topology_bit_for_bit(name):
 
 def test_a_singular_repeat_equals_a_fresh_solve():
     # A line charging of 10 pu zeroes the second column of the flat Jacobian.
-    model = GridModel(10.0, (Bus(1, "slack", 1.0), Bus(2)), (Line(1, 2, 0.0, 0.1, 10.0),),
-                      loads=(Load(2, 1.0),))
+    model = GridModel(10.0, (Bus(1, "slack", 1.0), Bus(2)), (Line(1, 2, 0.0, 0.1, 10.0, 1.0),),
+                      loads=(Load(2, 1.0, 0.0),))
     first = solve_power_flow(model)
     assert first.singular and not first.converged
     assert solve_power_flow(model.with_injections(model.loads, ())) is first
@@ -444,11 +447,11 @@ def test_the_memo_keeps_the_newest_solves_up_to_its_bound():
     assert feeder4().compiled.memo_max == MEMO_FLOATS // 36 == 910
     assert two_bus().compiled.memo_max == MEMO_FLOATS // 4
     chain32 = GridModel(10.0, (Bus(1, "slack", 1.0),) + tuple(Bus(b) for b in range(2, 33)),
-                        tuple(Line(b, b + 1, 0.001, 0.002) for b in range(1, 32)),
-                        loads=(Load(32, 0.0),))
+                        tuple(Line(b, b + 1, 0.001, 0.002, 0.0, 1.0) for b in range(1, 32)),
+                        loads=(Load(32, 0.0, 0.0),))
     assert chain32.compiled.memo_max == MEMO_MIN
     for base, count in ((chain32, 30), (feeder4(), 1000)):
-        loaded = [base.with_injections((Load(base.buses[-1].bus_id, 0.001 * i),), ())
+        loaded = [base.with_injections((Load(base.buses[-1].bus_id, 0.001 * i, 0.0),), ())
                   for i in range(count)]
         states = [solve_power_flow(model) for model in loaded]
         memo = base._solves

@@ -20,7 +20,7 @@ from analyse.telemetry import canonical_json
 from grids import feeder4
 from oracles import brute_force_resolving_subsets, greedy_clearing_oracle
 
-BAND = VoltageBand()
+BAND = VoltageBand(0.95, 1.05)
 
 FIXTURE_OFFERS = [
     Offer("o1", "a1", 3, 1.0, 10.0, 5),
@@ -203,7 +203,8 @@ def test_settle_single_offer_arithmetic():
 
 def test_baseline_bid_static():
     asset = BidderAsset("a", 4, -1.5, 1.5)
-    offer = baseline_bid(asset, BidStrategy("static", 8.0), 3, random.Random(0), "a-3", 8.0, 1.0)
+    strategy = BidStrategy("static", 8.0, "supply")
+    offer = baseline_bid(asset, strategy, 3, random.Random(0), "a-3", 8.0, 1.0)
     assert offer.q_mvar == 1.5
     assert offer.price_eur_per_mvar == 8.0
     assert offer.interval == 3
@@ -211,13 +212,14 @@ def test_baseline_bid_static():
 
 def test_baseline_bid_zero_headroom():
     asset = BidderAsset("a", 4, 0.0, 0.0)
-    offer = baseline_bid(asset, BidStrategy("static", 8.0), 3, random.Random(0), "a-3", 8.0, 1.0)
+    strategy = BidStrategy("static", 8.0, "supply")
+    offer = baseline_bid(asset, strategy, 3, random.Random(0), "a-3", 8.0, 1.0)
     assert offer is None
 
 
 def test_baseline_bid_jitter_bounds_and_determinism():
     asset = BidderAsset("a", 4, -1.5, 1.5)
-    strategy = BidStrategy("jitter", 10.0)
+    strategy = BidStrategy("jitter", 10.0, "supply")
 
     def sequence(seed):
         rng = random.Random(seed)

@@ -14,9 +14,12 @@ from analyse.network import (
 )
 
 
+EVERY_FRAME = MatchSpec(None, None, None)
+
+
 def line_topology(loss=0.0, latency_ms=10.0, bandwidth_kbps=None):
     return NetworkTopology(
-        nodes=(NodeSpec("a"), NodeSpec("sw", "switch"), NodeSpec("b")),
+        nodes=(NodeSpec("a", "host"), NodeSpec("sw", "switch"), NodeSpec("b", "host")),
         links=(
             LinkSpec("a", "sw", latency_ms, bandwidth_kbps, loss),
             LinkSpec("sw", "b", latency_ms, bandwidth_kbps, loss),
@@ -26,7 +29,7 @@ def line_topology(loss=0.0, latency_ms=10.0, bandwidth_kbps=None):
 
 def single_link(loss=0.0, latency_ms=10.0, bandwidth_kbps=None):
     return NetworkTopology(
-        nodes=(NodeSpec("a"), NodeSpec("b")),
+        nodes=(NodeSpec("a", "host"), NodeSpec("b", "host")),
         links=(LinkSpec("a", "b", latency_ms, bandwidth_kbps, loss),),
     )
 
@@ -41,13 +44,13 @@ def send(net, src, dst, t, payload=b"x" * 100):
 
 def test_topology_validation():
     with pytest.raises(NetworkError, match="unknown endpoint"):
-        NetworkTopology((NodeSpec("a"),), (LinkSpec("a", "b"),)).validate()
+        NetworkTopology((NodeSpec("a", "host"),), (LinkSpec("a", "b", 1.0, None, 0.0),)).validate()
     with pytest.raises(NetworkError, match="loss_prob"):
         NetworkTopology(
-            (NodeSpec("a"), NodeSpec("b")), (LinkSpec("a", "b", loss_prob=1.5),)
+            (NodeSpec("a", "host"), NodeSpec("b", "host")), (LinkSpec("a", "b", 1.0, None, 1.5),)
         ).validate()
     with pytest.raises(NetworkError, match="not connected"):
-        NetworkTopology((NodeSpec("a"), NodeSpec("b")), ()).validate()
+        NetworkTopology((NodeSpec("a", "host"), NodeSpec("b", "host")), ()).validate()
 
 
 def test_pure_latency_delivery_time_exact():
@@ -200,8 +203,8 @@ def test_counters_accounting_single_frame():
 
 def test_counter_conservation_with_losses_and_rules():
     net = make(line_topology(loss=0.3), seed=5)
-    net.install_rule(AttackRule("r1", "sw", MatchSpec(src="a"), "drop",
-                                active_from=20.0, active_until=40.0))
+    net.install_rule(AttackRule("r1", "sw", MatchSpec("a", None, None), "drop", b"", 0.0,
+                                20.0, 40.0))
     sizes = []
     for i in range(200):
         size = 60 + (i % 5) * 17
@@ -216,8 +219,8 @@ def test_counter_conservation_with_losses_and_rules():
 
 def test_drop_rule_matches_and_window():
     net = make(line_topology())
-    net.install_rule(AttackRule("dos", "sw", MatchSpec(src="a"), "drop",
-                                active_from=0.0, active_until=100.0))
+    net.install_rule(AttackRule("dos", "sw", MatchSpec("a", None, None), "drop", b"", 0.0,
+                                0.0, 100.0))
     send(net, "a", "b", 1.0)
     net.advance(10.0)
     assert net.delivered("b") == []
@@ -230,8 +233,7 @@ def test_drop_rule_matches_and_window():
 def test_rule_window_entirely_past_has_no_effect():
     net = make(line_topology())
     net.advance(50.0)
-    net.install_rule(AttackRule("old", "sw", MatchSpec(), "drop",
-                                active_from=0.0, active_until=10.0))
+    net.install_rule(AttackRule("old", "sw", EVERY_FRAME, "drop", b"", 0.0, 0.0, 10.0))
     send(net, "a", "b", 51.0)
     net.advance(60.0)
     assert len(net.delivered("b")) == 1
@@ -240,8 +242,8 @@ def test_rule_window_entirely_past_has_no_effect():
 def test_tamper_rule_rewrites_payload_verbatim():
     net = make(line_topology())
     replacement = b'{"price_eur_per_mvar": 999}'
-    net.install_rule(AttackRule("t", "sw", MatchSpec(payload_contains=b"price"),
-                                "tamper", replacement=replacement))
+    net.install_rule(AttackRule("t", "sw", MatchSpec(None, None, b"price"), "tamper",
+                                replacement, 0.0, 0.0, math.inf))
     send(net, "a", "b", 0.0, b'{"price_eur_per_mvar": 5}')
     net.advance(10.0)
     (_, delivered) = net.delivered("b")[0]
@@ -255,7 +257,7 @@ def test_delay_rule_adds_exactly_extra_ms():
     base_time = plain.delivered("b")[0][0]
 
     slowed = make(line_topology(latency_ms=10.0))
-    slowed.install_rule(AttackRule("d", "sw", MatchSpec(), "delay", extra_ms=500.0))
+    slowed.install_rule(AttackRule("d", "sw", EVERY_FRAME, "delay", b"", 500.0, 0.0, math.inf))
     send(slowed, "a", "b", 0.0)
     slowed.advance(10.0)
     assert slowed.delivered("b")[0][0] == pytest.approx(base_time + 0.5, abs=1e-12)
@@ -263,9 +265,9 @@ def test_delay_rule_adds_exactly_extra_ms():
 
 def test_duplicate_rule_id_rejected_and_remove_idempotent():
     net = make(line_topology())
-    net.install_rule(AttackRule("r", "sw", MatchSpec(), "drop"))
+    net.install_rule(AttackRule("r", "sw", EVERY_FRAME, "drop", b"", 0.0, 0.0, math.inf))
     with pytest.raises(NetworkError, match="duplicate"):
-        net.install_rule(AttackRule("r", "sw", MatchSpec(), "drop"))
+        net.install_rule(AttackRule("r", "sw", EVERY_FRAME, "drop", b"", 0.0, 0.0, math.inf))
     net.remove_rule("r")
     net.remove_rule("r")  # second removal is a no-op
     assert not net.has_rule("r")
@@ -290,8 +292,10 @@ def test_network_numbers_frames_from_zero_per_source():
 def test_shortest_path_ties_lexicographic():
     # two equal-cost two-hop paths b->x->c and b->y->c; x wins on name
     topology = NetworkTopology(
-        nodes=(NodeSpec("b"), NodeSpec("x", "switch"), NodeSpec("y", "switch"), NodeSpec("c")),
-        links=(LinkSpec("b", "x"), LinkSpec("b", "y"), LinkSpec("x", "c"), LinkSpec("y", "c")),
+        nodes=(NodeSpec("b", "host"), NodeSpec("x", "switch"), NodeSpec("y", "switch"),
+               NodeSpec("c", "host")),
+        links=tuple(LinkSpec(a, b, 1.0, None, 0.0)
+                    for a, b in (("b", "x"), ("b", "y"), ("x", "c"), ("y", "c"))),
     )
     net = make(topology)
     assert net.shortest_path("b", "c") == ["b", "x", "c"]
@@ -300,8 +304,10 @@ def test_shortest_path_ties_lexicographic():
 
 def test_routes_are_searched_once_and_never_shared():
     topology = NetworkTopology(
-        nodes=(NodeSpec("b"), NodeSpec("x", "switch"), NodeSpec("y", "switch"), NodeSpec("c")),
-        links=(LinkSpec("b", "x"), LinkSpec("b", "y"), LinkSpec("x", "c"), LinkSpec("y", "c")),
+        nodes=(NodeSpec("b", "host"), NodeSpec("x", "switch"), NodeSpec("y", "switch"),
+               NodeSpec("c", "host")),
+        links=tuple(LinkSpec(a, b, 1.0, None, 0.0)
+                    for a, b in (("b", "x"), ("b", "y"), ("x", "c"), ("y", "c"))),
     )
     events = []
     net = make(topology, emit=lambda kind, t, p: events.append((kind, p)))
@@ -344,10 +350,10 @@ def test_utilization_matches_resummed_window_after_every_advance():
     # r have no enforced capacity; every other interface does.
     window = 2.0
     topology = NetworkTopology(
-        nodes=(NodeSpec("h1"), NodeSpec("h2"), NodeSpec("h3"),
+        nodes=(NodeSpec("h1", "host"), NodeSpec("h2", "host"), NodeSpec("h3", "host"),
                NodeSpec("r", "router"), NodeSpec("sw", "switch")),
-        links=(LinkSpec("h1", "sw", 5.0, 800.0), LinkSpec("h2", "sw", 3.0, 400.0),
-               LinkSpec("r", "sw", 1.0, 2000.0), LinkSpec("h3", "r", 1.0, None)),
+        links=(LinkSpec("h1", "sw", 5.0, 800.0, 0.0), LinkSpec("h2", "sw", 3.0, 400.0, 0.0),
+               LinkSpec("r", "sw", 1.0, 2000.0, 0.0), LinkSpec("h3", "r", 1.0, None, 0.0)),
     )
     capacity_bps = {"h1": 800e3, "h2": 400e3, "sw": 3200e3, "h3": None, "r": None}
     links = {(l.a, l.b): l for l in topology.links}

@@ -1,13 +1,15 @@
 import collections
+import copy
 import json
 import random
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
 
-from analyse import grid, market, scenario
+from analyse import design, grid, market, scenario
 from analyse.cli import main
 from analyse.environment import Environment
 from analyse.grid import CompiledGrid, solve_power_flow
@@ -18,17 +20,19 @@ from analyse.scenario import (
     assemble,
     load_data_series,
     load_document,
-    parse_scenario,
 )
 from analyse.telemetry import canonical_json, summarize
 from analyse.validation import (
+    load_schema,
+    schema_violations,
     validate_document,
     validate_experiment,
     validate_run,
     validate_scenario,
+    with_defaults,
 )
 
-from conftest import packaged
+from conftest import MINI, packaged, parsed
 from oracles import recount_log
 
 
@@ -44,7 +48,7 @@ class Recorder:
 
 
 def build(doc, seed=1):
-    config = parse_scenario(doc, Path("."))
+    config = parsed(doc)
     recorder = Recorder()
     kernel = assemble(config, seed, recorder, load_data_series(config))
     return config, kernel, recorder
@@ -204,6 +208,111 @@ def test_experiment_base_scenario_violations(tmp_path, base, text, message):
     assert validate_experiment(doc, tmp_path) == [("base_scenario", message.format(path=path))]
 
 
+# -- schema defaults ----------------------------------------------------------
+
+# Every optional property of the scenario schema that states no `default`, and why.
+NO_DEFAULT = {
+    "grid/step_s": "computed: the market's interval_s when left out",
+    "data/weather": "left out means no weather series; it is typed object, so a null "
+                    "default would fail its own schema",
+    "agents/*/actuators/*/default": "computed: the actuator's lo when left out",
+}
+
+
+def schema_properties(schema, path=()):
+    """(path, schema, required) of every property a schema declares, at any
+    depth; `*` stands for a list item or a key of a map."""
+    for name, sub in schema.get("properties", {}).items():
+        yield (*path, name), sub, name in schema.get("required", ())
+        yield from schema_properties(sub, (*path, name))
+    for keyword in ("items", "additionalProperties"):
+        if isinstance(schema.get(keyword), dict):
+            yield from schema_properties(schema[keyword], (*path, "*"))
+
+
+def default_slots(node, schema, path=()):
+    """(path, default) of every property present in `node` whose schema has a default."""
+    if isinstance(node, dict):
+        for name, sub in schema.get("properties", {}).items():
+            if name in node:
+                if "default" in sub:
+                    yield (*path, name), sub["default"]
+                yield from default_slots(node[name], sub, (*path, name))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from default_slots(item, schema.get("items", {}), (*path, i))
+
+
+def test_every_schema_default_passes_its_own_property_schema():
+    checked = 0
+    for name in ("scenario", "experiment", "run"):
+        for path, sub, _ in schema_properties(load_schema(name)):
+            if "default" in sub:
+                assert schema_violations(sub["default"], sub) == [], (name, path)
+                assert list(jsonschema.Draft202012Validator(sub).iter_errors(sub["default"])) \
+                    == [], (name, path)
+                checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("name", ["feeder4.yaml", "gaming.yaml", "MINI"])
+def test_leaving_out_a_property_means_its_schema_default(name):
+    schema = load_schema("scenario")
+    missing = {"/".join(path) for path, sub, required in schema_properties(schema)
+               if not required and "default" not in sub}
+    assert missing == NO_DEFAULT.keys()
+    doc, base_dir = ((copy.deepcopy(MINI), Path(".")) if name == "MINI"
+                     else (load_document(packaged(name)), packaged(name).parent))
+    slots = list(default_slots(doc, schema))
+    assert len(slots) > 40
+    for path, default in slots:
+        left_out, written = copy.deepcopy(doc), copy.deepcopy(doc)
+        *parents, last = path
+        parent_l, parent_w = left_out, written
+        for key in parents:
+            parent_l, parent_w = parent_l[key], parent_w[key]
+        del parent_l[last]
+        parent_w[last] = copy.deepcopy(default)
+        checked, expected = (validate_scenario(d, base_dir) for d in (left_out, written))
+        assert checked == expected, path
+        if checked:
+            # the default differs from the value the document wrote, and breaks
+            # a rule of validation in both documents alike: the slack bus's
+            # kind, or an emptied list or mapping that other fields refer to
+            assert parsed(left_out, base_dir) == parsed(written, base_dir), path
+        else:
+            assert checked.value == expected.value, path
+
+
+def test_validation_leaves_the_document_and_the_schema_as_they_were():
+    feeder4, gaming, experiment = (load_document(packaged(name)) for name in
+                                   ("feeder4.yaml", "gaming.yaml", "dos_experiment.yaml"))
+    run = design.run_document(design.expand_runs(design.parse_experiment(experiment, feeder4))[0])
+    schema = copy.deepcopy(load_schema("scenario"))
+    for doc in (feeder4, gaming, copy.deepcopy(MINI), experiment, run):
+        before = copy.deepcopy(doc)
+        assert validate_document(doc, packaged("feeder4.yaml").parent) == []
+        assert doc == before
+    filled = with_defaults({"market": {}}, load_schema("scenario"))
+    assert filled["market"]["band"] == {"v_min_pu": 0.95, "v_max_pu": 1.05}
+    filled["market"]["band"]["v_min_pu"] = 0.0
+    filled["market"]["bidders"].append("changed")
+    assert load_schema("scenario") == schema
+
+
+def test_validation_parses_through_the_module_attribute(monkeypatch):
+    # cosimbench/spans.py times the parse by replacing scenario.parse_scenario,
+    # and tests/test_traced_benchmark.py looks for its span in a traced run
+    seen = []
+    parse = scenario.parse_scenario
+    monkeypatch.setattr(scenario, "parse_scenario",
+                        lambda doc, base_dir: seen.append(doc) or parse(doc, base_dir))
+    assert validate_document(load_document(packaged("gaming.yaml")), packaged(".").parent) == []
+    [doc] = seen
+    assert doc["network"]["rules"] == [] and doc["data"] == {"load_profiles": {}}
+    assert doc["market"]["bidders"][0]["side"] == "supply"
+
+
 # -- assembly & data flow ----------------------------------------------------
 
 
@@ -238,7 +347,7 @@ def test_dispatch_reaches_grid_one_interval_after_clearing(mini_doc):
 
 
 def test_grid_steps_start_from_the_last_converged_step(mini_doc):
-    config = parse_scenario(mini_doc, Path("."))
+    config = parsed(mini_doc)
     grid = scenario.GridSimulator(config, Recorder())
 
     def step(t, scale, q):
@@ -503,7 +612,7 @@ def test_non_finite_offers_rejected_and_clearing_logged(mini_doc):
 
 
 def test_pv_skips_dispatch_without_a_finite_q(mini_doc):
-    pv = PvSimulator(parse_scenario(mini_doc, Path(".")))
+    pv = PvSimulator(parsed(mini_doc))
 
     def q_after(q):
         inputs = {name: {"ghi_w_m2": 0.0, "t_air_c": 15.0, "inbox": ()} for name in pv.units}

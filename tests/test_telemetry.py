@@ -315,6 +315,26 @@ def test_summarize_counts(tmp_path):
     assert s.episode_stats("att")["mean"] == 3.5
 
 
+def test_mean_is_the_logged_formula_and_never_overflows_on_finite_values():
+    from analyse.telemetry import mean
+
+    rng = random.Random(16)
+    for _ in range(2000):
+        values = [rng.uniform(-1e3, 1e3) * 10 ** rng.randint(-3, 300)
+                  for _ in range(rng.randint(1, 12))]
+        assert mean(values).hex() == (sum(values) / len(values)).hex()
+    big = 1.7976931348623157e308
+    assert mean([big, big, big]) == big
+    assert mean([1e308, 1e308, -1e308, 1e308]) == 5e307
+    assert mean([-big, -big]) == -big
+    assert mean([3e307] * 24) == 3e307
+    summaries = [RunSummary(run_id=f"r{i}", factors={"f": i % 2},
+                            returns={"att": [3e307] * 24}) for i in range(4)]
+    assert all(s.episode_stats("att")["mean"] == 3e307 for s in summaries)
+    table = compare(summaries, "f")
+    assert [row["mean_return.att"] for row in table.rows] == [3e307, 3e307]
+
+
 def test_feed_in_memory_matches_summarize(tmp_path):
     sink = fixture_sink(tmp_path / "fix.jsonl", band=(0.98, 1.04))
     fed = RunSummary(run_id=sink.run_id)
