@@ -116,11 +116,9 @@ def cem_update(population: Sequence[tuple[Sequence[float], float]]) -> CemDistri
     population is a list of (theta, episode return). Keeps the top
     ceil(ELITE_FRACTION * n) candidates by return (ties keep the lowest
     index), then returns their per-parameter mean and standard deviation,
-    floored at SIGMA_FLOOR.
+    floored at SIGMA_FLOOR. The schema holds a document's population to >= 4.
     """
     n = len(population)
-    if n < 4:
-        raise AgentError(f"population size must be >= 4, got {n}")
     dim = len(population[0][0])
     order = sorted(range(n), key=lambda i: (-population[i][1], i))
     k = math.ceil(ELITE_FRACTION * n)
@@ -135,17 +133,12 @@ def cem_update(population: Sequence[tuple[Sequence[float], float]]) -> CemDistri
 
 @dataclass(frozen=True)
 class Objective:
+    """A known kind and finite weights; the schema and validation hold a document to it."""
+
     kind: str  # damage | profit | custom
     agents: tuple[str, ...]  # market agent ids owned by this attacker
     cost_per_mvar: float
     weights: dict
-
-    def __post_init__(self):
-        if self.kind not in ("damage", "profit", "custom"):
-            raise AgentError(f"unknown objective kind {self.kind!r}")
-        for name, w in self.weights.items():
-            if not math.isfinite(w):
-                raise AgentError(f"objective weight {name!r} is not finite")
 
 
 DIVERGENCE_PENALTY = 10.0
@@ -193,42 +186,23 @@ class LearnerConfig:
 
 
 @dataclass(frozen=True)
-class Schedule:
-    phases: tuple["Phase", ...]
-
-    def __post_init__(self):
-        if not self.phases:
-            raise AgentError("schedule needs at least one phase")
-
-
-@dataclass(frozen=True)
 class Phase:
+    """A known mode, episodes >= 1 and episode_length >= 1; the schema holds a document to it."""
+
     name: str
     mode: str  # train | test
     episodes: int
     episode_length: int
 
-    def __post_init__(self):
-        if self.mode not in ("train", "test"):
-            raise AgentError(f"phase {self.name}: unknown mode {self.mode!r}")
-        if self.episodes < 1:
-            raise AgentError(f"phase {self.name}: episodes must be >= 1")
-        if self.episode_length < 1:
-            raise AgentError(f"phase {self.name}: episode_length must be >= 1")
-
 
 class ScriptedAgent:
-    """Non-learning baselines: "none", "random", and "replay"."""
+    """Non-learning baselines "none", "random" and "replay"; validation requires replay rows."""
 
     def __init__(self, kind: str, actuators: Sequence[ActuatorSpec],
                  replay: Sequence[Sequence[float]]):
-        if kind not in ("none", "random", "replay"):
-            raise AgentError(f"unknown scripted agent kind {kind!r}")
         self.kind = kind
         self.actuators = list(actuators)
         self.replay = [list(row) for row in replay]
-        if kind == "replay" and not self.replay:
-            raise AgentError("replay agent needs setpoints")
         self._step = 0
         self._rng: random.Random | None = None
 

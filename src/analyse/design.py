@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 MASK64 = (1 << 64) - 1
@@ -63,10 +63,10 @@ class Factor:
 class Experiment:
     name: str
     base_scenario: dict
-    factors: tuple[Factor, ...] = ()
-    strategy: str = "full_factorial"  # or "random"
-    samples: int = 0  # for strategy "random"
-    base_seed: int = 0
+    factors: tuple[Factor, ...]
+    strategy: str  # "full_factorial" or "random"
+    samples: int  # for strategy "random"
+    base_seed: int
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class RunDefinition:
     run_id: str
     seed: int
     document: dict  # resolved scenario
-    factors: dict[str, Any] = field(default_factory=dict)
-    experiment: str = ""
+    factors: dict[str, Any]
+    experiment: str
 
 
 def resolve_path(document: Any, path: str) -> tuple[Any, str | int]:

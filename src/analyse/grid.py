@@ -123,9 +123,9 @@ class GridModel:
         sibling.__dict__["_solves"] = self._solves
         return sibling
 
-    def with_injection(self, bus: int, q_mvar: float, p_mw: float = 0.0) -> GridModel:
-        """Model with one extra sgen injection (used when testing offers)."""
-        extra = Sgen(bus, p_mw, q_mvar, min(0.0, q_mvar), max(0.0, q_mvar))
+    def with_injection(self, bus: int, q_mvar: float) -> GridModel:
+        """Model with one extra reactive sgen injection (used when testing offers)."""
+        extra = Sgen(bus, 0.0, q_mvar, min(0.0, q_mvar), max(0.0, q_mvar))
         return self.with_injections(self.loads, self.sgens + (extra,))
 
 

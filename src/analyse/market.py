@@ -30,14 +30,6 @@ class Offer:
     price_eur_per_mvar: float
     interval: int
 
-    def validate(self) -> None:
-        if not (math.isfinite(self.q_mvar) and math.isfinite(self.price_eur_per_mvar)):
-            raise MarketError(f"offer {self.offer_id}: non-finite q_mvar or price")
-        if self.q_mvar == 0:
-            raise MarketError(f"offer {self.offer_id}: q_mvar must be nonzero")
-        if self.price_eur_per_mvar < 0:
-            raise MarketError(f"offer {self.offer_id}: negative price")
-
     def wire_payload(self) -> dict:
         return {
             "offer_id": self.offer_id,
@@ -70,7 +62,12 @@ def offer_from_payload(payload: dict) -> Offer:
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise MarketError(f"malformed offer payload: {exc}") from exc
-    offer.validate()
+    if not (math.isfinite(offer.q_mvar) and math.isfinite(offer.price_eur_per_mvar)):
+        raise MarketError(f"offer {offer.offer_id}: non-finite q_mvar or price")
+    if offer.q_mvar == 0:
+        raise MarketError(f"offer {offer.offer_id}: q_mvar must be nonzero")
+    if offer.price_eur_per_mvar < 0:
+        raise MarketError(f"offer {offer.offer_id}: negative price")
     return offer
 
 
@@ -140,12 +137,10 @@ def clear_market(
     the lower offer_id), and re-solve from the state before. The base flow
     starts from start, if given. If a flow diverges even from a flat start
     the clearing is aborted. A singular Jacobian ends the clearing
-    unresolved, the same way as when no effective offer is left.
+    unresolved, the same way as when no effective offer is left. Offers are
+    trusted as offer_from_payload checks them.
     """
     result = ClearingResult()
-    for offer in offers:
-        offer.validate()
-
     state = solve_power_flow(model, start)
     if not state.converged:
         result.aborted = True
@@ -215,15 +210,11 @@ class BidderAsset:
 
 @dataclass(frozen=True)
 class BidStrategy:
+    """A known kind and side; the schema holds a document to it."""
+
     kind: str  # "static" or "jitter"
     price_eur_per_mvar: float
     side: str  # "supply" offers q_max, "absorb" offers q_min
-
-    def __post_init__(self):
-        if self.kind not in ("static", "jitter"):
-            raise MarketError(f"unknown bid strategy {self.kind!r}")
-        if self.side not in ("supply", "absorb"):
-            raise MarketError(f"unknown bid side {self.side!r}")
 
 
 JITTER_SPREAD = 0.2  # relative price jitter, uniform in +/- this

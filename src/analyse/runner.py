@@ -98,7 +98,7 @@ def execute_run(
     state = AgentRunState()
     reports: list[PhaseReport] = []
     try:
-        for phase in config.schedule.phases:
+        for phase in config.schedule:
             reports.append(run_phase(env, phase, seed, state))
         sink.emit("runner", "run.end", env.telemetry_time, {
             "status": "ok",

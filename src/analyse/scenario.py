@@ -43,7 +43,7 @@ from typing import Any, Callable
 import yaml
 
 from . import feeders
-from .agents import ActuatorSpec, LearnerConfig, Objective, Phase, Schedule, SensorSpec
+from .agents import ActuatorSpec, LearnerConfig, Objective, Phase, SensorSpec
 from .design import STREAM_JITTER, STREAM_NET, derive_seed
 from .errors import ScenarioError
 from .feeders import LoadProfile, PvUnit, WeatherSeries, pv_output
@@ -213,7 +213,7 @@ class ScenarioConfig:
     market: MarketConfig
     network: NetworkConfig
     agent: AgentConfig
-    schedule: Schedule
+    schedule: tuple[Phase, ...]
 
 
 def _rule_from_doc(doc: dict) -> AttackRule:
@@ -371,15 +371,6 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
         ),
     )
 
-    schedule = Schedule(
-        phases=tuple(
-            Phase(
-                str(p["name"]), str(p["mode"]), int(p["episodes"]), int(p["episode_length"])
-            )
-            for p in doc["schedule"]
-        )
-    )
-
     return ScenarioConfig(
         name=str(doc["name"]),
         seed=int(doc["seed"]),
@@ -393,7 +384,10 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
         market=market,
         network=network,
         agent=agent,
-        schedule=schedule,
+        schedule=tuple(
+            Phase(str(p["name"]), str(p["mode"]), int(p["episodes"]), int(p["episode_length"]))
+            for p in doc["schedule"]
+        ),
     )
 
 

@@ -8,9 +8,7 @@ from analyse.agents import (
     AgentError,
     CemDistribution,
     Objective,
-    Phase,
     Policy,
-    Schedule,
     ScriptedAgent,
     SensorSpec,
     cem_update,
@@ -51,11 +49,6 @@ def test_muscle_clamps_out_of_range_readings():
 def test_muscle_shape_validation():
     with pytest.raises(AgentError):
         muscle_act(Policy.zeros(2, 1), [1.0], SENSORS, ACTUATORS)
-
-
-def test_cem_update_requires_population_of_four():
-    with pytest.raises(AgentError):
-        cem_update([((0.0,), 1.0)] * 3)
 
 
 def test_cem_equal_returns_tie_break_lowest_index():
@@ -142,8 +135,6 @@ def test_objective_custom_weighted_and_unknown_name():
     assert objective_eval(agg, obj) == pytest.approx(-1.0)
     with pytest.raises(AgentError, match="unknown objective aggregate"):
         objective_eval(agg, Objective("custom", (), 0.0, {"nope": 1.0}))
-    with pytest.raises(AgentError):
-        Objective("custom", (), 0.0, {"x": math.inf})
 
 
 def test_objective_custom_agent_entry_reads_zero_when_absent():
@@ -153,15 +144,6 @@ def test_objective_custom_agent_entry_reads_zero_when_absent():
     for name in ("payments_eur", "diverged.a1"):
         with pytest.raises(AgentError, match="unknown objective aggregate"):
             objective_eval(agg, Objective("custom", (), 0.0, {name: 1.0}))
-
-
-def test_schedule_and_phase_invariants():
-    with pytest.raises(AgentError):
-        Schedule(())
-    with pytest.raises(AgentError):
-        Phase("p", "train", 0, 10)
-    with pytest.raises(AgentError):
-        Phase("p", "evaluate", 1, 10)
 
 
 def test_scripted_agents():
@@ -183,5 +165,3 @@ def test_scripted_agents():
     assert replay.act([0.0]) == [0.1, 0.2]
     assert replay.act([0.0]) == [0.9, -0.5]
     assert replay.act([0.0]) == [0.1, 0.2]  # cycles
-    with pytest.raises(AgentError):
-        ScriptedAgent("replay", acts, ())

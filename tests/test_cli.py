@@ -57,6 +57,33 @@ def test_validate_reports_paths(tmp_path, capsys, mini_doc):
     assert "agents/0/sensors/0/id" in out
 
 
+@pytest.mark.parametrize("place, where, message", [
+    pytest.param(lambda d, s: d["network"].update(
+        rules=[{"rule_id": "r", "at_node": "sw", "match": {"payload_contains": s}}]),
+        "network/rules/0/match/payload_contains", "'att\\ud800' does not encode as UTF-8",
+        id="payload_contains"),
+    pytest.param(lambda d, s: d["agents"][0].update(agent_id=s),
+                 "agents/0/agent_id", "'att\\ud800' does not encode as UTF-8", id="agent_id"),
+    pytest.param(lambda d, s: d["agents"][0].update(objective={"kind": "custom",
+                                                               "weights": {s: 1.0}}),
+                 "agents/0/objective/weights/'att\\ud800'",
+                 "key 'att\\ud800' does not encode as UTF-8", id="weight key"),
+    pytest.param(lambda d, s: d["agents"][0].update(objective={"kind": "custom",
+                                                               "weights": {s: "x"}}),
+                 "agents/0/objective/weights/'att\\ud800'", "'x' is not of type 'number'",
+                 id="schema error under the key"),
+])
+def test_strings_that_are_not_utf8_are_refused_at_a_printable_path(
+        tmp_path, capsys, mini_doc, place, where, message):
+    # libyaml refuses "\ud800"; the pure-Python loader reads it as a lone surrogate
+    place(mini_doc, "SURROGATE")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(mini_doc).replace("SURROGATE", '"att\\ud800"'),
+                   encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    assert f"{bad}: {where}: {message}\n" in capsys.readouterr().out
+
+
 def test_validate_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.yaml"
     empty.write_text("", encoding="utf-8")

@@ -42,17 +42,6 @@ def send(net, src, dst, t, payload=b"x" * 100):
     return net.send(src, dst, payload, t)
 
 
-def test_topology_validation():
-    with pytest.raises(NetworkError, match="unknown endpoint"):
-        NetworkTopology((NodeSpec("a", "host"),), (LinkSpec("a", "b", 1.0, None, 0.0),)).validate()
-    with pytest.raises(NetworkError, match="loss_prob"):
-        NetworkTopology(
-            (NodeSpec("a", "host"), NodeSpec("b", "host")), (LinkSpec("a", "b", 1.0, None, 1.5),)
-        ).validate()
-    with pytest.raises(NetworkError, match="not connected"):
-        NetworkTopology((NodeSpec("a", "host"), NodeSpec("b", "host")), ()).validate()
-
-
 def test_pure_latency_delivery_time_exact():
     net = make(single_link(latency_ms=10.0))
     send(net, "a", "b", 5.0)

@@ -123,7 +123,7 @@ def test_duplicate_rule_ids_caught(mini_doc):
         {"rule_id": "r", "at_node": "sw"},
     ]
     errors = validate_scenario(mini_doc, Path("."))
-    assert any("duplicate rule ids" in msg for _, msg in errors)
+    assert errors == [("network/rules/1/rule_id", "duplicate rule_id 'r'")]
 
 
 def test_objective_weights_must_name_an_aggregate(mini_doc):
@@ -140,11 +140,11 @@ def test_objective_weights_must_name_an_aggregate(mini_doc):
 
 CROSS_CHECKS = {
     "duplicate load": (lambda d: d["grid"]["loads"][1].update(name="l2"),
-                       ("grid/loads", "duplicate load names")),
+                       ("grid/loads/1/name", "duplicate name 'l2'")),
     "duplicate sgen": (lambda d: d["grid"]["sgens"].append({"name": "s1", "bus": 2}),
-                       ("grid/sgens", "duplicate sgen names")),
+                       ("grid/sgens/2/name", "duplicate name 's1'")),
     "duplicate pv": (lambda d: d["pv"]["units"][1].update(name="s1"),
-                     ("pv/units", "duplicate pv unit names")),
+                     ("pv/units/1/name", "duplicate name 's1'")),
     "unknown profile": (lambda d: d["grid"]["loads"][0].update(profile="peak"),
                         ("grid/loads/0/profile", "unknown load profile 'peak'")),
     "missing profile file": (
@@ -158,7 +158,7 @@ CROSS_CHECKS = {
         lambda d: (d["network"]["nodes"].append({"id": "adversary", "kind": "host"}),
                    d["network"]["links"].append({"a": "adversary", "b": "sw", "latency_ms": 2.0,
                                                  "bandwidth_kbps": 10000})),
-        ("network/nodes", "node id 'adversary' is reserved")),
+        ("network/nodes/4/id", "node id 'adversary' is reserved")),
     "unknown pv sgen": (lambda d: d["pv"]["units"][0].update(sgen="zz"),
                         ("pv/units/0/sgen", "unknown sgen 'zz'")),
     "unknown pv host": (lambda d: d["pv"]["units"][0].update(host="zz"),
@@ -174,7 +174,7 @@ CROSS_CHECKS = {
         lambda d: d["market"]["bidders"][0].update(host="op"),
         ("market/bidders/0/host", "host 'op' already sends frames; one sender per host")),
     "duplicate bidder asset": (lambda d: d["market"]["bidders"][1].update(asset="s1"),
-                               ("market/bidders", "duplicate bidder assets")),
+                               ("market/bidders/1/asset", "duplicate asset 's1'")),
     "rule at unknown node": (
         lambda d: d["network"].update(rules=[{"rule_id": "r", "at_node": "zz"}]),
         ("network/rules/0/at_node", "unknown network node 'zz'")),
@@ -194,6 +194,74 @@ def test_cross_check_violations(tmp_path, mini_doc, case):
     mutate, (path, message) = CROSS_CHECKS[case]
     mutate(mini_doc)
     assert validate_scenario(mini_doc, tmp_path) == [(path, message.format(base=tmp_path))]
+
+
+def _set(*keys_and_value):
+    """A mutation that sets doc[k1]...[kn] to the value."""
+    *keys, last, value = keys_and_value
+
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+# The rules that only validation checks, since constructors trust the values
+# a valid document gives them: each mutates feeder4 once and is refused at
+# the one field at fault.
+REFUSED_ONCE = {
+    "objective kind": (_set("agents", 0, "objective", "kind", "harm"),
+                       "agents/0/objective/kind"),
+    "infinite weight": (_set("agents", 0, "objective", {
+        "kind": "custom", "weights": {"violation_sum_pu": float("inf")}}),
+        "agents/0/objective/weights/violation_sum_pu"),
+    "empty schedule": (_set("schedule", []), "schedule"),
+    "phase mode": (_set("schedule", 0, "mode", "evaluate"), "schedule/0/mode"),
+    "phase episodes": (_set("schedule", 0, "episodes", 0), "schedule/0/episodes"),
+    "phase episode_length": (_set("schedule", 0, "episode_length", 0),
+                             "schedule/0/episode_length"),
+    "population of 3": (_set("agents", 0, "learner", {"population": 3}),
+                         "agents/0/learner/population"),
+    "learner kind": (_set("agents", 0, "kind", "ppo"), "agents/0/kind"),
+    "replay agent without rows": (_set("agents", 0, "kind", "replay"), "agents/0/replay"),
+    "bid strategy": (_set("market", "bidders", 1, "strategy", "greedy"),
+                     "market/bidders/1/strategy"),
+    "bid side": (_set("market", "bidders", 1, "side", "both"), "market/bidders/1/side"),
+    "rule action": (_set("network", "rules", 0, "action", "kind", "reroute"),
+                    "network/rules/0/action/kind"),
+    "node kind": (_set("network", "nodes", 1, "kind", "hub"), "network/nodes/1/kind"),
+    "link loss_prob": (_set("network", "links", 2, "loss_prob", 1.5),
+                       "network/links/2/loss_prob"),
+    "link latency_ms": (_set("network", "links", 2, "latency_ms", -1.0),
+                        "network/links/2/latency_ms"),
+    "pv p_peak_mw of 0": (_set("pv", "units", 1, "p_peak_mw", 0), "pv/units/1/p_peak_mw"),
+    "pv sgen whose q range excludes 0": (
+        _set("grid", "sgens", 1, {"name": "pv2", "bus": 3, "q_mvar": 0.5,
+                                  "q_min_mvar": 0.2, "q_max_mvar": 1.2}),
+        "pv/units/1/sgen"),
+    "utilization window of 0": (_set("network", "utilization_window_s", 0),
+                                "network/utilization_window_s"),
+    "link from an unknown node": (lambda d: d["network"]["links"].append({"a": "zz", "b": "sw"}),
+                                  "network/links/5/a"),
+    "link to an unknown node": (lambda d: d["network"]["links"].append({"a": "sw", "b": "zz"}),
+                                "network/links/5/b"),
+    "duplicate node id": (lambda d: d["network"]["nodes"].append({"id": "h2"}),
+                          "network/nodes/6/id"),
+    "self link": (lambda d: d["network"]["links"].append({"a": "h2", "b": "h2"}),
+                  "network/links/5/b"),
+    "disconnected node": (lambda d: d["network"]["nodes"].append({"id": "h5"}),
+                          "network/nodes/6/id"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_ONCE)
+def test_each_document_rule_is_refused_at_its_field(case):
+    path = packaged("feeder4.yaml")
+    doc = load_document(path)
+    mutate, where = REFUSED_ONCE[case]
+    mutate(doc)
+    assert [at for at, _ in validate_document(doc, path.parent)] == [where]
 
 
 @pytest.mark.parametrize("base, text, message", [
