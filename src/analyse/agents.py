@@ -166,13 +166,8 @@ def objective_eval(aggregates: dict, objective: Objective) -> float:
         cost = objective.cost_per_mvar * sum(offered.get(a, 0.0) for a in objective.agents)
         return earned - cost
     value = 0.0
-    for name, weight in objective.weights.items():
-        term = aggregates.get(name)
-        if term is None and isinstance(aggregates.get(name.partition(".")[0]), dict):
-            term = 0.0
-        if term is None or isinstance(term, dict):
-            raise AgentError(f"unknown objective aggregate {name!r}")
-        value += weight * term
+    for name, weight in objective.weights.items():  # names checked by validation
+        value += weight * aggregates.get(name, 0.0)
     return value
 
 

@@ -6,45 +6,40 @@ between endpoints; the kernel advances simulation time and steps every due
 simulator, ordering same-time steps topologically along non-time-shifted
 connections (ties broken by registration order).
 
-Data-flow semantics: a simulator stepping at time t reads, per non-shifted
-input connection, the source value produced at the largest source step <= t;
-per time-shifted connection, the value produced at the largest source step
-strictly < t (the input's declared default before that). Time-shifted
-connections are the cycle-breaking device for feedback loops.
-
-Message connections deliver each item exactly once. Every non-empty value
-the source produces is a sequence of items, queued with its step time per
-destination; a consumer stepping at t receives, as one tuple in production
-order, every queued item produced at a source step <= t (< t when
-time-shifted), and () when nothing is due. Delivered items leave the queue.
+Data-flow semantics: a simulator stepping at time t reads, per plain input
+connection, the source value produced at the largest source step <= t (the
+input's declared default before that). Message connections deliver each
+item exactly once. Every non-empty value the source produces is a sequence
+of items, queued with its step time per destination; a consumer stepping at
+t receives, as one tuple in production order, every queued item produced at
+a source step <= t (< t when time-shifted), and () when nothing is due.
+Delivered items leave the queue. Only a message connection may be
+time-shifted, and a time-shifted message connection is what breaks a
+feedback loop.
 
 Step rule: a simulator steps only at multiples of its step size, and only
 when something is due. Its grid times are those multiples. A stepper
 without a `next_event_time` method steps at every grid time. A stepper with
 `next_event_time() -> float | None` (asked after each of its steps; None
-means nothing is pending) steps after a step at t at the earliest of:
+means nothing is pending) is event-driven: its connections must all be
+message connections, and after a step at t it steps at the earliest of:
 
 - the first grid time at or after its next event and strictly after t;
-- the first grid time at which a value produced on one of its inputs can be
-  read: >= the production time on a plain connection, > it on a
-  time-shifted one (message connections count only non-empty values);
+- the first grid time at which an item queued for it can be read: >= the
+  production time, > it on a time-shifted connection;
 - the first grid time not yet executed, after set_input changed one of its
   inputs (setting an equal value changes nothing);
-- for each consumer of a non-message output, the grid time its next
-  possible read needs: floor(r/h)*h for a read at r on a plain connection,
-  the largest grid time < r on a time-shifted one. An event-driven consumer
-  counts as reading at every time on its own grid;
 - run_until(end) steps it at floor((end-1)/h)*h, so get_output after the
   call returns what a step at every grid time would have left there.
 
 For a stepper whose idle steps change nothing but time-dependent outputs,
-every input of every consumer and every get_output at a run_until boundary
-equals what stepping at every grid time gives.
+every item its consumers receive and every get_output at a run_until
+boundary equals what stepping at every grid time gives.
 
 Registration gives each simulator one record: its free input values and one
 cell per declared output. connect adds to those records the read, message
-queue, reader and wake-up that the connection implies, and, without a time
-shift, the simulator it feeds; the reads are the only record of what is
+queue and wake-up that the connection implies, and, without a time shift,
+the simulator it feeds; the reads are the only record of what is
 connected, and the fed simulators give the step order. The first run_until
 fixes the step order; simulators and connections can no longer be added
 after that.
@@ -134,11 +129,9 @@ class _SimEntry:
     # model id -> (free input values: declared defaults, then set_input's;
     # connected reads [(attr, message queue | None, source cell, time_shifted)])
     inputs: dict = field(default_factory=dict)
-    # model id -> attr -> (cell [last_t, value, prev_t, prev_value] with last_t
-    # None until produced, message queues, event-driven consumers as
-    # [(consumer, time_shifted, message)])
+    # model id -> attr -> (cell [produced, value], message queues,
+    # event-driven message consumers as [(consumer, time_shifted)])
     outputs: dict = field(default_factory=dict)
-    readers: list = field(default_factory=list)  # (step size, time_shifted) of value consumers
     feeds: set = field(default_factory=set)  # ids of simulators it feeds without a time shift
 
 
@@ -162,7 +155,7 @@ class Kernel:
         for model in desc.models:
             entry.inputs[model.model_id] = (dict(model.inputs), [])
             entry.outputs[model.model_id] = {
-                attr: ([None, None, None, None], [], []) for attr in model.outputs
+                attr: ([False, None], [], []) for attr in model.outputs
             }
 
     def connect(
@@ -184,25 +177,25 @@ class Kernel:
             raise KernelError(f"unknown destination endpoint {dst}")
         if any(read[0] == dst[2] for read in model[1]):
             raise KernelError(f"destination endpoint {dst} already connected")
-        feeds = self._sims[src[0]].feeds
-        if not time_shifted and dst[0] not in feeds:
-            feeds.add(dst[0])
+        source, consumer = self._sims[src[0]], self._sims[dst[0]]
+        if not message and (time_shifted or source.next_event or consumer.next_event):
+            raise KernelError(f"connection {src} -> {dst}: only a message connection may "
+                              "be time-shifted or join an event-driven simulator")
+        if not time_shifted and dst[0] not in source.feeds:
+            source.feeds.add(dst[0])
             if len(self._topo_order()) < len(self._sims):
-                feeds.discard(dst[0])
+                source.feeds.discard(dst[0])
                 raise KernelError(
                     f"connection {src} -> {dst} would close a cycle of non-time-shifted "
-                    "connections; break the loop with time_shifted=True"
+                    "connections; break the loop with a time-shifted message connection"
                 )
         cell, queues, wakes = slot
-        consumer = self._sims[dst[0]]
         queue = deque() if message else None
         model[1].append((dst[2], queue, cell, time_shifted))
         if message:
             queues.append(queue)
-        else:
-            self._sims[src[0]].readers.append((consumer.desc.step_size, time_shifted))
-        if consumer.next_event is not None:
-            wakes.append((consumer, time_shifted, message))
+            if consumer.next_event is not None:
+                wakes.append((consumer, time_shifted))
 
     def _output_slot(self, endpoint: tuple) -> tuple | None:
         """(cell, message queues, wakes) of a declared output, else None."""
@@ -284,14 +277,8 @@ class Kernel:
                         values[attr] = tuple(items)
                     else:
                         values[attr] = ()
-                    continue
-                last_t = cell[0]
-                if last_t is None:
-                    continue  # the declared default
-                if not shifted or last_t < t:
+                elif cell[0]:  # else the declared default
                     values[attr] = cell[1]
-                elif cell[2] is not None:
-                    values[attr] = cell[3]
             inputs[model_id] = values
         return inputs
 
@@ -311,15 +298,11 @@ class Kernel:
                 if queues and value:
                     for queue in queues:
                         queue.append((t, value))
-                for consumer, shifted, message in wakes:
-                    if value or not message:
+                    for consumer, shifted in wakes:
                         ready = _grid_at_or_after(t + shifted, consumer.desc.step_size)
                         if ready < consumer.due:
                             consumer.due = ready
-                if cell[0] != t:  # a same-step overwrite keeps the older "previous"
-                    cell[2] = cell[0]
-                    cell[3] = cell[1]
-                    cell[0] = t
+                cell[0] = True
                 cell[1] = value
 
     def _due_after(self, entry: _SimEntry, t: int, end_time: int) -> float:
@@ -331,27 +314,17 @@ class Kernel:
         event = entry.next_event()
         if event is not None:
             due = min(due, max(_grid_at_or_after(event, h), t + h))
-        # inputs produced but not yet readable: queued items, and values
-        # produced at t on a time-shifted connection
-        for _, reads in entry.inputs.values():
-            for _, queue, cell, shifted in reads:
-                if queue is not None:
-                    if queue:
-                        due = min(due, _grid_at_or_after(queue[0][0] + shifted, h))
-                elif shifted and cell[0] == t:
-                    due = min(due, t + h)
-        for c, shifted in entry.readers:
-            if shifted:
-                due = min(due, (_grid_at_or_after(t + h + 1, c) - 1) // h * h)
-            else:
-                due = min(due, _grid_at_or_after(t + h, c) // h * h)
+        for _, reads in entry.inputs.values():  # queued items not yet readable
+            for _, queue, _, shifted in reads:
+                if queue:
+                    due = min(due, _grid_at_or_after(queue[0][0] + shifted, h))
         return due
 
-    def run_until(self, end_time: int) -> dict[str, int]:
+    def run_until(self, end_time: int) -> None:
         """Advance until all step times < end_time are executed.
 
         Resumable: repeated calls with increasing end_time continue the same
-        run. Returns the number of steps each simulator took in this call.
+        run; step_counts tells how often each simulator has stepped.
         """
         if end_time <= 0:
             raise KernelError("end_time must be > 0")
@@ -365,7 +338,6 @@ class Kernel:
                 boundary = (end_time - 1) // entry.desc.step_size * entry.desc.step_size
                 if entry.last < boundary < entry.due:
                     entry.due = boundary
-        before = self.step_counts
         while True:
             t = min([entry.due for entry in ordered])
             if t >= end_time:
@@ -387,7 +359,6 @@ class Kernel:
                 entry.last = t
                 entry.steps += 1
         self._horizon = max(self._horizon, end_time)
-        return {s: e.steps - before[s] for s, e in self._sims.items()}
 
     @property
     def step_counts(self) -> dict[str, int]:

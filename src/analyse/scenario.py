@@ -541,14 +541,15 @@ class PvSimulator:
 
     def __call__(self, t: int, inputs: dict) -> dict:
         outputs = {}
-        for name, unit in self.units.items():
-            model_in = inputs[name]
+        for u in self.config.pv_units:
+            name, unit, model_in = u.name, self.units[u.name], inputs[u.name]
             for arrival, src, payload in model_in["inbox"]:
                 try:
                     msg = json.loads(payload.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
                     continue
-                if isinstance(msg, dict) and msg.get("type") == "dispatch" and msg.get("unit") == name:
+                # the market addresses a dispatch to the asset, the unit's sgen
+                if isinstance(msg, dict) and msg.get("type") == "dispatch" and msg.get("unit") == u.sgen:
                     try:
                         q = float(msg.get("q_mvar", 0.0))
                     except (TypeError, ValueError, OverflowError):

@@ -259,6 +259,7 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
         ("grid/loads", "name", [l.name for l in config.loads]),
         ("grid/sgens", "name", [s.name for s in config.sgens]),
         ("pv/units", "name", [u.name for u in config.pv_units]),
+        ("pv/units", "sgen", [u.sgen for u in config.pv_units]),
         ("market/bidders", "asset", [b.asset for b in market.bidders]),
         ("network/nodes", "id", [n.node_id for n in nodes]),
         ("network/rules", "rule_id", [rc.rule.rule_id for rc in network.rules]),
@@ -352,7 +353,13 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
                            f"actuator {a.id}: default outside [lo, hi]"))
 
     if errors:
-        return errors  # endpoint enumeration needs a structurally sound scenario
+        return errors  # what follows needs a structurally sound scenario
+
+    bidder_hosts = {b.asset: b.host for b in market.bidders}
+    for i, u in enumerate(config.pv_units):
+        if bidder_hosts.get(u.sgen, u.host) != u.host:  # its dispatch arrives there
+            errors.append((f"pv/units/{i}/host", f"sgen {u.sgen!r} is bid from host "
+                           f"{bidder_hosts[u.sgen]!r}, so its unit must be on that host"))
 
     try:
         kernel = scn.assemble(config, 0, lambda *a: None, ({}, None))

@@ -133,17 +133,12 @@ def test_objective_custom_weighted_and_unknown_name():
     agg = {"violation_sum_pu": 0.2, "frames_dropped": 3}
     obj = Objective("custom", (), 0.0, {"violation_sum_pu": 10.0, "frames_dropped": -1.0})
     assert objective_eval(agg, obj) == pytest.approx(-1.0)
-    with pytest.raises(AgentError, match="unknown objective aggregate"):
-        objective_eval(agg, Objective("custom", (), 0.0, {"nope": 1.0}))
 
 
 def test_objective_custom_agent_entry_reads_zero_when_absent():
     agg = {"payments_eur": {"a1": 4.0}, "payments_eur.a1": 4.0, "diverged": 0}
     obj = Objective("custom", (), 0.0, {"payments_eur.a1": 2.0, "payments_eur.a2": 5.0})
     assert objective_eval(agg, obj) == 8.0
-    for name in ("payments_eur", "diverged.a1"):
-        with pytest.raises(AgentError, match="unknown objective aggregate"):
-            objective_eval(agg, Objective("custom", (), 0.0, {name: 1.0}))
 
 
 def test_scripted_agents():

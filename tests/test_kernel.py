@@ -25,6 +25,21 @@ def counter_sim(sim_id, step, log=None):
     return desc, stepper
 
 
+def relay_sim(sim_id, step, log=None):
+    """A message endpoint: logs the items it receives and sends one item,
+    (sim_id, t), at every step."""
+    desc = SimulatorDescriptor(
+        sim_id, step, (ModelSpec("m", inputs={"inbox": ()}, outputs=("out",)),)
+    )
+
+    def stepper(t, inputs):
+        if log is not None:
+            log.append((sim_id, t, inputs["m"]["inbox"]))
+        return {"m": {"out": ((sim_id, t),)}}
+
+    return desc, stepper
+
+
 def test_register_duplicate_id_rejected():
     k = Kernel()
     desc, stepper = counter_sim("grid", 900)
@@ -85,53 +100,72 @@ def test_connect_validates_endpoints():
 
 def test_non_shifted_cycle_rejected():
     k = Kernel()
-    k.register_simulator(*counter_sim("a", 1))
-    k.register_simulator(*counter_sim("b", 1))
-    k.connect(("a", "m", "y"), ("b", "m", "x"), time_shifted=False)
-    with pytest.raises(KernelError, match="cycle"):
-        k.connect(("b", "m", "y"), ("a", "m", "x"), time_shifted=False)
+    k.register_simulator(*relay_sim("a", 1))
+    k.register_simulator(*relay_sim("b", 1))
+    k.connect(("a", "m", "out"), ("b", "m", "inbox"), message=True)
+    with pytest.raises(KernelError, match="cycle.*time-shifted message connection"):
+        k.connect(("b", "m", "out"), ("a", "m", "inbox"), message=True)
+    assert k.is_free_input(("a", "m", "inbox"))
 
 
 def test_cycle_broken_by_time_shift():
+    log = []
     k = Kernel()
-    k.register_simulator(*counter_sim("a", 1))
-    k.register_simulator(*counter_sim("b", 1))
-    k.connect(("a", "m", "y"), ("b", "m", "x"), time_shifted=False)
-    k.connect(("b", "m", "y"), ("a", "m", "x"), time_shifted=True)
-    k.run_until(3)  # must not raise
+    k.register_simulator(*relay_sim("a", 1, log))
+    k.register_simulator(*relay_sim("b", 1, log))
+    k.connect(("a", "m", "out"), ("b", "m", "inbox"), message=True)
+    k.connect(("b", "m", "out"), ("a", "m", "inbox"), time_shifted=True, message=True)
+    k.run_until(3)
+    assert log == [
+        ("a", 0, ()), ("b", 0, (("a", 0),)),
+        ("a", 1, (("b", 0),)), ("b", 1, (("a", 1),)),
+        ("a", 2, (("b", 1),)), ("b", 2, (("a", 2),)),
+    ]
+
+
+@pytest.mark.parametrize("shifted, src_event, dst_event", [
+    (True, False, False), (False, False, True), (False, True, False),
+], ids=["shifted", "into_event_driven", "out_of_event_driven"])
+def test_connect_refuses_plain_shifted_or_event_driven(shifted, src_event, dst_event):
+    k = Kernel()
+    for sim_id, event_driven in (("a", src_event), ("b", dst_event)):
+        desc, stepper = counter_sim(sim_id, 1)
+        if event_driven:
+            stepper.next_event_time = lambda: None
+        k.register_simulator(desc, stepper)
+    with pytest.raises(KernelError, match="only a message connection"):
+        k.connect(("a", "m", "y"), ("b", "m", "x"), time_shifted=shifted)
+    assert k.is_free_input(("b", "m", "x"))
+    assert not k._sims["a"].feeds
 
 
 def test_step_counts_for_mixed_step_sizes():
     k = Kernel()
     k.register_simulator(*counter_sim("a", 1))
     k.register_simulator(*counter_sim("b", 4))
-    counts = k.run_until(8)
-    assert counts == {"a": 8, "b": 2}
+    assert k.run_until(8) is None
+    assert k.step_counts == {"a": 8, "b": 2}
 
 
 def test_single_simulator_step_times():
     log = []
     k = Kernel()
     k.register_simulator(*counter_sim("g", 900, log))
-    counts = k.run_until(3600)
-    assert counts == {"g": 4}
+    k.run_until(3600)
+    assert k.step_counts == {"g": 4}
     assert [t for _, t, _ in log] == [0, 900, 1800, 2700]
 
 
 def test_time_shift_reads_previous_step_with_default():
-    seen = []
+    log = []
     k = Kernel()
-    k.register_simulator(*counter_sim("prod", 1))
-    desc = SimulatorDescriptor("cons", 1, (ModelSpec("m", inputs={"x": 0.0}),))
-
-    def consumer(t, inputs):
-        seen.append((t, inputs["m"]["x"]))
-
-    k.register_simulator(desc, consumer)
-    k.connect(("prod", "m", "y"), ("cons", "m", "x"), time_shifted=True)
+    k.register_simulator(*relay_sim("prod", 1))
+    k.register_simulator(*relay_sim("cons", 1, log))
+    k.connect(("prod", "m", "out"), ("cons", "m", "inbox"), time_shifted=True, message=True)
     k.run_until(3)
-    # at t=0 the declared input default, afterwards the previous output
-    assert seen == [(0, 0.0), (1, 0.0), (2, 1.0)]
+    # at t=0 nothing is due, so the inbox reads (), its declared default;
+    # afterwards what the previous step sent
+    assert log == [("cons", 0, ()), ("cons", 1, (("prod", 0),)), ("cons", 2, (("prod", 1),))]
 
 
 def test_non_shifted_same_time_value():
@@ -203,44 +237,31 @@ def test_replay_determinism_of_step_sequences():
     def run_once():
         log = []
         k = Kernel()
-        k.register_simulator(*counter_sim("a", 3, log))
-        k.register_simulator(*counter_sim("b", 5, log))
-        k.register_simulator(*counter_sim("c", 7, log))
-        k.connect(("a", "m", "y"), ("b", "m", "x"))
-        k.connect(("b", "m", "y"), ("c", "m", "x"), time_shifted=True)
+        k.register_simulator(*relay_sim("a", 3, log))
+        k.register_simulator(*relay_sim("b", 5, log))
+        k.register_simulator(*relay_sim("c", 7, log))
+        k.connect(("a", "m", "out"), ("b", "m", "inbox"), message=True)
+        k.connect(("b", "m", "out"), ("c", "m", "inbox"), time_shifted=True, message=True)
         k.run_until(100)
-        return [(s, t) for s, t, _ in log]
+        return log
 
     assert run_once() == run_once()
 
 
 def test_causality_data_never_from_the_future():
-    produced_at = {}
-    reads = []
-
-    prod_desc = SimulatorDescriptor("p", 3, (ModelSpec("m", outputs=("y",)),))
-
-    def producer(t, inputs):
-        produced_at[t] = t
-        return {"m": {"y": t}}
-
-    cons_desc = SimulatorDescriptor("c", 2, (ModelSpec("m", inputs={"x": None}),))
-    shift_desc = SimulatorDescriptor("cs", 2, (ModelSpec("m", inputs={"x": None}),))
-
+    log = []
     k = Kernel()
-    k.register_simulator(prod_desc, producer)
-    k.register_simulator(cons_desc, lambda t, i: reads.append(("plain", t, i["m"]["x"])))
-    k.register_simulator(shift_desc, lambda t, i: reads.append(("shift", t, i["m"]["x"])))
-    k.connect(("p", "m", "y"), ("c", "m", "x"))
-    k.connect(("p", "m", "y"), ("cs", "m", "x"), time_shifted=True)
+    k.register_simulator(*relay_sim("p", 3))
+    k.register_simulator(*relay_sim("plain", 2, log))
+    k.register_simulator(*relay_sim("shifted", 2, log))
+    k.connect(("p", "m", "out"), ("plain", "m", "inbox"), message=True)
+    k.connect(("p", "m", "out"), ("shifted", "m", "inbox"), time_shifted=True, message=True)
     k.run_until(30)
-    for kind, t, value in reads:
-        if value is None:
-            continue
-        if kind == "plain":
-            assert value <= t
-        else:
-            assert value < t
+    for kind, t, items in log:
+        for _, produced in items:
+            assert produced <= t if kind == "plain" else produced < t
+    for kind in ("plain", "shifted"):
+        assert [p for c, _, items in log if c == kind for _, p in items] == list(range(0, 30, 3))
 
 
 def test_stepper_failure_aborts_with_context():
@@ -276,10 +297,10 @@ def test_run_until_is_resumable():
     log = []
     k = Kernel()
     k.register_simulator(*counter_sim("a", 2, log))
-    first = k.run_until(5)    # t = 0, 2, 4
-    second = k.run_until(9)   # t = 6, 8
-    assert first == {"a": 3}
-    assert second == {"a": 2}
+    k.run_until(5)    # t = 0, 2, 4
+    assert k.step_counts == {"a": 3}
+    k.run_until(9)    # t = 6, 8
+    assert k.step_counts == {"a": 5}
     assert [t for _, t, _ in log] == [0, 2, 4, 6, 8]
 
 
@@ -440,24 +461,6 @@ def test_message_on_time_shifted_connection_steps_strictly_after():
     assert [r["inbox"] for r in sim.received] == [(), (), ("hello",), ()]
 
 
-@pytest.mark.parametrize("time_shifted", [False, True], ids=["plain", "shifted"])
-def test_value_produced_on_an_input_steps_when_readable(time_shifted):
-    k = Kernel()
-    k.register_simulator(*counter_sim("p", 10))
-    sim = EventSim(events=(10,), inputs={"x": None})
-    k.register_simulator(sim.descriptor(step=5), sim)
-    k.connect(("p", "m", "y"), ("e", "m", "x"), time_shifted=time_shifted)
-    k.run_until(31)
-    if time_shifted:
-        # the value produced at 10 is read at 15, although the step at 10
-        # (for the event) came after the producer's step at 10
-        assert sim.times == [0, 5, 10, 15, 25, 30]
-        assert [r["x"] for r in sim.received] == [None, 0.0, 0.0, 10.0, 20.0, 20.0]
-    else:
-        assert sim.times == [0, 10, 20, 30]
-        assert [r["x"] for r in sim.received] == [0.0, 10.0, 20.0, 30.0]
-
-
 def test_changed_input_steps_first_grid_time_not_yet_executed():
     sim = EventSim(inputs={"x": 0.0})
     k = event_kernel(sim)
@@ -479,32 +482,6 @@ def test_unchanged_input_does_not_step():
     k.set_input(("e", "m", "x"), 2.0)
     k.run_until(200)
     assert sim.times == [0, 10, 90, 100, 190]
-
-
-@pytest.mark.parametrize("time_shifted", [False, True], ids=["plain", "shifted"])
-def test_non_message_reader_sees_what_every_grid_step_gives(time_shifted):
-    def run(event_driven):
-        seen = []
-        sim = EventSim()
-        stepper = sim if event_driven else (lambda t, i: sim(t, i))
-        k = Kernel()
-        k.register_simulator(sim.descriptor(step=10), stepper)
-        k.register_simulator(
-            SimulatorDescriptor("c", 25, (ModelSpec("m", inputs={"x": None}),)),
-            lambda t, i: seen.append((t, i["m"]["x"])),
-        )
-        k.connect(("e", "m", "y"), ("c", "m", "x"), time_shifted=time_shifted)
-        k.run_until(101)
-        return seen, sim.times
-
-    seen, times = run(event_driven=True)
-    assert seen == run(event_driven=False)[0]
-    if time_shifted:
-        assert seen == [(0, None), (25, 20), (50, 40), (75, 70), (100, 90)]
-        assert times == [0, 20, 40, 70, 90, 100]
-    else:
-        assert seen == [(0, 0), (25, 20), (50, 50), (75, 70), (100, 100)]
-        assert times == [0, 20, 50, 70, 100]
 
 
 def test_run_until_boundary_output_is_fresh():
@@ -573,20 +550,13 @@ def toy_network_run(seed, event_driven):
         toy if event_driven else (lambda t, i: toy(t, i)),
     )
     seen = {}
-    consumers = (  # (sim id, step, attribute, time_shifted, message)
-        ("plain_load", 5, "load", False, False),
-        ("shifted_count", 4, "count", True, False),
-        ("slow_changes", 50, "changes", False, False),
-        ("plain_out", 6, "out", False, True),
-        ("shifted_out", 2, "out", True, True),
-    )
-    for sim_id, step, attr, shifted, message in consumers:
+    for sim_id, step, shifted in (("plain_out", 6, False), ("shifted_out", 2, True)):
         got = seen[sim_id] = []
         k.register_simulator(
-            SimulatorDescriptor(sim_id, step, (ModelSpec("m", inputs={"x": None}),)),
+            SimulatorDescriptor(sim_id, step, (ModelSpec("m", inputs={"x": ()}),)),
             lambda t, i, got=got: got.append((t, i["m"]["x"])),
         )
-        k.connect(("net", "m", attr), (sim_id, "m", "x"), time_shifted=shifted, message=message)
+        k.connect(("net", "m", "out"), (sim_id, "m", "x"), time_shifted=shifted, message=True)
     k.connect(("src", "m", "items"), ("net", "m", "inbox"), message=True)
     end = 0
     boundary = []

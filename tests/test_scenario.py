@@ -252,6 +252,11 @@ REFUSED_ONCE = {
                   "network/links/5/b"),
     "disconnected node": (lambda d: d["network"]["nodes"].append({"id": "h5"}),
                           "network/nodes/6/id"),
+    "pv unit on another host than its bidder": (_set("pv", "units", 2, "host", "h4"),
+                                                "pv/units/2/host"),
+    "two pv units on one sgen": (
+        _set("pv", "units", 3, {"name": "pv4", "sgen": "pv3", "p_peak_mw": 0.5, "host": "h3"}),
+        "pv/units/3/sgen"),
 }
 
 
@@ -764,6 +769,26 @@ def feeder4_run(tmp_path, monkeypatch, agent_kind, periodic, edit=None):
     net_steps = [json.loads(line)["payload"]["steps"]["net"]
                  for line in lines if b'"kind":"kernel.step"' in line]
     return readings, [line for line in lines if b'"kind":"kernel.step"' not in line], net_steps
+
+
+def grid_and_clearing_payloads(out, edit):
+    path = packaged("feeder4.yaml")
+    doc = load_document(path)
+    edit(doc)
+    assert validate_document(doc, path.parent) == []
+    records = map(json.loads, execute_run(doc, path.parent, out).log_path.read_bytes().splitlines())
+    return [(r["kind"], r["payload"]) for r in records
+            if r["kind"] in ("grid.step", "market.clearing")]
+
+
+def test_pv_unit_name_does_not_change_its_dispatch(tmp_path):
+    def rename(doc):
+        for i, unit in enumerate(doc["pv"]["units"], 1):
+            unit["name"] = f"solar{i}"  # each unit keeps its sgen, the dispatched asset
+
+    payloads = grid_and_clearing_payloads(tmp_path / "solar", rename)
+    assert payloads == grid_and_clearing_payloads(tmp_path / "pv", lambda doc: None)
+    assert any(p["accepted"] for kind, p in payloads if kind == "market.clearing")
 
 
 @pytest.mark.parametrize("agent_kind", ["none", "random"])
