@@ -1,7 +1,7 @@
 """Sensor/actuator environment over an assembled co-simulation.
 
-The environment is built from the typed scenario config, the data series
-load_data_series read for it, and the run's log sink. The config's agent
+The environment is built from the typed scenario config, which carries the
+data series validation read for it, and the run's log sink. The config's agent
 section names the sensors, actuators and objective; its market section gives
 the agent interval and the voltage band rewards are measured against.
 
@@ -35,7 +35,6 @@ from .agents import (
     objective_eval,
 )
 from .design import STREAM_CEM, STREAM_EPISODE, STREAM_SCRIPTED, derive_seed
-from .feeders import LoadProfile, WeatherSeries
 from .kernel import Kernel
 from .telemetry import RunSink, RunSummary, mean
 
@@ -45,15 +44,8 @@ class EnvironmentError(Exception):
 
 
 class Environment:
-    def __init__(
-        self,
-        config: scn.ScenarioConfig,
-        data: tuple[dict[str, LoadProfile], WeatherSeries | None],
-        sink: RunSink,
-        episode_length: int = 96,
-    ):
+    def __init__(self, config: scn.ScenarioConfig, sink: RunSink, episode_length: int = 96):
         self.config = config
-        self.data = data
         self.sink = sink
         self.episode_length = episode_length
         self._sensor_eps = [tuple(s.id.split(".")) for s in config.agent.sensors]
@@ -76,7 +68,7 @@ class Environment:
         if self._kernel is not None:
             # Keep later episodes' telemetry times above everything emitted so far.
             self._t_offset += self._local_t + self.config.market.interval_s
-        self._kernel = scn.assemble(self.config, seed, self._emit_offset, self.data)
+        self._kernel = scn.assemble(self.config, seed, self._emit_offset)
         self._local_t = 0
         self._step_index = 0
         self._episode_index += 1

@@ -1,23 +1,31 @@
 """Load-profile and weather-driven PV feeders for the grid simulator.
 
-CSV formats (UTF-8, header line, comma-separated, times in seconds since
-scenario start at a uniform resolution starting at 0):
+CSV formats (UTF-8, header line, comma-separated, finite numbers; times in
+seconds since scenario start, from 0 in uniform steps of a whole number of
+seconds):
 
     load profile:  t_s,factor
-    weather:       t_s,ghi_w_m2,t_air_c
+    weather:       t_s,ghi_w_m2,t_air_c   (ghi_w_m2 >= 0)
 
+The readers are the one place these rules are checked: validation reads a
+scenario's series through them, and the series types and lookups trust them.
 Series lookups use step interpolation clamped to the last sample.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 
 class FeederError(Exception):
-    pass
+    """A data series file that breaks its format; `path` is that file."""
+
+    def __init__(self, path: Path, problem: str, line: int | None = None):
+        super().__init__(f"{path}:{line}: {problem}" if line else f"{path}: {problem}")
+        self.path = path
 
 
 @dataclass(frozen=True)
@@ -25,22 +33,12 @@ class LoadProfile:
     resolution_s: int
     factors: tuple[float, ...]
 
-    def __post_init__(self):
-        if self.resolution_s <= 0:
-            raise FeederError("profile resolution must be positive")
-        if not self.factors:
-            raise FeederError("profile needs at least one value")
-
 
 @dataclass(frozen=True)
 class WeatherSample:
     t: float
     ghi_w_m2: float
     t_air_c: float
-
-    def __post_init__(self):
-        if self.ghi_w_m2 < 0:
-            raise FeederError("ghi must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,9 +63,7 @@ class PvUnit:
 
 
 def load_profile_value(profile: LoadProfile, t: float) -> float:
-    """The step-interpolated load factor at time t."""
-    if t < 0:
-        raise FeederError("t must be >= 0")
+    """The step-interpolated load factor at time t >= 0."""
     idx = min(int(t // profile.resolution_s), len(profile.factors) - 1)
     return profile.factors[idx]
 
@@ -93,30 +89,36 @@ def _read_rows(path: Path, expected_fields: int) -> list[list[float]]:
         reader = csv.reader(fh)
         try:
             next(reader)  # header
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != expected_fields:
+                    raise FeederError(path, f"expected {expected_fields} fields", line_no)
+                try:
+                    values = [float(x) for x in row]
+                except ValueError as exc:
+                    raise FeederError(path, str(exc), line_no) from None
+                if not all(map(math.isfinite, values)):
+                    raise FeederError(path, "not a finite number", line_no)
+                rows.append(values)
         except StopIteration:
-            raise FeederError(f"{path}: empty file") from None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != expected_fields:
-                raise FeederError(f"{path}:{line_no}: expected {expected_fields} fields")
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise FeederError(f"{path}:{line_no}: {exc}") from None
+            raise FeederError(path, "empty file") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FeederError(path, str(exc)) from None
     if not rows:
-        raise FeederError(f"{path}: no data rows")
+        raise FeederError(path, "no data rows")
     return rows
 
 
 def _resolution(path: Path, times: list[float]) -> int:
     if times[0] != 0:
-        raise FeederError(f"{path}: series must start at t_s=0")
+        raise FeederError(path, "series must start at t_s=0")
     if len(times) == 1:
         return 1
     res = times[1] - times[0]
-    if res <= 0 or any(abs((times[i + 1] - times[i]) - res) > 1e-9 for i in range(len(times) - 1)):
-        raise FeederError(f"{path}: time steps must be uniform and positive")
+    uniform = all(abs((times[i + 1] - times[i]) - res) <= 1e-9 for i in range(len(times) - 1))
+    if not (uniform and res >= 1 and res.is_integer()):
+        raise FeederError(path, "time steps must be uniform whole seconds > 0")
     return int(res)
 
 
@@ -131,5 +133,8 @@ def read_weather_csv(path: str | Path) -> WeatherSeries:
     path = Path(path)
     rows = _read_rows(path, 3)
     res = _resolution(path, [r[0] for r in rows])
+    for t, ghi, _ in rows:
+        if ghi < 0:
+            raise FeederError(path, f"ghi must be >= 0, found {ghi:g} at t_s={t:g}")
     samples = tuple(WeatherSample(t=r[0], ghi_w_m2=r[1], t_air_c=r[2]) for r in rows)
     return WeatherSeries(resolution_s=res, samples=samples)

@@ -2,10 +2,10 @@
 
 execute_run refuses an experiment, validates a run or scenario document
 before it reads anything from it, and builds the environment from the
-ScenarioConfig that validation built. A directory run executes every run
-file on its own and reports one (file, exit code, message) per file: a file
-that is not a YAML mapping or fails validation exits 2 without stopping the
-others.
+ScenarioConfig that validation built, its data series included. A directory
+run executes every run file on its own and reports one (file, exit code,
+message) per file: a file that is not a YAML mapping or fails validation exits
+2 without stopping the others.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from . import scenario as scn
 from .agents import AgentError
 from .environment import AgentRunState, Environment, EnvironmentError, PhaseReport, run_phase
 from .errors import EXIT_IO, EXIT_OK, EXIT_SIMULATION, EXIT_VALIDATION, RunError
-from .feeders import FeederError
 from .kernel import KernelError
 from .telemetry import RunSink, TelemetryError, canonical_json
 from .validation import document_kind, validate_document
@@ -41,7 +40,8 @@ def execute_run(
 
     An experiment is refused unvalidated; any other document is validated
     before anything else reads it. Raises RunError with the documented exit
-    code on validation failure (2), simulation abort (3), or I/O trouble (4).
+    code on validation failure (2), simulation abort (3), or I/O trouble (4);
+    a data series file that cannot be read raises OSError from validation.
     Validation failures leave no partial log behind because the sink is only
     opened after they pass.
     """
@@ -62,13 +62,6 @@ def execute_run(
     seed_overridden = seed_override is not None
     if seed_overridden:
         seed = int(seed_override)
-
-    try:
-        data = scn.load_data_series(config)
-    except FeederError as exc:
-        raise RunError(f"bad data series: {exc}", EXIT_VALIDATION) from exc
-    except OSError as exc:
-        raise RunError(f"cannot read data series: {exc}", EXIT_IO) from exc
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -94,7 +87,7 @@ def execute_run(
         "agent_kind": config.agent.learner.kind,
     })
 
-    env = Environment(config, data, sink)
+    env = Environment(config, sink)
     state = AgentRunState()
     reports: list[PhaseReport] = []
     try:

@@ -8,7 +8,9 @@ objective, and the schedule of train/test phases; its schema states, as a
 a document, schema-valid and with its defaults filled in by validation, into
 a typed ScenarioConfig, the agent section straight into its Objective and
 LearnerConfig, and the grid section into one GridModel whose compiled
-topology serves every episode's power flows.
+topology serves every episode's power flows. Once the cross-check passes,
+validation reads the data series with load_data_series into the config's
+`series`, so a run needs the config alone.
 assemble is the one description of the co-simulation: which adapters exist
 follows from the config alone, it makes every connection, and it returns the
 wired Kernel. validation.cross_check is the one sensor/actuator endpoint
@@ -214,6 +216,9 @@ class ScenarioConfig:
     network: NetworkConfig
     agent: AgentConfig
     schedule: tuple[Phase, ...]
+    # the load profiles by key and the weather series, as validation read
+    # them; a dry assembly, which only lists endpoints, reads neither
+    series: tuple[dict[str, LoadProfile], WeatherSeries | None] = ({}, None)
 
 
 def _rule_from_doc(doc: dict) -> AttackRule:
@@ -840,6 +845,8 @@ class MarketSimulator:
 
 
 def load_data_series(config: ScenarioConfig) -> tuple[dict[str, LoadProfile], WeatherSeries | None]:
+    """The load profiles, then the weather series, that the config names;
+    a FeederError carries the file at fault."""
     profiles = {
         key: feeders.read_load_profile_csv(path) for key, path in config.profiles.items()
     }
@@ -849,20 +856,15 @@ def load_data_series(config: ScenarioConfig) -> tuple[dict[str, LoadProfile], We
     return profiles, weather
 
 
-def assemble(
-    config: ScenarioConfig,
-    seed: int,
-    emit: Callable[[str, str, float, dict], None],
-    data: tuple[dict[str, LoadProfile], WeatherSeries | None],
-) -> Kernel:
+def assemble(config: ScenarioConfig, seed: int,
+             emit: Callable[[str, str, float, dict], None]) -> Kernel:
     """Build and wire a fresh kernel for one episode with the given seed.
 
     This is the one description of the co-simulation: which adapters exist
-    follows from the config alone, and every connection is made here.
-    `data` is what load_data_series returns; no descriptor reads it, so a
-    dry assembly that only lists endpoints may pass ({}, None).
+    follows from the config alone, and every connection is made here. The
+    adapters step through `config.series`; no descriptor reads it.
     """
-    profiles, weather = data
+    profiles, weather = config.series
     sgens = {s.name: s for s in config.sgens}
     assets: dict[str, BidderAsset] = {}  # bidders and market share one table
     for b in config.market.bidders:

@@ -2,8 +2,9 @@
 
 Every violation is reported as (document_path, message) so the CLI can list
 all problems in one shot instead of failing on the first. The list is a
-Checked that also carries the typed value validation built, so the runner and
-`analyse design` never load or parse a document a second time.
+Checked that also carries the typed value validation built, a scenario's with
+its data series read, so the runner and `analyse design` never load or parse a
+document, or read a series, a second time.
 
 The schema pass is checked here, for the keywords the packaged schemas use,
 with the paths, messages and order of jsonschema's Draft 2020-12 validator
@@ -13,6 +14,7 @@ with any other keyword, so an edit cannot weaken validation unnoticed.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources as resources
 import math
 import numbers
@@ -20,6 +22,7 @@ from pathlib import Path
 
 from . import scenario as scn
 from .design import MASK64, DesignError, parse_experiment, resolve_path
+from .feeders import FeederError
 from .telemetry import RunSummary
 
 Violation = tuple[str, str]  # (path into the document, message)
@@ -180,9 +183,10 @@ def _printable(text: str) -> str:
 
 
 def _non_finite(node, path: str = "") -> list[Violation]:
-    """NaN, infinities, integers too large for a float, and string values or
-    mapping keys that do not encode as UTF-8, anywhere in a document; no
-    schema type excludes them."""
+    """NaN, infinities, integers too large for a float, string values or
+    mapping keys that do not encode as UTF-8, mapping keys that are not
+    strings, and values of no JSON type (a YAML date, `!!binary` or `!!set`),
+    anywhere in a document; no schema type excludes them."""
     if isinstance(node, float) and not math.isfinite(node):
         return [(path or "(document root)", f"{node} is not a finite number")]
     if isinstance(node, int) and not isinstance(node, bool):
@@ -196,14 +200,18 @@ def _non_finite(node, path: str = "") -> list[Violation]:
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
-    else:
+    elif node is None or isinstance(node, (str, int, float)):  # bool is an int
         return []
+    else:
+        return [(path or "(document root)", f"{node!r} is not a JSON value")]
     errors = []
     for key, child in items:
         part = _printable(str(key))
         where = f"{path}/{part}" if path else part
         if part != str(key):
             errors.append((where, f"key {key!r} does not encode as UTF-8"))
+        elif isinstance(node, dict) and not isinstance(key, str):
+            errors.append((where, f"key {key!r} is not a string"))
         errors += _non_finite(child, where)
     return errors
 
@@ -231,12 +239,25 @@ def with_defaults(node, schema: dict):
 
 
 def validate_scenario(doc, base_dir: Path) -> Checked:
+    """The checks above, then the data series read into the config's `series`.
+    A file that cannot be read raises OSError."""
     errors = _schema_errors(doc, "scenario")
     if errors:
         return errors
-    # through the module attribute, where the traced benchmark wraps it
+    # through the module attributes, where the traced benchmark wraps them
     config = scn.parse_scenario(with_defaults(doc, load_schema("scenario")), base_dir)
-    return Checked(cross_check(config), config)
+    errors = cross_check(config)
+    if errors:
+        return Checked(errors)
+    try:
+        series = scn.load_data_series(config)
+    except FeederError as exc:
+        # at the first field naming the file: load_data_series reads the
+        # profiles first (a file that is also the weather's counts as a profile)
+        named = [(path, f"data/load_profiles/{key}/path") for key, path in config.profiles.items()]
+        named.append((config.weather_path, "data/weather/path"))
+        return Checked([(next(where for path, where in named if path == exc.path), str(exc))])
+    return Checked([], dataclasses.replace(config, series=series))
 
 
 def _reached(first, edges, ends) -> set:
@@ -382,7 +403,7 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
             errors.append((f"pv/units/{i}/host", f"sgen {u.sgen!r} is bid from host "
                            f"{bidder_hosts[u.sgen]!r}, so its unit must be on that host"))
 
-    kernel = scn.assemble(config, 0, lambda *a: None, ({}, None))
+    kernel = scn.assemble(config, 0, lambda *a: None)
     for i, s in enumerate(agent.sensors):
         endpoint = tuple(s.id.split("."))
         if not kernel.has_output(endpoint):

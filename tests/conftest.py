@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,12 +19,13 @@ def packaged(name: str) -> Path:
 
 
 def parsed(doc: dict, base_dir: Path = Path(".")):
-    """The ScenarioConfig of a scenario document whose defaults are filled in
-    as validation fills them; nothing is validated."""
-    from analyse.scenario import parse_scenario
+    """The ScenarioConfig of a scenario document whose defaults are filled in,
+    and whose data series are read, as validation does; nothing is validated."""
+    from analyse.scenario import load_data_series, parse_scenario
     from analyse.validation import load_schema, with_defaults
 
-    return parse_scenario(with_defaults(doc, load_schema("scenario")), base_dir)
+    config = parse_scenario(with_defaults(doc, load_schema("scenario")), base_dir)
+    return dataclasses.replace(config, series=load_data_series(config))
 
 
 # A deliberately small constant-load scenario (two assets, three intervals)

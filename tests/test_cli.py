@@ -1,5 +1,6 @@
 import collections
 import copy
+import datetime
 import json
 import math
 import random
@@ -9,7 +10,7 @@ import yaml
 
 from analyse.cli import main, render_summary
 from analyse.kernel import Kernel
-from analyse.scenario import NON_NUMERIC_ATTRS, assemble, load_data_series
+from analyse.scenario import NON_NUMERIC_ATTRS, assemble
 from analyse.telemetry import RunSummary
 from analyse.validation import validate_document
 
@@ -451,15 +452,106 @@ def test_a_run_end_the_log_cannot_hold_aborts_with_exit_3(tmp_path, mini_path, m
     assert records[-1]["payload"]["error"] == "non-finite float in payload: inf"
 
 
-def test_bad_data_series_is_validation_error(tmp_path, mini_doc):
+def test_bad_data_series_is_validation_error(tmp_path, mini_doc, capsys):
     csv = tmp_path / "w.csv"
     csv.write_text("t_s,ghi_w_m2,t_air_c\n0,0,10\n900,1,11\n2000,2,12\n", encoding="utf-8")
     mini_doc["data"]["weather"]["path"] = str(csv)
     doc_path = tmp_path / "mini.yaml"
     doc_path.write_text(yaml.safe_dump(mini_doc), encoding="utf-8")
+    assert main(["validate", str(doc_path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"{doc_path}: data/weather/path: {csv}: time steps must be uniform whole seconds > 0",
+        "1 problem(s) found"]
     out = tmp_path / "logs"
     assert main(["run", str(doc_path), "-o", str(out)]) == 2
     assert not (out / "mini.jsonl").exists()
+
+
+WEATHER_HEADER = b"t_s,ghi_w_m2,t_air_c\n"
+
+
+@pytest.mark.parametrize("series, text, problem", [
+    ("weather", WEATHER_HEADER + b"0,0,10\n0.5,1,11\n1,2,12\n",
+     ": time steps must be uniform whole seconds > 0"),
+    ("weather", WEATHER_HEADER + b"0,0,10\n1.5,1,11\n3,2,12\n",
+     ": time steps must be uniform whole seconds > 0"),
+    ("weather", WEATHER_HEADER + b"0,0,10\n900,abc,11\n",
+     ":3: could not convert string to float: 'abc'"),
+    ("weather", WEATHER_HEADER + b"0,0,10\n900,-5,11\n",
+     ": ghi must be >= 0, found -5 at t_s=900"),
+    ("weather", WEATHER_HEADER + b"0,0,10\n900,nan,11\n", ":3: not a finite number"),
+    ("weather", WEATHER_HEADER + b"0,\xff,10\n", ": 'utf-8' codec can't decode byte 0xff"),
+    ("weather", WEATHER_HEADER + b"0,1" + b"0" * 200_000 + b",10\n",
+     ": field larger than field limit"),
+    ("profile", b"t_s,factor\n0,1\n0.5,0.8\n", ": time steps must be uniform whole seconds > 0"),
+], ids=["sub-second", "non-integer", "non-numeric", "negative-ghi", "non-finite", "not-utf8",
+        "overlong-field", "profile-sub-second"])
+def test_a_bad_data_series_is_refused_at_the_field_naming_it(
+        tmp_path, mini_doc, capsys, series, text, problem):
+    csv = tmp_path / "series.csv"
+    csv.write_bytes(text)
+    if series == "weather":
+        mini_doc["data"]["weather"]["path"] = str(csv)
+        where = "data/weather/path"
+    else:
+        mini_doc["data"]["load_profiles"] = {"day": {"path": str(csv)}}
+        mini_doc["grid"]["loads"][0]["profile"] = "day"
+        where = "data/load_profiles/day/path"
+    doc_path = tmp_path / "mini.yaml"
+    doc_path.write_text(yaml.safe_dump(mini_doc), encoding="utf-8")
+    assert main(["validate", str(doc_path)]) == 2
+    violation, summary = capsys.readouterr().out.splitlines()
+    assert violation.startswith(f"{doc_path}: {where}: {csv}{problem}")
+    assert summary == "1 problem(s) found"
+    assert main(["run", str(doc_path), "-o", str(tmp_path / "logs")]) == 2
+    assert not (tmp_path / "logs").exists()
+
+
+def test_a_data_series_that_cannot_be_read_is_an_io_error(tmp_path, mini_doc):
+    folder = tmp_path / "weather.csv"
+    folder.mkdir()
+    mini_doc["data"]["weather"]["path"] = str(folder)
+    doc_path = tmp_path / "mini.yaml"
+    doc_path.write_text(yaml.safe_dump(mini_doc), encoding="utf-8")
+    assert main(["validate", str(doc_path)]) == 4
+    assert main(["run", str(doc_path), "-o", str(tmp_path / "logs")]) == 4
+    assert not (tmp_path / "logs").exists()
+
+
+def _custom_weights(weights):
+    doc = copy.deepcopy(MINI)
+    doc["agents"][0]["objective"] = {"kind": "custom", "weights": weights}
+    return doc
+
+
+@pytest.mark.parametrize("doc, where, message", [
+    (_run_doc(run_id="bad", factors={"when": datetime.date(2020, 1, 1)}),
+     "factors/when", "datetime.date(2020, 1, 1) is not a JSON value"),
+    (_run_doc(run_id="bad", factors={1: 0.5}), "factors/1", "key 1 is not a string"),
+    (_run_doc(run_id="bad", factors={"blob": b"\x00"}),
+     "factors/blob", "b'\\x00' is not a JSON value"),
+    (_run_doc(run_id="bad", factors={"levels": {"a"}}),
+     "factors/levels", "{'a'} is not a JSON value"),
+    (_custom_weights({1: 2.0}), "agents/0/objective/weights/1", "key 1 is not a string"),
+], ids=["date", "integer-key", "binary", "set", "integer-weight-key"])
+def test_values_json_cannot_hold_are_refused_at_their_path(tmp_path, capsys, doc, where, message):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    bad = runs / "a_bad.yaml"
+    bad.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"{bad}: {where}: {message}", "1 problem(s) found"]
+    out = tmp_path / "logs"
+    assert main(["run", str(bad), "-o", str(out)]) == 2
+    assert not out.exists()
+    # in a directory, the bad file does not stop the one after it
+    (runs / "b_run.yaml").write_text(yaml.safe_dump(_run_doc()), encoding="utf-8")
+    assert main(["run", str(runs), "-o", str(out)]) == 2
+    statuses = [line.split(";")[0] for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("a_bad.yaml", "b_run.yaml"))]
+    assert statuses == ["a_bad.yaml: exit 2", "b_run.yaml: ok"]
+    assert [p.name for p in out.glob("*.jsonl")] == ["r1.jsonl"]
 
 
 @pytest.mark.parametrize("case", ["sensor range", "actuator default", "band", "weight",
@@ -586,7 +678,7 @@ def test_every_endpoint_an_agent_can_name_is_refused_or_runnable(tmp_path, monke
     with monkeypatch.context() as patch:
         patch.setattr(Kernel, "register_simulator", lambda self, desc, stepper: (
             descriptors.append(desc), register(self, desc, stepper)))
-        kernel = assemble(config, 0, lambda *a: None, load_data_series(config))
+        kernel = assemble(config, 0, lambda *a: None)
     outputs = [(d.sim_id, m.model_id, a) for d in descriptors for m in d.models for a in m.outputs]
     free_inputs = [(d.sim_id, m.model_id, a) for d in descriptors for m in d.models
                    for a in m.inputs if kernel.is_free_input((d.sim_id, m.model_id, a))]
@@ -658,10 +750,22 @@ def numeric_leaves(node, path=()):
     return [p for key, child in items for p in numeric_leaves(child, (*path, key))]
 
 
-def fuzz_mutation(rng, doc):
-    """Apply one seeded mutation to a MINI document in place."""
+FUZZ_SERIES = {  # flaw: the times, and the value at the second time (None: a sound one)
+    "valid": ((0, 900, 1800), None),
+    "sub-second": ((0, 0.5, 1), None),
+    "non-integer": ((0, 1.5, 3), None),
+    "non-uniform": ((0, 900, 2000), None),
+    "non-numeric": ((0, 900, 1800), "abc"),
+    "negative": ((0, 900, 1800), "-5"),
+}
+
+
+def fuzz_mutation(rng, doc, data_dir):
+    """Apply one seeded mutation to a MINI document in place; a data series
+    it writes goes into data_dir."""
     agent = doc["agents"][0]
-    kind = rng.choice(("swap", "non-finite", "weight", "endpoint", "band", "default", "q-range"))
+    kind = rng.choice(("swap", "non-finite", "weight", "endpoint", "band", "default", "q-range",
+                       "series"))
     if kind == "swap":
         spec, lo, hi = rng.choice(
             [(s, "lo", "hi") for s in agent["sensors"] + agent["actuators"]]
@@ -686,6 +790,21 @@ def fuzz_mutation(rng, doc):
         sgen.update(q_min_mvar=lo, q_max_mvar=hi, q_mvar=(lo + hi) / 2)
         if rng.random() < 0.5:
             doc["pv"]["units"] = [u for u in doc["pv"]["units"] if u["sgen"] != sgen["name"]]
+    elif kind == "series":
+        # a weather series or a load profile, with or without a flaw, for MINI's first load
+        times, flawed = FUZZ_SERIES[rng.choice(sorted(FUZZ_SERIES))]
+        weather = rng.random() < 0.5
+        header, sound = ("t_s,ghi_w_m2,t_air_c", "400,15") if weather else ("t_s,factor", "0.5")
+        rows = [f"{t},{sound}" for t in times]
+        if flawed is not None:
+            rows[1] = f"{times[1]},{flawed}" + (",15" if weather else "")
+        path = data_dir / f"series{rng.getrandbits(32):08x}.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        if weather:
+            doc["data"]["weather"] = {"path": str(path)}
+        else:
+            doc["data"]["load_profiles"] = {"day": {"path": str(path)}}
+            doc["grid"]["loads"][0]["profile"] = "day"
     elif kind == "band":
         v_min, v_max = rng.choice(((0.95, 0.95), (1.1, 0.9), (0.5, 1.5), (0.99, 1.0)))
         doc["market"]["band"] = {"v_min_pu": v_min, "v_max_pu": v_max}
@@ -701,11 +820,11 @@ def test_validation_fuzz_accepts_only_runnable_documents(tmp_path, mini_doc):
         {"id": "bidders.s1.price", "lo": 1.0, "hi": 50.0, "default": 8.0}]
     mini_doc["schedule"][0]["episode_length"] = 2
     outcomes = collections.Counter()
-    for n in range(64):
+    for n in range(128):
         doc = copy.deepcopy(mini_doc)
         doc["agents"][0]["kind"] = rng.choice(("none", "random"))
         for _ in range(rng.randint(1, 2)):
-            fuzz_mutation(rng, doc)
+            fuzz_mutation(rng, doc, tmp_path)
         path = tmp_path / f"fuzz{n:02d}.yaml"
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
         code = main(["validate", str(path)])

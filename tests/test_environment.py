@@ -5,7 +5,6 @@ import pytest
 
 from analyse.agents import ActuatorSpec, Phase
 from analyse.environment import AgentRunState, Environment, run_phase
-from analyse.scenario import load_data_series
 from analyse.telemetry import RunSink
 
 from conftest import MINI, parsed
@@ -22,7 +21,7 @@ def make_env(tmp_path, doc=None, actuators=(), objective=None, learner=None,
         learner=dataclasses.replace(config.agent.learner, **(learner or {})))
     config = dataclasses.replace(config, agent=agent)
     sink = RunSink(tmp_path / name, "envtest")
-    env = Environment(config, load_data_series(config), sink, episode_length=3)
+    env = Environment(config, sink, episode_length=3)
     return env, sink
 
 

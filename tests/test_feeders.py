@@ -26,15 +26,6 @@ def test_profile_clamps_past_series_end():
     assert load_profile_value(profile, 10_000) == 0.5
 
 
-def test_profile_invariants():
-    with pytest.raises(FeederError):
-        LoadProfile(resolution_s=0, factors=(1.0,))
-    with pytest.raises(FeederError):
-        LoadProfile(resolution_s=900, factors=())
-    with pytest.raises(FeederError):
-        load_profile_value(LoadProfile(900, (1.0,)), -1)
-
-
 def test_pv_standard_conditions_identity():
     # ghi=1000 with t_air=-5 puts the cell exactly at 25 C.
     unit = PvUnit(bus=3, p_peak_mw=0.5, temp_coeff=0.004, q_min_mvar=-1.0, q_max_mvar=1.0)

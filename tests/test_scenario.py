@@ -18,7 +18,6 @@ from analyse.scenario import (
     NetSimulator,
     PvSimulator,
     assemble,
-    load_data_series,
     load_document,
 )
 from analyse.telemetry import canonical_json, summarize
@@ -50,7 +49,7 @@ class Recorder:
 def build(doc, seed=1):
     config = parsed(doc)
     recorder = Recorder()
-    kernel = assemble(config, seed, recorder, load_data_series(config))
+    kernel = assemble(config, seed, recorder)
     return config, kernel, recorder
 
 
@@ -751,7 +750,7 @@ def test_pv_follows_weather(mini_doc):
     config, kernel, recorder = build(mini_doc)
     kernel.run_until(1)
     assert kernel.get_output(("pv", "s1", "p_mw")) == 0.0  # midnight
-    _, weather = load_data_series(config)
+    _, weather = config.series
     noon = weather.at(12 * 3600)
     assert noon.ghi_w_m2 > 500
 

@@ -53,7 +53,7 @@ def test_checker_matches_jsonschema_on_bundled_documents():
         assert results.count([]) == 1, doc.get("kind")
 
 
-def test_checker_matches_jsonschema_on_the_validation_fuzz(mini_doc):
+def test_checker_matches_jsonschema_on_the_validation_fuzz(tmp_path, mini_doc):
     # the documents of test_cli.test_validation_fuzz_accepts_only_runnable_documents
     from test_cli import fuzz_mutation
 
@@ -61,11 +61,11 @@ def test_checker_matches_jsonschema_on_the_validation_fuzz(mini_doc):
     mini_doc["agents"][0]["actuators"] = [
         {"id": "bidders.s1.price", "lo": 1.0, "hi": 50.0, "default": 8.0}]
     mini_doc["schedule"][0]["episode_length"] = 2
-    for _ in range(64):
+    for _ in range(128):
         doc = copy.deepcopy(mini_doc)
         doc["agents"][0]["kind"] = rng.choice(("none", "random"))
         for _ in range(rng.randint(1, 2)):
-            fuzz_mutation(rng, doc)
+            fuzz_mutation(rng, doc, tmp_path)
         assert_matches_reference(doc, validation.load_schema("scenario"))
 
 
