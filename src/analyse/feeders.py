@@ -21,11 +21,13 @@ from pathlib import Path
 
 
 class FeederError(Exception):
-    """A data series file that breaks its format; `path` is that file."""
+    """A data series file that breaks its format. `field` is the document
+    field that names the file, once scenario.load_data_series has set it."""
+
+    field = ""
 
     def __init__(self, path: Path, problem: str, line: int | None = None):
         super().__init__(f"{path}:{line}: {problem}" if line else f"{path}: {problem}")
-        self.path = path
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,15 @@ class WeatherSeries:
 
 @dataclass(frozen=True)
 class PvUnit:
-    """p_peak_mw > 0 and a q range that holds 0, as the schema and cross_check hold a document."""
+    """A PV unit that drives the p and q of the sgen it names and takes its
+    dispatch at the network node host; p_peak_mw > 0, and the sgen's q range
+    holds 0, as the schema and validation.cross_check hold a document."""
 
-    bus: int
+    name: str
+    sgen: str
     p_peak_mw: float
     temp_coeff: float  # output derating per degC of cell temperature
-    q_min_mvar: float
-    q_max_mvar: float
+    host: str
 
 
 def load_profile_value(profile: LoadProfile, t: float) -> float:

@@ -1,8 +1,9 @@
 """Minimal AC power-flow solver: one slack bus, PQ buses, pi-model lines.
 
 Loads draw power, static generators (sgens) inject it; both are plain PQ
-injections. A model is trusted to be sound: a positive base_mva, unique bus
-ids with one slack bus, lines with r >= 0 and x > 0 whose ends, like every
+injections. Each carries the scenario's name for it, and a load the key of
+the profile that scales it; the solver ignores both. A model is trusted to
+be sound: a positive base_mva, unique bus ids with one slack bus, lines with r >= 0 and x > 0 whose ends, like every
 injection, are buses of the model, every bus connected, and each sgen's q
 within [q_min, q_max]. The schema and `validation.cross_check` refuse a
 document whose grid breaks one of these rules; code that builds a model
@@ -78,6 +79,8 @@ class Load:
     bus: int
     p_mw: float
     q_mvar: float
+    name: str = ""
+    profile: str | None = None  # the load profile key that scales it
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,7 @@ class Sgen:
     q_mvar: float
     q_min_mvar: float
     q_max_mvar: float
+    name: str = ""
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .grid import GridModel, GridState, SensitivityError, solve_power_flow, voltage_sensitivity
+from .grid import (GridModel, GridState, SensitivityError, Sgen, solve_power_flow,
+                   voltage_sensitivity)
 
 EFFECTIVENESS_EPSILON = 1e-6  # pu per Mvar; offers below this do not count
 
@@ -201,18 +202,14 @@ def settle(result: ClearingResult) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class BidderAsset:
+class Bidder:
+    """A scripted bidder with a known strategy and side; the schema holds a
+    document to them."""
+
+    asset: str  # the name of the sgen it bids; also the model id and offer id prefix
     agent_id: str
-    bus: int
-    q_min_mvar: float
-    q_max_mvar: float
-
-
-@dataclass(frozen=True)
-class BidStrategy:
-    """A known kind and side; the schema holds a document to it."""
-
-    kind: str  # "static" or "jitter"
+    host: str  # the network node it sends its offers from
+    strategy: str  # "static" or "jitter"
     price_eur_per_mvar: float
     side: str  # "supply" offers q_max, "absorb" offers q_min
 
@@ -221,30 +218,31 @@ JITTER_SPREAD = 0.2  # relative price jitter, uniform in +/- this
 
 
 def baseline_bid(
-    asset: BidderAsset,
-    strategy: BidStrategy,
+    bidder: Bidder,
+    sgen: Sgen,
     interval: int,
     rng: random.Random,
     offer_id: str,
     price: float,
     q_scale: float,
 ) -> Offer | None:
-    """One scripted offer: q_scale (clamped to [0, 1]) of the headroom, at price.
+    """One scripted offer: q_scale (clamped to [0, 1]) of the headroom of
+    the bidder's sgen, at price.
 
     "jitter" multiplies the price by (1 + u), u uniform in [-0.2, 0.2] drawn
     from the run's seeded stream. Returns None when there is no headroom.
     """
     q_scale = min(max(q_scale, 0.0), 1.0)
-    headroom = asset.q_max_mvar if strategy.side == "supply" else asset.q_min_mvar
+    headroom = sgen.q_max_mvar if bidder.side == "supply" else sgen.q_min_mvar
     q = headroom * q_scale
     if q == 0.0:
         return None
-    if strategy.kind == "jitter":
+    if bidder.strategy == "jitter":
         price = price * (1.0 + rng.uniform(-JITTER_SPREAD, JITTER_SPREAD))
     return Offer(
         offer_id=offer_id,
-        agent_id=asset.agent_id,
-        bus=asset.bus,
+        agent_id=bidder.agent_id,
+        bus=sgen.bus,
         q_mvar=q,
         price_eur_per_mvar=price,
         interval=interval,

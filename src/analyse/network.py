@@ -89,6 +89,7 @@ class AttackRule:
     extra_ms: float
     active_from: float
     active_until: float  # inf: never ends
+    enabled: bool = True  # installed at the start of an episode
 
     def active_at(self, t: float) -> bool:
         return self.active_from <= t < self.active_until

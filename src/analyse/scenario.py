@@ -6,11 +6,14 @@ reactive-power market with its scripted bidders, the communication network
 objective, and the schedule of train/test phases; its schema states, as a
 `default`, what each omitted optional field means. parse_scenario turns such
 a document, schema-valid and with its defaults filled in by validation, into
-a typed ScenarioConfig, the agent section straight into its Objective and
-LearnerConfig, and the grid section into one GridModel whose compiled
-topology serves every episode's power flows. Once the cross-check passes,
-validation reads the data series with load_data_series into the config's
-`series`, so a run needs the config alone.
+a typed ScenarioConfig with one record for each configured thing, which all
+its consumers share. The grid section is one GridModel whose compiled
+topology serves every episode's power flows; its Load and Sgen records carry
+the scenario's names (and a load its profile key), which the solver ignores.
+A PV unit is a feeders.PvUnit, a bidder a market.Bidder, an attack rule a
+network.AttackRule, and the agent section its Objective and LearnerConfig.
+Once the cross-check passes, validation reads the data series with
+load_data_series into the config's `series`, so a run needs the config alone.
 assemble is the one description of the co-simulation: which adapters exist
 follows from the config alone, it makes every connection, and it returns the
 wired Kernel. validation.cross_check is the one sensor/actuator endpoint
@@ -48,12 +51,11 @@ from . import feeders
 from .agents import ActuatorSpec, LearnerConfig, Objective, Phase, SensorSpec
 from .design import STREAM_JITTER, STREAM_NET, derive_seed
 from .errors import ScenarioError
-from .feeders import LoadProfile, PvUnit, WeatherSeries, pv_output
+from .feeders import FeederError, LoadProfile, PvUnit, WeatherSeries, pv_output
 from .grid import Bus, GridModel, GridState, Line, Load, Sgen, solve_power_flow
 from .kernel import Kernel, ModelSpec, SimulatorDescriptor
 from .market import (
-    BidderAsset,
-    BidStrategy,
+    Bidder,
     MarketError,
     Offer,
     VoltageBand,
@@ -133,54 +135,12 @@ def resolve_data_path(ref: str, base_dir: Path) -> Path:
 
 
 @dataclass(frozen=True)
-class LoadAttachment:
-    name: str
-    bus: int
-    p_mw: float
-    q_mvar: float
-    profile: str | None
-
-
-@dataclass(frozen=True)
-class SgenConfig:
-    name: str
-    bus: int
-    p_mw: float
-    q_mvar: float
-    q_min_mvar: float
-    q_max_mvar: float
-
-
-@dataclass(frozen=True)
-class PvConfig:
-    name: str
-    sgen: str
-    p_peak_mw: float
-    temp_coeff: float
-    host: str
-
-
-@dataclass(frozen=True)
-class BidderConfig:
-    asset: str  # sgen name; also the model id and offer id prefix
-    agent_id: str
-    host: str
-    strategy: BidStrategy
-
-
-@dataclass(frozen=True)
-class RuleConfig:
-    rule: AttackRule
-    enabled: bool
-
-
-@dataclass(frozen=True)
 class MarketConfig:
     band: VoltageBand
     interval_s: int
     gate_closure_s: float
     operator_host: str
-    bidders: tuple[BidderConfig, ...]
+    bidders: tuple[Bidder, ...]
 
 
 @dataclass(frozen=True)
@@ -188,7 +148,7 @@ class NetworkConfig:
     step_s: int
     utilization_window_s: float
     topology: NetworkTopology
-    rules: tuple[RuleConfig, ...]
+    rules: tuple[AttackRule, ...]
     restartable: tuple[tuple[str, float], ...]
 
 
@@ -207,11 +167,9 @@ class ScenarioConfig:
     seed: int
     grid_step_s: int
     grid: GridModel  # the configured loads and sgens; step models share its topology
-    loads: tuple[LoadAttachment, ...]
-    sgens: tuple[SgenConfig, ...]
     profiles: dict[str, Path]
     weather_path: Path | None
-    pv_units: tuple[PvConfig, ...]
+    pv_units: tuple[PvUnit, ...]
     market: MarketConfig
     network: NetworkConfig
     agent: AgentConfig
@@ -239,6 +197,7 @@ def _rule_from_doc(doc: dict) -> AttackRule:
         extra_ms=float(action["extra_ms"]),
         active_from=float(doc["active_from"]),
         active_until=float("inf") if active_until is None else float(active_until),
+        enabled=bool(doc["enabled"]),
     )
 
 
@@ -247,21 +206,6 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
     defaults filled in (validation.with_defaults). Only the three optional
     fields that have no schema default are read with `get`."""
     gdoc = doc["grid"]
-    loads = tuple(
-        LoadAttachment(
-            str(l["name"]), int(l["bus"]), float(l["p_mw"]),
-            float(l["q_mvar"]), l["profile"],
-        )
-        for l in gdoc["loads"]
-    )
-    sgens = tuple(
-        SgenConfig(
-            str(s["name"]), int(s["bus"]), float(s["p_mw"]),
-            float(s["q_mvar"]), float(s["q_min_mvar"]),
-            float(s["q_max_mvar"]),
-        )
-        for s in gdoc["sgens"]
-    )
     grid = GridModel(
         base_mva=float(gdoc["base_mva"]),
         buses=tuple(
@@ -275,8 +219,20 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
             )
             for l in gdoc["lines"]
         ),
-        loads=tuple(Load(l.bus, l.p_mw, l.q_mvar) for l in loads),
-        sgens=tuple(Sgen(s.bus, s.p_mw, s.q_mvar, s.q_min_mvar, s.q_max_mvar) for s in sgens),
+        loads=tuple(
+            Load(
+                int(l["bus"]), float(l["p_mw"]), float(l["q_mvar"]),
+                str(l["name"]), l["profile"],
+            )
+            for l in gdoc["loads"]
+        ),
+        sgens=tuple(
+            Sgen(
+                int(s["bus"]), float(s["p_mw"]), float(s["q_mvar"]),
+                float(s["q_min_mvar"]), float(s["q_max_mvar"]), str(s["name"]),
+            )
+            for s in gdoc["sgens"]
+        ),
     )
 
     data = doc["data"]
@@ -288,7 +244,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
     weather_path = resolve_data_path(str(weather_ref["path"]), base_dir) if weather_ref else None
 
     pv_units = tuple(
-        PvConfig(
+        PvUnit(
             str(u["name"]), str(u["sgen"]), float(u["p_peak_mw"]),
             float(u["temp_coeff"]), str(u["host"]),
         )
@@ -305,15 +261,13 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
         gate_closure_s=float(mdoc["gate_closure_s"]),
         operator_host=str(mdoc["operator_host"]),
         bidders=tuple(
-            BidderConfig(
+            Bidder(
                 asset=str(b["asset"]),
                 agent_id=str(b["agent"]),
                 host=str(b["host"]),
-                strategy=BidStrategy(
-                    kind=b["strategy"],
-                    price_eur_per_mvar=float(b["price_eur_per_mvar"]),
-                    side=b["side"],
-                ),
+                strategy=b["strategy"],
+                price_eur_per_mvar=float(b["price_eur_per_mvar"]),
+                side=b["side"],
             )
             for b in mdoc["bidders"]
         ),
@@ -335,10 +289,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
         step_s=int(ndoc["step_s"]),
         utilization_window_s=float(ndoc["utilization_window_s"]),
         topology=topology,
-        rules=tuple(
-            RuleConfig(rule=_rule_from_doc(r), enabled=bool(r["enabled"]))
-            for r in ndoc["rules"]
-        ),
+        rules=tuple(_rule_from_doc(r) for r in ndoc["rules"]),
         restartable=tuple(
             (str(r["node"]), float(r["downtime_s"]))
             for r in ndoc["restartable"]
@@ -381,8 +332,6 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
         seed=int(doc["seed"]),
         grid_step_s=int(gdoc.get("step_s", market.interval_s)),  # absent: the market interval
         grid=grid,
-        loads=loads,
-        sgens=sgens,
         profiles=profiles,
         weather_path=weather_path,
         pv_units=pv_units,
@@ -425,11 +374,11 @@ class GridSimulator:
         models.append(ModelSpec("solver", outputs=("converged", "iterations", "model", "state")))
         models += [
             ModelSpec(f"load_{l.name}", inputs={"p_mw": l.p_mw, "q_mvar": l.q_mvar})
-            for l in cfg.loads
+            for l in cfg.grid.loads
         ]
         models += [
             ModelSpec(f"sgen_{s.name}", inputs={"p_mw": s.p_mw, "q_mvar": s.q_mvar})
-            for s in cfg.sgens
+            for s in cfg.grid.sgens
         ]
         return SimulatorDescriptor(self.SIM_ID, self.config.grid_step_s, tuple(models))
 
@@ -437,14 +386,15 @@ class GridSimulator:
         cfg = self.config
         loads = tuple(
             Load(l.bus, float(inputs[f"load_{l.name}"]["p_mw"]),
-                 float(inputs[f"load_{l.name}"]["q_mvar"]))
-            for l in cfg.loads
+                 float(inputs[f"load_{l.name}"]["q_mvar"]), l.name, l.profile)
+            for l in cfg.grid.loads
         )
         sgens = []
-        for s in cfg.sgens:
+        for s in cfg.grid.sgens:
             setpoint = inputs[f"sgen_{s.name}"]
             q = min(max(float(setpoint["q_mvar"]), s.q_min_mvar), s.q_max_mvar)
-            sgens.append(Sgen(s.bus, float(setpoint["p_mw"]), q, s.q_min_mvar, s.q_max_mvar))
+            sgens.append(
+                Sgen(s.bus, float(setpoint["p_mw"]), q, s.q_min_mvar, s.q_max_mvar, s.name))
         model = cfg.grid.with_injections(loads, tuple(sgens))
         state = solve_power_flow(model, self.last)
         if state.converged:
@@ -484,14 +434,14 @@ class ProfilesSimulator:
     def descriptor(self) -> SimulatorDescriptor:
         models = [
             ModelSpec(f"load_{l.name}", outputs=("p_mw", "q_mvar"))
-            for l in self.config.loads
+            for l in self.config.grid.loads
             if l.profile
         ]
         return SimulatorDescriptor(self.SIM_ID, self.config.grid_step_s, tuple(models))
 
     def __call__(self, t: int, inputs: dict) -> dict:
         outputs = {}
-        for l in self.config.loads:
+        for l in self.config.grid.loads:
             if not l.profile:
                 continue
             factor = feeders.load_profile_value(self.series[l.profile], t)
@@ -523,15 +473,10 @@ class PvSimulator:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        sgens = {s.name: s for s in config.sgens}
-        self.units: dict[str, PvUnit] = {}
-        for u in config.pv_units:
-            sgen = sgens[u.sgen]
-            self.units[u.name] = PvUnit(
-                bus=sgen.bus, p_peak_mw=u.p_peak_mw, temp_coeff=u.temp_coeff,
-                q_min_mvar=sgen.q_min_mvar, q_max_mvar=sgen.q_max_mvar,
-            )
-        self._q: dict[str, float] = {name: 0.0 for name in self.units}
+        sgens = {s.name: s for s in config.grid.sgens}
+        # each unit's sgen by unit name, whose q range a dispatch is clamped to
+        self.sgens = {u.name: sgens[u.sgen] for u in config.pv_units}
+        self._q: dict[str, float] = dict.fromkeys(self.sgens, 0.0)
 
     def descriptor(self) -> SimulatorDescriptor:
         models = [
@@ -547,7 +492,7 @@ class PvSimulator:
     def __call__(self, t: int, inputs: dict) -> dict:
         outputs = {}
         for u in self.config.pv_units:
-            name, unit, model_in = u.name, self.units[u.name], inputs[u.name]
+            name, sgen, model_in = u.name, self.sgens[u.name], inputs[u.name]
             for arrival, src, payload in model_in["inbox"]:
                 try:
                     msg = json.loads(payload.decode("utf-8"))
@@ -560,29 +505,29 @@ class PvSimulator:
                     except (TypeError, ValueError, OverflowError):
                         continue  # a malformed dispatch leaves the previous setpoint
                     if math.isfinite(q):
-                        self._q[name] = min(max(q, unit.q_min_mvar), unit.q_max_mvar)
+                        self._q[name] = min(max(q, sgen.q_min_mvar), sgen.q_max_mvar)
             sample = feeders.WeatherSample(
                 t=float(t), ghi_w_m2=max(float(model_in["ghi_w_m2"]), 0.0),
                 t_air_c=float(model_in["t_air_c"]),
             )
-            outputs[name] = {"p_mw": pv_output(unit, sample), "q_mvar": self._q[name]}
+            outputs[name] = {"p_mw": pv_output(u, sample), "q_mvar": self._q[name]}
         return outputs
 
 
 class BiddersSimulator:
     SIM_ID = "bidders"
 
-    def __init__(self, config: ScenarioConfig, assets: dict[str, BidderAsset],
-                 jitter_rng: random.Random):
+    def __init__(self, config: ScenarioConfig, jitter_rng: random.Random):
         self.config = config
-        self.assets = assets
+        sgens = {s.name: s for s in config.grid.sgens}
+        self.bidders = [(b, sgens[b.asset]) for b in config.market.bidders]
         self.rng = jitter_rng
 
     def descriptor(self) -> SimulatorDescriptor:
         models = [
             ModelSpec(
                 b.asset,
-                inputs={"price": b.strategy.price_eur_per_mvar, "q_scale": 1.0},
+                inputs={"price": b.price_eur_per_mvar, "q_scale": 1.0},
                 outputs=("outbox",),
             )
             for b in self.config.market.bidders
@@ -596,10 +541,10 @@ class BiddersSimulator:
         interval = t // interval_s + 2
         op_host = self.config.market.operator_host
         outputs = {}
-        for b in self.config.market.bidders:
+        for b, sgen in self.bidders:
             offer = baseline_bid(
-                self.assets[b.asset],
-                b.strategy,
+                b,
+                sgen,
                 interval,
                 self.rng,
                 offer_id=f"{b.asset}-{interval:05d}",
@@ -625,9 +570,9 @@ class NetSimulator:
             emit=lambda kind, t, payload: emit("net", kind, t, payload),
             utilization_window_s=net_cfg.utilization_window_s,
         )
-        for rc in net_cfg.rules:
-            if rc.enabled:
-                self.network.install_rule(rc.rule)
+        for rule in net_cfg.rules:
+            if rule.enabled:
+                self.network.install_rule(rule)
         self._restart_state: dict[str, bool] = {node: False for node, _ in net_cfg.restartable}
         self._nodes = tuple(n.node_id for n in net_cfg.topology.nodes)
 
@@ -642,7 +587,7 @@ class NetSimulator:
             for n in net_cfg.topology.nodes
         ]
         adversary_inputs: dict[str, Any] = {
-            f"rule_{rc.rule.rule_id}": (1.0 if rc.enabled else 0.0) for rc in net_cfg.rules
+            f"rule_{rule.rule_id}": (1.0 if rule.enabled else 0.0) for rule in net_cfg.rules
         }
         for node, _ in net_cfg.restartable:
             adversary_inputs[f"restart_{node}"] = 0.0
@@ -663,11 +608,11 @@ class NetSimulator:
 
         adversary = inputs[ADVERSARY_MODEL]
         rules_active = 0
-        for rc in self.config.network.rules:
-            rid = rc.rule.rule_id
+        for rule in self.config.network.rules:
+            rid = rule.rule_id
             want = float(adversary[f"rule_{rid}"]) > 0.5
             if want and not self.network.has_rule(rid):
-                self.network.install_rule(rc.rule)
+                self.network.install_rule(rule)
             elif not want:
                 self.network.remove_rule(rid)
             rules_active += want
@@ -704,13 +649,11 @@ class NetSimulator:
 class MarketSimulator:
     SIM_ID = "market"
 
-    def __init__(self, config: ScenarioConfig, assets: dict[str, BidderAsset], emit: Callable):
+    def __init__(self, config: ScenarioConfig, emit: Callable):
         self.config = config
-        self.assets = assets
         self.emit = emit
-        self.asset_host = {b.asset: b.host for b in config.market.bidders}
-        sgen_index = {s.name: i for i, s in enumerate(config.sgens)}
-        self.asset_sgen_index = [sgen_index[asset] for asset in assets]
+        sgens = {s.name: s for s in config.grid.sgens}
+        self.bidders = {b.asset: (b, sgens[b.asset]) for b in config.market.bidders}
 
     def descriptor(self) -> SimulatorDescriptor:
         return SimulatorDescriptor(
@@ -728,20 +671,22 @@ class MarketSimulator:
             ),
         )
 
-    def _refusal(self, offer: Offer, asset_id: str, interval: int, pending: dict) -> str | None:
-        """Why an offer cannot enter the book of the interval being cleared.
+    @staticmethod
+    def _refusal(offer: Offer, bidder: Bidder | None, sgen: Sgen | None, interval: int,
+                 pending: dict) -> str | None:
+        """Why an offer cannot enter the book of the interval being cleared;
+        bidder and sgen are those of the asset its offer_id names, if any.
 
         A legitimate offer always arrives at the clearing of its own
         interval, so an offer for any other interval is refused.
         """
-        asset = self.assets.get(asset_id)
-        if asset is None:
+        if bidder is None:
             return "unknown asset"
-        if asset.agent_id != offer.agent_id:
+        if bidder.agent_id != offer.agent_id:
             return "asset of another agent"
-        if asset.bus != offer.bus:
+        if sgen.bus != offer.bus:
             return "asset at another bus"
-        if not (asset.q_min_mvar <= offer.q_mvar <= asset.q_max_mvar):
+        if not (sgen.q_min_mvar <= offer.q_mvar <= sgen.q_max_mvar):
             return "exceeds headroom"
         if offer.interval < interval:
             return "interval closed"
@@ -772,7 +717,8 @@ class MarketSimulator:
                 rejected.append({"reason": str(exc), "src": src})
                 continue
             asset_id = offer.offer_id.rsplit("-", 1)[0]
-            reason = self._refusal(offer, asset_id, interval, pending)
+            bidder, sgen = self.bidders.get(asset_id, (None, None))
+            reason = self._refusal(offer, bidder, sgen, interval, pending)
             if reason is None:
                 pending[offer.offer_id] = (arrival, offer, asset_id)
             else:
@@ -787,10 +733,11 @@ class MarketSimulator:
             raise ScenarioError("market stepped before the grid produced a model")
         # Dispatch replaces each asset's setpoint, so the clearing baseline is
         # the grid with all market assets at zero committed reactive power.
-        sgens = list(grid_model.sgens)
-        for idx in self.asset_sgen_index:
-            sgens[idx] = dataclasses.replace(sgens[idx], q_mvar=0.0)
-        baseline = grid_model.with_injections(grid_model.loads, tuple(sgens))
+        sgens = tuple(
+            dataclasses.replace(s, q_mvar=0.0) if s.name in self.bidders else s
+            for s in grid_model.sgens
+        )
+        baseline = grid_model.with_injections(grid_model.loads, sgens)
         start: GridState = model_in["grid_state"]  # near the baseline's state
         result = clear_market(book, baseline, cfg.band, start if start.converged else None)
 
@@ -799,13 +746,13 @@ class MarketSimulator:
             asset_id = pending[a.offer_id][2]
             accepted_by_asset[asset_id] = accepted_by_asset.get(asset_id, 0.0) + a.q_mvar
         messages = []
-        for asset, host in self.asset_host.items():
-            q = accepted_by_asset.get(asset, 0.0)
+        for b in cfg.bidders:
+            q = accepted_by_asset.get(b.asset, 0.0)
             payload = canonical_json({
-                "type": "dispatch", "unit": asset, "q_mvar": q,
+                "type": "dispatch", "unit": b.asset, "q_mvar": q,
                 "interval": interval, "accepted": q != 0.0,
             }).encode("utf-8")
-            messages.append((host, payload))
+            messages.append((b.host, payload))
 
         accepted_mvar = result.accepted_mvar_by_agent()
         self.emit("market", "market.clearing", float(t), {
@@ -845,14 +792,21 @@ class MarketSimulator:
 
 
 def load_data_series(config: ScenarioConfig) -> tuple[dict[str, LoadProfile], WeatherSeries | None]:
-    """The load profiles, then the weather series, that the config names;
-    a FeederError carries the file at fault."""
-    profiles = {
-        key: feeders.read_load_profile_csv(path) for key, path in config.profiles.items()
-    }
-    weather = (
-        feeders.read_weather_csv(config.weather_path) if config.weather_path is not None else None
-    )
+    """The load profiles, then the weather series, that the config names. A
+    FeederError's `field` is the document field naming the file it was
+    reading, so a file named twice is blamed where its reader failed."""
+    profiles = {}
+    weather = None
+    try:
+        for key, path in config.profiles.items():
+            field = f"data/load_profiles/{key}/path"
+            profiles[key] = feeders.read_load_profile_csv(path)
+        if config.weather_path is not None:
+            field = "data/weather/path"
+            weather = feeders.read_weather_csv(config.weather_path)
+    except FeederError as exc:
+        exc.field = field
+        raise
     return profiles, weather
 
 
@@ -865,12 +819,7 @@ def assemble(config: ScenarioConfig, seed: int,
     adapters step through `config.series`; no descriptor reads it.
     """
     profiles, weather = config.series
-    sgens = {s.name: s for s in config.sgens}
-    assets: dict[str, BidderAsset] = {}  # bidders and market share one table
-    for b in config.market.bidders:
-        s = sgens[b.asset]
-        assets[b.asset] = BidderAsset(b.agent_id, s.bus, s.q_min_mvar, s.q_max_mvar)
-    profiled = [l for l in config.loads if l.profile]
+    profiled = [l for l in config.grid.loads if l.profile]
     op_host = config.market.operator_host
 
     # Registration order breaks ties between same-time steps.
@@ -884,9 +833,9 @@ def assemble(config: ScenarioConfig, seed: int,
         adapters.append(PvSimulator(config))
     adapters += [
         GridSimulator(config, emit),
-        BiddersSimulator(config, assets, random.Random(derive_seed(seed, STREAM_JITTER))),
+        BiddersSimulator(config, random.Random(derive_seed(seed, STREAM_JITTER))),
         NetSimulator(config, random.Random(derive_seed(seed, STREAM_NET)), emit),
-        MarketSimulator(config, assets, emit),
+        MarketSimulator(config, emit),
     ]
     for sim in adapters:
         kernel.register_simulator(sim.descriptor(), sim)

@@ -252,11 +252,7 @@ def validate_scenario(doc, base_dir: Path) -> Checked:
     try:
         series = scn.load_data_series(config)
     except FeederError as exc:
-        # at the first field naming the file: load_data_series reads the
-        # profiles first (a file that is also the weather's counts as a profile)
-        named = [(path, f"data/load_profiles/{key}/path") for key, path in config.profiles.items()]
-        named.append((config.weather_path, "data/weather/path"))
-        return Checked([(next(where for path, where in named if path == exc.path), str(exc))])
+        return Checked([(exc.field, str(exc))])
     return Checked([], dataclasses.replace(config, series=series))
 
 
@@ -283,13 +279,13 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
     nodes, links = network.topology.nodes, network.topology.links
     for where, field, ids in (
         ("grid/buses", "id", [b.bus_id for b in grid.buses]),
-        ("grid/loads", "name", [l.name for l in config.loads]),
-        ("grid/sgens", "name", [s.name for s in config.sgens]),
+        ("grid/loads", "name", [l.name for l in grid.loads]),
+        ("grid/sgens", "name", [s.name for s in grid.sgens]),
         ("pv/units", "name", [u.name for u in config.pv_units]),
         ("pv/units", "sgen", [u.sgen for u in config.pv_units]),
         ("market/bidders", "asset", [b.asset for b in market.bidders]),
         ("network/nodes", "id", [n.node_id for n in nodes]),
-        ("network/rules", "rule_id", [rc.rule.rule_id for rc in network.rules]),
+        ("network/rules", "rule_id", [r.rule_id for r in network.rules]),
     ):
         seen = set()
         for i, value in enumerate(ids):
@@ -303,8 +299,8 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
     references += [(f"pv/units/{i}/host", u.host) for i, u in enumerate(config.pv_units)]
     references.append(("market/operator_host", market.operator_host))
     references += [(f"market/bidders/{i}/host", b.host) for i, b in enumerate(market.bidders)]
-    references += [(f"network/rules/{i}/at_node", rc.rule.at_node)
-                   for i, rc in enumerate(network.rules)]
+    references += [(f"network/rules/{i}/at_node", r.at_node)
+                   for i, r in enumerate(network.rules)]
     references += [(f"network/restartable/{i}/node", node)
                    for i, (node, _) in enumerate(network.restartable)]
     errors += [(path, f"unknown network node {node!r}")
@@ -316,8 +312,8 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
         errors.append(("grid/buses", f"exactly one slack bus required, found {slacks}"))
     buses = [(f"grid/lines/{i}/{end}", bus) for i, line in enumerate(grid.lines)
              for end, bus in (("from", line.from_bus), ("to", line.to_bus))]
-    buses += [(f"grid/loads/{i}/bus", l.bus) for i, l in enumerate(config.loads)]
-    buses += [(f"grid/sgens/{i}/bus", s.bus) for i, s in enumerate(config.sgens)]
+    buses += [(f"grid/loads/{i}/bus", l.bus) for i, l in enumerate(grid.loads)]
+    buses += [(f"grid/sgens/{i}/bus", s.bus) for i, s in enumerate(grid.sgens)]
     errors += [(path, f"unknown bus {bus}") for path, bus in buses if bus not in bus_ids]
     first_bus = grid.buses[0].bus_id
     reached = _reached(first_bus, [(l.from_bus, l.to_bus) for l in grid.lines], bus_ids)
@@ -325,7 +321,7 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
                for i, b in enumerate(grid.buses) if b.bus_id not in reached]
     errors += [(f"grid/sgens/{i}/q_mvar",
                 f"q_mvar {s.q_mvar} outside [{s.q_min_mvar}, {s.q_max_mvar}]")
-               for i, s in enumerate(config.sgens)
+               for i, s in enumerate(grid.sgens)
                if not s.q_min_mvar <= s.q_mvar <= s.q_max_mvar]
 
     for i, link in enumerate(links):
@@ -340,7 +336,7 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
         if n.node_id == scn.ADVERSARY_MODEL:
             errors.append((f"network/nodes/{i}/id", f"node id {n.node_id!r} is reserved"))
 
-    for i, l in enumerate(config.loads):
+    for i, l in enumerate(grid.loads):
         if l.profile and l.profile not in config.profiles:
             errors.append((f"grid/loads/{i}/profile", f"unknown load profile {l.profile!r}"))
     for key, path in config.profiles.items():
@@ -354,7 +350,7 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
     # A PV unit starts at q 0, and the market's clearing baseline sets each
     # asset's q to 0, so an sgen that either names needs a q range holding 0;
     # it is reported once, at the first PV unit naming it, else at its bidder.
-    sgens = {s.name: s for s in config.sgens}
+    sgens = {s.name: s for s in grid.sgens}
     named = [(f"pv/units/{i}/sgen", u.sgen) for i, u in enumerate(config.pv_units)]
     named += [(f"market/bidders/{i}/asset", b.asset) for i, b in enumerate(market.bidders)]
     checked = set()
@@ -378,10 +374,10 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
             )
         sender_hosts.add(b.host)
 
-    for i, rc in enumerate(network.rules):
-        if rc.rule.active_from > rc.rule.active_until:
+    for i, r in enumerate(network.rules):
+        if r.active_from > r.active_until:
             errors.append((f"network/rules/{i}/active_until",
-                           f"rule {rc.rule.rule_id}: active_from > active_until"))
+                           f"rule {r.rule_id}: active_from > active_until"))
 
     agent = config.agent
     for i, s in enumerate(agent.sensors):

@@ -484,19 +484,20 @@ WEATHER_HEADER = b"t_s,ghi_w_m2,t_air_c\n"
     ("weather", WEATHER_HEADER + b"0,1" + b"0" * 200_000 + b",10\n",
      ": field larger than field limit"),
     ("profile", b"t_s,factor\n0,1\n0.5,0.8\n", ": time steps must be uniform whole seconds > 0"),
+    # a valid profile is refused at the weather field, which its reader failed
+    ("profile+weather", b"t_s,factor\n0,1\n900,0.8\n", ":2: expected 3 fields"),
 ], ids=["sub-second", "non-integer", "non-numeric", "negative-ghi", "non-finite", "not-utf8",
-        "overlong-field", "profile-sub-second"])
+        "overlong-field", "profile-sub-second", "profile-as-weather"])
 def test_a_bad_data_series_is_refused_at_the_field_naming_it(
         tmp_path, mini_doc, capsys, series, text, problem):
     csv = tmp_path / "series.csv"
     csv.write_bytes(text)
-    if series == "weather":
+    if "weather" in series:
         mini_doc["data"]["weather"]["path"] = str(csv)
-        where = "data/weather/path"
-    else:
+    if "profile" in series:
         mini_doc["data"]["load_profiles"] = {"day": {"path": str(csv)}}
         mini_doc["grid"]["loads"][0]["profile"] = "day"
-        where = "data/load_profiles/day/path"
+    where = "data/load_profiles/day/path" if series == "profile" else "data/weather/path"
     doc_path = tmp_path / "mini.yaml"
     doc_path.write_text(yaml.safe_dump(mini_doc), encoding="utf-8")
     assert main(["validate", str(doc_path)]) == 2

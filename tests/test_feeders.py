@@ -28,25 +28,25 @@ def test_profile_clamps_past_series_end():
 
 def test_pv_standard_conditions_identity():
     # ghi=1000 with t_air=-5 puts the cell exactly at 25 C.
-    unit = PvUnit(bus=3, p_peak_mw=0.5, temp_coeff=0.004, q_min_mvar=-1.0, q_max_mvar=1.0)
+    unit = PvUnit("pv", "s", p_peak_mw=0.5, temp_coeff=0.004, host="h")
     w = WeatherSample(t=0, ghi_w_m2=1000.0, t_air_c=-5.0)
     assert pv_output(unit, w) == pytest.approx(0.5)
 
 
 def test_pv_zero_irradiance():
-    unit = PvUnit(bus=3, p_peak_mw=0.5, temp_coeff=0.004, q_min_mvar=-1.0, q_max_mvar=1.0)
+    unit = PvUnit("pv", "s", p_peak_mw=0.5, temp_coeff=0.004, host="h")
     assert pv_output(unit, WeatherSample(0, 0.0, 30.0)) == 0.0
 
 
 def test_pv_frozen_regression_value():
     # Direct evaluation of the output formula: t_cell = 30 + 0.03*800 = 54,
     # p = 1 * 0.8 * (1 - 0.004 * 29) = 0.7072 MW.
-    unit = PvUnit(bus=3, p_peak_mw=1.0, temp_coeff=0.004, q_min_mvar=-1.0, q_max_mvar=1.0)
+    unit = PvUnit("pv", "s", p_peak_mw=1.0, temp_coeff=0.004, host="h")
     assert pv_output(unit, WeatherSample(0, 800.0, 30.0)) == pytest.approx(0.7072, abs=1e-12)
 
 
 def test_pv_bounds_and_monotonicity():
-    unit = PvUnit(bus=3, p_peak_mw=0.8, temp_coeff=0.004, q_min_mvar=-1.0, q_max_mvar=1.0)
+    unit = PvUnit("pv", "s", p_peak_mw=0.8, temp_coeff=0.004, host="h")
     rng = random.Random(7)
     for _ in range(500):
         w = WeatherSample(0, rng.uniform(0, 1400), rng.uniform(-20, 45))

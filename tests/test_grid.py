@@ -376,9 +376,14 @@ def test_a_repeat_equals_a_fresh_solve_on_a_fresh_topology_bit_for_bit(name):
     for n in range(40):
         target = random_injections(base, rng, LOAD_SCALES[name])
         same = base.with_injections(target.loads, target.sgens)  # equal injections
+        named = base.with_injections(  # names and profile keys are no part of the key
+            tuple(dataclasses.replace(l, name=f"load{i}", profile="day")
+                  for i, l in enumerate(target.loads)),
+            tuple(dataclasses.replace(s, name=f"sgen{i}") for i, s in enumerate(target.sgens)))
         fresh = fresh_topology(target)
         first = solve_power_flow(target)
         assert solve_power_flow(same) is first  # a flat start
+        assert solve_power_flow(named) is first
         assert_same_bits(first, solve_power_flow(fresh), same, fresh)
         seen["diverged" if not first.converged else "flat"] += 1
         made = solve_power_flow(lighter_neighbour(target, rng))
@@ -394,6 +399,7 @@ def test_a_repeat_equals_a_fresh_solve_on_a_fresh_topology_bit_for_bit(name):
             if warm.converged:
                 voltage_sensitivity(target, warm, target.buses[-1].bus_id)
         assert solve_power_flow(same, repeat_start) is warm
+        assert solve_power_flow(named, repeat_start) is warm
         fresh = fresh_topology(target)
         assert_same_bits(warm, solve_power_flow(fresh, repeat_start), same, fresh)
         seen["solver-made" if repeat_start is made else "hand-built"] += 1

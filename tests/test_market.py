@@ -3,10 +3,9 @@ import random
 import pytest
 
 from analyse import market
-from analyse.grid import SensitivityError, solve_power_flow
+from analyse.grid import SensitivityError, Sgen, solve_power_flow
 from analyse.market import (
-    BidderAsset,
-    BidStrategy,
+    Bidder,
     MarketError,
     Offer,
     VoltageBand,
@@ -202,29 +201,29 @@ def test_settle_single_offer_arithmetic():
 
 
 def test_baseline_bid_static():
-    asset = BidderAsset("a", 4, -1.5, 1.5)
-    strategy = BidStrategy("static", 8.0, "supply")
-    offer = baseline_bid(asset, strategy, 3, random.Random(0), "a-3", 8.0, 1.0)
+    bidder = Bidder("a", "a", "h", "static", 8.0, "supply")
+    sgen = Sgen(4, 0.0, 0.0, -1.5, 1.5)
+    offer = baseline_bid(bidder, sgen, 3, random.Random(0), "a-3", 8.0, 1.0)
     assert offer.q_mvar == 1.5
     assert offer.price_eur_per_mvar == 8.0
     assert offer.interval == 3
 
 
 def test_baseline_bid_zero_headroom():
-    asset = BidderAsset("a", 4, 0.0, 0.0)
-    strategy = BidStrategy("static", 8.0, "supply")
-    offer = baseline_bid(asset, strategy, 3, random.Random(0), "a-3", 8.0, 1.0)
+    bidder = Bidder("a", "a", "h", "static", 8.0, "supply")
+    sgen = Sgen(4, 0.0, 0.0, 0.0, 0.0)
+    offer = baseline_bid(bidder, sgen, 3, random.Random(0), "a-3", 8.0, 1.0)
     assert offer is None
 
 
 def test_baseline_bid_jitter_bounds_and_determinism():
-    asset = BidderAsset("a", 4, -1.5, 1.5)
-    strategy = BidStrategy("jitter", 10.0, "supply")
+    bidder = Bidder("a", "a", "h", "jitter", 10.0, "supply")
+    sgen = Sgen(4, 0.0, 0.0, -1.5, 1.5)
 
     def sequence(seed):
         rng = random.Random(seed)
         return [
-            baseline_bid(asset, strategy, i, rng, f"a-{i}", 10.0, 1.0).price_eur_per_mvar
+            baseline_bid(bidder, sgen, i, rng, f"a-{i}", 10.0, 1.0).price_eur_per_mvar
             for i in range(50)
         ]
 

@@ -460,8 +460,8 @@ def test_grid_steps_start_from_the_last_converged_step(mini_doc):
 
     def step(t, scale, q):
         inputs = {f"load_{l.name}": {"p_mw": l.p_mw * scale, "q_mvar": l.q_mvar * scale}
-                  for l in config.loads}
-        inputs.update({f"sgen_{s.name}": {"p_mw": 0.0, "q_mvar": q} for s in config.sgens})
+                  for l in config.grid.loads}
+        inputs.update({f"sgen_{s.name}": {"p_mw": 0.0, "q_mvar": q} for s in config.grid.sgens})
         solver = grid(t, inputs)["solver"]
         assert solver["model"].compiled is config.grid.compiled
         return solver["model"], solver["state"]
@@ -720,10 +720,12 @@ def test_non_finite_offers_rejected_and_clearing_logged(mini_doc):
 
 
 def test_pv_skips_dispatch_without_a_finite_q(mini_doc):
-    pv = PvSimulator(parsed(mini_doc))
+    config = parsed(mini_doc)
+    pv = PvSimulator(config)
 
     def q_after(q):
-        inputs = {name: {"ghi_w_m2": 0.0, "t_air_c": 15.0, "inbox": ()} for name in pv.units}
+        inputs = {u.name: {"ghi_w_m2": 0.0, "t_air_c": 15.0, "inbox": ()}
+                  for u in config.pv_units}
         payload = '{"q_mvar":%s,"type":"dispatch","unit":"s1"}' % q
         inputs["s1"]["inbox"] = ((0.0, "op", payload.encode()),)
         return pv(0, inputs)["s1"]["q_mvar"]
