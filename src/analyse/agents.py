@@ -1,9 +1,10 @@
 """Learning and scripted attacker agents under a brain/muscle split.
 
-The muscle is a linear policy: sensor readings are normalized to [-1, 1],
-mapped affinely, scaled by each actuator's half-span around its default, and
-clipped to the declared range. The brain is a cross-entropy-method loop over
-the flattened policy parameters.
+The muscle is a linear policy given as a flat parameter tuple theta: sensor
+readings are normalized to [-1, 1], mapped affinely, scaled by each actuator's
+half-span around its default, and clipped to the declared range. The brain is
+a cross-entropy-method loop over theta. Their sizes follow from the agent
+section: run_phase sizes theta from the same sensors and actuators it passes.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
-
-
-class AgentError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,48 +42,25 @@ class ActuatorSpec:
         return min(max(value, self.lo), self.hi)
 
 
-@dataclass(frozen=True)
-class Policy:
-    """Linear map from normalized readings to actuator offsets.
-
-    theta has shape n_actuators * (n_sensors + 1), laid out row-wise as
-    [w_1..w_S, bias] per actuator. The zero policy returns every actuator's
-    default.
-    """
-
-    n_sensors: int
-    n_actuators: int
-    theta: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.theta) != self.n_actuators * (self.n_sensors + 1):
-            raise AgentError("theta length does not match sensor/actuator counts")
-
-    @classmethod
-    def zeros(cls, n_sensors: int, n_actuators: int) -> "Policy":
-        return cls(n_sensors, n_actuators, (0.0,) * (n_actuators * (n_sensors + 1)))
-
-
 def muscle_act(
-    policy: Policy,
+    theta: Sequence[float],
     readings: Sequence[float],
     sensors: Sequence[SensorSpec],
     actuators: Sequence[ActuatorSpec],
 ) -> list[float]:
     """Deterministic setpoints for one readings vector.
 
-    For each actuator the affine output scales the half-span around the
-    declared default before clipping.
+    theta has len(actuators) * (len(sensors) + 1) entries, laid out row-wise
+    as [w_1..w_S, bias] per actuator; readings has one value per sensor. For
+    each actuator the affine output scales the half-span around the declared
+    default before clipping, so all-zero parameters return every actuator's
+    default.
     """
-    if len(readings) != policy.n_sensors or len(sensors) != policy.n_sensors:
-        raise AgentError("readings length does not match the policy")
-    if len(actuators) != policy.n_actuators:
-        raise AgentError("actuator count does not match the policy")
     x = [spec.normalize(value) for value, spec in zip(readings, sensors)]
-    width = policy.n_sensors + 1
+    width = len(sensors) + 1
     setpoints = []
     for j, act in enumerate(actuators):
-        row = policy.theta[j * width : (j + 1) * width]
+        row = theta[j * width : (j + 1) * width]
         u = sum(w * xi for w, xi in zip(row[:-1], x)) + row[-1]
         half_span = (act.hi - act.lo) / 2.0
         setpoints.append(act.clip(act.default + u * half_span))

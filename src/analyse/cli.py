@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import EXIT_IO, EXIT_OK, EXIT_VALIDATION, RunError, ScenarioError
-from .telemetry import METRIC_KEYS, ComparisonTable, RunSummary, compare, summarize
+from .telemetry import METRIC_KEYS, ComparisonTable, RunSummary, compare, mean, summarize
 
 # Each command imports the layers it uses, so that `analyse report`, which
 # reads logs only, loads neither the simulator nor numpy.
@@ -207,9 +207,8 @@ def render_summary(s: RunSummary, fmt: str = "text") -> str:
     for agent in sorted(s.accepted_mvar):
         rows.append((f"accepted_mvar.{agent}", s.accepted_mvar[agent]))
     for agent in sorted(s.returns):
-        stats = s.episode_stats(agent)
-        rows.append((f"episodes.{agent}", stats["episodes"]))
-        rows.append((f"mean_return.{agent}", stats["mean"]))
+        rows.append((f"episodes.{agent}", len(s.returns[agent])))
+        rows.append((f"mean_return.{agent}", mean(s.returns[agent])))
     for line_no, message in s.parse_errors:
         rows.append((f"parse_error.line_{line_no}", message))
     if fmt == "csv":

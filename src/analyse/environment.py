@@ -28,7 +28,6 @@ from . import scenario as scn
 from .agents import (
     CemDistribution,
     Phase,
-    Policy,
     ScriptedAgent,
     cem_update,
     muscle_act,
@@ -44,10 +43,11 @@ class EnvironmentError(Exception):
 
 
 class Environment:
-    def __init__(self, config: scn.ScenarioConfig, sink: RunSink, episode_length: int = 96):
+    episode_length: int  # agent steps per episode, set by run_phase for each phase
+
+    def __init__(self, config: scn.ScenarioConfig, sink: RunSink):
         self.config = config
         self.sink = sink
-        self.episode_length = episode_length
         self._sensor_eps = [tuple(s.id.split(".")) for s in config.agent.sensors]
         self._actuator_eps = [tuple(a.id.split(".")) for a in config.agent.actuators]
         self._t_offset = 0.0
@@ -107,7 +107,7 @@ class Environment:
         market = self.config.market
         self._local_t += market.interval_s
         self._kernel.run_until(self._local_t + 1)
-        window = RunSummary(band=(market.band.v_min_pu, market.band.v_max_pu))
+        window = RunSummary(band=market.band)
         for record in self.sink.drain():
             window.feed(record.kind, record.payload)
         reward = objective_eval(window.aggregates(), self.config.agent.objective)
@@ -130,7 +130,6 @@ class PhaseReport:
     name: str
     mode: str
     returns: list[float] = field(default_factory=list)
-    best_theta: tuple[float, ...] | None = None
     best_return: float | None = None
 
     @property
@@ -191,9 +190,8 @@ def run_phase(
             population: list[tuple[tuple[float, ...], float]] = []
             for _ in range(learner.population):
                 theta = dist.sample(rng)
-                policy = Policy(len(sensors), len(actuators), theta)
                 ret = run_episode(
-                    lambda obs, p=policy: muscle_act(p, obs, sensors, actuators),
+                    lambda obs: muscle_act(theta, obs, sensors, actuators),
                     label=f"gen{gen}",
                 )
                 population.append((theta, ret))
@@ -209,10 +207,9 @@ def run_phase(
             })
     elif learner.kind == "cem":
         theta = state.best_theta or (0.0,) * dim
-        policy = Policy(len(sensors), len(actuators), theta)
         for _ in range(phase.episodes):
             run_episode(
-                lambda obs: muscle_act(policy, obs, sensors, actuators),
+                lambda obs: muscle_act(theta, obs, sensors, actuators),
                 label="test",
             )
     else:
@@ -223,6 +220,5 @@ def run_phase(
             run_episode(lambda obs: scripted.act(obs), label=learner.kind)
 
     if learner.kind == "cem":
-        report.best_theta = state.best_theta
         report.best_return = state.best_return if state.best_theta else None
     return report

@@ -104,12 +104,6 @@ class GridModel:
     loads: tuple[Load, ...]
     sgens: tuple[Sgen, ...] = ()  # cosimbench/radial32.py leaves it out
 
-    def __post_init__(self):
-        object.__setattr__(self, "buses", tuple(self.buses))
-        object.__setattr__(self, "lines", tuple(self.lines))
-        object.__setattr__(self, "loads", tuple(self.loads))
-        object.__setattr__(self, "sgens", tuple(self.sgens))
-
     @cached_property
     def compiled(self) -> CompiledGrid:
         """The topology as arrays, built on first use."""

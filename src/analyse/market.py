@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .grid import (GridModel, GridState, SensitivityError, Sgen, solve_power_flow,
                    voltage_sensitivity)
+from .telemetry import VoltageBand
 
 EFFECTIVENESS_EPSILON = 1e-6  # pu per Mvar; offers below this do not count
 
@@ -72,15 +73,18 @@ def offer_from_payload(payload: dict) -> Offer:
     return offer
 
 
-@dataclass(frozen=True)
-class VoltageBand:
-    """0 < v_min_pu < v_max_pu; the schema and validation.cross_check hold a document to it."""
-
-    v_min_pu: float
-    v_max_pu: float
-
-    def excursion(self, vm: float) -> float:
-        return max(self.v_min_pu - vm, vm - self.v_max_pu, 0.0)
+def dispatch_from_payload(payload, unit: str) -> float | None:
+    """The q_mvar a decoded wire payload dispatches to unit, or None if it is
+    no dispatch to unit or its q_mvar is not a finite JSON number, read with
+    no coercion as offer_from_payload reads an offer."""
+    if not (isinstance(payload, dict) and payload.get("type") == "dispatch"
+            and payload.get("unit") == unit):
+        return None
+    try:
+        q = float(_field(payload, "q_mvar", (int, float)))
+    except (KeyError, TypeError, OverflowError):
+        return None
+    return q if math.isfinite(q) else None
 
 
 @dataclass

@@ -28,7 +28,6 @@ from typing import Callable
 @dataclass(frozen=True)
 class NodeSpec:
     node_id: str
-    kind: str  # host | switch | router
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,6 @@ class NetworkTopology:
 
     nodes: tuple[NodeSpec, ...]
     links: tuple[LinkSpec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "links", tuple(self.links))
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,6 @@ class AttackRule:
 
 @dataclass
 class InterfaceCounters:
-    node_id: str
     bytes_in: int = 0
     bytes_out: int = 0
     frames_dropped: int = 0
@@ -157,7 +151,7 @@ class Network:
         self._offline_until: dict[str, float] = {}
         self._rules: dict[str, AttackRule] = {}
         self._counters: dict[str, InterfaceCounters] = {
-            n.node_id: InterfaceCounters(n.node_id) for n in topology.nodes
+            n.node_id: InterfaceCounters() for n in topology.nodes
         }
         self._next_frame_id: dict[str, int] = {}
         self._delivered: dict[str, list[tuple[float, Frame]]] = {
@@ -277,7 +271,7 @@ class Network:
                           self._transit_out[node_id].total_since(cutoff))
             utilization = 8.0 * busiest / (capacity_bps * window)
         c = self._counters[node_id]
-        return InterfaceCounters(node_id, c.bytes_in, c.bytes_out, c.frames_dropped, utilization)
+        return InterfaceCounters(c.bytes_in, c.bytes_out, c.frames_dropped, utilization)
 
     def delivered(self, node_id: str) -> list[tuple[float, Frame]]:
         """(arrival, frame) pairs delivered to the node since the last call."""

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import scenario as scn
-from .agents import AgentError
 from .environment import AgentRunState, Environment, EnvironmentError, PhaseReport, run_phase
 from .errors import EXIT_IO, EXIT_OK, EXIT_SIMULATION, EXIT_VALIDATION, RunError
 from .kernel import KernelError
@@ -106,7 +105,7 @@ def execute_run(
                 for r in reports
             ],
         })
-    except (AgentError, EnvironmentError, KernelError, scn.ScenarioError,
+    except (EnvironmentError, KernelError, scn.ScenarioError,
             TelemetryError) as exc:
         sink.emit("runner", "run.abort", env.telemetry_time, {"error": str(exc)})
         sink.close()

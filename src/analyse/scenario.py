@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +60,7 @@ from .market import (
     VoltageBand,
     baseline_bid,
     clear_market,
+    dispatch_from_payload,
     offer_from_payload,
 )
 from .network import AttackRule, MatchSpec, Network, NetworkTopology, NodeSpec, LinkSpec
@@ -275,7 +275,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
 
     ndoc = doc["network"]
     topology = NetworkTopology(
-        nodes=tuple(NodeSpec(str(n["id"]), n["kind"]) for n in ndoc["nodes"]),
+        nodes=tuple(NodeSpec(str(n["id"])) for n in ndoc["nodes"]),
         links=tuple(
             LinkSpec(
                 str(l["a"]), str(l["b"]), float(l["latency_ms"]),
@@ -401,7 +401,9 @@ class GridSimulator:
             self.last = state
         self.emit("grid", "grid.step", float(t), {
             "t": t,
-            "vm": {str(b.bus_id): v for b, v in zip(cfg.grid.buses, state.vm)},
+            # a diverged solve's last iterate is no voltage: log none
+            "vm": ({str(b.bus_id): v for b, v in zip(cfg.grid.buses, state.vm)}
+                   if state.converged else {}),
             "converged": state.converged,
             "iterations": state.iterations,
             "slack_p_mw": state.slack_p_mw,
@@ -498,14 +500,11 @@ class PvSimulator:
                     msg = json.loads(payload.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
                     continue
-                # the market addresses a dispatch to the asset, the unit's sgen
-                if isinstance(msg, dict) and msg.get("type") == "dispatch" and msg.get("unit") == u.sgen:
-                    try:
-                        q = float(msg.get("q_mvar", 0.0))
-                    except (TypeError, ValueError, OverflowError):
-                        continue  # a malformed dispatch leaves the previous setpoint
-                    if math.isfinite(q):
-                        self._q[name] = min(max(q, sgen.q_min_mvar), sgen.q_max_mvar)
+                # the market addresses a dispatch to the asset, the unit's sgen;
+                # any other frame leaves the previous setpoint
+                q = dispatch_from_payload(msg, u.sgen)
+                if q is not None:
+                    self._q[name] = min(max(q, sgen.q_min_mvar), sgen.q_max_mvar)
             sample = feeders.WeatherSample(
                 t=float(t), ghi_w_m2=max(float(model_in["ghi_w_m2"]), 0.0),
                 t_air_c=float(model_in["t_air_c"]),
@@ -728,9 +727,7 @@ class MarketSimulator:
         book = [offer for arrival, offer, _ in pending.values() if arrival <= gate]
         late = len(pending) - len(book)
 
-        grid_model: GridModel = model_in["grid_model"]
-        if grid_model is None:
-            raise ScenarioError("market stepped before the grid produced a model")
+        grid_model: GridModel = model_in["grid_model"]  # the grid steps first at every t
         # Dispatch replaces each asset's setpoint, so the clearing baseline is
         # the grid with all market assets at zero committed reactive power.
         sgens = tuple(

@@ -207,6 +207,17 @@ class RunSink:
         self.close()
 
 
+@dataclass(frozen=True)
+class VoltageBand:
+    """0 < v_min_pu < v_max_pu; the schema and validation.cross_check hold a document to it."""
+
+    v_min_pu: float
+    v_max_pu: float
+
+    def excursion(self, vm: float) -> float:
+        return max(self.v_min_pu - vm, vm - self.v_max_pu, 0.0)
+
+
 _IGNORED_KINDS = frozenset((
     "run.end",
     "run.abort",
@@ -226,7 +237,8 @@ class RunSummary:
     summarize() feeds every record of a log file; the environment feeds the
     records of one agent step and derives the step reward from aggregates().
     `band` is the voltage band excursions are measured against; a run.header
-    record replaces it with the run's band.
+    record replaces it with the run's band. A diverged grid.step logs an empty
+    `vm`, so it counts as diverged and adds no excursion.
     """
 
     run_id: str = ""
@@ -235,7 +247,7 @@ class RunSummary:
     seed: int | None = None
     # the schema's default band: summarize() needs one for a log that has no
     # run.header, whose band would replace it
-    band: tuple[float, float] = (0.95, 1.05)
+    band: VoltageBand = VoltageBand(0.95, 1.05)
     violation_count: int = 0
     violation_sum_pu: float = 0.0
     max_excursion_pu: float = 0.0
@@ -257,17 +269,6 @@ class RunSummary:
     def resolution_rate(self) -> float:
         return self.clearings_resolved / self.clearings if self.clearings else 1.0
 
-    def episode_stats(self, agent_id: str) -> dict:
-        rs = self.returns.get(agent_id, [])
-        if not rs:
-            return {"episodes": 0, "mean": 0.0, "min": 0.0, "max": 0.0}
-        return {
-            "episodes": len(rs),
-            "mean": mean(rs),
-            "min": min(rs),
-            "max": max(rs),
-        }
-
     def feed(self, kind: str, payload: dict) -> None:
         """Add one record's payload to the aggregates."""
         if kind == "run.header":
@@ -275,13 +276,13 @@ class RunSummary:
             self.factors = payload.get("factors", {})
             self.seed = payload.get("seed")
             band = payload.get("band", {})
-            self.band = (band.get("v_min_pu", self.band[0]), band.get("v_max_pu", self.band[1]))
+            self.band = VoltageBand(band.get("v_min_pu", self.band.v_min_pu),
+                                    band.get("v_max_pu", self.band.v_max_pu))
         elif kind == "grid.step":
             if not payload.get("converged", True):
                 self.diverged_count += 1
-            lo, hi = self.band
             for vm in payload.get("vm", {}).values():
-                excursion = max(lo - vm, vm - hi, 0.0)
+                excursion = self.band.excursion(vm)
                 if excursion > 0.0:
                     self.violation_count += 1
                     self.violation_sum_pu += excursion

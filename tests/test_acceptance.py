@@ -118,7 +118,7 @@ def test_c2_clearing_feasibility_agrees_with_brute_force():
 def test_c3_network_delivery_and_conservation():
     # latency-only delivery, exact to the event-queue resolution
     topology = NetworkTopology(
-        (NodeSpec("a", "host"), NodeSpec("b", "host")), (LinkSpec("a", "b", 10.0, None, 0.0),)
+        (NodeSpec("a"), NodeSpec("b")), (LinkSpec("a", "b", 10.0, None, 0.0),)
     )
     net = Network(topology, random.Random(1), utilization_window_s=900.0)
     net.send("a", "b", b"x" * 100, 5.0)
@@ -127,7 +127,7 @@ def test_c3_network_delivery_and_conservation():
 
     # seeded loss 0.5 over 1000 frames within the central 99% binomial band
     lossy = NetworkTopology(
-        (NodeSpec("a", "host"), NodeSpec("b", "host")), (LinkSpec("a", "b", 1.0, None, 0.5),)
+        (NodeSpec("a"), NodeSpec("b")), (LinkSpec("a", "b", 1.0, None, 0.5),)
     )
     net = Network(lossy, random.Random(0xC3), utilization_window_s=900.0)
     for i in range(1000):

@@ -5,10 +5,8 @@ import pytest
 
 from analyse.agents import (
     ActuatorSpec,
-    AgentError,
     CemDistribution,
     Objective,
-    Policy,
     ScriptedAgent,
     SensorSpec,
     cem_update,
@@ -22,33 +20,28 @@ DAMAGE = Objective("damage", (), 0.0, {})
 
 
 def test_zero_policy_returns_actuator_defaults():
-    policy = Policy.zeros(1, 1)
-    assert muscle_act(policy, [1.0], SENSORS, ACTUATORS) == [5.0]
+    theta = (0.0, 0.0)
+    assert muscle_act(theta, [1.0], SENSORS, ACTUATORS) == [5.0]
 
 
 def test_muscle_clips_to_actuator_range():
     # bias so large that the raw output exceeds hi by far
-    policy = Policy(1, 1, (0.0, 100.0))
-    assert muscle_act(policy, [1.0], SENSORS, ACTUATORS) == [10.0]
+    theta = (0.0, 100.0)
+    assert muscle_act(theta, [1.0], SENSORS, ACTUATORS) == [10.0]
 
 
 def test_muscle_deterministic():
-    policy = Policy(1, 1, (0.35, -0.2))
-    a = muscle_act(policy, [0.97], SENSORS, ACTUATORS)
-    b = muscle_act(policy, [0.97], SENSORS, ACTUATORS)
+    theta = (0.35, -0.2)
+    a = muscle_act(theta, [0.97], SENSORS, ACTUATORS)
+    b = muscle_act(theta, [0.97], SENSORS, ACTUATORS)
     assert a == b
 
 
 def test_muscle_clamps_out_of_range_readings():
-    policy = Policy(1, 1, (1.0, 0.0))
-    inside = muscle_act(policy, [1.2], SENSORS, ACTUATORS)
-    outside = muscle_act(policy, [5.0], SENSORS, ACTUATORS)
+    theta = (1.0, 0.0)
+    inside = muscle_act(theta, [1.2], SENSORS, ACTUATORS)
+    outside = muscle_act(theta, [5.0], SENSORS, ACTUATORS)
     assert inside == outside  # reading clamped to the sensor hi first
-
-
-def test_muscle_shape_validation():
-    with pytest.raises(AgentError):
-        muscle_act(Policy.zeros(2, 1), [1.0], SENSORS, ACTUATORS)
 
 
 def test_cem_equal_returns_tie_break_lowest_index():

@@ -11,7 +11,7 @@ import yaml
 from analyse.cli import main, render_summary
 from analyse.kernel import Kernel
 from analyse.scenario import NON_NUMERIC_ATTRS, assemble
-from analyse.telemetry import RunSummary
+from analyse.telemetry import RunSummary, summarize
 from analyse.validation import validate_document
 
 from conftest import MINI, packaged, parsed
@@ -835,3 +835,35 @@ def test_validation_fuzz_accepts_only_runnable_documents(tmp_path, mini_doc):
             assert code == 0, doc
         outcomes[code] += 1
     assert outcomes[2] >= 10 and outcomes[0] >= 10
+
+
+def test_a_diverged_grid_step_logs_no_voltages_and_adds_no_excursion(tmp_path, capsys):
+    # A random load at bus 4 up to 1e6 MW makes some power flows diverge;
+    # their last Newton iterate is no voltage, so the log carries none and
+    # the band aggregates see only converged steps.
+    from oracles import recount_log
+
+    doc = yaml.safe_load(packaged("gaming.yaml").read_text(encoding="utf-8"))
+    doc["agents"][0]["kind"] = "random"
+    doc["agents"][0]["actuators"] = [
+        {"id": "grid.load_l4.p_mw", "lo": 0.0, "hi": 1e6, "default": 4.6}]
+    doc["schedule"] = [{"name": "testing", "mode": "test", "episodes": 4, "episode_length": 6}]
+    path = tmp_path / "heavy.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "logs"
+    assert main(["run", str(path), "-o", str(out)]) == 0
+    log = out / "gaming.jsonl"
+    steps = [r["payload"] for r in map(json.loads, log.read_text().splitlines())
+             if r["kind"] == "grid.step"]
+    diverged = [p for p in steps if not p["converged"]]
+    assert diverged and all(p["vm"] == {} for p in diverged)
+    assert all(len(p["vm"]) == 4 for p in steps if p["converged"])
+    summary, recount = summarize(log), recount_log(log)
+    assert summary.diverged_count == len(diverged)
+    assert summary.violation_count == recount["violation_count"]
+    assert (summary.clearings, summary.clearings_resolved) == (
+        recount["clearings"], recount["clearings_resolved"])
+    assert summary.total_cost_eur == pytest.approx(recount["total_cost"])
+    assert summary.payments_eur == pytest.approx(recount["payments"])
+    assert summary.returns == recount["episodes"]
+    assert summary.max_excursion_pu < 1

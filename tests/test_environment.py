@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from analyse import environment
 from analyse.agents import ActuatorSpec, Phase
 from analyse.environment import AgentRunState, Environment, run_phase
 from analyse.telemetry import RunSink
@@ -21,7 +22,8 @@ def make_env(tmp_path, doc=None, actuators=(), objective=None, learner=None,
         learner=dataclasses.replace(config.agent.learner, **(learner or {})))
     config = dataclasses.replace(config, agent=agent)
     sink = RunSink(tmp_path / name, "envtest")
-    env = Environment(config, sink, episode_length=3)
+    env = Environment(config, sink)
+    env.episode_length = 3
     return env, sink
 
 
@@ -110,7 +112,7 @@ def test_run_phase_replay_and_none(tmp_path):
     sink.close()
 
 
-def test_train_then_test_uses_best_theta(tmp_path):
+def test_train_then_test_uses_best_theta(tmp_path, monkeypatch):
     actuator = ActuatorSpec("bidders.s2.price", 1.0, 50.0, default=5.0)
     env, sink = make_env(
         tmp_path,
@@ -123,9 +125,13 @@ def test_train_then_test_uses_best_theta(tmp_path):
     assert len(train.returns) == 8  # population * generations
     assert state.best_theta is not None
     assert train.best_return == max(train.returns)
+    used = []
+    muscle_act = environment.muscle_act
+    monkeypatch.setattr(environment, "muscle_act",
+                        lambda theta, *args: used.append(theta) or muscle_act(theta, *args))
     test = run_phase(env, Phase("te", "test", 2, 2), 5, state)
     assert len(test.returns) == 2
-    assert test.best_theta == state.best_theta
+    assert used and all(theta == state.best_theta for theta in used)
     sink.close()
 
 

@@ -18,7 +18,7 @@ EVERY_FRAME = MatchSpec(None, None, None)
 
 def line_topology(loss=0.0, latency_ms=10.0, bandwidth_kbps=None):
     return NetworkTopology(
-        nodes=(NodeSpec("a", "host"), NodeSpec("sw", "switch"), NodeSpec("b", "host")),
+        nodes=(NodeSpec("a"), NodeSpec("sw"), NodeSpec("b")),
         links=(
             LinkSpec("a", "sw", latency_ms, bandwidth_kbps, loss),
             LinkSpec("sw", "b", latency_ms, bandwidth_kbps, loss),
@@ -28,7 +28,7 @@ def line_topology(loss=0.0, latency_ms=10.0, bandwidth_kbps=None):
 
 def single_link(loss=0.0, latency_ms=10.0, bandwidth_kbps=None):
     return NetworkTopology(
-        nodes=(NodeSpec("a", "host"), NodeSpec("b", "host")),
+        nodes=(NodeSpec("a"), NodeSpec("b")),
         links=(LinkSpec("a", "b", latency_ms, bandwidth_kbps, loss),),
     )
 
@@ -278,8 +278,8 @@ def test_network_numbers_frames_from_zero_per_source():
 def test_shortest_path_ties_lexicographic():
     # two equal-cost two-hop paths b->x->c and b->y->c; x wins on name
     topology = NetworkTopology(
-        nodes=(NodeSpec("b", "host"), NodeSpec("x", "switch"), NodeSpec("y", "switch"),
-               NodeSpec("c", "host")),
+        nodes=(NodeSpec("b"), NodeSpec("x"), NodeSpec("y"),
+               NodeSpec("c")),
         links=tuple(LinkSpec(a, b, 1.0, None, 0.0)
                     for a, b in (("b", "x"), ("b", "y"), ("x", "c"), ("y", "c"))),
     )
@@ -290,8 +290,8 @@ def test_shortest_path_ties_lexicographic():
 
 def test_routes_are_searched_once_and_never_shared():
     topology = NetworkTopology(
-        nodes=(NodeSpec("b", "host"), NodeSpec("x", "switch"), NodeSpec("y", "switch"),
-               NodeSpec("c", "host")),
+        nodes=(NodeSpec("b"), NodeSpec("x"), NodeSpec("y"),
+               NodeSpec("c")),
         links=tuple(LinkSpec(a, b, 1.0, None, 0.0)
                     for a, b in (("b", "x"), ("b", "y"), ("x", "c"), ("y", "c"))),
     )
@@ -334,8 +334,8 @@ def test_utilization_matches_resummed_window_after_every_advance():
     # r have no enforced capacity; every other interface does.
     window = 2.0
     topology = NetworkTopology(
-        nodes=(NodeSpec("h1", "host"), NodeSpec("h2", "host"), NodeSpec("h3", "host"),
-               NodeSpec("r", "router"), NodeSpec("sw", "switch")),
+        nodes=(NodeSpec("h1"), NodeSpec("h2"), NodeSpec("h3"),
+               NodeSpec("r"), NodeSpec("sw")),
         links=(LinkSpec("h1", "sw", 5.0, 800.0, 0.0), LinkSpec("h2", "sw", 3.0, 400.0, 0.0),
                LinkSpec("r", "sw", 1.0, 2000.0, 0.0), LinkSpec("h3", "r", 1.0, None, 0.0)),
     )

@@ -1045,3 +1045,22 @@ def test_tamper_fuzz_rejects_every_malformed_offer(tmp_path):
                          else ("offer_id", entry["offer_id"])] += 1
     assert sum(expected.values()) >= 200
     assert rejected == expected
+
+
+@pytest.mark.parametrize("q_field", ['"q_mvar":"0.3",', '"q_mvar":true,', ""])
+def test_a_tampered_dispatch_leaves_the_setpoint(mini_doc, q_field):
+    # s2 is dispatched 1.2 Mvar at every clearing; from t=1000 its dispatch
+    # is rewritten in flight to a q_mvar of another JSON type, or none, which
+    # is no dispatch: the unit keeps the setpoint it had
+    tampered = '{"accepted":true,"interval":3,%s"type":"dispatch","unit":"s2"}' % q_field
+    mini_doc["network"]["rules"] = [{
+        "rule_id": "tamper_dispatch", "at_node": "sw", "enabled": True, "active_from": 1000,
+        "match": {"src": "op", "payload_contains": '"unit":"s2"'},
+        "action": {"kind": "tamper", "replacement": tampered},
+    }]
+    config, kernel, recorder = build(mini_doc)
+    kernel.run_until(1801)
+    assert kernel.get_output(("pv", "s2", "q_mvar")) == pytest.approx(1.2)
+    kernel.run_until(2701)
+    assert [m[3]["rule_id"] for m in recorder.of("net.rule") if m[3].get("event") == "match"]
+    assert kernel.get_output(("pv", "s2", "q_mvar")) == pytest.approx(1.2)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 ROOT = Path(__file__).parent.parent
 
 
@@ -59,6 +61,29 @@ def test_traced_run_records_a_span_in_every_layer(tmp_path):
     counts = json.loads(done.stdout.splitlines()[-1])
     assert [name for name in TRACED_LAYERS if not counts.get(name)] == []
     assert counts.get("scenario.assemble", 0) >= 2  # validation's dry build, then the episode
+
+
+def test_traced_cem_run_records_its_policy_and_its_updates(tmp_path):
+    # feeder4's agent is scripted; the benchmark's gaming workload trains a
+    # CEM attacker, whose policy runs through environment.muscle_act and
+    # whose brain through environment.cem_update, both patched by name.
+    doc = yaml.safe_load((ROOT / "src" / "analyse" / "data" / "gaming.yaml").read_text())
+    doc["agents"][0]["learner"].update(population=4, generations=1)
+    doc["schedule"] = [
+        {"name": "training", "mode": "train", "episodes": 4, "episode_length": 2},
+        {"name": "testing", "mode": "test", "episodes": 1, "episode_length": 2},
+    ]
+    path = tmp_path / "gaming.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "cosimbench"), str(ROOT / "src"),
+         str(path), str(tmp_path / "logs")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout.splitlines()[-1])
+    assert counts.get("agents.act") == 5 * 2  # one per agent step, train and test
+    assert counts.get("agents.cem_update") == 1
 
 
 def test_untraced_step_clock_times_a_real_run(tmp_path, monkeypatch):
