@@ -10,7 +10,9 @@ seed; step(setpoints) applies actuator values, advances the kernel by one
 agent interval (the market interval), and derives the reward from the
 telemetry records the interval produced, drained from the sink and reduced
 by a telemetry.RunSummary. Episode telemetry times are offset so t_sim stays
-non-decreasing per source across episodes within one run log.
+non-decreasing per source across episodes within one run log. step trusts
+run_phase, which resets before an episode's first step and passes one
+setpoint per actuator.
 
 Sensor and actuator ids are checked once, by validation.cross_check, before
 a run builds its environment. An environment built directly with a sensor
@@ -36,10 +38,6 @@ from .agents import (
 from .design import STREAM_CEM, STREAM_EPISODE, STREAM_SCRIPTED, derive_seed
 from .kernel import Kernel
 from .telemetry import RunSink, RunSummary, mean
-
-
-class EnvironmentError(Exception):
-    pass
 
 
 class Environment:
@@ -91,10 +89,6 @@ class Environment:
         return values
 
     def step(self, setpoints: Sequence[float]) -> tuple[list[float], float, bool]:
-        if self._kernel is None:
-            raise EnvironmentError("reset() before step()")
-        if len(setpoints) != len(self.config.agent.actuators):
-            raise EnvironmentError("setpoint vector length mismatch")
         applied = {}
         for value, spec, ep in zip(setpoints, self.config.agent.actuators, self._actuator_eps):
             clipped = spec.clip(float(value))

@@ -3,8 +3,8 @@
 Simulators register with a fixed integer step size and a set of models whose
 named attributes form typed endpoints. Connections move attribute values
 between endpoints; the kernel advances simulation time and steps every due
-simulator, ordering same-time steps topologically along non-time-shifted
-connections (ties broken by registration order).
+simulator, same-time steps in registration order. A connection without a
+time shift must therefore feed a simulator registered after its source.
 
 Data-flow semantics: a simulator stepping at time t reads, per plain input
 connection, the source value produced at the largest source step <= t (the
@@ -14,8 +14,8 @@ of items, queued with its step time per destination; a consumer stepping at
 t receives, as one tuple in production order, every queued item produced at
 a source step <= t (< t when time-shifted), and () when nothing is due.
 Delivered items leave the queue. Only a message connection may be
-time-shifted, and a time-shifted message connection is what breaks a
-feedback loop.
+time-shifted, so a feedback loop closes through a time-shifted message
+connection into a simulator registered earlier.
 
 Step rule: a simulator steps only at multiples of its step size, and only
 when something is due. Its grid times are those multiples. A stepper
@@ -38,11 +38,9 @@ boundary equals what stepping at every grid time gives.
 
 Registration gives each simulator one record: its free input values and one
 cell per declared output. connect adds to those records the read, message
-queue and wake-up that the connection implies, and, without a time shift,
-the simulator it feeds; the reads are the only record of what is
-connected, and the fed simulators give the step order. The first run_until
-fixes the step order; simulators and connections can no longer be added
-after that.
+queue and wake-up that the connection implies; the reads are the only record
+of what is connected. After the first run_until, simulators and connections
+can no longer be added.
 """
 
 from __future__ import annotations
@@ -132,14 +130,13 @@ class _SimEntry:
     # model id -> attr -> (cell [produced, value], message queues,
     # event-driven message consumers as [(consumer, time_shifted)])
     outputs: dict = field(default_factory=dict)
-    feeds: set = field(default_factory=set)  # ids of simulators it feeds without a time shift
 
 
 class Kernel:
     def __init__(self) -> None:
         self._sims: dict[str, _SimEntry] = {}
         self._horizon = 0  # every time < horizon has been executed
-        self._ordered: list[_SimEntry] = []  # step order, fixed when the run starts
+        self._ordered: list[_SimEntry] = []  # registration order, set when the run starts
 
     # -- construction ------------------------------------------------------
 
@@ -167,8 +164,6 @@ class Kernel:
     ) -> None:
         if self._ordered:
             raise KernelError("cannot connect endpoints after the run has started")
-        src = tuple(src)
-        dst = tuple(dst)
         slot = self._output_slot(src)
         if slot is None:
             raise KernelError(f"unknown source endpoint {src}")
@@ -181,14 +176,10 @@ class Kernel:
         if not message and (time_shifted or source.next_event or consumer.next_event):
             raise KernelError(f"connection {src} -> {dst}: only a message connection may "
                               "be time-shifted or join an event-driven simulator")
-        if not time_shifted and dst[0] not in source.feeds:
-            source.feeds.add(dst[0])
-            if len(self._topo_order()) < len(self._sims):
-                source.feeds.discard(dst[0])
-                raise KernelError(
-                    f"connection {src} -> {dst} would close a cycle of non-time-shifted "
-                    "connections; break the loop with a time-shifted message connection"
-                )
+        if not time_shifted and source.order >= consumer.order:
+            raise KernelError(f"connection {src} -> {dst}: without a time shift a connection "
+                              "must feed a simulator registered after its source; register "
+                              "the source first or use a time-shifted message connection")
         cell, queues, wakes = slot
         queue = deque() if message else None
         model[1].append((dst[2], queue, cell, time_shifted))
@@ -212,7 +203,6 @@ class Kernel:
 
     def set_input(self, endpoint: Endpoint, value: Any) -> None:
         """Override an unconnected input; read by the simulator every step."""
-        endpoint = tuple(endpoint)
         model = self._input_model(endpoint)
         if model is None:
             raise KernelError(f"unknown input endpoint {endpoint}")
@@ -228,7 +218,6 @@ class Kernel:
                 entry.due = due
 
     def get_output(self, endpoint: Endpoint) -> Any:
-        endpoint = tuple(endpoint)
         slot = self._output_slot(endpoint)
         if slot is None:
             raise KernelError(f"unknown output endpoint {endpoint}")
@@ -236,32 +225,13 @@ class Kernel:
 
     def is_free_input(self, endpoint: Endpoint) -> bool:
         """A declared input that no connection feeds, so set_input may override it."""
-        model = self._input_model(tuple(endpoint))
+        model = self._input_model(endpoint)
         return model is not None and all(read[0] != endpoint[2] for read in model[1])
 
     def has_output(self, endpoint: Endpoint) -> bool:
-        return self._output_slot(tuple(endpoint)) is not None
+        return self._output_slot(endpoint) is not None
 
     # -- execution -----------------------------------------------------------
-
-    def _topo_order(self) -> list[str]:
-        """Step order along non-time-shifted connections, ties broken by
-        registration order; simulators on a cycle are left out."""
-        indegree = {s: 0 for s in self._sims}
-        for entry in self._sims.values():
-            for fed in entry.feeds:
-                indegree[fed] += 1
-        order: list[str] = []
-        ready = [s for s in self._sims if indegree[s] == 0]  # in registration order
-        while ready:
-            sim = ready.pop(0)
-            order.append(sim)
-            for nxt in self._sims[sim].feeds:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    ready.append(nxt)
-            ready.sort(key=lambda s: self._sims[s].order)
-        return order
 
     def _gather_inputs(self, entry: _SimEntry, t: int) -> dict[str, dict[str, Any]]:
         inputs: dict[str, dict[str, Any]] = {}
@@ -331,7 +301,7 @@ class Kernel:
         if not self._sims:
             raise KernelError("no simulators registered")
         if not self._ordered:
-            self._ordered = [self._sims[s] for s in self._topo_order()]
+            self._ordered = list(self._sims.values())
         ordered = self._ordered
         for entry in ordered:
             if entry.next_event is not None:

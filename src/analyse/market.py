@@ -141,15 +141,14 @@ def clear_market(
     iteration, accept the cheapest-per-effect offer at full quantity (ties to
     the lower offer_id), and re-solve from the state before. The base flow
     starts from start, if given. If a flow diverges even from a flat start
-    the clearing is aborted. A singular Jacobian ends the clearing
-    unresolved, the same way as when no effective offer is left. Offers are
-    trusted as offer_from_payload checks them.
+    the clearing is aborted, with no final_vm. A singular Jacobian ends the
+    clearing unresolved, the same way as when no effective offer is left.
+    Offers are trusted as offer_from_payload checks them.
     """
     result = ClearingResult()
     state = solve_power_flow(model, start)
     if not state.converged:
         result.aborted = True
-        result.final_vm = {b.bus_id: v for b, v in zip(model.buses, state.vm)}
         return result
 
     remaining = sorted(offers, key=lambda o: o.offer_id)
@@ -191,7 +190,8 @@ def clear_market(
             result.aborted = True
             break
 
-    result.final_vm = {b.bus_id: v for b, v in zip(work.buses, state.vm)}
+    if not result.aborted:  # a diverged iterate is no voltage
+        result.final_vm = {b.bus_id: v for b, v in zip(work.buses, state.vm)}
     result.payments_eur = settle(result)
     return result
 

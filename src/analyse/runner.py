@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import scenario as scn
-from .environment import AgentRunState, Environment, EnvironmentError, PhaseReport, run_phase
+from .environment import AgentRunState, Environment, PhaseReport, run_phase
 from .errors import EXIT_IO, EXIT_OK, EXIT_SIMULATION, EXIT_VALIDATION, RunError
 from .kernel import KernelError
 from .telemetry import RunSink, TelemetryError, canonical_json
@@ -105,8 +105,7 @@ def execute_run(
                 for r in reports
             ],
         })
-    except (EnvironmentError, KernelError, scn.ScenarioError,
-            TelemetryError) as exc:
+    except (KernelError, TelemetryError) as exc:
         sink.emit("runner", "run.abort", env.telemetry_time, {"error": str(exc)})
         sink.close()
         raise RunError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc

@@ -397,32 +397,28 @@ class GridSimulator:
                 Sgen(s.bus, float(setpoint["p_mw"]), q, s.q_min_mvar, s.q_max_mvar, s.name))
         model = cfg.grid.with_injections(loads, tuple(sgens))
         state = solve_power_flow(model, self.last)
-        if state.converged:
-            self.last = state
-        self.emit("grid", "grid.step", float(t), {
-            "t": t,
-            # a diverged solve's last iterate is no voltage: log none
-            "vm": ({str(b.bus_id): v for b, v in zip(cfg.grid.buses, state.vm)}
-                   if state.converged else {}),
-            "converged": state.converged,
-            "iterations": state.iterations,
-            "slack_p_mw": state.slack_p_mw,
-            "slack_q_mvar": state.slack_q_mvar,
-            "max_line_loading": max(state.line_loading) if state.line_loading else 0.0,
-        })
-        outputs = {
-            f"bus_{b.bus_id}": {"vm_pu": v, "va_rad": a}
-            for b, v, a in zip(cfg.grid.buses, state.vm, state.va)
-        }
-        for i, loading in enumerate(state.line_loading):
-            outputs[f"line_{i}"] = {"loading": loading}
-        outputs["slack"] = {"p_mw": state.slack_p_mw, "q_mvar": state.slack_q_mvar}
-        outputs["solver"] = {
+        outputs: dict = {"solver": {
             "converged": 1.0 if state.converged else 0.0,
             "iterations": state.iterations,
             "model": model,
             "state": state,
-        }
+        }}
+        record = {"t": t, "vm": {}, "converged": state.converged,
+                  "iterations": state.iterations,
+                  "slack_p_mw": None, "slack_q_mvar": None, "max_line_loading": None}
+        # a diverged solve's last iterate is no power flow: log and output none of it
+        if state.converged:
+            self.last = state
+            record["vm"] = {str(b.bus_id): v for b, v in zip(cfg.grid.buses, state.vm)}
+            record["slack_p_mw"] = state.slack_p_mw
+            record["slack_q_mvar"] = state.slack_q_mvar
+            record["max_line_loading"] = max(state.line_loading) if state.line_loading else 0.0
+            for b, v, a in zip(cfg.grid.buses, state.vm, state.va):
+                outputs[f"bus_{b.bus_id}"] = {"vm_pu": v, "va_rad": a}
+            for i, loading in enumerate(state.line_loading):
+                outputs[f"line_{i}"] = {"loading": loading}
+            outputs["slack"] = {"p_mw": state.slack_p_mw, "q_mvar": state.slack_q_mvar}
+        self.emit("grid", "grid.step", float(t), record)
         return outputs
 
 
@@ -819,7 +815,7 @@ def assemble(config: ScenarioConfig, seed: int,
     profiled = [l for l in config.grid.loads if l.profile]
     op_host = config.market.operator_host
 
-    # Registration order breaks ties between same-time steps.
+    # Registration order is step order.
     kernel = Kernel()
     adapters: list[Any] = []
     if config.weather_path is not None:
@@ -842,9 +838,8 @@ def assemble(config: ScenarioConfig, seed: int,
         for attr in ("p_mw", "q_mvar"):
             connect(("profiles", f"load_{l.name}", attr), ("grid", f"load_{l.name}", attr))
     for u in config.pv_units:
-        if config.weather_path is not None:
-            for attr in ("ghi_w_m2", "t_air_c"):
-                connect(("weather", "station", attr), ("pv", u.name, attr))
+        for attr in ("ghi_w_m2", "t_air_c"):
+            connect(("weather", "station", attr), ("pv", u.name, attr))
         for attr in ("p_mw", "q_mvar"):
             connect(("pv", u.name, attr), ("grid", f"sgen_{u.sgen}", attr))
         connect(("net", u.host, "inbox"), ("pv", u.name, "inbox"),

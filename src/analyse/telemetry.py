@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -338,11 +339,39 @@ class RunSummary:
 _REQUIRED_FIELDS = ("run_id", "seq", "t_sim", "source", "kind", "payload")
 
 
+def _number(x: Any) -> bool:
+    """A JSON number a float sum can take: neither true nor false, nor too large."""
+    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
+
+
+def _numbers(x: Any) -> bool:
+    return isinstance(x, dict) and all(map(_number, x.values()))
+
+
+def _offers(x: Any) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(o, dict) and isinstance(o.get("agent_id", "?"), str)
+        and _number(o.get("q_mvar", 0.0)) for o in x)
+
+
+# kind -> {payload field RunSummary.feed reads: whether a value has its JSON type}
+_FED_FIELDS = {
+    "run.header": {"factors": lambda x: isinstance(x, dict), "band": _numbers},
+    "grid.step": {"vm": _numbers},
+    "market.clearing": {"total_cost_eur": _number, "payments_eur": _numbers,
+                        "accepted_mvar": _numbers, "offers": _offers},
+    "agent.episode": {"agent": lambda x: isinstance(x, str), "return": _number},
+}
+
+
 def summarize(path: str | Path) -> RunSummary:
     """Scan one JSONL log and aggregate it into a RunSummary.
 
     Malformed lines are recorded as (line_no, message) in parse_errors and
-    skipped. Unknown record kinds are tolerated and counted.
+    skipped, so they add nothing to the aggregates: a record whose kind is no
+    string, whose payload is no object, or whose payload has a field that
+    feed reads of another JSON type is one. Unknown record kinds are
+    tolerated and counted.
     """
     path = Path(path)
     summary = RunSummary()
@@ -358,6 +387,11 @@ def summarize(path: str | Path) -> RunSummary:
                 missing = [f for f in _REQUIRED_FIELDS if f not in rec]
                 if missing:
                     raise ValueError(f"missing fields: {', '.join(missing)}")
+                if not isinstance(rec["kind"], str) or not isinstance(rec["payload"], dict):
+                    raise ValueError("kind is not a string or payload is not an object")
+                for name, typed in _FED_FIELDS.get(rec["kind"], {}).items():
+                    if name in rec["payload"] and not typed(rec["payload"][name]):
+                        raise ValueError(f"{rec['kind']} field {name!r} has the wrong type")
             except ValueError as exc:
                 summary.parse_errors.append((line_no, str(exc)))
                 continue

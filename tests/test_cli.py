@@ -408,17 +408,6 @@ def test_simulation_abort_exit_code_and_partial_log(tmp_path, mini_path, monkeyp
     assert "injected fault" in last["payload"]["error"]
 
 
-def test_environment_error_aborts_the_run_with_exit_3(tmp_path, mini_path, monkeypatch):
-    from analyse.agents import ScriptedAgent
-
-    monkeypatch.setattr(ScriptedAgent, "act", lambda self, readings: [0.0])  # no actuators
-    out = tmp_path / "logs"
-    assert main(["run", str(mini_path), "-o", str(out)]) == 3
-    last = json.loads((out / "mini.jsonl").read_text().splitlines()[-1])
-    assert last["kind"] == "run.abort"
-    assert last["payload"]["error"] == "setpoint vector length mismatch"
-
-
 def test_large_finite_returns_end_the_run_and_its_report(tmp_path, capsys):
     # Random prices up to 1e307 give episode returns near 5e307, whose sum
     # overflows: the run must still end with run.end, and the report read it.
@@ -837,27 +826,40 @@ def test_validation_fuzz_accepts_only_runnable_documents(tmp_path, mini_doc):
     assert outcomes[2] >= 10 and outcomes[0] >= 10
 
 
-def test_a_diverged_grid_step_logs_no_voltages_and_adds_no_excursion(tmp_path, capsys):
-    # A random load at bus 4 up to 1e6 MW makes some power flows diverge;
-    # their last Newton iterate is no voltage, so the log carries none and
-    # the band aggregates see only converged steps.
-    from oracles import recount_log
-
+def random_load_run(tmp_path, hi):
+    """Run gaming with a random agent setting bus 4's load in [0, hi] MW for
+    4 test episodes of 6 steps; returns the log and its payloads by kind."""
     doc = yaml.safe_load(packaged("gaming.yaml").read_text(encoding="utf-8"))
     doc["agents"][0]["kind"] = "random"
     doc["agents"][0]["actuators"] = [
-        {"id": "grid.load_l4.p_mw", "lo": 0.0, "hi": 1e6, "default": 4.6}]
+        {"id": "grid.load_l4.p_mw", "lo": 0.0, "hi": hi, "default": 4.6}]
     doc["schedule"] = [{"name": "testing", "mode": "test", "episodes": 4, "episode_length": 6}]
     path = tmp_path / "heavy.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     out = tmp_path / "logs"
     assert main(["run", str(path), "-o", str(out)]) == 0
     log = out / "gaming.jsonl"
-    steps = [r["payload"] for r in map(json.loads, log.read_text().splitlines())
-             if r["kind"] == "grid.step"]
+    payloads = collections.defaultdict(list)
+    for r in map(json.loads, log.read_text().splitlines()):
+        payloads[r["kind"]].append(r["payload"])
+    return log, payloads
+
+
+def test_a_diverged_grid_step_logs_no_voltages_and_adds_no_excursion(tmp_path, capsys):
+    # A random load at bus 4 up to 1e6 MW makes some power flows diverge;
+    # their last Newton iterate is no voltage, so the log carries none and
+    # the band aggregates see only converged steps.
+    from oracles import recount_log
+
+    log, payloads = random_load_run(tmp_path, 1e6)
+    steps = payloads["grid.step"]
     diverged = [p for p in steps if not p["converged"]]
     assert diverged and all(p["vm"] == {} for p in diverged)
+    assert all(p[k] is None for p in diverged
+               for k in ("slack_p_mw", "slack_q_mvar", "max_line_loading"))
     assert all(len(p["vm"]) == 4 for p in steps if p["converged"])
+    aborted = [p for p in payloads["market.clearing"] if p["aborted"]]
+    assert aborted and all(p["final_vm"] == {} for p in aborted)
     summary, recount = summarize(log), recount_log(log)
     assert summary.diverged_count == len(diverged)
     assert summary.violation_count == recount["violation_count"]
@@ -867,3 +869,17 @@ def test_a_diverged_grid_step_logs_no_voltages_and_adds_no_excursion(tmp_path, c
     assert summary.payments_eur == pytest.approx(recount["payments"])
     assert summary.returns == recount["episodes"]
     assert summary.max_excursion_pu < 1
+
+
+def test_loads_near_1e300_end_the_run_and_report_finite_numbers(tmp_path, capsys):
+    # Such a load overflows the solver's iterate to inf; none of it may reach
+    # the log, so the run ends normally and so does its report.
+    log, payloads = random_load_run(tmp_path, 1e300)
+    assert payloads["run.end"]
+    assert any(not p["converged"] for p in payloads["grid.step"])
+    assert any(p["aborted"] for p in payloads["market.clearing"])
+    capsys.readouterr()
+    assert main(["report", str(log), "--format", "csv"]) == 0
+    rows = [line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:]]
+    numbers = [float(value) for name, value in rows if name not in ("run_id", "experiment")]
+    assert len(numbers) > 10 and all(math.isfinite(x) for x in numbers)

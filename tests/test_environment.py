@@ -184,3 +184,22 @@ def test_sink_holds_at_most_one_step_of_records(tmp_path):
             env.step([])
             assert 0 < len(sink.records) <= sink._seq - emitted_before
     sink.close()
+
+
+def test_grid_sensors_keep_the_last_converged_step_through_a_diverged_one(tmp_path, mini_doc):
+    # A diverged solve outputs nothing but its solver model, so the bus, line
+    # and slack sensors read the last converged step, and 0.0 before any.
+    mini_doc["agents"][0]["sensors"] = [
+        {"id": f"grid.{name}", "lo": -1e9, "hi": 1e9}
+        for name in ("bus_4.vm_pu", "line_2.loading", "slack.p_mw", "slack.q_mvar")
+    ]
+    mini_doc["grid"]["loads"][2]["p_mw"] = 1e300  # the t=0 step diverges
+    load = ActuatorSpec("grid.load_l4.p_mw", 0.0, 1e300, default=5.04)
+    env, sink = make_env(tmp_path, doc=mini_doc, actuators=[load])
+    assert env.reset(3) == [0.0] * 4
+    converged, _, _ = env.step([5.04])
+    assert 0.8 < converged[0] < 1.0 and all(converged)
+    assert env.step([1e300])[0] == converged
+    steps = [r["payload"] for r in logged(sink, "grid.step")]
+    assert [p["converged"] for p in steps] == [False, True, False]
+    assert steps[1]["slack_p_mw"] == pytest.approx(converged[2])

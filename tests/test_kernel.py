@@ -103,7 +103,7 @@ def test_non_shifted_cycle_rejected():
     k.register_simulator(*relay_sim("a", 1))
     k.register_simulator(*relay_sim("b", 1))
     k.connect(("a", "m", "out"), ("b", "m", "inbox"), message=True)
-    with pytest.raises(KernelError, match="cycle.*time-shifted message connection"):
+    with pytest.raises(KernelError, match="registered after its source.*time-shifted message"):
         k.connect(("b", "m", "out"), ("a", "m", "inbox"), message=True)
     assert k.is_free_input(("a", "m", "inbox"))
 
@@ -136,7 +136,6 @@ def test_connect_refuses_plain_shifted_or_event_driven(shifted, src_event, dst_e
     with pytest.raises(KernelError, match="only a message connection"):
         k.connect(("a", "m", "y"), ("b", "m", "x"), time_shifted=shifted)
     assert k.is_free_input(("b", "m", "x"))
-    assert not k._sims["a"].feeds
 
 
 def test_step_counts_for_mixed_step_sizes():
@@ -199,24 +198,26 @@ def test_set_input_rejected_for_connected_endpoint():
         k.set_input(("b", "m", "x"), 1.0)
 
 
-def test_topological_order_within_one_time():
+def test_connection_against_registration_order_refused():
     order = []
 
     def sim(sim_id):
         desc = SimulatorDescriptor(
             sim_id, 1, (ModelSpec("m", inputs={"x": 0.0}, outputs=("y",)),)
         )
-        return desc, lambda t, i: order.append(sim_id) or {"m": {"y": t}}
+        return desc, lambda t, i: order.append((sim_id, i["m"]["x"])) or {"m": {"y": t + 1}}
 
     k = Kernel()
-    # registered out of dependency order on purpose
-    k.register_simulator(*sim("c"))
-    k.register_simulator(*sim("b"))
-    k.register_simulator(*sim("a"))
-    k.connect(("a", "m", "y"), ("b", "m", "x"))
-    k.connect(("b", "m", "y"), ("c", "m", "x"))
+    for sim_id in ("c", "b", "a"):
+        k.register_simulator(*sim(sim_id))
+    for src, dst in (("a", "b"), ("b", "c"), ("a", "c"), ("b", "b")):
+        with pytest.raises(KernelError, match="register the source first"):
+            k.connect((src, "m", "y"), (dst, "m", "x"))
+        assert k.is_free_input((dst, "m", "x"))
+    k.connect(("c", "m", "y"), ("b", "m", "x"))
+    k.connect(("b", "m", "y"), ("a", "m", "x"))
     k.run_until(1)
-    assert order == ["a", "b", "c"]
+    assert order == [("c", 0.0), ("b", 1), ("a", 1)]  # each reads the same-time value
 
 
 def test_ties_broken_by_registration_order():

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import enum
 import json
 import math
@@ -389,6 +390,38 @@ def test_summarize_reports_malformed_line_numbers(tmp_path):
     path.write_text("\n".join(content) + "\n", encoding="utf-8")
     s = summarize(path)
     assert [line for line, _ in s.parse_errors] == [3, 6]
+
+
+def test_summarize_reports_a_payload_of_the_wrong_shape_and_adds_nothing(tmp_path, capsys):
+    from analyse.cli import main
+
+    path = write_fixture_log(tmp_path / "fix.jsonl")
+    clean = summarize(path)
+    bad = [
+        ("grid.step", {"vm": [1.0]}),
+        ("grid.step", {"vm": {"1": 0.5, "2": "low"}, "converged": False}),
+        ("market.clearing", {"resolved": True, "total_cost_eur": "3",
+                             "payments_eur": {"a1": 1.0}}),
+        ("market.clearing", {"resolved": True, "total_cost_eur": 1.0,
+                             "accepted_mvar": {"a1": 1.0}, "offers": [{"q_mvar": True}]}),
+        ("market.clearing", {"total_cost_eur": int("1" + "0" * 400)}),
+        ("market.clearing", [1.0]),
+        ("agent.episode", {"agent": "att", "return": None}),
+        ("run.header", {"band": {"v_min_pu": "0.9"}}),
+        (5, {}),
+    ]
+    lines = path.read_text().splitlines()
+    for i, (kind, payload) in enumerate(bad):
+        lines.insert(2 * i + 1, json.dumps({"run_id": "fix", "seq": 100 + i, "t_sim": 0.0,
+                                            "source": "x", "kind": kind, "payload": payload}))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    s = summarize(path)
+    assert [line for line, _ in s.parse_errors] == [2 * i + 2 for i in range(len(bad))]
+    assert "field 'total_cost_eur' has the wrong type" in s.parse_errors[2][1]
+    assert dataclasses.replace(s, parse_errors=[]) == clean
+    capsys.readouterr()
+    assert main(["report", str(path)]) == 0
+    assert "parse_error.line_2 " in capsys.readouterr().out
 
 
 def test_compare_identical_summaries_zero_deltas(tmp_path):
