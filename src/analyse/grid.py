@@ -337,16 +337,19 @@ def solve_power_flow(model: GridModel, start: GridState | None = None) -> GridSt
         return state
     iterations = 0
     converged = False
-    if start is not None:
-        v, ip, converged, iterations, mismatch, singular = _newton(
-            grid, s_pq, vm, va, start if start.grid is grid else None)
-        angles = va.tolist()
-        if converged and not (-np.pi < min(angles) and max(angles) <= np.pi):
-            converged = False  # another root of the power-flow equations
-    if not converged:
-        vm, va = grid.vm_flat.copy(), np.zeros(grid.n)
-        v, ip, converged, flat_iterations, mismatch, singular = _newton(grid, s_pq, vm, va)
-        iterations += flat_iterations
+    # An iterate that overflows is a divergence, which the checks below and
+    # GridState already report; numpy need not warn about it as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if start is not None:
+            v, ip, converged, iterations, mismatch, singular = _newton(
+                grid, s_pq, vm, va, start if start.grid is grid else None)
+            angles = va.tolist()
+            if converged and not (-np.pi < min(angles) and max(angles) <= np.pi):
+                converged = False  # another root of the power-flow equations
+        if not converged:
+            vm, va = grid.vm_flat.copy(), np.zeros(grid.n)
+            v, ip, converged, flat_iterations, mismatch, singular = _newton(grid, s_pq, vm, va)
+            iterations += flat_iterations
     v.flags.writeable = False
     ip.flags.writeable = False
     state = GridState(

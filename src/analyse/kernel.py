@@ -36,11 +36,11 @@ For a stepper whose idle steps change nothing but time-dependent outputs,
 every item its consumers receive and every get_output at a run_until
 boundary equals what stepping at every grid time gives.
 
-Registration gives each simulator one record: its free input values and one
-cell per declared output. connect adds to those records the read, message
-queue and wake-up that the connection implies; the reads are the only record
-of what is connected. After the first run_until, simulators and connections
-can no longer be added.
+Registration gives each simulator one record: its free input values and,
+per model, one store of its latest output values, keyed by attribute. connect
+adds to those records the read, message queue and wake-up that the
+connection implies; the reads are the only record of what is connected.
+After the first run_until, simulators and connections can no longer be added.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ Endpoint = tuple[str, str, str]  # (simulator, model, attribute)
 Stepper = Callable[[int, dict[str, dict[str, Any]]], Mapping[str, Mapping[str, Any]] | None]
 
 _NEVER = math.inf
+# the output record of a model a simulator does not declare: it takes no attribute
+_UNDECLARED: tuple = ({}, frozenset(), {})
 
 
 class KernelError(Exception):
@@ -125,10 +127,12 @@ class _SimEntry:
     steps: int = 0
     last: int = -1  # time of the latest step
     # model id -> (free input values: declared defaults, then set_input's;
-    # connected reads [(attr, message queue | None, source cell, time_shifted)])
+    # connected reads [(attr, message queue | None, source store, source
+    # attr, time_shifted)])
     inputs: dict = field(default_factory=dict)
-    # model id -> attr -> (cell [produced, value], message queues,
-    # event-driven message consumers as [(consumer, time_shifted)])
+    # model id -> (store {attr: latest value}, declared attrs, message
+    # outputs {attr: (message queues, event-driven message consumers as
+    # [(consumer, time_shifted)])})
     outputs: dict = field(default_factory=dict)
 
 
@@ -151,9 +155,7 @@ class Kernel:
         )
         for model in desc.models:
             entry.inputs[model.model_id] = (dict(model.inputs), [])
-            entry.outputs[model.model_id] = {
-                attr: ([False, None], [], []) for attr in model.outputs
-            }
+            entry.outputs[model.model_id] = ({}, frozenset(model.outputs), {})
 
     def connect(
         self,
@@ -164,8 +166,8 @@ class Kernel:
     ) -> None:
         if self._ordered:
             raise KernelError("cannot connect endpoints after the run has started")
-        slot = self._output_slot(src)
-        if slot is None:
+        out = self._output_model(src)
+        if out is None:
             raise KernelError(f"unknown source endpoint {src}")
         model = self._input_model(dst)
         if model is None:
@@ -180,18 +182,20 @@ class Kernel:
             raise KernelError(f"connection {src} -> {dst}: without a time shift a connection "
                               "must feed a simulator registered after its source; register "
                               "the source first or use a time-shifted message connection")
-        cell, queues, wakes = slot
+        store, _, messages = out
         queue = deque() if message else None
-        model[1].append((dst[2], queue, cell, time_shifted))
+        model[1].append((dst[2], queue, store, src[2], time_shifted))
         if message:
+            queues, wakes = messages.setdefault(src[2], ([], []))
             queues.append(queue)
             if consumer.next_event is not None:
                 wakes.append((consumer, time_shifted))
 
-    def _output_slot(self, endpoint: tuple) -> tuple | None:
-        """(cell, message queues, wakes) of a declared output, else None."""
+    def _output_model(self, endpoint: tuple) -> tuple | None:
+        """(store, declared, message outputs) of the model declaring an output, else None."""
         entry = self._sims.get(endpoint[0]) if len(endpoint) == 3 else None
-        return entry.outputs.get(endpoint[1], {}).get(endpoint[2]) if entry else None
+        out = entry.outputs.get(endpoint[1]) if entry else None
+        return out if out is not None and endpoint[2] in out[1] else None
 
     def _input_model(self, endpoint: tuple) -> tuple | None:
         """(free values, reads) of the model declaring an input, else None."""
@@ -218,10 +222,10 @@ class Kernel:
                 entry.due = due
 
     def get_output(self, endpoint: Endpoint) -> Any:
-        slot = self._output_slot(endpoint)
-        if slot is None:
+        out = self._output_model(endpoint)
+        if out is None:
             raise KernelError(f"unknown output endpoint {endpoint}")
-        return slot[0][1]
+        return out[0].get(endpoint[2])
 
     def is_free_input(self, endpoint: Endpoint) -> bool:
         """A declared input that no connection feeds, so set_input may override it."""
@@ -229,7 +233,7 @@ class Kernel:
         return model is not None and all(read[0] != endpoint[2] for read in model[1])
 
     def has_output(self, endpoint: Endpoint) -> bool:
-        return self._output_slot(endpoint) is not None
+        return self._output_model(endpoint) is not None
 
     # -- execution -----------------------------------------------------------
 
@@ -237,7 +241,7 @@ class Kernel:
         inputs: dict[str, dict[str, Any]] = {}
         for model_id, (free, reads) in entry.inputs.items():
             values = free.copy()
-            for attr, queue, cell, shifted in reads:
+            for attr, queue, store, src_attr, shifted in reads:
                 if queue is not None:
                     limit = t - 1 if shifted else t
                     if queue and queue[0][0] <= limit:
@@ -247,8 +251,8 @@ class Kernel:
                         values[attr] = tuple(items)
                     else:
                         values[attr] = ()
-                elif cell[0]:  # else the declared default
-                    values[attr] = cell[1]
+                elif src_attr in store:  # else the declared default
+                    values[attr] = store[src_attr]
             inputs[model_id] = values
         return inputs
 
@@ -256,24 +260,23 @@ class Kernel:
         if not outputs:
             return
         for model_id, attrs in outputs.items():
-            declared = entry.outputs.get(model_id)
-            for attr, value in attrs.items():
-                slot = declared.get(attr) if declared is not None else None
-                if slot is None:
-                    raise KernelError(
-                        f"simulator {entry.desc.sim_id!r} produced undeclared output "
-                        f"{(entry.desc.sim_id, model_id, attr)}"
-                    )
-                cell, queues, wakes = slot
-                if queues and value:
+            store, declared, messages = entry.outputs.get(model_id, _UNDECLARED)
+            if not attrs.keys() <= declared:
+                attr = next(a for a in attrs if a not in declared)
+                raise KernelError(
+                    f"simulator {entry.desc.sim_id!r} produced undeclared output "
+                    f"{(entry.desc.sim_id, model_id, attr)}"
+                )
+            for attr, (queues, wakes) in messages.items():
+                value = attrs.get(attr)
+                if value:
                     for queue in queues:
                         queue.append((t, value))
                     for consumer, shifted in wakes:
                         ready = _grid_at_or_after(t + shifted, consumer.desc.step_size)
                         if ready < consumer.due:
                             consumer.due = ready
-                cell[0] = True
-                cell[1] = value
+            store.update(attrs)
 
     def _due_after(self, entry: _SimEntry, t: int, end_time: int) -> float:
         """When an event-driven simulator that just stepped at t is next due,
@@ -285,7 +288,7 @@ class Kernel:
         if event is not None:
             due = min(due, max(_grid_at_or_after(event, h), t + h))
         for _, reads in entry.inputs.values():  # queued items not yet readable
-            for _, queue, _, shifted in reads:
+            for _, queue, _, _, shifted in reads:
                 if queue:
                     due = min(due, _grid_at_or_after(queue[0][0] + shifted, h))
         return due

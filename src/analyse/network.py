@@ -22,7 +22,8 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,34 @@ class NetworkTopology:
 
     nodes: tuple[NodeSpec, ...]
     links: tuple[LinkSpec, ...]
+
+    @cached_property
+    def neighbors(self) -> dict[str, list[str]]:
+        """Each node's peers, in sorted order."""
+        neighbors: dict[str, list[str]] = {n.node_id: [] for n in self.nodes}
+        for link in self.links:
+            neighbors[link.a].append(link.b)
+            neighbors[link.b].append(link.a)
+        for peers in neighbors.values():
+            peers.sort()
+        return neighbors
+
+    @cached_property
+    def hops(self) -> dict[tuple[str, str], tuple[float, float | None, float]]:
+        """(latency in s, bandwidth in bit/s or None when unlimited, loss
+        probability) per directed link."""
+        hops = {}
+        for link in self.links:
+            bandwidth_bps = None if link.bandwidth_kbps is None else link.bandwidth_kbps * 1000.0
+            hops[(link.a, link.b)] = hops[(link.b, link.a)] = (
+                link.latency_ms / 1000.0, bandwidth_bps, link.loss_prob)
+        return hops
+
+    @cached_property
+    def routes(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """(src, dst) -> the route Network.shortest_path found; every network
+        on this topology fills and reads it."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -90,12 +119,22 @@ class AttackRule:
         return self.active_from <= t < self.active_until
 
 
-@dataclass
-class InterfaceCounters:
-    bytes_in: int = 0
-    bytes_out: int = 0
-    frames_dropped: int = 0
-    utilization: float = 0.0
+class InterfaceCounters(NamedTuple):
+    bytes_in: int
+    bytes_out: int
+    frames_dropped: int
+    utilization: float
+
+
+class _Tally:
+    """A node's cumulative counters, as the network updates them."""
+
+    __slots__ = ("bytes_in", "bytes_out", "frames_dropped")
+
+    def __init__(self):
+        self.bytes_in = 0
+        self.bytes_out = 0
+        self.frames_dropped = 0
 
 
 class _ByteWindow:
@@ -137,22 +176,14 @@ class Network:
         self.now = 0.0
         self._seq = 0
         self._heap: list = []
-        self._links: dict[tuple[str, str], LinkSpec] = {}
-        for link in topology.links:
-            self._links[(link.a, link.b)] = link
-            self._links[(link.b, link.a)] = link
-        self._neighbors: dict[str, list[str]] = {n.node_id: [] for n in topology.nodes}
-        for link in topology.links:
-            self._neighbors[link.a].append(link.b)
-            self._neighbors[link.b].append(link.a)
-        for peers in self._neighbors.values():
-            peers.sort()
-        self._routes: dict[tuple[str, str], tuple[str, ...]] = {}  # the topology is fixed
+        self._neighbors = topology.neighbors
+        self._hops = topology.hops
+        self._routes = topology.routes
         self._offline_until: dict[str, float] = {}
         self._rules: dict[str, AttackRule] = {}
-        self._counters: dict[str, InterfaceCounters] = {
-            n.node_id: InterfaceCounters() for n in topology.nodes
-        }
+        # node -> the rules installed at it, in rule_id order
+        self._rules_at: dict[str, tuple[AttackRule, ...]] = {}
+        self._counters = {n.node_id: _Tally() for n in topology.nodes}
         self._next_frame_id: dict[str, int] = {}
         self._delivered: dict[str, list[tuple[float, Frame]]] = {
             n.node_id: [] for n in topology.nodes
@@ -166,11 +197,11 @@ class Network:
         for node_id, peers in self._neighbors.items():
             capacity_bps = 0.0
             for peer in peers:
-                bandwidth_kbps = self._links[(node_id, peer)].bandwidth_kbps
-                if bandwidth_kbps is None:
+                bandwidth_bps = self._hops[(node_id, peer)][1]
+                if bandwidth_bps is None:
                     capacity_bps = 0.0
                     break
-                capacity_bps += bandwidth_kbps * 1000.0
+                capacity_bps += bandwidth_bps
             self._capacity_bps[node_id] = capacity_bps
         self.dropped_bytes_total = 0
 
@@ -182,7 +213,8 @@ class Network:
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Hop-count shortest path; equal-cost ties take the lexicographically
         smallest next node (BFS over sorted neighbor lists from dst). Each
-        (src, dst) route is searched once; every call returns a new list."""
+        (src, dst) route is searched once per topology, and every network on
+        that topology reads it from there; every call returns a new list."""
         route = self._routes.get((src, dst))
         if route is not None:
             return list(route)
@@ -246,8 +278,16 @@ class Network:
             "node": node_id, "downtime_s": downtime_s, "online_at": until,
         })
 
+    def _index_rules(self) -> None:
+        rules_at: dict[str, list[AttackRule]] = {}
+        for rule_id in sorted(self._rules):
+            rule = self._rules[rule_id]
+            rules_at.setdefault(rule.at_node, []).append(rule)
+        self._rules_at = {node: tuple(rules) for node, rules in rules_at.items()}
+
     def install_rule(self, rule: AttackRule) -> None:
         self._rules[rule.rule_id] = rule
+        self._index_rules()
         self._emit("net.rule", self.now, {
             "event": "install", "rule_id": rule.rule_id, "node": rule.at_node,
             "action": rule.action,
@@ -255,6 +295,7 @@ class Network:
 
     def remove_rule(self, rule_id: str) -> None:
         if self._rules.pop(rule_id, None) is not None:
+            self._index_rules()
             self._emit("net.rule", self.now, {"event": "remove", "rule_id": rule_id})
 
     def has_rule(self, rule_id: str) -> bool:
@@ -297,16 +338,15 @@ class Network:
             self._drop(node, frame, t, "node-offline", entry_size)
             return
         extra_s = 0.0
-        for rule_id in sorted(self._rules):
-            rule = self._rules[rule_id]
-            if rule.at_node != node or not rule.active_at(t) or not rule.match.matches(frame):
+        for rule in self._rules_at.get(node, ()):
+            if not rule.active_at(t) or not rule.match.matches(frame):
                 continue
             self._emit("net.rule", t, {
-                "event": "match", "rule_id": rule_id, "node": node,
+                "event": "match", "rule_id": rule.rule_id, "node": node,
                 "action": rule.action, "src": frame.src, "frame_id": frame.frame_id,
             })
             if rule.action == "drop":
-                self._drop(node, frame, t, f"rule:{rule_id}", entry_size)
+                self._drop(node, frame, t, f"rule:{rule.rule_id}", entry_size)
                 return
             if rule.action == "tamper":
                 frame = replace(frame, payload=rule.replacement)
@@ -325,13 +365,13 @@ class Network:
             })
             return
         nxt = path[idx + 1]
-        link = self._links[(node, nxt)]
-        if link.loss_prob > 0.0 and self._rng.random() < link.loss_prob:
+        latency_s, bandwidth_bps, loss_prob = self._hops[(node, nxt)]
+        if loss_prob > 0.0 and self._rng.random() < loss_prob:
             self._drop(nxt, frame, t, "link-loss", entry_size)
             return
         tx_s = 0.0
-        if link.bandwidth_kbps is not None:
-            tx_s = size * 8.0 / (link.bandwidth_kbps * 1000.0)
-        hop = link.latency_ms / 1000.0 + tx_s + extra_s
+        if bandwidth_bps is not None:
+            tx_s = size * 8.0 / bandwidth_bps
+        hop = latency_s + tx_s + extra_s
         self._transit_out[node].add(t, size)
         self._push(t + hop, nxt, frame, path, idx + 1, hop_delays + [hop], entry_size)

@@ -37,7 +37,7 @@ PV units in time for that interval's start at t + I.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -63,7 +63,15 @@ from .market import (
     dispatch_from_payload,
     offer_from_payload,
 )
-from .network import AttackRule, MatchSpec, Network, NetworkTopology, NodeSpec, LinkSpec
+from .network import (
+    AttackRule,
+    InterfaceCounters,
+    LinkSpec,
+    MatchSpec,
+    Network,
+    NetworkTopology,
+    NodeSpec,
+)
 from .telemetry import canonical_json
 
 SCHEMA_VERSION = 1
@@ -555,6 +563,10 @@ class BiddersSimulator:
 
 
 class NetSimulator:
+    """Steps the network. Each node model outputs the frames delivered to it
+    as `inbox`, and its four interface counters only when one of them
+    changed since its last output; the kernel keeps the last values."""
+
     SIM_ID = "net"
 
     def __init__(self, config: ScenarioConfig, rng: random.Random, emit: Callable):
@@ -562,7 +574,7 @@ class NetSimulator:
         net_cfg = config.network
         self.network = Network(
             net_cfg.topology, rng,
-            emit=lambda kind, t, payload: emit("net", kind, t, payload),
+            emit=functools.partial(emit, "net"),
             utilization_window_s=net_cfg.utilization_window_s,
         )
         for rule in net_cfg.rules:
@@ -570,6 +582,7 @@ class NetSimulator:
                 self.network.install_rule(rule)
         self._restart_state: dict[str, bool] = {node: False for node, _ in net_cfg.restartable}
         self._nodes = tuple(n.node_id for n in net_cfg.topology.nodes)
+        self._counters: dict[str, InterfaceCounters] = {}  # node -> last output
 
     def descriptor(self) -> SimulatorDescriptor:
         net_cfg = self.config.network
@@ -624,20 +637,25 @@ class NetSimulator:
         outputs: dict[str, dict] = {
             ADVERSARY_MODEL: {"rules_active": float(rules_active)}
         }
+        last = self._counters
         for node in self._nodes:
             delivered = self.network.delivered(node)
             counters = self.network.read_counters(node)
-            out = {
-                "bytes_in": counters.bytes_in,
-                "bytes_out": counters.bytes_out,
-                "frames_dropped": counters.frames_dropped,
-                "utilization": counters.utilization,
-            }
+            out = {}
+            if counters != last.get(node):
+                last[node] = counters
+                out = {
+                    "bytes_in": counters.bytes_in,
+                    "bytes_out": counters.bytes_out,
+                    "frames_dropped": counters.frames_dropped,
+                    "utilization": counters.utilization,
+                }
             if delivered:
                 out["inbox"] = tuple(
                     (arrival, frame.src, frame.payload) for arrival, frame in delivered
                 )
-            outputs[node] = out
+            if out:
+                outputs[node] = out
         return outputs
 
 
@@ -727,7 +745,8 @@ class MarketSimulator:
         # Dispatch replaces each asset's setpoint, so the clearing baseline is
         # the grid with all market assets at zero committed reactive power.
         sgens = tuple(
-            dataclasses.replace(s, q_mvar=0.0) if s.name in self.bidders else s
+            Sgen(s.bus, s.p_mw, 0.0, s.q_min_mvar, s.q_max_mvar, s.name)
+            if s.name in self.bidders else s
             for s in grid_model.sgens
         )
         baseline = grid_model.with_injections(grid_model.loads, sgens)

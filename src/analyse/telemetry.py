@@ -14,7 +14,7 @@ import statistics
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class TelemetryError(Exception):
@@ -32,10 +32,23 @@ class UnserializableError(TelemetryError):
 _encode_str = json.encoder.encode_basestring_ascii  # = json.dumps(s, ensure_ascii=True)
 
 
+# Finite non-zero float -> its text; at most _FLOAT_TEXTS_MAX of them. Zero is
+# left out, as 0.0 and -0.0 are one key but encode as "0" and "-0", and so is
+# an instance of a float subclass, which may format otherwise.
+_FLOAT_TEXTS: dict[float, str] = {}
+_FLOAT_TEXTS_MAX = 256
+
+
 def _format_float(x: float) -> str:
+    """The text of x, kept in _FLOAT_TEXTS; callers look there first."""
     if not math.isfinite(x):
         raise UnserializableError(f"non-finite float in payload: {x!r}")
-    return f"{x:.9g}"
+    text = f"{x:.9g}"
+    if x and type(x) is float:
+        if len(_FLOAT_TEXTS) >= _FLOAT_TEXTS_MAX:
+            _FLOAT_TEXTS.clear()
+        _FLOAT_TEXTS[x] = text
+    return text
 
 
 # Dict key tuple (insertion order) -> ((key, prefix), ...) in sorted key order,
@@ -65,40 +78,62 @@ def _key_prefixes(value: dict, shape: tuple) -> tuple[tuple[str, str], ...]:
 
 
 def _canonical(value: Any, out: list[str]) -> None:
-    """Append the canonical JSON of value to out, dispatching on its exact type."""
+    """Append the canonical JSON of value to out, dispatching on its exact type.
+
+    The str, float and int members of a dict or list are encoded in place;
+    only other members take a recursive call.
+    """
     kind = type(value)
+    append = out.append
     if kind is str:
-        out.append(_encode_str(value))
+        append(_encode_str(value))
     elif kind is float:
-        out.append(_format_float(value))
+        append(_FLOAT_TEXTS.get(value) or _format_float(value))
     elif kind is int:
-        out.append(str(value))
+        append(str(value))
     elif kind is dict:
         shape = tuple(value)
         prefixes = _KEY_PREFIXES.get(shape)
         if prefixes is None:
             prefixes = _key_prefixes(value, shape)
         for key, prefix in prefixes:
-            out.append(prefix)
-            _canonical(value[key], out)
-        out.append("}" if prefixes else "{}")
+            append(prefix)
+            item = value[key]
+            item_kind = type(item)
+            if item_kind is str:
+                append(_encode_str(item))
+            elif item_kind is float:
+                append(_FLOAT_TEXTS.get(item) or _format_float(item))
+            elif item_kind is int:
+                append(str(item))
+            else:
+                _canonical(item, out)
+        append("}" if prefixes else "{}")
     elif kind is list or kind is tuple:
         sep = "["
         for item in value:
-            out.append(sep)
+            append(sep)
             sep = ","
-            _canonical(item, out)
-        out.append("]" if value else "[]")
+            item_kind = type(item)
+            if item_kind is str:
+                append(_encode_str(item))
+            elif item_kind is float:
+                append(_FLOAT_TEXTS.get(item) or _format_float(item))
+            elif item_kind is int:
+                append(str(item))
+            else:
+                _canonical(item, out)
+        append("]" if value else "[]")
     elif value is None:
-        out.append("null")
+        append("null")
     elif kind is bool:
-        out.append("true" if value else "false")
+        append("true" if value else "false")
     elif isinstance(value, int):  # subclasses encode like their base type
-        out.append(str(value))
+        append(str(value))
     elif isinstance(value, float):
-        out.append(_format_float(value))
+        append(_format_float(value))
     elif isinstance(value, str):
-        out.append(_encode_str(value))
+        append(_encode_str(value))
     elif isinstance(value, dict):
         _canonical(dict(value), out)
     elif isinstance(value, (list, tuple)):
@@ -125,8 +160,35 @@ def canonical_json(value: Any) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class LogRecord:
+# A record's line is one canonical JSON object, its fields in sorted order:
+# the kind's head, the payload, the run id's part, seq, the source's part, t_sim.
+
+
+def _kind_head(kind: str) -> str:
+    return '{"kind":' + canonical_json(kind) + ',"payload":'
+
+
+def _run_id_part(run_id: str) -> str:
+    return ',"run_id":' + canonical_json(run_id) + ',"seq":'
+
+
+def _source_part(source: str) -> str:
+    return ',"source":' + canonical_json(source) + ',"t_sim":'
+
+
+def _line(head: str, payload: Any, run_id_part: str, seq: int, source_part: str,
+          t_sim: float) -> str:
+    out = [head]
+    _canonical(payload, out)
+    out.append(run_id_part)
+    out.append(str(seq))
+    out.append(source_part)
+    _canonical(t_sim, out)
+    out.append("}")
+    return "".join(out)
+
+
+class LogRecord(NamedTuple):
     run_id: str
     seq: int
     t_sim: float
@@ -136,20 +198,8 @@ class LogRecord:
 
     def to_line(self) -> str:
         """The record as one canonical JSON object, its fields in sorted order."""
-        out = ['{"kind":']
-        _canonical(self.kind, out)
-        out.append(',"payload":')
-        _canonical(self.payload, out)
-        out.append(',"run_id":')
-        _canonical(self.run_id, out)
-        out.append(',"seq":')
-        _canonical(self.seq, out)
-        out.append(',"source":')
-        _canonical(self.source, out)
-        out.append(',"t_sim":')
-        _canonical(self.t_sim, out)
-        out.append("}")
-        return "".join(out)
+        return _line(_kind_head(self.kind), self.payload, _run_id_part(self.run_id),
+                     self.seq, _source_part(self.source), self.t_sim)
 
 
 class RunSink:
@@ -158,7 +208,8 @@ class RunSink:
     Assigns the per-run seq counter and enforces non-decreasing t_sim per
     source. `records` holds only the records emitted since the last drain():
     the environment drains once per agent step, so memory stays bounded by
-    the records of one step however long the run is.
+    the records of one step however long the run is. The encoded parts of
+    the run id, of each kind and of each source are kept for the sink's life.
     """
 
     def __init__(self, path: str | Path, run_id: str):
@@ -167,6 +218,9 @@ class RunSink:
         self.records: list[LogRecord] = []
         self._seq = 0
         self._last_t: dict[str, float] = {}
+        self._run_id_part = _run_id_part(run_id)
+        self._heads: dict[str, str] = {}  # kind -> _kind_head(kind)
+        self._source_parts: dict[str, str] = {}  # source -> _source_part(source)
         self._fh = self.path.open("w", encoding="utf-8", newline="\n")
         self._closed = False
 
@@ -178,9 +232,15 @@ class RunSink:
             raise TelemetryError(
                 f"t_sim went backwards for source {source!r}: {t_sim} < {last}"
             )
-        record = LogRecord(self.run_id, self._seq, t_sim, source, kind, payload)
-        line = record.to_line()
+        head = self._heads.get(kind)
+        if head is None:
+            head = self._heads[kind] = _kind_head(kind)
+        source_part = self._source_parts.get(source)
+        if source_part is None:
+            source_part = self._source_parts[source] = _source_part(source)
+        line = _line(head, payload, self._run_id_part, self._seq, source_part, t_sim)
         self._fh.write(line + "\n")
+        record = LogRecord(self.run_id, self._seq, t_sim, source, kind, payload)
         self._seq += 1
         self._last_t[source] = t_sim
         self.records.append(record)

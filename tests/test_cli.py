@@ -871,6 +871,7 @@ def test_a_diverged_grid_step_logs_no_voltages_and_adds_no_excursion(tmp_path, c
     assert summary.max_excursion_pu < 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # divergence is quiet
 def test_loads_near_1e300_end_the_run_and_report_finite_numbers(tmp_path, capsys):
     # Such a load overflows the solver's iterate to inf; none of it may reach
     # the log, so the run ends normally and so does its report.

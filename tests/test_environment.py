@@ -186,6 +186,7 @@ def test_sink_holds_at_most_one_step_of_records(tmp_path):
     sink.close()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # divergence is quiet
 def test_grid_sensors_keep_the_last_converged_step_through_a_diverged_one(tmp_path, mini_doc):
     # A diverged solve outputs nothing but its solver model, so the bus, line
     # and slack sensors read the last converged step, and 0.0 before any.

@@ -364,7 +364,8 @@ def test_message_consumer_receives_empty_tuple_when_nothing_queued():
     k, seen = message_kernel({}, producer_step=2, consumers=(("c", 1, True),))
     k.run_until(3)
     assert seen["c"] == [(0, ()), (1, ()), (2, ())]
-    _, queues, _ = k._sims["p"].outputs["m"]["out"]
+    _, _, messages = k._sims["p"].outputs["m"]
+    queues, _ = messages["out"]
     assert queues and not any(queues)
 
 

@@ -13,6 +13,7 @@ from analyse import design, grid, market, scenario
 from analyse.cli import main
 from analyse.environment import Environment
 from analyse.grid import CompiledGrid, solve_power_flow
+from analyse.kernel import Kernel
 from analyse.runner import execute_run
 from analyse.scenario import (
     NetSimulator,
@@ -920,6 +921,71 @@ def test_event_driven_net_matches_periodic_under_every_attack(
         recount["clearings"], recount["clearings_resolved"], recount["violation_count"])
     assert summary.total_cost_eur == pytest.approx(recount["total_cost"])
     assert summary.payments_eur == pytest.approx(recount["payments"])
+
+
+def attack_every_primitive(doc, rng):
+    """Let a random agent drive a drop, a delay and a tamper rule and a
+    restart in the document's network, and run two short episodes."""
+    net = doc["network"]
+    nodes = [node["id"] for node in net["nodes"]]
+    hosts = [node for node in nodes if node != "sw"]
+    restart = rng.choice(nodes)
+    net["rules"] = net.get("rules", []) + [
+        {"rule_id": "cut", "at_node": "sw", "enabled": False,
+         "match": {"src": rng.choice(hosts)}, "action": {"kind": "drop"}},
+        {"rule_id": "slow", "at_node": rng.choice(nodes),
+         "action": {"kind": "delay", "extra_ms": 5.0 * 190_000 ** rng.random()}},
+        {"rule_id": "forge", "at_node": "sw", "match": {"src": rng.choice(hosts)},
+         "action": {"kind": "tamper", "replacement": "x" * rng.randint(0, 300)}},
+    ]
+    net["restartable"] = [{"node": restart, "downtime_s": rng.uniform(30.0, 1800.0)}]
+    agent = doc["agents"][0]
+    agent.pop("learner", None)
+    agent.update(kind="random", objective={"kind": "damage"})
+    agent["sensors"] = [{"id": f"net.{node}.utilization", "lo": 0.0, "hi": 1.0}
+                        for node in nodes]
+    agent["actuators"] = [
+        {"id": f"net.adversary.{name}", "lo": 0.0, "hi": 1.0, "default": 0.0}
+        for name in ("rule_cut", "rule_slow", "rule_forge", f"restart_{restart}")
+    ]
+    doc["schedule"] = [{"name": "attack", "mode": "test", "episodes": 2,
+                        "episode_length": 16}]
+
+
+@pytest.mark.parametrize("name", ["feeder4.yaml", "gaming.yaml"])
+def test_net_counters_in_the_kernel_equal_the_network_at_every_boundary(
+        tmp_path, monkeypatch, name):
+    # The net outputs a node's counters only when one changed; the kernel
+    # keeps the last values, so get_output still reads the network's.
+    path = packaged(name)
+    doc = load_document(path)
+    attack_every_primitive(doc, random.Random(name))
+    assert validate_document(doc, path.parent) == []
+    attrs = ("bytes_in", "bytes_out", "frames_dropped", "utilization")
+    boundaries, quiet, readings = [], [], set()
+    run_until, step = Kernel.run_until, NetSimulator.__call__
+
+    def checked_run_until(kernel, end_time):
+        run_until(kernel, end_time)
+        network = kernel._sims["net"].stepper.network
+        for node in network.topology.nodes:
+            counters = network.read_counters(node.node_id)
+            assert tuple(kernel.get_output(("net", node.node_id, a)) for a in attrs) == counters
+            readings.add(counters)
+        boundaries.append(end_time)
+
+    def counting_step(self, t, inputs):
+        outputs = step(self, t, inputs)
+        quiet.extend(node for node in self._nodes if "bytes_in" not in outputs.get(node, {}))
+        return outputs
+
+    monkeypatch.setattr(Kernel, "run_until", checked_run_until)
+    monkeypatch.setattr(NetSimulator, "__call__", counting_step)
+    log = execute_run(doc, path.parent, tmp_path).log_path
+    kinds = collections.Counter(json.loads(line)["kind"] for line in log.read_bytes().splitlines())
+    assert len(boundaries) == 2 * (1 + 16)  # a reset and 16 steps per episode
+    assert quiet and len(readings) > 10
+    assert all(kinds[kind] for kind in ("net.deliver", "net.drop", "net.rule", "net.restart"))
 
 
 # -- tamper fuzz --------------------------------------------------------------

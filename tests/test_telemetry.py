@@ -211,6 +211,39 @@ def test_envelope_line_matches_canonical_json_of_the_envelope_dict():
     assert kinds["ok"] >= 8000 and kinds["unserializable"] >= 400, kinds
 
 
+def test_sink_writes_canonical_json_of_each_envelope(tmp_path):
+    # The payloads of the test above, through RunSink.emit: a line that
+    # encodes is canonical_json of its envelope, one that does not is
+    # written nowhere and takes no seq; floats repeat and zeros keep their sign.
+    rng = random.Random(20232)
+    kinds = collections.Counter()
+    for part in range(4):
+        path = tmp_path / f"{part}.jsonl"
+        run_id = _text(rng)
+        lines = []
+        with RunSink(path, run_id) as sink:
+            for i in range(3000):
+                payload = _payload(rng, rng.randint(0, 5), bad=i % 3 == 0)
+                if i % 10 == 0:
+                    payload = [rng.choice(_FLOATS) for _ in range(6)]
+                t_sim = i if i % 2 else i + 0.25  # int and float times, rising
+                source, kind = _text(rng), _text(rng)
+                envelope = {"run_id": run_id, "seq": len(lines), "t_sim": t_sim,
+                            "source": source, "kind": kind, "payload": payload}
+                want = _outcome(canonical_json, envelope)
+                got = _outcome(lambda p: sink.emit(source, kind, t_sim, p), payload)
+                if want[0] == "ok":
+                    assert got == ("ok", LogRecord(run_id, len(lines), t_sim, source, kind,
+                                                   payload)), payload
+                    lines.append(want[1])
+                else:
+                    assert got == want, payload
+                kinds[want[0]] += 1
+        assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+    assert kinds["ok"] >= 8000 and kinds["unserializable"] >= 400, kinds
+    assert canonical_json([0.0, -0.0, 0.0, -0.0, 2.5, 2.5]) == "[0,-0,0,-0,2.5,2.5]"
+
+
 def test_non_string_keys_raise_on_every_call():
     for value in ({1: "a"}, {None: 0, "b": 2}, {"b": 2, 7: 0}, {("t",): 1}):
         for _ in range(3):
