@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class SensorSpec:
+class SensorSpec(NamedTuple):
     """lo < hi; validation.cross_check holds a document to it."""
 
     id: str  # dotted endpoint path simulator.model.attribute
@@ -29,8 +28,7 @@ class SensorSpec:
         return 2.0 * (clamped - self.lo) / (self.hi - self.lo) - 1.0
 
 
-@dataclass(frozen=True)
-class ActuatorSpec:
+class ActuatorSpec(NamedTuple):
     """lo < hi and lo <= default <= hi; validation.cross_check holds a document to it."""
 
     id: str
@@ -105,8 +103,7 @@ def cem_update(population: Sequence[tuple[Sequence[float], float]]) -> CemDistri
     return CemDistribution(mean=mean, sigma=sigma)
 
 
-@dataclass(frozen=True)
-class Objective:
+class Objective(NamedTuple):
     """A known kind and finite weights; the schema and validation hold a document to it."""
 
     kind: str  # damage | profit | custom
@@ -145,8 +142,7 @@ def objective_eval(aggregates: dict, objective: Objective) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
+class LearnerConfig(NamedTuple):
     kind: str  # none | random | replay | cem
     population: int
     generations: int
@@ -154,8 +150,7 @@ class LearnerConfig:
     replay: tuple
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(NamedTuple):
     """A known mode, episodes >= 1 and episode_length >= 1; the schema holds a document to it."""
 
     name: str

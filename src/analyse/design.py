@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -52,15 +51,13 @@ def derive_seed(base_seed: int, index: int) -> int:
     return splitmix64((base_seed ^ (((index + 1) * GOLDEN) & MASK64)) & MASK64)
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     name: str
     path: str  # slash-delimited path into the scenario document
     levels: tuple[Any, ...]
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     name: str
     base_scenario: dict
     factors: tuple[Factor, ...]
@@ -69,8 +66,7 @@ class Experiment:
     base_seed: int
 
 
-@dataclass(frozen=True)
-class RunDefinition:
+class RunDefinition(NamedTuple):
     run_id: str
     seed: int
     document: dict  # resolved scenario

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 
 class FeederError(Exception):
@@ -30,21 +30,18 @@ class FeederError(Exception):
         super().__init__(f"{path}:{line}: {problem}" if line else f"{path}: {problem}")
 
 
-@dataclass(frozen=True)
-class LoadProfile:
+class LoadProfile(NamedTuple):
     resolution_s: int
     factors: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class WeatherSample:
+class WeatherSample(NamedTuple):
     t: float
     ghi_w_m2: float
     t_air_c: float
 
 
-@dataclass(frozen=True)
-class WeatherSeries:
+class WeatherSeries(NamedTuple):
     resolution_s: int
     samples: tuple[WeatherSample, ...]
 
@@ -53,8 +50,7 @@ class WeatherSeries:
         return self.samples[idx]
 
 
-@dataclass(frozen=True)
-class PvUnit:
+class PvUnit(NamedTuple):
     """A PV unit that drives the p and q of the sgen it names and takes its
     dispatch at the network node host; p_peak_mw > 0, and the sgen's q range
     holds 0, as the schema and validation.cross_check hold a document."""

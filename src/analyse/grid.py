@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,16 +57,14 @@ MEMO_FLOATS = 2**15
 MEMO_MIN = 8
 
 
-@dataclass(frozen=True)
-class Bus:
+class Bus(NamedTuple):
     # the defaults repeat the scenario schema's; cosimbench/radial32.py builds Bus(b)
     bus_id: int
     kind: str = "pq"  # "slack" or "pq"
     vm_setpoint_pu: float = 1.0
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     from_bus: int
     to_bus: int
     r_pu: float
@@ -74,8 +73,7 @@ class Line:
     rating_mva: float
 
 
-@dataclass(frozen=True)
-class Load:
+class Load(NamedTuple):
     bus: int
     p_mw: float
     q_mvar: float
@@ -83,8 +81,7 @@ class Load:
     profile: str | None = None  # the load profile key that scales it
 
 
-@dataclass(frozen=True)
-class Sgen:
+class Sgen(NamedTuple):
     bus: int
     p_mw: float
     q_mvar: float

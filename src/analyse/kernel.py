@@ -48,7 +48,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 Endpoint = tuple[str, str, str]  # (simulator, model, attribute)
 
@@ -74,17 +75,15 @@ class KernelStepError(KernelError):
         self.time = time
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     """One model of a simulator: named inputs (with defaults) and outputs."""
 
     model_id: str
-    inputs: Mapping[str, Any] = field(default_factory=dict)
+    inputs: Mapping[str, Any] = MappingProxyType({})
     outputs: Sequence[str] = ()
 
 
-@dataclass(frozen=True)
-class SimulatorDescriptor:
+class SimulatorDescriptor(NamedTuple):
     sim_id: str
     step_size: int
     models: Sequence[ModelSpec] = ()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .grid import (GridModel, GridState, SensitivityError, Sgen, solve_power_flow,
                    voltage_sensitivity)
@@ -23,8 +24,7 @@ class MarketError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Offer:
+class Offer(NamedTuple):
     offer_id: str
     agent_id: str
     bus: int
@@ -205,8 +205,7 @@ def settle(result: ClearingResult) -> dict[str, float]:
     return payments
 
 
-@dataclass(frozen=True)
-class Bidder:
+class Bidder(NamedTuple):
     """A scripted bidder with a known strategy and side; the schema holds a
     document to them."""
 

@@ -21,18 +21,16 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     node_id: str
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(NamedTuple):
     a: str
     b: str
     latency_ms: float
@@ -76,8 +74,7 @@ class NetworkTopology:
         return {}
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     frame_id: int  # numbered by the network, from 0 per source
     src: str
     dst: str
@@ -85,8 +82,7 @@ class Frame:
     payload: bytes  # its length is the frame's size in bytes
 
 
-@dataclass(frozen=True)
-class MatchSpec:
+class MatchSpec(NamedTuple):
     src: str | None  # None matches every frame
     dst: str | None
     payload_contains: bytes | None
@@ -101,8 +97,7 @@ class MatchSpec:
         return True
 
 
-@dataclass(frozen=True)
-class AttackRule:
+class AttackRule(NamedTuple):
     """A known action; the schema holds a document to it."""
 
     rule_id: str
@@ -349,7 +344,7 @@ class Network:
                 self._drop(node, frame, t, f"rule:{rule.rule_id}", entry_size)
                 return
             if rule.action == "tamper":
-                frame = replace(frame, payload=rule.replacement)
+                frame = frame._replace(payload=rule.replacement)
             else:  # delay
                 extra_s += rule.extra_ms / 1000.0
         size = len(frame.payload)

@@ -42,7 +42,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import yaml
 
@@ -142,8 +142,7 @@ def resolve_data_path(ref: str, base_dir: Path) -> Path:
 # typed configuration
 
 
-@dataclass(frozen=True)
-class MarketConfig:
+class MarketConfig(NamedTuple):
     band: VoltageBand
     interval_s: int
     gate_closure_s: float
@@ -151,8 +150,7 @@ class MarketConfig:
     bidders: tuple[Bidder, ...]
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(NamedTuple):
     step_s: int
     utilization_window_s: float
     topology: NetworkTopology
@@ -160,8 +158,7 @@ class NetworkConfig:
     restartable: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class AgentConfig:
+class AgentConfig(NamedTuple):
     agent_id: str
     sensors: tuple[SensorSpec, ...]
     actuators: tuple[ActuatorSpec, ...]

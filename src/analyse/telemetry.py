@@ -81,7 +81,9 @@ def _canonical(value: Any, out: list[str]) -> None:
     """Append the canonical JSON of value to out, dispatching on its exact type.
 
     The str, float and int members of a dict or list are encoded in place;
-    only other members take a recursive call.
+    only other members take a recursive call. A subclass of a JSON type
+    encodes like its base type, so a record (a NamedTuple), like any tuple
+    subclass, encodes as an array of its field values.
     """
     kind = type(value)
     append = out.append
@@ -196,11 +198,6 @@ class LogRecord(NamedTuple):
     kind: str
     payload: dict
 
-    def to_line(self) -> str:
-        """The record as one canonical JSON object, its fields in sorted order."""
-        return _line(_kind_head(self.kind), self.payload, _run_id_part(self.run_id),
-                     self.seq, _source_part(self.source), self.t_sim)
-
 
 class RunSink:
     """Single-writer, append-only JSONL sink for one run.
@@ -268,8 +265,7 @@ class RunSink:
         self.close()
 
 
-@dataclass(frozen=True)
-class VoltageBand:
+class VoltageBand(NamedTuple):
     """0 < v_min_pu < v_max_pu; the schema and validation.cross_check hold a document to it."""
 
     v_min_pu: float

@@ -16,10 +16,10 @@ def make_env(tmp_path, doc=None, actuators=(), objective=None, learner=None,
     """An environment over MINI's config, with the agent's actuators replaced
     and the fields named in `objective` and `learner` set."""
     config = parsed(doc or MINI)
-    agent = dataclasses.replace(
-        config.agent, actuators=tuple(actuators),
-        objective=dataclasses.replace(config.agent.objective, **(objective or {})),
-        learner=dataclasses.replace(config.agent.learner, **(learner or {})))
+    agent = config.agent._replace(
+        actuators=tuple(actuators),
+        objective=config.agent.objective._replace(**(objective or {})),
+        learner=config.agent.learner._replace(**(learner or {})))
     config = dataclasses.replace(config, agent=agent)
     sink = RunSink(tmp_path / name, "envtest")
     env = Environment(config, sink)

@@ -377,9 +377,8 @@ def test_a_repeat_equals_a_fresh_solve_on_a_fresh_topology_bit_for_bit(name):
         target = random_injections(base, rng, LOAD_SCALES[name])
         same = base.with_injections(target.loads, target.sgens)  # equal injections
         named = base.with_injections(  # names and profile keys are no part of the key
-            tuple(dataclasses.replace(l, name=f"load{i}", profile="day")
-                  for i, l in enumerate(target.loads)),
-            tuple(dataclasses.replace(s, name=f"sgen{i}") for i, s in enumerate(target.sgens)))
+            tuple(l._replace(name=f"load{i}", profile="day") for i, l in enumerate(target.loads)),
+            tuple(s._replace(name=f"sgen{i}") for i, s in enumerate(target.sgens)))
         fresh = fresh_topology(target)
         first = solve_power_flow(target)
         assert solve_power_flow(same) is first  # a flat start
