@@ -34,6 +34,11 @@ class LoadProfile(NamedTuple):
     resolution_s: int
     factors: tuple[float, ...]
 
+    def at(self, t: float) -> float:
+        """The step-interpolated load factor at time t >= 0."""
+        idx = min(int(t // self.resolution_s), len(self.factors) - 1)
+        return self.factors[idx]
+
 
 class WeatherSample(NamedTuple):
     t: float
@@ -60,12 +65,6 @@ class PvUnit(NamedTuple):
     p_peak_mw: float
     temp_coeff: float  # output derating per degC of cell temperature
     host: str
-
-
-def load_profile_value(profile: LoadProfile, t: float) -> float:
-    """The step-interpolated load factor at time t >= 0."""
-    idx = min(int(t // profile.resolution_s), len(profile.factors) - 1)
-    return profile.factors[idx]
 
 
 CELL_TEMP_SLOPE = 0.03  # degC per W/m^2 of irradiance

@@ -13,7 +13,9 @@ frame's size is its payload's length, also after a tamper rule replaced it.
 Attack surface: install_rule/remove_rule (drop, tamper, delay at a node) and
 restart_node (a node goes offline for a downtime window; frames through it
 are dropped). Sensors: cumulative per-node counters plus trailing-window
-interface utilization.
+interface utilization, which reads 0.0 at a node with an unlimited link
+(bandwidth_kbps null or 0): such a node keeps no window. A node's state is
+one record.
 """
 
 from __future__ import annotations
@@ -121,17 +123,6 @@ class InterfaceCounters(NamedTuple):
     utilization: float
 
 
-class _Tally:
-    """A node's cumulative counters, as the network updates them."""
-
-    __slots__ = ("bytes_in", "bytes_out", "frames_dropped")
-
-    def __init__(self):
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.frames_dropped = 0
-
-
 class _ByteWindow:
     """Timestamped byte counts, with a running total of the ones still held."""
 
@@ -149,6 +140,26 @@ class _ByteWindow:
         while records and records[0][0] < cutoff:
             self._total -= records.popleft()[1]
         return self._total
+
+
+class _Node:
+    """One node's state, as the network updates it."""
+
+    __slots__ = ("bytes_in", "bytes_out", "frames_dropped", "next_frame_id", "offline_until",
+                 "rules", "delivered", "capacity_bps", "transit_in", "transit_out")
+
+    def __init__(self, capacity_bps: float):
+        self.bytes_in = 0
+        self.bytes_out = 0
+        self.frames_dropped = 0
+        self.next_frame_id = 0
+        self.offline_until = 0.0
+        self.rules: tuple[AttackRule, ...] = ()  # installed here, in rule_id order
+        self.delivered: list[tuple[float, Frame]] = []
+        self.capacity_bps = capacity_bps  # 0.0: a link is unlimited, or there is none
+        # hop-level transit bytes for the utilization window, where it is enforced
+        self.transit_in = _ByteWindow() if capacity_bps else None
+        self.transit_out = _ByteWindow() if capacity_bps else None
 
 
 class Network:
@@ -174,36 +185,18 @@ class Network:
         self._neighbors = topology.neighbors
         self._hops = topology.hops
         self._routes = topology.routes
-        self._offline_until: dict[str, float] = {}
         self._rules: dict[str, AttackRule] = {}
-        # node -> the rules installed at it, in rule_id order
-        self._rules_at: dict[str, tuple[AttackRule, ...]] = {}
-        self._counters = {n.node_id: _Tally() for n in topology.nodes}
-        self._next_frame_id: dict[str, int] = {}
-        self._delivered: dict[str, list[tuple[float, Frame]]] = {
-            n.node_id: [] for n in topology.nodes
-        }
-        # hop-level transit bytes per node, for the utilization window
-        self._transit_in = {n.node_id: _ByteWindow() for n in topology.nodes}
-        self._transit_out = {n.node_id: _ByteWindow() for n in topology.nodes}
-        # interface capacity per node; 0.0 when a link is unlimited or there
-        # is none, and then utilization is not enforced
-        self._capacity_bps: dict[str, float] = {}
+        self._nodes: dict[str, _Node] = {}
         for node_id, peers in self._neighbors.items():
+            bandwidths = [self._hops[(node_id, peer)][1] for peer in peers]
             capacity_bps = 0.0
-            for peer in peers:
-                bandwidth_bps = self._hops[(node_id, peer)][1]
-                if bandwidth_bps is None:
-                    capacity_bps = 0.0
-                    break
-                capacity_bps += bandwidth_bps
-            self._capacity_bps[node_id] = capacity_bps
+            if None not in bandwidths:
+                for bandwidth_bps in bandwidths:
+                    capacity_bps += bandwidth_bps
+            self._nodes[node_id] = _Node(capacity_bps)
         self.dropped_bytes_total = 0
 
     # -- helpers -------------------------------------------------------------
-
-    def is_online(self, node_id: str, t: float) -> bool:
-        return t >= self._offline_until.get(node_id, 0.0)
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Hop-count shortest path; equal-cost ties take the lexicographically
@@ -239,7 +232,7 @@ class Network:
         self._seq += 1
 
     def _drop(self, node: str, frame: Frame, t: float, reason: str, entry_size: int) -> None:
-        self._counters[node].frames_dropped += 1
+        self._nodes[node].frames_dropped += 1
         self.dropped_bytes_total += entry_size
         self._emit("net.drop", t, {
             "node": node, "reason": reason, "src": frame.src, "dst": frame.dst,
@@ -252,15 +245,16 @@ class Network:
         """Route a frame of `payload` from src to dst at t; returns False if
         rejected at entry. An offline source silently swallows the frame
         (telemetry only, no counters: the frame never entered the network)."""
-        frame_id = self._next_frame_id.get(src, 0)
-        self._next_frame_id[src] = frame_id + 1
+        node = self._nodes[src]
+        frame_id = node.next_frame_id
+        node.next_frame_id = frame_id + 1
         size = len(payload)
-        if not self.is_online(src, t):
+        if t < node.offline_until:
             self._emit("net.drop", t, {"node": src, "reason": "src-offline", "src": src,
                                        "dst": dst, "frame_id": frame_id, "size_bytes": size})
             return False
         path = self.shortest_path(src, dst)
-        self._counters[src].bytes_out += size
+        node.bytes_out += size
         self._emit("net.send", t, {"src": src, "dst": dst, "frame_id": frame_id,
                                    "size_bytes": size, "path": path})
         self._push(t, src, Frame(frame_id, src, dst, t, payload), path, 0, [], size)
@@ -268,17 +262,16 @@ class Network:
 
     def restart_node(self, node_id: str, downtime_s: float) -> None:
         until = self.now + downtime_s
-        self._offline_until[node_id] = max(self._offline_until.get(node_id, 0.0), until)
+        node = self._nodes[node_id]
+        node.offline_until = max(node.offline_until, until)
         self._emit("net.restart", self.now, {
             "node": node_id, "downtime_s": downtime_s, "online_at": until,
         })
 
     def _index_rules(self) -> None:
-        rules_at: dict[str, list[AttackRule]] = {}
-        for rule_id in sorted(self._rules):
-            rule = self._rules[rule_id]
-            rules_at.setdefault(rule.at_node, []).append(rule)
-        self._rules_at = {node: tuple(rules) for node, rules in rules_at.items()}
+        rules = [self._rules[rule_id] for rule_id in sorted(self._rules)]
+        for node_id, node in self._nodes.items():
+            node.rules = tuple(rule for rule in rules if rule.at_node == node_id)
 
     def install_rule(self, rule: AttackRule) -> None:
         self._rules[rule.rule_id] = rule
@@ -297,22 +290,20 @@ class Network:
         return rule_id in self._rules
 
     def read_counters(self, node_id: str) -> InterfaceCounters:
-        window = self.utilization_window_s
-        capacity_bps = self._capacity_bps[node_id]
-        if capacity_bps == 0.0:
-            utilization = 0.0
-        else:
+        node = self._nodes[node_id]
+        utilization = 0.0
+        if node.capacity_bps:
+            window = self.utilization_window_s
             cutoff = self.now - window
-            busiest = max(self._transit_in[node_id].total_since(cutoff),
-                          self._transit_out[node_id].total_since(cutoff))
-            utilization = 8.0 * busiest / (capacity_bps * window)
-        c = self._counters[node_id]
-        return InterfaceCounters(c.bytes_in, c.bytes_out, c.frames_dropped, utilization)
+            busiest = max(node.transit_in.total_since(cutoff),
+                          node.transit_out.total_since(cutoff))
+            utilization = 8.0 * busiest / (node.capacity_bps * window)
+        return InterfaceCounters(node.bytes_in, node.bytes_out, node.frames_dropped, utilization)
 
     def delivered(self, node_id: str) -> list[tuple[float, Frame]]:
         """(arrival, frame) pairs delivered to the node since the last call."""
-        frames = self._delivered[node_id]
-        self._delivered[node_id] = []
+        node = self._nodes[node_id]
+        frames, node.delivered = node.delivered, []
         return frames
 
     # -- event loop -------------------------------------------------------------
@@ -329,11 +320,12 @@ class Network:
 
     def _process(self, t: float, node: str, frame: Frame, path: list[str], idx: int,
                  hop_delays: list[float], entry_size: int) -> None:
-        if not self.is_online(node, t):
+        state = self._nodes[node]
+        if t < state.offline_until:
             self._drop(node, frame, t, "node-offline", entry_size)
             return
         extra_s = 0.0
-        for rule in self._rules_at.get(node, ()):
+        for rule in state.rules:
             if not rule.active_at(t) or not rule.match.matches(frame):
                 continue
             self._emit("net.rule", t, {
@@ -348,11 +340,11 @@ class Network:
             else:  # delay
                 extra_s += rule.extra_ms / 1000.0
         size = len(frame.payload)
-        if idx > 0:
-            self._transit_in[node].add(t, size)
+        if idx > 0 and state.capacity_bps:
+            state.transit_in.add(t, size)
         if node == frame.dst:
-            self._delivered[node].append((t, frame))
-            self._counters[node].bytes_in += entry_size
+            state.delivered.append((t, frame))
+            state.bytes_in += entry_size
             self._emit("net.deliver", t, {
                 "src": frame.src, "dst": frame.dst, "frame_id": frame.frame_id,
                 "size_bytes": size, "sent_at": frame.sent_at,
@@ -368,5 +360,6 @@ class Network:
         if bandwidth_bps is not None:
             tx_s = size * 8.0 / bandwidth_bps
         hop = latency_s + tx_s + extra_s
-        self._transit_out[node].add(t, size)
+        if state.capacity_bps:
+            state.transit_out.add(t, size)
         self._push(t + hop, nxt, frame, path, idx + 1, hop_delays + [hop], entry_size)

@@ -42,7 +42,7 @@ def execute_run(
     code on validation failure (2), simulation abort (3), or I/O trouble (4);
     a data series file that cannot be read raises OSError from validation.
     Validation failures leave no partial log behind because the sink is only
-    opened after they pass.
+    opened after they pass; once open, it is closed on every exit path.
     """
     kind = document_kind(doc)
     if kind == "experiment":
@@ -68,48 +68,47 @@ def execute_run(
     except OSError as exc:
         raise RunError(f"cannot open log sink: {exc}", EXIT_IO) from exc
 
-    digest = hashlib.sha256(canonical_json(scenario_doc).encode("utf-8")).hexdigest()
-    sink.emit("runner", "run.header", 0.0, {
-        "run_id": run_id,
-        "seed": seed,
-        "seed_overridden": seed_overridden,
-        "experiment": experiment,
-        "factors": factors,
-        "scenario": config.name,
-        "scenario_sha256": digest,
-        "schema_version": scn.SCHEMA_VERSION,
-        "band": {
-            "v_min_pu": config.market.band.v_min_pu,
-            "v_max_pu": config.market.band.v_max_pu,
-        },
-        "agent": config.agent.agent_id,
-        "agent_kind": config.agent.learner.kind,
-    })
-
-    env = Environment(config, sink)
-    state = AgentRunState()
-    reports: list[PhaseReport] = []
-    try:
-        for phase in config.schedule:
-            reports.append(run_phase(env, phase, seed, state))
-        sink.emit("runner", "run.end", env.telemetry_time, {
-            "status": "ok",
-            "phases": [
-                {
-                    "name": r.name,
-                    "mode": r.mode,
-                    "episodes": len(r.returns),
-                    "mean_return": r.mean_return,
-                    "best_return": r.best_return,
-                }
-                for r in reports
-            ],
+    with sink:
+        digest = hashlib.sha256(canonical_json(scenario_doc).encode("utf-8")).hexdigest()
+        sink.emit("runner", "run.header", 0.0, {
+            "run_id": run_id,
+            "seed": seed,
+            "seed_overridden": seed_overridden,
+            "experiment": experiment,
+            "factors": factors,
+            "scenario": config.name,
+            "scenario_sha256": digest,
+            "schema_version": scn.SCHEMA_VERSION,
+            "band": {
+                "v_min_pu": config.market.band.v_min_pu,
+                "v_max_pu": config.market.band.v_max_pu,
+            },
+            "agent": config.agent.agent_id,
+            "agent_kind": config.agent.learner.kind,
         })
-    except (KernelError, TelemetryError) as exc:
-        sink.emit("runner", "run.abort", env.telemetry_time, {"error": str(exc)})
-        sink.close()
-        raise RunError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc
-    sink.close()
+
+        env = Environment(config, sink)
+        state = AgentRunState()
+        reports: list[PhaseReport] = []
+        try:
+            for phase in config.schedule:
+                reports.append(run_phase(env, phase, seed, state))
+            sink.emit("runner", "run.end", env.telemetry_time, {
+                "status": "ok",
+                "phases": [
+                    {
+                        "name": r.name,
+                        "mode": r.mode,
+                        "episodes": len(r.returns),
+                        "mean_return": r.mean_return,
+                        "best_return": r.best_return,
+                    }
+                    for r in reports
+                ],
+            })
+        except (KernelError, TelemetryError) as exc:
+            sink.emit("runner", "run.abort", env.telemetry_time, {"error": str(exc)})
+            raise RunError(f"simulation aborted: {exc}", EXIT_SIMULATION) from exc
     return RunResult(run_id=run_id, log_path=sink.path, reports=reports)
 
 

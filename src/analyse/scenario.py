@@ -447,7 +447,7 @@ class ProfilesSimulator:
         for l in self.config.grid.loads:
             if not l.profile:
                 continue
-            factor = feeders.load_profile_value(self.series[l.profile], t)
+            factor = self.series[l.profile].at(t)
             outputs[f"load_{l.name}"] = {"p_mw": factor * l.p_mw, "q_mvar": factor * l.q_mvar}
         return outputs
 

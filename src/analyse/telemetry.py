@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,7 +151,11 @@ def mean(values) -> float:
     which is no larger than the largest value.
     """
     average = sum(values) / len(values)
-    return average if math.isfinite(average) else statistics.mean(values)
+    if math.isfinite(average):
+        return average
+    import statistics  # here, so that no run without an overflow imports it
+
+    return statistics.mean(values)
 
 
 def canonical_json(value: Any) -> str:

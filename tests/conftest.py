@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,6 +17,16 @@ def packaged(name: str) -> Path:
     import importlib.resources as resources
 
     return Path(str(resources.files("analyse").joinpath("data", name)))
+
+
+def fresh_modules(code, *args):
+    """The sys.modules names a new interpreter holds after running code."""
+    program = f"import sys; sys.path.insert(0, sys.argv[1])\n{code}\nprint(' '.join(sys.modules))"
+    src = Path(__file__).parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", program, str(src), *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
 
 
 def parsed(doc: dict, base_dir: Path = Path(".")):

@@ -7,7 +7,6 @@ from analyse.feeders import (
     LoadProfile,
     PvUnit,
     WeatherSample,
-    load_profile_value,
     pv_output,
     read_load_profile_csv,
     read_weather_csv,
@@ -16,14 +15,14 @@ from analyse.feeders import (
 
 def test_profile_step_interpolation():
     profile = LoadProfile(resolution_s=900, factors=(1.0, 0.5))
-    assert load_profile_value(profile, 0) == 1.0
-    assert load_profile_value(profile, 899) == 1.0
-    assert load_profile_value(profile, 900) == 0.5
+    assert profile.at(0) == 1.0
+    assert profile.at(899) == 1.0
+    assert profile.at(900) == 0.5
 
 
 def test_profile_clamps_past_series_end():
     profile = LoadProfile(resolution_s=900, factors=(1.0, 0.5))
-    assert load_profile_value(profile, 10_000) == 0.5
+    assert profile.at(10_000) == 0.5
 
 
 def test_pv_standard_conditions_identity():
@@ -66,7 +65,7 @@ def test_csv_round_trip(tmp_path):
     profile = read_load_profile_csv(profile_path)
     assert profile.resolution_s == 900
     assert profile.factors == (1.0, 0.5, 0.25)
-    assert load_profile_value(profile, 1000) == 0.5
+    assert profile.at(1000) == 0.5
 
     weather_path = tmp_path / "w.csv"
     weather_path.write_text("t_s,ghi_w_m2,t_air_c\n0,0,10\n900,500,12\n", encoding="utf-8")

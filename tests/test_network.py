@@ -376,3 +376,40 @@ def test_utilization_matches_resummed_window_after_every_advance():
             assert got == 8.0 * max(total.values()) / (capacity * window), (node, now)
             busy += got > 0.0
     assert busy > 100
+
+
+@pytest.mark.parametrize("bandwidth_kbps", [None, 10_000.0])
+def test_transit_windows_hold_only_what_utilization_reads(bandwidth_kbps):
+    window = 1.0
+    events = []
+    net = make(line_topology(latency_ms=1.0, bandwidth_kbps=bandwidth_kbps),
+               emit=lambda kind, t, p: events.append((kind, p)), window=window)
+    n = 20_000
+    for i in range(n):
+        send(net, "a", "b", i * 0.1)
+    net.advance(n * 0.1)
+    # every hop's time, in the network's arithmetic, from the delivery records
+    transit = {"a": [], "sw": [], "b": []}
+    for kind, p in events:
+        if kind == "net.deliver":
+            at_sw = p["sent_at"] + p["hop_delays"][0]
+            transit["a"].append(p["sent_at"])
+            transit["sw"] += [at_sw, at_sw]  # in, then out
+            transit["b"].append(p["delivered_at"])
+    assert len(transit["b"]) == n
+    capacity_bps = {"a": 1e7, "sw": 2e7, "b": 1e7} if bandwidth_kbps else {}
+    held = 0
+    for node, times in transit.items():
+        got = net.read_counters(node).utilization
+        if node not in capacity_bps:
+            assert got == 0.0
+            continue
+        recent = sum(t >= net.now - window for t in times)
+        held += recent
+        busiest = 100 * (recent // 2 if node == "sw" else recent)
+        assert got == 8.0 * busiest / (capacity_bps[node] * window), node
+    # a window is kept only where utilization reads it, and only its records
+    windows = [w for node in net._nodes.values()
+               for w in (node.transit_in, node.transit_out) if w is not None]
+    assert len(windows) == len(capacity_bps) * 2
+    assert sum(len(w._records) for w in windows) == held

@@ -516,6 +516,21 @@ def test_run_compiles_one_grid_and_assembles_once_per_episode(tmp_path, mini_doc
     assert calls == {"compile": 1, "assemble": 3 + 1}
 
 
+def test_a_run_that_fails_unexpectedly_leaves_its_log_on_disk(tmp_path, mini_doc, monkeypatch):
+    from analyse import runner
+
+    def failing(*args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(runner, "run_phase", failing)
+    with pytest.raises(RuntimeError, match="injected fault") as raised:
+        execute_run(mini_doc, Path("."), tmp_path)
+    # the traceback in `raised` still holds the run's frames, and its sink
+    lines = (tmp_path / "mini.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["kind"] for line in lines] == ["run.header"]
+    assert raised.traceback
+
+
 def short_gaming_log(tmp_path, monkeypatch, name, before_solve):
     """The log bytes of gaming with 16 training and 4 test episodes, calling
     before_solve(model, start) ahead of every power flow of the run."""

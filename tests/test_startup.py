@@ -6,6 +6,7 @@ __delattr__ when frozen) with exec. An immutable record is therefore a
 typing.NamedTuple, copied with `._replace`. A frozen dataclass is kept only
 where the class caches a value with a cached_property, which needs the
 per-instance __dict__ a NamedTuple has not; mutable records stay dataclasses.
+A standard module that only a rare path needs is imported on that path.
 """
 
 import dataclasses
@@ -14,6 +15,8 @@ import importlib
 import pkgutil
 
 import analyse
+
+from conftest import fresh_modules
 
 
 def _package_classes():
@@ -36,3 +39,11 @@ def test_every_frozen_dataclass_caches_a_value():
             "analyse.network.NetworkTopology"} <= names  # the walk saw the modules
     assert sorted(f"{cls.__module__}.{cls.__qualname__}"
                   for cls in frozen if not _caches(cls)) == []
+
+
+def test_the_entry_points_import_no_exact_arithmetic():
+    # statistics (and with it fractions and decimal) serves only the overflow
+    # fallback of telemetry.mean
+    modules = fresh_modules("import analyse.runner, analyse.cli, analyse.validation")
+    assert "analyse.runner" in modules
+    assert {"statistics", "fractions", "decimal"} & modules == set()

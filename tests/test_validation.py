@@ -8,8 +8,6 @@ tests/oracles.py serves the solver. The program never imports jsonschema.
 
 import copy
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import jsonschema
@@ -18,7 +16,7 @@ import yaml
 
 from analyse import design, scenario, validation
 
-from conftest import MINI, packaged
+from conftest import MINI, fresh_modules, packaged
 
 ROOT = Path(__file__).parent.parent
 SCHEMAS = ("scenario", "experiment", "run")
@@ -249,15 +247,6 @@ def test_load_document_errors_read_as_the_pure_loader_wrote_them(tmp_path):
 
 
 # -- what a fresh interpreter imports ----------------------------------------
-
-def fresh_modules(code, *args):
-    """The sys.modules names a new interpreter holds after running code."""
-    program = f"import sys; sys.path.insert(0, sys.argv[1])\n{code}\nprint(' '.join(sys.modules))"
-    done = subprocess.run([sys.executable, "-c", program, str(ROOT / "src"), *map(str, args)],
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return set(done.stdout.splitlines()[-1].split())
-
 
 def test_a_validated_run_never_imports_jsonschema():
     modules = fresh_modules(
