@@ -18,6 +18,10 @@ from .grid import (GridModel, GridState, SensitivityError, Sgen, solve_power_flo
 from .telemetry import VoltageBand
 
 EFFECTIVENESS_EPSILON = 1e-6  # pu per Mvar; offers below this do not count
+# The largest pay-as-bid payment, price times |q|, an offer may ask. The market
+# refuses an offer above it, so a sum of payments stays finite: it would take
+# more than 1e296 accepted offers to overflow a float.
+MAX_PAYMENT_EUR = 1e12
 
 
 class MarketError(Exception):

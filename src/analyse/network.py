@@ -14,8 +14,9 @@ Attack surface: install_rule/remove_rule (drop, tamper, delay at a node) and
 restart_node (a node goes offline for a downtime window; frames through it
 are dropped). Sensors: cumulative per-node counters plus trailing-window
 interface utilization, which reads 0.0 at a node with an unlimited link
-(bandwidth_kbps null or 0): such a node keeps no window. A node's state is
-one record.
+(bandwidth_kbps null or 0): such a node keeps no window, and any other holds
+only the hops of one window before its newest, read or not. A node's state
+is one record.
 """
 
 from __future__ import annotations
@@ -124,14 +125,21 @@ class InterfaceCounters(NamedTuple):
 
 
 class _ByteWindow:
-    """Timestamped byte counts, with a running total of the ones still held."""
+    """Timestamped byte counts, with a running total of the ones still held.
+    Records are added in time order, and one older than `span` before the
+    newest is forgotten, so a window that is never read stays bounded."""
 
-    def __init__(self):
+    def __init__(self, span: float):
+        self._span = span
         self._records: deque[tuple[float, int]] = deque()
         self._total = 0
 
     def add(self, t: float, size: int) -> None:
-        self._records.append((t, size))
+        records = self._records
+        cutoff = t - self._span
+        while records and records[0][0] < cutoff:
+            self._total -= records.popleft()[1]
+        records.append((t, size))
         self._total += size
 
     def total_since(self, cutoff: float) -> int:
@@ -148,7 +156,7 @@ class _Node:
     __slots__ = ("bytes_in", "bytes_out", "frames_dropped", "next_frame_id", "offline_until",
                  "rules", "delivered", "capacity_bps", "transit_in", "transit_out")
 
-    def __init__(self, capacity_bps: float):
+    def __init__(self, capacity_bps: float, window_s: float):
         self.bytes_in = 0
         self.bytes_out = 0
         self.frames_dropped = 0
@@ -158,8 +166,8 @@ class _Node:
         self.delivered: list[tuple[float, Frame]] = []
         self.capacity_bps = capacity_bps  # 0.0: a link is unlimited, or there is none
         # hop-level transit bytes for the utilization window, where it is enforced
-        self.transit_in = _ByteWindow() if capacity_bps else None
-        self.transit_out = _ByteWindow() if capacity_bps else None
+        self.transit_in = _ByteWindow(window_s) if capacity_bps else None
+        self.transit_out = _ByteWindow(window_s) if capacity_bps else None
 
 
 class Network:
@@ -193,7 +201,7 @@ class Network:
             if None not in bandwidths:
                 for bandwidth_bps in bandwidths:
                     capacity_bps += bandwidth_bps
-            self._nodes[node_id] = _Node(capacity_bps)
+            self._nodes[node_id] = _Node(capacity_bps, utilization_window_s)
         self.dropped_bytes_total = 0
 
     # -- helpers -------------------------------------------------------------

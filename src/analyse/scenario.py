@@ -54,6 +54,7 @@ from .feeders import FeederError, LoadProfile, PvUnit, WeatherSeries, pv_output
 from .grid import Bus, GridModel, GridState, Line, Load, Sgen, solve_power_flow
 from .kernel import Kernel, ModelSpec, SimulatorDescriptor
 from .market import (
+    MAX_PAYMENT_EUR,
     Bidder,
     MarketError,
     Offer,
@@ -72,7 +73,7 @@ from .network import (
     NetworkTopology,
     NodeSpec,
 )
-from .telemetry import canonical_json
+from .telemetry import canonical_json, mean
 
 SCHEMA_VERSION = 1
 ADVERSARY_MODEL = "adversary"
@@ -359,13 +360,31 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
 NON_NUMERIC_ATTRS = frozenset({"inbox", "outbox", "model", "state"})
 
 
+def sensed_models(config: ScenarioConfig, sim_id: str) -> frozenset[str]:
+    """The models of simulator sim_id that a sensor of the agent names."""
+    ids = (s.id.split(".") for s in config.agent.sensors)
+    return frozenset(parts[1] for parts in ids if len(parts) == 3 and parts[0] == sim_id)
+
+
 class GridSimulator:
+    """Solves the power flow. The solver model outputs the model and state
+    the market reads at every step; a converged step also outputs the bus,
+    line and slack models that a sensor names, and no other, since nothing
+    else reads them."""
+
     SIM_ID = "grid"
 
     def __init__(self, config: ScenarioConfig, emit: Callable):
         self.config = config
         self.emit = emit
         self.last: GridState | None = None  # latest converged step: the next warm start
+        sensed = sensed_models(config, self.SIM_ID)
+        # (index in the state's per-bus or per-line values, model id) of each sensed model
+        self._buses = tuple((i, f"bus_{b.bus_id}") for i, b in enumerate(config.grid.buses)
+                            if f"bus_{b.bus_id}" in sensed)
+        self._lines = tuple((i, f"line_{i}") for i in range(len(config.grid.lines))
+                            if f"line_{i}" in sensed)
+        self._slack = "slack" in sensed
 
     def descriptor(self) -> SimulatorDescriptor:
         cfg = self.config
@@ -418,11 +437,12 @@ class GridSimulator:
             record["slack_p_mw"] = state.slack_p_mw
             record["slack_q_mvar"] = state.slack_q_mvar
             record["max_line_loading"] = max(state.line_loading) if state.line_loading else 0.0
-            for b, v, a in zip(cfg.grid.buses, state.vm, state.va):
-                outputs[f"bus_{b.bus_id}"] = {"vm_pu": v, "va_rad": a}
-            for i, loading in enumerate(state.line_loading):
-                outputs[f"line_{i}"] = {"loading": loading}
-            outputs["slack"] = {"p_mw": state.slack_p_mw, "q_mvar": state.slack_q_mvar}
+            for i, model_id in self._buses:
+                outputs[model_id] = {"vm_pu": state.vm[i], "va_rad": state.va[i]}
+            for i, model_id in self._lines:
+                outputs[model_id] = {"loading": state.line_loading[i]}
+            if self._slack:
+                outputs["slack"] = {"p_mw": state.slack_p_mw, "q_mvar": state.slack_q_mvar}
         self.emit("grid", "grid.step", float(t), record)
         return outputs
 
@@ -561,8 +581,9 @@ class BiddersSimulator:
 
 class NetSimulator:
     """Steps the network. Each node model outputs the frames delivered to it
-    as `inbox`, and its four interface counters only when one of them
-    changed since its last output; the kernel keeps the last values."""
+    as `inbox`. A node that a sensor names also outputs its four interface
+    counters, only when one of them changed since its last output (the
+    kernel keeps the last values); no other node's counters are read."""
 
     SIM_ID = "net"
 
@@ -579,7 +600,8 @@ class NetSimulator:
                 self.network.install_rule(rule)
         self._restart_state: dict[str, bool] = {node: False for node, _ in net_cfg.restartable}
         self._nodes = tuple(n.node_id for n in net_cfg.topology.nodes)
-        self._counters: dict[str, InterfaceCounters] = {}  # node -> last output
+        self._sensed = sensed_models(config, self.SIM_ID)
+        self._counters: dict[str, InterfaceCounters] = {}  # sensed node -> last output
 
     def descriptor(self) -> SimulatorDescriptor:
         net_cfg = self.config.network
@@ -634,19 +656,20 @@ class NetSimulator:
         outputs: dict[str, dict] = {
             ADVERSARY_MODEL: {"rules_active": float(rules_active)}
         }
-        last = self._counters
+        last, sensed = self._counters, self._sensed
         for node in self._nodes:
             delivered = self.network.delivered(node)
-            counters = self.network.read_counters(node)
             out = {}
-            if counters != last.get(node):
-                last[node] = counters
-                out = {
-                    "bytes_in": counters.bytes_in,
-                    "bytes_out": counters.bytes_out,
-                    "frames_dropped": counters.frames_dropped,
-                    "utilization": counters.utilization,
-                }
+            if node in sensed:
+                counters = self.network.read_counters(node)
+                if counters != last.get(node):
+                    last[node] = counters
+                    out = {
+                        "bytes_in": counters.bytes_in,
+                        "bytes_out": counters.bytes_out,
+                        "frames_dropped": counters.frames_dropped,
+                        "utilization": counters.utilization,
+                    }
             if delivered:
                 out["inbox"] = tuple(
                     (arrival, frame.src, frame.payload) for arrival, frame in delivered
@@ -688,7 +711,9 @@ class MarketSimulator:
         bidder and sgen are those of the asset its offer_id names, if any.
 
         A legitimate offer always arrives at the clearing of its own
-        interval, so an offer for any other interval is refused.
+        interval, so an offer for any other interval is refused. So is one
+        whose payment exceeds MAX_PAYMENT_EUR, whether a bidder's price set
+        it or a tamper rule wrote it, so that no sum of payments overflows.
         """
         if bidder is None:
             return "unknown asset"
@@ -698,6 +723,8 @@ class MarketSimulator:
             return "asset at another bus"
         if not (sgen.q_min_mvar <= offer.q_mvar <= sgen.q_max_mvar):
             return "exceeds headroom"
+        if offer.price_eur_per_mvar * abs(offer.q_mvar) > MAX_PAYMENT_EUR:
+            return "payment over limit"
         if offer.interval < interval:
             return "interval closed"
         if offer.interval > interval:
@@ -788,7 +815,7 @@ class MarketSimulator:
         return {
             "op": {
                 "outbox": tuple(messages),
-                "last_price": sum(prices) / len(prices) if prices else 0.0,
+                "last_price": mean(prices) if prices else 0.0,
                 "last_cost": result.total_cost_eur,
                 "last_resolved": 1.0 if result.resolved else 0.0,
                 "last_accepted_mvar": sum(abs(a.q_mvar) for a in result.accepted),

@@ -10,6 +10,7 @@ import yaml
 
 from analyse.cli import main, render_summary
 from analyse.kernel import Kernel
+from analyse.market import MAX_PAYMENT_EUR
 from analyse.scenario import NON_NUMERIC_ATTRS, assemble
 from analyse.telemetry import RunSummary, summarize
 from analyse.validation import validate_document
@@ -409,12 +410,13 @@ def test_simulation_abort_exit_code_and_partial_log(tmp_path, mini_path, monkeyp
 
 
 def test_large_finite_returns_end_the_run_and_its_report(tmp_path, capsys):
-    # Random prices up to 1e307 give episode returns near 5e307, whose sum
-    # overflows: the run must still end with run.end, and the report read it.
+    # A profit objective that pays 2e306 per offered Mvar gives episode
+    # returns near 5e307, whose sum overflows: the run must still end with
+    # run.end, and the report read it. (Prices cannot give such returns: the
+    # market refuses a payment above MAX_PAYMENT_EUR.)
     doc = yaml.safe_load(packaged("gaming.yaml").read_text(encoding="utf-8"))
     doc["agents"][0]["kind"] = "random"
-    for actuator in doc["agents"][0]["actuators"]:
-        actuator["lo"], actuator["hi"] = 1.0, 1e307
+    doc["agents"][0]["objective"]["cost_per_mvar"] = -2e306
     doc["schedule"] = [{"name": "testing", "mode": "test", "episodes": 4, "episode_length": 6}]
     path = tmp_path / "big.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
@@ -884,3 +886,89 @@ def test_loads_near_1e300_end_the_run_and_report_finite_numbers(tmp_path, capsys
     rows = [line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:]]
     numbers = [float(value) for name, value in rows if name not in ("run_id", "experiment")]
     assert len(numbers) > 10 and all(math.isfinite(x) for x in numbers)
+
+
+def random_prices(hi):
+    """A random agent sets both attacker prices in [1, hi] for 4 episodes of 6 steps."""
+    def edit(doc):
+        doc["agents"][0]["kind"] = "random"
+        for actuator in doc["agents"][0]["actuators"]:
+            actuator["lo"], actuator["hi"] = 1.0, hi
+        doc["schedule"] = [{"name": "testing", "mode": "test", "episodes": 4, "episode_length": 6}]
+    return edit
+
+
+def tampered_offers(price, q_mvar=2.0):
+    """Two tamper rules at sw rewrite both attacker offers for interval 3 to
+    q_mvar at price, over 2 episodes of 6 steps."""
+    def edit(doc):
+        doc["agents"][0]["kind"] = "none"
+        doc["network"]["rules"] = [
+            {"rule_id": f"forge_{asset}", "at_node": "sw", "enabled": True,
+             "match": {"src": host, "payload_contains": f"{asset}-00003"},
+             "action": {"kind": "tamper", "replacement": json.dumps({
+                 "offer_id": f"{asset}-00003", "agent_id": "attacker", "bus": 4,
+                 "q_mvar": q_mvar, "price_eur_per_mvar": price, "interval": 3})}}
+            for asset, host in (("att_a", "ha"), ("att_b", "hb"))]
+        doc["schedule"] = [{"name": "testing", "mode": "test", "episodes": 2, "episode_length": 6}]
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    random_prices(1e307), random_prices(1.7e308), tampered_offers(1e308), tampered_offers(1e307),
+], ids=["prices-1e307", "prices-1.7e308", "tamper-1e308", "tamper-1e307"])
+def test_an_offer_whose_payment_exceeds_the_limit_is_refused(tmp_path, capsys, edit):
+    # An actuator and a tamper rule reach the same price field. Without the
+    # limit, a payment near the float maximum aborts the run or overflows
+    # the summed costs; with it the market refuses every such offer, so the
+    # run ends, its report prints finite numbers, and both aggregation
+    # paths agree.
+    from oracles import recount_log
+
+    doc = yaml.safe_load(packaged("gaming.yaml").read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "pricey.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "logs"
+    assert main(["run", str(path), "-o", str(out)]) == 0
+    log = out / "gaming.jsonl"
+    clearings = [r["payload"] for r in map(json.loads, log.read_text().splitlines())
+                 if r["kind"] == "market.clearing"]
+    refused = [r for p in clearings for r in p["rejected"] if r["reason"] == "payment over limit"]
+    assert len(refused) >= 2
+    assert all(o["price_eur_per_mvar"] * abs(o["q_mvar"]) <= MAX_PAYMENT_EUR
+               for p in clearings for o in p["offers"])
+    summary, recount = summarize(log), recount_log(log)
+    assert (summary.frames_sent, summary.frames_delivered, summary.frames_dropped) == (
+        recount["frames_sent"], recount["frames_delivered"], recount["frames_dropped"])
+    assert (summary.clearings, summary.clearings_resolved, summary.violation_count) == (
+        recount["clearings"], recount["clearings_resolved"], recount["violation_count"])
+    assert summary.total_cost_eur == pytest.approx(recount["total_cost"])
+    assert summary.payments_eur == pytest.approx(recount["payments"])
+    assert summary.returns == recount["episodes"]
+    capsys.readouterr()
+    assert main(["report", str(log), "--format", "csv"]) == 0
+    rows = [line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:]]
+    numbers = [float(value) for name, value in rows if name not in ("run_id", "experiment")]
+    assert len(numbers) > 10 and all(math.isfinite(x) for x in numbers)
+    assert summary.total_cost_eur < MAX_PAYMENT_EUR
+
+
+def test_the_mean_accepted_price_a_sensor_reads_stays_finite(tmp_path):
+    # 1e-300 Mvar at 1e308 EUR/Mvar asks 1e8 EUR, under the payment limit,
+    # so both tampered offers are accepted; the mean of their prices, which
+    # gaming's market.op.last_price sensor reads, must not overflow to inf.
+    doc = yaml.safe_load(packaged("gaming.yaml").read_text(encoding="utf-8"))
+    tampered_offers(1e308, q_mvar=1e-300)(doc)
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "logs"
+    assert main(["run", str(path), "-o", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "gaming.jsonl").read_text().splitlines()]
+    accepted = [[a["price_eur_per_mvar"] for a in r["payload"]["accepted"]]
+                for r in records if r["kind"] == "market.clearing"]
+    assert any(prices.count(1e308) == 2 for prices in accepted)
+    readings = [r["payload"]["value"] for r in records
+                if r["kind"] == "agent.clamp" and r["payload"]["sensor"] == "market.op.last_price"]
+    assert any(1e307 < value < 1e308 for value in readings)

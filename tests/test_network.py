@@ -413,3 +413,18 @@ def test_transit_windows_hold_only_what_utilization_reads(bandwidth_kbps):
                for w in (node.transit_in, node.transit_out) if w is not None]
     assert len(windows) == len(capacity_bps) * 2
     assert sum(len(w._records) for w in windows) == held
+    # a network whose counters are never read holds no more: each window
+    # keeps only the records within one window of its newest
+    unread = make(line_topology(latency_ms=1.0, bandwidth_kbps=bandwidth_kbps), window=window)
+    for i in range(n):
+        send(unread, "a", "b", i * 0.1)
+    unread.advance(n * 0.1)
+    windows = [w for node in unread._nodes.values()
+               for w in (node.transit_in, node.transit_out) if w is not None]
+    assert len(windows) == len(capacity_bps) * 2
+    used = [w for w in windows if w._records]  # a out, sw in and out, b in
+    assert len(used) == (4 if bandwidth_kbps else 0)
+    for w in used:
+        newest = w._records[-1][0]
+        assert all(t >= newest - window for t, _ in w._records)
+        assert len(w._records) <= 11 and w._total == 100 * len(w._records)

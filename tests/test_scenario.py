@@ -1003,6 +1003,111 @@ def test_net_counters_in_the_kernel_equal_the_network_at_every_boundary(
     assert all(kinds[kind] for kind in ("net.deliver", "net.drop", "net.rule", "net.restart"))
 
 
+NET_COUNTERS = ("bytes_in", "bytes_out", "frames_dropped", "utilization")
+
+
+def sensor_only(endpoint):
+    """A grid bus, line or slack output, or a net node's counter: what only a sensor reads."""
+    sim, model, attr = endpoint
+    if sim == "grid":
+        return model == "slack" or model.startswith(("bus_", "line_"))
+    return sim == "net" and attr in NET_COUNTERS
+
+
+@pytest.mark.parametrize("name", ["feeder4.yaml", "gaming.yaml"])
+def test_outputs_only_a_sensor_reads_are_produced_only_where_one_does(
+        tmp_path, monkeypatch, name):
+    # gaming senses bus_4 of the grid and no net counter; feeder4 senses
+    # bus_4 and the counters of sw. Nothing else reads these outputs: no
+    # connection may, or it would read None from an output never produced.
+    path = packaged(name)
+    doc = load_document(path)
+    sensed = {"feeder4.yaml": {("grid", "bus_4"), ("net", "sw")},
+              "gaming.yaml": {("grid", "bus_4")}}[name]
+    assert {tuple(s["id"].split(".")[:2]) for s in doc["agents"][0]["sensors"]
+            if sensor_only(tuple(s["id"].split(".")))} == sensed
+    sources, kernels, read = [], [], set()
+    connect, run_until, read_counters = (
+        Kernel.connect, Kernel.run_until, scenario.Network.read_counters)
+
+    def recording_connect(self, src, dst, **kwargs):
+        sources.append(src)
+        connect(self, src, dst, **kwargs)
+
+    def recording_run_until(self, end_time):
+        kernels.append(self)
+        run_until(self, end_time)
+
+    def recording_read(self, node_id):
+        read.add(node_id)
+        return read_counters(self, node_id)
+
+    monkeypatch.setattr(Kernel, "connect", recording_connect)
+    monkeypatch.setattr(Kernel, "run_until", recording_run_until)
+    monkeypatch.setattr(scenario.Network, "read_counters", recording_read)
+    execute_run(doc, path.parent, tmp_path)
+    assert sources and not [src for src in sources if sensor_only(src)]
+    assert read == {model for sim, model in sensed if sim == "net"}
+    produced = {(sim, model) for kernel in kernels for sim in ("grid", "net")
+                for model, (store, _, _) in kernel._sims[sim].outputs.items()
+                if any(sensor_only((sim, model, attr)) for attr in store)}
+    assert produced == sensed
+
+
+def grid_reading(config, state, sensor_id):
+    """What the sensor reads of a converged grid state; 0.0 before any."""
+    _, model, attr = sensor_id.split(".")
+    if state is None:
+        return 0.0
+    if model == "slack":
+        return state.slack_p_mw if attr == "p_mw" else state.slack_q_mvar
+    kind, key = model.split("_", 1)
+    if kind == "line":
+        return state.line_loading[int(key)]
+    index = [b.bus_id for b in config.grid.buses].index(int(key))
+    return (state.vm if attr == "vm_pu" else state.va)[index]
+
+
+@pytest.mark.parametrize("name", ["feeder4.yaml", "gaming.yaml"])
+def test_grid_sensors_read_the_last_converged_state_after_every_step(
+        tmp_path, monkeypatch, name):
+    # The grid outputs its bus, line and slack models only where a sensor
+    # names them; sensing all of them, each reading is the adapter's last
+    # converged power flow.
+    path = packaged(name)
+    doc = load_document(path)
+    config = parsed(doc, path.parent)
+    desc = scenario.GridSimulator(config, lambda *a: None).descriptor()
+    ids = [f"grid.{m.model_id}.{attr}" for m in desc.models for attr in m.outputs
+           if sensor_only(("grid", m.model_id, attr))]
+    assert len(ids) == 2 * len(config.grid.buses) + len(config.grid.lines) + 2
+    doc["agents"][0]["sensors"] = [{"id": i, "lo": -10.0, "hi": 10.0} for i in ids]
+    doc["schedule"] = [{"name": "p", "mode": "test", "episodes": 2, "episode_length": 12}]
+    assert validate_document(doc, path.parent) == []
+    checked = []
+    reset, step = Environment.reset, Environment.step
+
+    def check(env, readings):
+        state = env._kernel._sims["grid"].stepper.last
+        assert readings == [grid_reading(config, state, i) for i in ids]
+        checked.append(state is not None)
+
+    def checked_reset(self, seed):
+        readings = reset(self, seed)
+        check(self, readings)
+        return readings
+
+    def checked_step(self, setpoints):
+        readings, reward, done = step(self, setpoints)
+        check(self, readings)
+        return readings, reward, done
+
+    monkeypatch.setattr(Environment, "reset", checked_reset)
+    monkeypatch.setattr(Environment, "step", checked_step)
+    execute_run(doc, path.parent, tmp_path)
+    assert len(checked) == 2 * (1 + 12) and all(checked)
+
+
 # -- tamper fuzz --------------------------------------------------------------
 
 FEEDER4_BUS = {1: 3, 2: 3, 3: 4, 4: 4}  # pv asset number -> bus
