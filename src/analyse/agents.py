@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 
@@ -69,8 +68,7 @@ ELITE_FRACTION = 0.2
 SIGMA_FLOOR = 0.01
 
 
-@dataclass
-class CemDistribution:
+class CemDistribution(NamedTuple):
     mean: list[float]
     sigma: list[float]
 

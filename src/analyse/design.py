@@ -78,23 +78,16 @@ def resolve_path(document: Any, path: str) -> tuple[Any, str | int]:
     """Walk a slash-delimited path; returns (container, final key or index)."""
     parts = path.split("/")
     node = document
-    for part in parts[:-1]:
-        node = _step(node, part, path)
-    last = parts[-1]
-    if isinstance(node, list):
-        idx = _list_index(node, last, path)
-        return node, idx
-    if not isinstance(node, dict) or last not in node:
-        raise DesignError(f"dangling factor path {path!r} (missing {last!r})")
-    return node, last
-
-
-def _step(node: Any, part: str, path: str) -> Any:
-    if isinstance(node, list):
-        return node[_list_index(node, part, path)]
-    if isinstance(node, dict) and part in node:
-        return node[part]
-    raise DesignError(f"dangling factor path {path!r} (missing {part!r})")
+    for depth, part in enumerate(parts, start=1):
+        if isinstance(node, list):
+            key = _list_index(node, part, path)
+        elif isinstance(node, dict) and part in node:
+            key = part
+        else:
+            raise DesignError(f"dangling factor path {path!r} (missing {part!r})")
+        if depth == len(parts):
+            return node, key
+        node = node[key]
 
 
 def _list_index(node: list, part: str, path: str) -> int:

@@ -102,8 +102,8 @@ class Environment:
         self._local_t += market.interval_s
         self._kernel.run_until(self._local_t + 1)
         window = RunSummary(band=market.band)
-        for record in self.sink.drain():
-            window.feed(record.kind, record.payload)
+        for kind, payload in self.sink.drain():
+            window.feed(kind, payload)
         reward = objective_eval(window.aggregates(), self.config.agent.objective)
         self._step_index += 1
         self._emit_offset("agent", "agent.action", float(self._local_t), {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,16 +36,6 @@ class Offer(NamedTuple):
     q_mvar: float  # signed; positive injects
     price_eur_per_mvar: float
     interval: int
-
-    def wire_payload(self) -> dict:
-        return {
-            "offer_id": self.offer_id,
-            "agent_id": self.agent_id,
-            "bus": self.bus,
-            "q_mvar": self.q_mvar,
-            "price_eur_per_mvar": self.price_eur_per_mvar,
-            "interval": self.interval,
-        }
 
 
 def _field(payload: dict, key: str, kind: type | tuple[type, ...]):
@@ -237,7 +228,9 @@ def baseline_bid(
     the bidder's sgen, at price.
 
     "jitter" multiplies the price by (1 + u), u uniform in [-0.2, 0.2] drawn
-    from the run's seeded stream. Returns None when there is no headroom.
+    from the run's seeded stream, and caps the product at the float maximum,
+    so the offer still encodes and the market refuses its payment as over
+    MAX_PAYMENT_EUR. Returns None when there is no headroom.
     """
     q_scale = min(max(q_scale, 0.0), 1.0)
     headroom = sgen.q_max_mvar if bidder.side == "supply" else sgen.q_min_mvar
@@ -246,6 +239,7 @@ def baseline_bid(
         return None
     if bidder.strategy == "jitter":
         price = price * (1.0 + rng.uniform(-JITTER_SPREAD, JITTER_SPREAD))
+        price = min(max(price, -sys.float_info.max), sys.float_info.max)
     return Offer(
         offer_id=offer_id,
         agent_id=bidder.agent_id,

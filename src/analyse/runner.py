@@ -11,8 +11,8 @@ message) per file: a file that is not a YAML mapping or fails validation exits
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import scenario as scn
 from .environment import AgentRunState, Environment, PhaseReport, run_phase
@@ -22,11 +22,10 @@ from .telemetry import RunSink, TelemetryError, canonical_json
 from .validation import document_kind, validate_document
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     run_id: str
     log_path: Path
-    reports: list[PhaseReport] = field(default_factory=list)
+    reports: list[PhaseReport]
 
 
 def execute_run(
@@ -79,10 +78,7 @@ def execute_run(
             "scenario": config.name,
             "scenario_sha256": digest,
             "schema_version": scn.SCHEMA_VERSION,
-            "band": {
-                "v_min_pu": config.market.band.v_min_pu,
-                "v_max_pu": config.market.band.v_max_pu,
-            },
+            "band": config.market.band._asdict(),
             "agent": config.agent.agent_id,
             "agent_kind": config.agent.learner.kind,
         })

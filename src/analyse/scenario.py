@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -167,8 +166,7 @@ class AgentConfig(NamedTuple):
     learner: LearnerConfig
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     name: str
     seed: int
     grid_step_s: int
@@ -573,7 +571,7 @@ class BiddersSimulator:
             )
             messages = ()
             if offer is not None:
-                payload = canonical_json(offer.wire_payload()).encode("utf-8")
+                payload = canonical_json(offer._asdict()).encode("utf-8")
                 messages = ((op_host, payload),)
             outputs[b.asset] = {"outbox": messages}
         return outputs
@@ -664,12 +662,7 @@ class NetSimulator:
                 counters = self.network.read_counters(node)
                 if counters != last.get(node):
                     last[node] = counters
-                    out = {
-                        "bytes_in": counters.bytes_in,
-                        "bytes_out": counters.bytes_out,
-                        "frames_dropped": counters.frames_dropped,
-                        "utilization": counters.utilization,
-                    }
+                    out = counters._asdict()
             if delivered:
                 out["inbox"] = tuple(
                     (arrival, frame.src, frame.payload) for arrival, frame in delivered
@@ -794,7 +787,7 @@ class MarketSimulator:
         self.emit("market", "market.clearing", float(t), {
             "t": t,
             "interval": interval,
-            "offers": [o.wire_payload() for o in sorted(book, key=lambda o: o.offer_id)],
+            "offers": [o._asdict() for o in sorted(book, key=lambda o: o.offer_id)],
             "accepted": [
                 {"offer_id": a.offer_id, "q_accepted_mvar": a.q_mvar,
                  "price_eur_per_mvar": a.price_eur_per_mvar}

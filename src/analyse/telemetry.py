@@ -1,8 +1,9 @@
 """Structured event logging and post-hoc aggregation.
 
-Every component writes LogRecords through a single RunSink per run. Records
-are serialized as canonical JSON (sorted keys, compact separators, floats at
-9 significant digits, no wall-clock fields), one record per line, so that two
+Every component emits records (source, kind, t_sim, payload) through the
+run's single RunSink, which adds the run id and a per-run seq. Records are
+serialized as canonical JSON (sorted keys, compact separators, floats at 9
+significant digits, no wall-clock fields), one record per line, so that two
 runs of the same seeded scenario produce byte-identical log files.
 """
 
@@ -193,29 +194,21 @@ def _line(head: str, payload: Any, run_id_part: str, seq: int, source_part: str,
     return "".join(out)
 
 
-class LogRecord(NamedTuple):
-    run_id: str
-    seq: int
-    t_sim: float
-    source: str
-    kind: str
-    payload: dict
-
-
 class RunSink:
     """Single-writer, append-only JSONL sink for one run.
 
     Assigns the per-run seq counter and enforces non-decreasing t_sim per
-    source. `records` holds only the records emitted since the last drain():
-    the environment drains once per agent step, so memory stays bounded by
-    the records of one step however long the run is. The encoded parts of
-    the run id, of each kind and of each source are kept for the sink's life.
+    source. `records` holds the (kind, payload) pair of each record emitted
+    since the last drain(): the environment drains once per agent step, so
+    memory stays bounded by the records of one step however long the run is.
+    The encoded parts of the run id, of each kind and of each source are kept
+    for the sink's life.
     """
 
     def __init__(self, path: str | Path, run_id: str):
         self.path = Path(path)
         self.run_id = run_id
-        self.records: list[LogRecord] = []
+        self.records: list[tuple[str, dict]] = []
         self._seq = 0
         self._last_t: dict[str, float] = {}
         self._run_id_part = _run_id_part(run_id)
@@ -224,7 +217,7 @@ class RunSink:
         self._fh = self.path.open("w", encoding="utf-8", newline="\n")
         self._closed = False
 
-    def emit(self, source: str, kind: str, t_sim: float, payload: dict) -> LogRecord:
+    def emit(self, source: str, kind: str, t_sim: float, payload: dict) -> None:
         if self._closed:
             raise SinkClosedError(f"emit on closed sink for run {self.run_id}")
         last = self._last_t.get(source)
@@ -240,14 +233,12 @@ class RunSink:
             source_part = self._source_parts[source] = _source_part(source)
         line = _line(head, payload, self._run_id_part, self._seq, source_part, t_sim)
         self._fh.write(line + "\n")
-        record = LogRecord(self.run_id, self._seq, t_sim, source, kind, payload)
         self._seq += 1
         self._last_t[source] = t_sim
-        self.records.append(record)
-        return record
+        self.records.append((kind, payload))
 
-    def drain(self) -> list[LogRecord]:
-        """Return the records not yet drained and forget them."""
+    def drain(self) -> list[tuple[str, dict]]:
+        """Return the (kind, payload) pairs not yet drained and forget them."""
         records, self.records = self.records, []
         return records
 
@@ -474,8 +465,7 @@ METRIC_KEYS = (  # RunSummary scalars that reports and comparisons list, in this
 )
 
 
-@dataclass
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     factor: str
     columns: list[str]
     rows: list[dict]  # one per factor level: {"level": .., metric: mean, ..}

@@ -14,7 +14,6 @@ with any other keyword, so an edit cannot weaken validation unnoticed.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.resources as resources
 import math
 import numbers
@@ -253,7 +252,7 @@ def validate_scenario(doc, base_dir: Path) -> Checked:
         series = scn.load_data_series(config)
     except FeederError as exc:
         return Checked([(exc.field, str(exc))])
-    return Checked([], dataclasses.replace(config, series=series))
+    return Checked([], config._replace(series=series))
 
 
 def _reached(first, edges, ends) -> set:

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +35,7 @@ def parsed(doc: dict, base_dir: Path = Path(".")):
     from analyse.validation import load_schema, with_defaults
 
     config = parse_scenario(with_defaults(doc, load_schema("scenario")), base_dir)
-    return dataclasses.replace(config, series=load_data_series(config))
+    return config._replace(series=load_data_series(config))
 
 
 # A deliberately small constant-load scenario (two assets, three intervals)

@@ -129,6 +129,21 @@ def test_designed_runs_validate_without_edits(tmp_path, mini_path):
         assert validate_document(doc, out) == [], run_file.name
 
 
+def test_design_reports_each_violation_of_the_base_scenario(tmp_path, capsys, mini_doc):
+    mini_doc["agents"][0]["sensors"][0]["id"] = "grid.bus_9.vm_pu"
+    mini_doc["agents"][0]["objective"] = {"kind": "custom", "weights": {"nothing": 1.0}}
+    (tmp_path / "mini.yaml").write_text(yaml.safe_dump(mini_doc), encoding="utf-8")
+    exp = experiment_path(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["design", str(exp), "-o", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"{exp}: base_scenario: (in mini.yaml) agents/0/sensors/0/id: ")
+    assert lines[1].startswith(
+        f"{exp}: base_scenario: (in mini.yaml) agents/0/objective/weights/nothing: ")
+    assert not out.exists()
+
+
 def test_run_twice_identical_logs_and_seed_override(tmp_path, mini_path, capsys):
     log_a = tmp_path / "a"
     log_b = tmp_path / "b"
@@ -888,10 +903,13 @@ def test_loads_near_1e300_end_the_run_and_report_finite_numbers(tmp_path, capsys
     assert len(numbers) > 10 and all(math.isfinite(x) for x in numbers)
 
 
-def random_prices(hi):
-    """A random agent sets both attacker prices in [1, hi] for 4 episodes of 6 steps."""
+def random_prices(hi, strategy="static"):
+    """A random agent sets both attacker prices in [1, hi] for 4 episodes of 6
+    steps, with every bidder's strategy set to strategy."""
     def edit(doc):
         doc["agents"][0]["kind"] = "random"
+        for bidder in doc["market"]["bidders"]:
+            bidder["strategy"] = strategy
         for actuator in doc["agents"][0]["actuators"]:
             actuator["lo"], actuator["hi"] = 1.0, hi
         doc["schedule"] = [{"name": "testing", "mode": "test", "episodes": 4, "episode_length": 6}]
@@ -915,8 +933,9 @@ def tampered_offers(price, q_mvar=2.0):
 
 
 @pytest.mark.parametrize("edit", [
-    random_prices(1e307), random_prices(1.7e308), tampered_offers(1e308), tampered_offers(1e307),
-], ids=["prices-1e307", "prices-1.7e308", "tamper-1e308", "tamper-1e307"])
+    random_prices(1e307), random_prices(1.7e308), random_prices(1.7e308, "jitter"),
+    tampered_offers(1e308), tampered_offers(1e307),
+], ids=["prices-1e307", "prices-1.7e308", "jitter-1.7e308", "tamper-1e308", "tamper-1e307"])
 def test_an_offer_whose_payment_exceeds_the_limit_is_refused(tmp_path, capsys, edit):
     # An actuator and a tamper rule reach the same price field. Without the
     # limit, a payment near the float maximum aborts the run or overflows

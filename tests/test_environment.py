@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -20,7 +19,7 @@ def make_env(tmp_path, doc=None, actuators=(), objective=None, learner=None,
         actuators=tuple(actuators),
         objective=config.agent.objective._replace(**(objective or {})),
         learner=config.agent.learner._replace(**(learner or {})))
-    config = dataclasses.replace(config, agent=agent)
+    config = config._replace(agent=agent)
     sink = RunSink(tmp_path / name, "envtest")
     env = Environment(config, sink)
     env.episode_length = 3

@@ -69,6 +69,17 @@ def test_base_nonconvergence_aborts_clearing():
     assert result.aborted and not result.accepted  # only the base flow was solved
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # divergence is quiet
+def test_a_re_solve_that_diverges_aborts_clearing():
+    # 1000 Mvar at bus 4 is effective against the undervoltage at scale 4.0,
+    # but the flow with it accepted diverges even from a flat start.
+    result = clear_market([Offer("big", "a1", 4, 1000.0, 1.0, 5)], feeder4(4.0), BAND)
+    assert result.aborted and not result.resolved
+    assert result.final_vm == {}
+    assert [a.offer_id for a in result.accepted] == ["big"]
+    assert len(result.excursions) == 1  # only the base flow was measured
+
+
 def test_singular_jacobian_ends_clearing_unresolved(monkeypatch):
     def singular(model, state, observed_bus):
         raise SensitivityError("singular Jacobian")
@@ -235,7 +246,7 @@ def test_baseline_bid_jitter_bounds_and_determinism():
 
 def test_offer_wire_payload_round_trip():
     offer = FIXTURE_OFFERS[0]
-    payload = canonical_json(offer.wire_payload())
+    payload = canonical_json(offer._asdict())
     assert payload.startswith('{"agent_id":"a1"')  # keys sorted
     import json
 
@@ -243,7 +254,7 @@ def test_offer_wire_payload_round_trip():
     with pytest.raises(MarketError):
         offer_from_payload({"offer_id": "x"})
     with pytest.raises(MarketError):
-        offer_from_payload({**offer.wire_payload(), "q_mvar": 0.0})
+        offer_from_payload({**offer._asdict(), "q_mvar": 0.0})
 
 
 @pytest.mark.parametrize("key,value", [
@@ -252,4 +263,4 @@ def test_offer_wire_payload_round_trip():
 ])
 def test_offer_payload_fields_are_not_coerced(key, value):
     with pytest.raises(MarketError, match=f"malformed offer payload: {key} has type"):
-        offer_from_payload({**FIXTURE_OFFERS[0].wire_payload(), key: value})
+        offer_from_payload({**FIXTURE_OFFERS[0]._asdict(), key: value})

@@ -1233,12 +1233,14 @@ def test_tamper_fuzz_rejects_every_malformed_offer(tmp_path):
     assert rejected == expected
 
 
-@pytest.mark.parametrize("q_field", ['"q_mvar":"0.3",', '"q_mvar":true,', ""])
+@pytest.mark.parametrize("q_field", ['"q_mvar":"0.3",', '"q_mvar":true,', "", None])
 def test_a_tampered_dispatch_leaves_the_setpoint(mini_doc, q_field):
     # s2 is dispatched 1.2 Mvar at every clearing; from t=1000 its dispatch
-    # is rewritten in flight to a q_mvar of another JSON type, or none, which
-    # is no dispatch: the unit keeps the setpoint it had
-    tampered = '{"accepted":true,"interval":3,%s"type":"dispatch","unit":"s2"}' % q_field
+    # is rewritten in flight to a q_mvar of another JSON type, or none, or
+    # (q_field None) to text that is not JSON, which is no dispatch: the unit
+    # keeps the setpoint it had
+    tampered = ('{"accepted":true,"interval":3,%s"type":"dispatch","unit":"s2"}' % q_field
+                if q_field is not None else "dispatch s2 q_mvar=0.3")
     mini_doc["network"]["rules"] = [{
         "rule_id": "tamper_dispatch", "at_node": "sw", "enabled": True, "active_from": 1000,
         "match": {"src": "op", "payload_contains": '"unit":"s2"'},

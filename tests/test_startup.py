@@ -41,6 +41,16 @@ def test_every_frozen_dataclass_caches_a_value():
                   for cls in frozen if not _caches(cls)) == []
 
 
+def test_the_mutable_dataclasses_are_the_records_the_program_mutates():
+    mutable = sorted(f"{cls.__module__}.{cls.__qualname__}" for cls in _package_classes()
+                     if dataclasses.is_dataclass(cls) and not cls.__dataclass_params__.frozen)
+    assert mutable == [
+        "analyse.environment.AgentRunState", "analyse.environment.PhaseReport",
+        "analyse.kernel._SimEntry", "analyse.market.ClearingResult",
+        "analyse.telemetry.RunSummary",
+    ]
+
+
 def test_the_entry_points_import_no_exact_arithmetic():
     # statistics (and with it fractions and decimal) serves only the overflow
     # fallback of telemetry.mean

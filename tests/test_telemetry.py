@@ -10,7 +10,6 @@ import pytest
 
 from analyse import telemetry
 from analyse.telemetry import (
-    LogRecord,
     RunSink,
     RunSummary,
     SinkClosedError,
@@ -220,11 +219,11 @@ def test_sink_writes_canonical_json_of_each_envelope(tmp_path):
                 want = _outcome(canonical_json, envelope)
                 got = _outcome(lambda p: sink.emit(source, kind, t_sim, p), payload)
                 if want[0] == "ok":
-                    assert got == ("ok", LogRecord(run_id, len(lines), t_sim, source, kind,
-                                                   payload)), payload
+                    assert got == ("ok", None), payload
+                    assert sink.drain() == [(kind, payload)], payload
                     lines.append(want[1])
                 else:
-                    assert got == want, payload
+                    assert got == want and sink.records == [], payload
                 kinds[want[0]] += 1
         assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
     assert kinds["ok"] >= 8000 and kinds["unserializable"] >= 400, kinds
@@ -255,16 +254,18 @@ def test_record_that_fails_to_encode_writes_nothing(tmp_path):
         for bad in ({"x": math.nan}, {1: "a"}, {"x": b"bytes"}):
             with pytest.raises(UnserializableError):
                 sink.emit("a", "k.y", 1.0, bad)
-        assert sink.emit("a", "k.z", 2.0, {}).seq == 1
-    assert [json.loads(l)["kind"] for l in path.read_text().splitlines()] == ["k.x", "k.z"]
+        sink.emit("a", "k.z", 2.0, {})
+        assert sink.records == [("k.x", {}), ("k.z", {})]
+    assert [(json.loads(l)["kind"], json.loads(l)["seq"])
+            for l in path.read_text().splitlines()] == [("k.x", 0), ("k.z", 1)]
 
 
 def test_sink_assigns_sequential_seq(tmp_path):
     path = tmp_path / "r.jsonl"
     with RunSink(path, "r") as sink:
-        first = sink.emit("a", "k.x", 0.0, {})
-        second = sink.emit("a", "k.y", 1.0, {})
-    assert (first.seq, second.seq) == (0, 1)
+        sink.emit("a", "k.x", 0.0, {})
+        sink.emit("a", "k.y", 1.0, {})
+        assert sink.records == [("k.x", {}), ("k.y", {})]
     lines = path.read_text().splitlines()
     assert [json.loads(l)["seq"] for l in lines] == [0, 1]
 
@@ -358,8 +359,8 @@ def test_mean_is_the_logged_formula_and_never_overflows_on_finite_values():
 def test_feed_in_memory_matches_summarize(tmp_path):
     sink = fixture_sink(tmp_path / "fix.jsonl", band=(0.98, 1.04))
     fed = RunSummary(run_id=sink.run_id)
-    for record in sink.records:
-        fed.feed(record.kind, record.payload)
+    for kind, payload in sink.records:
+        fed.feed(kind, payload)
     assert fed == summarize(sink.path)
     assert fed.band == VoltageBand(0.98, 1.04)
     assert fed.violation_count == 2  # 0.94 and 0.97 both leave the header's band
@@ -379,11 +380,14 @@ def test_feed_in_memory_matches_summarize(tmp_path):
 
 
 def test_sink_drain_hands_over_records_once(tmp_path):
-    with RunSink(tmp_path / "r.jsonl", "r") as sink:
-        sink.emit("a", "k.x", 0.0, {})
-        assert [r.seq for r in sink.drain()] == [0]
+    path = tmp_path / "r.jsonl"
+    with RunSink(path, "r") as sink:
+        sink.emit("a", "k.x", 0.0, {"n": 0})
+        assert sink.drain() == [("k.x", {"n": 0})]
         assert sink.records == [] and sink.drain() == []
-        assert sink.emit("a", "k.y", 1.0, {}).seq == 1
+        sink.emit("a", "k.y", 1.0, {})
+        assert sink.drain() == [("k.y", {})]
+    assert [json.loads(l)["seq"] for l in path.read_text().splitlines()] == [0, 1]
 
 
 def test_summarize_empty_log(tmp_path):
