@@ -8,8 +8,9 @@ the agent interval and the voltage band rewards are measured against.
 reset(seed) rebuilds every simulator with scenario.assemble and the episode
 seed; step(setpoints) applies actuator values, advances the kernel by one
 agent interval (the market interval), and derives the reward from the
-telemetry records the interval produced, drained from the sink and reduced
-by a telemetry.RunSummary. Episode telemetry times are offset so t_sim stays
+telemetry records the interval produced, drained from the sink: those of a
+kind in telemetry.AGGREGATE_KINDS, the only kinds its aggregates sum, are fed
+to a telemetry.RunSummary. Episode telemetry times are offset so t_sim stays
 non-decreasing per source across episodes within one run log. step trusts
 run_phase, which resets before an episode's first step and passes one
 setpoint per actuator.
@@ -37,7 +38,7 @@ from .agents import (
 )
 from .design import STREAM_CEM, STREAM_EPISODE, STREAM_SCRIPTED, derive_seed
 from .kernel import Kernel
-from .telemetry import RunSink, RunSummary, mean
+from .telemetry import AGGREGATE_KINDS, RunSink, RunSummary, mean
 
 
 class Environment:
@@ -103,7 +104,8 @@ class Environment:
         self._kernel.run_until(self._local_t + 1)
         window = RunSummary(band=market.band)
         for kind, payload in self.sink.drain():
-            window.feed(kind, payload)
+            if kind in AGGREGATE_KINDS:
+                window.feed(kind, payload)
         reward = objective_eval(window.aggregates(), self.config.agent.objective)
         self._step_index += 1
         self._emit_offset("agent", "agent.action", float(self._local_t), {

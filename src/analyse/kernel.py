@@ -6,6 +6,11 @@ between endpoints; the kernel advances simulation time and steps every due
 simulator, same-time steps in registration order. A connection without a
 time shift must therefore feed a simulator registered after its source.
 
+Stepper contract: a simulator stepping at time t is called with t and a
+mapping from each of its model ids to that model's input values. A model
+with declared inputs gets a new dict of all of them at every step; a model
+without inputs gets one shared, read-only empty mapping.
+
 Data-flow semantics: a simulator stepping at time t reads, per plain input
 connection, the source value produced at the largest source step <= t (the
 input's declared default before that). Message connections deliver each
@@ -40,7 +45,9 @@ Registration gives each simulator one record: its free input values and,
 per model, one store of its latest output values, keyed by attribute. connect
 adds to those records the read, message queue and wake-up that the
 connection implies; the reads are the only record of what is connected.
-After the first run_until, simulators and connections can no longer be added.
+After the first run_until, simulators and connections can no longer be added,
+so that call plans each simulator's input gathering once: the models that
+have inputs, and the message queues it reads.
 """
 
 from __future__ import annotations
@@ -55,9 +62,11 @@ Endpoint = tuple[str, str, str]  # (simulator, model, attribute)
 
 # Stepper callback: (time, {model: {attr: value}}) -> {model: {attr: value}}
 # Returned outputs may be sparse; omitted attributes keep their last value.
-Stepper = Callable[[int, dict[str, dict[str, Any]]], Mapping[str, Mapping[str, Any]] | None]
+Stepper = Callable[[int, dict[str, Mapping[str, Any]]], Mapping[str, Mapping[str, Any]] | None]
 
 _NEVER = math.inf
+# the inputs of every model that declares none
+_NO_INPUTS: Mapping[str, Any] = MappingProxyType({})
 # the output record of a model a simulator does not declare: it takes no attribute
 _UNDECLARED: tuple = ({}, frozenset(), {})
 
@@ -133,6 +142,19 @@ class _SimEntry:
     # outputs {attr: (message queues, event-driven message consumers as
     # [(consumer, time_shifted)])})
     outputs: dict = field(default_factory=dict)
+    # the input plan, made at the first run_until: {model id: _NO_INPUTS} for
+    # every model in declaration order, [(model id, free values, reads)] of
+    # the models with inputs, and [(message queue, time_shifted)] of its reads
+    blank: dict = field(default_factory=dict)
+    fed: list = field(default_factory=list)
+    queues: list = field(default_factory=list)
+
+    def plan_inputs(self) -> None:
+        self.blank = dict.fromkeys(self.inputs, _NO_INPUTS)
+        self.fed = [(model_id, free, reads)
+                    for model_id, (free, reads) in self.inputs.items() if free]
+        self.queues = [(queue, shifted) for _, _, reads in self.fed
+                       for _, queue, _, _, shifted in reads if queue is not None]
 
 
 class Kernel:
@@ -236,9 +258,9 @@ class Kernel:
 
     # -- execution -----------------------------------------------------------
 
-    def _gather_inputs(self, entry: _SimEntry, t: int) -> dict[str, dict[str, Any]]:
-        inputs: dict[str, dict[str, Any]] = {}
-        for model_id, (free, reads) in entry.inputs.items():
+    def _gather_inputs(self, entry: _SimEntry, t: int) -> dict[str, Mapping[str, Any]]:
+        inputs = entry.blank.copy()
+        for model_id, free, reads in entry.fed:
             values = free.copy()
             for attr, queue, store, src_attr, shifted in reads:
                 if queue is not None:
@@ -286,10 +308,9 @@ class Kernel:
         event = entry.next_event()
         if event is not None:
             due = min(due, max(_grid_at_or_after(event, h), t + h))
-        for _, reads in entry.inputs.values():  # queued items not yet readable
-            for _, queue, _, _, shifted in reads:
-                if queue:
-                    due = min(due, _grid_at_or_after(queue[0][0] + shifted, h))
+        for queue, shifted in entry.queues:  # queued items not yet readable
+            if queue:
+                due = min(due, _grid_at_or_after(queue[0][0] + shifted, h))
         return due
 
     def run_until(self, end_time: int) -> None:
@@ -304,6 +325,8 @@ class Kernel:
             raise KernelError("no simulators registered")
         if not self._ordered:
             self._ordered = list(self._sims.values())
+            for entry in self._ordered:
+                entry.plan_inputs()
         ordered = self._ordered
         for entry in ordered:
             if entry.next_event is not None:

@@ -136,9 +136,11 @@ def clear_market(
     iteration, accept the cheapest-per-effect offer at full quantity (ties to
     the lower offer_id), and re-solve from the state before. The base flow
     starts from start, if given. If a flow diverges even from a flat start
-    the clearing is aborted, with no final_vm. A singular Jacobian ends the
-    clearing unresolved, the same way as when no effective offer is left.
-    Offers are trusted as offer_from_payload checks them.
+    the clearing is aborted, with no final_vm: the offer whose acceptance
+    made it diverge is neither accepted nor paid, and the offers accepted
+    before it stand. A singular Jacobian ends the clearing unresolved, the
+    same way as when no effective offer is left. Offers are trusted as
+    offer_from_payload checks them.
     """
     result = ClearingResult()
     state = solve_power_flow(model, start)
@@ -178,12 +180,13 @@ def clear_market(
         if best is None:
             break  # violation remains but nothing effective is left
         remaining.remove(best)
-        result.accepted.append(best)
-        work = work.with_injection(best.bus, best.q_mvar)
-        state = solve_power_flow(work, state)
+        trial = work.with_injection(best.bus, best.q_mvar)
+        state = solve_power_flow(trial, state)
         if not state.converged:
             result.aborted = True
             break
+        result.accepted.append(best)
+        work = trial
 
     if not result.aborted:  # a diverged iterate is no voltage
         result.final_vm = {b.bus_id: v for b, v in zip(work.buses, state.vm)}

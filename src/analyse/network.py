@@ -14,8 +14,11 @@ Attack surface: install_rule/remove_rule (drop, tamper, delay at a node) and
 restart_node (a node goes offline for a downtime window; frames through it
 are dropped). Sensors: cumulative per-node counters plus trailing-window
 interface utilization, which reads 0.0 at a node with an unlimited link
-(bandwidth_kbps null or 0): such a node keeps no window, and any other holds
-only the hops of one window before its newest, read or not. A node's state
+(bandwidth_kbps null or 0). A network is told the nodes whose utilization
+may be read (by default every node); only a node among them with no
+unlimited link keeps a window, which holds only the hops of one window
+before its newest, and read_counters refuses any other node with a finite
+capacity rather than report a utilization it did not keep. A node's state
 is one record.
 """
 
@@ -26,7 +29,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 
 class NodeSpec(NamedTuple):
@@ -156,7 +159,7 @@ class _Node:
     __slots__ = ("bytes_in", "bytes_out", "frames_dropped", "next_frame_id", "offline_until",
                  "rules", "delivered", "capacity_bps", "transit_in", "transit_out")
 
-    def __init__(self, capacity_bps: float, window_s: float):
+    def __init__(self, capacity_bps: float, window_s: float | None):
         self.bytes_in = 0
         self.bytes_out = 0
         self.frames_dropped = 0
@@ -165,16 +168,19 @@ class _Node:
         self.rules: tuple[AttackRule, ...] = ()  # installed here, in rule_id order
         self.delivered: list[tuple[float, Frame]] = []
         self.capacity_bps = capacity_bps  # 0.0: a link is unlimited, or there is none
-        # hop-level transit bytes for the utilization window, where it is enforced
-        self.transit_in = _ByteWindow(window_s) if capacity_bps else None
-        self.transit_out = _ByteWindow(window_s) if capacity_bps else None
+        # hop-level transit bytes for the utilization window, where one is
+        # kept: at a finite capacity, given a window
+        kept = capacity_bps and window_s is not None
+        self.transit_in = _ByteWindow(window_s) if kept else None
+        self.transit_out = _ByteWindow(window_s) if kept else None
 
 
 class Network:
     """Event-queue network; advance(t) processes everything due through t.
     It trusts its topology, a window > 0, every node id it is given and
     unique rule ids, as validation holds a document to them, and a time that
-    never goes back, as the kernel steps it."""
+    never goes back, as the kernel steps it. `utilization_nodes` names the
+    nodes whose utilization read_counters may report; None: every node."""
 
     def __init__(
         self,
@@ -182,6 +188,7 @@ class Network:
         rng: random.Random,
         utilization_window_s: float,
         emit: Callable[[str, float, dict], None] | None = None,
+        utilization_nodes: Collection[str] | None = None,
     ):
         self.topology = topology
         self._rng = rng
@@ -201,7 +208,8 @@ class Network:
             if None not in bandwidths:
                 for bandwidth_bps in bandwidths:
                     capacity_bps += bandwidth_bps
-            self._nodes[node_id] = _Node(capacity_bps, utilization_window_s)
+            read = utilization_nodes is None or node_id in utilization_nodes
+            self._nodes[node_id] = _Node(capacity_bps, utilization_window_s if read else None)
         self.dropped_bytes_total = 0
 
     # -- helpers -------------------------------------------------------------
@@ -234,11 +242,6 @@ class Network:
         self._routes[(src, dst)] = tuple(path)
         return path
 
-    def _push(self, time: float, node: str, frame: Frame, path: list[str], idx: int,
-              hop_delays: list[float], entry_size: int) -> None:
-        heapq.heappush(self._heap, (time, self._seq, node, frame, path, idx, hop_delays, entry_size))
-        self._seq += 1
-
     def _drop(self, node: str, frame: Frame, t: float, reason: str, entry_size: int) -> None:
         self._nodes[node].frames_dropped += 1
         self.dropped_bytes_total += entry_size
@@ -265,7 +268,9 @@ class Network:
         node.bytes_out += size
         self._emit("net.send", t, {"src": src, "dst": dst, "frame_id": frame_id,
                                    "size_bytes": size, "path": path})
-        self._push(t, src, Frame(frame_id, src, dst, t, payload), path, 0, [], size)
+        heapq.heappush(self._heap,
+                       (t, self._seq, src, Frame(frame_id, src, dst, t, payload), path, 0, [], size))
+        self._seq += 1
         return True
 
     def restart_node(self, node_id: str, downtime_s: float) -> None:
@@ -298,9 +303,14 @@ class Network:
         return rule_id in self._rules
 
     def read_counters(self, node_id: str) -> InterfaceCounters:
+        """The node's counters; a node with a finite capacity must be one of
+        the utilization nodes, as no other keeps the hops its utilization sums."""
         node = self._nodes[node_id]
         utilization = 0.0
         if node.capacity_bps:
+            if node.transit_in is None:
+                raise ValueError(f"the utilization of node {node_id!r} is not kept: "
+                                 "it is not one of the network's utilization nodes")
             window = self.utilization_window_s
             cutoff = self.now - window
             busiest = max(node.transit_in.total_since(cutoff),
@@ -348,7 +358,7 @@ class Network:
             else:  # delay
                 extra_s += rule.extra_ms / 1000.0
         size = len(frame.payload)
-        if idx > 0 and state.capacity_bps:
+        if idx > 0 and state.transit_in is not None:
             state.transit_in.add(t, size)
         if node == frame.dst:
             state.delivered.append((t, frame))
@@ -368,6 +378,8 @@ class Network:
         if bandwidth_bps is not None:
             tx_s = size * 8.0 / bandwidth_bps
         hop = latency_s + tx_s + extra_s
-        if state.capacity_bps:
+        if state.transit_out is not None:
             state.transit_out.add(t, size)
-        self._push(t + hop, nxt, frame, path, idx + 1, hop_delays + [hop], entry_size)
+        heapq.heappush(self._heap,
+                       (t + hop, self._seq, nxt, frame, path, idx + 1, hop_delays + [hop], entry_size))
+        self._seq += 1

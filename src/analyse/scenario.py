@@ -581,24 +581,26 @@ class NetSimulator:
     """Steps the network. Each node model outputs the frames delivered to it
     as `inbox`. A node that a sensor names also outputs its four interface
     counters, only when one of them changed since its last output (the
-    kernel keeps the last values); no other node's counters are read."""
+    kernel keeps the last values); no other node's counters are read, so
+    only the sensed nodes are the network's utilization nodes."""
 
     SIM_ID = "net"
 
     def __init__(self, config: ScenarioConfig, rng: random.Random, emit: Callable):
         self.config = config
         net_cfg = config.network
+        self._sensed = sensed_models(config, self.SIM_ID)
         self.network = Network(
             net_cfg.topology, rng,
             emit=functools.partial(emit, "net"),
             utilization_window_s=net_cfg.utilization_window_s,
+            utilization_nodes=self._sensed,
         )
         for rule in net_cfg.rules:
             if rule.enabled:
                 self.network.install_rule(rule)
         self._restart_state: dict[str, bool] = {node: False for node, _ in net_cfg.restartable}
         self._nodes = tuple(n.node_id for n in net_cfg.topology.nodes)
-        self._sensed = sensed_models(config, self.SIM_ID)
         self._counters: dict[str, InterfaceCounters] = {}  # sensed node -> last output
 
     def descriptor(self) -> SimulatorDescriptor:

@@ -167,7 +167,8 @@ def canonical_json(value: Any) -> str:
 
 
 # A record's line is one canonical JSON object, its fields in sorted order:
-# the kind's head, the payload, the run id's part, seq, the source's part, t_sim.
+# the kind's head, the payload, the run id's part, seq, the source's part,
+# t_sim; RunSink.emit joins them.
 
 
 def _kind_head(kind: str) -> str:
@@ -182,18 +183,6 @@ def _source_part(source: str) -> str:
     return ',"source":' + canonical_json(source) + ',"t_sim":'
 
 
-def _line(head: str, payload: Any, run_id_part: str, seq: int, source_part: str,
-          t_sim: float) -> str:
-    out = [head]
-    _canonical(payload, out)
-    out.append(run_id_part)
-    out.append(str(seq))
-    out.append(source_part)
-    _canonical(t_sim, out)
-    out.append("}")
-    return "".join(out)
-
-
 class RunSink:
     """Single-writer, append-only JSONL sink for one run.
 
@@ -202,7 +191,8 @@ class RunSink:
     since the last drain(): the environment drains once per agent step, so
     memory stays bounded by the records of one step however long the run is.
     The encoded parts of the run id, of each kind and of each source are kept
-    for the sink's life.
+    for the sink's life; emit joins them with the encoded payload, seq and
+    t_sim into the record's line in one build.
     """
 
     def __init__(self, path: str | Path, run_id: str):
@@ -231,8 +221,17 @@ class RunSink:
         source_part = self._source_parts.get(source)
         if source_part is None:
             source_part = self._source_parts[source] = _source_part(source)
-        line = _line(head, payload, self._run_id_part, self._seq, source_part, t_sim)
-        self._fh.write(line + "\n")
+        out = [head]
+        _canonical(payload, out)
+        out.append(self._run_id_part)
+        out.append(str(self._seq))
+        out.append(source_part)
+        if type(t_sim) is float:
+            out.append(_FLOAT_TEXTS.get(t_sim) or _format_float(t_sim))
+        else:
+            _canonical(t_sim, out)
+        out.append("}\n")
+        self._fh.write("".join(out))
         self._seq += 1
         self._last_t[source] = t_sim
         self.records.append((kind, payload))
@@ -281,12 +280,18 @@ _IGNORED_KINDS = frozenset((
 ))
 
 
+# The record kinds whose payloads change RunSummary.aggregates(). A run.header
+# changes only the band that later grid.step records are measured against.
+AGGREGATE_KINDS = frozenset(("grid.step", "market.clearing", "net.drop"))
+
+
 @dataclass
 class RunSummary:
     """Aggregates of a stream of log records, fed one record at a time.
 
     summarize() feeds every record of a log file; the environment feeds the
-    records of one agent step and derives the step reward from aggregates().
+    records of one agent step whose kind is in AGGREGATE_KINDS, with the run's
+    band, and derives the step reward from aggregates().
     `band` is the voltage band excursions are measured against; a run.header
     record replaces it with the run's band. A diverged grid.step logs an empty
     `vm`, so it counts as diverged and adds no excursion.

@@ -126,3 +126,33 @@ MINI = {
 @pytest.fixture()
 def mini_doc():
     return copy.deepcopy(MINI)
+
+
+@pytest.fixture(scope="session")
+def reference_runs(tmp_path_factory):
+    """The bundled reference scenario run three times: seed 1 twice, seed 2."""
+    from analyse.runner import execute_run
+    from analyse.scenario import load_document
+
+    out = tmp_path_factory.mktemp("refruns")
+    doc = load_document(packaged("feeder4.yaml"))
+    paths = {}
+    for label, seed, sub in (("a", 1, "a"), ("b", 1, "b"), ("c", 2, "c")):
+        result = execute_run(copy.deepcopy(doc), packaged(".").parent, out / sub,
+                             seed_override=seed)
+        paths[label] = result.log_path
+    return paths
+
+
+@pytest.fixture(scope="session")
+def dos_logs(tmp_path_factory):
+    """The logs of the bundled dos experiment, designed and run with the CLI."""
+    from analyse.cli import main as cli_main
+
+    runs_dir = tmp_path_factory.mktemp("dosruns")
+    logs_dir = tmp_path_factory.mktemp("doslogs")
+    assert cli_main(["design", str(packaged("dos_experiment.yaml")),
+                     "-o", str(runs_dir)]) == 0
+    for run_file in sorted(runs_dir.glob("dos_compare-*.yaml")):
+        assert cli_main(["run", str(run_file), "-o", str(logs_dir)]) == 0
+    return logs_dir

@@ -17,7 +17,6 @@ import pytest
 import yaml
 
 from analyse.agents import CemDistribution, cem_update
-from analyse.cli import main as cli_main
 from analyse.design import derive_seed, expand_runs, parse_experiment
 from analyse.grid import solve_power_flow
 from analyse.market import Offer, VoltageBand, clear_market
@@ -29,31 +28,6 @@ from analyse.telemetry import compare, summarize
 from conftest import packaged
 from grids import ALL_BUNDLED, feeder4, power_balance_residual
 from oracles import brute_force_resolving_subsets, gauss_seidel_solve, recount_log
-
-
-@pytest.fixture(scope="module")
-def reference_runs(tmp_path_factory):
-    """The bundled reference scenario run three times: seed 1 twice, seed 2."""
-    out = tmp_path_factory.mktemp("refruns")
-    doc = load_document(packaged("feeder4.yaml"))
-    paths = {}
-    for label, seed, sub in (("a", 1, "a"), ("b", 1, "b"), ("c", 2, "c")):
-        result = execute_run(copy.deepcopy(doc), packaged(".").parent, out / sub,
-                             seed_override=seed)
-        paths[label] = result.log_path
-    return paths
-
-
-@pytest.fixture(scope="module")
-def dos_logs(tmp_path_factory):
-    """The logs of the bundled dos experiment, designed and run with the CLI."""
-    runs_dir = tmp_path_factory.mktemp("dosruns")
-    logs_dir = tmp_path_factory.mktemp("doslogs")
-    assert cli_main(["design", str(packaged("dos_experiment.yaml")),
-                     "-o", str(runs_dir)]) == 0
-    for run_file in sorted(runs_dir.glob("dos_compare-*.yaml")):
-        assert cli_main(["run", str(run_file), "-o", str(logs_dir)]) == 0
-    return logs_dir
 
 
 def test_c1_power_flow_matches_gauss_seidel_oracle():

@@ -189,6 +189,31 @@ def test_unconnected_input_reads_declared_default_and_override():
     assert seen == [7.5, 9.0]
 
 
+def test_a_model_without_inputs_gets_one_shared_read_only_empty_mapping():
+    seen = []
+    k = Kernel()
+    desc = SimulatorDescriptor("s", 1, (
+        ModelSpec("sensor", outputs=("y",)),
+        ModelSpec("m", inputs={"x": 7.5}),
+        ModelSpec("probe", outputs=("z",)),
+    ))
+
+    def stepper(t, inputs):
+        seen.append(inputs)
+        inputs["m"]["x"] = -1.0  # a stepper's own copy
+        with pytest.raises(TypeError):
+            inputs["sensor"]["y"] = 1.0
+
+    k.register_simulator(desc, stepper)
+    k.run_until(3)
+    assert [list(inputs) for inputs in seen] == [["sensor", "m", "probe"]] * 3
+    first = seen[0]["sensor"]
+    assert first == {} and not isinstance(first, dict)
+    assert all(inputs["sensor"] is first and inputs["probe"] is first for inputs in seen)
+    assert [inputs["m"] for inputs in seen] == [{"x": -1.0}] * 3
+    assert len({id(inputs["m"]) for inputs in seen}) == 3
+
+
 def test_set_input_rejected_for_connected_endpoint():
     k = Kernel()
     k.register_simulator(*counter_sim("a", 1))

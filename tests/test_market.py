@@ -72,12 +72,27 @@ def test_base_nonconvergence_aborts_clearing():
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # divergence is quiet
 def test_a_re_solve_that_diverges_aborts_clearing():
     # 1000 Mvar at bus 4 is effective against the undervoltage at scale 4.0,
-    # but the flow with it accepted diverges even from a flat start.
+    # but the flow with it accepted diverges even from a flat start, so it is
+    # neither accepted nor paid.
     result = clear_market([Offer("big", "a1", 4, 1000.0, 1.0, 5)], feeder4(4.0), BAND)
     assert result.aborted and not result.resolved
     assert result.final_vm == {}
-    assert [a.offer_id for a in result.accepted] == ["big"]
+    assert result.accepted == []
+    assert result.payments_eur == {}
+    assert result.total_cost_eur == 0.0
     assert len(result.excursions) == 1  # only the base flow was measured
+
+
+def test_offers_accepted_before_a_diverging_re_solve_stand():
+    # the cheap offer is accepted under a converged flow, the violation
+    # remains, and the big one then makes the re-solve diverge
+    offers = [Offer("big", "a1", 4, 1000.0, 1.0, 5), Offer("small", "a2", 3, 0.1, 0.1, 5)]
+    result = clear_market(offers, feeder4(4.0), BAND)
+    assert result.aborted and not result.resolved
+    assert result.final_vm == {}
+    assert [a.offer_id for a in result.accepted] == ["small"]
+    assert result.payments_eur == {"a2": 0.1 * 0.1}
+    assert len(result.excursions) == 2  # the base flow and the flow with "small"
 
 
 def test_singular_jacobian_ends_clearing_unresolved(monkeypatch):

@@ -428,3 +428,35 @@ def test_transit_windows_hold_only_what_utilization_reads(bandwidth_kbps):
         newest = w._records[-1][0]
         assert all(t >= newest - window for t, _ in w._records)
         assert len(w._records) <= 11 and w._total == 100 * len(w._records)
+
+
+@pytest.mark.parametrize("bandwidth_kbps", [None, 10_000.0])
+def test_only_the_utilization_nodes_keep_windows(bandwidth_kbps):
+    window = 1.0
+    events = []
+    net = Network(line_topology(latency_ms=1.0, bandwidth_kbps=bandwidth_kbps),
+                  random.Random(1), emit=lambda kind, t, p: events.append((kind, p)),
+                  utilization_window_s=window, utilization_nodes={"sw"})
+    n = 2_000
+    for i in range(n):
+        send(net, "a", "b", i * 0.1)
+    net.advance(n * 0.1)
+    windowed = {node_id for node_id, node in net._nodes.items()
+                if (node.transit_in, node.transit_out) != (None, None)}
+    assert windowed == ({"sw"} if bandwidth_kbps else set())
+    # sw's utilization is the exact recount of its hops, both ways, as where
+    # every node keeps a window
+    at_sw = [p["sent_at"] + p["hop_delays"][0] for kind, p in events if kind == "net.deliver"]
+    assert len(at_sw) == n
+    recent = sum(t >= net.now - window for t in at_sw)
+    assert recent > 0
+    busiest = 8.0 * 100 * recent / (2e7 * window) if bandwidth_kbps else 0.0
+    assert net.read_counters("sw").utilization == busiest
+    # a node outside the set: 0.0 where its link is unlimited, as everywhere;
+    # a finite capacity it refuses, rather than read a window it did not keep
+    for node in ("a", "b"):
+        if bandwidth_kbps:
+            with pytest.raises(ValueError, match="not one of the network's utilization nodes"):
+                net.read_counters(node)
+        else:
+            assert net.read_counters(node).utilization == 0.0

@@ -713,6 +713,20 @@ def test_headroom_violations_rejected(mini_doc):
     assert "s2-00002" not in [o["offer_id"] for o in clearing["offers"]]
 
 
+def test_an_aborted_clearing_dispatches_no_offer_that_broke_the_flow(mini_doc):
+    # s2 offers its whole 1000 Mvar headroom at bus 4; the re-solve with it
+    # accepted diverges, so the clearing aborts and dispatches none of it
+    mini_doc["grid"]["sgens"][1]["q_max_mvar"] = 1000.0
+    config, kernel, recorder = build(mini_doc)
+    kernel.run_until(901)
+    clearing = recorder.of("market.clearing")[1][3]
+    assert [o["q_mvar"] for o in clearing["offers"]] == [1.2, 1000.0]
+    assert clearing["aborted"] and clearing["accepted"] == []
+    assert clearing["payments_eur"] == {} and clearing["accepted_mvar"] == {}
+    dispatches = [json.loads(payload) for _, payload in kernel.get_output(("market", "op", "outbox"))]
+    assert [(d["unit"], d["q_mvar"]) for d in dispatches] == [("s1", 0.0), ("s2", 0.0)]
+
+
 def test_non_finite_offers_rejected_and_clearing_logged(mini_doc):
     offer = ('{"agent_id":"agent_%s","bus":%d,"interval":2,"offer_id":"%s-00002",'
              '"price_eur_per_mvar":%s,"q_mvar":%s}')
@@ -1052,6 +1066,24 @@ def test_outputs_only_a_sensor_reads_are_produced_only_where_one_does(
                 for model, (store, _, _) in kernel._sims[sim].outputs.items()
                 if any(sensor_only((sim, model, attr)) for attr in store)}
     assert produced == sensed
+
+
+def test_only_a_sensed_node_keeps_utilization_windows():
+    # every node of the bundled networks has a finite capacity, so each
+    # would keep two windows; a gaming run senses no net node, and feeder4
+    # and both dos runs sense sw alone
+    feeder4, gaming, experiment = (load_document(packaged(name)) for name in
+                                   ("feeder4.yaml", "gaming.yaml", "dos_experiment.yaml"))
+    runs = design.expand_runs(design.parse_experiment(experiment, feeder4))
+    assert len(runs) == 2
+    cases = [(gaming, set()), (feeder4, {"sw"})]
+    cases += [(design.run_document(run)["scenario"], {"sw"}) for run in runs]
+    for doc, windowed in cases:
+        config = parsed(doc, packaged("."))
+        nodes = assemble(config, 1, Recorder())._sims["net"].stepper.network._nodes
+        assert all(node.capacity_bps for node in nodes.values())
+        assert {node_id for node_id, node in nodes.items()
+                if node.transit_in is not None or node.transit_out is not None} == windowed
 
 
 def grid_reading(config, state, sensor_id):

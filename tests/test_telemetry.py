@@ -4,12 +4,17 @@ import enum
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from analyse import telemetry
+from analyse.runner import execute_run
+from analyse.scenario import load_document
 from analyse.telemetry import (
+    AGGREGATE_KINDS,
     RunSink,
     RunSummary,
     SinkClosedError,
@@ -21,6 +26,8 @@ from analyse.telemetry import (
     mean,
     summarize,
 )
+
+from conftest import packaged
 
 
 def test_canonical_json_sorted_compact():
@@ -230,6 +237,27 @@ def test_sink_writes_canonical_json_of_each_envelope(tmp_path):
     assert canonical_json([0.0, -0.0, 0.0, -0.0, 2.5, 2.5]) == "[0,-0,0,-0,2.5,2.5]"
 
 
+class _Seconds(float):
+    """A float subclass: the sink encodes it like its base type."""
+
+
+def test_sink_writes_each_kind_of_t_sim_as_canonical_json_does(tmp_path):
+    # each time twice, so that a float's text is also read from the memo;
+    # 0, 0.0 and -0.0 are one dict key, and -0.0 keeps its sign
+    times = [0, 0.0, -0.0, 0, 0.0, -0.0, 1e-5, 1e-5, _Seconds(2.5), _Seconds(2.5), 1e16, 1e16]
+    path = tmp_path / "t.jsonl"
+    with RunSink(path, "r") as sink:
+        for t_sim in times:
+            sink.emit("s", "k.t", t_sim, {"t": t_sim})
+    want = [canonical_json({"run_id": "r", "seq": seq, "t_sim": t_sim, "source": "s",
+                            "kind": "k.t", "payload": {"t": t_sim}})
+            for seq, t_sim in enumerate(times)]
+    assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in want)
+    assert [line.rsplit('"t_sim":', 1)[1] for line in want] == [
+        "0}", "0}", "-0}", "0}", "0}", "-0}", "1e-05}", "1e-05}", "2.5}", "2.5}",
+        "1e+16}", "1e+16}"]
+
+
 def test_non_string_keys_raise_on_every_call():
     for value in ({1: "a"}, {None: 0, "b": 2}, {"b": 2, 7: 0}, {("t",): 1}):
         for _ in range(3):
@@ -378,6 +406,46 @@ def test_feed_in_memory_matches_summarize(tmp_path):
         "accepted_mvar.a1": 2.5,
     }
 
+
+# Every record kind the program emits outside AGGREGATE_KINDS.
+NOT_AGGREGATED = frozenset((
+    "run.header", "run.end", "run.abort", "kernel.step", "net.send", "net.deliver",
+    "net.rule", "net.restart", "agent.action", "agent.clamp", "agent.episode",
+    "agent.generation",
+))
+
+
+def test_records_outside_the_aggregate_kinds_leave_aggregates_unchanged(
+        reference_runs, dos_logs, tmp_path):
+    sources = Path(telemetry.__file__).parent.glob("*.py")
+    emitted = {kind for path in sources if path.name != "telemetry.py"
+               for kind in re.findall(r'"((?:run|kernel|grid|market|net|agent)\.[a-z_]+)"',
+                                      path.read_text(encoding="utf-8"))}
+    assert emitted == AGGREGATE_KINDS | NOT_AGGREGATED
+    assert not AGGREGATE_KINDS & NOT_AGGREGATED
+    gaming = packaged("gaming.yaml")
+    logs = [reference_runs["a"], execute_run(load_document(gaming), gaming.parent,
+                                             tmp_path).log_path]
+    logs += sorted(dos_logs.glob("*.jsonl"))
+    assert len(logs) == 4
+    seen = collections.Counter()
+    for log in logs:
+        summary = RunSummary()
+        for line in log.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            kind, payload = record["kind"], record["payload"]
+            seen[kind] += 1
+            if kind in AGGREGATE_KINDS:
+                summary.feed(kind, payload)
+                continue
+            before = repr(summary.aggregates())
+            summary.feed(kind, payload)
+            assert repr(summary.aggregates()) == before, (log.name, kind)
+        assert summary.clearings and summary.payments_eur  # the sums were not empty
+    assert set(seen) <= emitted
+    assert AGGREGATE_KINDS | {"run.header", "run.end", "kernel.step", "net.send",
+                              "net.deliver", "agent.action", "agent.episode",
+                              "agent.generation"} <= set(seen)
 
 def test_sink_drain_hands_over_records_once(tmp_path):
     path = tmp_path / "r.jsonl"
