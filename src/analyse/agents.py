@@ -22,9 +22,9 @@ class SensorSpec(NamedTuple):
     hi: float
 
     def normalize(self, value: float) -> float:
-        """Clamp into [lo, hi] and map onto [-1, 1]."""
+        """Clamp into [lo, hi] and map onto [-1, 1], in halves so that no difference overflows."""
         clamped = min(max(value, self.lo), self.hi)
-        return 2.0 * (clamped - self.lo) / (self.hi - self.lo) - 1.0
+        return (clamped / 2 - self.lo / 2) / (self.hi / 2 - self.lo / 2) * 2.0 - 1.0
 
 
 class ActuatorSpec(NamedTuple):
@@ -59,7 +59,7 @@ def muscle_act(
     for j, act in enumerate(actuators):
         row = theta[j * width : (j + 1) * width]
         u = sum(w * xi for w, xi in zip(row[:-1], x)) + row[-1]
-        half_span = (act.hi - act.lo) / 2.0
+        half_span = act.hi / 2 - act.lo / 2  # finite on any finite range
         setpoints.append(act.clip(act.default + u * half_span))
     return setpoints
 
@@ -177,7 +177,9 @@ class ScriptedAgent:
             out = [a.default for a in self.actuators]
         elif self.kind == "random":
             assert self._rng is not None, "reset() before act()"
-            out = [self._rng.uniform(a.lo, a.hi) for a in self.actuators]
+            # random.uniform(lo, hi) in halves, so that hi - lo cannot overflow
+            out = [2.0 * (a.lo / 2 + (a.hi / 2 - a.lo / 2) * self._rng.random())
+                   for a in self.actuators]
         else:
             row = self.replay[self._step % len(self.replay)]
             out = [a.clip(v) for a, v in zip(self.actuators, row)]

@@ -53,7 +53,7 @@ class Environment:
         self._kernel: Kernel | None = None
         self._local_t = 0
         self._step_index = 0
-        self._episode_index = -1
+        self.resets = 0  # numbers and seeds the run's episodes
 
     def _emit_offset(self, source: str, kind: str, t_sim: float, payload: dict) -> None:
         self.sink.emit(source, kind, t_sim + self._t_offset, payload)
@@ -70,7 +70,7 @@ class Environment:
         self._kernel = scn.assemble(self.config, seed, self._emit_offset)
         self._local_t = 0
         self._step_index = 0
-        self._episode_index += 1
+        self.resets += 1
         self._kernel.run_until(1)  # step everything due at t=0
         self.sink.drain()  # the t=0 records belong to no agent step
         return self._readings()
@@ -115,7 +115,7 @@ class Environment:
         readings = self._readings()
         if done:
             self._emit_offset("kernel", "kernel.step", float(self._local_t), {
-                "episode": self._episode_index,
+                "episode": self.resets - 1,
                 "steps": self._kernel.step_counts,
             })
         return readings, reward, done
@@ -135,9 +135,8 @@ class PhaseReport:
 
 @dataclass
 class AgentRunState:
-    """Carries the trained policy and episode counter across phases."""
+    """Carries the trained policy across phases."""
 
-    episode_counter: int = 0
     best_theta: tuple[float, ...] | None = None
     best_return: float = float("-inf")
 
@@ -163,8 +162,7 @@ def run_phase(
     dim = len(actuators) * (len(sensors) + 1)
 
     def run_episode(actor, label: str) -> float:
-        episode_seed = derive_seed(episode_stream, state.episode_counter)
-        state.episode_counter += 1
+        episode_seed = derive_seed(episode_stream, env.resets)
         readings = env.reset(episode_seed)
         total = 0.0
         done = False
@@ -173,7 +171,7 @@ def run_phase(
             total += reward
         env.sink.emit("agent", "agent.episode", env.telemetry_time, {
             "agent": agent.agent_id, "phase": phase.name, "mode": phase.mode,
-            "episode": state.episode_counter - 1, "return": total, "label": label,
+            "episode": env.resets - 1, "return": total, "label": label,
             "steps": env.episode_length, "seed": episode_seed,
         })
         report.returns.append(total)
@@ -212,7 +210,7 @@ def run_phase(
         scripted = ScriptedAgent(learner.kind, actuators, learner.replay)
         scripted_stream = derive_seed(run_seed, STREAM_SCRIPTED)
         for episode in range(phase.episodes):
-            scripted.reset(random.Random(derive_seed(scripted_stream, state.episode_counter)))
+            scripted.reset(random.Random(derive_seed(scripted_stream, env.resets)))
             run_episode(lambda obs: scripted.act(obs), label=learner.kind)
 
     if learner.kind == "cem":

@@ -41,7 +41,6 @@ class LoadProfile(NamedTuple):
 
 
 class WeatherSample(NamedTuple):
-    t: float
     ghi_w_m2: float
     t_air_c: float
 
@@ -70,15 +69,16 @@ class PvUnit(NamedTuple):
 CELL_TEMP_SLOPE = 0.03  # degC per W/m^2 of irradiance
 
 
-def pv_output(unit: PvUnit, w: WeatherSample) -> float:
-    """PV active power in MW for one weather sample.
+def pv_output(unit: PvUnit, ghi_w_m2: float, t_air_c: float) -> float:
+    """PV active power in MW at irradiance ghi_w_m2 >= 0 and air temperature
+    t_air_c, as read_weather_csv holds a weather series.
 
     Linear cell-temperature model: t_cell = t_air + 0.03 * ghi; the output is
     p_peak * ghi/1000 derated by temp_coeff per degree above 25 C, clamped to
     [0, p_peak].
     """
-    t_cell = w.t_air_c + CELL_TEMP_SLOPE * w.ghi_w_m2
-    p = unit.p_peak_mw * (w.ghi_w_m2 / 1000.0) * (1.0 - unit.temp_coeff * (t_cell - 25.0))
+    t_cell = t_air_c + CELL_TEMP_SLOPE * ghi_w_m2
+    p = unit.p_peak_mw * (ghi_w_m2 / 1000.0) * (1.0 - unit.temp_coeff * (t_cell - 25.0))
     return min(max(p, 0.0), unit.p_peak_mw)
 
 
@@ -135,5 +135,5 @@ def read_weather_csv(path: str | Path) -> WeatherSeries:
     for t, ghi, _ in rows:
         if ghi < 0:
             raise FeederError(path, f"ghi must be >= 0, found {ghi:g} at t_s={t:g}")
-    samples = tuple(WeatherSample(t=r[0], ghi_w_m2=r[1], t_air_c=r[2]) for r in rows)
+    samples = tuple(WeatherSample(ghi_w_m2=r[1], t_air_c=r[2]) for r in rows)
     return WeatherSeries(resolution_s=res, samples=samples)

@@ -115,14 +115,10 @@ class SimulatorDescriptor(NamedTuple):
                 )
 
 
-def _grid_at_or_after(x: float, h: int) -> int:
-    """The smallest multiple of h that is >= x."""
-    g = math.ceil(x / h) * h
-    while g < x:  # guard the float quotient's rounding
-        g += h
-    while g - h >= x:
-        g -= h
-    return g
+def _grid_at_or_after(x: float, h: int) -> float:
+    """The smallest multiple of h that is >= x, inf for x = inf. Exact in
+    integers, since a float quotient's rounding error grows with x."""
+    return _NEVER if x == _NEVER else -(-math.ceil(x) // h) * h
 
 
 @dataclass

@@ -28,7 +28,8 @@ Offers and dispatch setpoints travel as application frames through the
 network simulator; the market only sees offers whose frames arrived before
 gate closure, which is exactly the denial-of-service attack surface. Every
 inbox and outbox link is a kernel message connection, so each adapter
-receives only the frames (or messages) new since its last step.
+receives only the frames (or messages) new since its last step. An inbox
+item is an `(arrival, network.Frame)` pair, as the network delivered it.
 
 Market timing: offers submitted at time t carry interval t/I + 2; the
 clearing at time t settles interval t/I + 1 and its dispatch frames reach the
@@ -448,23 +449,19 @@ class GridSimulator:
 class ProfilesSimulator:
     SIM_ID = "profiles"
 
-    def __init__(self, config: ScenarioConfig, series: dict[str, LoadProfile]):
+    def __init__(self, config: ScenarioConfig, loads: list[Load],
+                 series: dict[str, LoadProfile]):
         self.config = config
+        self.loads = loads  # the loads that name a profile
         self.series = series  # profile key -> factors (base 1.0)
 
     def descriptor(self) -> SimulatorDescriptor:
-        models = [
-            ModelSpec(f"load_{l.name}", outputs=("p_mw", "q_mvar"))
-            for l in self.config.grid.loads
-            if l.profile
-        ]
+        models = [ModelSpec(f"load_{l.name}", outputs=("p_mw", "q_mvar")) for l in self.loads]
         return SimulatorDescriptor(self.SIM_ID, self.config.grid_step_s, tuple(models))
 
     def __call__(self, t: int, inputs: dict) -> dict:
         outputs = {}
-        for l in self.config.grid.loads:
-            if not l.profile:
-                continue
+        for l in self.loads:
             factor = self.series[l.profile].at(t)
             outputs[f"load_{l.name}"] = {"p_mw": factor * l.p_mw, "q_mvar": factor * l.q_mvar}
         return outputs
@@ -514,9 +511,9 @@ class PvSimulator:
         outputs = {}
         for u in self.config.pv_units:
             name, sgen, model_in = u.name, self.sgens[u.name], inputs[u.name]
-            for arrival, src, payload in model_in["inbox"]:
+            for _, frame in model_in["inbox"]:
                 try:
-                    msg = json.loads(payload.decode("utf-8"))
+                    msg = json.loads(frame.payload.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
                     continue
                 # the market addresses a dispatch to the asset, the unit's sgen;
@@ -524,11 +521,8 @@ class PvSimulator:
                 q = dispatch_from_payload(msg, u.sgen)
                 if q is not None:
                     self._q[name] = min(max(q, sgen.q_min_mvar), sgen.q_max_mvar)
-            sample = feeders.WeatherSample(
-                t=float(t), ghi_w_m2=max(float(model_in["ghi_w_m2"]), 0.0),
-                t_air_c=float(model_in["t_air_c"]),
-            )
-            outputs[name] = {"p_mw": pv_output(u, sample), "q_mvar": self._q[name]}
+            p_mw = pv_output(u, model_in["ghi_w_m2"], model_in["t_air_c"])
+            outputs[name] = {"p_mw": p_mw, "q_mvar": self._q[name]}
         return outputs
 
 
@@ -578,10 +572,10 @@ class BiddersSimulator:
 
 
 class NetSimulator:
-    """Steps the network. Each node model outputs the frames delivered to it
-    as `inbox`. A node that a sensor names also outputs its four interface
-    counters, only when one of them changed since its last output (the
-    kernel keeps the last values); no other node's counters are read, so
+    """Steps the network. Each node model outputs as `inbox` the `(arrival,
+    Frame)` pairs Network.delivered gives for it. A sensed node also outputs
+    its four interface counters, only when one changed since its last output
+    (the kernel keeps the last values); no other node's counters are read, so
     only the sensed nodes are the network's utilization nodes."""
 
     SIM_ID = "net"
@@ -666,9 +660,7 @@ class NetSimulator:
                     last[node] = counters
                     out = counters._asdict()
             if delivered:
-                out["inbox"] = tuple(
-                    (arrival, frame.src, frame.payload) for arrival, frame in delivered
-                )
+                out["inbox"] = delivered
             if out:
                 outputs[node] = out
         return outputs
@@ -735,18 +727,18 @@ class MarketSimulator:
         # offer_id -> (arrival, offer, the asset it is bound to)
         pending: dict[str, tuple[float, Offer, str]] = {}
         rejected: list[dict] = []
-        for arrival, src, payload in model_in["inbox"]:
+        for arrival, frame in model_in["inbox"]:
             try:
-                doc = json.loads(payload.decode("utf-8"))
+                doc = json.loads(frame.payload.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
-                rejected.append({"reason": "unparseable", "src": src})
+                rejected.append({"reason": "unparseable", "src": frame.src})
                 continue
             if not isinstance(doc, dict) or "offer_id" not in doc:
                 continue  # not an offer (e.g. a looped-back dispatch)
             try:
                 offer = offer_from_payload(doc)
             except MarketError as exc:
-                rejected.append({"reason": str(exc), "src": src})
+                rejected.append({"reason": str(exc), "src": frame.src})
                 continue
             asset_id = offer.offer_id.rsplit("-", 1)[0]
             bidder, sgen = self.bidders.get(asset_id, (None, None))
@@ -859,7 +851,7 @@ def assemble(config: ScenarioConfig, seed: int,
     if config.weather_path is not None:
         adapters.append(WeatherSimulator(config, weather))
     if profiled:
-        adapters.append(ProfilesSimulator(config, profiles))
+        adapters.append(ProfilesSimulator(config, profiled, profiles))
     if config.pv_units:
         adapters.append(PvSimulator(config))
     adapters += [

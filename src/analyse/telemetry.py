@@ -171,18 +171,6 @@ def canonical_json(value: Any) -> str:
 # t_sim; RunSink.emit joins them.
 
 
-def _kind_head(kind: str) -> str:
-    return '{"kind":' + canonical_json(kind) + ',"payload":'
-
-
-def _run_id_part(run_id: str) -> str:
-    return ',"run_id":' + canonical_json(run_id) + ',"seq":'
-
-
-def _source_part(source: str) -> str:
-    return ',"source":' + canonical_json(source) + ',"t_sim":'
-
-
 class RunSink:
     """Single-writer, append-only JSONL sink for one run.
 
@@ -201,9 +189,9 @@ class RunSink:
         self.records: list[tuple[str, dict]] = []
         self._seq = 0
         self._last_t: dict[str, float] = {}
-        self._run_id_part = _run_id_part(run_id)
-        self._heads: dict[str, str] = {}  # kind -> _kind_head(kind)
-        self._source_parts: dict[str, str] = {}  # source -> _source_part(source)
+        self._after_payload = ',"run_id":' + canonical_json(run_id) + ',"seq":'
+        self._heads: dict[str, str] = {}  # kind -> the line's start, up to its payload
+        self._after_seq: dict[str, str] = {}  # source -> the line's part between seq and t_sim
         self._fh = self.path.open("w", encoding="utf-8", newline="\n")
         self._closed = False
 
@@ -217,15 +205,16 @@ class RunSink:
             )
         head = self._heads.get(kind)
         if head is None:
-            head = self._heads[kind] = _kind_head(kind)
-        source_part = self._source_parts.get(source)
-        if source_part is None:
-            source_part = self._source_parts[source] = _source_part(source)
+            head = self._heads[kind] = '{"kind":' + canonical_json(kind) + ',"payload":'
+        after_seq = self._after_seq.get(source)
+        if after_seq is None:
+            after_seq = self._after_seq[source] = (
+                ',"source":' + canonical_json(source) + ',"t_sim":')
         out = [head]
         _canonical(payload, out)
-        out.append(self._run_id_part)
+        out.append(self._after_payload)
         out.append(str(self._seq))
-        out.append(source_part)
+        out.append(after_seq)
         if type(t_sim) is float:
             out.append(_FLOAT_TEXTS.get(t_sim) or _format_float(t_sim))
         else:

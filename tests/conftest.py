@@ -38,6 +38,25 @@ def parsed(doc: dict, base_dir: Path = Path(".")):
     return config._replace(series=load_data_series(config))
 
 
+def assert_summary_matches_recount(log):
+    """telemetry.summarize agrees with the independent line-by-line recount
+    on every aggregate both of them take from the log."""
+    from analyse.telemetry import summarize
+    from oracles import recount_log
+
+    summary, recount = summarize(log), recount_log(log)
+    assert summary.parse_errors == [] and summary.unknown_kinds == {}
+    assert (summary.frames_sent, summary.frames_delivered, summary.frames_dropped) == (
+        recount["frames_sent"], recount["frames_delivered"], recount["frames_dropped"])
+    assert (summary.clearings, summary.clearings_resolved, summary.violation_count) == (
+        recount["clearings"], recount["clearings_resolved"], recount["violation_count"])
+    assert summary.total_cost_eur == pytest.approx(recount["total_cost"])
+    assert summary.payments_eur == pytest.approx(recount["payments"])
+    assert summary.accepted_mvar == pytest.approx(recount["accepted_mvar"])
+    assert summary.returns == recount["episodes"]
+    return recount
+
+
 # A deliberately small constant-load scenario (two assets, three intervals)
 # for fast environment and wiring tests. Loads at scale 4.2 keep bus 4 below
 # the band until reactive power is dispatched.
@@ -142,6 +161,17 @@ def reference_runs(tmp_path_factory):
                              seed_override=seed)
         paths[label] = result.log_path
     return paths
+
+
+@pytest.fixture(scope="session")
+def gaming_log(tmp_path_factory):
+    """The log of the bundled gaming scenario: CEM training, then testing."""
+    from analyse.runner import execute_run
+    from analyse.scenario import load_document
+
+    path = packaged("gaming.yaml")
+    return execute_run(load_document(path), path.parent,
+                       tmp_path_factory.mktemp("gaming")).log_path
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from analyse.runner import execute_run
 from analyse.scenario import load_document
 from analyse.telemetry import compare, summarize
 
-from conftest import packaged
+from conftest import assert_summary_matches_recount, packaged
 from grids import ALL_BUNDLED, feeder4, power_balance_residual
 from oracles import brute_force_resolving_subsets, gauss_seidel_solve, recount_log
 
@@ -307,3 +307,15 @@ def test_c9_telemetry_round_trip(reference_runs, tmp_path):
     assert [ln for ln, _ in damaged.parse_errors] == [5]
     print(f"\nACCEPTANCE 9 PASS: summarize equals independent recount on "
           f"{recount['records']} records; malformed line reported as line 5")
+
+
+def test_summarize_equals_the_recount_on_every_reference_log(gaming_log, dos_logs):
+    # c9 checks feeder4's log; gaming's adds CEM generation records, a
+    # profit objective and payments, and the dos experiment's two logs
+    # dropped frames.
+    logs = [gaming_log, *sorted(dos_logs.glob("*.jsonl"))]
+    assert len(logs) == 3
+    counts = [assert_summary_matches_recount(log) for log in logs]
+    assert counts[0]["payments"] and any(c["frames_dropped"] for c in counts[1:])
+    print(f"\nREFERENCE RECOUNT PASS: summarize equals the recount on gaming and both "
+          f"dos logs ({sum(c['records'] for c in counts)} records)")

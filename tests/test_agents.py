@@ -13,6 +13,9 @@ from analyse.agents import (
     muscle_act,
     objective_eval,
 )
+from analyse.scenario import load_document
+
+from conftest import packaged
 
 SENSORS = [SensorSpec("grid.bus_4.vm_pu", 0.8, 1.2)]
 ACTUATORS = [ActuatorSpec("bidders.a.price", 0.0, 10.0, default=5.0)]
@@ -153,3 +156,40 @@ def test_scripted_agents():
     assert replay.act([0.0]) == [0.1, 0.2]
     assert replay.act([0.0]) == [0.9, -0.5]
     assert replay.act([0.0]) == [0.1, 0.2]  # cycles
+
+
+def test_random_draw_is_uniform_on_every_bundled_actuator_range():
+    # Drawn in halves, so that hi - lo cannot overflow; on every range a
+    # bundled scenario uses, the draw keeps random.uniform's bits, so no
+    # pinned log moves.
+    ranges = {(float(a["lo"]), float(a["hi"]))
+              for name in ("feeder4.yaml", "gaming.yaml")
+              for a in load_document(packaged(name))["agents"][0]["actuators"]}
+    assert ranges == {(0.0, 1.0), (1.0, 100.0)}
+    acts = [ActuatorSpec(f"a{i}", lo, hi, lo) for i, (lo, hi) in enumerate(sorted(ranges))]
+    for seed in range(20):
+        agent = ScriptedAgent("random", acts, ())
+        agent.reset(random.Random(seed))
+        reference = random.Random(seed)
+        for _ in range(50):
+            assert agent.act([]) == [reference.uniform(a.lo, a.hi) for a in acts]
+
+
+WIDEST = [(-1e308, 1e308), (-1.7e308, 1.7e308), (-1.7e308, -1e300), (0.0, 1.7e308)]
+
+
+@pytest.mark.parametrize("lo, hi", WIDEST)
+def test_a_range_whose_span_overflows_still_draws_acts_and_normalizes_finitely(lo, hi):
+    act = ActuatorSpec("x", lo, hi, default=lo / 2 + hi / 2)
+    agent = ScriptedAgent("random", [act], ())
+    agent.reset(random.Random(3))
+    draws = [agent.act([])[0] for _ in range(200)]
+    assert all(lo <= x <= hi for x in draws)
+    # an all-zero theta, the CEM distribution's initial mean, gives the default
+    sensor = SensorSpec("s", lo, hi)
+    assert muscle_act((0.0, 0.0), [hi], [sensor], [act]) == [act.default]
+    assert muscle_act((0.0, 1.0), [lo], [sensor], [act]) == [hi]
+    assert muscle_act((0.0, -1.0), [lo], [sensor], [act]) == [lo]
+    assert sensor.normalize(lo) == -1.0 and sensor.normalize(hi) == 1.0
+    assert sensor.normalize(math.inf) == 1.0 and sensor.normalize(-math.inf) == -1.0
+    assert -1.0 <= sensor.normalize(lo / 2 + hi / 2) <= 1.0

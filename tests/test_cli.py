@@ -4,6 +4,9 @@ import datetime
 import json
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -15,7 +18,7 @@ from analyse.scenario import NON_NUMERIC_ATTRS, assemble
 from analyse.telemetry import RunSummary, summarize
 from analyse.validation import validate_document
 
-from conftest import MINI, packaged, parsed
+from conftest import MINI, assert_summary_matches_recount, packaged, parsed
 
 
 @pytest.fixture()
@@ -991,3 +994,111 @@ def test_the_mean_accepted_price_a_sensor_reads_stays_finite(tmp_path):
     readings = [r["payload"]["value"] for r in records
                 if r["kind"] == "agent.clamp" and r["payload"]["sensor"] == "market.op.last_price"]
     assert any(1e307 < value < 1e308 for value in readings)
+
+
+def assert_the_report_is_finite(log, capsys):
+    """`analyse report --format csv` reads the log and prints only finite numbers."""
+    capsys.readouterr()
+    assert main(["report", str(log), "--format", "csv"]) == 0
+    rows = [line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:]]
+    numbers = [float(value) for name, value in rows if name not in ("run_id", "experiment")]
+    assert len(numbers) > 10 and all(math.isfinite(x) for x in numbers)
+
+
+def never_due(edit):
+    """feeder4 for 12 steps, edited so that its frames never come due."""
+    doc = feeder4_with(edit)
+    doc["name"] = edit.__name__
+    doc["schedule"] = [{"name": "p", "mode": "test", "episodes": 1, "episode_length": 12}]
+    return doc
+
+
+def delay_of_1e300_ms(doc, agent):  # held on by its actuator's default
+    doc["network"]["rules"][0]["action"] = {"kind": "delay", "extra_ms": 1e300}
+    agent["actuators"][0]["default"] = 1.0
+
+
+def links_of_1e_300_kbps(doc, agent):
+    for link in doc["network"]["links"]:
+        link["bandwidth_kbps"] = 1e-300
+
+
+def links_of_subnormal_kbps(doc, agent):  # a frame's transmission time is inf
+    for link in doc["network"]["links"]:
+        link["bandwidth_kbps"] = 5e-324
+
+
+def test_a_frame_that_never_comes_due_leaves_the_run_to_end(tmp_path, capsys):
+    # Such a frame's event time is 1e297 s or more. The kernel finds the
+    # grid time at or after it in exact arithmetic; stepping through the
+    # float quotient's rounding error instead would hang the run, so the
+    # documents run in a process of their own, under a timeout.
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    edits = (delay_of_1e300_ms, links_of_1e_300_kbps, links_of_subnormal_kbps)
+    for edit in edits:
+        doc = never_due(edit)
+        assert validate_document(doc, packaged("feeder4.yaml").parent) == []
+        (runs / f"{edit.__name__}.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+    src = Path(__file__).parent.parent / "src"
+    program = ("import sys; sys.path.insert(0, sys.argv[1]); from analyse.cli import main; "
+               "sys.exit(main(sys.argv[2:]))")
+    try:
+        done = subprocess.run([sys.executable, "-c", program, str(src), "run", str(runs),
+                               "-o", str(tmp_path / "logs")],
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("a run whose frames never come due did not end within 60 s")
+    assert done.returncode == 0, done.stdout + done.stderr
+    for edit in edits:
+        log = tmp_path / "logs" / f"{edit.__name__}.jsonl"
+        kinds = [json.loads(line)["kind"] for line in log.read_text().splitlines()]
+        assert kinds[-1] == "run.end" and "net.send" in kinds
+        # over links this slow no frame arrives; the delay holds back only h3's
+        assert ("net.deliver" in kinds) == (edit is delay_of_1e300_ms)
+        assert_the_report_is_finite(log, capsys)
+
+
+def widest_actuators(doc):
+    doc["agents"][0]["kind"] = "random"
+    for actuator in doc["agents"][0]["actuators"]:
+        actuator.update(lo=-1e308, hi=1e308, default=0.0)
+    doc["schedule"] = [{"name": "p", "mode": "test", "episodes": 2, "episode_length": 6}]
+
+
+def widest_sensors(bound):
+    def edit(doc):
+        for sensor in doc["agents"][0]["sensors"]:
+            sensor.update(lo=-bound, hi=bound)
+        doc["agents"][0]["learner"].update(population=4, generations=2)
+        doc["schedule"] = [{"name": "training", "mode": "train", "episodes": 8,
+                            "episode_length": 6},
+                           {"name": "testing", "mode": "test", "episodes": 2,
+                            "episode_length": 6}]
+    return edit
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("feeder4.yaml", widest_actuators), ("gaming.yaml", widest_actuators),
+    ("gaming.yaml", widest_sensors(1e308)), ("gaming.yaml", widest_sensors(1.7e308)),
+], ids=["random-actuator-1e308-feeder4", "random-actuators-1e308-gaming",
+        "cem-sensors-1e308", "cem-sensors-1.7e308"])
+def test_a_range_whose_span_overflows_runs_to_its_end(tmp_path, capsys, name, edit):
+    # hi - lo of these ranges is inf. The random agent's draw, the CEM
+    # muscle's half-span and each sensor's normalisation take spans in
+    # halves, so every value the agent reads and sets stays finite.
+    doc = yaml.safe_load(packaged(name).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "wide.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "logs"
+    assert main(["run", str(path), "-o", str(out)]) == 0
+    log = next(out.glob("*.jsonl"))
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert records[-1]["kind"] == "run.end"
+    setpoints = [v for r in records if r["kind"] == "agent.action"
+                 for v in r["payload"]["setpoints"].values()]
+    assert setpoints and all(math.isfinite(v) for v in setpoints)
+    assert_summary_matches_recount(log)
+    assert_the_report_is_finite(log, capsys)

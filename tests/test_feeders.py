@@ -6,7 +6,6 @@ from analyse.feeders import (
     FeederError,
     LoadProfile,
     PvUnit,
-    WeatherSample,
     pv_output,
     read_load_profile_csv,
     read_weather_csv,
@@ -28,33 +27,31 @@ def test_profile_clamps_past_series_end():
 def test_pv_standard_conditions_identity():
     # ghi=1000 with t_air=-5 puts the cell exactly at 25 C.
     unit = PvUnit("pv", "s", p_peak_mw=0.5, temp_coeff=0.004, host="h")
-    w = WeatherSample(t=0, ghi_w_m2=1000.0, t_air_c=-5.0)
-    assert pv_output(unit, w) == pytest.approx(0.5)
+    assert pv_output(unit, ghi_w_m2=1000.0, t_air_c=-5.0) == pytest.approx(0.5)
 
 
 def test_pv_zero_irradiance():
     unit = PvUnit("pv", "s", p_peak_mw=0.5, temp_coeff=0.004, host="h")
-    assert pv_output(unit, WeatherSample(0, 0.0, 30.0)) == 0.0
+    assert pv_output(unit, 0.0, 30.0) == 0.0
 
 
 def test_pv_frozen_regression_value():
     # Direct evaluation of the output formula: t_cell = 30 + 0.03*800 = 54,
     # p = 1 * 0.8 * (1 - 0.004 * 29) = 0.7072 MW.
     unit = PvUnit("pv", "s", p_peak_mw=1.0, temp_coeff=0.004, host="h")
-    assert pv_output(unit, WeatherSample(0, 800.0, 30.0)) == pytest.approx(0.7072, abs=1e-12)
+    assert pv_output(unit, 800.0, 30.0) == pytest.approx(0.7072, abs=1e-12)
 
 
 def test_pv_bounds_and_monotonicity():
     unit = PvUnit("pv", "s", p_peak_mw=0.8, temp_coeff=0.004, host="h")
     rng = random.Random(7)
     for _ in range(500):
-        w = WeatherSample(0, rng.uniform(0, 1400), rng.uniform(-20, 45))
-        p = pv_output(unit, w)
+        p = pv_output(unit, rng.uniform(0, 1400), rng.uniform(-20, 45))
         assert 0.0 <= p <= unit.p_peak_mw
     for t_air in (-10.0, 0.0, 15.0, 30.0):
         last = -1.0
         for ghi in range(0, 1001, 50):
-            p = pv_output(unit, WeatherSample(0, float(ghi), t_air))
+            p = pv_output(unit, float(ghi), t_air)
             assert p >= last
             last = p
 

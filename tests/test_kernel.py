@@ -1,5 +1,7 @@
 import heapq
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,7 @@ from analyse.kernel import (
     KernelStepError,
     ModelSpec,
     SimulatorDescriptor,
+    _grid_at_or_after,
 )
 
 
@@ -448,6 +451,21 @@ def test_event_at_the_current_step_time_steps_next_grid_time():
     k = event_kernel(sim)
     k.run_until(51)
     assert sim.times == [0, 20, 30, 50]
+
+
+@pytest.mark.parametrize("h", [1, 7, 60, 900])
+def test_grid_time_is_exact_for_any_event_time(h):
+    # A frame on a link of subnormal bandwidth is due at inf, and a delay
+    # rule can push one to 1e297 s: the grid time is the least multiple of h
+    # at or after x in exact arithmetic, found without stepping through
+    # the float quotient's rounding error, which grows with x.
+    assert _grid_at_or_after(math.inf, h) == math.inf
+    rng = random.Random(h)
+    times = [0, 1, 59.5, 60.0, 2.0**53 + 2, 1e17, 1e300, 1.7e308, 5e-324]
+    times += [rng.random() * 10.0 ** rng.randint(0, 307) for _ in range(300)]
+    for x in times:
+        g = _grid_at_or_after(x, h)
+        assert g % h == 0 and Fraction(g - h) < Fraction(x) <= Fraction(g), (x, h)
 
 
 def message_to_event_sim(time_shifted, step):

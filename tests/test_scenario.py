@@ -14,6 +14,7 @@ from analyse.cli import main
 from analyse.environment import Environment
 from analyse.grid import CompiledGrid, solve_power_flow
 from analyse.kernel import Kernel
+from analyse.network import Frame
 from analyse.runner import execute_run
 from analyse.scenario import (
     NetSimulator,
@@ -757,7 +758,7 @@ def test_pv_skips_dispatch_without_a_finite_q(mini_doc):
         inputs = {u.name: {"ghi_w_m2": 0.0, "t_air_c": 15.0, "inbox": ()}
                   for u in config.pv_units}
         payload = '{"q_mvar":%s,"type":"dispatch","unit":"s1"}' % q
-        inputs["s1"]["inbox"] = ((0.0, "op", payload.encode()),)
+        inputs["s1"]["inbox"] = ((0.0, Frame(0, "op", "h1", 0.0, payload.encode())),)
         return pv(0, inputs)["s1"]["q_mvar"]
 
     assert q_after("0.5") == 0.5
