@@ -8,6 +8,8 @@ after each acceptance. Settlement is pay-as-bid.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 import random
 import sys
@@ -16,7 +18,7 @@ from typing import NamedTuple
 
 from .grid import (GridModel, GridState, SensitivityError, Sgen, solve_power_flow,
                    voltage_sensitivity)
-from .telemetry import VoltageBand
+from .telemetry import VoltageBand, canonical_json
 
 EFFECTIVENESS_EPSILON = 1e-6  # pu per Mvar; offers below this do not count
 # The largest pay-as-bid payment, price times |q|, an offer may ask. The market
@@ -38,26 +40,29 @@ class Offer(NamedTuple):
     interval: int
 
 
-def _field(payload: dict, key: str, kind: type | tuple[type, ...]):
-    """payload[key] if it has the JSON type kind; bools are not numbers."""
-    value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{key} has type {type(value).__name__}")
-    return value
+# The JSON types of an offer's fields, in Offer order; a number is an int or
+# a float, and a bool is neither.
+_NUMBERS = (int, float)
+_OFFER_KINDS = (str, str, int, _NUMBERS, _NUMBERS, int)
 
 
 def offer_from_payload(payload: dict) -> Offer:
-    """Offer from a decoded wire payload, with no coercion between types."""
+    """Offer from a decoded wire payload, with no coercion between types.
+
+    The fields are checked in Offer order, and the first one at fault names
+    the MarketError: a missing field, one of the wrong JSON type, or a
+    number too large for a float.
+    """
+    get = payload.get
+    offer_id, agent_id, bus = get("offer_id"), get("agent_id"), get("bus")
+    q, price, interval = get("q_mvar"), get("price_eur_per_mvar"), get("interval")
+    # a decoded payload holds exact JSON types; any other dict takes the loop
+    if not (type(offer_id) is str and type(agent_id) is str and type(bus) is int
+            and type(q) in _NUMBERS and type(price) in _NUMBERS and type(interval) is int):
+        offer_id, agent_id, bus, q, price, interval = _checked_fields(payload)
     try:
-        offer = Offer(
-            offer_id=_field(payload, "offer_id", str),
-            agent_id=_field(payload, "agent_id", str),
-            bus=_field(payload, "bus", int),
-            q_mvar=float(_field(payload, "q_mvar", (int, float))),
-            price_eur_per_mvar=float(_field(payload, "price_eur_per_mvar", (int, float))),
-            interval=_field(payload, "interval", int),
-        )
-    except (KeyError, TypeError, OverflowError) as exc:
+        offer = Offer(offer_id, agent_id, bus, float(q), float(price), interval)
+    except OverflowError as exc:
         raise MarketError(f"malformed offer payload: {exc}") from exc
     if not (math.isfinite(offer.q_mvar) and math.isfinite(offer.price_eur_per_mvar)):
         raise MarketError(f"offer {offer.offer_id}: non-finite q_mvar or price")
@@ -68,18 +73,119 @@ def offer_from_payload(payload: dict) -> Offer:
     return offer
 
 
-def dispatch_from_payload(payload, unit: str) -> float | None:
-    """The q_mvar a decoded wire payload dispatches to unit, or None if it is
-    no dispatch to unit or its q_mvar is not a finite JSON number, read with
-    no coercion as offer_from_payload reads an offer."""
-    if not (isinstance(payload, dict) and payload.get("type") == "dispatch"
-            and payload.get("unit") == unit):
-        return None
+def _checked_fields(payload: dict) -> list:
+    """The offer's field values in Offer order, a number as a float; the
+    first field at fault raises MarketError."""
+    values = []
+    for key, kind in zip(Offer._fields, _OFFER_KINDS):
+        if key not in payload:
+            raise MarketError(f"malformed offer payload: {key!r}")
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise MarketError(f"malformed offer payload: {key} has type {type(value).__name__}")
+        if kind is _NUMBERS:
+            try:
+                value = float(value)
+            except OverflowError as exc:
+                raise MarketError(f"malformed offer payload: {exc}") from exc
+        values.append(value)
+    return values
+
+
+# The wire format of offers and dispatches is this module's. Frames repeat:
+# every episode of a run replays one scenario, so most offers and dispatches
+# are byte for byte those of an earlier episode. Each codec function below
+# keeps an exact memo of its newest WIRE_MEMO_SIZE results, about two
+# episodes of gaming's frames (7 intervals of 8 frames each); a larger memo
+# would hold a frame that repeats only a simulated day later, at more memory
+# than that saves. A memo key holds each value's type, and -0.0, which equals
+# 0.0 as a key but encodes as "-0", is encoded afresh; an encoding that
+# raises is not kept.
+WIRE_MEMO_SIZE = 128
+
+
+def _encode_offer(offer_id, agent_id, bus, q_mvar, price_eur_per_mvar, interval) -> bytes:
+    return canonical_json({
+        "offer_id": offer_id, "agent_id": agent_id, "bus": bus, "q_mvar": q_mvar,
+        "price_eur_per_mvar": price_eur_per_mvar, "interval": interval,
+    }).encode()
+
+
+def _encode_dispatch(unit, q_mvar, interval) -> bytes:
+    return canonical_json({
+        "type": "dispatch", "unit": unit, "q_mvar": q_mvar, "interval": interval,
+        "accepted": q_mvar != 0.0,
+    }).encode()
+
+
+_memo_offer = functools.lru_cache(maxsize=WIRE_MEMO_SIZE, typed=True)(_encode_offer)
+_memo_dispatch = functools.lru_cache(maxsize=WIRE_MEMO_SIZE, typed=True)(_encode_dispatch)
+
+
+def offer_payload(offer: Offer, repeats: bool = True) -> bytes:
+    """The wire payload of an offer: its canonical JSON object. An offer
+    that never repeats (a jittered price) skips the memo, which it would
+    only fill. A non-finite number raises UnserializableError."""
+    q, price = offer.q_mvar, offer.price_eur_per_mvar
+    if repeats and (q != 0 or math.copysign(1.0, q) > 0) and (
+            price != 0 or math.copysign(1.0, price) > 0):
+        return _memo_offer(*offer)
+    return _encode_offer(*offer)
+
+
+def dispatch_payload(unit: str, q_mvar: float, interval: int) -> bytes:
+    """The wire payload of the market's dispatch of q_mvar to the asset unit
+    for interval; `accepted` says whether q_mvar is nonzero. A non-finite
+    q_mvar raises UnserializableError."""
+    if q_mvar != 0 or math.copysign(1.0, q_mvar) > 0:
+        return _memo_dispatch(unit, q_mvar, interval)
+    return _encode_dispatch(unit, q_mvar, interval)
+
+
+_scan = json.JSONDecoder().scan_once  # json.loads's scanner, without its three Python frames
+
+
+@functools.lru_cache(maxsize=WIRE_MEMO_SIZE)
+def read_payload(payload: bytes) -> tuple[Offer | str | None, tuple[str, float] | None]:
+    """What a frame's payload says to the market and to a PV unit:
+    (offer, dispatch).
+
+    offer is the Offer, or the reason the market refuses it when the payload
+    is no UTF-8 JSON ("unparseable") or offer_from_payload refuses it, or
+    None when the payload is no JSON object with an offer_id, which is no
+    offer. dispatch is (unit, q_mvar) when the payload is a JSON object with
+    "type": "dispatch", a string unit and a q_mvar that is a finite JSON
+    number, read with no coercion as an offer is; else None.
+    """
     try:
-        q = float(_field(payload, "q_mvar", (int, float)))
-    except (KeyError, TypeError, OverflowError):
-        return None
-    return q if math.isfinite(q) else None
+        text = payload.decode()
+        try:
+            doc, end = _scan(text, 0)
+        except StopIteration:
+            end = -1
+        if end != len(text):  # whitespace around the value, or no JSON: json.loads decides
+            doc = json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return "unparseable", None
+    if type(doc) is not dict:
+        return None, None
+    dispatch = None
+    if doc.get("type") == "dispatch":
+        unit, q = doc.get("unit"), doc.get("q_mvar")
+        if type(unit) is str and type(q) in _NUMBERS:
+            try:
+                q = float(q)
+            except OverflowError:  # an int beyond the floats
+                q = math.nan
+            if math.isfinite(q):
+                dispatch = (unit, q)
+    offer = None
+    if "offer_id" in doc:
+        try:
+            offer = offer_from_payload(doc)
+        except MarketError as exc:
+            offer = str(exc)
+    return offer, dispatch
 
 
 @dataclass

@@ -202,6 +202,9 @@ class Network:
         self._routes = topology.routes
         self._rules: dict[str, AttackRule] = {}
         self._nodes: dict[str, _Node] = {}
+        # the nodes holding frames that delivered has not handed out, in the
+        # order their first one arrived
+        self._holding: dict[str, None] = {}
         for node_id, peers in self._neighbors.items():
             bandwidths = [self._hops[(node_id, peer)][1] for peer in peers]
             capacity_bps = 0.0
@@ -322,7 +325,13 @@ class Network:
         """(arrival, frame) pairs delivered to the node since the last call."""
         node = self._nodes[node_id]
         frames, node.delivered = node.delivered, []
+        self._holding.pop(node_id, None)
         return frames
+
+    def holding(self) -> tuple[str, ...]:
+        """The nodes for which delivered has frames, in the order their
+        first frame since the last delivered call arrived."""
+        return tuple(self._holding)
 
     # -- event loop -------------------------------------------------------------
 
@@ -361,6 +370,8 @@ class Network:
         if idx > 0 and state.transit_in is not None:
             state.transit_in.add(t, size)
         if node == frame.dst:
+            if not state.delivered:
+                self._holding[node] = None
             state.delivered.append((t, frame))
             state.bytes_in += entry_size
             self._emit("net.deliver", t, {

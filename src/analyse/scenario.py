@@ -39,7 +39,7 @@ PV units in time for that interval's start at t + I.
 from __future__ import annotations
 
 import functools
-import json
+import math
 import random
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -56,13 +56,13 @@ from .kernel import Kernel, ModelSpec, SimulatorDescriptor
 from .market import (
     MAX_PAYMENT_EUR,
     Bidder,
-    MarketError,
     Offer,
     VoltageBand,
     baseline_bid,
     clear_market,
-    dispatch_from_payload,
-    offer_from_payload,
+    dispatch_payload,
+    offer_payload,
+    read_payload,
 )
 from .network import (
     AttackRule,
@@ -73,7 +73,7 @@ from .network import (
     NetworkTopology,
     NodeSpec,
 )
-from .telemetry import canonical_json, mean
+from .telemetry import mean
 
 SCHEMA_VERSION = 1
 ADVERSARY_MODEL = "adversary"
@@ -359,6 +359,11 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
 NON_NUMERIC_ATTRS = frozenset({"inbox", "outbox", "model", "state"})
 
 
+def _same_bits(a: float, b: float) -> bool:
+    """Whether two floats are one value, the sign of a zero included."""
+    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
 def sensed_models(config: ScenarioConfig, sim_id: str) -> frozenset[str]:
     """The models of simulator sim_id that a sensor of the agent names."""
     ids = (s.id.split(".") for s in config.agent.sensors)
@@ -369,7 +374,8 @@ class GridSimulator:
     """Solves the power flow. The solver model outputs the model and state
     the market reads at every step; a converged step also outputs the bus,
     line and slack models that a sensor names, and no other, since nothing
-    else reads them."""
+    else reads them. A load or sgen whose inputs are its configured values,
+    bit for bit, enters the step's model as the configured record."""
 
     SIM_ID = "grid"
 
@@ -384,6 +390,8 @@ class GridSimulator:
         self._lines = tuple((i, f"line_{i}") for i in range(len(config.grid.lines))
                             if f"line_{i}" in sensed)
         self._slack = "slack" in sensed
+        self._loads = tuple((f"load_{l.name}", l) for l in config.grid.loads)
+        self._sgens = tuple((f"sgen_{s.name}", s) for s in config.grid.sgens)
 
     def descriptor(self) -> SimulatorDescriptor:
         cfg = self.config
@@ -407,18 +415,22 @@ class GridSimulator:
 
     def __call__(self, t: int, inputs: dict) -> dict:
         cfg = self.config
-        loads = tuple(
-            Load(l.bus, float(inputs[f"load_{l.name}"]["p_mw"]),
-                 float(inputs[f"load_{l.name}"]["q_mvar"]), l.name, l.profile)
-            for l in cfg.grid.loads
-        )
+        loads = []
+        for model_id, l in self._loads:
+            load_in = inputs[model_id]
+            p, q = float(load_in["p_mw"]), float(load_in["q_mvar"])
+            if not (_same_bits(p, l.p_mw) and _same_bits(q, l.q_mvar)):
+                l = Load(l.bus, p, q, l.name, l.profile)
+            loads.append(l)
         sgens = []
-        for s in cfg.grid.sgens:
-            setpoint = inputs[f"sgen_{s.name}"]
+        for model_id, s in self._sgens:
+            setpoint = inputs[model_id]
+            p = float(setpoint["p_mw"])
             q = min(max(float(setpoint["q_mvar"]), s.q_min_mvar), s.q_max_mvar)
-            sgens.append(
-                Sgen(s.bus, float(setpoint["p_mw"]), q, s.q_min_mvar, s.q_max_mvar, s.name))
-        model = cfg.grid.with_injections(loads, tuple(sgens))
+            if not (_same_bits(p, s.p_mw) and _same_bits(q, s.q_mvar)):
+                s = Sgen(s.bus, p, q, s.q_min_mvar, s.q_max_mvar, s.name)
+            sgens.append(s)
+        model = cfg.grid.with_injections(tuple(loads), tuple(sgens))
         state = solve_power_flow(model, self.last)
         outputs: dict = {"solver": {
             "converged": 1.0 if state.converged else 0.0,
@@ -512,15 +524,11 @@ class PvSimulator:
         for u in self.config.pv_units:
             name, sgen, model_in = u.name, self.sgens[u.name], inputs[u.name]
             for _, frame in model_in["inbox"]:
-                try:
-                    msg = json.loads(frame.payload.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    continue
                 # the market addresses a dispatch to the asset, the unit's sgen;
                 # any other frame leaves the previous setpoint
-                q = dispatch_from_payload(msg, u.sgen)
-                if q is not None:
-                    self._q[name] = min(max(q, sgen.q_min_mvar), sgen.q_max_mvar)
+                dispatch = read_payload(frame.payload)[1]
+                if dispatch is not None and dispatch[0] == u.sgen:
+                    self._q[name] = min(max(dispatch[1], sgen.q_min_mvar), sgen.q_max_mvar)
             p_mw = pv_output(u, model_in["ghi_w_m2"], model_in["t_air_c"])
             outputs[name] = {"p_mw": p_mw, "q_mvar": self._q[name]}
         return outputs
@@ -532,7 +540,10 @@ class BiddersSimulator:
     def __init__(self, config: ScenarioConfig, jitter_rng: random.Random):
         self.config = config
         sgens = {s.name: s for s in config.grid.sgens}
-        self.bidders = [(b, sgens[b.asset]) for b in config.market.bidders]
+        # each bidder, its sgen, and whether its offers can repeat: a
+        # jittered price never does
+        self.bidders = [(b, sgens[b.asset], b.strategy != "jitter")
+                        for b in config.market.bidders]
         self.rng = jitter_rng
 
     def descriptor(self) -> SimulatorDescriptor:
@@ -553,7 +564,7 @@ class BiddersSimulator:
         interval = t // interval_s + 2
         op_host = self.config.market.operator_host
         outputs = {}
-        for b, sgen in self.bidders:
+        for b, sgen, repeats in self.bidders:
             offer = baseline_bid(
                 b,
                 sgen,
@@ -565,18 +576,18 @@ class BiddersSimulator:
             )
             messages = ()
             if offer is not None:
-                payload = canonical_json(offer._asdict()).encode("utf-8")
-                messages = ((op_host, payload),)
+                messages = ((op_host, offer_payload(offer, repeats)),)
             outputs[b.asset] = {"outbox": messages}
         return outputs
 
 
 class NetSimulator:
-    """Steps the network. Each node model outputs as `inbox` the `(arrival,
-    Frame)` pairs Network.delivered gives for it. A sensed node also outputs
-    its four interface counters, only when one changed since its last output
-    (the kernel keeps the last values); no other node's counters are read, so
-    only the sensed nodes are the network's utilization nodes."""
+    """Steps the network. Each node that holds delivered frames outputs as
+    `inbox` the `(arrival, Frame)` pairs Network.delivered gives for it; no
+    other node is asked. A sensed node also outputs its four interface
+    counters, only when one changed since its last output (the kernel keeps
+    the last values); no other node's counters are read, so only the sensed
+    nodes are the network's utilization nodes."""
 
     SIM_ID = "net"
 
@@ -595,6 +606,7 @@ class NetSimulator:
                 self.network.install_rule(rule)
         self._restart_state: dict[str, bool] = {node: False for node, _ in net_cfg.restartable}
         self._nodes = tuple(n.node_id for n in net_cfg.topology.nodes)
+        self._sensed_nodes = tuple(node for node in self._nodes if node in self._sensed)
         self._counters: dict[str, InterfaceCounters] = {}  # sensed node -> last output
 
     def descriptor(self) -> SimulatorDescriptor:
@@ -647,22 +659,18 @@ class NetSimulator:
             for dst, payload in inputs[node]["outbox"]:
                 self.network.send(node, dst, payload, float(t))
 
+        network = self.network
         outputs: dict[str, dict] = {
             ADVERSARY_MODEL: {"rules_active": float(rules_active)}
         }
-        last, sensed = self._counters, self._sensed
-        for node in self._nodes:
-            delivered = self.network.delivered(node)
-            out = {}
-            if node in sensed:
-                counters = self.network.read_counters(node)
-                if counters != last.get(node):
-                    last[node] = counters
-                    out = counters._asdict()
-            if delivered:
-                out["inbox"] = delivered
-            if out:
-                outputs[node] = out
+        for node in network.holding():
+            outputs[node] = {"inbox": network.delivered(node)}
+        last = self._counters
+        for node in self._sensed_nodes:
+            counters = network.read_counters(node)
+            if counters != last.get(node):
+                last[node] = counters
+                outputs.setdefault(node, {}).update(counters._asdict())
         return outputs
 
 
@@ -728,17 +736,11 @@ class MarketSimulator:
         pending: dict[str, tuple[float, Offer, str]] = {}
         rejected: list[dict] = []
         for arrival, frame in model_in["inbox"]:
-            try:
-                doc = json.loads(frame.payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                rejected.append({"reason": "unparseable", "src": frame.src})
-                continue
-            if not isinstance(doc, dict) or "offer_id" not in doc:
+            offer = read_payload(frame.payload)[0]
+            if offer is None:
                 continue  # not an offer (e.g. a looped-back dispatch)
-            try:
-                offer = offer_from_payload(doc)
-            except MarketError as exc:
-                rejected.append({"reason": str(exc), "src": frame.src})
+            if type(offer) is str:  # why the frame is no offer the market reads
+                rejected.append({"reason": offer, "src": frame.src})
                 continue
             asset_id = offer.offer_id.rsplit("-", 1)[0]
             bidder, sgen = self.bidders.get(asset_id, (None, None))
@@ -757,7 +759,7 @@ class MarketSimulator:
         # the grid with all market assets at zero committed reactive power.
         sgens = tuple(
             Sgen(s.bus, s.p_mw, 0.0, s.q_min_mvar, s.q_max_mvar, s.name)
-            if s.name in self.bidders else s
+            if s.name in self.bidders and not _same_bits(s.q_mvar, 0.0) else s
             for s in grid_model.sgens
         )
         baseline = grid_model.with_injections(grid_model.loads, sgens)
@@ -771,11 +773,7 @@ class MarketSimulator:
         messages = []
         for b in cfg.bidders:
             q = accepted_by_asset.get(b.asset, 0.0)
-            payload = canonical_json({
-                "type": "dispatch", "unit": b.asset, "q_mvar": q,
-                "interval": interval, "accepted": q != 0.0,
-            }).encode("utf-8")
-            messages.append((b.host, payload))
+            messages.append((b.host, dispatch_payload(b.asset, q, interval)))
 
         accepted_mvar = result.accepted_mvar_by_agent()
         self.emit("market", "market.clearing", float(t), {

@@ -418,6 +418,13 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
         elif endpoint[2] in scn.NON_NUMERIC_ATTRS:
             errors.append((f"agents/0/actuators/{i}/id",
                            f"actuator path {a.id!r} carries messages or objects, not a number"))
+    if agent.learner.kind == "cem":
+        candidates = agent.learner.population * agent.learner.generations
+        for i, phase in enumerate(config.schedule):
+            if phase.mode == "train" and phase.episodes != candidates:
+                errors.append((f"schedule/{i}/episodes",
+                               f"a cem train phase runs population x generations = "
+                               f"{candidates} episodes, not {phase.episodes}"))
     if agent.learner.kind == "replay":
         if not agent.learner.replay:
             errors.append(("agents/0/replay", "replay agent needs setpoint rows"))

@@ -663,6 +663,31 @@ def test_every_violation_names_its_path(tmp_path, capsys, edit, where, message):
     assert not (tmp_path / "logs").exists()
 
 
+def test_a_cem_train_phase_must_declare_the_episodes_it_runs(tmp_path, capsys):
+    # a cem train phase runs population x generations candidate episodes
+    doc = yaml.safe_load(packaged("gaming.yaml").read_text(encoding="utf-8"))
+    doc["schedule"][0]["episodes"] = 1
+    doc["schedule"].append({"name": "again", "mode": "train", "episodes": 65,
+                            "episode_length": 6})
+    path = tmp_path / "gaming.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}: schedule/0/episodes: a cem train phase runs population x generations"
+        " = 64 episodes, not 1",
+        f"{path}: schedule/2/episodes: a cem train phase runs population x generations"
+        " = 64 episodes, not 65",
+        "2 problem(s) found"]
+    assert main(["run", str(path), "-o", str(tmp_path / "logs")]) == 2
+    assert not (tmp_path / "logs").exists()
+    doc["schedule"][0]["episodes"] = doc["schedule"][2]["episodes"] = 64
+    doc["schedule"][1]["episodes"] = 3  # a test phase runs what it declares
+    assert validate_document(doc, packaged("gaming.yaml").parent) == []
+    doc["agents"][0]["kind"] = "random"  # the rule binds a cem learner alone
+    doc["schedule"][0]["episodes"] = 1
+    assert validate_document(doc, packaged("gaming.yaml").parent) == []
+
+
 def test_a_bidder_sgen_whose_q_range_excludes_zero_is_refused(tmp_path, capsys):
     # the market's clearing baseline sets every asset's q to 0, outside this range
     doc = yaml.safe_load(packaged("gaming.yaml").read_text(encoding="utf-8"))

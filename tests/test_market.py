@@ -1,4 +1,8 @@
+import json
+import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +15,13 @@ from analyse.market import (
     VoltageBand,
     baseline_bid,
     clear_market,
+    dispatch_payload,
     offer_from_payload,
+    offer_payload,
+    read_payload,
     settle,
 )
-from analyse.telemetry import canonical_json
+from analyse.telemetry import UnserializableError, canonical_json
 
 from grids import feeder4
 from oracles import brute_force_resolving_subsets, greedy_clearing_oracle
@@ -279,3 +286,126 @@ def test_offer_wire_payload_round_trip():
 def test_offer_payload_fields_are_not_coerced(key, value):
     with pytest.raises(MarketError, match=f"malformed offer payload: {key} has type"):
         offer_from_payload({**FIXTURE_OFFERS[0]._asdict(), key: value})
+
+
+def fresh_dispatch(unit, q_mvar, interval):
+    return canonical_json({"type": "dispatch", "unit": unit, "q_mvar": q_mvar,
+                           "interval": interval, "accepted": q_mvar != 0.0}).encode()
+
+
+def test_a_zero_encodes_with_its_sign_and_a_number_with_its_type():
+    offer = Offer("s1-00004", "a1", 3, 1.0, 0.0, 4)
+    variants = [offer, offer._replace(price_eur_per_mvar=-0.0),
+                offer._replace(price_eur_per_mvar=0), offer._replace(q_mvar=-0.0),
+                offer._replace(price_eur_per_mvar=1e16),
+                offer._replace(price_eur_per_mvar=10**16)]
+    # twice over, in both orders, so each variant meets an equal one in the memo
+    for order in (variants, variants[::-1], variants):
+        payloads = [offer_payload(o) for o in order]
+        assert payloads == [canonical_json(o._asdict()).encode() for o in order]
+        assert len(set(payloads)) == len(variants) - 1  # 0 and 0.0 both encode as 0
+    assert b'"price_eur_per_mvar":-0,' in offer_payload(variants[1])
+    assert offer_payload(offer, repeats=False) == offer_payload(offer)
+    for order in ((0.0, -0.0, 0, False), (-0.0, 0.0, False, 0)):
+        payloads = [dispatch_payload("s1", q, 4) for q in order * 2]
+        assert payloads == [fresh_dispatch("s1", q, 4) for q in order * 2]
+        assert len(set(payloads)) == len(order) - 1
+    assert b'"q_mvar":-0,' in dispatch_payload("s1", -0.0, 4)
+
+
+def test_a_non_finite_number_raises_on_every_call_and_is_never_kept():
+    kept = (market._memo_offer.cache_info().currsize,
+            market._memo_dispatch.cache_info().currsize)
+    for x in (math.inf, -math.inf, math.nan):
+        for _ in range(3):
+            with pytest.raises(UnserializableError):
+                offer_payload(Offer("s1-00004", "a1", 3, 1.0, x, 4))
+            with pytest.raises(UnserializableError):
+                dispatch_payload("s1", x, 4)
+    assert (market._memo_offer.cache_info().currsize,
+            market._memo_dispatch.cache_info().currsize) == kept
+
+
+def documented_reasons() -> list[str]:
+    """The reasons of the rejected-offers table in docs/schemas/README.md."""
+    text = (Path(__file__).parent.parent / "docs" / "schemas" / "README.md").read_text()
+    table = text.split("### Rejected offers", 1)[1].split("\n\n")[2]
+    return re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+
+
+OFFER_DOC = {"offer_id": "s1-00004", "agent_id": "a1", "bus": 3, "q_mvar": 1.5,
+             "price_eur_per_mvar": 10.0, "interval": 4}
+
+
+def offer_with(**fields) -> bytes:
+    doc = {**OFFER_DOC, **fields}
+    return json.dumps({k: v for k, v in doc.items() if v is not ...}).encode()
+
+
+# (payload, the documented reason it is refused with, the reason)
+READ_REFUSALS = [
+    (b"\xff{}", "unparseable", "unparseable"),
+    (b'{"offer_id":', "unparseable", "unparseable"),
+    (b"", "unparseable", "unparseable"),
+    (b"\xef\xbb\xbf{}", "unparseable", "unparseable"),  # a UTF-8 byte-order mark
+    (b'{"offer_id": "x"} x', "unparseable", "unparseable"),
+    *[(offer_with(**{key: ...}), "malformed offer payload: ...",
+       f"malformed offer payload: '{key}'") for key in Offer._fields[1:]],
+    *[(offer_with(**{key: value}), "malformed offer payload: ...",
+       f"malformed offer payload: {key} has type {kind}")
+      for key, value, kind in [("offer_id", 7, "int"), ("agent_id", {}, "dict"),
+                               ("bus", 3.0, "float"), ("bus", "3", "str"),
+                               ("q_mvar", "1.5", "str"), ("price_eur_per_mvar", None, "NoneType"),
+                               ("interval", [4], "list"), ("bus", True, "bool"),
+                               ("q_mvar", False, "bool"), ("price_eur_per_mvar", True, "bool")]],
+    # the first field at fault in Offer order names the reason
+    (offer_with(bus="3", interval=...), "malformed offer payload: ...",
+     "malformed offer payload: bus has type str"),
+    (offer_with(q_mvar=10**400, price_eur_per_mvar="x"), "malformed offer payload: ...",
+     "malformed offer payload: int too large to convert to float"),
+    (offer_with(price_eur_per_mvar=-(10**400)), "malformed offer payload: ...",
+     "malformed offer payload: int too large to convert to float"),
+    (offer_with(q_mvar=math.nan), "offer <id>: non-finite q_mvar or price",
+     "offer s1-00004: non-finite q_mvar or price"),
+    (offer_with(price_eur_per_mvar=math.inf), "offer <id>: non-finite q_mvar or price",
+     "offer s1-00004: non-finite q_mvar or price"),
+    (offer_with(q_mvar=0), "offer <id>: q_mvar must be nonzero",
+     "offer s1-00004: q_mvar must be nonzero"),
+    (offer_with(q_mvar=-0.0), "offer <id>: q_mvar must be nonzero",
+     "offer s1-00004: q_mvar must be nonzero"),
+    (offer_with(price_eur_per_mvar=-1e-300), "offer <id>: negative price",
+     "offer s1-00004: negative price"),
+]
+
+
+@pytest.mark.parametrize("payload, documented, reason", READ_REFUSALS,
+                         ids=[reason for _, _, reason in READ_REFUSALS])
+def test_read_payload_refuses_with_the_documented_reason_every_time(payload, documented, reason):
+    assert documented in documented_reasons()
+    pattern = re.escape(documented).replace("<id>", ".+").replace(r"\.\.\.", ".+")
+    assert re.fullmatch(pattern, reason)
+    first = read_payload(payload)
+    assert first == (reason, None)
+    assert read_payload(payload) == first
+
+
+@pytest.mark.parametrize("payload, read", [
+    (b"[1, 2]", (None, None)),  # no JSON object: no offer, and no record
+    (b'"s1-00004"', (None, None)),
+    (b"3", (None, None)),
+    (offer_with(offer_id=...), (None, None)),  # an object without an offer_id is no offer
+    (b'{"type": "dispatch", "unit": "s1", "q_mvar": 0.5}', (None, ("s1", 0.5))),
+    (b' {"type": "dispatch", "unit": "s1", "q_mvar": -1} ', (None, ("s1", -1.0))),
+    (b'{"type": "dispatch", "unit": "s1", "q_mvar": true}', (None, None)),
+    (b'{"type": "dispatch", "unit": "s1", "q_mvar": NaN}', (None, None)),
+    (b'{"type": "dispatch", "unit": "s1", "q_mvar": 1' + b"0" * 400 + b"}", (None, None)),
+    (b'{"type": "dispatch", "unit": 1, "q_mvar": 0.5}', (None, None)),
+    (b'{"type": "dispatch", "q_mvar": 0.5}', (None, None)),
+    (b'{"type": "offer", "unit": "s1", "q_mvar": 0.5}', (None, None)),
+    (json.dumps({**OFFER_DOC, "type": "dispatch", "unit": "s1"}).encode(),
+     (Offer("s1-00004", "a1", 3, 1.5, 10.0, 4), ("s1", 1.5))),
+    (b"\t" + offer_with() + b"\n", (Offer("s1-00004", "a1", 3, 1.5, 10.0, 4), None)),
+])
+def test_read_payload_reads_offers_and_dispatches_as_json_loads_does(payload, read):
+    assert read_payload(payload) == read
+    assert read_payload(payload) == read

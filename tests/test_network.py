@@ -62,6 +62,26 @@ def test_delivered_returns_each_frame_once():
     assert net.delivered("b") == []
 
 
+def test_holding_names_the_nodes_with_frames_to_deliver_in_arrival_order():
+    net = make(line_topology())
+    assert net.holding() == ()
+    send(net, "b", "a", 0.0)  # reaches a at 0.02
+    send(net, "a", "b", 0.005)  # reaches b at 0.025
+    send(net, "sw", "b", 0.0)  # reaches b at 0.01
+    net.advance(0.015)
+    assert net.holding() == ("b",)
+    net.advance(1.0)
+    assert net.holding() == ("b", "a")  # b got its first frame first
+    assert [f.frame_id for _, f in net.delivered("b")] == [0, 0]
+    assert net.holding() == ("a",)
+    assert net.delivered("b") == []  # a node that holds nothing still answers
+    assert len(net.delivered("a")) == 1
+    assert net.holding() == ()
+    send(net, "sw", "a", 1.0)
+    net.advance(2.0)
+    assert net.holding() == ("a",)
+
+
 def test_transmission_time_added_when_bandwidth_finite():
     net = make(single_link(latency_ms=0.0, bandwidth_kbps=100.0))  # 100 kbit/s
     send(net, "a", "b", 0.0, b"y" * 1250)  # 10 kbit
