@@ -22,9 +22,12 @@ class SensorSpec(NamedTuple):
     hi: float
 
     def normalize(self, value: float) -> float:
-        """Clamp into [lo, hi] and map onto [-1, 1], in halves so that no difference overflows."""
+        """Clamp into [lo, hi] and map onto [-1, 1], in halves where hi - lo overflows."""
         clamped = min(max(value, self.lo), self.hi)
-        return (clamped / 2 - self.lo / 2) / (self.hi / 2 - self.lo / 2) * 2.0 - 1.0
+        span = self.hi - self.lo
+        if span == math.inf:  # only then: halves of a subnormal range round to 0
+            return (clamped / 2 - self.lo / 2) / (self.hi / 2 - self.lo / 2) * 2.0 - 1.0
+        return (clamped - self.lo) / span * 2.0 - 1.0
 
 
 class ActuatorSpec(NamedTuple):

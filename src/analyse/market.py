@@ -122,13 +122,11 @@ _memo_offer = functools.lru_cache(maxsize=WIRE_MEMO_SIZE, typed=True)(_encode_of
 _memo_dispatch = functools.lru_cache(maxsize=WIRE_MEMO_SIZE, typed=True)(_encode_dispatch)
 
 
-def offer_payload(offer: Offer, repeats: bool = True) -> bytes:
-    """The wire payload of an offer: its canonical JSON object. An offer
-    that never repeats (a jittered price) skips the memo, which it would
-    only fill. A non-finite number raises UnserializableError."""
+def offer_payload(offer: Offer) -> bytes:
+    """The wire payload of an offer: its canonical JSON object. A non-finite
+    number raises UnserializableError."""
     q, price = offer.q_mvar, offer.price_eur_per_mvar
-    if repeats and (q != 0 or math.copysign(1.0, q) > 0) and (
-            price != 0 or math.copysign(1.0, price) > 0):
+    if (q != 0 or math.copysign(1.0, q) > 0) and (price != 0 or math.copysign(1.0, price) > 0):
         return _memo_offer(*offer)
     return _encode_offer(*offer)
 
@@ -150,8 +148,8 @@ def read_payload(payload: bytes) -> tuple[Offer | str | None, tuple[str, float] 
     """What a frame's payload says to the market and to a PV unit:
     (offer, dispatch).
 
-    offer is the Offer, or the reason the market refuses it when the payload
-    is no UTF-8 JSON ("unparseable") or offer_from_payload refuses it, or
+    offer is the Offer, or the reason the market refuses it when json cannot
+    decode the payload ("unparseable") or offer_from_payload refuses it, or
     None when the payload is no JSON object with an offer_id, which is no
     offer. dispatch is (unit, q_mvar) when the payload is a JSON object with
     "type": "dispatch", a string unit and a q_mvar that is a finite JSON
@@ -165,7 +163,7 @@ def read_payload(payload: bytes) -> tuple[Offer | str | None, tuple[str, float] 
             end = -1
         if end != len(text):  # whitespace around the value, or no JSON: json.loads decides
             doc = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (ValueError, RecursionError):  # too many digits or too deep, or no UTF-8 JSON
         return "unparseable", None
     if type(doc) is not dict:
         return None, None

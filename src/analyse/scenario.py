@@ -39,7 +39,6 @@ PV units in time for that interval's start at t + I.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -359,11 +358,6 @@ def parse_scenario(doc: dict, base_dir: Path) -> ScenarioConfig:
 NON_NUMERIC_ATTRS = frozenset({"inbox", "outbox", "model", "state"})
 
 
-def _same_bits(a: float, b: float) -> bool:
-    """Whether two floats are one value, the sign of a zero included."""
-    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
-
-
 def sensed_models(config: ScenarioConfig, sim_id: str) -> frozenset[str]:
     """The models of simulator sim_id that a sensor of the agent names."""
     ids = (s.id.split(".") for s in config.agent.sensors)
@@ -374,8 +368,7 @@ class GridSimulator:
     """Solves the power flow. The solver model outputs the model and state
     the market reads at every step; a converged step also outputs the bus,
     line and slack models that a sensor names, and no other, since nothing
-    else reads them. A load or sgen whose inputs are its configured values,
-    bit for bit, enters the step's model as the configured record."""
+    else reads them."""
 
     SIM_ID = "grid"
 
@@ -415,22 +408,13 @@ class GridSimulator:
 
     def __call__(self, t: int, inputs: dict) -> dict:
         cfg = self.config
-        loads = []
-        for model_id, l in self._loads:
-            load_in = inputs[model_id]
-            p, q = float(load_in["p_mw"]), float(load_in["q_mvar"])
-            if not (_same_bits(p, l.p_mw) and _same_bits(q, l.q_mvar)):
-                l = Load(l.bus, p, q, l.name, l.profile)
-            loads.append(l)
-        sgens = []
-        for model_id, s in self._sgens:
-            setpoint = inputs[model_id]
-            p = float(setpoint["p_mw"])
-            q = min(max(float(setpoint["q_mvar"]), s.q_min_mvar), s.q_max_mvar)
-            if not (_same_bits(p, s.p_mw) and _same_bits(q, s.q_mvar)):
-                s = Sgen(s.bus, p, q, s.q_min_mvar, s.q_max_mvar, s.name)
-            sgens.append(s)
-        model = cfg.grid.with_injections(tuple(loads), tuple(sgens))
+        # lists, not generators: tuple() of a generator resizes it (dos_week peak RSS +0.5 MiB)
+        loads = tuple([Load(l.bus, float(inputs[m]["p_mw"]), float(inputs[m]["q_mvar"]),
+                            l.name, l.profile) for m, l in self._loads])
+        sgens = tuple([Sgen(s.bus, float(inputs[m]["p_mw"]),
+                            min(max(float(inputs[m]["q_mvar"]), s.q_min_mvar), s.q_max_mvar),
+                            s.q_min_mvar, s.q_max_mvar, s.name) for m, s in self._sgens])
+        model = cfg.grid.with_injections(loads, sgens)
         state = solve_power_flow(model, self.last)
         outputs: dict = {"solver": {
             "converged": 1.0 if state.converged else 0.0,
@@ -540,10 +524,7 @@ class BiddersSimulator:
     def __init__(self, config: ScenarioConfig, jitter_rng: random.Random):
         self.config = config
         sgens = {s.name: s for s in config.grid.sgens}
-        # each bidder, its sgen, and whether its offers can repeat: a
-        # jittered price never does
-        self.bidders = [(b, sgens[b.asset], b.strategy != "jitter")
-                        for b in config.market.bidders]
+        self.bidders = [(b, sgens[b.asset]) for b in config.market.bidders]
         self.rng = jitter_rng
 
     def descriptor(self) -> SimulatorDescriptor:
@@ -564,7 +545,7 @@ class BiddersSimulator:
         interval = t // interval_s + 2
         op_host = self.config.market.operator_host
         outputs = {}
-        for b, sgen, repeats in self.bidders:
+        for b, sgen in self.bidders:
             offer = baseline_bid(
                 b,
                 sgen,
@@ -576,7 +557,7 @@ class BiddersSimulator:
             )
             messages = ()
             if offer is not None:
-                messages = ((op_host, offer_payload(offer, repeats)),)
+                messages = ((op_host, offer_payload(offer)),)
             outputs[b.asset] = {"outbox": messages}
         return outputs
 
@@ -759,7 +740,7 @@ class MarketSimulator:
         # the grid with all market assets at zero committed reactive power.
         sgens = tuple(
             Sgen(s.bus, s.p_mw, 0.0, s.q_min_mvar, s.q_max_mvar, s.name)
-            if s.name in self.bidders and not _same_bits(s.q_mvar, 0.0) else s
+            if s.name in self.bidders else s
             for s in grid_model.sgens
         )
         baseline = grid_model.with_injections(grid_model.loads, sgens)

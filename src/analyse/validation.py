@@ -215,7 +215,24 @@ def _non_finite(node, path: str = "") -> list[Violation]:
     return errors
 
 
+MAX_DEPTH = 64  # of nested mappings and lists; the bundled documents nest 6 deep
+
+
+def _too_deep(node, depth: int = 0) -> list | None:
+    """The path to the first mapping or list MAX_DEPTH levels below node, or None."""
+    if isinstance(node, (dict, list)):
+        if depth == MAX_DEPTH:
+            return []
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            if (path := _too_deep(child, depth + 1)) is not None:
+                return [key, *path]
+    return None
+
+
 def _schema_errors(doc, name: str) -> Checked:
+    path = _too_deep(doc)  # first: the walks below recurse as deep as doc nests
+    if path is not None:
+        return Checked(sorted_violations([(path, f"nested more than {MAX_DEPTH} deep")]))
     return Checked(schema_violations(doc, load_schema(name)) + _non_finite(doc))
 
 

@@ -193,3 +193,15 @@ def test_a_range_whose_span_overflows_still_draws_acts_and_normalizes_finitely(l
     assert sensor.normalize(lo) == -1.0 and sensor.normalize(hi) == 1.0
     assert sensor.normalize(math.inf) == 1.0 and sensor.normalize(-math.inf) == -1.0
     assert -1.0 <= sensor.normalize(lo / 2 + hi / 2) <= 1.0
+
+
+SUBNORMAL = [(5e-324, 1e-323), (-1e-323, -5e-324), (-5e-324, 5e-324), (0.0, 5e-324)]
+
+
+@pytest.mark.parametrize("lo, hi", SUBNORMAL)
+def test_a_subnormal_sensor_range_normalizes_without_dividing_by_zero(lo, hi):
+    # halves of these bounds round to 0, so a sensor takes its span in
+    # halves only where hi - lo overflows
+    sensor = SensorSpec("s", lo, hi)
+    assert sensor.normalize(lo) == -1.0 and sensor.normalize(hi) == 1.0
+    assert sensor.normalize(-math.inf) == -1.0 and sensor.normalize(math.inf) == 1.0

@@ -1127,3 +1127,249 @@ def test_a_range_whose_span_overflows_runs_to_its_end(tmp_path, capsys, name, ed
     assert setpoints and all(math.isfinite(v) for v in setpoints)
     assert_summary_matches_recount(log)
     assert_the_report_is_finite(log, capsys)
+
+
+# Payloads the JSON decoder raises on: an integer past Python's 4,300-digit
+# limit for int(), and nesting past its recursion limit.
+UNREADABLE_PAYLOADS = {"digits": "1" * 5000, "nesting": "[" * 100000}
+
+
+def tamper_all_from(target, replacement):
+    """feeder4 for 12 steps, with its rule made a tamper rule, held on by its
+    actuator's default, that replaces every frame target sends."""
+    def edit(doc, agent):
+        doc["network"]["rules"][0].update(
+            enabled=True, match={"src": target},
+            action={"kind": "tamper", "replacement": replacement})
+        agent["actuators"][0]["default"] = 1.0
+        doc["schedule"] = [{"name": "p", "mode": "test", "episodes": 1, "episode_length": 12}]
+    return feeder4_with(edit)
+
+
+@pytest.mark.parametrize("payload", sorted(UNREADABLE_PAYLOADS))
+@pytest.mark.parametrize("target", ["h3", "op"], ids=["offers", "dispatches"])
+def test_a_payload_the_decoder_raises_on_is_unparseable(tmp_path, capsys, payload, target):
+    # h3 sends pv3's offers and op every dispatch; the market refuses such
+    # an offer as unparseable, and a PV unit keeps its setpoint
+    doc = tamper_all_from(target, UNREADABLE_PAYLOADS[payload])
+    path = tmp_path / "tampered.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "logs"
+    assert main(["run", str(path), "-o", str(out)]) == 0
+    log = out / "feeder4.jsonl"
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert records[-1]["kind"] == "run.end"
+    rejected = [r for rec in records if rec["kind"] == "market.clearing"
+                for r in rec["payload"]["rejected"]]
+    if target == "h3":
+        assert len(rejected) == 12 and {r["reason"] for r in rejected} == {"unparseable"}
+    else:
+        assert rejected == []
+    assert_summary_matches_recount(log)
+    assert_the_report_is_finite(log, capsys)
+
+
+def nested(depth):
+    """YAML flow text of `depth` lists, one inside the next."""
+    return "[" * depth + "0" + "]" * depth
+
+
+@pytest.mark.parametrize("depth", [500, 5000])
+@pytest.mark.parametrize("place", ["scenario", "run", "experiment"])
+def test_a_document_nested_too_deep_is_refused_at_its_path(tmp_path, capsys, place, depth):
+    # Each walk over a document recurses, so a document nested this deep
+    # is refused at the path where it passes MAX_DEPTH, before any walk
+    # reaches Python's recursion limit; `validate`, `run` and `design`
+    # each exit 2 with that path.
+    from analyse.validation import MAX_DEPTH
+
+    feeder4 = yaml.safe_load(packaged("feeder4.yaml").read_text(encoding="utf-8"))
+    if place == "scenario":
+        doc, where = dict(feeder4, extra="DEEP"), ["extra"]
+    elif place == "run":
+        doc = {"schema_version": 1, "kind": "run", "run_id": "deep", "seed": 3,
+               "factors": {"dos": "DEEP"}, "scenario": feeder4}
+        where = ["factors", "dos"]
+    else:
+        doc = {"schema_version": 1, "kind": "experiment", "name": "deep",
+               "base_scenario": "pkg:feeder4.yaml", "strategy": "full_factorial",
+               "factors": [{"name": "dos", "path": "agents/0/actuators/0/default",
+                            "levels": "DEEP"}]}
+        where = ["factors", "0", "levels"]
+    where = "/".join(where + ["0"] * (MAX_DEPTH - len(where)))
+    path = tmp_path / "deep.yaml"
+    path.write_text(yaml.safe_dump(doc).replace("DEEP", nested(depth)), encoding="utf-8")
+    violation = f"{where}: nested more than {MAX_DEPTH} deep"
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [f"{path}: {violation}", "1 problem(s) found"]
+    if place == "experiment":
+        assert main(["design", str(path), "-o", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().out.splitlines() == [f"{path}: {violation}"]
+    else:
+        assert main(["run", str(path), "-o", str(tmp_path / "logs")]) == 2
+        assert violation in capsys.readouterr().err
+        assert not (tmp_path / "logs").exists()
+    if place == "scenario":  # as an experiment's base scenario
+        exp = experiment_path(tmp_path, scenario_name="deep.yaml")
+        assert main(["design", str(exp), "-o", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{exp}: base_scenario: (in deep.yaml) {violation}"]
+    assert not (tmp_path / "runs").exists()
+
+
+# -- attacker-value fuzz --------------------------------------------------------
+
+# Values an attacker may give a range bound, a replay row, a tampered number
+# or a network timing: both float extremes, the subnormal minimum, and plain
+# values between them.
+EXTREMES = (-1.7e308, -1e308, -1e300, -1.0, -5e-324, 0.0, 5e-324, 1.0, 1e300, 1e308, 1.7e308)
+
+
+def numeric_endpoints(name):
+    """(outputs, free inputs) of the packaged scenario `name` that an agent
+    may name, enumerated from its simulators' descriptors."""
+    config = parsed(yaml.safe_load(packaged(name).read_text(encoding="utf-8")),
+                    packaged(name).parent)
+    descriptors = []
+    register = Kernel.register_simulator
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Kernel, "register_simulator", lambda self, desc, stepper: (
+            descriptors.append(desc), register(self, desc, stepper)))
+        kernel = assemble(config, 0, lambda *a: None)
+    endpoints = [(d.sim_id, m.model_id, a, a in m.outputs) for d in descriptors
+                 for m in d.models for a in (*m.outputs, *m.inputs)
+                 if a not in NON_NUMERIC_ATTRS]
+    return ([".".join(e[:3]) for e in endpoints if e[3]],
+            [".".join(e[:3]) for e in endpoints if not e[3] and kernel.is_free_input(e[:3])])
+
+
+def fuzz_agent(rng, doc, kind, sensors, actuators):
+    """An agent of `kind` that reads the sensors and sets the actuators
+    named, each with an extreme range, and replays extreme values."""
+    def bounds():
+        if rng.random() < 0.25:  # a span hi - lo past the float maximum
+            return {"lo": -rng.choice((1e308, 1.7e308)), "hi": rng.choice((1e308, 1.7e308))}
+        lo, hi = sorted(rng.sample(EXTREMES, 2))
+        return {"lo": lo, "hi": hi}
+
+    agent = doc["agents"][0]
+    agent["kind"] = kind
+    agent["sensors"] = [{"id": e, **bounds()} for e in sensors]
+    agent["actuators"] = [{"id": e, **bounds()} for e in actuators]
+    for spec in agent["actuators"]:
+        spec["default"] = rng.choice((spec["lo"], spec["hi"], spec["lo"] / 2 + spec["hi"] / 2))
+    agent["replay"] = [[rng.choice(EXTREMES) for _ in actuators] for _ in range(2)]
+    agent["learner"] = {"population": 4, "generations": 1, "sigma0": rng.choice((0.5, 1e300))}
+    doc["schedule"] = [{"name": "testing", "mode": "test", "episodes": 1, "episode_length": 3}]
+    if kind == "cem" and rng.random() < 0.5:  # else it tests the initial, all-zero policy
+        doc["schedule"].insert(0, {"name": "training", "mode": "train", "episodes": 4,
+                                   "episode_length": 2})
+
+
+def fuzz_flaw(rng, doc):
+    """Swap one range's bounds or move one default out of its range; returns
+    the path validation must refuse it at."""
+    agent = doc["agents"][0]
+    group = rng.choice(("sensors", "actuators"))
+    i = rng.randrange(len(agent[group]))
+    spec = agent[group][i]
+    outside = [x for x in EXTREMES if not spec["lo"] <= x <= spec["hi"]]
+    if group == "actuators" and outside and rng.random() < 0.5:
+        spec["default"] = rng.choice(outside)
+        return f"agents/0/actuators/{i}/default"
+    spec["lo"], spec["hi"] = spec["hi"], spec["lo"]
+    return f"agents/0/{group}/{i}/hi"
+
+
+def fuzz_tamper(rng, doc, channel):
+    """A tamper rule that rewrites every offer of one bidder, or every
+    dispatch, with an extreme number or a payload the decoder raises on;
+    feeder4's rule is rewritten and held on by its actuator's default."""
+    bidder = rng.choice(doc["market"]["bidders"])
+    number = rng.choice((*EXTREMES, 10 ** 400))
+    if channel == "offer":
+        src = bidder["host"]
+        sound = {"offer_id": f"{bidder['asset']}-00003", "agent_id": bidder["agent"], "bus": 4,
+                 "q_mvar": rng.choice((number, 1.0)), "price_eur_per_mvar": number,
+                 "interval": 3}
+    else:
+        src = doc["market"]["operator_host"]
+        sound = {"type": "dispatch", "unit": bidder["asset"], "q_mvar": number, "interval": 3,
+                 "accepted": True}
+    replacement = rng.choice((json.dumps(sound),) * 4 + tuple(UNREADABLE_PAYLOADS.values()))
+    rules = doc["network"].get("rules")
+    doc["network"]["rules"] = [{"rule_id": rules[0]["rule_id"] if rules else "fuzz",
+                                "at_node": "sw", "enabled": True, "match": {"src": src},
+                                "action": {"kind": "tamper", "replacement": replacement}}]
+    if rules:  # feeder4's, which its actuator holds off by default
+        doc["agents"][0]["actuators"][0]["default"] = 1.0
+    doc["agents"][0]["kind"] = "none"
+    doc["schedule"] = [{"name": "testing", "mode": "test", "episodes": 1, "episode_length": 4}]
+
+
+def fuzz_timing(doc, field, value):
+    """A delay rule (held on by feeder4's actuator) or every link set to value."""
+    if field == "extra_ms":
+        doc["network"]["rules"][0]["action"] = {"kind": "delay", "extra_ms": value}
+        doc["agents"][0]["actuators"][0]["default"] = 1.0
+    else:
+        for link in doc["network"]["links"]:
+            link[field] = value
+    doc["schedule"] = [{"name": "testing", "mode": "test", "episodes": 1, "episode_length": 4}]
+
+
+def test_attacker_values_fuzz_ends_each_run_or_refuses_it_at_a_path(tmp_path, capsys):
+    # Sound documents validate and run to their end, in one process under a
+    # timeout (a frame whose event time is huge must not hang the kernel),
+    # and each log reports finite numbers that the independent recount
+    # confirms; a flawed one is refused at the path of its flaw.
+    rng = random.Random(20261020)
+    bases = {name: yaml.safe_load(packaged(name).read_text(encoding="utf-8"))
+             for name in ("feeder4.yaml", "gaming.yaml")}
+    docs, flawed = [], []
+    for name, base in bases.items():
+        # every numeric endpoint of the scenario, dealt over 3 documents per agent kind
+        sensors, actuators = numeric_endpoints(name)
+        rng.shuffle(sensors)
+        rng.shuffle(actuators)
+        for n, kind in enumerate(("random", "replay", "cem") * 3):
+            doc = copy.deepcopy(base)
+            fuzz_agent(rng, doc, kind, sensors[n::9], actuators[n::9] or actuators[:1])
+            docs.append(doc)
+            if n % 3 == 0:
+                doc = copy.deepcopy(doc)
+                flawed.append((doc, fuzz_flaw(rng, doc)))
+        for channel in ("offer", "dispatch") * 3:
+            doc = copy.deepcopy(base)
+            fuzz_tamper(rng, doc, channel)
+            docs.append(doc)
+    for field in ("extra_ms", "latency_ms", "bandwidth_kbps"):
+        for value in (1e300, 5e-324):
+            doc = copy.deepcopy(bases["feeder4.yaml"])
+            fuzz_timing(doc, field, value)
+            docs.append(doc)
+    base_dir = packaged("feeder4.yaml").parent
+    for doc, where in flawed:
+        assert [path for path, _ in validate_document(doc, base_dir)] == [where]
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for n, doc in enumerate(docs):
+        doc["name"] = f"fuzz{n:02d}"
+        assert validate_document(doc, base_dir) == [], doc
+        (runs / f"{doc['name']}.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+    src = Path(__file__).parent.parent / "src"
+    program = ("import sys; sys.path.insert(0, sys.argv[1]); from analyse.cli import main; "
+               "sys.exit(main(sys.argv[2:]))")
+    try:
+        done = subprocess.run([sys.executable, "-c", program, str(src), "run", str(runs),
+                               "-o", str(tmp_path / "logs")],
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the fuzz runs did not end within 60 s")
+    assert done.returncode == 0, done.stdout + done.stderr
+    for doc in docs:
+        log = tmp_path / "logs" / f"{doc['name']}.jsonl"
+        assert json.loads(log.read_text().splitlines()[-1])["kind"] == "run.end"
+        assert_summary_matches_recount(log)
+        assert_the_report_is_finite(log, capsys)

@@ -305,7 +305,6 @@ def test_a_zero_encodes_with_its_sign_and_a_number_with_its_type():
         assert payloads == [canonical_json(o._asdict()).encode() for o in order]
         assert len(set(payloads)) == len(variants) - 1  # 0 and 0.0 both encode as 0
     assert b'"price_eur_per_mvar":-0,' in offer_payload(variants[1])
-    assert offer_payload(offer, repeats=False) == offer_payload(offer)
     for order in ((0.0, -0.0, 0, False), (-0.0, 0.0, False, 0)):
         payloads = [dispatch_payload("s1", q, 4) for q in order * 2]
         assert payloads == [fresh_dispatch("s1", q, 4) for q in order * 2]

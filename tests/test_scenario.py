@@ -1,7 +1,6 @@
 import collections
 import copy
 import json
-import math
 import random
 from pathlib import Path
 
@@ -18,7 +17,6 @@ from analyse.kernel import Kernel
 from analyse.network import Frame
 from analyse.runner import execute_run
 from analyse.scenario import (
-    GridSimulator,
     NetSimulator,
     PvSimulator,
     assemble,
@@ -1293,12 +1291,11 @@ def test_a_tampered_dispatch_leaves_the_setpoint(mini_doc, q_field):
 @pytest.fixture(scope="module")
 def wire_runs(tmp_path_factory):
     """Every wire payload the codec made or read, and what Network.delivered
-    returned, over the gaming run and the two dos_compare runs; the number of
-    Load and Sgen records built and the memo sizes after the gaming run."""
+    returned, over the gaming run and the two dos_compare runs, and the memo
+    sizes after the gaming run."""
     from analyse.network import Network
 
     seen = collections.defaultdict(list)
-    built = collections.Counter()
 
     def recording(name, function):
         def wrapped(*args):
@@ -1307,33 +1304,24 @@ def wire_runs(tmp_path_factory):
             return result
         return wrapped
 
-    def counting(name, cls):
-        def make(*args):
-            built[name] += 1
-            return cls(*args)
-        return make
-
     with pytest.MonkeyPatch.context() as patch:
         for name in ("offer_payload", "dispatch_payload", "read_payload"):
             patch.setattr(scenario, name, recording(name, getattr(scenario, name)))
         patch.setattr(Network, "delivered", recording("delivered", Network.delivered))
-        patch.setattr(scenario, "Load", counting("Load", scenario.Load))
-        patch.setattr(scenario, "Sgen", counting("Sgen", scenario.Sgen))
         path = packaged("gaming.yaml")
         execute_run(load_document(path), path.parent, tmp_path_factory.mktemp("wire"))
-        after_gaming = dict(built)
         memos = [f.cache_info() for f in (market._memo_offer, market._memo_dispatch,
                                            market.read_payload)]
         runs, logs = tmp_path_factory.mktemp("wireruns"), tmp_path_factory.mktemp("wirelogs")
         assert main(["design", str(packaged("dos_experiment.yaml")), "-o", str(runs)]) == 0
         for run_file in sorted(runs.glob("dos_compare-*.yaml")):
             assert main(["run", str(run_file), "-o", str(logs)]) == 0
-    return seen, after_gaming, memos
+    return seen, memos
 
 
 def test_every_wire_payload_of_the_reference_runs_equals_a_fresh_encode(wire_runs):
     seen = wire_runs[0]
-    for (offer, _), payload in seen["offer_payload"]:
+    for (offer,), payload in seen["offer_payload"]:
         assert payload == canonical_json(offer._asdict()).encode("utf-8")
     for (unit, q, interval), payload in seen["dispatch_payload"]:
         assert payload == canonical_json({
@@ -1349,7 +1337,7 @@ def test_every_wire_payload_of_the_reference_runs_equals_a_fresh_encode(wire_run
 
 
 def test_each_wire_memo_keeps_no_more_than_its_bound(wire_runs):
-    memos = wire_runs[2]
+    memos = wire_runs[1]
     for info in memos:
         assert info.maxsize == market.WIRE_MEMO_SIZE == 128
         assert info.currsize <= info.maxsize and info.hits > 0
@@ -1360,25 +1348,3 @@ def test_the_net_asks_only_nodes_that_hold_frames_for_them(wire_runs):
     assert len(delivered) > 1000
     assert [frames for _, frames in delivered if not frames] == []
 
-
-def test_a_grid_step_reuses_each_configured_record_its_inputs_repeat(wire_runs):
-    # gaming's loads and sgens keep their configured values, so the only
-    # records built are the configured ones, and the market's baselines
-    # reuse them too
-    config = parsed(load_document(packaged("gaming.yaml")))
-    assert wire_runs[1] == {"Load": len(config.grid.loads), "Sgen": len(config.grid.sgens)}
-    sim = GridSimulator(config, lambda *args: None)
-    inputs = {f"load_{l.name}": {"p_mw": l.p_mw, "q_mvar": l.q_mvar} for l in config.grid.loads}
-    inputs.update({f"sgen_{s.name}": {"p_mw": 0, "q_mvar": s.q_mvar}
-                   for s in config.grid.sgens})  # the int 0 is 0.0, bit for bit
-    model = sim(0, inputs)["solver"]["model"]
-    assert all(a is b for a, b in zip(model.loads + model.sgens,
-                                      config.grid.loads + config.grid.sgens))
-    inputs["sgen_att_a"] = {"p_mw": 0.0, "q_mvar": -0.0}
-    inputs["load_l2"] = {"p_mw": 4.6, "q_mvar": 1.5500000000000003}
-    model = sim(900, inputs)["solver"]["model"]
-    assert math.copysign(1.0, model.sgens[0].q_mvar) == -1.0
-    assert model.loads[0].q_mvar == 1.5500000000000003
-    assert [a is b for a, b in zip(model.loads + model.sgens,
-                                   config.grid.loads + config.grid.sgens)] == [
-        False, True, True, False, True, True, True]

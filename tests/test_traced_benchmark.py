@@ -22,6 +22,38 @@ def test_benchmark_spans_install_on_the_program():
     assert done.returncode == 0, done.stderr
 
 
+# Lists each attribute that spans.instrument adds to a module of the analyse
+# package or to a class one of them defines, after importing every module.
+ADDED_SITES = """
+import importlib, inspect, json, pkgutil, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spans
+import analyse
+
+modules = [importlib.import_module(f"analyse.{m.name}")
+           for m in pkgutil.iter_modules(analyse.__path__)]
+owners = modules + [cls for module in modules for cls in vars(module).values()
+                    if inspect.isclass(cls) and cls.__module__ == module.__name__]
+before = [set(vars(owner)) for owner in owners]
+spans.instrument(spans.Recorder(0.0))
+print(json.dumps(sorted(f"{owner.__qualname__ if inspect.isclass(owner) else owner.__name__}.{name}"
+                        for owner, names in zip(owners, before)
+                        for name in set(vars(owner)) - names)))
+"""
+
+
+def test_benchmark_spans_wrap_only_attributes_the_program_has():
+    # setattr on a name the program no longer has (an import that moved, an
+    # inherited method) succeeds, and the wrapper on it is never called, so
+    # its per-layer metric drops silently; instrument must add no attribute.
+    done = subprocess.run(
+        [sys.executable, "-c", ADDED_SITES, str(ROOT / "cosimbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 # Runs the packaged feeder4 scenario under the benchmark's instrumentation and
 # prints how many spans of each name it recorded.
 TRACED_RUN = """
