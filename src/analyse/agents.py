@@ -180,8 +180,9 @@ class ScriptedAgent:
             out = [a.default for a in self.actuators]
         elif self.kind == "random":
             assert self._rng is not None, "reset() before act()"
-            # random.uniform(lo, hi) in halves, so that hi - lo cannot overflow
-            out = [2.0 * (a.lo / 2 + (a.hi / 2 - a.lo / 2) * self._rng.random())
+            # random.uniform(lo, hi) in halves, so that hi - lo cannot overflow,
+            # clipped because the halves of a subnormal range round to 0
+            out = [a.clip(2.0 * (a.lo / 2 + (a.hi / 2 - a.lo / 2) * self._rng.random()))
                    for a in self.actuators]
         else:
             row = self.replay[self._step % len(self.replay)]

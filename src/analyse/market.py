@@ -95,13 +95,15 @@ def _checked_fields(payload: dict) -> list:
 # The wire format of offers and dispatches is this module's. Frames repeat:
 # every episode of a run replays one scenario, so most offers and dispatches
 # are byte for byte those of an earlier episode. Each codec function below
-# keeps an exact memo of its newest WIRE_MEMO_SIZE results, about two
-# episodes of gaming's frames (7 intervals of 8 frames each); a larger memo
-# would hold a frame that repeats only a simulated day later, at more memory
-# than that saves. A memo key holds each value's type, and -0.0, which equals
-# 0.0 as a key but encodes as "-0", is encoded afresh; an encoding that
-# raises is not kept.
-WIRE_MEMO_SIZE = 128
+# keeps an exact memo of its newest results, sized so that a frame that
+# repeats one feeder4 day later is still held: a day is 97 intervals of 4
+# bidders, so 388 offers and 388 dispatches, which fit the encoders'
+# WIRE_MEMO_SIZE entries each; read_payload reads both kinds and keeps twice
+# as many. That raised dos_week's peak memory from 37.33 to 38.51 MiB
+# (+3.2%). A memo key holds each value's type, and -0.0, which equals 0.0
+# as a key but encodes as "-0", is encoded afresh; an encoding that raises
+# is not kept.
+WIRE_MEMO_SIZE = 512
 
 
 def _encode_offer(offer_id, agent_id, bus, q_mvar, price_eur_per_mvar, interval) -> bytes:
@@ -143,7 +145,7 @@ def dispatch_payload(unit: str, q_mvar: float, interval: int) -> bytes:
 _scan = json.JSONDecoder().scan_once  # json.loads's scanner, without its three Python frames
 
 
-@functools.lru_cache(maxsize=WIRE_MEMO_SIZE)
+@functools.lru_cache(maxsize=2 * WIRE_MEMO_SIZE)
 def read_payload(payload: bytes) -> tuple[Offer | str | None, tuple[str, float] | None]:
     """What a frame's payload says to the market and to a PV unit:
     (offer, dispatch).

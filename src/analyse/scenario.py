@@ -110,6 +110,9 @@ def parse_yaml(data: bytes, name) -> Any:
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         raise ScenarioError(f"{name}:{mark.line + 1}:{mark.column + 1}: {exc.problem}") from exc
+    except RecursionError as exc:  # the SafeLoader's composer recurses once per level
+        from .validation import MAX_DEPTH  # validation imports this module
+        raise ScenarioError(f"{name}: nested more than {MAX_DEPTH} deep") from exc
     except Exception as exc:
         # a YAMLError, or what pyyaml's constructors raise unwrapped on a bad
         # tagged value, such as ValueError for `!!int abc`

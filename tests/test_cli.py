@@ -1218,6 +1218,30 @@ def test_a_document_nested_too_deep_is_refused_at_its_path(tmp_path, capsys, pla
     assert not (tmp_path / "runs").exists()
 
 
+def test_a_document_only_the_pure_loader_reads_is_refused_at_the_nesting_bound(
+        tmp_path, capsys):
+    # A tab sends the bytes to pyyaml's pure-Python loader, whose composer
+    # recurses once per level and so stops before validation can name the
+    # path; the refusal still states MAX_DEPTH. libyaml reads the same
+    # document without the tab, and validation refuses it at its path.
+    from analyse.validation import MAX_DEPTH
+
+    feeder4 = yaml.safe_load(packaged("feeder4.yaml").read_text(encoding="utf-8"))
+    text = yaml.safe_dump(dict(feeder4, extra="DEEP")).replace("DEEP", nested(500))
+    plain, tabbed = tmp_path / "plain.yaml", tmp_path / "tabbed.yaml"
+    plain.write_text(text, encoding="utf-8")
+    tabbed.write_text("# a\ttab\n" + text, encoding="utf-8")
+    where = "/".join(["extra"] + ["0"] * (MAX_DEPTH - 1))
+    assert main(["validate", str(plain)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"{plain}: {where}: nested more than {MAX_DEPTH} deep", "1 problem(s) found"]
+    for command in (["validate"], ["run", "-o", str(tmp_path / "logs")]):
+        assert main([command[0], str(tabbed), *command[1:]]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tabbed}: nested more than {MAX_DEPTH} deep"]
+    assert not (tmp_path / "logs").exists()
+
+
 # -- attacker-value fuzz --------------------------------------------------------
 
 # Values an attacker may give a range bound, a replay row, a tampered number

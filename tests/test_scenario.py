@@ -1338,9 +1338,25 @@ def test_every_wire_payload_of_the_reference_runs_equals_a_fresh_encode(wire_run
 
 def test_each_wire_memo_keeps_no_more_than_its_bound(wire_runs):
     memos = wire_runs[1]
-    for info in memos:
-        assert info.maxsize == market.WIRE_MEMO_SIZE == 128
+    bounds = (market.WIRE_MEMO_SIZE, market.WIRE_MEMO_SIZE, 2 * market.WIRE_MEMO_SIZE)
+    assert market.WIRE_MEMO_SIZE == 512
+    for info, bound in zip(memos, bounds):
+        assert info.maxsize == bound
         assert info.currsize <= info.maxsize and info.hits > 0
+
+
+def test_a_frame_that_repeats_one_feeder4_day_later_is_served_from_the_memo(tmp_path):
+    # A day of feeder4 is 97 intervals of 4 bidders: 388 offers and 388
+    # dispatches. One episode later the 3 static bidders' offers and every
+    # dispatch repeat byte for byte; the jitter bidder's offers do not.
+    doc = load_document(packaged("feeder4.yaml"))
+    doc["schedule"] = [{"name": "days", "mode": "test", "episodes": 2, "episode_length": 96}]
+    memos = (market._memo_offer, market._memo_dispatch, market.read_payload)
+    for memo in memos:
+        memo.cache_clear()
+    execute_run(doc, packaged("feeder4.yaml").parent, tmp_path)
+    offers, dispatches, reads = (memo.cache_info().hits for memo in memos)
+    assert offers >= 3 * 97 and dispatches >= 4 * 97 and reads > 0
 
 
 def test_the_net_asks_only_nodes_that_hold_frames_for_them(wire_runs):
