@@ -91,7 +91,7 @@ def cmd_design(args) -> int:
 
     from .design import expand_runs, run_document
     from .scenario import load_document
-    from .validation import document_kind, validate_document
+    from .validation import document_kind, is_file_name, validate_document
 
     doc = load_document(args.path)
     if document_kind(doc) in ("scenario", "run"):
@@ -114,6 +114,16 @@ def cmd_design(args) -> int:
         print(f"refusing to overwrite {len(existing)} existing file(s) in {out}; "
               "pass --overwrite", file=sys.stderr)
         return EXIT_IO
+    # with --overwrite, the run files the previous index lists and this design does not write
+    stale = set()
+    if args.overwrite:
+        try:
+            listed = load_document(index_path).get("runs")
+        except (OSError, ScenarioError):
+            listed = None
+        if isinstance(listed, dict):
+            stale = {out / f"{run_id}.yaml" for run_id in listed
+                     if isinstance(run_id, str) and is_file_name(run_id)} - set(targets)
     index = {
         "experiment": experiment.name,
         "strategy": experiment.strategy,
@@ -125,6 +135,8 @@ def cmd_design(args) -> int:
         (out / f"{run.run_id}.yaml").write_text(
             yaml.safe_dump(run_document(run), sort_keys=True), encoding="utf-8"
         )
+    for path in stale:
+        path.unlink(missing_ok=True)
     print(f"wrote {len(runs)} run file(s) and index.yaml to {out}")
     return EXIT_OK
 

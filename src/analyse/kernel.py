@@ -244,13 +244,17 @@ class Kernel:
             raise KernelError(f"unknown output endpoint {endpoint}")
         return out[0].get(endpoint[2])
 
-    def is_free_input(self, endpoint: Endpoint) -> bool:
-        """A declared input that no connection feeds, so set_input may override it."""
-        model = self._input_model(endpoint)
-        return model is not None and all(read[0] != endpoint[2] for read in model[1])
-
-    def has_output(self, endpoint: Endpoint) -> bool:
-        return self._output_model(endpoint) is not None
+    def endpoints(self) -> tuple[list[Endpoint], list[Endpoint]]:
+        """(every declared output, every declared input that no connection
+        feeds, so set_input may override it), each in registration order,
+        then declaration order."""
+        outputs, free_inputs = [], []
+        for sim_id, entry in self._sims.items():
+            for model in entry.desc.models:
+                fed = {read[0] for read in entry.inputs[model.model_id][1]}
+                outputs += [(sim_id, model.model_id, a) for a in model.outputs]
+                free_inputs += [(sim_id, model.model_id, a) for a in model.inputs if a not in fed]
+        return outputs, free_inputs
 
     # -- execution -----------------------------------------------------------
 

@@ -229,11 +229,27 @@ def _too_deep(node, depth: int = 0) -> list | None:
     return None
 
 
+# The field of each document kind that names files: a run's log is
+# <run_id>.jsonl, a scenario run on its own logs to <name>.jsonl, and an
+# experiment's run files are <name>-<index>.yaml.
+FILE_NAME_FIELDS = {"scenario": "name", "run": "run_id", "experiment": "name"}
+
+
+def is_file_name(text: str) -> bool:
+    """Whether text, with a suffix, names a file inside the directory it is
+    joined to: it holds no path separator and no NUL."""
+    return not any(c in text for c in "/\\\0")
+
+
 def _schema_errors(doc, name: str) -> Checked:
     path = _too_deep(doc)  # first: the walks below recurse as deep as doc nests
     if path is not None:
         return Checked(sorted_violations([(path, f"nested more than {MAX_DEPTH} deep")]))
-    return Checked(schema_violations(doc, load_schema(name)) + _non_finite(doc))
+    errors = schema_violations(doc, load_schema(name)) + _non_finite(doc)
+    field = FILE_NAME_FIELDS[name]
+    if not errors and not is_file_name(doc[field]):  # the schema made it a string
+        errors.append((field, f"{doc[field]!r} names a file, so it may not hold /, \\ or NUL"))
+    return Checked(errors)
 
 
 def with_defaults(node, schema: dict):
@@ -415,26 +431,18 @@ def cross_check(config: scn.ScenarioConfig) -> list[Violation]:
             errors.append((f"pv/units/{i}/host", f"sgen {u.sgen!r} is bid from host "
                            f"{bidder_hosts[u.sgen]!r}, so its unit must be on that host"))
 
-    kernel = scn.assemble(config, 0, lambda *a: None)
-    for i, s in enumerate(agent.sensors):
-        endpoint = tuple(s.id.split("."))
-        if not kernel.has_output(endpoint):
-            errors.append(
-                (f"agents/0/sensors/{i}/id", f"sensor path {s.id!r} does not resolve to an output")
-            )
-        elif endpoint[2] in scn.NON_NUMERIC_ATTRS:
-            errors.append((f"agents/0/sensors/{i}/id",
-                           f"sensor path {s.id!r} carries messages or objects, not a number"))
-    for i, a in enumerate(agent.actuators):
-        endpoint = tuple(a.id.split("."))
-        if not kernel.is_free_input(endpoint):
-            errors.append(
-                (f"agents/0/actuators/{i}/id",
-                 f"actuator path {a.id!r} does not resolve to a free input")
-            )
-        elif endpoint[2] in scn.NON_NUMERIC_ATTRS:
-            errors.append((f"agents/0/actuators/{i}/id",
-                           f"actuator path {a.id!r} carries messages or objects, not a number"))
+    outputs, free_inputs = map(set, scn.assemble(config, 0, lambda *a: None).endpoints())
+    for group, specs, listed, kind in (("sensor", agent.sensors, outputs, "an output"),
+                                       ("actuator", agent.actuators, free_inputs, "a free input")):
+        for i, spec in enumerate(specs):
+            endpoint = tuple(spec.id.split("."))
+            if endpoint not in listed:
+                problem = f"does not resolve to {kind}"
+            elif endpoint[2] in scn.NON_NUMERIC_ATTRS:
+                problem = "carries messages or objects, not a number"
+            else:
+                continue
+            errors.append((f"agents/0/{group}s/{i}/id", f"{group} path {spec.id!r} {problem}"))
     if agent.learner.kind == "cem":
         candidates = agent.learner.population * agent.learner.generations
         for i, phase in enumerate(config.schedule):

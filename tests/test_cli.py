@@ -12,7 +12,6 @@ import pytest
 import yaml
 
 from analyse.cli import main, render_summary
-from analyse.kernel import Kernel
 from analyse.market import MAX_PAYMENT_EUR
 from analyse.scenario import NON_NUMERIC_ATTRS, assemble
 from analyse.telemetry import RunSummary, summarize
@@ -108,6 +107,75 @@ def test_design_counts_and_overwrite_guard(tmp_path, mini_path, capsys):
     assert main(["design", str(exp), "-o", str(out), "--overwrite"]) == 0
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before == after
+
+
+def test_design_overwrite_deletes_the_run_files_the_new_design_drops(tmp_path, capsys):
+    exp = yaml.safe_load(packaged("dos_experiment.yaml").read_text(encoding="utf-8"))
+    exp["base_scenario"] = str(packaged("feeder4.yaml"))
+    path, out = tmp_path / "exp.yaml", tmp_path / "out"
+    path.write_text(yaml.safe_dump(exp), encoding="utf-8")
+    assert main(["design", str(path), "-o", str(out)]) == 0
+    exp["factors"][0]["levels"] = [0.0]
+    path.write_text(yaml.safe_dump(exp), encoding="utf-8")
+    assert main(["design", str(path), "-o", str(out), "--overwrite"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["dos_compare-0000.yaml", "index.yaml"]
+    capsys.readouterr()
+    assert main(["run", str(out), "-o", str(tmp_path / "logs")]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("dos_compare-0000.yaml: ok")
+    assert sorted(p.name for p in (tmp_path / "logs").iterdir()) == ["dos_compare-0000.jsonl"]
+
+
+@pytest.mark.parametrize("old_index", ["runs: {../victim: {}, old-0009: {}, index: {}}",
+                                       "runs: [unclosed"])
+def test_design_overwrite_deletes_only_plain_names_from_a_readable_index(
+        tmp_path, mini_path, old_index):
+    exp, out = experiment_path(tmp_path), tmp_path / "runs"
+    out.mkdir()
+    (out / "index.yaml").write_text(old_index, encoding="utf-8")
+    for stale in (tmp_path / "victim.yaml", out / "old-0009.yaml"):
+        stale.write_text("kept unless listed", encoding="utf-8")
+    assert main(["design", str(exp), "-o", str(out), "--overwrite"]) == 0
+    assert (tmp_path / "victim.yaml").exists()  # its name leaves the directory
+    assert (out / "old-0009.yaml").exists() == old_index.endswith("[unclosed")
+    assert yaml.safe_load((out / "index.yaml").read_text())["experiment"] == "miniexp"
+
+
+def tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("bad", ["../escaped", "a\\b", "a\0b"], ids=["parent", "backslash", "nul"])
+@pytest.mark.parametrize("kind, where", [("scenario", "name"), ("run", "run_id"),
+                                         ("run", "scenario/name"), ("experiment", "name"),
+                                         ("experiment", "base_scenario")])
+def test_a_field_that_names_files_must_be_a_plain_file_name(tmp_path, capsys, kind, where, bad):
+    scenario = yaml.safe_load(packaged("feeder4.yaml").read_text(encoding="utf-8"))
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    if kind == "scenario":
+        doc = dict(scenario, name=bad)
+    elif kind == "run":
+        doc = {"schema_version": 1, "kind": "run", "seed": 1,
+               "run_id": bad if where == "run_id" else "r",
+               "scenario": dict(scenario, name=bad) if where == "scenario/name" else scenario}
+    else:
+        base = dict(scenario, name=bad) if where == "base_scenario" else scenario
+        (docs / "base.yaml").write_text(yaml.safe_dump(base), encoding="utf-8")
+        doc = yaml.safe_load(packaged("dos_experiment.yaml").read_text(encoding="utf-8"))
+        doc.update(base_scenario="base.yaml", name=bad if where == "name" else "exp")
+    path = docs / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    before = tree(tmp_path)
+
+    problem = f"{bad!r} names a file, so it may not hold /, \\ or NUL"
+    if where == "base_scenario":
+        problem = f"(in base.yaml) name: {problem}"
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [f"{path}: {where}: {problem}",
+                                                    "1 problem(s) found"]
+    assert main(["run", str(path), "-o", str(tmp_path / "sub" / "logs")]) == 2
+    assert main(["design", str(path), "-o", str(tmp_path / "sub" / "out")]) == 2
+    assert tree(tmp_path) == before  # nothing written, inside the directories or out of them
 
 
 def test_design_index_lists_factors(tmp_path, mini_path):
@@ -703,20 +771,11 @@ def test_a_bidder_sgen_whose_q_range_excludes_zero_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["feeder4.yaml", "gaming.yaml"])
-def test_every_endpoint_an_agent_can_name_is_refused_or_runnable(tmp_path, monkeypatch, name):
+def test_every_endpoint_an_agent_can_name_is_refused_or_runnable(tmp_path, name):
     base = yaml.safe_load(packaged(name).read_text(encoding="utf-8"))
     base["schedule"] = [{"name": "p", "mode": "test", "episodes": 1, "episode_length": 1}]
     base_dir = packaged(name).parent
-    config = parsed(base, base_dir)
-    descriptors = []
-    register = Kernel.register_simulator
-    with monkeypatch.context() as patch:
-        patch.setattr(Kernel, "register_simulator", lambda self, desc, stepper: (
-            descriptors.append(desc), register(self, desc, stepper)))
-        kernel = assemble(config, 0, lambda *a: None)
-    outputs = [(d.sim_id, m.model_id, a) for d in descriptors for m in d.models for a in m.outputs]
-    free_inputs = [(d.sim_id, m.model_id, a) for d in descriptors for m in d.models
-                   for a in m.inputs if kernel.is_free_input((d.sim_id, m.model_id, a))]
+    outputs, free_inputs = assemble(parsed(base, base_dir), 0, lambda *a: None).endpoints()
     assert len(outputs) > 40 and len(free_inputs) > 5
 
     def with_agent(sensors, actuators):
@@ -1252,20 +1311,11 @@ EXTREMES = (-1.7e308, -1e308, -1e300, -1.0, -5e-324, 0.0, 5e-324, 1.0, 1e300, 1e
 
 def numeric_endpoints(name):
     """(outputs, free inputs) of the packaged scenario `name` that an agent
-    may name, enumerated from its simulators' descriptors."""
+    may name, as its assembled kernel lists them."""
     config = parsed(yaml.safe_load(packaged(name).read_text(encoding="utf-8")),
                     packaged(name).parent)
-    descriptors = []
-    register = Kernel.register_simulator
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Kernel, "register_simulator", lambda self, desc, stepper: (
-            descriptors.append(desc), register(self, desc, stepper)))
-        kernel = assemble(config, 0, lambda *a: None)
-    endpoints = [(d.sim_id, m.model_id, a, a in m.outputs) for d in descriptors
-                 for m in d.models for a in (*m.outputs, *m.inputs)
-                 if a not in NON_NUMERIC_ATTRS]
-    return ([".".join(e[:3]) for e in endpoints if e[3]],
-            [".".join(e[:3]) for e in endpoints if not e[3] and kernel.is_free_input(e[:3])])
+    return tuple([".".join(e) for e in listed if e[2] not in NON_NUMERIC_ATTRS]
+                 for listed in assemble(config, 0, lambda *a: None).endpoints())
 
 
 def fuzz_agent(rng, doc, kind, sensors, actuators):

@@ -59,8 +59,9 @@ def test_register_initial_schedule_and_models():
     )
     k.register_simulator(desc, lambda t, i: None)
     assert k._sims["net"].due == 0
-    assert all(k.has_output(("net", f"m{i}", "b")) for i in range(3))
-    assert all(k.is_free_input(("net", f"m{i}", "a")) for i in range(3))
+    outputs, free_inputs = k.endpoints()
+    assert all(("net", f"m{i}", "b") in outputs for i in range(3))
+    assert all(("net", f"m{i}", "a") in free_inputs for i in range(3))
 
 
 def test_register_after_start_rejected():
@@ -78,7 +79,7 @@ def test_connect_after_start_rejected():
     k.run_until(2)
     with pytest.raises(KernelError, match="after the run has started"):
         k.connect(("a", "m", "y"), ("b", "m", "x"))
-    assert k.is_free_input(("b", "m", "x"))
+    assert ("b", "m", "x") in k.endpoints()[1]
 
 
 def test_step_size_must_be_positive():
@@ -92,13 +93,30 @@ def test_connect_validates_endpoints():
     k.register_simulator(*counter_sim("a", 1))
     k.register_simulator(*counter_sim("b", 1))
     k.connect(("a", "m", "y"), ("b", "m", "x"))
-    assert k.is_free_input(("a", "m", "x"))
-    assert not k.is_free_input(("b", "m", "x"))  # fed by the connection
-    assert not k.is_free_input(("a", "m", "y"))  # an output
+    free_inputs = k.endpoints()[1]
+    assert ("a", "m", "x") in free_inputs
+    assert ("b", "m", "x") not in free_inputs  # fed by the connection
+    assert ("a", "m", "y") not in free_inputs  # an output
     with pytest.raises(KernelError, match="unknown source"):
         k.connect(("a", "m", "nope"), ("b", "m", "x"))
     with pytest.raises(KernelError, match="already connected"):
         k.connect(("a", "m", "y"), ("b", "m", "x"))
+
+
+def test_endpoints_list_outputs_and_unfed_inputs_in_order():
+    k = Kernel()
+    k.register_simulator(SimulatorDescriptor("b", 1, (
+        ModelSpec("m2", inputs={"z": 0.0, "x": 0.0}, outputs=("y", "w")),
+        ModelSpec("m1", outputs=("v",)),
+    )), lambda t, i: None)
+    k.register_simulator(*counter_sim("a", 1))
+    k.connect(("b", "m2", "y"), ("a", "m", "x"))
+    with pytest.raises(KernelError, match="register the source first"):
+        k.connect(("a", "m", "y"), ("b", "m2", "z"))
+    # registration order, then declaration order; a refused connection feeds nothing
+    assert k.endpoints() == ([("b", "m2", "y"), ("b", "m2", "w"), ("b", "m1", "v"),
+                              ("a", "m", "y")],
+                             [("b", "m2", "z"), ("b", "m2", "x")])
 
 
 def test_non_shifted_cycle_rejected():
@@ -108,7 +126,7 @@ def test_non_shifted_cycle_rejected():
     k.connect(("a", "m", "out"), ("b", "m", "inbox"), message=True)
     with pytest.raises(KernelError, match="registered after its source.*time-shifted message"):
         k.connect(("b", "m", "out"), ("a", "m", "inbox"), message=True)
-    assert k.is_free_input(("a", "m", "inbox"))
+    assert ("a", "m", "inbox") in k.endpoints()[1]
 
 
 def test_cycle_broken_by_time_shift():
@@ -138,7 +156,7 @@ def test_connect_refuses_plain_shifted_or_event_driven(shifted, src_event, dst_e
         k.register_simulator(desc, stepper)
     with pytest.raises(KernelError, match="only a message connection"):
         k.connect(("a", "m", "y"), ("b", "m", "x"), time_shifted=shifted)
-    assert k.is_free_input(("b", "m", "x"))
+    assert ("b", "m", "x") in k.endpoints()[1]
 
 
 def test_step_counts_for_mixed_step_sizes():
@@ -241,7 +259,7 @@ def test_connection_against_registration_order_refused():
     for src, dst in (("a", "b"), ("b", "c"), ("a", "c"), ("b", "b")):
         with pytest.raises(KernelError, match="register the source first"):
             k.connect((src, "m", "y"), (dst, "m", "x"))
-        assert k.is_free_input((dst, "m", "x"))
+        assert (dst, "m", "x") in k.endpoints()[1]
     k.connect(("c", "m", "y"), ("b", "m", "x"))
     k.connect(("b", "m", "y"), ("a", "m", "x"))
     k.run_until(1)

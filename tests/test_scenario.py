@@ -103,6 +103,33 @@ def test_unknown_sensor_path_caught(mini_doc):
     assert any("bus_9" in msg and "sensor" in msg for _, msg in errors)
 
 
+@pytest.mark.parametrize("name, outputs, numeric_outputs, free_inputs, numeric_free_inputs", [
+    ("feeder4.yaml", 73, 60, 10, 9),
+    ("gaming.yaml", 57, 44, 23, 22),  # with feeder4's, the 31 numeric actuators
+])
+def test_endpoints_keep_their_counts_and_order(name, outputs, numeric_outputs, free_inputs,
+                                               numeric_free_inputs):
+    config = parsed(yaml.safe_load(packaged(name).read_text(encoding="utf-8")),
+                    packaged(name).parent)
+    listed = assemble(config, 0, lambda *a: None).endpoints()
+    assert [len(endpoints) for endpoints in listed] == [outputs, free_inputs]
+    assert [sum(e[2] not in scenario.NON_NUMERIC_ATTRS for e in endpoints)
+            for endpoints in listed] == [numeric_outputs, numeric_free_inputs]
+    # registration order: each simulator's endpoints in one run, in step order
+    order = ["weather", "profiles", "pv", "grid", "bidders", "net", "market"]
+    for endpoints in listed:
+        assert [e[0] for e in endpoints] == sorted((e[0] for e in endpoints), key=order.index)
+    if name == "feeder4.yaml":  # declaration order within a simulator and a model
+        assert [".".join(e) for e in listed[1]] == [
+            "bidders.pv1.price", "bidders.pv1.q_scale", "bidders.pv2.price",
+            "bidders.pv2.q_scale", "bidders.pv3.price", "bidders.pv3.q_scale",
+            "bidders.pv4.price", "bidders.pv4.q_scale", "net.sw.outbox",
+            "net.adversary.rule_dos_pv3"]
+        assert [".".join(e) for e in listed[0][:4]] == [
+            "weather.station.ghi_w_m2", "weather.station.t_air_c",
+            "profiles.load_l2.p_mw", "profiles.load_l2.q_mvar"]
+
+
 def test_actuator_must_be_free_input(mini_doc):
     for actuator in (
         "grid.sgen_s1.q_mvar",  # wired from the weather-driven pv simulator
