@@ -89,7 +89,7 @@ def cmd_validate(args) -> int:
 def cmd_design(args) -> int:
     import yaml
 
-    from .design import expand_runs, run_document
+    from .design import expand_runs, run_count, run_document, run_id
     from .scenario import load_document
     from .validation import document_kind, is_file_name, validate_document
 
@@ -103,12 +103,12 @@ def cmd_design(args) -> int:
             print(f"{args.path}: {where}: {message}")
         return EXIT_VALIDATION
     experiment = checked.value
-    runs = expand_runs(experiment)
 
     out: Path = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     index_path = out / "index.yaml"
-    targets = [index_path] + [out / f"{run.run_id}.yaml" for run in runs]
+    targets = [index_path] + [out / f"{run_id(experiment.name, i)}.yaml"
+                              for i in range(run_count(experiment))]
     existing = [t for t in targets if t.exists()]
     if existing and not args.overwrite:
         print(f"refusing to overwrite {len(existing)} existing file(s) in {out}; "
@@ -122,19 +122,21 @@ def cmd_design(args) -> int:
         except (OSError, ScenarioError):
             listed = None
         if isinstance(listed, dict):
-            stale = {out / f"{run_id}.yaml" for run_id in listed
-                     if isinstance(run_id, str) and is_file_name(run_id)} - set(targets)
+            stale = {out / f"{name}.yaml" for name in listed
+                     if isinstance(name, str) and is_file_name(name)} - set(targets)
+    runs = {}  # each run's id, seed and factors, for the index
+    for run in expand_runs(experiment):
+        (out / f"{run.run_id}.yaml").write_text(
+            yaml.safe_dump(run_document(run), sort_keys=True), encoding="utf-8"
+        )
+        runs[run.run_id] = {"seed": run.seed, "factors": run.factors}
     index = {
         "experiment": experiment.name,
         "strategy": experiment.strategy,
         "base_seed": experiment.base_seed,
-        "runs": {run.run_id: {"seed": run.seed, "factors": run.factors} for run in runs},
+        "runs": runs,
     }
     index_path.write_text(yaml.safe_dump(index, sort_keys=True), encoding="utf-8")
-    for run in runs:
-        (out / f"{run.run_id}.yaml").write_text(
-            yaml.safe_dump(run_document(run), sort_keys=True), encoding="utf-8"
-        )
     for path in stale:
         path.unlink(missing_ok=True)
     print(f"wrote {len(runs)} run file(s) and index.yaml to {out}")
@@ -212,6 +214,7 @@ def render_summary(s: RunSummary, fmt: str = "text") -> str:
         ("run_id", s.run_id),
         ("experiment", s.experiment or ""),
         ("seed", s.seed if s.seed is not None else ""),
+        ("status", s.status),
     ]
     rows += [(k, getattr(s, k)) for k in METRIC_KEYS]
     for agent in sorted(s.payments_eur):
@@ -221,6 +224,9 @@ def render_summary(s: RunSummary, fmt: str = "text") -> str:
     for agent in sorted(s.returns):
         rows.append((f"episodes.{agent}", len(s.returns[agent])))
         rows.append((f"mean_return.{agent}", mean(s.returns[agent])))
+        for phase, returns in s.phase_returns.get(agent, {}).items():
+            rows.append((f"episodes.{agent}.{phase}", len(returns)))
+            rows.append((f"mean_return.{agent}.{phase}", mean(returns)))
     for line_no, message in s.parse_errors:
         rows.append((f"parse_error.line_{line_no}", message))
     if fmt == "csv":
@@ -231,10 +237,10 @@ def render_summary(s: RunSummary, fmt: str = "text") -> str:
 
 
 def render_summaries(summaries: list[RunSummary], fmt: str = "text") -> str:
-    cols = ["run_id", "violation_count", "clearings", "resolution_rate",
+    cols = ["run_id", "status", "violation_count", "clearings", "resolution_rate",
             "total_cost_eur", "frames_dropped"]
     rows = [
-        [s.run_id, s.violation_count, s.clearings, s.resolution_rate,
+        [s.run_id, s.status, s.violation_count, s.clearings, s.resolution_rate,
          s.total_cost_eur, s.frames_dropped]
         for s in summaries
     ]

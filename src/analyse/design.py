@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import copy
 import itertools
-from typing import Any, NamedTuple
+import math
+from typing import Any, Iterator, NamedTuple
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -34,6 +35,8 @@ STREAM_JITTER = 2
 STREAM_CEM = 3
 STREAM_SCRIPTED = 4
 STREAM_EPISODE = 7
+
+MAX_RUNS = 10_000  # per experiment, so run ids keep 4 digits and sort in index order
 
 
 class DesignError(Exception):
@@ -62,7 +65,7 @@ class Experiment(NamedTuple):
     base_scenario: dict
     factors: tuple[Factor, ...]
     strategy: str  # "full_factorial" or "random"
-    samples: int  # for strategy "random"
+    samples: int | None  # for strategy "random"; None when left out
     base_seed: int
 
 
@@ -106,66 +109,64 @@ def substitute(document: dict, path: str, value: Any) -> None:
 
 
 def parse_experiment(document: dict, base_scenario: dict) -> Experiment:
-    """Typed experiment from a valid experiment document: the rules the schema
-    cannot state (unique factor names, factor paths that resolve in the base
-    scenario, samples for the random strategy, a 64-bit base_seed) are
-    checked by validation.validate_experiment."""
+    """Typed experiment from a valid experiment document with its defaults
+    filled in. validation.validate_experiment checks the rules the schema cannot
+    state: unique factor names, factor paths that resolve in the base scenario,
+    samples for the random strategy, a 64-bit base_seed, at most MAX_RUNS runs."""
     return Experiment(
         name=document["name"],
         base_scenario=base_scenario,
         factors=tuple(Factor(raw["name"], raw["path"], tuple(raw["levels"]))
-                      for raw in document.get("factors", [])),
-        strategy=document.get("strategy", "full_factorial"),
-        samples=int(document.get("samples", 0)),
-        base_seed=int(document.get("base_seed", 0)),
+                      for raw in document["factors"]),
+        strategy=document["strategy"],
+        samples=int(document["samples"]) if "samples" in document else None,
+        base_seed=int(document["base_seed"]),
     )
 
 
-def expand_runs(experiment: Experiment) -> list[RunDefinition]:
-    """Expand the factor space into concrete seeded run definitions.
+def run_id(name: str, index: int) -> str:
+    return f"{name}-{index:04d}"
+
+
+def run_count(experiment: Experiment) -> int:
+    """How many runs expand_runs yields, counted without expanding."""
+    if experiment.strategy == "random":
+        return experiment.samples
+    return math.prod(len(f.levels) for f in experiment.factors)
+
+
+def expand_runs(experiment: Experiment) -> Iterator[RunDefinition]:
+    """Expand the factor space into concrete seeded run definitions, one at a
+    time, each with its own copy of the base scenario.
 
     full_factorial enumerates the Cartesian product in declared factor order
     with the last factor varying fastest; random draws `samples` assignments
     uniformly with replacement (duplicates permitted and recorded).
     """
-    factors = experiment.factors
+    factors, base_seed = experiment.factors, experiment.base_seed
     if experiment.strategy == "full_factorial":
-        if factors:
-            assignments = [
-                dict(zip((f.name for f in factors), combo))
-                for combo in itertools.product(*(f.levels for f in factors))
-            ]
-        else:
-            assignments = [{}]
+        combos = itertools.product(*(f.levels for f in factors))
     else:
         nf = len(factors)
-        assignments = []
-        for i in range(experiment.samples):
-            assignment = {}
-            for j, f in enumerate(factors):
-                draw = derive_seed(experiment.base_seed, 1 + i * nf + j)
-                assignment[f.name] = f.levels[draw % len(f.levels)]
-            assignments.append(assignment)
-
-    runs = []
-    for index, assignment in enumerate(assignments):
+        combos = (tuple(f.levels[derive_seed(base_seed, 1 + i * nf + j) % len(f.levels)]
+                        for j, f in enumerate(factors))
+                  for i in range(experiment.samples))
+    for index, combo in enumerate(combos):
         document = copy.deepcopy(experiment.base_scenario)
-        for f in factors:
-            substitute(document, f.path, assignment[f.name])
-        runs.append(
-            RunDefinition(
-                run_id=f"{experiment.name}-{index:04d}",
-                seed=derive_seed(experiment.base_seed, index),
-                document=document,
-                factors=dict(assignment),
-                experiment=experiment.name,
-            )
+        for f, level in zip(factors, combo):
+            substitute(document, f.path, level)
+        yield RunDefinition(
+            run_id=run_id(experiment.name, index),
+            seed=derive_seed(base_seed, index),
+            document=document,
+            factors={f.name: level for f, level in zip(factors, combo)},
+            experiment=experiment.name,
         )
-    return runs
 
 
 def run_document(run: RunDefinition) -> dict:
-    """The self-contained YAML-serializable run file content."""
+    """The self-contained YAML-serializable run file content. Its factors are a
+    copy: a level shared with the run's scenario would make safe_dump write an anchor."""
     return {
         "schema_version": 1,
         "kind": "run",
@@ -173,5 +174,5 @@ def run_document(run: RunDefinition) -> dict:
         "experiment": run.experiment,
         "seed": run.seed,
         "factors": copy.deepcopy(run.factors),
-        "scenario": copy.deepcopy(run.document),
+        "scenario": run.document,
     }

@@ -19,7 +19,7 @@ from .environment import AgentRunState, Environment, PhaseReport, run_phase
 from .errors import EXIT_IO, EXIT_OK, EXIT_SIMULATION, EXIT_VALIDATION, RunError
 from .kernel import KernelError
 from .telemetry import RunSink, TelemetryError, canonical_json
-from .validation import document_kind, validate_document
+from .validation import FILE_NAME_FIELDS, document_kind, validate_document
 
 
 class RunResult(NamedTuple):
@@ -132,11 +132,24 @@ def execute_run_directory(
     """Execute every run YAML in a directory, up to `parallel` at a time.
 
     Runs are fully isolated (one kernel and one log sink each), so worker
-    processes never share state; results come back in file-name order.
+    processes never share state; results come back in file-name order. Two
+    files that claim one run id, which names their log, are refused (exit 2)
+    before anything runs; a file that does not load claims none.
     """
     run_files = sorted(p for p in run_dir.glob("*.yaml") if p.name != "index.yaml")
     if not run_files:
         raise RunError(f"no run files found under {run_dir}", EXIT_IO)
+    claimed: dict[str, Path] = {}  # run id -> the first file that claims it
+    for path in run_files:
+        try:
+            doc = scn.load_document(path)
+        except (scn.ScenarioError, OSError):
+            continue  # reported when the file runs
+        kind = document_kind(doc)
+        run_id = doc.get(FILE_NAME_FIELDS[kind]) if kind in ("scenario", "run") else None
+        if isinstance(run_id, str) and claimed.setdefault(run_id, path) != path:
+            raise RunError(f"{claimed[run_id].name} and {path.name} both claim run id "
+                           f"{run_id!r}", EXIT_VALIDATION)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = min(parallel, len(run_files))
     if workers <= 1:

@@ -258,8 +258,6 @@ class VoltageBand(NamedTuple):
 
 
 _IGNORED_KINDS = frozenset((
-    "run.end",
-    "run.abort",
     "kernel.step",
     "agent.generation",
     "agent.action",
@@ -307,6 +305,8 @@ class RunSummary:
     frames_delivered: int = 0
     frames_dropped: int = 0
     returns: dict = field(default_factory=dict)
+    phase_returns: dict = field(default_factory=dict)  # agent -> phase -> returns
+    status: str = "incomplete"  # "ok" after a run.end, "aborted" after a run.abort
     unknown_kinds: dict = field(default_factory=dict)
     parse_errors: list = field(default_factory=list)
 
@@ -353,8 +353,15 @@ class RunSummary:
         elif kind == "net.drop":
             self.frames_dropped += 1
         elif kind == "agent.episode":
-            agent = payload.get("agent", "agent")
-            self.returns.setdefault(agent, []).append(payload.get("return", 0.0))
+            agent, value = payload.get("agent", "agent"), payload.get("return", 0.0)
+            self.returns.setdefault(agent, []).append(value)
+            if "phase" in payload:
+                phases = self.phase_returns.setdefault(agent, {})
+                phases.setdefault(payload["phase"], []).append(value)
+        elif kind == "run.end":
+            self.status = "ok"
+        elif kind == "run.abort":
+            self.status = "aborted"
         elif kind not in _IGNORED_KINDS:
             self.unknown_kinds[kind] = self.unknown_kinds.get(kind, 0) + 1
 
@@ -404,7 +411,8 @@ _FED_FIELDS = {
     "grid.step": {"vm": _numbers},
     "market.clearing": {"total_cost_eur": _number, "payments_eur": _numbers,
                         "accepted_mvar": _numbers, "offers": _offers},
-    "agent.episode": {"agent": lambda x: isinstance(x, str), "return": _number},
+    "agent.episode": {"agent": lambda x: isinstance(x, str), "return": _number,
+                      "phase": lambda x: isinstance(x, str)},
 }
 
 

@@ -20,7 +20,7 @@ import numbers
 from pathlib import Path
 
 from . import scenario as scn
-from .design import MASK64, DesignError, parse_experiment, resolve_path
+from .design import MASK64, MAX_RUNS, DesignError, parse_experiment, resolve_path, run_count
 from .feeders import FeederError
 from .telemetry import RunSummary
 
@@ -490,22 +490,25 @@ def validate_experiment(doc, base_dir: Path) -> Checked:
     ]
     if errors:
         return Checked(errors)
+    experiment = parse_experiment(with_defaults(doc, load_schema("experiment")), base)
     names = set()
-    for i, factor in enumerate(doc.get("factors", [])):
-        if factor["name"] in names:
-            errors.append((f"factors/{i}/name", f"duplicate factor name {factor['name']!r}"))
-        names.add(factor["name"])
+    for i, factor in enumerate(experiment.factors):
+        if factor.name in names:
+            errors.append((f"factors/{i}/name", f"duplicate factor name {factor.name!r}"))
+        names.add(factor.name)
         try:
-            resolve_path(base, factor["path"])
+            resolve_path(base, factor.path)
         except DesignError as exc:
             errors.append((f"factors/{i}/path", str(exc)))
-    if doc.get("strategy") == "random" and "samples" not in doc:
+    random = experiment.strategy == "random"
+    if random and experiment.samples is None:
         errors.append(("samples", "random strategy needs samples"))
-    if doc.get("base_seed", 0) > MASK64:
+    elif (count := run_count(experiment)) > MAX_RUNS:
+        errors.append(("samples" if random else "factors",
+                       f"{count} runs; at most {MAX_RUNS} are allowed"))
+    if experiment.base_seed > MASK64:
         errors.append(("base_seed", "must fit in 64 bits"))
-    if errors:
-        return Checked(errors)
-    return Checked([], parse_experiment(doc, base))
+    return Checked(errors, experiment)
 
 
 def validate_run(doc, base_dir: Path) -> Checked:

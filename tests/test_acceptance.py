@@ -263,7 +263,7 @@ def test_c8_doe_expansion():
             {"name": "b", "path": "net/y", "levels": ["u", "v"]},
         ],
     }
-    runs = expand_runs(parse_experiment(doc, base))
+    runs = list(expand_runs(parse_experiment(doc, base)))
     assert len(runs) == 6
     assert [(r.factors["a"], r.factors["b"]) for r in runs] == [
         (1, "u"), (1, "v"), (2, "u"), (2, "v"), (3, "u"), (3, "v"),

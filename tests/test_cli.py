@@ -265,6 +265,41 @@ def test_report_csv_format(tmp_path, mini_path, capsys):
     assert len(lines) == 2  # header + one run
 
 
+def test_a_log_says_whether_its_run_ended(tmp_path, gaming_log, capsys):
+    lines = gaming_log.read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:4000]), encoding="utf-8")
+    aborted = tmp_path / "aborted.jsonl"
+    abort = {"run_id": "gaming", "seq": 4000, "t_sim": json.loads(lines[3999])["t_sim"],
+             "source": "runner", "kind": "run.abort", "payload": {"error": "injected"}}
+    aborted.write_text("".join(lines[:4000]) + json.dumps(abort) + "\n", encoding="utf-8")
+    summaries = [summarize(path) for path in (gaming_log, cut, aborted)]
+    assert [s.status for s in summaries] == ["ok", "incomplete", "aborted"]
+    assert len(summaries[1].returns["attacker"]) == 32
+    capsys.readouterr()
+    assert main(["report", str(cut), "--format", "csv"]) == 0
+    assert "\nstatus,incomplete\n" in capsys.readouterr().out
+    listing = tmp_path / "listing"
+    listing.mkdir()
+    for path in (gaming_log, cut):
+        (listing / path.name).write_bytes(path.read_bytes())
+    assert main(["report", str(listing), "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("run_id,status,")
+    assert [row.split(",")[1] for row in rows[1:]] == ["incomplete", "ok"]
+
+
+def test_the_report_separates_training_from_testing(gaming_log, capsys):
+    assert main(["report", str(gaming_log), "--format", "csv"]) == 0
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
+    assert rows["status"] == "ok"
+    assert [(key, rows[key]) for key in rows if key.startswith(("episodes.", "mean_return."))] == [
+        ("episodes.attacker", "74"), ("mean_return.attacker", "706.733"),
+        ("episodes.attacker.training", "64"), ("mean_return.attacker.training", "670.44"),
+        ("episodes.attacker.testing", "10"), ("mean_return.attacker.testing", "939.011"),
+    ]
+
+
 def test_render_summary_text_and_csv():
     summary = RunSummary(
         run_id="r1", experiment="exp", seed=7, violation_count=3,
@@ -272,10 +307,12 @@ def test_render_summary_text_and_csv():
         total_cost_eur=12.5, frames_sent=1_000_000, frames_delivered=999_998, frames_dropped=2,
         payments_eur={"agent_b": 2.5, "agent_a": 10.0},
         accepted_mvar={"agent_b": 0.25, "agent_a": 1.0},
-        returns={"b": [1.0, 2.0], "a": [0.5]}, parse_errors=[(9, "bad json")],
+        returns={"b": [1.0, 2.0], "a": [0.5]},
+        phase_returns={"b": {"train": [1.0], "test": [2.0]}}, parse_errors=[(9, "bad json")],
     )
     rows = [
-        ("run_id", "r1"), ("experiment", "exp"), ("seed", "7"), ("violation_count", "3"),
+        ("run_id", "r1"), ("experiment", "exp"), ("seed", "7"), ("status", "incomplete"),
+        ("violation_count", "3"),
         ("max_excursion_pu", "0.0123457"), ("diverged_count", "1"), ("clearings", "4"),
         ("clearings_resolved", "3"), ("resolution_rate", "0.75"), ("total_cost_eur", "12.5"),
         ("frames_sent", "1000000"), ("frames_delivered", "999998"), ("frames_dropped", "2"),
@@ -283,6 +320,8 @@ def test_render_summary_text_and_csv():
         ("accepted_mvar.agent_a", "1"), ("accepted_mvar.agent_b", "0.25"),
         ("episodes.a", "1"), ("mean_return.a", "0.5"),
         ("episodes.b", "2"), ("mean_return.b", "1.5"),
+        ("episodes.b.train", "1"), ("mean_return.b.train", "1"),
+        ("episodes.b.test", "1"), ("mean_return.b.test", "2"),
         ("parse_error.line_9", "bad json"),
     ]
     assert render_summary(summary) == "\n".join(f"{k:<21}  {v}" for k, v in rows)
@@ -409,6 +448,24 @@ def test_run_directory_reports_every_bad_file(tmp_path, capsys, parallel):
                 if line.startswith(("a_list.yaml", "b_garbage.yaml", "c_run.yaml"))]
     assert statuses == ["a_list.yaml: exit 2", "b_garbage.yaml: exit 2", "c_run.yaml: ok"]
     assert (out / "r1.jsonl").exists()
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("second", [_run_doc(seed=4), dict(copy.deepcopy(MINI), name="r1")],
+                         ids=["run", "scenario"])
+def test_two_files_that_claim_one_run_id_are_refused_before_any_run(
+        tmp_path, capsys, parallel, second):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "a_run.yaml").write_text(yaml.safe_dump(_run_doc()), encoding="utf-8")
+    (runs / "b_list.yaml").write_text("- 1\n", encoding="utf-8")  # claims no id
+    (runs / "c_second.yaml").write_text(yaml.safe_dump(second), encoding="utf-8")
+    out = tmp_path / "logs"
+    assert main(["run", str(runs), "-o", str(out), "--parallel", parallel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a_run.yaml and c_second.yaml both claim run id 'r1'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["- 1\n- 2\n", "kind: [unclosed", "seed: !!int abc\n",
@@ -986,7 +1043,8 @@ def test_loads_near_1e300_end_the_run_and_report_finite_numbers(tmp_path, capsys
     capsys.readouterr()
     assert main(["report", str(log), "--format", "csv"]) == 0
     rows = [line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:]]
-    numbers = [float(value) for name, value in rows if name not in ("run_id", "experiment")]
+    numbers = [float(value) for name, value in rows
+               if name not in ("run_id", "experiment", "status")]
     assert len(numbers) > 10 and all(math.isfinite(x) for x in numbers)
 
 
@@ -1056,7 +1114,8 @@ def test_an_offer_whose_payment_exceeds_the_limit_is_refused(tmp_path, capsys, e
     capsys.readouterr()
     assert main(["report", str(log), "--format", "csv"]) == 0
     rows = [line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:]]
-    numbers = [float(value) for name, value in rows if name not in ("run_id", "experiment")]
+    numbers = [float(value) for name, value in rows
+               if name not in ("run_id", "experiment", "status")]
     assert len(numbers) > 10 and all(math.isfinite(x) for x in numbers)
     assert summary.total_cost_eur < MAX_PAYMENT_EUR
 
@@ -1085,7 +1144,8 @@ def assert_the_report_is_finite(log, capsys):
     capsys.readouterr()
     assert main(["report", str(log), "--format", "csv"]) == 0
     rows = [line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:]]
-    numbers = [float(value) for name, value in rows if name not in ("run_id", "experiment")]
+    numbers = [float(value) for name, value in rows
+               if name not in ("run_id", "experiment", "status")]
     assert len(numbers) > 10 and all(math.isfinite(x) for x in numbers)
 
 

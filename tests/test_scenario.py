@@ -424,7 +424,8 @@ def test_leaving_out_a_property_means_its_schema_default(name):
 def test_validation_leaves_the_document_and_the_schema_as_they_were():
     feeder4, gaming, experiment = (load_document(packaged(name)) for name in
                                    ("feeder4.yaml", "gaming.yaml", "dos_experiment.yaml"))
-    run = design.run_document(design.expand_runs(design.parse_experiment(experiment, feeder4))[0])
+    run = design.run_document(
+        list(design.expand_runs(design.parse_experiment(experiment, feeder4)))[0])
     schema = copy.deepcopy(load_schema("scenario"))
     for doc in (feeder4, gaming, copy.deepcopy(MINI), experiment, run):
         before = copy.deepcopy(doc)
@@ -1103,7 +1104,7 @@ def test_only_a_sensed_node_keeps_utilization_windows():
     # and both dos runs sense sw alone
     feeder4, gaming, experiment = (load_document(packaged(name)) for name in
                                    ("feeder4.yaml", "gaming.yaml", "dos_experiment.yaml"))
-    runs = design.expand_runs(design.parse_experiment(experiment, feeder4))
+    runs = list(design.expand_runs(design.parse_experiment(experiment, feeder4)))
     assert len(runs) == 2
     cases = [(gaming, set()), (feeder4, {"sw"})]
     cases += [(design.run_document(run)["scenario"], {"sw"}) for run in runs]

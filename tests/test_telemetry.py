@@ -366,6 +366,22 @@ def test_summarize_counts(tmp_path):
     assert s.unknown_kinds == {"custom.kind": 1}
 
 
+def test_summary_keeps_returns_per_phase_and_a_phase_that_is_no_string_is_a_parse_error(
+        tmp_path):
+    path = tmp_path / "phases.jsonl"
+    with RunSink(path, "p") as sink:
+        for phase, value in (("train", 1.0), ("test", 4.0), ("train", 2.0), (3, 9.0)):
+            sink.emit("agent", "agent.episode", 0.0, {"agent": "att", "phase": phase,
+                                                      "return": value})
+        sink.emit("agent", "agent.episode", 0.0, {"agent": "att", "return": 5.0})
+    s = summarize(path)
+    assert s.returns == {"att": [1.0, 4.0, 2.0, 5.0]}
+    assert s.phase_returns == {"att": {"train": [1.0, 2.0], "test": [4.0]}}
+    assert [(line, message) for line, message in s.parse_errors] == [
+        (4, "agent.episode field 'phase' has the wrong type")]
+    assert s.status == "incomplete"
+
+
 def test_mean_is_the_logged_formula_and_never_overflows_on_finite_values():
     rng = random.Random(16)
     for _ in range(2000):
