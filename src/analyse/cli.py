@@ -126,10 +126,12 @@ def cmd_design(args) -> int:
                      if isinstance(name, str) and is_file_name(name)} - set(targets)
     runs = {}  # each run's id, seed and factors, for the index
     for run in expand_runs(experiment):
+        document = run_document(run)
         (out / f"{run.run_id}.yaml").write_text(
-            yaml.safe_dump(run_document(run), sort_keys=True), encoding="utf-8"
+            yaml.safe_dump(document, sort_keys=True), encoding="utf-8"
         )
-        runs[run.run_id] = {"seed": run.seed, "factors": run.factors}
+        # the document's copy: the run's own factors share their levels with other runs'
+        runs[run.run_id] = {"seed": run.seed, "factors": document["factors"]}
     index = {
         "experiment": experiment.name,
         "strategy": experiment.strategy,
@@ -249,10 +251,12 @@ def render_summaries(summaries: list[RunSummary], fmt: str = "text") -> str:
 
 def render_comparison(table: ComparisonTable, fmt: str = "text") -> str:
     cols = [f"{table.factor}", "runs"] + table.columns
+    counts = ["runs", "incomplete", "aborted"]
     rows = []
     for row in table.rows:
-        rows.append([row["level"], row["runs"]] + [row.get(c, 0.0) for c in table.columns])
-    out = [_table(cols, rows, fmt)]
+        rows.append([row["level"]] + [row[c] for c in counts]
+                    + [row.get(c, 0.0) for c in table.columns])
+    out = [_table([table.factor] + counts + table.columns, rows, fmt)]
     delta_rows = []
     for delta in table.deltas:
         delta_rows.append(

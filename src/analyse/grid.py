@@ -26,13 +26,15 @@ at a state followed by a re-solve from it builds one Jacobian, not two.
 A solve is a pure function of the topology, the injections and the start
 voltages, and a run solves the same flow many times (every episode replays
 one scenario). So a model and its `with_injections` siblings share a memo of
-solves, keyed bit for bit by the PQ injection vector and the start's vm and
-va, if there is a start. A repeat returns the stored state itself, with
-its flows, Jacobian and sensitivity rows already computed; its arrays are
-read-only. The memo keeps the newest max(MEMO_MIN, MEMO_FLOATS // (2m)^2)
-solves for m PQ buses (910 for 4 buses, 8 for 32) and drops the oldest
-first. It hangs off the models, which no state references, so a dropped
-model frees its memo at once.
+solves, keyed by the model's per-bus injection sums and the start's vm and
+va as bytes, if there is a start. Each model sums its injections once and
+each state makes its start key once, so a repeat costs one dict lookup and
+no numpy call; the solver's arrays are built only on a miss. A repeat
+returns the stored state itself, with its flows, Jacobian and sensitivity
+rows already computed; its arrays are read-only. The memo keeps the newest
+max(MEMO_MIN, MEMO_FLOATS // (2m)^2) solves for m PQ buses (910 for 4 buses,
+8 for 32) and drops the oldest first. It hangs off the models, which no
+state references, so a dropped model frees its memo at once.
 
 Voltage sensitivities are analytic: d|V|/dQ is read from the inverse of the
 power-flow Jacobian at a converged state (the V-Q sensitivity of Kundur,
@@ -107,9 +109,21 @@ class GridModel:
         return CompiledGrid(self)
 
     @cached_property
-    def _solves(self) -> dict[bytes, GridState]:
+    def _solves(self) -> dict[tuple, GridState]:
         """Solves of this topology by key, oldest first (see solve_power_flow)."""
         return {}
+
+    @cached_property
+    def injections(self) -> tuple[complex, ...]:
+        """Net scheduled complex power per bus in MVA, model order (generation
+        minus load): each bus's loads subtracted, then its sgens added, from +0j."""
+        index = self.compiled.index
+        s = [0j] * len(index)
+        for load in self.loads:
+            s[index[load.bus]] -= complex(load.p_mw, load.q_mvar)
+        for sg in self.sgens:
+            s[index[sg.bus]] += complex(sg.p_mw, sg.q_mvar)
+        return tuple(s)
 
     def with_injections(self, loads, sgens) -> GridModel:
         """Model with these injections that shares this model's compiled topology."""
@@ -216,6 +230,12 @@ class GridState:
         return jac
 
     @cached_property
+    def _start_key(self) -> bytes:
+        """This start's part of solve_power_flow's memo key: the bytes of
+        vm, then of va, each as the array a fresh solve makes of it."""
+        return np.array(self.vm).tobytes() + np.array(self.va).tobytes()
+
+    @cached_property
     def _sensitivity_rows(self) -> dict[int, tuple[float, ...]]:
         """voltage_sensitivity's rows at this state by observed bus id, over
         the PQ buses."""
@@ -224,13 +244,7 @@ class GridState:
 
 def specified_injections(model: GridModel) -> np.ndarray:
     """Net scheduled complex power per bus in pu (generation minus load)."""
-    index = model.compiled.index
-    s = [0j] * len(index)
-    for load in model.loads:
-        s[index[load.bus]] -= complex(load.p_mw, load.q_mvar)
-    for sg in model.sgens:
-        s[index[sg.bus]] += complex(sg.p_mw, sg.q_mvar)
-    return np.array(s) / model.base_mva
+    return np.array(model.injections) / model.base_mva
 
 
 def _jacobian(grid: CompiledGrid, vp: np.ndarray, vmp: np.ndarray, ip: np.ndarray) -> np.ndarray:
@@ -312,32 +326,32 @@ def solve_power_flow(model: GridModel, start: GridState | None = None) -> GridSt
     bus within MAX_ITERATIONS. On a singular Jacobian the state is returned
     with singular=True and the last iterate.
 
-    A solve whose injections and start vm and va equal, bit for bit, those of
-    a solve still in the model's memo returns that solve's state (start is
-    checked first, as for a fresh solve); the state is what a fresh solve
-    would return, because _newton rebuilds from vm and va exactly what a
-    start of this topology carries.
+    A solve whose key equals that of a solve still in the model's memo
+    returns that solve's state (start is checked first, as for a fresh
+    solve). The key is model.injections and the start's vm and va as bytes
+    (None for a flat start). Equal keys mean bit-equal solver inputs: the
+    memo's models share base_mva, and equal floats have equal bits but for
+    zeros and NaNs, yet sums started at +0j never hold -0.0 and a NaN never
+    equals itself (a tuple takes only the same object, bits and all, for
+    it). The state is what a fresh solve would return, because _newton
+    rebuilds from vm and va exactly what a start of this topology carries.
     """
     grid = model.compiled
-    s_pq = specified_injections(model)[grid.pq]
-    # A flat start's key is the injections alone, a start's adds its vm and
-    # va, so the two never have the same length.
-    key = s_pq.tobytes()
-    if start is not None:
-        if not start.converged or len(start.vm) != grid.n:
-            raise ValueError("a start must be a converged state of the same buses")
-        vm, va = np.array(start.vm), np.array(start.va)
-        key += vm.tobytes() + va.tobytes()
+    if start is not None and (not start.converged or len(start.vm) != grid.n):
+        raise ValueError("a start must be a converged state of the same buses")
+    key = (model.injections, None if start is None else start._start_key)
     memo = model._solves
     state = memo.get(key)
     if state is not None:
         return state
+    s_pq = specified_injections(model)[grid.pq]
     iterations = 0
     converged = False
     # An iterate that overflows is a divergence, which the checks below and
     # GridState already report; numpy need not warn about it as well.
     with np.errstate(over="ignore", invalid="ignore"):
         if start is not None:
+            vm, va = np.array(start.vm), np.array(start.va)
             v, ip, converged, iterations, mismatch, singular = _newton(
                 grid, s_pq, vm, va, start if start.grid is grid else None)
             angles = va.tolist()

@@ -470,8 +470,10 @@ METRIC_KEYS = (  # RunSummary scalars that reports and comparisons list, in this
 class ComparisonTable(NamedTuple):
     factor: str
     columns: list[str]
-    rows: list[dict]  # one per factor level: {"level": .., metric: mean, ..}
-    deltas: list[dict]  # same shape, each level minus the first level
+    # one per factor level: {"level": .., "runs": n, "incomplete": n, "aborted": n,
+    # metric: mean, ..}; incomplete and aborted count its logs with no run.end
+    rows: list[dict]
+    deltas: list[dict]  # per level: level, runs and each metric minus the first level's
 
 
 def _summary_metrics(s: RunSummary) -> dict[str, float]:
@@ -525,7 +527,9 @@ def compare(summaries: list[RunSummary], group_by: str) -> ComparisonTable:
         for name in means:
             if name not in columns:
                 columns.append(name)
-        row = {"level": level, "runs": len(members)}
+        row = {"level": level, "runs": len(members),
+               "incomplete": sum(s.status == "incomplete" for s in members),
+               "aborted": sum(s.status == "aborted" for s in members)}
         row.update(means)
         per_level.append(row)
 

@@ -14,7 +14,7 @@ import yaml
 from analyse.cli import main, render_summary
 from analyse.market import MAX_PAYMENT_EUR
 from analyse.scenario import NON_NUMERIC_ATTRS, assemble
-from analyse.telemetry import RunSummary, summarize
+from analyse.telemetry import RunSummary, compare, summarize
 from analyse.validation import validate_document
 
 from conftest import MINI, assert_summary_matches_recount, packaged, parsed
@@ -344,6 +344,35 @@ def test_report_group_by_unknown_factor(tmp_path, mini_path, capsys):
     err = capsys.readouterr().err
     assert "known factors: gate" in err
     assert main(["report", str(logs), "--group-by", "gate"]) == 0
+
+
+def test_report_group_by_counts_the_logs_whose_run_did_not_end(tmp_path, mini_path, capsys):
+    exp = experiment_path(tmp_path, factors=[
+        {"name": "gate", "path": "market/gate_closure_s", "levels": [0.0, 900.0]},
+        {"name": "price_b", "path": "market/bidders/1/price_eur_per_mvar", "levels": [5.0, 6.0]},
+    ])
+    runs, logs = tmp_path / "runs", tmp_path / "logs"
+    assert main(["design", str(exp), "-o", str(runs)]) == 0
+    assert main(["run", str(runs), "-o", str(logs)]) == 0
+    # run 1 (gate 0) is cut after 40 lines; run 2 (gate 900) is cut and aborted
+    for index, tail in ((1, ""), (2, {"kind": "run.abort", "payload": {"error": "injected"}})):
+        path = logs / f"miniexp-000{index}.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[:40]
+        if tail:
+            last = json.loads(lines[-1])
+            tail = json.dumps({**last, "seq": last["seq"] + 1, "source": "runner", **tail}) + "\n"
+        path.write_text("".join(lines) + tail, encoding="utf-8")
+    summaries = [summarize(path) for path in sorted(logs.glob("*.jsonl"))]
+    assert [s.status for s in summaries] == ["ok", "incomplete", "aborted", "ok"]
+    table = compare(summaries, "gate")
+    assert [(r["level"], r["runs"], r["incomplete"], r["aborted"]) for r in table.rows] == [
+        (0.0, 2, 1, 0), (900.0, 2, 0, 1)]
+    assert all(set(d) == {"level", "runs", *table.columns} for d in table.deltas)
+    capsys.readouterr()
+    assert main(["report", str(logs), "--group-by", "gate", "--format", "csv"]) == 0
+    rows = [line.split(",")[:4] for line in capsys.readouterr().out.splitlines()[:3]]
+    assert rows == [["gate", "runs", "incomplete", "aborted"], ["0", "2", "1", "0"],
+                    ["900", "2", "0", "1"]]
 
 
 def test_report_missing_logs(tmp_path, capsys):

@@ -286,3 +286,27 @@ def test_a_design_writes_its_pinned_bytes(tmp_path, head, runs, digest):
     assert len(digests) == runs + 1
     listing = "".join(f"{value}  {name}\n" for name, value in digests.items())
     assert hashlib.sha256(listing.encode()).hexdigest() == digest
+
+
+LINES_FACTOR = """\
+schema_version: 1
+kind: experiment
+name: lines2
+base_scenario: tiny.yaml
+factors:
+  - {name: lines, path: grid/lines, levels: [
+      [{from: 1, to: 2, r_pu: 0.01, x_pu: 0.03}],
+      [{from: 1, to: 2, r_pu: 0.02, x_pu: 0.06, rating_mva: 5.0}]]}
+  - {name: mva, path: grid/base_mva, levels: [10, 20]}
+"""
+
+
+def test_the_index_writes_each_runs_factors_in_full(tmp_path):
+    (tmp_path / "tiny.yaml").write_text(TINY, encoding="utf-8")
+    (tmp_path / "exp.yaml").write_text(LINES_FACTOR, encoding="utf-8")
+    designed(tmp_path, tmp_path / "exp.yaml")
+    text = (tmp_path / "out" / "index.yaml").read_text(encoding="utf-8")
+    assert "&" not in text and "*" not in text  # no anchor, no alias
+    experiment = validate_experiment(yaml.safe_load(LINES_FACTOR), tmp_path).value
+    assert {run_id: entry["factors"] for run_id, entry in yaml.safe_load(text)["runs"].items()} == {
+        run.run_id: run.factors for run in expand_runs(experiment)}

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -414,6 +415,69 @@ def test_a_singular_repeat_equals_a_fresh_solve():
     assert solve_power_flow(model.with_injections(model.loads, ())) is first
     fresh = fresh_topology(model)
     assert_same_bits(first, solve_power_flow(fresh), model, fresh)
+
+
+class CountingNumpy:
+    """Stands in for the grid module's numpy and records each attribute read."""
+
+    def __init__(self):
+        self.reads = []
+
+    def __getattr__(self, name):
+        self.reads.append(name)
+        return getattr(np, name)
+
+
+def test_a_repeat_makes_no_numpy_call(monkeypatch):
+    base = feeder4(3.8)
+    start = solve_power_flow(base)
+    first = (solve_power_flow(base.with_injection(4, 0.5)),
+             solve_power_flow(base.with_injection(4, 0.5), start))
+    counting = CountingNumpy()
+    monkeypatch.setattr(analyse.grid, "np", counting)
+    # an equal trial model, built again, hits the memo with and without a start
+    assert solve_power_flow(base.with_injection(4, 0.5)) is first[0]
+    assert solve_power_flow(base.with_injection(4, 0.5), start) is first[1]
+    assert counting.reads == []
+    solve_power_flow(base.with_injection(4, 0.6), start)  # a miss goes through the proxy
+    assert counting.reads
+
+
+def with_load(model, index, **changes):
+    loads = list(model.loads)
+    loads[index] = loads[index]._replace(**changes)
+    return model.with_injections(tuple(loads), model.sgens)
+
+
+def test_signed_zeros_and_nans_share_a_solve_only_where_a_fresh_solve_has_the_same_bits():
+    base = feeder4(3.8)
+    start = solve_power_flow(base)
+    hand = [GridState(vm=start.vm, va=(zero,) + start.va[1:], converged=True, iterations=1,
+                      max_mismatch_pu=0.0) for zero in (0.0, -0.0, -0.0)]
+    sgens = base.sgens[:3]
+    cases = [  # (model, start), two alike in each pair but for a zero's sign or a NaN's object
+        (with_load(base, 0, q_mvar=0.0), None), (with_load(base, 0, q_mvar=-0.0), None),
+        (with_load(base, 1, p_mw=-0.0), start), (with_load(base, 1, p_mw=0.0), start),
+        (base.with_injections(base.loads, sgens + (Sgen(4, -0.0, -0.0, -1.2, 1.2),)), None),
+        (base.with_injections(base.loads, sgens + (Sgen(4, 0.0, 0.0, -1.2, 1.2),)), None),
+        (with_load(base, 2, p_mw=float("nan")), None),
+        (with_load(base, 2, p_mw=float("nan")), None),
+        (base, hand[0]), (base, hand[1]), (base, hand[2]),
+    ]
+    with np.errstate(invalid="ignore"):  # the NaN flows
+        got = [solve_power_flow(model, s) for model, s in cases]
+        want = []
+        for (model, s), state in zip(cases, got):
+            fresh = fresh_topology(model)
+            want.append(solve_power_flow(fresh, s))
+            assert_same_bits(state, want[-1], model, fresh)
+        for i, j in itertools.combinations(range(len(cases)), 2):
+            if got[i] is got[j]:  # one memo entry: a fresh solve must give the same bits
+                assert_same_bits(want[i], want[j], cases[i][0], cases[j][0])
+    shared = [got[i] is got[i + 1] for i in range(0, 10, 2)] + [got[9] is got[10]]
+    # the zeros sum to +0.0 either way; NaNs never equal; start bytes keep the sign
+    assert shared == [True, True, True, False, False, True]
+    assert solve_power_flow(cases[6][0]) is got[6]  # the same NaN object is a repeat
 
 
 def test_the_memo_keeps_the_newest_solves_up_to_its_bound():
