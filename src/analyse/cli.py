@@ -14,7 +14,9 @@ from pathlib import Path
 
 from . import __version__
 from .errors import EXIT_IO, EXIT_OK, EXIT_VALIDATION, RunError, ScenarioError
-from .telemetry import METRIC_KEYS, ComparisonTable, RunSummary, compare, mean, summarize
+from .telemetry import (
+    GENERATION_FIELDS, METRIC_KEYS, ComparisonTable, RunSummary, compare, mean, summarize,
+)
 
 # Each command imports the layers it uses, so that `analyse report`, which
 # reads logs only, loads neither the simulator nor numpy.
@@ -229,6 +231,8 @@ def render_summary(s: RunSummary, fmt: str = "text") -> str:
         for phase, returns in s.phase_returns.get(agent, {}).items():
             rows.append((f"episodes.{agent}.{phase}", len(returns)))
             rows.append((f"mean_return.{agent}.{phase}", mean(returns)))
+    for gen, values in enumerate(s.generations):
+        rows += [(f"generation.{gen}.{name}", x) for name, x in zip(GENERATION_FIELDS, values)]
     for line_no, message in s.parse_errors:
         rows.append((f"parse_error.line_{line_no}", message))
     if fmt == "csv":

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, NamedTuple
 
+from analyse.telemetry import Canonical, floats_text, payload_format, value_text
+
 
 class NodeSpec(NamedTuple):
     node_id: str
@@ -74,9 +76,9 @@ class NetworkTopology:
         return hops
 
     @cached_property
-    def routes(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        """(src, dst) -> the route Network.shortest_path found; every network
-        on this topology fills and reads it."""
+    def routes(self) -> dict[tuple[str, str], tuple[tuple[str, ...], str, str]]:
+        """(src, dst) -> (path Network.shortest_path found, net.send format,
+        net.deliver format); every network on this topology fills and reads it."""
         return {}
 
 
@@ -180,14 +182,15 @@ class Network:
     It trusts its topology, a window > 0, every node id it is given and
     unique rule ids, as validation holds a document to them, and a time that
     never goes back, as the kernel steps it. `utilization_nodes` names the
-    nodes whose utilization read_counters may report; None: every node."""
+    nodes whose utilization read_counters may report; None: every node. `emit`
+    gets a dict, or a net.send or net.deliver payload as telemetry.Canonical text."""
 
     def __init__(
         self,
         topology: NetworkTopology,
         rng: random.Random,
         utilization_window_s: float,
-        emit: Callable[[str, float, dict], None] | None = None,
+        emit: Callable[[str, float, dict | Canonical], None] | None = None,
         utilization_nodes: Collection[str] | None = None,
     ):
         self.topology = topology
@@ -222,11 +225,10 @@ class Network:
         smallest next node (BFS over sorted neighbor lists from dst). Each
         (src, dst) route is searched once per topology, and every network on
         that topology reads it from there; every call returns a new list."""
-        route = self._routes.get((src, dst))
-        if route is not None:
-            return list(route)
-        if src == dst:
-            return [src]
+        return list((self._routes.get((src, dst)) or self._route(src, dst))[0])
+
+    def _route(self, src: str, dst: str) -> tuple[tuple[str, ...], str, str]:
+        """Search the route from src to dst and keep its topology.routes entry."""
         dist = {dst: 0}
         frontier = [dst]
         while frontier:
@@ -242,8 +244,11 @@ class Network:
         while node != dst:
             node = min(p for p in self._neighbors[node] if dist.get(p, 1 << 30) == dist[node] - 1)
             path.append(node)
-        self._routes[(src, dst)] = tuple(path)
-        return path
+        return self._routes.setdefault((src, dst), (
+            tuple(path),
+            payload_format({"src": src, "dst": dst, "path": path}, ("frame_id", "size_bytes")),
+            payload_format({"src": src, "dst": dst}, (
+                "delivered_at", "frame_id", "hop_delays", "sent_at", "size_bytes"))))
 
     def _drop(self, node: str, frame: Frame, t: float, reason: str, entry_size: int) -> None:
         self._nodes[node].frames_dropped += 1
@@ -267,12 +272,11 @@ class Network:
             self._emit("net.drop", t, {"node": src, "reason": "src-offline", "src": src,
                                        "dst": dst, "frame_id": frame_id, "size_bytes": size})
             return False
-        path = self.shortest_path(src, dst)
+        route = self._routes.get((src, dst)) or self._route(src, dst)
         node.bytes_out += size
-        self._emit("net.send", t, {"src": src, "dst": dst, "frame_id": frame_id,
-                                   "size_bytes": size, "path": path})
+        self._emit("net.send", t, Canonical(route[1] % (frame_id, size)))
         heapq.heappush(self._heap,
-                       (t, self._seq, src, Frame(frame_id, src, dst, t, payload), path, 0, [], size))
+                       (t, self._seq, src, Frame(frame_id, src, dst, t, payload), route, 0, [], size))
         self._seq += 1
         return True
 
@@ -341,11 +345,11 @@ class Network:
 
     def advance(self, to_time: float) -> None:
         while self._heap and self._heap[0][0] <= to_time:
-            t, _, node, frame, path, idx, hop_delays, entry_size = heapq.heappop(self._heap)
-            self._process(t, node, frame, path, idx, hop_delays, entry_size)
+            t, _, node, frame, route, idx, hop_delays, entry_size = heapq.heappop(self._heap)
+            self._process(t, node, frame, route, idx, hop_delays, entry_size)
         self.now = to_time
 
-    def _process(self, t: float, node: str, frame: Frame, path: list[str], idx: int,
+    def _process(self, t: float, node: str, frame: Frame, route: tuple, idx: int,
                  hop_delays: list[float], entry_size: int) -> None:
         state = self._nodes[node]
         if t < state.offline_until:
@@ -374,13 +378,11 @@ class Network:
                 self._holding[node] = None
             state.delivered.append((t, frame))
             state.bytes_in += entry_size
-            self._emit("net.deliver", t, {
-                "src": frame.src, "dst": frame.dst, "frame_id": frame.frame_id,
-                "size_bytes": size, "sent_at": frame.sent_at,
-                "delivered_at": t, "hop_delays": hop_delays,
-            })
+            self._emit("net.deliver", t, Canonical(route[2] % (
+                value_text(t), frame.frame_id, floats_text(hop_delays),
+                value_text(frame.sent_at), size)))
             return
-        nxt = path[idx + 1]
+        nxt = route[0][idx + 1]
         latency_s, bandwidth_bps, loss_prob = self._hops[(node, nxt)]
         if loss_prob > 0.0 and self._rng.random() < loss_prob:
             self._drop(nxt, frame, t, "link-loss", entry_size)
@@ -392,5 +394,5 @@ class Network:
         if state.transit_out is not None:
             state.transit_out.add(t, size)
         heapq.heappush(self._heap,
-                       (t + hop, self._seq, nxt, frame, path, idx + 1, hop_delays + [hop], entry_size))
+                       (t + hop, self._seq, nxt, frame, route, idx + 1, hop_delays + [hop], entry_size))
         self._seq += 1

@@ -1,7 +1,8 @@
 """Structured event logging and post-hoc aggregation.
 
 Every component emits records (source, kind, t_sim, payload) through the
-run's single RunSink, which adds the run id and a per-run seq. Records are
+run's single RunSink, which adds the run id and a per-run seq; a payload is a
+dict, or for net.send and net.deliver its Canonical text. Records are
 serialized as canonical JSON (sorted keys, compact separators, floats at 9
 significant digits, no wall-clock fields), one record per line, so that two
 runs of the same seeded scenario produce byte-identical log files.
@@ -166,6 +167,34 @@ def canonical_json(value: Any) -> str:
     return "".join(out)
 
 
+def value_text(value: Any) -> str:
+    """canonical_json(value), at one memo lookup for a float."""
+    if type(value) is float:
+        return _FLOAT_TEXTS.get(value) or _format_float(value)
+    return canonical_json(value)
+
+
+def floats_text(values: list[float]) -> str:
+    """canonical_json of a list of floats."""
+    return "[" + ",".join([_FLOAT_TEXTS.get(x) or _format_float(x) for x in values]) + "]"
+
+
+class Canonical(str):
+    """A payload that is already its canonical JSON; RunSink.emit writes it as is."""
+
+
+def payload_format(constants: dict, slots: tuple[str, ...]) -> str:
+    """A %-format of the canonical JSON of a payload of `constants` and
+    `slots`, named in sorted order: Canonical(format % values) is the payload
+    given the slots' values in that order, each as its text (an int as is)."""
+    if list(slots) != sorted(slots):
+        raise ValueError(f"slots out of sorted order: {slots}")
+    parts = {key: canonical_json(value).replace("%", "%%") for key, value in constants.items()}
+    parts.update(dict.fromkeys(slots, "%s"))
+    return "{" + ",".join(_encode_str(key).replace("%", "%%") + ":" + parts[key]
+                          for key in sorted(parts)) + "}"
+
+
 # A record's line is one canonical JSON object, its fields in sorted order:
 # the kind's head, the payload, the run id's part, seq, the source's part,
 # t_sim; RunSink.emit joins them.
@@ -178,15 +207,16 @@ class RunSink:
     source. `records` holds the (kind, payload) pair of each record emitted
     since the last drain(): the environment drains once per agent step, so
     memory stays bounded by the records of one step however long the run is.
-    The encoded parts of the run id, of each kind and of each source are kept
-    for the sink's life; emit joins them with the encoded payload, seq and
-    t_sim into the record's line in one build.
+    A payload there is a dict, or for net.send and net.deliver its Canonical
+    text, which emit writes as is. The encoded parts of the run id, of each
+    kind and of each source are kept for the sink's life; emit joins them with
+    the encoded payload, seq and t_sim into the record's line in one build.
     """
 
     def __init__(self, path: str | Path, run_id: str):
         self.path = Path(path)
         self.run_id = run_id
-        self.records: list[tuple[str, dict]] = []
+        self.records: list[tuple[str, dict | Canonical]] = []
         self._seq = 0
         self._last_t: dict[str, float] = {}
         self._after_payload = ',"run_id":' + canonical_json(run_id) + ',"seq":'
@@ -195,7 +225,7 @@ class RunSink:
         self._fh = self.path.open("w", encoding="utf-8", newline="\n")
         self._closed = False
 
-    def emit(self, source: str, kind: str, t_sim: float, payload: dict) -> None:
+    def emit(self, source: str, kind: str, t_sim: float, payload: dict | Canonical) -> None:
         if self._closed:
             raise SinkClosedError(f"emit on closed sink for run {self.run_id}")
         last = self._last_t.get(source)
@@ -211,7 +241,10 @@ class RunSink:
             after_seq = self._after_seq[source] = (
                 ',"source":' + canonical_json(source) + ',"t_sim":')
         out = [head]
-        _canonical(payload, out)
+        if type(payload) is Canonical:
+            out.append(payload)
+        else:
+            _canonical(payload, out)
         out.append(self._after_payload)
         out.append(str(self._seq))
         out.append(after_seq)
@@ -225,7 +258,7 @@ class RunSink:
         self._last_t[source] = t_sim
         self.records.append((kind, payload))
 
-    def drain(self) -> list[tuple[str, dict]]:
+    def drain(self) -> list[tuple[str, dict | Canonical]]:
         """Return the (kind, payload) pairs not yet drained and forget them."""
         records, self.records = self.records, []
         return records
@@ -259,7 +292,6 @@ class VoltageBand(NamedTuple):
 
 _IGNORED_KINDS = frozenset((
     "kernel.step",
-    "agent.generation",
     "agent.action",
     "agent.clamp",
     "net.rule",
@@ -306,6 +338,8 @@ class RunSummary:
     frames_dropped: int = 0
     returns: dict = field(default_factory=dict)
     phase_returns: dict = field(default_factory=dict)  # agent -> phase -> returns
+    # (mean_return, best_return, sigma_mean) of each agent.generation, in log order
+    generations: list = field(default_factory=list)
     status: str = "incomplete"  # "ok" after a run.end, "aborted" after a run.abort
     unknown_kinds: dict = field(default_factory=dict)
     parse_errors: list = field(default_factory=list)
@@ -358,6 +392,8 @@ class RunSummary:
             if "phase" in payload:
                 phases = self.phase_returns.setdefault(agent, {})
                 phases.setdefault(payload["phase"], []).append(value)
+        elif kind == "agent.generation":
+            self.generations.append(tuple(payload.get(name, 0.0) for name in GENERATION_FIELDS))
         elif kind == "run.end":
             self.status = "ok"
         elif kind == "run.abort":
@@ -388,6 +424,7 @@ class RunSummary:
 
 
 _REQUIRED_FIELDS = ("run_id", "seq", "t_sim", "source", "kind", "payload")
+GENERATION_FIELDS = ("mean_return", "best_return", "sigma_mean")
 
 
 def _number(x: Any) -> bool:
@@ -413,6 +450,7 @@ _FED_FIELDS = {
                         "accepted_mvar": _numbers, "offers": _offers},
     "agent.episode": {"agent": lambda x: isinstance(x, str), "return": _number,
                       "phase": lambda x: isinstance(x, str)},
+    "agent.generation": dict.fromkeys(GENERATION_FIELDS, _number),
 }
 
 

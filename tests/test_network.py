@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -31,6 +32,12 @@ def single_link(loss=0.0, latency_ms=10.0, bandwidth_kbps=None):
         nodes=(NodeSpec("a"), NodeSpec("b")),
         links=(LinkSpec("a", "b", latency_ms, bandwidth_kbps, loss),),
     )
+
+
+def decoded(payload):
+    """A captured payload as a dict: net.send and net.deliver arrive as their
+    canonical JSON text."""
+    return json.loads(payload) if isinstance(payload, str) else payload
 
 
 def make(topology, seed=1, emit=None, window=900.0):
@@ -153,7 +160,7 @@ def test_delivery_time_reconstructible_from_hop_delays():
     events = []
     net = make(
         line_topology(latency_ms=3.0, bandwidth_kbps=5000.0),
-        emit=lambda kind, t, p: events.append((kind, t, p)),
+        emit=lambda kind, t, p: events.append((kind, t, decoded(p))),
     )
     send(net, "a", "b", 1.0)
     net.advance(5.0)
@@ -281,7 +288,7 @@ def test_remove_rule_is_idempotent():
 
 def test_network_numbers_frames_from_zero_per_source():
     events = []
-    net = make(line_topology(), emit=lambda kind, t, p: events.append((kind, p)))
+    net = make(line_topology(), emit=lambda kind, t, p: events.append((kind, decoded(p))))
     net.restart_node("a", 1.5)
     for t in (1.0, 2.0, 3.0):  # a's first frame is swallowed offline, and still numbered
         send(net, "a", "b", t)
@@ -316,7 +323,7 @@ def test_routes_are_searched_once_and_never_shared():
                     for a, b in (("b", "x"), ("b", "y"), ("x", "c"), ("y", "c"))),
     )
     events = []
-    net = make(topology, emit=lambda kind, t, p: events.append((kind, p)))
+    net = make(topology, emit=lambda kind, t, p: events.append((kind, decoded(p))))
     first = net.shortest_path("b", "c")
     first.append("tampered")
     assert net.shortest_path("b", "c") == ["b", "x", "c"]
@@ -324,7 +331,8 @@ def test_routes_are_searched_once_and_never_shared():
         send(net, "b", "c", float(i))
         send(net, "c", "b", float(i))
     net.advance(10.0)
-    assert net._routes == {("b", "c"): ("b", "x", "c"), ("c", "b"): ("c", "x", "b")}
+    assert {key: route[0] for key, route in net._routes.items()} == {
+        ("b", "c"): ("b", "x", "c"), ("c", "b"): ("c", "x", "b")}
     paths = [p["path"] for kind, p in events if kind == "net.send"]
     assert paths == [["b", "x", "c"], ["c", "x", "b"]] * 3
     assert len({id(p) for p in paths}) == len(paths)
@@ -334,7 +342,7 @@ def test_utilization_matches_event_recount():
     bandwidth = 800.0  # kbit/s
     events = []
     net = make(single_link(latency_ms=1.0, bandwidth_kbps=bandwidth),
-               emit=lambda kind, t, p: events.append((kind, t, p)),
+               emit=lambda kind, t, p: events.append((kind, t, decoded(p))),
                window=window)
     k, size = 7, 500
     for i in range(k):
@@ -403,7 +411,7 @@ def test_transit_windows_hold_only_what_utilization_reads(bandwidth_kbps):
     window = 1.0
     events = []
     net = make(line_topology(latency_ms=1.0, bandwidth_kbps=bandwidth_kbps),
-               emit=lambda kind, t, p: events.append((kind, p)), window=window)
+               emit=lambda kind, t, p: events.append((kind, decoded(p))), window=window)
     n = 20_000
     for i in range(n):
         send(net, "a", "b", i * 0.1)
@@ -455,7 +463,7 @@ def test_only_the_utilization_nodes_keep_windows(bandwidth_kbps):
     window = 1.0
     events = []
     net = Network(line_topology(latency_ms=1.0, bandwidth_kbps=bandwidth_kbps),
-                  random.Random(1), emit=lambda kind, t, p: events.append((kind, p)),
+                  random.Random(1), emit=lambda kind, t, p: events.append((kind, decoded(p))),
                   utilization_window_s=window, utilization_nodes={"sw"})
     n = 2_000
     for i in range(n):
@@ -480,3 +488,80 @@ def test_only_the_utilization_nodes_keep_windows(bandwidth_kbps):
                 net.read_counters(node)
         else:
             assert net.read_counters(node).utilization == 0.0
+
+
+class _Sized:
+    """A payload of n bytes, as the network reads it: by its length."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+# Node ids with what JSON escapes and what a %-format reads, non-ASCII and
+# control characters; latencies (ms) whose hop delays are subnormal, 1e300 or
+# have an exponent in their .9g text; frame ids, sizes and times over 0..2**53.
+_NODE_IDS = ('a"q', "back\\slash", "100%", "%s", "%(x)s", "%%d", "ümlaut", "日本", "tab\t",
+             "nul\x00", "bell\x07", "line\u2028")
+_LATENCIES_MS = (5e-321, 1e303, 2.5e-7, 1e12, 0.0, 3.0, 12.345678901)
+_BANDWIDTHS_KBPS = (None, None, 1e-3, 8.0, 1e300)
+_COUNTS = (0, 1, 7, 2**31, 2**53 - 1, 2**53)
+_TIMES = (0, 1, 2**53, 0.0, -0.0, 5e-324, 2.5e-310, 1e-5, 1.5e-7, 1e300, 123456789012.0,
+          0.1, 1e16)
+
+
+def test_frame_lines_are_the_canonical_json_of_their_dict_payloads(tmp_path):
+    from analyse.telemetry import RunSink, UnserializableError, canonical_json
+
+    rng = random.Random(38)
+    path = tmp_path / "frames.jsonl"
+    want = []
+    with RunSink(path, "frames") as sink:
+        for case in range(300):
+            nodes = rng.sample(_NODE_IDS, rng.randint(1, 5))
+            links = tuple(LinkSpec(a, b, rng.choice(_LATENCIES_MS), rng.choice(_BANDWIDTHS_KBPS),
+                                   0.0) for a, b in zip(nodes, nodes[1:]))
+            topology = NetworkTopology(tuple(map(NodeSpec, nodes)), links)
+            source = f"net{case}"
+            net = make(topology, emit=lambda kind, t, p: sink.emit(source, kind, t, p))
+            src, dst = rng.choice(nodes), rng.choice(nodes)
+            frame_id = rng.choice(_COUNTS + (rng.randrange(2**53),))
+            net._nodes[src].next_frame_id = frame_id
+            size = rng.choice(_COUNTS)
+            t = rng.choice(_TIMES + (rng.uniform(0.0, 1e6), rng.randrange(2**53)))
+            assert net.send(src, dst, _Sized(size) if size > 64 else b"x" * size, t)
+            route = net.shortest_path(src, dst)
+            hop_delays, at = [], t
+            for a, b in zip(route, route[1:]):
+                latency_s, bandwidth_bps, _ = topology.hops[(a, b)]
+                tx_s = 0.0 if bandwidth_bps is None else size * 8.0 / bandwidth_bps
+                hop = latency_s + tx_s + 0.0
+                hop_delays.append(hop)
+                at = at + hop
+            net.advance(math.inf)
+            assert [arrival for arrival, _ in net.delivered(dst)] == [at]
+            for kind, t_sim, payload in (
+                    ("net.send", t, {"src": src, "dst": dst, "frame_id": frame_id,
+                                     "size_bytes": size, "path": route}),
+                    ("net.deliver", at, {"src": src, "dst": dst, "frame_id": frame_id,
+                                         "size_bytes": size, "sent_at": t, "delivered_at": at,
+                                         "hop_delays": hop_delays})):
+                want.append(canonical_json({"run_id": "frames", "seq": len(want), "t_sim": t_sim,
+                                            "source": source, "kind": kind, "payload": payload}))
+        # a delivery time that overflows to inf writes no line and takes no seq
+        net = make(single_link(latency_ms=1e308),
+                   emit=lambda kind, t, p: sink.emit("last", kind, t, p))
+        assert net.send("a", "b", b"x", 1.7976931348623157e308)
+        want.append(canonical_json({"run_id": "frames", "seq": len(want),
+                                    "t_sim": 1.7976931348623157e308, "source": "last",
+                                    "kind": "net.send", "payload": {
+                                        "src": "a", "dst": "b", "frame_id": 0, "size_bytes": 1,
+                                        "path": ["a", "b"]}}))
+        with pytest.raises(UnserializableError):
+            net.advance(math.inf)
+        sink.emit("after", "k.x", 0.0, {})
+        want.append(canonical_json({"run_id": "frames", "seq": len(want), "t_sim": 0.0,
+                                    "source": "after", "kind": "k.x", "payload": {}}))
+    assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in want)

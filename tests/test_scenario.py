@@ -1318,9 +1318,10 @@ def test_a_tampered_dispatch_leaves_the_setpoint(mini_doc, q_field):
 
 @pytest.fixture(scope="module")
 def wire_runs(tmp_path_factory):
-    """Every wire payload the codec made or read, and what Network.delivered
-    returned, over the gaming run and the two dos_compare runs, and the memo
-    sizes after the gaming run."""
+    """Every wire payload the codec made or read, every payload format the
+    network built, and what Network.delivered returned, over the gaming run
+    and the two dos_compare runs, and the memo sizes after the gaming run."""
+    from analyse import network
     from analyse.network import Network
 
     seen = collections.defaultdict(list)
@@ -1336,6 +1337,8 @@ def wire_runs(tmp_path_factory):
         for name in ("offer_payload", "dispatch_payload", "read_payload"):
             patch.setattr(scenario, name, recording(name, getattr(scenario, name)))
         patch.setattr(Network, "delivered", recording("delivered", Network.delivered))
+        patch.setattr(network, "payload_format",
+                      recording("payload_format", network.payload_format))
         path = packaged("gaming.yaml")
         execute_run(load_document(path), path.parent, tmp_path_factory.mktemp("wire"))
         memos = [f.cache_info() for f in (market._memo_offer, market._memo_dispatch,
@@ -1385,6 +1388,17 @@ def test_a_frame_that_repeats_one_feeder4_day_later_is_served_from_the_memo(tmp_
     execute_run(doc, packaged("feeder4.yaml").parent, tmp_path)
     offers, dispatches, reads = (memo.cache_info().hits for memo in memos)
     assert offers >= 3 * 97 and dispatches >= 4 * 97 and reads > 0
+
+
+def test_each_route_keeps_one_pair_of_frame_formats(wire_runs):
+    # gaming's and both dos_compare runs' topologies: a route's net.send and
+    # net.deliver formats are built once, when it is searched, for all episodes
+    seen = wire_runs[0]
+    topologies = {id(net.topology): net.topology for (net, _), _ in seen["delivered"]}
+    routes = [route for topology in topologies.values() for route in topology.routes.values()]
+    assert len(topologies) == 3 and len(routes) >= 3 * 4
+    built = sorted(result for _, result in seen["payload_format"])
+    assert built == sorted(f for _, send, deliver in routes for f in (send, deliver))
 
 
 def test_the_net_asks_only_nodes_that_hold_frames_for_them(wire_runs):

@@ -275,6 +275,18 @@ def test_key_shape_cache_stays_at_its_cap():
     assert canonical_json({"k0": 0, "a": None}) == '{"a":null,"k0":0}'
 
 
+def test_float_text_memo_stays_at_its_bound(dos_logs):
+    # the runs' times and hop delays pass through it, and so do 10,000 new floats
+    assert telemetry._FLOAT_TEXTS_MAX == 256
+    assert len(telemetry._FLOAT_TEXTS) <= telemetry._FLOAT_TEXTS_MAX
+    rng = random.Random(23)
+    for _ in range(10000):
+        x = rng.uniform(-1e6, 1e6)
+        assert telemetry.value_text(x) == canonical_json(x) == f"{x:.9g}"
+        assert len(telemetry._FLOAT_TEXTS) <= telemetry._FLOAT_TEXTS_MAX
+    assert telemetry.floats_text([x, 0.0, -0.0]) == canonical_json([x, 0.0, -0.0])
+
+
 def test_record_that_fails_to_encode_writes_nothing(tmp_path):
     path = tmp_path / "r.jsonl"
     with RunSink(path, "r") as sink:
@@ -380,6 +392,36 @@ def test_summary_keeps_returns_per_phase_and_a_phase_that_is_no_string_is_a_pars
     assert [(line, message) for line, message in s.parse_errors] == [
         (4, "agent.episode field 'phase' has the wrong type")]
     assert s.status == "incomplete"
+
+
+def test_summary_keeps_the_generation_curve_and_a_value_that_is_no_number_is_a_parse_error(
+        tmp_path):
+    path = tmp_path / "generations.jsonl"
+    with RunSink(path, "g") as sink:
+        for gen, values in enumerate(((1.0, 2.0, 0.5), (3, 4.5, 0.25), ("x", 1.0, 0.1))):
+            sink.emit("agent", "agent.generation", 0.0, {
+                "generation": gen, **dict(zip(telemetry.GENERATION_FIELDS, values))})
+    s = summarize(path)
+    assert s.generations == [(1.0, 2.0, 0.5), (3, 4.5, 0.25)]
+    assert s.parse_errors == [(3, "agent.generation field 'mean_return' has the wrong type")]
+    assert s.unknown_kinds == {} and s.aggregates() == RunSummary().aggregates()
+
+
+def test_the_gaming_report_prints_each_generation(gaming_log, capsys):
+    from analyse.cli import main
+
+    logged = [json.loads(line)["payload"] for line in gaming_log.read_text().splitlines()
+              if '"kind":"agent.generation"' in line]
+    assert summarize(gaming_log).generations == [
+        tuple(p[name] for name in telemetry.GENERATION_FIELDS) for p in logged]
+    capsys.readouterr()
+    assert main(["report", str(gaming_log)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("generation.")]
+    assert [row[0] for row in rows] == [f"generation.{gen}.{name}" for gen in range(8)
+                                        for name in telemetry.GENERATION_FIELDS]
+    assert [row[1] for row in rows[-3:]] == [
+        f"{x:.6g}" for x in summarize(gaming_log).generations[-1]]
 
 
 def test_mean_is_the_logged_formula_and_never_overflows_on_finite_values():
